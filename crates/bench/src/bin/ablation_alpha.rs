@@ -18,7 +18,7 @@ use mg_bench::table::{p3, Table};
 use mg_bench::{
     aggregate, record_detection_world, sweep_or_exit, BenchConfig, Load, TrialOutcome,
 };
-use mg_detect::{replay_pool, MonitorConfig, ObsJournal};
+use mg_detect::{MonitorConfig, ObsJournal, SessionSpec};
 use mg_net::ScenarioConfig;
 use mg_runner::CacheKey;
 use std::collections::HashMap;
@@ -39,11 +39,12 @@ fn replay_trial(journal: &ObsJournal, arma_alpha: f64) -> TrialOutcome {
     mc.sample_size = 25;
     mc.arma_alpha = arma_alpha;
     mc.blatant_check = false;
-    let pool = replay_pool(journal, mc);
-    let d = pool.diagnosis();
+    let mut session = SessionSpec::pool(s, &meta.vantages, mc).build();
+    journal.replay(&mut session);
+    let d = session.diagnosis();
     // The column of interest: the ARMA-smoothed *background* intensity, not
     // the overall busy fraction — it is the α-dependent estimate.
-    let rho_bg = pool.monitor(r).map(|m| m.rho()).unwrap_or(0.0);
+    let rho_bg = session.pool().monitor(r).map(|m| m.rho()).unwrap_or(0.0);
     TrialOutcome {
         tests: d.tests_run as u64,
         rejections: d.rejections as u64,

@@ -17,7 +17,7 @@ use mg_bench::table::{p3, Table};
 use mg_bench::{
     aggregate, record_detection_world, sweep_or_exit, BenchConfig, Load, TrialOutcome,
 };
-use mg_detect::{replay_pool, MonitorConfig, NodeCounts, ObsJournal};
+use mg_detect::{MonitorConfig, NodeCounts, ObsJournal, SessionSpec};
 use mg_geom::PreclusionRule;
 use mg_net::ScenarioConfig;
 use mg_runner::CacheKey;
@@ -42,7 +42,9 @@ fn replay_trial(journal: &ObsJournal, rule: PreclusionRule, counts: NodeCounts) 
     mc.preclusion = rule;
     mc.counts = counts;
     mc.blatant_check = false;
-    let d = replay_pool(journal, mc).diagnosis();
+    let mut session = SessionSpec::pool(s, &meta.vantages, mc).build();
+    journal.replay(&mut session);
+    let d = session.diagnosis();
     TrialOutcome {
         tests: d.tests_run as u64,
         rejections: d.rejections as u64,

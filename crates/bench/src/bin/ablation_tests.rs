@@ -6,10 +6,10 @@
 //!
 //! Replay-backed: each `(PM, seed)` world is simulated **once**, its
 //! observation stream recorded to a cached [`mg_detect::ObsJournal`], and
-//! the raw (dictated, estimated) samples are extracted by replaying the
-//! journal into an `auto_test = false` monitor. The journal is keyed on the
-//! world alone, so this binary shares cache entries with any other sweep
-//! over the same `(cfg, PM)` cells.
+//! the raw (dictated, estimated) samples are read from the static vantage's
+//! sample log after replaying the journal into a detector session. The
+//! journal is keyed on the world alone, so this binary shares cache entries
+//! with any other sweep over the same `(cfg, PM)` cells.
 //!
 //! ```text
 //! cargo run --release -p mg-bench --bin ablation_tests
@@ -18,7 +18,7 @@
 use mg_bench::sweep::{journal_codec, journal_key, SCHEMA};
 use mg_bench::table::{p3, Table};
 use mg_bench::{record_detection_world, sweep_or_exit, BenchConfig, Load};
-use mg_detect::{replay_pool, MonitorConfig, ObsJournal};
+use mg_detect::{MonitorConfig, ObsJournal, SessionSpec};
 use mg_net::ScenarioConfig;
 use mg_runner::{CacheKey, Codec};
 use mg_stats::signed_rank::signed_rank_test;
@@ -40,9 +40,11 @@ fn world_cfg(seed: u64, secs: u64) -> ScenarioConfig {
 fn collect(journal: &ObsJournal) -> Vec<(f64, f64)> {
     let meta = journal.meta();
     let (s, r) = (meta.tagged, meta.vantages[0]);
-    let mut mc = MonitorConfig::grid_paper(s, r, 240.0);
-    mc.auto_test = false;
-    replay_pool(journal, mc)
+    let mc = MonitorConfig::grid_paper(s, r, 240.0);
+    let mut session = SessionSpec::pool(s, &meta.vantages, mc).build();
+    journal.replay(&mut session);
+    session
+        .pool()
         .monitor(r)
         .expect("static vantage is always a member")
         .samples()

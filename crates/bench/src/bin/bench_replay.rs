@@ -22,7 +22,7 @@
 use mg_bench::{record_detection_world, BenchConfig, Load, TrialOutcome};
 use mg_dcf::BackoffPolicy;
 use mg_detect::{
-    replay_pool, JournalFormat, JournalReader, MonitorConfig, ObsJournal, ScenarioBuilder,
+    JournalFormat, JournalReader, MonitorConfig, ObsJournal, ScenarioBuilder, SessionSpec,
     WorldMonitors,
 };
 use mg_net::{Scenario, ScenarioConfig, SourceCfg};
@@ -78,7 +78,9 @@ fn simulate_trial(seed: u64, pm: u8, arma_alpha: f64, secs: u64) -> TrialOutcome
 fn replay_trial(journal: &ObsJournal, arma_alpha: f64) -> TrialOutcome {
     let meta = journal.meta();
     let mc = monitor_cfg(meta.tagged, meta.vantages[0], arma_alpha);
-    outcome(&replay_pool(journal, mc).diagnosis())
+    let mut session = SessionSpec::pool(meta.tagged, &meta.vantages, mc).build();
+    journal.replay(&mut session);
+    outcome(&session.diagnosis())
 }
 
 /// One format's measured half of the bench: encode all journals, decode

@@ -426,7 +426,8 @@ pub fn mobile_detection_trial_fanout_faulted(
 /// background sources land on the same nodes and the world evolves
 /// byte-identically to a monitored run — observers are strictly read-only.
 /// The returned journal can then be replayed into any number of detector
-/// configurations via [`mg_detect::replay_pool`]; together with
+/// configurations (a [`mg_detect::SessionSpec`] session fed through
+/// [`ObsJournal::replay`]); together with
 /// [`sweep::journal_key`] this is the second cache tier the ablation
 /// binaries run on.
 pub fn record_detection_world(seed: u64, cfg: ScenarioConfig, pm: u8) -> ObsJournal {
@@ -883,7 +884,10 @@ mod tests {
         let (s, r) = scenario.tagged_pair();
         let d = scenario.positions()[s].distance(scenario.positions()[r]);
         let mc = MonitorConfig::grid_paper(s, r, d).with_sample_size(25);
-        let diag = mg_detect::replay_pool(&journal, mc).diagnosis();
+        let meta = journal.meta();
+        let mut session = mg_detect::SessionSpec::pool(meta.tagged, &meta.vantages, mc).build();
+        journal.replay(&mut session);
+        let diag = session.diagnosis();
         assert_eq!(diag.tests_run as u64, live.tests);
         assert_eq!(diag.rejections as u64, live.rejections);
         assert_eq!(diag.violations as u64, live.violations);

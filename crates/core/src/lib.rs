@@ -14,8 +14,9 @@
 //! 2. **Deterministic checks** ([`Violation`]): sequence-offset reuse,
 //!    attempt-number cheating (caught via the MD5 digest), and countdowns
 //!    that are blatantly short during fully-observable periods.
-//! 3. **Statistical inference** ([`Monitor`]): when interference makes the
-//!    tagged node's channel view unobservable, the monitor estimates it:
+//! 3. **Statistical inference** ([`Monitor`], judged by [`MonitorPool`]):
+//!    when interference makes the tagged node's channel view unobservable,
+//!    the monitor estimates it:
 //!    traffic intensity ρ by the paper's ARMA filter (Eq. 6), local node
 //!    density à la Bianchi–Tinnirello ([`DensityEstimator`]), the
 //!    conditional probabilities `p_{B|I}`/`p_{I|B}` from the geometric model
@@ -68,7 +69,7 @@ pub use mg_obs::{
     JournalWriter, Obs, ObsJournal, ObsMeta, ObsSink,
 };
 pub use pool::MonitorPool;
-pub use record::{replay_pool, replay_pool_faulted, replay_reader, replay_reader_faulted, ObsRecorder};
+pub use record::ObsRecorder;
 pub use scenario::{
     Assembly, AttackerHandle, MonitorHandle, Monitors, ScenarioBuilder, WorldMonitors, WorldProbe,
 };

@@ -1,6 +1,7 @@
-//! The per-neighbor misbehavior monitor.
+//! The per-vantage sample extractor and deterministic checker.
 //!
-//! A [`Monitor`] sits at a *vantage* node and watches one *tagged* neighbor,
+//! A [`Monitor`] sits at a *vantage* node and watches one *tagged* neighbor
+//! on behalf of the [`MonitorPool`](crate::MonitorPool) that owns it,
 //! consuming exactly what a real co-located process could observe:
 //!
 //! * the vantage node's own carrier-sense edges (busy/idle),
@@ -14,8 +15,8 @@
 //! node's previous exchange (or at its CTS timeout for a retry) — and
 //! converts the vantage's idle/busy slot counts in that window into an
 //! *estimated* count of slots the tagged node could have decremented
-//! (Eqs. 1–5). The estimates are tested against the dictated PRS values
-//! with a one-sided Wilcoxon rank-sum test.
+//! (Eqs. 1–5). The `(dictated, estimated)` pairs go to the pool, which
+//! tests them against each other with a one-sided Wilcoxon rank-sum test.
 //!
 //! Five deterministic checks run alongside (Section 4 of the paper, plus
 //! two this reproduction added): sequence-offset commitment, rate
@@ -33,15 +34,11 @@ use crate::NodeId;
 use mg_dcf::{Dest, Frame, FrameKind, MacTiming};
 use mg_crypto::VerifiableSequence;
 use mg_fault::{FrameFate, ObsFaults};
-use mg_net::NetObserver;
 use mg_obs::{Obs, ObsSink};
-use mg_phy::Medium;
 use mg_geom::PreclusionRule;
 use mg_sim::SimTime;
 use mg_trace::{Counter, EventKind, Metrics, Tracer};
 use mg_stats::filter::Arma;
-use mg_stats::signed_rank::signed_rank_test;
-use mg_stats::wilcoxon::{rank_sum_test, Alternative, RankSumResult};
 
 /// How the monitor obtains the node counts (n, k, m, j) of the analytic
 /// model.
@@ -175,9 +172,9 @@ pub struct MonitorConfig {
     pub cs_range: f64,
     /// Transmission range (Table 1: 250 m) — used by the density estimate.
     pub tx_range: f64,
-    /// Significance level of the rank-sum test.
+    /// Significance level of the pool's rank-sum test.
     pub alpha: f64,
-    /// Back-off samples per hypothesis test (the paper sweeps 10–100).
+    /// Back-off samples per pool hypothesis test (the paper sweeps 10–100).
     pub sample_size: usize,
     /// ARMA smoothing α (paper: 0.995).
     pub arma_alpha: f64,
@@ -202,10 +199,8 @@ pub struct MonitorConfig {
     /// subtracts `(EIFS − DIFS) × eifs_weight` slots from the estimate
     /// (the weight discounts collisions the tagged node did not perceive).
     pub eifs_weight: f64,
-    /// Run the rank-sum test automatically every `sample_size` samples.
-    /// Disable when a [`crate::MonitorPool`] aggregates samples itself.
-    pub auto_test: bool,
-    /// Which hypothesis test judges the samples (paper: rank-sum).
+    /// Which hypothesis test the pool judges the samples with (paper:
+    /// rank-sum).
     pub judge: Judge,
     /// Whether every unicast DATA frame must be announced by an RTS (the
     /// paper's protocol). When set, persistent basic-access traffic from
@@ -247,7 +242,6 @@ impl MonitorConfig {
             blatant_tolerance: 2.0,
             discard_factor: 1.5,
             eifs_weight: 0.5,
-            auto_test: true,
             judge: Judge::RankSum,
             require_rts: true,
             resync_after: mg_sim::SimDuration::from_secs(2),
@@ -273,16 +267,6 @@ impl MonitorConfig {
     /// This configuration with the tagged→vantage distance replaced.
     pub fn with_pair_distance(self, pair_distance: f64) -> Self {
         MonitorConfig { pair_distance, ..self }
-    }
-
-    /// This configuration with the deterministic-conviction threshold raised
-    /// to at least `confirm` consecutive anomalous observations (never
-    /// lowered).
-    pub fn hardened(self, confirm: usize) -> Self {
-        MonitorConfig {
-            confirm_anomalies: self.confirm_anomalies.max(confirm),
-            ..self
-        }
     }
 }
 
@@ -336,8 +320,10 @@ struct RtsRecord {
     at: SimTime,
 }
 
-/// The per-neighbor monitor (see module docs). Implements
-/// [`mg_net::NetObserver`] so it can be plugged directly into a `World`.
+/// The per-vantage monitor (see module docs). Members live inside a
+/// [`MonitorPool`](crate::MonitorPool), which feeds them through
+/// [`ObsSink::ingest`] and judges their samples; reach one through
+/// [`MonitorPool::monitor`](crate::MonitorPool::monitor).
 pub struct Monitor {
     cfg: MonitorConfig,
     prs: VerifiableSequence,
@@ -363,12 +349,11 @@ pub struct Monitor {
     data_unverified: u64,
     unverified_flagged: bool,
 
-    /// Collected (dictated, estimated) back-off pairs awaiting a test.
+    /// Collected (dictated, estimated) back-off pairs the pool has not
+    /// drained yet.
     pending: Vec<(f64, f64)>,
     /// All samples ever collected (kept for offline analysis / benches).
     all_samples: Vec<(f64, f64)>,
-    tests: Vec<RankSumResult>,
-    rejections: usize,
     violations: Vec<Violation>,
     discarded: usize,
     /// Observation-boundary fault injector (chaos testing). The world is
@@ -390,21 +375,8 @@ pub struct Monitor {
 }
 
 impl Monitor {
-    /// Creates a monitor for `cfg.tagged`, observing from `cfg.vantage`,
-    /// with an observation-boundary fault injector installed from birth.
-    /// Faults apply to what *this monitor perceives* — dropped frames never
-    /// reach its estimators, corrupted tagged RTSs arrive with commitment
-    /// bits flipped — while the simulated world runs unchanged. Typically
-    /// derived from a plan via [`mg_fault::FaultPlan::observer`]; `None`
-    /// observes faithfully.
-    pub fn with_faults(cfg: MonitorConfig, faults: Option<ObsFaults>) -> Self {
-        let mut m = Monitor::new(cfg);
-        m.faults = faults;
-        m
-    }
-
     /// Creates a monitor for `cfg.tagged`, observing from `cfg.vantage`.
-    pub fn new(cfg: MonitorConfig) -> Self {
+    pub(crate) fn new(cfg: MonitorConfig) -> Self {
         Monitor {
             prs: VerifiableSequence::new(cfg.tagged as u64),
             chan: ChannelTracker::new(),
@@ -424,8 +396,6 @@ impl Monitor {
             unverified_flagged: false,
             pending: Vec::new(),
             all_samples: Vec::new(),
-            tests: Vec::new(),
-            rejections: 0,
             violations: Vec::new(),
             discarded: 0,
             faults: None,
@@ -443,7 +413,7 @@ impl Monitor {
     /// Journals this monitor's samples, tests, and violations through
     /// `tracer` and counts them into `metrics` (node-scoped to the tagged
     /// node). Both disabled by default.
-    pub fn set_instrumentation(&mut self, tracer: Tracer, metrics: Metrics) {
+    pub(crate) fn set_instrumentation(&mut self, tracer: Tracer, metrics: Metrics) {
         self.tracer = tracer;
         self.metrics = metrics;
     }
@@ -459,12 +429,17 @@ impl Monitor {
         self.cfg.pair_distance = d;
     }
 
-    /// Internal fault path (see [`Monitor::with_faults`]).
+    /// Installs the observation-boundary fault injector. Faults apply to
+    /// what *this monitor perceives* — dropped frames never reach its
+    /// estimators, corrupted tagged RTSs arrive with commitment bits flipped
+    /// — while the simulated world runs unchanged. `None` observes
+    /// faithfully.
     pub(crate) fn install_faults(&mut self, faults: Option<ObsFaults>) {
         self.faults = faults;
     }
 
-    /// Internal confirmation path (see [`MonitorConfig::hardened`]).
+    /// Raises [`MonitorConfig::confirm_anomalies`] to at least `confirm`
+    /// (never lowers it).
     pub(crate) fn raise_confirmation(&mut self, confirm: usize) {
         self.cfg.confirm_anomalies = self.cfg.confirm_anomalies.max(confirm);
     }
@@ -489,28 +464,9 @@ impl Monitor {
         }
     }
 
-    /// The running diagnosis.
-    pub fn diagnosis(&self) -> Diagnosis {
-        Diagnosis {
-            tests_run: self.tests.len(),
-            rejections: self.rejections,
-            violations: self.violations.len(),
-            samples_collected: self.all_samples.len(),
-            samples_discarded: self.discarded,
-            last_p: self.tests.last().map(|t| t.p_value),
-            measured_rho: self.chan.rho(),
-            uncertain: self.uncertain,
-        }
-    }
-
     /// Deterministic violations recorded so far.
     pub fn violations(&self) -> &[Violation] {
         &self.violations
-    }
-
-    /// Hypothesis-test results so far.
-    pub fn tests(&self) -> &[RankSumResult] {
-        &self.tests
     }
 
     /// All `(dictated, estimated)` samples collected so far.
@@ -518,10 +474,20 @@ impl Monitor {
         &self.all_samples
     }
 
-    /// Removes and returns samples not yet consumed by a test — used by
-    /// [`crate::MonitorPool`] (configure `auto_test: false`).
-    pub fn drain_samples(&mut self) -> Vec<(f64, f64)> {
-        std::mem::take(&mut self.pending)
+    /// Estimated windows discarded as queue-idle contaminated.
+    pub fn discarded(&self) -> usize {
+        self.discarded
+    }
+
+    /// Anomalous observations held below the confirmation threshold
+    /// (see [`Diagnosis::uncertain`]).
+    pub fn uncertain(&self) -> usize {
+        self.uncertain
+    }
+
+    /// Removes and returns the samples the pool has not drained yet.
+    pub(crate) fn drain_samples(&mut self) -> std::vec::Drain<'_, (f64, f64)> {
+        self.pending.drain(..)
     }
 
     /// The ARMA-smoothed **background** traffic intensity: slot samples come
@@ -813,9 +779,6 @@ impl Monitor {
                 });
                 self.pending.push((x, y));
                 self.all_samples.push((x, y));
-                if self.cfg.auto_test && self.pending.len() >= self.cfg.sample_size {
-                    self.run_test();
-                }
             }
         } else {
             // Below the threshold: journal the anomalies as uncertain,
@@ -872,60 +835,12 @@ impl Monitor {
             });
         }
     }
-
-    /// Runs the configured hypothesis test over the pending samples.
-    fn run_test(&mut self) {
-        let xs: Vec<f64> = self.pending.iter().map(|&(x, _)| x).collect();
-        let ys: Vec<f64> = self.pending.iter().map(|&(_, y)| y).collect();
-        self.pending.clear();
-        let result = match self.cfg.judge {
-            Judge::RankSum => rank_sum_test(&ys, &xs, Alternative::Less),
-            Judge::SignedRank => {
-                let sr = signed_rank_test(&ys, &xs, Alternative::Less);
-                // Report through the common result shape (W⁺ as statistic).
-                RankSumResult {
-                    w: sr.w_plus,
-                    u: sr.w_plus,
-                    p_value: sr.p_value,
-                    method: sr.method,
-                    n1: sr.n_used,
-                    n2: sr.n_used,
-                }
-            }
-        };
-        let reject = result.p_value < self.cfg.alpha;
-        if reject {
-            self.rejections += 1;
-        }
-        // Timestamped at the last tagged-node sighting: run_test is always
-        // driven by tagged-node activity, and virtual time keeps the journal
-        // deterministic.
-        let t = self.last_tagged_seen.unwrap_or(SimTime::ZERO);
-        self.tracer.emit(
-            t.as_nanos(),
-            Some(self.cfg.tagged),
-            EventKind::MonitorTest { p: result.p_value, reject },
-        );
-        self.metrics.bump(self.cfg.tagged, Counter::MonitorTests);
-        self.delta(DiagnosisDelta::TestFired { result, reject, at: t });
-        self.tests.push(result);
-    }
-
-    /// Forces a test over however many samples are pending (≥ 2 of each).
-    /// Returns the result if one could be run.
-    pub fn test_now(&mut self) -> Option<RankSumResult> {
-        if self.pending.len() < 2 {
-            return None;
-        }
-        self.run_test();
-        self.tests.last().copied()
-    }
 }
 
 impl ObsSink for Monitor {
     /// The monitor's single entry point: every event it will ever learn
     /// about arrives here as one serializable [`Obs`] — whether projected
-    /// live from a [`NetObserver`] callback or replayed from a journal.
+    /// live by the pool's world adapter or replayed from a journal.
     /// Events for other vantages are ignored, so a shared stream can be fed
     /// to many monitors unchanged.
     fn ingest(&mut self, obs: &Obs) {
@@ -936,8 +851,8 @@ impl ObsSink for Monitor {
                 self.obs_decoded(*at, frame, *start, *end)
             }
             Obs::Garbled { at, .. } => self.obs_garbled(*at),
-            // Geometry is a pool-level concern (hand-off); a solo monitor's
-            // pair distance is fixed at construction.
+            // Geometry is a pool-level concern: the pool's hand-off
+            // election updates the elected member's pair distance.
             Obs::Ranging { .. } => {}
         }
     }
@@ -1031,40 +946,13 @@ impl Monitor {
     }
 }
 
-/// Thin world→[`Obs`] projection: live callbacks are translated into the
-/// serializable alphabet and funneled through [`ObsSink::ingest`], so a live
-/// monitor and a journal replay traverse exactly the same code.
-impl NetObserver for Monitor {
-    fn on_channel_edge(&mut self, node: NodeId, busy: bool, now: SimTime) {
-        self.ingest(&Obs::ChannelEdge { node, busy, at: now });
-    }
-
-    fn on_tx_start(&mut self, src: NodeId, frame: &Frame, now: SimTime, end: SimTime) {
-        self.ingest(&Obs::TxStart { src, frame: frame.clone(), at: now, end });
-    }
-
-    fn on_frame_decoded(
-        &mut self,
-        _medium: &Medium,
-        at: NodeId,
-        frame: &Frame,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        self.ingest(&Obs::Decoded { at, frame: frame.clone(), start, end });
-    }
-
-    fn on_frame_garbled(&mut self, at: NodeId, now: SimTime) {
-        self.ingest(&Obs::Garbled { at, now });
-    }
-}
-
 impl std::fmt::Debug for Monitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Monitor")
             .field("tagged", &self.cfg.tagged)
             .field("vantage", &self.cfg.vantage)
-            .field("diagnosis", &self.diagnosis())
+            .field("samples", &self.all_samples.len())
+            .field("violations", &self.violations.len())
             .finish()
     }
 }
@@ -1072,22 +960,12 @@ impl std::fmt::Debug for Monitor {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use mg_dcf::{sdu_digest, RtsFields};
-    use mg_geom::Vec2;
-    use mg_phy::{PropagationModel, RadioParams};
+    use crate::MonitorPool;
+    use mg_dcf::{sdu_digest, MacSdu, RtsFields};
     use mg_sim::SimDuration;
 
-    const S: NodeId = 0;
-    const R: NodeId = 1;
-
-    fn medium() -> Medium {
-        let prop = PropagationModel::free_space();
-        Medium::new(
-            prop,
-            RadioParams::paper_default(&prop),
-            vec![Vec2::new(0.0, 0.0), Vec2::new(240.0, 0.0)],
-        )
-    }
+    pub(crate) const S: NodeId = 0;
+    pub(crate) const R: NodeId = 1;
 
     fn cfg() -> MonitorConfig {
         MonitorConfig {
@@ -1096,7 +974,7 @@ pub(crate) mod tests {
         }
     }
 
-    fn rts_frame(seq: u64, attempt: u8, pkt: u64) -> Frame {
+    pub(crate) fn rts_frame(seq: u64, attempt: u8, pkt: u64) -> Frame {
         Frame {
             src: S,
             dst: Dest::Unicast(R),
@@ -1109,202 +987,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// Drives a synthetic fully-observable timeline: S is saturated, the
-    /// channel contains only S's exchanges, and each back-off takes exactly
-    /// `factor × dictated` slots (factor < 1 ⇒ misbehavior).
-    ///
-    /// Returns the monitor after `count` windows.
-    fn synthetic_run(factor: f64, count: usize, monitor_cfg: MonitorConfig) -> Monitor {
-        let mut m = Monitor::new(monitor_cfg);
-        let med = medium();
-        let t = MacTiming::paper_default();
-        let prs = VerifiableSequence::new(S as u64);
-        let mut now = SimTime::ZERO;
-
-        // Initial exchange so the monitor gets an anchor: S sends RTS 0.
-        let slot_ns = t.slot.as_nanos();
-        for i in 0..=count {
-            let seq = i as u64;
-            let dictated = prs.backoff(seq, 1, t.cw_min, t.cw_max).slots;
-            let counted = (f64::from(dictated) * factor).floor() as u64;
-            // Idle DIFS + counted slots.
-            now = now + t.difs() + SimDuration::from_nanos(counted * slot_ns);
-            // RTS on air.
-            let rts_start = now;
-            let rts_end = rts_start + t.rts_airtime();
-            m.on_channel_edge(R, true, rts_start);
-            m.on_frame_decoded(&med, R, &rts_frame(seq, 1, i as u64), rts_start, rts_end);
-            m.on_channel_edge(R, false, rts_end);
-            // CTS (from R itself — own tx), DATA from S, ACK from R.
-            let cts_start = rts_end + t.sifs;
-            let cts_end = cts_start + t.cts_airtime();
-            m.on_tx_start(R, &rts_frame(seq, 1, 0), cts_start, cts_end);
-            let data_start = cts_end + t.sifs;
-            let data_end = data_start + t.data_airtime(512);
-            m.on_channel_edge(R, true, data_start);
-            let data = Frame {
-                src: S,
-                dst: Dest::Unicast(R),
-                duration: t.data_duration(),
-                kind: FrameKind::Data {
-                    sdu: mg_dcf::MacSdu {
-                        id: i as u64,
-                        dst: Dest::Unicast(R),
-                        payload_len: 512,
-                    },
-                },
-            };
-            m.on_frame_decoded(&med, R, &data, data_start, data_end);
-            m.on_channel_edge(R, false, data_end);
-            let ack_start = data_end + t.sifs;
-            let ack_end = ack_start + t.ack_airtime();
-            m.on_tx_start(R, &rts_frame(seq, 1, 0), ack_start, ack_end);
-            now = ack_end;
-        }
-        m
-    }
-
-    #[test]
-    fn compliant_node_yields_matching_samples() {
-        let m = synthetic_run(1.0, 25, cfg());
-        assert!(m.samples().len() >= 20, "got {} samples", m.samples().len());
-        for &(x, y) in m.samples() {
-            assert!(
-                (x - y).abs() < 1.0,
-                "fully observable compliant window: x={x} y={y}"
-            );
-        }
-        assert!(m.violations().is_empty(), "{:?}", m.violations());
-        let d = m.diagnosis();
-        assert_eq!(d.rejections, 0, "{d:?}");
-        assert!(d.tests_run >= 1);
-    }
-
-    #[test]
-    fn heavy_misbehavior_is_rejected_statistically() {
-        // PM = 70% (counts only 30% of the dictated value). At sample size
-        // 10 the paper reports near-certain detection for such blatant
-        // shrinking; PM = 50 at n = 10 is genuinely borderline (Fig. 5).
-        let mut c = cfg();
-        c.blatant_check = false; // isolate the statistical path
-        let m = synthetic_run(0.3, 25, c);
-        let d = m.diagnosis();
-        assert!(d.tests_run >= 2);
-        assert!(d.rejections >= 1, "{d:?}");
-    }
-
-    #[test]
-    fn halved_backoff_trips_the_blatant_check() {
-        let m = synthetic_run(0.5, 25, cfg());
-        assert!(
-            m.violations()
-                .iter()
-                .any(|v| matches!(v, Violation::BlatantCountdown { .. })),
-            "{:?}",
-            m.diagnosis()
-        );
-    }
-
-    #[test]
-    fn compliant_node_never_trips_blatant_check() {
-        let m = synthetic_run(1.0, 50, cfg());
-        assert!(m.violations().is_empty());
-    }
-
-    #[test]
-    fn sequence_reuse_is_flagged() {
-        let mut m = Monitor::new(cfg());
-        let med = medium();
-        let t = MacTiming::paper_default();
-        let e1 = SimTime::from_micros(1000) + t.rts_airtime();
-        m.on_frame_decoded(&med, R, &rts_frame(5, 1, 0), SimTime::from_micros(1000), e1);
-        // Re-announces offset 5 for a *different* packet: reuse.
-        let s2 = SimTime::from_micros(20_000);
-        m.on_frame_decoded(&med, R, &rts_frame(5, 1, 1), s2, s2 + t.rts_airtime());
-        assert!(m
-            .violations()
-            .iter()
-            .any(|v| matches!(v, Violation::SequenceReuse { .. })));
-    }
-
-    #[test]
-    fn attempt_cheating_is_flagged_via_md() {
-        let mut m = Monitor::new(cfg());
-        let med = medium();
-        let t = MacTiming::paper_default();
-        let s1 = SimTime::from_micros(1000);
-        m.on_frame_decoded(&med, R, &rts_frame(0, 1, 7), s1, s1 + t.rts_airtime());
-        // Retransmission of packet 7 (same MD) still announcing attempt 1.
-        let s2 = SimTime::from_micros(20_000);
-        m.on_frame_decoded(&med, R, &rts_frame(1, 1, 7), s2, s2 + t.rts_airtime());
-        assert!(m
-            .violations()
-            .iter()
-            .any(|v| matches!(v, Violation::AttemptMismatch { .. })));
-        // An honest retry (attempt 2) is fine.
-        let mut m2 = Monitor::new(cfg());
-        m2.on_frame_decoded(&med, R, &rts_frame(0, 1, 7), s1, s1 + t.rts_airtime());
-        m2.on_frame_decoded(&med, R, &rts_frame(1, 2, 7), s2, s2 + t.rts_airtime());
-        assert!(m2.violations().is_empty());
-    }
-
-    #[test]
-    fn seq_offset_wraps_are_tolerated() {
-        let mut m = Monitor::new(cfg());
-        let med = medium();
-        let t = MacTiming::paper_default();
-        // Near the 13-bit wrap boundary.
-        let s1 = SimTime::from_micros(1000);
-        m.on_frame_decoded(&med, R, &rts_frame(8190, 1, 0), s1, s1 + t.rts_airtime());
-        let s2 = SimTime::from_micros(20_000);
-        m.on_frame_decoded(&med, R, &rts_frame(8193, 1, 1), s2, s2 + t.rts_airtime());
-        assert!(m.violations().is_empty(), "{:?}", m.violations());
-    }
-
-    #[test]
-    fn pool_mode_accumulates_without_testing() {
-        let mut c = cfg();
-        c.auto_test = false;
-        let mut m = synthetic_run(1.0, 30, c);
-        assert_eq!(m.diagnosis().tests_run, 0);
-        let drained = m.drain_samples();
-        assert!(drained.len() >= 25);
-        assert!(m.drain_samples().is_empty());
-    }
-
-    #[test]
-    fn test_now_forces_a_verdict() {
-        let mut c = cfg();
-        c.sample_size = 1000; // never auto-fires
-        let mut m = synthetic_run(0.3, 30, c);
-        let r = m.test_now().expect("enough samples");
-        assert!(r.p_value < 0.05);
-        assert!(m.test_now().is_none(), "samples consumed");
-    }
-}
-
-
-#[cfg(test)]
-mod evasion_tests {
-    use super::*;
-    use mg_dcf::{MacSdu, MacTiming};
-    use mg_sim::SimDuration;
-    use mg_geom::Vec2;
-    use mg_phy::{PropagationModel, RadioParams};
-
-    const S: NodeId = 0;
-    const R: NodeId = 1;
-
-    fn medium() -> Medium {
-        let prop = PropagationModel::free_space();
-        Medium::new(
-            prop,
-            RadioParams::paper_default(&prop),
-            vec![Vec2::new(0.0, 0.0), Vec2::new(240.0, 0.0)],
-        )
-    }
-
-    fn data_frame(id: u64) -> Frame {
+    pub(crate) fn data_frame(id: u64) -> Frame {
         Frame {
             src: S,
             dst: Dest::Unicast(R),
@@ -1319,27 +1002,223 @@ mod evasion_tests {
         }
     }
 
-    fn rts_frame(seq: u64, pkt: u64) -> Frame {
-        Frame {
-            src: S,
-            dst: Dest::Unicast(R),
-            duration: MacTiming::paper_default().rts_duration(512),
-            kind: FrameKind::Rts(mg_dcf::RtsFields {
-                seq_off_wire: mg_crypto::VerifiableSequence::wire_offset(seq),
-                attempt: 1,
-                md: mg_dcf::sdu_digest(S, pkt),
-            }),
+    /// `frame`, on air over `[start, end]`, decoded at `R`.
+    pub(crate) fn decoded(frame: Frame, start: SimTime, end: SimTime) -> Obs {
+        Obs::Decoded { at: R, frame, start, end }
+    }
+
+    /// A tagged RTS starting at `start`, decoded at `R`.
+    pub(crate) fn rts_at(seq: u64, attempt: u8, pkt: u64, start: SimTime) -> Obs {
+        let end = start + MacTiming::paper_default().rts_airtime();
+        decoded(rts_frame(seq, attempt, pkt), start, end)
+    }
+
+    pub(crate) fn feed(mut m: Monitor, stream: &[Obs]) -> Monitor {
+        for o in stream {
+            m.ingest(o);
         }
+        m
+    }
+
+    pub(crate) fn monitor_on(cfg: MonitorConfig, stream: &[Obs]) -> Monitor {
+        feed(Monitor::new(cfg), stream)
+    }
+
+    /// A one-member pool at `R` fed `stream`: the shape every detector
+    /// session and `ScenarioBuilder::monitor` build.
+    fn pool_on(cfg: MonitorConfig, stream: &[Obs]) -> MonitorPool {
+        let mut pool = MonitorPool::new(S, &[R], cfg);
+        for o in stream {
+            pool.ingest(o);
+        }
+        pool
+    }
+
+    /// A synthetic fully-observable timeline: S is saturated, the channel
+    /// contains only S's exchanges, and each back-off takes exactly
+    /// `factor × dictated` slots (factor < 1 ⇒ misbehavior). `count + 1`
+    /// exchanges, each tagged RTS preceded by the ranging snapshot a
+    /// recorder writes.
+    fn synthetic_stream(factor: f64, count: usize) -> Vec<Obs> {
+        let t = MacTiming::paper_default();
+        let prs = VerifiableSequence::new(S as u64);
+        let slot_ns = t.slot.as_nanos();
+        let mut now = SimTime::ZERO;
+        let mut stream = Vec::new();
+        for i in 0..=count {
+            let seq = i as u64;
+            let dictated = prs.backoff(seq, 1, t.cw_min, t.cw_max).slots;
+            let counted = (f64::from(dictated) * factor).floor() as u64;
+            // Idle DIFS + counted slots, then the RTS on air.
+            now = now + t.difs() + SimDuration::from_nanos(counted * slot_ns);
+            let rts_start = now;
+            let rts_end = rts_start + t.rts_airtime();
+            stream.push(Obs::ChannelEdge { node: R, busy: true, at: rts_start });
+            stream.push(Obs::Ranging { from: S, to: vec![(R, 240.0)], at: rts_start });
+            stream.push(decoded(rts_frame(seq, 1, seq), rts_start, rts_end));
+            stream.push(Obs::ChannelEdge { node: R, busy: false, at: rts_end });
+            // CTS (from R itself — own tx), DATA from S, ACK from R.
+            let cts_start = rts_end + t.sifs;
+            let cts_end = cts_start + t.cts_airtime();
+            stream.push(Obs::TxStart { src: R, frame: rts_frame(seq, 1, 0), at: cts_start, end: cts_end });
+            let data_start = cts_end + t.sifs;
+            let data_end = data_start + t.data_airtime(512);
+            stream.push(Obs::ChannelEdge { node: R, busy: true, at: data_start });
+            stream.push(decoded(data_frame(seq), data_start, data_end));
+            stream.push(Obs::ChannelEdge { node: R, busy: false, at: data_end });
+            let ack_start = data_end + t.sifs;
+            let ack_end = ack_start + t.ack_airtime();
+            stream.push(Obs::TxStart { src: R, frame: rts_frame(seq, 1, 0), at: ack_start, end: ack_end });
+            now = ack_end;
+        }
+        stream
+    }
+
+    #[test]
+    fn compliant_node_yields_matching_samples() {
+        let pool = pool_on(cfg(), &synthetic_stream(1.0, 25));
+        let m = pool.monitor(R).expect("member");
+        assert!(m.samples().len() >= 20, "got {} samples", m.samples().len());
+        for &(x, y) in m.samples() {
+            assert!(
+                (x - y).abs() < 1.0,
+                "fully observable compliant window: x={x} y={y}"
+            );
+        }
+        assert!(m.violations().is_empty(), "{:?}", m.violations());
+        let d = pool.diagnosis();
+        assert_eq!(d.rejections, 0, "{d:?}");
+        assert!(d.tests_run >= 1);
+    }
+
+    #[test]
+    fn heavy_misbehavior_is_rejected_statistically() {
+        // PM = 70% (counts only 30% of the dictated value). At sample size
+        // 10 the paper reports near-certain detection for such blatant
+        // shrinking; PM = 50 at n = 10 is genuinely borderline (Fig. 5).
+        let mut c = cfg();
+        c.blatant_check = false; // isolate the statistical path
+        let d = pool_on(c, &synthetic_stream(0.3, 25)).diagnosis();
+        assert!(d.tests_run >= 2);
+        assert!(d.rejections >= 1, "{d:?}");
+    }
+
+    #[test]
+    fn halved_backoff_trips_the_blatant_check() {
+        let m = monitor_on(cfg(), &synthetic_stream(0.5, 25));
+        assert!(
+            m.violations()
+                .iter()
+                .any(|v| matches!(v, Violation::BlatantCountdown { .. })),
+            "{m:?}"
+        );
+    }
+
+    #[test]
+    fn compliant_node_never_trips_blatant_check() {
+        let m = monitor_on(cfg(), &synthetic_stream(1.0, 50));
+        assert!(m.violations().is_empty());
+    }
+
+    #[test]
+    fn sequence_reuse_is_flagged() {
+        // Re-announces offset 5 for a *different* packet: reuse.
+        let m = monitor_on(
+            cfg(),
+            &[
+                rts_at(5, 1, 0, SimTime::from_micros(1000)),
+                rts_at(5, 1, 1, SimTime::from_micros(20_000)),
+            ],
+        );
+        assert!(m
+            .violations()
+            .iter()
+            .any(|v| matches!(v, Violation::SequenceReuse { .. })));
+    }
+
+    #[test]
+    fn attempt_cheating_is_flagged_via_md() {
+        let s1 = SimTime::from_micros(1000);
+        let s2 = SimTime::from_micros(20_000);
+        // Retransmission of packet 7 (same MD) still announcing attempt 1.
+        let m = monitor_on(cfg(), &[rts_at(0, 1, 7, s1), rts_at(1, 1, 7, s2)]);
+        assert!(m
+            .violations()
+            .iter()
+            .any(|v| matches!(v, Violation::AttemptMismatch { .. })));
+        // An honest retry (attempt 2) is fine.
+        let m2 = monitor_on(cfg(), &[rts_at(0, 1, 7, s1), rts_at(1, 2, 7, s2)]);
+        assert!(m2.violations().is_empty());
+    }
+
+    #[test]
+    fn seq_offset_wraps_are_tolerated() {
+        // Near the 13-bit wrap boundary.
+        let m = monitor_on(
+            cfg(),
+            &[
+                rts_at(8190, 1, 0, SimTime::from_micros(1000)),
+                rts_at(8193, 1, 1, SimTime::from_micros(20_000)),
+            ],
+        );
+        assert!(m.violations().is_empty(), "{:?}", m.violations());
+    }
+
+    #[test]
+    fn pool_mode_accumulates_without_testing() {
+        // A member only extracts samples; the pool drains and judges them.
+        let mut m = monitor_on(cfg(), &synthetic_stream(1.0, 30));
+        let drained: Vec<(f64, f64)> = m.drain_samples().collect();
+        assert!(drained.len() >= 25);
+        assert_eq!(m.drain_samples().len(), 0);
+        assert_eq!(m.samples(), &drained[..], "the sample log keeps everything");
+    }
+
+    #[test]
+    fn pool_judges_only_full_batches() {
+        // 30 windows at sample size 25: one test over the first batch, the
+        // remainder waits for the next.
+        let c = MonitorConfig { sample_size: 25, ..cfg() };
+        let pool = pool_on(c, &synthetic_stream(0.3, 30));
+        assert_eq!(pool.tests().len(), 1);
+        assert!(pool.tests()[0].p_value < 0.05);
+        let collected = pool.monitor(R).expect("member").samples().len();
+        assert!((26..50).contains(&collected), "{collected}");
+        assert_eq!(pool.diagnosis().samples_collected, collected);
+    }
+}
+
+#[cfg(test)]
+mod evasion_tests {
+    use super::tests::{data_frame, decoded, monitor_on, rts_at, R, S};
+    use super::*;
+    use mg_sim::SimDuration;
+
+    /// A tagged RTS followed, after CTS, by its DATA frame.
+    fn exchange(i: u64, t0: SimTime, announce: bool) -> Vec<Obs> {
+        let air = MacTiming::paper_default();
+        let rts_end = t0 + air.rts_airtime();
+        let d0 = rts_end + air.sifs * 2 + air.cts_airtime();
+        let mut out = Vec::new();
+        if announce {
+            out.push(rts_at(i, 1, i, t0));
+        }
+        out.push(decoded(data_frame(i), d0, d0 + air.data_airtime(512)));
+        out
+    }
+
+    fn unannounced(count: u64) -> Vec<Obs> {
+        (0..count)
+            .map(|i| {
+                let t0 = SimTime::from_millis(10 * (i + 1));
+                decoded(data_frame(i), t0, t0 + SimDuration::from_micros(2464))
+            })
+            .collect()
     }
 
     #[test]
     fn unannounced_data_stream_is_flagged() {
-        let mut m = Monitor::new(MonitorConfig::grid_paper(S, R, 240.0));
-        let med = medium();
-        for i in 0..12u64 {
-            let t0 = SimTime::from_millis(10 * (i + 1));
-            m.on_frame_decoded(&med, R, &data_frame(i), t0, t0 + SimDuration::from_micros(2464));
-        }
+        let m = monitor_on(MonitorConfig::grid_paper(S, R, 240.0), &unannounced(12));
         assert!(
             m.violations()
                 .iter()
@@ -1358,16 +1237,10 @@ mod evasion_tests {
 
     #[test]
     fn announced_data_is_never_flagged() {
-        let mut m = Monitor::new(MonitorConfig::grid_paper(S, R, 240.0));
-        let med = medium();
-        let air = MacTiming::paper_default();
-        for i in 0..20u64 {
-            let t0 = SimTime::from_millis(10 * (i + 1));
-            let rts_end = t0 + air.rts_airtime();
-            m.on_frame_decoded(&med, R, &rts_frame(i, i), t0, rts_end);
-            let d0 = rts_end + air.sifs * 2 + air.cts_airtime();
-            m.on_frame_decoded(&med, R, &data_frame(i), d0, d0 + air.data_airtime(512));
-        }
+        let stream: Vec<Obs> = (0..20u64)
+            .flat_map(|i| exchange(i, SimTime::from_millis(10 * (i + 1)), true))
+            .collect();
+        let m = monitor_on(MonitorConfig::grid_paper(S, R, 240.0), &stream);
         assert!(
             !m.violations()
                 .iter()
@@ -1380,18 +1253,10 @@ mod evasion_tests {
     #[test]
     fn occasional_missed_rts_is_tolerated() {
         // The monitor misses 1 in 4 RTSs to collisions: no accusation.
-        let mut m = Monitor::new(MonitorConfig::grid_paper(S, R, 240.0));
-        let med = medium();
-        let air = MacTiming::paper_default();
-        for i in 0..40u64 {
-            let t0 = SimTime::from_millis(10 * (i + 1));
-            let rts_end = t0 + air.rts_airtime();
-            if i % 4 != 0 {
-                m.on_frame_decoded(&med, R, &rts_frame(i, i), t0, rts_end);
-            }
-            let d0 = rts_end + air.sifs * 2 + air.cts_airtime();
-            m.on_frame_decoded(&med, R, &data_frame(i), d0, d0 + air.data_airtime(512));
-        }
+        let stream: Vec<Obs> = (0..40u64)
+            .flat_map(|i| exchange(i, SimTime::from_millis(10 * (i + 1)), i % 4 != 0))
+            .collect();
+        let m = monitor_on(MonitorConfig::grid_paper(S, R, 240.0), &stream);
         assert!(
             !m.violations()
                 .iter()
@@ -1406,13 +1271,13 @@ mod evasion_tests {
         // The monitor hears RTS #100, loses contact for 10 s (tens of
         // thousands of draws could have passed), then hears wire offset 3.
         // With naive unwrapping that's "reuse"; the resync rule forgives it.
-        let mut m = Monitor::new(MonitorConfig::grid_paper(S, R, 240.0));
-        let med = medium();
-        let air = MacTiming::paper_default();
-        let t1 = SimTime::from_millis(100);
-        m.on_frame_decoded(&med, R, &rts_frame(100, 0), t1, t1 + air.rts_airtime());
-        let t2 = SimTime::from_secs(10);
-        m.on_frame_decoded(&med, R, &rts_frame(3, 1), t2, t2 + air.rts_airtime());
+        let m = monitor_on(
+            MonitorConfig::grid_paper(S, R, 240.0),
+            &[
+                rts_at(100, 1, 0, SimTime::from_millis(100)),
+                rts_at(3, 1, 1, SimTime::from_secs(10)),
+            ],
+        );
         assert!(m.violations().is_empty(), "{:?}", m.violations());
         // And the stale window yielded no sample.
         assert!(m.samples().is_empty(), "{:?}", m.samples());
@@ -1421,13 +1286,13 @@ mod evasion_tests {
     #[test]
     fn short_gap_still_enforces_sequence() {
         // Within the resync horizon, going backwards IS a violation.
-        let mut m = Monitor::new(MonitorConfig::grid_paper(S, R, 240.0));
-        let med = medium();
-        let air = MacTiming::paper_default();
-        let t1 = SimTime::from_millis(100);
-        m.on_frame_decoded(&med, R, &rts_frame(100, 0), t1, t1 + air.rts_airtime());
-        let t2 = SimTime::from_millis(300);
-        m.on_frame_decoded(&med, R, &rts_frame(50, 1), t2, t2 + air.rts_airtime());
+        let m = monitor_on(
+            MonitorConfig::grid_paper(S, R, 240.0),
+            &[
+                rts_at(100, 1, 0, SimTime::from_millis(100)),
+                rts_at(50, 1, 1, SimTime::from_millis(300)),
+            ],
+        );
         // Wire 100 → wire 50 in 200 ms: the only compliant explanation would
         // be a full 13-bit wrap (8142 draws), which 200 ms cannot hold.
         assert!(
@@ -1443,53 +1308,16 @@ mod evasion_tests {
     fn require_rts_can_be_disabled() {
         let mut cfg = MonitorConfig::grid_paper(S, R, 240.0);
         cfg.require_rts = false;
-        let mut m = Monitor::new(cfg);
-        let med = medium();
-        for i in 0..30u64 {
-            let t0 = SimTime::from_millis(10 * (i + 1));
-            m.on_frame_decoded(&med, R, &data_frame(i), t0, t0 + SimDuration::from_micros(2464));
-        }
+        let m = monitor_on(cfg, &unannounced(30));
         assert!(m.violations().is_empty());
     }
 }
 
 #[cfg(test)]
 mod fault_tests {
+    use super::tests::{feed, monitor_on, rts_at, R, S};
     use super::*;
     use mg_fault::FaultPlan;
-    use mg_dcf::MacTiming;
-    use mg_geom::Vec2;
-    use mg_phy::{PropagationModel, RadioParams};
-
-    const S: NodeId = 0;
-    const R: NodeId = 1;
-
-    fn medium() -> Medium {
-        let prop = PropagationModel::free_space();
-        Medium::new(
-            prop,
-            RadioParams::paper_default(&prop),
-            vec![Vec2::new(0.0, 0.0), Vec2::new(240.0, 0.0)],
-        )
-    }
-
-    fn rts_frame(seq: u64, pkt: u64) -> Frame {
-        Frame {
-            src: S,
-            dst: Dest::Unicast(R),
-            duration: MacTiming::paper_default().rts_duration(512),
-            kind: FrameKind::Rts(mg_dcf::RtsFields {
-                seq_off_wire: VerifiableSequence::wire_offset(seq),
-                attempt: 1,
-                md: mg_dcf::sdu_digest(S, pkt),
-            }),
-        }
-    }
-
-    fn feed_rts(m: &mut Monitor, med: &Medium, seq: u64, pkt: u64, t: SimTime) {
-        let air = MacTiming::paper_default();
-        m.on_frame_decoded(med, R, &rts_frame(seq, pkt), t, t + air.rts_airtime());
-    }
 
     fn hardened() -> MonitorConfig {
         let mut c = MonitorConfig::grid_paper(S, R, 240.0);
@@ -1497,36 +1325,59 @@ mod fault_tests {
         c
     }
 
+    /// `n` compliant tagged RTSs, 20 ms apart.
+    fn rts_run(n: u64) -> Vec<Obs> {
+        (0..n)
+            .map(|i| rts_at(i, 1, i, SimTime::from_millis(20 * (i + 1))))
+            .collect()
+    }
+
+    /// A monitor seeing `stream` through `plan`'s injector for vantage `R`.
+    fn faulted(cfg: MonitorConfig, plan: &FaultPlan, stream: &[Obs]) -> Monitor {
+        let mut m = Monitor::new(cfg);
+        m.install_faults(plan.observer(R as u64));
+        feed(m, stream)
+    }
+
+    fn ms(n: u64) -> SimTime {
+        SimTime::from_millis(n)
+    }
+
     #[test]
     fn isolated_anomaly_is_uncertain_under_confirmation() {
         // One bit-flipped sequence offset in an otherwise clean stream: the
         // hardened monitor records uncertainty, convicts nobody, and keeps
         // checking against the last *verified* offset.
-        let mut m = Monitor::new(hardened());
-        let med = medium();
-        feed_rts(&mut m, &med, 10, 0, SimTime::from_millis(100));
-        // A corrupted observation: the wire offset appears to have gone
-        // backwards, which 20 ms cannot explain as a 13-bit wrap.
-        feed_rts(&mut m, &med, 5, 1, SimTime::from_millis(120));
-        // The stream recovers; compared against the trusted offset 10, not
-        // against the corrupted 5.
-        feed_rts(&mut m, &med, 11, 2, SimTime::from_millis(140));
-        feed_rts(&mut m, &med, 12, 3, SimTime::from_millis(160));
+        let m = monitor_on(
+            hardened(),
+            &[
+                rts_at(10, 1, 0, ms(100)),
+                // A corrupted observation: the wire offset appears to have
+                // gone backwards, which 20 ms cannot explain as a 13-bit
+                // wrap.
+                rts_at(5, 1, 1, ms(120)),
+                // The stream recovers; compared against the trusted offset
+                // 10, not against the corrupted 5.
+                rts_at(11, 1, 2, ms(140)),
+                rts_at(12, 1, 3, ms(160)),
+            ],
+        );
         assert!(m.violations().is_empty(), "{:?}", m.violations());
-        let d = m.diagnosis();
-        assert_eq!(d.uncertain, 1, "{d:?}");
-        assert!(!d.is_flagged());
+        assert_eq!(m.uncertain(), 1, "{m:?}");
     }
 
     #[test]
     fn repeated_anomalies_still_convict_under_confirmation() {
         // A genuine cheater repeats its violation; two consecutive
         // anomalous observations clear the confirmation gate.
-        let mut m = Monitor::new(hardened());
-        let med = medium();
-        feed_rts(&mut m, &med, 5, 0, SimTime::from_millis(100));
-        feed_rts(&mut m, &med, 5, 1, SimTime::from_millis(120)); // reuse, uncertain
-        feed_rts(&mut m, &med, 5, 2, SimTime::from_millis(140)); // reuse, convicted
+        let m = monitor_on(
+            hardened(),
+            &[
+                rts_at(5, 1, 0, ms(100)),
+                rts_at(5, 1, 1, ms(120)), // reuse, uncertain
+                rts_at(5, 1, 2, ms(140)), // reuse, convicted
+            ],
+        );
         assert!(
             m.violations()
                 .iter()
@@ -1534,19 +1385,19 @@ mod fault_tests {
             "{:?}",
             m.violations()
         );
-        assert_eq!(m.diagnosis().uncertain, 1);
+        assert_eq!(m.uncertain(), 1);
     }
 
     #[test]
     fn default_config_convicts_on_first_anomaly() {
         // confirm_anomalies = 1 (the default) preserves the paper's
         // immediate-conviction behavior bit for bit.
-        let mut m = Monitor::new(MonitorConfig::grid_paper(S, R, 240.0));
-        let med = medium();
-        feed_rts(&mut m, &med, 5, 0, SimTime::from_millis(100));
-        feed_rts(&mut m, &med, 5, 1, SimTime::from_millis(120));
+        let m = monitor_on(
+            MonitorConfig::grid_paper(S, R, 240.0),
+            &[rts_at(5, 1, 0, ms(100)), rts_at(5, 1, 1, ms(120))],
+        );
         assert_eq!(m.violations().len(), 1);
-        assert_eq!(m.diagnosis().uncertain, 0);
+        assert_eq!(m.uncertain(), 0);
     }
 
     #[test]
@@ -1554,15 +1405,10 @@ mod fault_tests {
         // loss=1 eats every frame at the observation boundary: the monitor
         // collects nothing and, crucially, accuses nobody.
         let plan = FaultPlan::parse("seed=1,loss=1").unwrap();
-        let mut m =
-            Monitor::with_faults(MonitorConfig::grid_paper(S, R, 240.0), plan.observer(R as u64));
-        let med = medium();
-        for i in 0..20u64 {
-            feed_rts(&mut m, &med, i, i, SimTime::from_millis(20 * (i + 1)));
-        }
+        let m = faulted(MonitorConfig::grid_paper(S, R, 240.0), &plan, &rts_run(20));
         assert!(m.samples().is_empty());
         assert!(m.violations().is_empty());
-        assert_eq!(m.diagnosis().uncertain, 0);
+        assert_eq!(m.uncertain(), 0);
     }
 
     #[test]
@@ -1571,28 +1417,18 @@ mod fault_tests {
         // commitment bits may look anomalous, but the hardened monitor
         // must never turn an isolated glitch into a conviction.
         let plan = FaultPlan::parse("seed=3,corrupt=0.2").unwrap();
-        let mut m = Monitor::with_faults(hardened(), plan.observer(R as u64));
-        let med = medium();
-        for i in 0..60u64 {
-            feed_rts(&mut m, &med, i, i, SimTime::from_millis(20 * (i + 1)));
-        }
-        let d = m.diagnosis();
+        let m = faulted(hardened(), &plan, &rts_run(60));
         assert!(m.violations().is_empty(), "{:?}", m.violations());
-        assert!(d.uncertain > 0, "expected some uncertainty, got {d:?}");
+        assert!(m.uncertain() > 0, "expected some uncertainty, got {m:?}");
     }
 
     #[test]
     fn injector_fates_are_deterministic_per_vantage() {
         let plan = FaultPlan::parse("seed=9,heavy").unwrap();
         let run = || {
-            let mut m = Monitor::with_faults(hardened(), plan.observer(R as u64));
-            let med = medium();
-            for i in 0..40u64 {
-                feed_rts(&mut m, &med, i, i, SimTime::from_millis(20 * (i + 1)));
-            }
-            (m.samples().to_vec(), m.diagnosis().uncertain)
+            let m = faulted(hardened(), &plan, &rts_run(40));
+            (m.samples().to_vec(), m.uncertain())
         };
         assert_eq!(run(), run());
     }
-
 }

@@ -1,4 +1,4 @@
-//! Monitoring under mobility: a pool of per-vantage monitors.
+//! The detector engine: a pool of per-vantage monitors.
 //!
 //! The paper (Section 5): "We choose a neighbor of the malicious node to
 //! monitor its activity. If this neighbor moves out of range, another
@@ -6,6 +6,11 @@
 //! [`Monitor`] at every candidate vantage, designates the vantage currently
 //! closest to the tagged node as *active*, and aggregates only the active
 //! monitor's back-off samples into one shared hypothesis-test stream.
+//!
+//! A static monitor is the same pool with one member. Every detector —
+//! live in a world, replayed from a journal, or served by `mgd` through a
+//! [`DetectorSession`](crate::DetectorSession) — is a pool, and
+//! `MonitorPool::harvest` is the one place a batch of samples is judged.
 
 use crate::monitor::{Diagnosis, Judge, Monitor, MonitorConfig, Violation};
 use crate::session::DiagnosisDelta;
@@ -19,7 +24,6 @@ use mg_sim::SimTime;
 use mg_stats::signed_rank::signed_rank_test;
 use mg_stats::wilcoxon::{rank_sum_test, Alternative, RankSumResult};
 use mg_trace::{Counter, EventKind, Metrics, Tracer};
-use std::collections::HashMap;
 
 /// A set of monitors for one tagged node, one per candidate vantage, with
 /// range-based handoff.
@@ -29,13 +33,18 @@ pub struct MonitorPool {
     alpha: f64,
     sample_size: usize,
     judge: Judge,
-    monitors: HashMap<NodeId, Monitor>,
-    active: Option<NodeId>,
+    /// Member vantages in ascending order; `monitors[i]` and
+    /// `contributed[i]` belong to `vantages[i]`. Members are found by
+    /// binary search, and every per-member view iterates in this order.
+    vantages: Vec<NodeId>,
+    monitors: Vec<Monitor>,
+    /// Samples contributed per member (handoff diagnostic).
+    contributed: Vec<usize>,
+    /// Index of the active member.
+    active: Option<usize>,
     samples: Vec<(f64, f64)>,
     tests: Vec<RankSumResult>,
     rejections: usize,
-    /// Samples contributed per vantage (diagnostic).
-    contributed: HashMap<NodeId, usize>,
     /// Last tagged-RTS end seen (virtual timestamp for shared-test records).
     last_seen: SimTime,
     /// Latest geometry snapshot ([`Obs::Ranging`]), applied at the next
@@ -44,8 +53,7 @@ pub struct MonitorPool {
     /// (matching the callback order of a live world).
     last_ranging: Option<Vec<(NodeId, f64)>>,
     /// Incremental delta buffer: member deltas are folded in right after the
-    /// routed member consumed an event (so ordering is deterministic even
-    /// though member storage is a hash map), followed by the pool's own
+    /// routed member consumed an event, followed by the pool's own
     /// shared-test deltas. Disabled (and empty) by default.
     emit_deltas: bool,
     deltas: Vec<DiagnosisDelta>,
@@ -54,10 +62,11 @@ pub struct MonitorPool {
 }
 
 impl MonitorPool {
-    /// Creates a pool watching `tagged` from every node in `vantages`.
+    /// Creates a pool watching `tagged` from every node in `vantages`
+    /// (duplicates collapse).
     ///
     /// `template` supplies all per-monitor settings (α, ARMA, regions…);
-    /// its `tagged`/`vantage`/`auto_test` fields are overridden per member.
+    /// its `tagged`/`vantage` fields are overridden per member.
     ///
     /// # Panics
     ///
@@ -68,16 +77,17 @@ impl MonitorPool {
             !vantages.contains(&tagged),
             "the tagged node cannot monitor itself"
         );
+        let mut vantages = vantages.to_vec();
+        vantages.sort_unstable();
+        vantages.dedup();
         let monitors = vantages
             .iter()
-            .map(|&v| {
-                let cfg = MonitorConfig {
+            .map(|&vantage| {
+                Monitor::new(MonitorConfig {
                     tagged,
-                    vantage: v,
-                    auto_test: false,
+                    vantage,
                     ..template
-                };
-                (v, Monitor::new(cfg))
+                })
             })
             .collect();
         MonitorPool {
@@ -86,12 +96,13 @@ impl MonitorPool {
             alpha: template.alpha,
             sample_size: template.sample_size,
             judge: template.judge,
+            contributed: vec![0; vantages.len()],
+            vantages,
             monitors,
             active: None,
             samples: Vec::new(),
             tests: Vec::new(),
             rejections: 0,
-            contributed: HashMap::new(),
             last_seen: SimTime::ZERO,
             last_ranging: None,
             emit_deltas: false,
@@ -106,7 +117,7 @@ impl MonitorPool {
     /// Emission is purely additive — detector decisions are unchanged.
     pub(crate) fn enable_deltas(&mut self) {
         self.emit_deltas = true;
-        for m in self.monitors.values_mut() {
+        for m in &mut self.monitors {
             m.enable_deltas();
         }
     }
@@ -116,10 +127,10 @@ impl MonitorPool {
         out.append(&mut self.deltas);
     }
 
-    /// Raises every member's deterministic-conviction threshold to at least
-    /// `confirm` (see [`MonitorConfig::hardened`]).
+    /// Raises every member's deterministic-conviction threshold
+    /// ([`MonitorConfig::confirm_anomalies`]) to at least `confirm`.
     pub(crate) fn raise_confirmation(&mut self, confirm: usize) {
-        for m in self.monitors.values_mut() {
+        for m in &mut self.monitors {
             m.raise_confirmation(confirm);
         }
     }
@@ -128,7 +139,7 @@ impl MonitorPool {
     /// tests through `tracer`, counting into `metrics`. Both disabled by
     /// default.
     pub fn set_instrumentation(&mut self, tracer: Tracer, metrics: Metrics) {
-        for m in self.monitors.values_mut() {
+        for m in &mut self.monitors {
             m.set_instrumentation(tracer.clone(), metrics.clone());
         }
         self.tracer = tracer;
@@ -143,12 +154,12 @@ impl MonitorPool {
     /// Arms every member monitor with its own deterministic observation
     /// fault injector derived from `plan` (keyed by the member's vantage id,
     /// so fates are identical across solo and fanned-out runs). When the
-    /// plan carries observation faults, each member is also
-    /// [hardened](MonitorConfig::hardened) to require two consecutive anomalous
-    /// observations before a deterministic conviction.
+    /// plan carries observation faults, each member is also hardened to
+    /// require two consecutive anomalous observations before a
+    /// deterministic conviction ([`MonitorConfig::confirm_anomalies`]).
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         let harden = plan.has_observation_faults();
-        for (&v, m) in self.monitors.iter_mut() {
+        for (&v, m) in self.vantages.iter().zip(&mut self.monitors) {
             m.install_faults(plan.observer(v as u64));
             if harden {
                 m.raise_confirmation(2);
@@ -156,14 +167,18 @@ impl MonitorPool {
         }
     }
 
-    /// The candidate vantages (arbitrary order).
+    /// The candidate vantages, ascending.
     pub fn vantages(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.monitors.keys().copied()
+        self.vantages.iter().copied()
     }
 
     /// The currently active vantage, if any is in range.
     pub fn active_vantage(&self) -> Option<NodeId> {
-        self.active
+        self.active.map(|i| self.vantages[i])
+    }
+
+    fn index_of(&self, vantage: NodeId) -> Option<usize> {
+        self.vantages.binary_search(&vantage).ok()
     }
 
     /// The member monitor stationed at `vantage`, if it is part of the pool.
@@ -172,7 +187,7 @@ impl MonitorPool {
     /// the background-traffic ARMA estimate, the full sample log, the
     /// member's own deterministic violations.
     pub fn monitor(&self, vantage: NodeId) -> Option<&Monitor> {
-        self.monitors.get(&vantage)
+        self.index_of(vantage).map(|i| &self.monitors[i])
     }
 
     /// Aggregated diagnosis across the pool.
@@ -181,41 +196,31 @@ impl MonitorPool {
     /// in-range vantage independently witnesses the same on-air violation,
     /// and one witness is enough to convict.
     pub fn diagnosis(&self) -> Diagnosis {
-        let violations: usize = self
-            .monitors
-            .values()
-            .map(|m| m.violations().len())
-            .max()
-            .unwrap_or(0);
         Diagnosis {
             tests_run: self.tests.len(),
             rejections: self.rejections,
-            violations,
-            samples_collected: self.samples.len()
-                + self.tests.len() * self.sample_size,
-            samples_discarded: self
+            violations: self
                 .monitors
-                .values()
-                .map(|m| m.diagnosis().samples_discarded)
-                .sum(),
+                .iter()
+                .map(|m| m.violations().len())
+                .max()
+                .unwrap_or(0),
+            samples_collected: self.samples.len() + self.tests.len() * self.sample_size,
+            samples_discarded: self.monitors.iter().map(Monitor::discarded).sum(),
             last_p: self.tests.last().map(|t| t.p_value),
             measured_rho: self
                 .active
-                .and_then(|v| self.monitors.get(&v))
-                .map(|m| m.diagnosis().measured_rho)
+                .map(|i| self.monitors[i].overall_rho())
                 .unwrap_or(0.0),
-            uncertain: self
-                .monitors
-                .values()
-                .map(|m| m.diagnosis().uncertain)
-                .sum(),
+            uncertain: self.monitors.iter().map(Monitor::uncertain).sum(),
         }
     }
 
-    /// All deterministic violations seen by any pool member.
+    /// All deterministic violations seen by any pool member, grouped by
+    /// member in ascending vantage order.
     pub fn violations(&self) -> Vec<Violation> {
         self.monitors
-            .values()
+            .iter()
             .flat_map(|m| m.violations().iter().copied())
             .collect()
     }
@@ -225,31 +230,35 @@ impl MonitorPool {
         &self.tests
     }
 
-    /// How many samples each vantage contributed (handoff diagnostic).
-    pub fn contributions(&self) -> &HashMap<NodeId, usize> {
-        &self.contributed
+    /// `(vantage, samples)` for every member that contributed samples to
+    /// the shared test stream (handoff diagnostic), ascending by vantage.
+    pub fn contributions(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+        self.vantages
+            .iter()
+            .copied()
+            .zip(self.contributed.iter().copied())
+            .filter(|&(_, n)| n > 0)
     }
 
     /// Recomputes the active vantage from a geometry snapshot: the in-range
     /// vantage closest to the tagged node. Exact-distance ties go to the
     /// lowest node id (snapshots are ascending by id), so the election is
-    /// deterministic regardless of member hash order.
+    /// deterministic.
     fn reelect_from(&mut self, ranging: &[(NodeId, f64)]) {
-        let mut best: Option<(NodeId, f64)> = None;
+        let mut best: Option<(usize, f64)> = None;
         for &(v, d) in ranging {
-            if d > self.tx_range || !self.monitors.contains_key(&v) {
+            if d > self.tx_range {
                 continue;
             }
+            let Some(i) = self.index_of(v) else { continue };
             if best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((v, d));
+                best = Some((i, d));
             }
         }
-        self.active = best.map(|(v, _)| v);
+        self.active = best.map(|(i, _)| i);
         // Keep the elected monitor's region model honest about the distance.
-        if let Some((v, d)) = best {
-            if let Some(m) = self.monitors.get_mut(&v) {
-                m.update_pair_distance(d.max(1.0));
-            }
+        if let Some((i, d)) = best {
+            self.monitors[i].update_pair_distance(d.max(1.0));
         }
     }
 
@@ -258,47 +267,38 @@ impl MonitorPool {
     /// feeds before each tagged RTS.
     fn ranging_snapshot(&self, medium: &Medium, at: SimTime) -> Obs {
         let tp = medium.position(self.tagged);
-        let mut to: Vec<(NodeId, f64)> = self
-            .monitors
-            .keys()
-            .map(|&v| (v, tp.distance(medium.position(v))))
-            .collect();
-        to.sort_by_key(|a| a.0);
         Obs::Ranging {
             from: self.tagged,
-            to,
+            to: self
+                .vantages
+                .iter()
+                .map(|&v| (v, tp.distance(medium.position(v))))
+                .collect(),
             at,
         }
     }
 
-    /// Pulls fresh samples from the active monitor and runs the shared test
-    /// when enough have accumulated.
+    /// Pulls fresh samples from the active monitor and judges every full
+    /// batch — the only place the detector runs a hypothesis test.
     fn harvest(&mut self) {
-        let Some(v) = self.active else { return };
-        let fresh = match self.monitors.get_mut(&v) {
-            Some(m) => m.drain_samples(),
-            None => Vec::new(),
-        };
-        if !fresh.is_empty() {
-            *self.contributed.entry(v).or_insert(0) += fresh.len();
-            self.samples.extend(fresh);
-        }
-        // Drop stale samples from inactive vantages so they never leak into
-        // a later harvest.
-        for (&u, m) in self.monitors.iter_mut() {
-            if u != v {
-                let _ = m.drain_samples();
+        let Some(active) = self.active else { return };
+        for (i, m) in self.monitors.iter_mut().enumerate() {
+            let fresh = m.drain_samples();
+            // Samples from inactive vantages are dropped here so they never
+            // leak into a later harvest.
+            if i == active {
+                self.contributed[i] += fresh.len();
+                self.samples.extend(fresh);
             }
         }
         while self.samples.len() >= self.sample_size {
-            let batch: Vec<(f64, f64)> = self.samples.drain(..self.sample_size).collect();
-            let xs: Vec<f64> = batch.iter().map(|&(x, _)| x).collect();
-            let ys: Vec<f64> = batch.iter().map(|&(_, y)| y).collect();
+            let (xs, ys): (Vec<f64>, Vec<f64>) =
+                self.samples.drain(..self.sample_size).unzip();
             let r = match self.judge {
                 Judge::RankSum => rank_sum_test(&ys, &xs, Alternative::Less),
                 Judge::SignedRank => {
                     let sr = signed_rank_test(&ys, &xs, Alternative::Less);
-                    // Same common-shape report as `Monitor::run_test`.
+                    // Report through the common result shape (W⁺ as statistic).
                     RankSumResult {
                         w: sr.w_plus,
                         u: sr.w_plus,
@@ -338,43 +338,30 @@ impl ObsSink for MonitorPool {
     /// the frame — the same order a live world's callbacks produce — so the
     /// sample extracted for that RTS uses the pre-hand-off distance.
     fn ingest(&mut self, obs: &Obs) {
-        match obs {
+        let at = match obs {
             Obs::Ranging { from, to, .. } => {
                 if *from == self.tagged {
                     self.last_ranging = Some(to.clone());
                 }
+                return;
             }
-            Obs::ChannelEdge { node, .. } => {
-                if let Some(m) = self.monitors.get_mut(node) {
-                    m.ingest(obs);
-                    m.take_deltas_into(&mut self.deltas);
+            Obs::ChannelEdge { node, .. } => *node,
+            Obs::TxStart { src, .. } => *src,
+            Obs::Decoded { at, .. } | Obs::Garbled { at, .. } => *at,
+        };
+        if let Some(i) = self.index_of(at) {
+            let m = &mut self.monitors[i];
+            m.ingest(obs);
+            m.take_deltas_into(&mut self.deltas);
+        }
+        if let Obs::Decoded { frame, end, .. } = obs {
+            if frame.src == self.tagged && frame.is_rts() {
+                self.last_seen = *end;
+                if let Some(r) = self.last_ranging.take() {
+                    self.reelect_from(&r);
+                    self.last_ranging = Some(r);
                 }
-            }
-            Obs::TxStart { src, .. } => {
-                if let Some(m) = self.monitors.get_mut(src) {
-                    m.ingest(obs);
-                    m.take_deltas_into(&mut self.deltas);
-                }
-            }
-            Obs::Decoded { at, frame, end, .. } => {
-                if let Some(m) = self.monitors.get_mut(at) {
-                    m.ingest(obs);
-                    m.take_deltas_into(&mut self.deltas);
-                }
-                if frame.src == self.tagged && frame.is_rts() {
-                    self.last_seen = *end;
-                    if let Some(r) = self.last_ranging.take() {
-                        self.reelect_from(&r);
-                        self.last_ranging = Some(r);
-                    }
-                    self.harvest();
-                }
-            }
-            Obs::Garbled { at, .. } => {
-                if let Some(m) = self.monitors.get_mut(at) {
-                    m.ingest(obs);
-                    m.take_deltas_into(&mut self.deltas);
-                }
+                self.harvest();
             }
         }
     }
@@ -417,8 +404,8 @@ impl std::fmt::Debug for MonitorPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MonitorPool")
             .field("tagged", &self.tagged)
-            .field("members", &self.monitors.len())
-            .field("active", &self.active)
+            .field("members", &self.vantages)
+            .field("active", &self.active_vantage())
             .field("tests", &self.tests.len())
             .finish()
     }
@@ -427,6 +414,8 @@ impl std::fmt::Debug for MonitorPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::tests::rts_frame;
+    use mg_dcf::MacTiming;
 
     fn template() -> MonitorConfig {
         MonitorConfig {
@@ -494,5 +483,41 @@ mod tests {
         assert_eq!(d.tests_run, 0);
         assert!(!d.is_flagged());
         assert!(pool.violations().is_empty());
+    }
+
+    #[test]
+    fn members_report_in_ascending_vantage_order() {
+        // Vantage 5 witnesses sequence reuse first; vantage 2 witnesses an
+        // attempt mismatch later. Views group by ascending vantage, not by
+        // emission order or construction order.
+        let air = MacTiming::paper_default().rts_airtime();
+        let rts = |at: NodeId, seq: u64, pkt: u64, ms: u64| {
+            let start = SimTime::from_millis(ms);
+            Obs::Decoded { at, frame: rts_frame(seq, 1, pkt), start, end: start + air }
+        };
+        let stream = [
+            rts(5, 5, 0, 100),
+            rts(5, 5, 1, 120),
+            rts(2, 0, 7, 140),
+            rts(2, 1, 7, 160),
+        ];
+        let run = |vantages: &[NodeId]| {
+            let mut pool = MonitorPool::new(0, vantages, template());
+            for o in &stream {
+                pool.ingest(o);
+            }
+            (pool.vantages().collect::<Vec<_>>(), pool.violations())
+        };
+        let (vantages, violations) = run(&[5, 2, 9]);
+        assert_eq!(vantages, vec![2, 5, 9]);
+        assert!(
+            matches!(
+                violations.as_slice(),
+                [Violation::AttemptMismatch { .. }, Violation::SequenceReuse { .. }]
+            ),
+            "{violations:?}"
+        );
+        assert_eq!(run(&[5, 2, 9]), (vantages.clone(), violations.clone()));
+        assert_eq!(run(&[9, 5, 2, 5]), (vantages, violations));
     }
 }

@@ -1,12 +1,20 @@
-//! Recording the observation stream and replaying it into fresh detectors.
+//! Recording the observation stream for replay into fresh detectors.
 //!
 //! [`ObsRecorder`] is an ordinary [`NetObserver`] probe: it projects world
 //! callbacks into the serializable [`Obs`] alphabet — exactly the
-//! projection a live [`MonitorPool`] adapter performs — and appends them to
-//! an [`ObsJournal`]. A world simulated **once** can then be replayed into
-//! arbitrarily many detector configurations (sample sizes, α values,
-//! preclusion calibrations, test variants) with zero re-simulation, via
-//! [`replay_pool`].
+//! projection a live [`MonitorPool`](crate::MonitorPool) adapter performs —
+//! and appends them to an [`ObsJournal`]. A world simulated **once** can
+//! then be replayed into arbitrarily many detector configurations (sample
+//! sizes, α values, preclusion calibrations, test variants) with zero
+//! re-simulation. A replay uses the one detector constructor:
+//!
+//! ```text
+//! let meta = journal.meta();
+//! let mut session = SessionSpec::pool(meta.tagged, &meta.vantages, cfg)
+//!     .with_faults(plan)
+//!     .build();
+//! journal.replay(&mut session);      // or reader.replay_into(&mut session)?
+//! ```
 //!
 //! ## Faults
 //!
@@ -18,13 +26,10 @@
 //! run — the explicit composition choice, proven by the mg-core property
 //! suite.
 
-use crate::monitor::MonitorConfig;
-use crate::pool::MonitorPool;
 use crate::NodeId;
 use mg_dcf::Frame;
-use mg_fault::FaultPlan;
 use mg_net::NetObserver;
-use mg_obs::{JournalError, JournalReader, Obs, ObsJournal, ObsMeta};
+use mg_obs::{Obs, ObsJournal, ObsMeta};
 use mg_phy::Medium;
 use mg_sim::SimTime;
 
@@ -139,54 +144,4 @@ impl NetObserver for ObsRecorder {
             self.journal.push(Obs::Garbled { at, now });
         }
     }
-}
-
-/// Replays `journal` into a fresh [`MonitorPool`] built from `template`
-/// (tagged node and vantages come from the journal header; per-monitor
-/// settings — α, sample size, regions… — from the template).
-pub fn replay_pool(journal: &ObsJournal, template: MonitorConfig) -> MonitorPool {
-    replay_pool_faulted(journal, template, &FaultPlan::default())
-}
-
-/// [`replay_pool`], with deterministic observation faults injected at the
-/// replayed monitors — the replay analogue of a faulted live run.
-pub fn replay_pool_faulted(
-    journal: &ObsJournal,
-    template: MonitorConfig,
-    plan: &FaultPlan,
-) -> MonitorPool {
-    let meta = journal.meta();
-    let mut pool = MonitorPool::new(meta.tagged, &meta.vantages, template);
-    if !plan.is_noop() {
-        pool.apply_fault_plan(plan);
-    }
-    journal.replay(&mut pool);
-    pool
-}
-
-/// Streaming [`replay_pool`]: feeds a validated [`JournalReader`] straight
-/// into a fresh pool, decoding one event at a time — the journal is never
-/// materialized as an in-memory [`ObsJournal`]. A decode error (truncation,
-/// bit rot, bad line) aborts the replay with the typed cause.
-pub fn replay_reader(
-    reader: &JournalReader,
-    template: MonitorConfig,
-) -> Result<MonitorPool, JournalError> {
-    replay_reader_faulted(reader, template, &FaultPlan::default())
-}
-
-/// [`replay_reader`], with deterministic observation faults injected at the
-/// replayed monitors.
-pub fn replay_reader_faulted(
-    reader: &JournalReader,
-    template: MonitorConfig,
-    plan: &FaultPlan,
-) -> Result<MonitorPool, JournalError> {
-    let meta = reader.meta();
-    let mut pool = MonitorPool::new(meta.tagged, &meta.vantages, template);
-    if !plan.is_noop() {
-        pool.apply_fault_plan(plan);
-    }
-    reader.replay_into(&mut pool)?;
-    Ok(pool)
 }

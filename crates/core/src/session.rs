@@ -1,27 +1,34 @@
-//! The session-oriented incremental detection API.
+//! The session-oriented incremental detection API — the one way to build a
+//! detector outside a simulated world.
 //!
-//! Historically a consumer drove a [`Monitor`] or [`MonitorPool`] by feeding
-//! the whole observation stream and then polling snapshot getters
-//! (`diagnosis()`, `violations()`, `drain_samples()`). That shape cannot
-//! serve a long-running daemon: a server multiplexing thousands of streams
-//! needs to know *what changed* after each event, not to re-diff snapshots.
-//!
-//! [`DetectorSession`] inverts the surface: `ingest(&Obs)` returns an
-//! iterator of typed [`DiagnosisDelta`] events — sample accepted or
-//! discarded, a rank-sum test fired, a deterministic check convicted,
-//! uncertainty entered or left, the overall verdict changed. The old
+//! A [`DetectorSession`] wraps one [`MonitorPool`] (a static monitor is a
+//! one-member pool). `ingest(&Obs)` returns an iterator of typed
+//! [`DiagnosisDelta`] events — sample accepted or discarded, a rank-sum test
+//! fired, a deterministic check convicted, uncertainty entered or left, the
+//! overall verdict changed — so a daemon multiplexing thousands of streams
+//! learns *what changed* after each event without re-diffing snapshots. The
 //! snapshot getters remain as *derived views* ([`DetectorSession::diagnosis`]
-//! and friends) and are byte-identical to the legacy batch path: delta
-//! emission is purely additive bookkeeping on the exact same detector
+//! and friends) and are byte-identical to a bare pool fed the same stream:
+//! delta emission is purely additive bookkeeping on the exact same detector
 //! internals, a property proven by the mg-core test suite
 //! (`delta_ingest_equals_batch_ingest`).
 //!
 //! A session is fully specified at creation through [`SessionSpec`]: the
 //! monitor template, the vantage set, the fault plan and the confirmation
 //! threshold all travel in the spec — a monitor is never mutated after
-//! construction.
+//! construction. Replaying a journal is the same constructor plus a feed:
+//!
+//! ```
+//! # use mg_detect::{ObsJournal, ObsMeta, SessionSpec};
+//! # let journal = ObsJournal::new(ObsMeta {
+//! #     tagged: 0, vantages: vec![1], pair_distance: 240.0, seed: 1, params: vec![],
+//! # });
+//! let mut session = SessionSpec::from_meta(journal.meta()).build();
+//! journal.replay(&mut session);
+//! assert!(!session.diagnosis().is_flagged());
+//! ```
 
-use crate::monitor::{Diagnosis, Monitor, MonitorConfig, NodeCounts, Violation};
+use crate::monitor::{Diagnosis, MonitorConfig, NodeCounts, Violation};
 use crate::pool::MonitorPool;
 use crate::NodeId;
 use mg_fault::FaultPlan;
@@ -187,30 +194,19 @@ impl DiagnosisDelta {
 #[derive(Clone, Debug)]
 pub struct SessionSpec {
     template: MonitorConfig,
-    vantages: Option<Vec<NodeId>>,
+    vantages: Vec<NodeId>,
     faults: FaultPlan,
     confirm: usize,
 }
 
 impl SessionSpec {
-    /// A solo-monitor session: one vantage, auto-testing, no hand-off —
-    /// the shape of [`Monitor`] itself.
-    pub fn solo(cfg: MonitorConfig) -> SessionSpec {
-        SessionSpec {
-            template: cfg,
-            vantages: None,
-            faults: FaultPlan::default(),
-            confirm: 0,
-        }
-    }
-
-    /// A pooled session: one member per vantage with range-based hand-off
-    /// and shared tests — the shape of [`MonitorPool`], and of every journal
-    /// replay.
+    /// A session watching `tagged` from every node in `vantages`: one
+    /// member per vantage with range-based hand-off and shared tests. A
+    /// static monitor is `pool(tagged, &[vantage], cfg)`.
     pub fn pool(tagged: NodeId, vantages: &[NodeId], template: MonitorConfig) -> SessionSpec {
         SessionSpec {
             template: MonitorConfig { tagged, ..template },
-            vantages: Some(vantages.to_vec()),
+            vantages: vantages.to_vec(),
             faults: FaultPlan::default(),
             confirm: 0,
         }
@@ -254,53 +250,29 @@ impl SessionSpec {
 
     /// Builds the fully-specified session.
     pub fn build(self) -> DetectorSession {
-        let inner = match self.vantages {
-            None => {
-                let cfg = self.template;
-                let mut m = Monitor::with_faults(cfg, self.faults.observer(cfg.vantage as u64));
-                if self.faults.has_observation_faults() {
-                    m.raise_confirmation(2);
-                }
-                if self.confirm > 0 {
-                    m.raise_confirmation(self.confirm);
-                }
-                m.enable_deltas();
-                SessionInner::Solo(Box::new(m))
-            }
-            Some(vantages) => {
-                let mut pool = MonitorPool::new(self.template.tagged, &vantages, self.template);
-                if !self.faults.is_noop() {
-                    pool.apply_fault_plan(&self.faults);
-                }
-                if self.confirm > 0 {
-                    pool.raise_confirmation(self.confirm);
-                }
-                pool.enable_deltas();
-                SessionInner::Pool(Box::new(pool))
-            }
-        };
+        let mut pool = MonitorPool::new(self.template.tagged, &self.vantages, self.template);
+        pool.apply_fault_plan(&self.faults);
+        pool.raise_confirmation(self.confirm);
+        pool.enable_deltas();
         DetectorSession {
-            inner,
+            pool,
             out: Vec::new(),
             flagged: false,
         }
     }
 }
 
-enum SessionInner {
-    Solo(Box<Monitor>),
-    Pool(Box<MonitorPool>),
-}
-
 /// An incremental detection session: feed [`Obs`] events one at a time,
 /// receive the typed [`DiagnosisDelta`] stream each one produced.
 ///
-/// The legacy snapshot getters survive as derived views
+/// The snapshot getters survive as derived views
 /// ([`DetectorSession::diagnosis`], [`violations`](Self::violations),
-/// [`tests`](Self::tests)) and stay byte-identical to a batch-driven
-/// [`Monitor`]/[`MonitorPool`] fed the same stream.
+/// [`tests`](Self::tests)) and stay byte-identical to a bare
+/// [`MonitorPool`] fed the same stream. As an [`ObsSink`] the session
+/// takes whole journals (`journal.replay`, `reader.replay_into`), dropping
+/// the deltas.
 pub struct DetectorSession {
-    inner: SessionInner,
+    pool: MonitorPool,
     out: Vec<DiagnosisDelta>,
     flagged: bool,
 }
@@ -310,18 +282,10 @@ impl DetectorSession {
     ///
     /// The returned iterator borrows the session; collect it (or drop it)
     /// before the next `ingest`. Most events produce no deltas — the
-    /// common-case cost over the legacy path is one empty-buffer check.
+    /// common-case cost over a bare pool is one empty-buffer check.
     pub fn ingest(&mut self, obs: &Obs) -> std::vec::Drain<'_, DiagnosisDelta> {
-        match &mut self.inner {
-            SessionInner::Solo(m) => {
-                m.ingest(obs);
-                m.take_deltas_into(&mut self.out);
-            }
-            SessionInner::Pool(p) => {
-                p.ingest(obs);
-                p.take_deltas_into(&mut self.out);
-            }
-        }
+        self.pool.ingest(obs);
+        self.pool.take_deltas_into(&mut self.out);
         // The verdict can only tip when some delta fired (it is a function
         // of rejections and violations alone), so the empty case skips the
         // aggregate diagnosis entirely.
@@ -335,29 +299,20 @@ impl DetectorSession {
         self.out.drain(..)
     }
 
-    /// Derived view: the aggregate diagnosis (byte-identical to the legacy
-    /// batch path fed the same stream).
+    /// Derived view: the aggregate diagnosis (byte-identical to a bare pool
+    /// fed the same stream).
     pub fn diagnosis(&self) -> Diagnosis {
-        match &self.inner {
-            SessionInner::Solo(m) => m.diagnosis(),
-            SessionInner::Pool(p) => p.diagnosis(),
-        }
+        self.pool.diagnosis()
     }
 
     /// Derived view: every deterministic violation recorded so far.
     pub fn violations(&self) -> Vec<Violation> {
-        match &self.inner {
-            SessionInner::Solo(m) => m.violations().to_vec(),
-            SessionInner::Pool(p) => p.violations(),
-        }
+        self.pool.violations()
     }
 
     /// Derived view: the hypothesis-test history.
     pub fn tests(&self) -> &[RankSumResult] {
-        match &self.inner {
-            SessionInner::Solo(m) => m.tests(),
-            SessionInner::Pool(p) => p.tests(),
-        }
+        self.pool.tests()
     }
 
     /// The current aggregate verdict, as last reported via
@@ -366,20 +321,15 @@ impl DetectorSession {
         self.flagged
     }
 
-    /// The underlying pool, for pooled sessions.
-    pub fn as_pool(&self) -> Option<&MonitorPool> {
-        match &self.inner {
-            SessionInner::Pool(p) => Some(p),
-            SessionInner::Solo(_) => None,
-        }
+    /// The underlying pool (per-member samples, active vantage, …).
+    pub fn pool(&self) -> &MonitorPool {
+        &self.pool
     }
+}
 
-    /// The underlying monitor, for solo sessions.
-    pub fn as_monitor(&self) -> Option<&Monitor> {
-        match &self.inner {
-            SessionInner::Solo(m) => Some(m),
-            SessionInner::Pool(_) => None,
-        }
+impl ObsSink for DetectorSession {
+    fn ingest(&mut self, obs: &Obs) {
+        DetectorSession::ingest(self, obs);
     }
 }
 
@@ -479,7 +429,7 @@ mod tests {
 
     #[test]
     fn empty_session_reports_clean() {
-        let s = SessionSpec::solo(cfg()).build();
+        let s = SessionSpec::pool(0, &[1], cfg()).build();
         assert!(!s.is_flagged());
         assert_eq!(s.diagnosis(), Diagnosis::default());
     }
@@ -487,13 +437,13 @@ mod tests {
     #[test]
     fn spec_is_fully_specified_at_creation() {
         let plan = FaultPlan::parse("seed=3,corrupt=0.2").unwrap();
-        let s = SessionSpec::solo(cfg())
+        let s = SessionSpec::pool(0, &[1], cfg())
             .with_sample_size(25)
             .with_pair_distance(100.0)
             .with_faults(plan)
             .with_confirmation(3)
             .build();
-        let m = s.as_monitor().expect("solo");
+        let m = s.pool().monitor(1).expect("member");
         assert_eq!(m.config().sample_size, 25);
         assert_eq!(m.config().pair_distance, 100.0);
         // Observation faults imply ≥2; the explicit 3 wins.

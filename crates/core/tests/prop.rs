@@ -157,9 +157,9 @@ fn density_estimator_monotone() {
 
 mod replay {
     use mg_detect::{
-        replay_pool, replay_pool_faulted, replay_reader, replay_reader_faulted, DiagnosisDelta,
-        FaultPlan, JournalFormat, JournalReader, MonitorConfig, MonitorPool, ObsJournal, ObsMeta,
-        ObsRecorder, ScenarioBuilder, SessionSpec, WorldMonitors, WorldProbe,
+        DetectorSession, DiagnosisDelta, FaultPlan, JournalFormat, JournalReader, MonitorConfig,
+        MonitorPool, ObsJournal, ObsMeta, ObsRecorder, ScenarioBuilder, SessionSpec,
+        WorldMonitors, WorldProbe,
     };
     use mg_dcf::BackoffPolicy;
     use mg_net::{Scenario, ScenarioConfig, SourceCfg};
@@ -259,6 +259,14 @@ mod replay {
         (pool, tracer.to_jsonl())
     }
 
+    /// The one detector constructor: a session over the journal's
+    /// vantages, ready to be fed by `journal.replay` or `reader.replay_into`.
+    fn session(meta: &ObsMeta, mc: MonitorConfig, plan: &FaultPlan) -> DetectorSession {
+        SessionSpec::pool(meta.tagged, &meta.vantages, mc)
+            .with_faults(plan.clone())
+            .build()
+    }
+
     fn assert_replay_matches(live: &LiveRun, replayed: &MonitorPool, trace: &str) -> TkResult {
         tk_assert_eq!(live.diagnosis, replayed.diagnosis());
         tk_assert_eq!(live.samples, replayed.monitor(live.vantage).map(|m| m.samples().to_vec()));
@@ -292,8 +300,9 @@ mod replay {
             let (replayed, trace) = traced_replay(&live.journal, live.mc, None);
             assert_replay_matches(&live, &replayed, &trace)?;
 
-            // The plain (untraced) API lands on the same diagnosis.
-            let plain = replay_pool(&live.journal, live.mc);
+            // A plain (untraced) session lands on the same diagnosis.
+            let mut plain = session(live.journal.meta(), live.mc, &FaultPlan::default());
+            live.journal.replay(&mut plain);
             tk_assert_eq!(live.diagnosis, plain.diagnosis());
             Ok(())
         });
@@ -301,7 +310,7 @@ mod replay {
 
     /// The journal format is invisible to diagnosis: streaming the same
     /// recorded run through the JSONL and binary codecs (fresh readers,
-    /// `replay_reader`) lands on byte-identical detector state — the
+    /// `replay_into` a session) lands on byte-identical detector state — the
     /// non-negotiable invariant of the codec layer. Faulted replays agree
     /// across formats too, and the binary encoding is strictly smaller.
     #[test]
@@ -327,20 +336,25 @@ mod replay {
             for bytes in [jsonl, bin] {
                 let reader = JournalReader::from_bytes(bytes)
                     .map_err(|e| TkError::Fail(format!("open: {e}")))?;
-                let pool = replay_reader(&reader, live.mc)
+                let mut clean = session(reader.meta(), live.mc, &FaultPlan::default());
+                reader
+                    .replay_into(&mut clean)
                     .map_err(|e| TkError::Fail(format!("replay: {e}")))?;
-                tk_assert_eq!(live.diagnosis, pool.diagnosis());
+                tk_assert_eq!(live.diagnosis, clean.diagnosis());
                 tk_assert_eq!(
                     live.samples,
-                    pool.monitor(live.vantage).map(|m| m.samples().to_vec())
+                    clean.pool().monitor(live.vantage).map(|m| m.samples().to_vec())
                 );
-                tk_assert_eq!(live.tests, pool.tests().len());
+                tk_assert_eq!(live.tests, clean.tests().len());
 
                 let plan = FaultPlan::parse("seed=11,light")
                     .map_err(|e| TkError::Fail(format!("plan: {e}")))?;
-                let faulted = replay_reader_faulted(&reader, live.mc, &plan)
+                let mut faulted = session(reader.meta(), live.mc, &plan);
+                reader
+                    .replay_into(&mut faulted)
                     .map_err(|e| TkError::Fail(format!("faulted replay: {e}")))?;
-                let reference = replay_pool_faulted(&live.journal, live.mc, &plan);
+                let mut reference = session(live.journal.meta(), live.mc, &plan);
+                live.journal.replay(&mut reference);
                 tk_assert_eq!(reference.diagnosis(), faulted.diagnosis());
             }
             Ok(())
@@ -367,7 +381,8 @@ mod replay {
             let (replayed, trace) = traced_replay(&live.journal, live.mc, Some(&plan));
             assert_replay_matches(&live, &replayed, &trace)?;
 
-            let api = replay_pool_faulted(&live.journal, live.mc, &plan);
+            let mut api = session(live.journal.meta(), live.mc, &plan);
+            live.journal.replay(&mut api);
             tk_assert_eq!(live.diagnosis, api.diagnosis());
             Ok(())
         });
@@ -375,7 +390,7 @@ mod replay {
 
     /// The session-API contract: feeding a recorded journal one event at a
     /// time through `DetectorSession::ingest` lands on detector state
-    /// byte-identical to the legacy batch replay — same `Diagnosis`, same
+    /// byte-identical to a bare pool fed the whole journal — same `Diagnosis`, same
     /// paired samples, same rank-sum history, same violations — and the
     /// emitted delta stream is a *complete* account: replaying the deltas
     /// against empty counters reconstructs every field of the diagnosis.
@@ -402,10 +417,7 @@ mod replay {
             tk_assert!(!live.journal.is_empty(), "a saturated run must record");
             let meta = live.journal.meta();
 
-            let batch = match &plan {
-                Some(p) => replay_pool_faulted(&live.journal, live.mc, p),
-                None => replay_pool(&live.journal, live.mc),
-            };
+            let (batch, _) = traced_replay(&live.journal, live.mc, plan.as_ref());
 
             let mut spec = SessionSpec::pool(meta.tagged, &meta.vantages, live.mc);
             if let Some(p) = &plan {
@@ -427,9 +439,7 @@ mod replay {
                 batch.violations(),
                 session.violations()
             );
-            let pool = session
-                .as_pool()
-                .ok_or_else(|| TkError::Fail("expected a pooled session".into()))?;
+            let pool = session.pool();
             tk_assert_eq!(
                 batch.monitor(live.vantage).map(|m| m.samples().to_vec()),
                 pool.monitor(live.vantage).map(|m| m.samples().to_vec())

@@ -1,10 +1,10 @@
-//! `mg-quorum` — collaborative detection over the solo detector core.
+//! `mg-quorum` — collaborative detection over the single-vantage detector.
 //!
 //! The paper's monitor is a *single* vantage deciding alone. One lying or
 //! broken monitor therefore decides alone too. This crate makes the verdict
 //! collective:
 //!
-//! 1. Every quorum member runs the unmodified solo detector
+//! 1. Every quorum member runs an unmodified one-member detector
 //!    ([`mg_detect::DetectorSession`]) at its own vantage, fed the shared
 //!    observation stream (monitors filter by vantage internally, so one
 //!    stream serves all members unchanged).

@@ -30,7 +30,7 @@ pub struct QuorumSpec {
 }
 
 impl QuorumSpec {
-    /// A quorum of one solo detector per `(vantage, pair distance)` entry,
+    /// A quorum of one detector per `(vantage, pair distance)` entry,
     /// convicting on `k` distinct accusers. `k` is clamped to at least 1;
     /// a `k` larger than the member count makes conviction impossible (by
     /// design: the caller chose an unreachable quorum).
@@ -54,7 +54,7 @@ impl QuorumSpec {
     }
 
     /// Installs a fault plan. The plan's observation faults flow into each
-    /// member's solo detector exactly as in [`SessionSpec::with_faults`];
+    /// member's detector exactly as in [`SessionSpec::with_faults`];
     /// its [quorum layer](mg_fault::QuorumFaults) assigns each member a
     /// seeded [`MonitorRole`].
     pub fn with_faults(mut self, plan: FaultPlan) -> QuorumSpec {
@@ -83,23 +83,18 @@ impl QuorumSpec {
         self
     }
 
-    /// Builds the session: one solo [`DetectorSession`] per member (so a
-    /// single-member quorum is byte-identical to a plain solo session fed
-    /// the same stream), roles drawn from the fault plan, lie cadences from
-    /// each liar's private quorum RNG.
+    /// Builds the session: one single-vantage [`DetectorSession`] per
+    /// member (so a single-member quorum is byte-identical to a plain
+    /// monitor fed the same stream), roles drawn from the fault plan, lie
+    /// cadences from each liar's private quorum RNG.
     pub fn build(self) -> QuorumSession {
         let vantages: Vec<NodeId> = self.members.iter().map(|&(v, _)| v).collect();
         let members = self
             .members
             .iter()
             .map(|&(vantage, distance)| {
-                let cfg = MonitorConfig {
-                    tagged: self.tagged,
-                    vantage,
-                    pair_distance: distance,
-                    ..self.template
-                };
-                let session = SessionSpec::solo(cfg)
+                let session = SessionSpec::pool(self.tagged, &[vantage], self.template)
+                    .with_pair_distance(distance)
                     .with_faults(self.faults.clone())
                     .build();
                 let role = self.faults.monitor_role(vantage as u64);
@@ -134,7 +129,8 @@ impl QuorumSpec {
     }
 }
 
-/// One quorum member: a solo detector plus the member's gossip state.
+/// One quorum member: a single-vantage detector plus the member's gossip
+/// state.
 struct Member {
     vantage: NodeId,
     role: MonitorRole,
@@ -165,7 +161,7 @@ impl Member {
 ///
 /// Feed it the same [`Obs`] stream a [`MonitorPool`](mg_detect::MonitorPool)
 /// would receive (it implements [`ObsSink`], so `journal.replay(&mut q)`
-/// works unchanged). Every member's solo detector ingests every event —
+/// works unchanged). Every member's detector ingests every event —
 /// monitors filter by vantage internally — and converts its local
 /// [`DiagnosisDelta`] stream into [`Accusation`]s per its
 /// [`MonitorRole`]:
@@ -335,7 +331,7 @@ impl QuorumSession {
             .unwrap_or(0)
     }
 
-    /// The solo detector of the member observing from `vantage`.
+    /// The detector of the member observing from `vantage`.
     pub fn member_session(&self, vantage: NodeId) -> Option<&DetectorSession> {
         self.members.iter().find(|m| m.vantage == vantage).map(|m| &m.session)
     }

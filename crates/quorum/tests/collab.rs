@@ -1,18 +1,18 @@
 //! End-to-end collaborative-detection tests over recorded worlds.
 //!
-//! The anchor property (the ISSUE's satellite): a k = 1 quorum holding a
-//! single honest member is **byte-identical** to the plain solo detector
-//! path fed the same stream — diagnosis, sample population, rank-sum
-//! history and verdict — clean and under observation faults. Everything the
-//! quorum layer adds (gossip, tallies, Byzantine roles) composes on top of
-//! unmodified detectors.
+//! The anchor property: a k = 1 quorum holding a single honest member is
+//! **byte-identical** to the live monitor `ScenarioBuilder::monitor`
+//! registers at the same vantage of the same world — diagnosis, sample
+//! population, rank-sum history and verdict — clean and under observation
+//! faults. Everything the quorum layer adds (gossip, tallies, Byzantine
+//! roles) composes on top of unmodified detectors.
 
 use mg_detect::{
-    template_from_meta, FaultPlan, MonitorConfig, NodeId, ObsJournal, ObsMeta, ObsRecorder,
-    ScenarioBuilder, SessionSpec, WorldProbe,
+    template_from_meta, Assembly, FaultPlan, MonitorConfig, NodeId, ObsMeta, ObsRecorder,
+    ScenarioBuilder, WorldMonitors, WorldProbe,
 };
 use mg_dcf::BackoffPolicy;
-use mg_net::{Scenario, ScenarioConfig, SourceCfg};
+use mg_net::{Scenario, ScenarioConfig, SourceCfg, World};
 use mg_quorum::{members_from_journal, QuorumSpec};
 use mg_sim::{SimDuration, SimTime};
 use mg_trace::{Metrics, TraceConfig, Tracer};
@@ -20,10 +20,12 @@ use mg_trace::{Metrics, TraceConfig, Tracer};
 const SECS: u64 = 4;
 
 /// Records one short saturated grid world with the `n` closest in-range
-/// neighbors of the tagged node as vantages. The journal is the *clean*
-/// stream: fault plans are applied by the replayed detectors, exactly as
-/// the core record/replay contract specifies.
-fn record(seed: u64, pm: u8, n: usize) -> ObsJournal {
+/// neighbors of the tagged node as vantages. The journal (the probe) is the
+/// *clean* stream: fault plans are applied by the replayed detectors,
+/// exactly as the core record/replay contract specifies. Alongside it, each
+/// vantage is watched live by a `ScenarioBuilder::monitor` (sample size 10)
+/// perceiving the world through `plan`, registered in vantage order.
+fn record(seed: u64, pm: u8, n: usize, plan: &FaultPlan) -> World<Assembly<ObsRecorder>> {
     let scenario = Scenario::new(ScenarioConfig {
         sim_secs: SECS,
         rate_pps: 2.0,
@@ -38,13 +40,18 @@ fn record(seed: u64, pm: u8, n: usize) -> ObsJournal {
             .partial_cmp(&pos[b].distance(pos[s]))
             .expect("no NaN positions")
     });
-    let vantages: Vec<NodeId> = near.into_iter().take(n).collect();
+    let mut vantages: Vec<NodeId> = near.into_iter().take(n).collect();
+    vantages.sort_unstable();
     assert!(vantages.contains(&r), "the paper pair's vantage is among the closest");
     let mut b = ScenarioBuilder::new(scenario);
     let a = b.attacker(s);
     for &v in &vantages {
         b.reserve(v);
     }
+    for &v in &vantages {
+        b.monitor(MonitorConfig::grid_paper(s, v, pos[s].distance(pos[v])).with_sample_size(10));
+    }
+    b.fault(plan.clone());
     b.source(SourceCfg::saturated(s, r));
     let meta = ObsMeta {
         tagged: s,
@@ -58,7 +65,7 @@ fn record(seed: u64, pm: u8, n: usize) -> ObsJournal {
         world.set_policy(a.id(), BackoffPolicy::Scaled { pm });
     }
     world.run_until(SimTime::from_secs(SECS));
-    world.probe().journal().clone()
+    world
 }
 
 /// Finds a plan seed under which exactly `want` of `members` draw a lying
@@ -78,30 +85,26 @@ fn seed_with_liars(plan: &FaultPlan, members: &[(NodeId, f64)], want: usize) -> 
     panic!("no seed in 0..10000 realizes {want} liars");
 }
 
+/// The clean journal of `record(seed, pm, n, no faults)`.
+fn journal(seed: u64, pm: u8, n: usize) -> mg_detect::ObsJournal {
+    record(seed, pm, n, &FaultPlan::default()).probe().journal().clone()
+}
+
 #[test]
-fn k1_quorum_is_byte_identical_to_the_solo_detector() {
+fn k1_quorum_is_byte_identical_to_the_live_monitor() {
     for (pm, plan) in [
         (0u8, FaultPlan::default()),
         (75, FaultPlan::default()),
         (75, FaultPlan::parse("seed=5,drop=0.15,corrupt=0.05").unwrap()),
     ] {
-        let journal = record(11, pm, 1);
+        let world = record(11, pm, 1, &plan);
+        let journal = world.probe().journal();
         let meta = journal.meta();
         let template = template_from_meta(meta).with_sample_size(10);
-        let members = members_from_journal(&journal);
+        let members = members_from_journal(journal);
         assert_eq!(members.len(), 1);
-        let (v, d) = members[0];
-
-        let cfg = MonitorConfig {
-            tagged: meta.tagged,
-            vantage: v,
-            pair_distance: d,
-            ..template
-        };
-        let mut solo = SessionSpec::solo(cfg).with_faults(plan.clone()).build();
-        for obs in journal.events() {
-            let _ = solo.ingest(obs);
-        }
+        let v = members[0].0;
+        let live = world.monitors().primary().expect("one live monitor");
 
         let mut q = QuorumSpec::new(meta.tagged, &members, template, 1)
             .with_faults(plan.clone())
@@ -110,50 +113,52 @@ fn k1_quorum_is_byte_identical_to_the_solo_detector() {
         q.finish();
 
         let member = q.member_session(v).expect("member exists");
-        assert_eq!(member.diagnosis(), solo.diagnosis(), "pm={pm} plan={plan:?}");
-        assert_eq!(member.tests(), solo.tests(), "pm={pm}");
-        assert_eq!(member.violations(), solo.violations(), "pm={pm}");
+        assert_eq!(member.diagnosis(), live.diagnosis(), "pm={pm} plan={plan:?}");
+        assert_eq!(member.tests(), live.tests(), "pm={pm}");
+        assert_eq!(member.violations(), live.violations(), "pm={pm}");
         assert_eq!(
-            member.as_monitor().expect("solo member").samples(),
-            solo.as_monitor().expect("solo ref").samples(),
+            member.pool().monitor(v).expect("member monitor").samples(),
+            live.monitor(v).expect("live monitor").samples(),
             "pm={pm}"
         );
-        assert_eq!(q.is_flagged(), solo.diagnosis().is_flagged(), "pm={pm}");
+        assert_eq!(q.is_flagged(), live.diagnosis().is_flagged(), "pm={pm}");
     }
 }
 
 #[test]
-fn every_member_of_a_wide_quorum_matches_its_own_solo_reference() {
-    let journal = record(13, 75, 3);
-    let meta = journal.meta();
-    let template = template_from_meta(meta).with_sample_size(10);
-    let members = members_from_journal(&journal);
-    assert_eq!(members.len(), 3);
+fn every_member_of_a_wide_quorum_matches_its_live_monitor() {
+    for plan in [
+        FaultPlan::default(),
+        FaultPlan::parse("seed=5,drop=0.15,corrupt=0.05").unwrap(),
+    ] {
+        let world = record(13, 75, 3, &plan);
+        let journal = world.probe().journal();
+        let meta = journal.meta();
+        let template = template_from_meta(meta).with_sample_size(10);
+        let members = members_from_journal(journal);
+        assert_eq!(members.len(), 3);
 
-    let mut q = QuorumSpec::new(meta.tagged, &members, template, 2).build();
-    journal.replay(&mut q);
-    q.finish();
+        let mut q = QuorumSpec::new(meta.tagged, &members, template, 2)
+            .with_faults(plan.clone())
+            .build();
+        journal.replay(&mut q);
+        q.finish();
 
-    for &(v, d) in &members {
-        let cfg = MonitorConfig {
-            tagged: meta.tagged,
-            vantage: v,
-            pair_distance: d,
-            ..template
-        };
-        let mut solo = SessionSpec::solo(cfg).build();
-        for obs in journal.events() {
-            let _ = solo.ingest(obs);
+        let live = world.monitors();
+        assert_eq!(live.len(), members.len());
+        for (&(v, _), pool) in members.iter().zip(live.iter()) {
+            let member = q.member_session(v).expect("member exists");
+            assert_eq!(pool.vantages().collect::<Vec<_>>(), vec![v]);
+            assert_eq!(member.diagnosis(), pool.diagnosis(), "vantage {v} plan={plan:?}");
+            assert_eq!(member.tests(), pool.tests(), "vantage {v}");
+            assert_eq!(member.violations(), pool.violations(), "vantage {v}");
         }
-        let member = q.member_session(v).expect("member exists");
-        assert_eq!(member.diagnosis(), solo.diagnosis(), "vantage {v}");
-        assert_eq!(member.tests(), solo.tests(), "vantage {v}");
     }
 }
 
 #[test]
 fn f_liars_below_k_never_falsely_convict_a_clean_node() {
-    let journal = record(17, 0, 3);
+    let journal = journal(17, 0, 3);
     let meta = journal.meta();
     // A sample size far beyond what 4 seconds can collect: the honest
     // members are statistically silent by construction, so the only
@@ -185,7 +190,7 @@ fn f_liars_below_k_never_falsely_convict_a_clean_node() {
 
 #[test]
 fn honest_quorum_convicts_a_real_attacker() {
-    let journal = record(13, 75, 3);
+    let journal = journal(13, 75, 3);
     let meta = journal.meta();
     let template = template_from_meta(meta).with_sample_size(10);
     let members = members_from_journal(&journal);
@@ -203,7 +208,7 @@ fn honest_quorum_convicts_a_real_attacker() {
 #[test]
 fn equal_seeds_replay_byte_identical_gossip() {
     let run = || {
-        let journal = record(19, 60, 3);
+        let journal = journal(19, 60, 3);
         let meta = journal.meta();
         let template = template_from_meta(meta).with_sample_size(10);
         let members = members_from_journal(&journal);

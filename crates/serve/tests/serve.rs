@@ -4,8 +4,8 @@
 //! journal, in-process and over a real TCP socket.
 
 use mg_detect::{
-    render_report, replay_pool, template_from_meta, JournalFormat, JournalReader, ObsJournal,
-    ObsMeta, ObsRecorder, ScenarioBuilder, WorldProbe,
+    render_report, JournalFormat, JournalReader, ObsJournal, ObsMeta, ObsRecorder,
+    ScenarioBuilder, SessionSpec, WorldProbe,
 };
 use mg_dcf::BackoffPolicy;
 use mg_net::{Scenario, ScenarioConfig, SourceCfg};
@@ -162,8 +162,9 @@ fn record(seed: u64, pm: u8) -> ObsJournal {
 /// The offline reference: what `detect --replay` prints for this journal.
 fn offline_report(journal: &ObsJournal) -> String {
     let meta = journal.meta();
-    let pool = replay_pool(journal, template_from_meta(meta));
-    render_report(meta.tagged, 50, false, &pool.diagnosis())
+    let mut session = SessionSpec::from_meta(meta).build();
+    journal.replay(&mut session);
+    render_report(meta.tagged, 50, false, &session.diagnosis())
 }
 
 #[test]

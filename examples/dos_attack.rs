@@ -77,7 +77,7 @@ fn main() {
         550.0,
         MacTiming::paper_default(),
         99,
-        Monitor::new(mc),
+        MonitorPool::new(mc.tagged, &[mc.vantage], mc),
     );
     world.set_policy(0, BackoffPolicy::Scaled { pm: 95 });
     world.add_source(SourceCfg::saturated(0, 1));

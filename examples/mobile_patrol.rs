@@ -55,11 +55,7 @@ fn main() {
     println!("  hypothesis tests         : {}", d.tests_run);
     println!("  rejections               : {}", d.rejections);
     println!("  deterministic violations : {}", d.violations);
-    let mut contributions: Vec<(usize, usize)> = pool
-        .contributions()
-        .iter()
-        .map(|(&v, &n)| (v, n))
-        .collect();
+    let mut contributions: Vec<(usize, usize)> = pool.contributions().collect();
     contributions.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
     println!(
         "  vantage handoffs         : {} distinct vantages contributed samples",

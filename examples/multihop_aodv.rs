@@ -25,7 +25,7 @@ fn main() {
         550.0,
         MacTiming::paper_default(),
         13,
-        Monitor::new(mc),
+        MonitorPool::new(mc.tagged, &[mc.vantage], mc),
     );
     world.enable_routing();
 

@@ -23,7 +23,7 @@ fn main() {
         550.0,
         MacTiming::paper_default(),
         2,
-        Monitor::new(mc),
+        MonitorPool::new(mc.tagged, &[mc.vantage], mc),
     );
     world.set_tracer(Tracer::new(TraceConfig::verbose()));
     world.set_metrics(Metrics::new(2));
@@ -55,11 +55,12 @@ fn main() {
     );
 
     println!("\nmonitor's back-off ledger (dictated x vs estimated y, slots):");
-    let monitor = world.observer();
+    let pool = world.observer();
+    let monitor = pool.monitor(1).expect("node 1 is the pool's vantage");
     for (i, (x, y)) in monitor.samples().iter().enumerate() {
         println!("  window {i:>2}: dictated {x:>5.1}  estimated {y:>7.2}");
     }
-    let d = monitor.diagnosis();
+    let d = pool.diagnosis();
     println!(
         "\n{} samples, {} tests, {} rejections — node 0 is {}",
         d.samples_collected,

@@ -49,6 +49,14 @@ cargo clippy --workspace --all-targets --offline -q -- -D warnings
 echo "== tests (offline) =="
 cargo test -q --workspace --offline
 
+echo "== examples: the detector examples run and their asserts hold =="
+# Each example asserts its own outcome (attacker caught, clean node clean,
+# samples collected); a failed assert panics and fails this step.
+for example in dos_attack multihop_aodv trace_timeline mobile_patrol; do
+    cargo run -q --release --offline --example "$example" >/dev/null
+done
+echo "ok: detector examples ran to completion"
+
 echo "== trace determinism: equal seeds, byte-identical journals =="
 cargo test -q --offline --test trace_determinism
 

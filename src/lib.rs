@@ -109,12 +109,11 @@ pub use mg_trace as trace;
 pub mod prelude {
     pub use mg_dcf::{BackoffPolicy, Dest, Frame, FrameKind, MacSdu, MacTiming};
     pub use mg_detect::{
-        render_report, replay_pool, replay_pool_faulted, replay_reader, replay_reader_faulted,
-        template_from_meta, AnalyticModel, Assembly, AttackerHandle, DetectorSession, Diagnosis,
-        DiagnosisDelta, FaultPlan, Judge, JournalError, JournalFormat, JournalReader,
-        JournalWriter, Monitor, MonitorConfig, MonitorHandle, MonitorPool, Monitors, NodeCounts,
-        Obs, ObsFaults, ObsJournal, ObsMeta, ObsRecorder, ObsSink, ScenarioBuilder, SessionSpec,
-        Violation, WorldMonitors, WorldProbe,
+        render_report, template_from_meta, AnalyticModel, Assembly, AttackerHandle,
+        DetectorSession, Diagnosis, DiagnosisDelta, FaultPlan, Judge, JournalError,
+        JournalFormat, JournalReader, JournalWriter, Monitor, MonitorConfig, MonitorHandle,
+        MonitorPool, Monitors, NodeCounts, Obs, ObsFaults, ObsJournal, ObsMeta, ObsRecorder,
+        ObsSink, ScenarioBuilder, SessionSpec, Violation, WorldMonitors, WorldProbe,
     };
     pub use mg_geom::{PreclusionRule, RegionModel, Vec2};
     pub use mg_net::{

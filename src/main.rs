@@ -606,30 +606,33 @@ fn replay_detect(o: &DetectOpts, path: &str) {
     }
 
     let t0 = std::time::Instant::now();
-    let pools: Vec<(usize, MonitorPool)> = o
+    let sessions: Vec<(usize, DetectorSession)> = o
         .samples
         .iter()
         .map(|&n| {
-            let pool = replay_reader_faulted(&reader, mc.with_sample_size(n), &o.faults)
-                .unwrap_or_else(|e| {
-                    eprintln!("error: journal {path} is damaged: {e}");
-                    std::process::exit(1);
-                });
-            (n, pool)
+            let mut session = SessionSpec::pool(meta.tagged, &meta.vantages, mc)
+                .with_sample_size(n)
+                .with_faults(o.faults.clone())
+                .build();
+            if let Err(e) = reader.replay_into(&mut session) {
+                eprintln!("error: journal {path} is damaged: {e}");
+                std::process::exit(1);
+            }
+            (n, session)
         })
         .collect();
     println!(
         "run      : {} events replayed into {} monitor(s) in {:.2?}",
         reader.len(),
-        pools.len(),
+        sessions.len(),
         t0.elapsed()
     );
     println!(
         "load     : measured rho = {:.2}",
-        pools[0].1.diagnosis().measured_rho
+        sessions[0].1.diagnosis().measured_rho
     );
-    for (n, pool) in &pools {
-        report_diagnosis(attacker_node, *n, pools.len() > 1, &pool.diagnosis());
+    for (n, session) in &sessions {
+        report_diagnosis(attacker_node, *n, sessions.len() > 1, &session.diagnosis());
     }
 }
 
