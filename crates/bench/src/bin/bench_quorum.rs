@@ -25,8 +25,8 @@
 use mg_bench::sweep::{quorum_codec, quorum_journal_key, quorum_key};
 use mg_bench::table::{f2, p3, Table};
 use mg_bench::{
-    grid_base, quorum_trial_from_journal, record_quorum_world, sweep_or_exit, BenchConfig,
-    FaultPlan, Load, QuorumOutcome,
+    quorum_trial_from_journal, record_quorum_world, sweep_or_exit, BenchConfig, FaultPlan, Load,
+    QuorumOutcome,
 };
 use mg_detect::ObsJournal;
 use mg_net::ScenarioConfig;
@@ -44,12 +44,12 @@ const KS: [usize; 3] = [1, 2, 3];
 const LIES: [f64; 3] = [0.0, 0.25, 0.45];
 const PMS: [(u8, u64); 2] = [(0, 9700), (75, 9800)];
 
-fn world_cfg(seed: u64, secs: u64) -> ScenarioConfig {
+fn world_cfg(bc: &BenchConfig, seed: u64) -> ScenarioConfig {
     ScenarioConfig {
-        sim_secs: secs,
+        sim_secs: bc.sim_secs,
         rate_pps: Load::Medium.rate_pps(),
         seed,
-        ..grid_base()
+        ..bc.grid_base()
     }
 }
 
@@ -80,9 +80,9 @@ fn main() {
     let journals: Vec<ObsJournal> = sweep_or_exit(
         &runner,
         &worlds,
-        |&(pm, seed)| quorum_journal_key(&world_cfg(seed, bc.sim_secs), pm, MEMBERS),
+        |&(pm, seed)| quorum_journal_key(&world_cfg(&bc, seed), pm, MEMBERS),
         mg_bench::sweep::journal_codec(),
-        |&(pm, seed)| record_quorum_world(seed, world_cfg(seed, bc.sim_secs), pm, MEMBERS),
+        |&(pm, seed)| record_quorum_world(seed, world_cfg(&bc, seed), pm, MEMBERS),
     );
     let by_world: HashMap<(u8, u64), &ObsJournal> =
         worlds.iter().copied().zip(journals.iter()).collect();
@@ -104,7 +104,7 @@ fn main() {
         |&(k, lie, pm, seed)| {
             quorum_key(
                 "bench-quorum",
-                &world_cfg(seed, bc.sim_secs),
+                &world_cfg(&bc, seed),
                 pm,
                 SS,
                 MEMBERS,

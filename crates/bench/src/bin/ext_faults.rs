@@ -23,8 +23,8 @@
 use mg_bench::sweep::{detection_key, outcomes_codec};
 use mg_bench::table::{p3, Table};
 use mg_bench::{
-    aggregate, detection_trial_fanout_faulted, grid_base, sweep_or_exit, BenchConfig, FaultPlan,
-    Load, TrialOutcome,
+    aggregate, detection_trial_fanout_faulted, sweep_or_exit, BenchConfig, FaultPlan, Load,
+    TrialOutcome,
 };
 use mg_net::ScenarioConfig;
 use mg_trace::Counter;
@@ -74,7 +74,7 @@ fn main() {
                 sim_secs: bc.sim_secs,
                 rate_pps: Load::Medium.rate_pps(),
                 seed,
-                ..grid_base()
+                ..bc.grid_base()
             };
             detection_key("ext-faults", &cfg, pm, &[SS], false, &plans[pi])
         },
@@ -87,7 +87,7 @@ fn main() {
                 &[SS],
                 bc.sim_secs,
                 false,
-                grid_base(),
+                bc.grid_base(),
                 &plans[pi],
             )
         },

@@ -11,8 +11,7 @@
 use mg_bench::sweep::{cond_codec, cond_key};
 use mg_bench::table::{p3, Table};
 use mg_bench::{
-    aggregate_points, conditional_probability_run, grid_base, sweep_or_exit, BenchConfig,
-    CondProbPoint,
+    aggregate_points, conditional_probability_run, sweep_or_exit, BenchConfig, CondProbPoint,
 };
 use mg_detect::AnalyticModel;
 use mg_geom::PreclusionRule;
@@ -47,11 +46,16 @@ fn main() {
         &runner,
         &tasks,
         |&(rate, seed)| {
-            let cfg = ScenarioConfig { sim_secs: secs, rate_pps: rate, seed, ..grid_base() };
+            let cfg = ScenarioConfig {
+                sim_secs: secs,
+                rate_pps: rate,
+                seed,
+                ..bc.grid_base()
+            };
             cond_key("condprob-grid", &cfg)
         },
         cond_codec(),
-        |&(rate, seed)| conditional_probability_run(seed, rate, secs, grid_base()),
+        |&(rate, seed)| conditional_probability_run(seed, rate, secs, bc.grid_base()),
     );
 
     for &rate in &rates {

@@ -8,8 +8,7 @@
 use mg_bench::sweep::{cond_codec, cond_key};
 use mg_bench::table::{p3, Table};
 use mg_bench::{
-    aggregate_points, conditional_probability_run, random_base, sweep_or_exit, BenchConfig,
-    CondProbPoint,
+    aggregate_points, conditional_probability_run, sweep_or_exit, BenchConfig, CondProbPoint,
 };
 use mg_detect::AnalyticModel;
 use mg_geom::PreclusionRule;
@@ -42,11 +41,16 @@ fn main() {
         &runner,
         &tasks,
         |&(rate, seed)| {
-            let cfg = ScenarioConfig { sim_secs: secs, rate_pps: rate, seed, ..random_base() };
+            let cfg = ScenarioConfig {
+                sim_secs: secs,
+                rate_pps: rate,
+                seed,
+                ..bc.random_base()
+            };
             cond_key("condprob-random", &cfg)
         },
         cond_codec(),
-        |&(rate, seed)| conditional_probability_run(seed, rate, secs, random_base()),
+        |&(rate, seed)| conditional_probability_run(seed, rate, secs, bc.random_base()),
     );
 
     for &rate in &rates {

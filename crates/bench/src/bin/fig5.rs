@@ -23,7 +23,7 @@
 use mg_bench::sweep::{detection_key, outcomes_codec};
 use mg_bench::table::{p3, Table};
 use mg_bench::{
-    aggregate, detection_trial_fanout_faulted, grid_base, mobile_detection_trial_fanout_faulted,
+    aggregate, detection_trial_fanout_faulted, mobile_detection_trial_fanout_faulted,
     sweep_or_exit, BenchConfig, Load, TrialOutcome,
 };
 use mg_net::ScenarioConfig;
@@ -52,7 +52,7 @@ fn resolved_cfg(bc: &BenchConfig, p: &Panel, seed: u64) -> ScenarioConfig {
     let base = if p.mobile {
         ScenarioConfig::mobile_paper(seed, SimDuration::ZERO)
     } else {
-        grid_base()
+        bc.grid_base()
     };
     ScenarioConfig {
         sim_secs: bc.sim_secs,
@@ -144,7 +144,7 @@ fn main() {
                     &SAMPLE_SIZES,
                     bc.sim_secs,
                     false,
-                    grid_base(),
+                    bc.grid_base(),
                     &bc.fault,
                 )
             }

@@ -17,7 +17,7 @@
 use mg_bench::sweep::{detection_key, outcomes_codec};
 use mg_bench::table::{p3, Table};
 use mg_bench::{
-    aggregate, detection_trial_fanout_faulted, grid_base, mobile_detection_trial_fanout_faulted,
+    aggregate, detection_trial_fanout_faulted, mobile_detection_trial_fanout_faulted,
     sweep_or_exit, BenchConfig, Load, TrialOutcome,
 };
 use mg_net::ScenarioConfig;
@@ -95,7 +95,7 @@ fn main() {
                     sim_secs: bc.sim_secs,
                     rate_pps: load.rate_pps(),
                     seed,
-                    ..grid_base()
+                    ..bc.grid_base()
                 };
                 detection_key("detection", &cfg, 0, &SAMPLE_SIZES, false, &bc.fault)
             },
@@ -108,7 +108,7 @@ fn main() {
                     &SAMPLE_SIZES,
                     bc.sim_secs,
                     false,
-                    grid_base(),
+                    bc.grid_base(),
                     &bc.fault,
                 )
             },

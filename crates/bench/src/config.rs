@@ -7,7 +7,7 @@
 //! default trial count.
 
 use crate::FaultPlan;
-use mg_net::Shards;
+use mg_net::ScenarioConfig;
 use mg_phy::MediumIndex;
 use mg_runner::{Cache, CacheMode, Runner};
 use std::path::PathBuf;
@@ -34,11 +34,6 @@ pub struct BenchConfig {
     /// default grid). Results are byte-identical either way; the knob
     /// exists so CI can cross-check sweeps against the reference scan.
     pub medium_index: MediumIndex,
-    /// World-engine sharding (`MG_SHARDS`: `serial` or a region count,
-    /// default serial). Like the medium index, results are byte-identical
-    /// across settings — the knob lets CI cross-check the sharded engine
-    /// against the serial scheduler on every sweep.
-    pub shards: Shards,
 }
 
 impl Default for BenchConfig {
@@ -52,7 +47,6 @@ impl Default for BenchConfig {
             cache_dir: PathBuf::from("results/.cache"),
             fault: FaultPlan::default(),
             medium_index: MediumIndex::default(),
-            shards: Shards::default(),
         }
     }
 }
@@ -88,10 +82,6 @@ impl BenchConfig {
             cfg.medium_index = MediumIndex::parse(&raw)
                 .map_err(|e| format!("invalid MG_MEDIUM_INDEX value: {e}"))?;
         }
-        if let Ok(raw) = std::env::var("MG_SHARDS") {
-            cfg.shards = Shards::parse(&raw)
-                .map_err(|e| format!("invalid MG_SHARDS value: {e}"))?;
-        }
         if let Ok(raw) = std::env::var("MG_FAULT_SEED") {
             let seed: u64 = raw.trim().parse().map_err(|_| {
                 format!("invalid MG_FAULT_SEED value {raw:?}: expected a non-negative integer")
@@ -117,6 +107,24 @@ impl BenchConfig {
     pub fn runner(&self) -> Runner {
         Runner::new(Cache::new(self.cache_dir.clone(), self.cache_mode))
             .with_faults(self.fault.runner.clone())
+    }
+
+    /// The scenario base for the paper's grid experiments, on this config's
+    /// medium index.
+    pub fn grid_base(&self) -> ScenarioConfig {
+        ScenarioConfig {
+            medium_index: self.medium_index,
+            ..ScenarioConfig::grid_paper(0)
+        }
+    }
+
+    /// The scenario base for the paper's random-topology experiments, on
+    /// this config's medium index.
+    pub fn random_base(&self) -> ScenarioConfig {
+        ScenarioConfig {
+            medium_index: self.medium_index,
+            ..ScenarioConfig::random_paper(0)
+        }
     }
 }
 
@@ -151,7 +159,6 @@ mod tests {
             "MG_FAULT_PROFILE",
             "MG_FAULT_SEED",
             "MG_MEDIUM_INDEX",
-            "MG_SHARDS",
         ];
         let saved: Vec<_> = vars.iter().map(|v| (*v, std::env::var_os(v))).collect();
         for v in vars {
@@ -210,22 +217,30 @@ mod tests {
         assert!(err.contains("MG_MEDIUM_INDEX") && err.contains("quadtree"), "{err}");
         std::env::set_var("MG_MEDIUM_INDEX", "grid");
 
-        std::env::set_var("MG_SHARDS", "4");
-        let cfg = BenchConfig::from_env().expect("shard count parses");
-        assert_eq!(cfg.shards, Shards::Regions(4));
-        std::env::set_var("MG_SHARDS", "serial");
-        assert_eq!(BenchConfig::from_env().expect("serial parses").shards, Shards::Serial);
-        std::env::set_var("MG_SHARDS", "0");
-        let err = BenchConfig::from_env().unwrap_err();
-        assert!(err.contains("MG_SHARDS") && err.contains('0'), "{err}");
-        std::env::set_var("MG_SHARDS", "two");
-        assert!(BenchConfig::from_env().unwrap_err().contains("MG_SHARDS"));
-
         for (name, value) in saved {
             match value {
                 Some(v) => std::env::set_var(name, v),
                 None => std::env::remove_var(name),
             }
+        }
+    }
+
+    #[test]
+    fn medium_index_reaches_the_scenario_bases() {
+        // The index-agnostic chaos gate in ci.sh diffs a sweep under
+        // MG_MEDIUM_INDEX=naive against the grid default; it only means
+        // something if the parsed knob actually lands in the scenarios.
+        for index in [MediumIndex::Naive, MediumIndex::Grid] {
+            let bc = BenchConfig {
+                medium_index: index,
+                ..BenchConfig::default()
+            };
+            let with_index = |paper: ScenarioConfig| ScenarioConfig {
+                medium_index: index,
+                ..paper
+            };
+            assert_eq!(bc.grid_base(), with_index(ScenarioConfig::grid_paper(0)));
+            assert_eq!(bc.random_base(), with_index(ScenarioConfig::random_paper(0)));
         }
     }
 }

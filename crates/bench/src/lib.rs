@@ -41,8 +41,7 @@ use mg_detect::{
     JointTracker, MonitorConfig, NodeCounts, ObsJournal, ObsMeta, ObsRecorder, ScenarioBuilder,
     Violation, WorldMonitors, WorldProbe,
 };
-use mg_net::{NetObserver, Scenario, ScenarioConfig, Shards, SourceCfg, TrafficKind};
-use mg_phy::MediumIndex;
+use mg_net::{NetObserver, Scenario, ScenarioConfig, SourceCfg};
 use mg_runner::{CacheKey, Codec, Runner};
 use mg_sim::{SimDuration, SimTime};
 use mg_trace::MetricsSnapshot;
@@ -718,51 +717,6 @@ pub fn aggregate(outcomes: &[TrialOutcome]) -> TrialOutcome {
     total
 }
 
-/// The `MG_MEDIUM_INDEX` override (default [`MediumIndex::Grid`]), so a CI
-/// lane can rerun any sweep against the reference naive scan. Malformed
-/// values abort like every other knob.
-fn env_medium_index() -> MediumIndex {
-    match std::env::var("MG_MEDIUM_INDEX") {
-        Err(_) => MediumIndex::default(),
-        Ok(raw) => MediumIndex::parse(&raw).unwrap_or_else(|e| {
-            eprintln!("mg-bench: invalid MG_MEDIUM_INDEX value: {e}");
-            std::process::exit(2);
-        }),
-    }
-}
-
-/// The `MG_SHARDS` override (default [`Shards::Serial`]), so a CI lane can
-/// rerun any sweep on the region-sharded engine and diff it against the
-/// serial reference. Malformed values abort like every other knob.
-fn env_shards() -> Shards {
-    match std::env::var("MG_SHARDS") {
-        Err(_) => Shards::default(),
-        Ok(raw) => Shards::parse(&raw).unwrap_or_else(|e| {
-            eprintln!("mg-bench: invalid MG_SHARDS value: {e}");
-            std::process::exit(2);
-        }),
-    }
-}
-
-/// The scenario base for the paper's grid experiments.
-pub fn grid_base() -> ScenarioConfig {
-    ScenarioConfig {
-        medium_index: env_medium_index(),
-        shards: env_shards(),
-        ..ScenarioConfig::grid_paper(0)
-    }
-}
-
-/// The scenario base for the paper's random-topology experiments.
-pub fn random_base() -> ScenarioConfig {
-    ScenarioConfig {
-        traffic: TrafficKind::Cbr,
-        medium_index: env_medium_index(),
-        shards: env_shards(),
-        ..ScenarioConfig::random_paper(0)
-    }
-}
-
 /// All violations of a monitor rendered as short strings (debug output).
 pub fn violation_kinds(violations: &[Violation]) -> Vec<&'static str> {
     violations
@@ -780,6 +734,10 @@ pub fn violation_kinds(violations: &[Violation]) -> Vec<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn grid_base() -> ScenarioConfig {
+        BenchConfig::default().grid_base()
+    }
 
     #[test]
     fn loads_are_ordered() {

@@ -250,7 +250,7 @@ mod tests {
 
     #[test]
     fn detection_keys_cover_the_resolved_config() {
-        let base = crate::grid_base();
+        let base = crate::BenchConfig::default().grid_base();
         let noop = FaultPlan::default();
         let chaos = FaultPlan::parse("seed=5,loss=0.1").expect("valid spec");
         let a = detection_key("fig5", &ScenarioConfig { seed: 1, ..base }, 50, &[10, 25], true, &noop);

@@ -6,7 +6,7 @@
 //! PHY, MAC, traffic, trackers, thread fan-out, rendering).
 
 use mg_bench::table::{p3, Table};
-use mg_bench::{aggregate_points, conditional_probability_run, detection_trial, grid_base, Load};
+use mg_bench::{aggregate_points, conditional_probability_run, detection_trial, BenchConfig, Load};
 use mg_runner::run_grid;
 
 /// One miniature fig3-style sweep: a couple of rates, a few seeds each,
@@ -19,7 +19,7 @@ fn fig3_style_summary(base_seed: u64) -> String {
     for &rate in &[2.0, 8.0] {
         let seeds: Vec<u64> = (0..3).map(|i| base_seed + i).collect();
         let points = run_grid(&seeds, |_, &seed| {
-            conditional_probability_run(seed, rate, 2, grid_base())
+            conditional_probability_run(seed, rate, 2, BenchConfig::default().grid_base())
         });
         let (rho, p_bi, p_ib, _dist) = aggregate_points(&points);
         table.row(vec![p3(rho), p3(p_bi), p3(p_ib)]);
@@ -51,8 +51,22 @@ fn fig3_style_runs_differ_across_seeds() {
 #[test]
 fn detection_trials_replay_exactly() {
     let run = || {
-        let o = detection_trial(7, Load::Medium, 50, 10, 2, false, grid_base());
-        (o.tests, o.rejections, o.violations, o.samples, o.rho.to_bits())
+        let o = detection_trial(
+            7,
+            Load::Medium,
+            50,
+            10,
+            2,
+            false,
+            BenchConfig::default().grid_base(),
+        );
+        (
+            o.tests,
+            o.rejections,
+            o.violations,
+            o.samples,
+            o.rho.to_bits(),
+        )
     };
     assert_eq!(run(), run());
 }

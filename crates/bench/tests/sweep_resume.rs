@@ -4,7 +4,7 @@
 //! work that already completed.
 
 use mg_bench::sweep::{detection_key, outcomes_codec};
-use mg_bench::{detection_trial_fanout, grid_base, FaultPlan, Load, TrialOutcome};
+use mg_bench::{detection_trial_fanout, BenchConfig, FaultPlan, Load, TrialOutcome};
 use mg_net::ScenarioConfig;
 use mg_runner::{Cache, CacheKey, CacheMode, Runner};
 use mg_trace::json::Json;
@@ -29,13 +29,21 @@ fn key(&(pm, seed): &(u8, u64)) -> CacheKey {
         sim_secs: SECS,
         rate_pps: Load::Medium.rate_pps(),
         seed,
-        ..grid_base()
+        ..BenchConfig::default().grid_base()
     };
     detection_key("detection", &cfg, pm, &SIZES, false, &FaultPlan::default())
 }
 
 fn run(&(pm, seed): &(u8, u64)) -> Vec<TrialOutcome> {
-    detection_trial_fanout(seed, Load::Medium, pm, &SIZES, SECS, false, grid_base())
+    detection_trial_fanout(
+        seed,
+        Load::Medium,
+        pm,
+        &SIZES,
+        SECS,
+        false,
+        BenchConfig::default().grid_base(),
+    )
 }
 
 /// The exact bytes a binary would persist for these results.

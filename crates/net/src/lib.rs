@@ -28,11 +28,11 @@ mod traffic;
 mod world;
 
 pub use aodv::{AodvLite, NetMsg, RouteEntry, RouterAction};
-pub use config::{MobilityCfg, ScenarioConfig, Shards, TopologyCfg, TrafficKind};
+pub use config::{MobilityCfg, ScenarioConfig, TopologyCfg, TrafficKind};
 pub use mobility::RandomWaypoint;
 pub use observers::{Fanout, MetricsObserver, TraceEntry, TraceObserver};
 pub use traffic::{DstPolicy, SourceCfg, TrafficModel};
-pub use world::{NetObserver, Scenario, ShardStats, World};
+pub use world::{NetObserver, Scenario, World};
 
 /// Index of a node in the simulation.
 pub type NodeId = usize;

@@ -2,15 +2,15 @@
 //! traffic, mobility and routing.
 
 use crate::aodv::{AodvLite, NetMsg, RouterAction};
-use crate::config::{ScenarioConfig, Shards, TopologyCfg, TrafficKind};
+use crate::config::{ScenarioConfig, TopologyCfg, TrafficKind};
 use crate::mobility::RandomWaypoint;
 use crate::traffic::{DstPolicy, SourceCfg, TrafficModel};
 use crate::NodeId;
 use mg_dcf::{BackoffPolicy, DcfMac, Dest, Frame, MacAction, MacSdu, MacTiming, Timer};
 use mg_geom::{placement, Vec2};
-use mg_phy::{Medium, MediumIndex, PropagationModel, RadioParams, RxOutcome, SlabPlan, TxId};
+use mg_phy::{Medium, MediumIndex, PropagationModel, RadioParams, RxOutcome, TxId};
 use mg_sim::rng::{Rng, RngDirectory, Xoshiro256};
-use mg_sim::{EventHandle, Scheduler, ShardedScheduler, SimDuration, SimTime, GLOBAL_REGION};
+use mg_sim::{EventHandle, Scheduler, SimDuration, SimTime};
 use mg_trace::{Counter, EventKind, Metrics, Tracer};
 use std::collections::{HashMap, VecDeque};
 
@@ -59,95 +59,6 @@ enum Ev {
     Mobility,
 }
 
-/// Per-run diagnostics of the sharded event engine.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ShardStats {
-    /// Number of region lanes.
-    pub regions: usize,
-    /// Epoch barriers crossed.
-    pub barriers: u64,
-    /// Events exchanged through cross-region inboxes.
-    pub cross_region_events: u64,
-    /// Cross-lane schedules that arrived inside the current epoch window
-    /// (correctness-neutral; nonzero means the lookahead overestimates the
-    /// true minimum cross-region delay).
-    pub lookahead_violations: u64,
-}
-
-/// The world's event queue: the serial reference heap, or the region-
-/// sharded engine — byte-identical by construction and by the cross-shard
-/// gate in `tests/trace_determinism.rs`.
-enum EvQueue {
-    Serial(Scheduler<Ev>),
-    Sharded(ShardedScheduler<Ev>),
-}
-
-impl EvQueue {
-    fn now(&self) -> SimTime {
-        match self {
-            EvQueue::Serial(s) => s.now(),
-            EvQueue::Sharded(s) => s.now(),
-        }
-    }
-
-    fn events_fired(&self) -> u64 {
-        match self {
-            EvQueue::Serial(s) => s.events_fired(),
-            EvQueue::Sharded(s) => s.events_fired(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            EvQueue::Serial(s) => s.is_empty(),
-            EvQueue::Sharded(s) => s.is_empty(),
-        }
-    }
-
-    fn set_tracer(&mut self, tracer: Tracer) {
-        match self {
-            EvQueue::Serial(s) => s.set_tracer(tracer),
-            EvQueue::Sharded(s) => s.set_tracer(tracer),
-        }
-    }
-
-    /// Schedules into `lane` (ignored by the serial heap).
-    fn schedule_at(&mut self, at: SimTime, lane: usize, ev: Ev) -> EventHandle {
-        match self {
-            EvQueue::Serial(s) => s.schedule_at(at, ev),
-            EvQueue::Sharded(s) => s.schedule_at_in(at, lane, ev),
-        }
-    }
-
-    fn schedule_in(&mut self, after: SimDuration, lane: usize, ev: Ev) -> EventHandle {
-        match self {
-            EvQueue::Serial(s) => s.schedule_in(after, ev),
-            EvQueue::Sharded(s) => s.schedule_in_region(after, lane, ev),
-        }
-    }
-
-    fn cancel(&mut self, h: EventHandle) {
-        match self {
-            EvQueue::Serial(s) => s.cancel(h),
-            EvQueue::Sharded(s) => s.cancel(h),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, Ev)> {
-        match self {
-            EvQueue::Serial(s) => s.pop(),
-            EvQueue::Sharded(s) => s.pop(),
-        }
-    }
-
-    fn peek_time(&mut self) -> Option<SimTime> {
-        match self {
-            EvQueue::Serial(s) => s.peek_time(),
-            EvQueue::Sharded(s) => s.peek_time(),
-        }
-    }
-}
-
 struct SourceState {
     cfg: SourceCfg,
     rng: Xoshiro256,
@@ -157,7 +68,7 @@ struct SourceState {
 /// The simulation world. Build one directly with [`World::new`] or from a
 /// [`ScenarioConfig`] via [`Scenario`].
 pub struct World<O: NetObserver> {
-    sched: EvQueue,
+    sched: Scheduler<Ev>,
     medium: Medium,
     timing: MacTiming,
     macs: Vec<DcfMac>,
@@ -210,7 +121,7 @@ impl<O: NetObserver> World<O> {
             })
             .collect();
         World {
-            sched: EvQueue::Serial(Scheduler::new()),
+            sched: Scheduler::new(),
             medium: Medium::new(propagation, radio, positions),
             timing,
             macs,
@@ -332,77 +243,6 @@ impl<O: NetObserver> World<O> {
         self.medium.set_index(index);
     }
 
-    /// Switches the event loop to the region-sharded engine: the field is
-    /// cut into vertical slabs of `field_w / n` meters, every node's events
-    /// run in its region's lane, and lanes advance in lockstep SIFS-length
-    /// epochs. Results are byte-identical to the serial engine (cross-shard
-    /// gate in `tests/trace_determinism.rs`); mobile nodes are handed off
-    /// between regions as they move — the lane of each *future* event is
-    /// looked up at schedule time, so a handoff is just the region map
-    /// changing under the mobility tick.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any event has already been scheduled or fired: sharding
-    /// must be decided before sources, mobility, or traffic exist.
-    pub fn enable_sharding(&mut self, shards: Shards, field_w: f64) {
-        assert!(
-            self.sched.is_empty() && self.sched.events_fired() == 0,
-            "enable_sharding must run before any event is scheduled"
-        );
-        match shards {
-            Shards::Serial => {
-                self.medium.set_shard_plan(None);
-                let mut serial = Scheduler::new();
-                serial.set_tracer(self.tracer.clone());
-                self.sched = EvQueue::Serial(serial);
-            }
-            Shards::Regions(n) => {
-                self.medium.set_shard_plan(Some(SlabPlan::new(n, field_w)));
-                // Lookahead = SIFS: the shortest delay after which one
-                // node's dispatch can schedule work at another node (every
-                // MAC response is at least one SIFS out).
-                let mut sharded = ShardedScheduler::new(n as usize, self.timing.sifs);
-                sharded.set_tracer(self.tracer.clone());
-                self.sched = EvQueue::Sharded(sharded);
-            }
-        }
-    }
-
-    /// Diagnostics of the sharded engine (`None` on the serial path).
-    pub fn shard_stats(&self) -> Option<ShardStats> {
-        match &self.sched {
-            EvQueue::Serial(_) => None,
-            EvQueue::Sharded(s) => Some(ShardStats {
-                regions: s.regions(),
-                barriers: s.barriers(),
-                cross_region_events: s.cross_region_events(),
-                lookahead_violations: s.lookahead_violations(),
-            }),
-        }
-    }
-
-    /// The event lane owning `ev`: the region of the event's home node
-    /// (mobility ticks are global and run in lane 0). Looked up at schedule
-    /// time, so mobile nodes hand off between regions automatically.
-    fn lane_of(&self, ev: &Ev) -> usize {
-        match *ev {
-            Ev::MacTimer { node, .. } | Ev::TxEnd { node, .. } => self.medium.region_of(node),
-            Ev::Traffic { src } => self.medium.region_of(self.sources[src].cfg.node),
-            Ev::Mobility => GLOBAL_REGION,
-        }
-    }
-
-    fn schedule_ev_at(&mut self, at: SimTime, ev: Ev) -> EventHandle {
-        let lane = self.lane_of(&ev);
-        self.sched.schedule_at(at, lane, ev)
-    }
-
-    fn schedule_ev_in(&mut self, after: SimDuration, ev: Ev) -> EventHandle {
-        let lane = self.lane_of(&ev);
-        self.sched.schedule_in(after, lane, ev)
-    }
-
     /// Registers a traffic source and schedules its first arrival.
     pub fn add_source(&mut self, cfg: SourceCfg) {
         let idx = self.sources.len();
@@ -418,12 +258,13 @@ impl<O: NetObserver> World<O> {
                 self.saturated_by_node.insert(cfg.node, idx);
                 // Prime the queue with a couple of packets at t = 0.
                 for _ in 0..SATURATION_DEPTH {
-                    self.schedule_ev_at(self.sched.now(), Ev::Traffic { src: idx });
+                    self.sched
+                        .schedule_at(self.sched.now(), Ev::Traffic { src: idx });
                 }
             }
             _ => {
                 let gap = first.expect("clocked models have an initial gap");
-                self.schedule_ev_in(gap, Ev::Traffic { src: idx });
+                self.sched.schedule_in(gap, Ev::Traffic { src: idx });
             }
         }
     }
@@ -443,7 +284,7 @@ impl<O: NetObserver> World<O> {
             })
             .collect();
         self.walkers = Some(walkers);
-        self.schedule_ev_in(MOBILITY_TICK, Ev::Mobility);
+        self.sched.schedule_in(MOBILITY_TICK, Ev::Mobility);
     }
 
     /// Enables AODV-lite routing on every node (needed by
@@ -551,7 +392,7 @@ impl<O: NetObserver> World<O> {
             s.cfg.model.next_gap(&mut s.rng)
         };
         if let Some(gap) = gap {
-            self.schedule_ev_in(gap, Ev::Traffic { src });
+            self.sched.schedule_in(gap, Ev::Traffic { src });
         }
         let Some(dst) = self.pick_dst(src, node, dst_policy) else {
             return; // isolated node this instant; skip the packet
@@ -618,7 +459,7 @@ impl<O: NetObserver> World<O> {
                 let pos = w.advance(now, MOBILITY_TICK, &mut self.mobility_rng);
                 self.medium.set_position(i, pos);
             }
-            self.schedule_ev_in(MOBILITY_TICK, Ev::Mobility);
+            self.sched.schedule_in(MOBILITY_TICK, Ev::Mobility);
         }
     }
 
@@ -632,7 +473,7 @@ impl<O: NetObserver> World<O> {
         if let Some(old) = self.timers.remove(&(node, timer)) {
             self.sched.cancel(old);
         }
-        let h = self.schedule_ev_at(at, Ev::MacTimer { node, timer });
+        let h = self.sched.schedule_at(at, Ev::MacTimer { node, timer });
         self.timers.insert((node, timer), h);
     }
 
@@ -659,7 +500,7 @@ impl<O: NetObserver> World<O> {
                     let airtime = self.timing.frame_airtime(&frame);
                     let (tx, edges) = self.medium.begin_tx(n, now, &mut self.phy_rng);
                     let end = now + airtime;
-                    self.schedule_ev_at(end, Ev::TxEnd { node: n, tx });
+                    self.sched.schedule_at(end, Ev::TxEnd { node: n, tx });
                     self.observer.on_tx_start(n, &frame, now, end);
                     self.in_flight.insert(tx, frame);
                     for e in edges {
@@ -708,7 +549,8 @@ impl<O: NetObserver> World<O> {
                             }
                         } else {
                             // No neighbor right now (mobile); retry shortly.
-                            self.schedule_ev_in(MOBILITY_TICK, Ev::Traffic { src: si });
+                            self.sched
+                                .schedule_in(MOBILITY_TICK, Ev::Traffic { src: si });
                         }
                     }
                 }
@@ -859,7 +701,6 @@ impl Scenario {
             observer,
         );
         world.set_medium_index(cfg.medium_index);
-        world.enable_sharding(cfg.shards, cfg.field_w);
         // Pick distinct source nodes.
         let dir = RngDirectory::new(cfg.seed);
         let mut rng = dir.stream("source-pick", 0);
@@ -1060,66 +901,6 @@ mod tests {
             .filter(|&i| w.medium().position(i).distance(before[i]) > 1.0)
             .count();
         assert!(moved > w.node_count() / 2, "only {moved} nodes moved");
-    }
-
-    #[test]
-    fn sharded_world_is_byte_identical_to_serial() {
-        // The in-crate smoke version of the cross-shard gate: same config,
-        // Serial vs Regions(2) vs Regions(4), static and mobile — identical
-        // event counts and per-node MAC statistics.
-        for mobile in [false, true] {
-            let run = |shards: Shards| {
-                let mut cfg = ScenarioConfig {
-                    sim_secs: 2,
-                    rate_pps: 5.0,
-                    ..ScenarioConfig::random_paper(13)
-                };
-                if mobile {
-                    cfg.mobility = Some(crate::config::MobilityCfg::default());
-                }
-                cfg.shards = shards;
-                let mut w = Scenario::new(cfg).realize(&[], ());
-                w.run_until(SimTime::from_secs(2));
-                let stats: Vec<_> = (0..w.node_count())
-                    .map(|i| {
-                        let s = w.mac(i).stats();
-                        (s.delivered, s.dropped_retry, s.rts_sent)
-                    })
-                    .collect();
-                (w.events_fired(), w.mac_delivered, stats)
-            };
-            let serial = run(Shards::Serial);
-            for n in [2, 4] {
-                assert_eq!(serial, run(Shards::Regions(n)), "Regions({n}), mobile={mobile}");
-            }
-        }
-    }
-
-    #[test]
-    fn shard_stats_reports_engine_diagnostics() {
-        let cfg = ScenarioConfig {
-            sim_secs: 1,
-            rate_pps: 5.0,
-            shards: Shards::Regions(2),
-            ..ScenarioConfig::grid_paper(3)
-        };
-        let mut w = Scenario::new(cfg).realize(&[], ());
-        assert!(w.shard_stats().is_some());
-        w.run_until(SimTime::from_secs(1));
-        let s = w.shard_stats().expect("sharded engine active");
-        assert_eq!(s.regions, 2);
-        assert!(s.barriers > 0, "a 1 s run must cross epoch barriers");
-        // Serial path reports nothing.
-        let cfg = ScenarioConfig { shards: Shards::Serial, ..cfg };
-        assert!(Scenario::new(cfg).realize(&[], ()).shard_stats().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "before any event is scheduled")]
-    fn enable_sharding_after_sources_panics() {
-        let mut w = two_node_world();
-        w.add_source(SourceCfg::saturated(0, 1));
-        w.enable_sharding(Shards::Regions(2), 1000.0);
     }
 
     #[test]

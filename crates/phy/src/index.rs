@@ -189,12 +189,10 @@ mod tests {
     }
 
     #[test]
-    fn move_across_a_region_seam_keeps_both_sides_queryable() {
-        // The sharded engine cuts the field into vertical slabs; a slab seam
-        // generally falls *inside* a grid cell (cell = sensing horizon,
-        // slab = field/regions), so a node stepping across the seam often
-        // stays in the same bucket. Walk a node across x = 500 in small
-        // steps and assert it is always found from both sides of the seam.
+    fn move_across_a_cell_boundary_keeps_both_sides_queryable() {
+        // Walk a node in small steps across x = 500 (inside a 551 m cell, so
+        // it stays in the same bucket) and then across the cell boundary at
+        // x = 551; it must always be found from both sides of x = 500.
         let mut g = grid_of(551.0, &[(460.0, 100.0), (2500.0, 100.0)]);
         for step in 0..20 {
             let x = 460.0 + f64::from(step) * 5.0; // crosses 500, then 551
@@ -202,7 +200,7 @@ mod tests {
             assert_eq!(query(&g, 499.0, 100.0, 80.0), vec![0], "left-side query, x={x}");
             assert_eq!(query(&g, 501.0, 100.0, 80.0), vec![0], "right-side query, x={x}");
         }
-        // Landing exactly on a cell boundary that is also a seam multiple.
+        // Landing exactly on the cell boundary.
         g.move_node(0, Vec2::new(551.0, 100.0));
         assert_eq!(query(&g, 550.9, 100.0, 1.0), vec![0]);
         assert_eq!(query(&g, 551.1, 100.0, 1.0), vec![0]);

@@ -63,7 +63,6 @@
 use crate::index::CellGrid;
 use crate::propagation::PropagationModel;
 use crate::radio::{dbm_to_mw, mw_to_dbm, RadioParams};
-use crate::shard::SlabPlan;
 use crate::NodeId;
 use mg_geom::Vec2;
 use mg_sim::rng::Rng;
@@ -211,14 +210,11 @@ impl ActiveTx {
     }
 }
 
-/// One memoised footprint, valid while no node has moved inside the region
-/// slabs the footprint's interference disk overlaps.
+/// One memoised footprint, valid while no node has moved since it was
+/// computed.
 struct FpMemo {
-    /// First region of the span the footprint can touch.
-    r_lo: u32,
-    /// Snapshot of `pos_epochs[r_lo .. r_lo + epochs.len()]` at compute
-    /// time; the memo replays iff the live slice still matches.
-    epochs: Vec<u64>,
+    /// `pos_epoch` at compute time; the memo replays iff it still matches.
+    epoch: u64,
     fp: Vec<Cover>,
 }
 
@@ -259,17 +255,13 @@ pub struct Medium {
     /// Reusable candidate buffer for grid queries.
     scratch: Vec<NodeId>,
     /// Per-source footprint memo for the Grid + deterministic-propagation
-    /// path. A footprint is a pure function of node positions, so until a
-    /// node moves *inside the region span the footprint overlaps* the memo
-    /// replays the exact `Cover` list discovery would rebuild.
+    /// path. A footprint is then a pure function of node positions, so
+    /// until any node moves the memo replays the exact `Cover` list
+    /// discovery would rebuild.
     fp_cache: Vec<Option<FpMemo>>,
-    /// Per-region position epochs: `set_position` bumps the mover's old and
-    /// new regions; stale `fp_cache` entries are simply recomputed on their
-    /// next use. One entry (a global epoch) without a shard plan.
-    pos_epochs: Vec<u64>,
-    /// Region-slab partition of the field (the sharded world engine's
-    /// node→region map). `None` ⇒ one implicit region.
-    shard_plan: Option<SlabPlan>,
+    /// Bumped on every `set_position`; stale `fp_cache` entries are simply
+    /// recomputed on their next use.
+    pos_epoch: u64,
 }
 
 impl Medium {
@@ -315,8 +307,7 @@ impl Medium {
             grid: None,
             scratch: Vec::new(),
             fp_cache: (0..n).map(|_| None).collect(),
-            pos_epochs: vec![0],
-            shard_plan: None,
+            pos_epoch: 0,
         };
         m.set_index(index);
         m
@@ -386,60 +377,10 @@ impl Medium {
     /// maintained incrementally. Positions outside the nominal field
     /// (including negative coordinates) are fine.
     pub fn set_position(&mut self, node: NodeId, pos: Vec2) {
-        let old = self.positions[node];
         self.positions[node] = pos;
-        match &self.shard_plan {
-            // Bump the regions the node left and entered: only footprints
-            // whose spans overlap one of them can see the move.
-            Some(plan) => {
-                self.pos_epochs[plan.region_of(old) as usize] += 1;
-                self.pos_epochs[plan.region_of(pos) as usize] += 1;
-            }
-            None => self.pos_epochs[0] += 1,
-        }
+        self.pos_epoch += 1;
         if let Some(grid) = &mut self.grid {
             grid.move_node(node, pos);
-        }
-    }
-
-    /// Installs (or clears) the region-slab partition. Resets the per-region
-    /// position epochs and drops all memoised footprints: memo validity is
-    /// judged against region spans, which just changed meaning.
-    pub fn set_shard_plan(&mut self, plan: Option<SlabPlan>) {
-        self.shard_plan = plan;
-        let regions = plan.map_or(1, |p| p.regions() as usize);
-        self.pos_epochs = vec![0; regions];
-        for e in &mut self.fp_cache {
-            *e = None;
-        }
-    }
-
-    /// The region-slab partition in force, if any.
-    pub fn shard_plan(&self) -> Option<&SlabPlan> {
-        self.shard_plan.as_ref()
-    }
-
-    /// The region owning `node`'s current position (0 without a plan).
-    pub fn region_of(&self, node: NodeId) -> usize {
-        self.shard_plan
-            .as_ref()
-            .map_or(0, |p| p.region_of(self.positions[node]) as usize)
-    }
-
-    /// Farthest distance at which a transmission still participates in
-    /// interference sums, when the propagation model is deterministic
-    /// (`None` under shadowing: the footprint is unbounded). This is the
-    /// halo width of the sharded engine: a node within this distance of a
-    /// region seam has footprints straddling regions.
-    pub fn interference_horizon(&self) -> Option<f64> {
-        self.horizon
-    }
-
-    /// The contiguous region span a footprint centered at `x` can touch.
-    fn footprint_span(&self, x: f64) -> (u32, u32) {
-        match (&self.shard_plan, self.horizon) {
-            (Some(plan), Some(h)) => plan.region_span(x, h),
-            _ => (0, 0),
         }
     }
 
@@ -507,18 +448,12 @@ impl Medium {
             (Some(grid), Some(h)) => {
                 // Deterministic propagation ⇒ the footprint is a pure
                 // function of positions, so replay the memoised Cover list
-                // when no node has moved *inside the footprint's region
-                // span* since it was computed. Replaying bumps carrier
-                // sense in the same ascending order the scan would, so the
-                // edge list is identical too.
+                // when no node has moved since it was computed. Replaying
+                // bumps carrier sense in the same ascending order the scan
+                // would, so the edge list is identical too.
                 let memo = self.fp_cache[src]
                     .as_ref()
-                    .filter(|m| {
-                        let lo = m.r_lo as usize;
-                        self.pos_epochs
-                            .get(lo..lo + m.epochs.len())
-                            .is_some_and(|live| live == m.epochs)
-                    })
+                    .filter(|m| m.epoch == self.pos_epoch)
                     .map(|m| m.fp.clone());
                 match memo {
                     Some(fp) => {
@@ -541,10 +476,8 @@ impl Medium {
                             }
                         }
                         self.scratch = cand;
-                        let (lo, hi) = self.footprint_span(src_pos.x);
                         self.fp_cache[src] = Some(FpMemo {
-                            r_lo: lo,
-                            epochs: self.pos_epochs[lo as usize..=hi as usize].to_vec(),
+                            epoch: self.pos_epoch,
                             fp: covered.clone(),
                         });
                     }

@@ -20,20 +20,6 @@
 //!   results themselves, which keeps cold and warm sweep outputs
 //!   byte-identical.
 //!
-//! ## Composing with the sharded world engine
-//!
-//! Runner-level parallelism is *across cells*: one simulation per thread,
-//! `available_parallelism()` threads. The world engine's region sharding
-//! (`mg_net`'s `Shards::Regions(n)`) is parallelism *within* one cell. The
-//! two compose, but their product is what actually lands on the machine:
-//! a sweep saturating `T` cores where every cell also runs `n` region
-//! lanes asks for up to `T × n` runnable threads — oversubscription that
-//! slows both layers down without changing any result (sharding is
-//! byte-identical to serial). Rule of thumb: give the *outer* layer the
-//! cores. Sweeps of many small worlds should run `Shards::Serial` cells;
-//! reserve `Regions(n)` for one huge world that is the only tenant (e.g.
-//! `bench_world_scale`'s sharded cells, which run sequentially).
-//!
 //! ```
 //! use mg_runner::{Cache, CacheKey, CacheMode, Codec, Runner};
 //! use mg_trace::json::Json;

@@ -25,23 +25,10 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventHandle(u64);
 
-impl EventHandle {
-    /// Wraps a raw sequence number (shared with `ShardedScheduler`, which
-    /// allocates from the same global-sequence space).
-    pub(crate) fn from_seq(seq: u64) -> Self {
-        EventHandle(seq)
-    }
-
-    /// The raw sequence number behind this handle.
-    pub(crate) fn seq(self) -> u64 {
-        self.0
-    }
-}
-
-pub(crate) struct Entry<E> {
-    pub(crate) time: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) payload: E,
+struct Entry<E> {
+    time: SimTime,
+    seq: u64,
+    payload: E,
 }
 
 impl<E> PartialEq for Entry<E> {

@@ -117,8 +117,8 @@ pub mod prelude {
     };
     pub use mg_geom::{PreclusionRule, RegionModel, Vec2};
     pub use mg_net::{
-        MobilityCfg, NetObserver, Scenario, ScenarioConfig, Shards, ShardStats, SourceCfg,
-        TopologyCfg, TrafficKind, TrafficModel, World,
+        MobilityCfg, NetObserver, Scenario, ScenarioConfig, SourceCfg, TopologyCfg, TrafficKind,
+        TrafficModel, World,
     };
     pub use mg_phy::{Medium, MediumIndex, PropagationModel, RadioParams};
     pub use mg_quorum::{

@@ -20,9 +20,6 @@
 //!                     size over a single simulated world
 //!   --random          random 112-node topology instead of the grid
 //!   --mobile          add random-waypoint mobility (implies --random)
-//!   --shards <n>      run the world on n region-sharded event lanes
-//!                     (or "serial", the default); results are byte-
-//!                     identical to the serial engine at any count
 //!   --no-blatant      disable the deterministic timing check
 //!   --faults <spec>   inject observation faults at every monitor
 //!                     (e.g. "light", "heavy,seed=7", "loss=0.1,deaf=250:25");
@@ -86,7 +83,7 @@ manet-guard: back-off timer violation detection (ICDCS 2006 reproduction)
 usage:
   manet-guard demo
   manet-guard detect [--pm N] [--rate PPS] [--secs S] [--seed N]
-                     [--samples N[,N..]] [--random] [--mobile] [--shards N]
+                     [--samples N[,N..]] [--random] [--mobile]
                      [--no-blatant] [--faults SPEC] [--quorum K]
                      [--trace FILE] [--metrics] [--record FILE]
                      [--journal-format jsonl|bin]
@@ -106,7 +103,6 @@ struct DetectOpts {
     samples: Vec<usize>,
     random: bool,
     mobile: bool,
-    shards: Shards,
     no_blatant: bool,
     faults: FaultPlan,
     quorum: Option<usize>,
@@ -131,7 +127,6 @@ fn parse_detect(args: &[String]) -> Result<DetectOpts, String> {
         samples: vec![50],
         random: false,
         mobile: false,
-        shards: Shards::default(),
         no_blatant: false,
         faults: FaultPlan::default(),
         quorum: None,
@@ -173,12 +168,6 @@ fn parse_detect(args: &[String]) -> Result<DetectOpts, String> {
             "--mobile" => {
                 o.mobile = true;
                 "--mobile"
-            }
-            "--shards" => {
-                let v = raw_value(&mut it, a)?;
-                o.shards = Shards::parse(&v)
-                    .map_err(|e| format!("invalid value for --shards: {e}"))?;
-                "--shards"
             }
             "--no-blatant" => {
                 o.no_blatant = true;
@@ -232,9 +221,16 @@ fn parse_detect(args: &[String]) -> Result<DetectOpts, String> {
     }
     if seen.contains(&"--replay") {
         // The journal fixes the world; only detector-side knobs compose.
-        const WORLD_FLAGS: [&str; 10] = [
-            "--record", "--pm", "--rate", "--secs", "--seed", "--random", "--mobile", "--shards",
-            "--trace", "--metrics",
+        const WORLD_FLAGS: [&str; 9] = [
+            "--record",
+            "--pm",
+            "--rate",
+            "--secs",
+            "--seed",
+            "--random",
+            "--mobile",
+            "--trace",
+            "--metrics",
         ];
         for c in WORLD_FLAGS {
             if seen.contains(&c) {
@@ -388,7 +384,6 @@ fn quorum_detect(o: &DetectOpts, k: usize) {
     };
     cfg.sim_secs = o.secs;
     cfg.rate_pps = o.rate;
-    cfg.shards = o.shards;
 
     let scenario = Scenario::new(cfg);
     let (attacker_node, primary) = scenario.tagged_pair();
@@ -838,7 +833,6 @@ fn detect(o: DetectOpts) {
     };
     cfg.sim_secs = o.secs;
     cfg.rate_pps = o.rate;
-    cfg.shards = o.shards;
 
     let scenario = Scenario::new(cfg);
     let (attacker_node, vantage) = scenario.tagged_pair();

@@ -78,14 +78,12 @@ fn different_seeds_diverge() {
 fn large_world_run(
     seed: u64,
     index: MediumIndex,
-    shards: Shards,
     faults: Option<&FaultPlan>,
 ) -> (String, Diagnosis, MetricsSnapshot) {
     let scenario = Scenario::new(ScenarioConfig {
         sim_secs: 2,
         rate_pps: 1.0,
         medium_index: index,
-        shards,
         ..ScenarioConfig::large_world(seed, 500)
     });
     let (s, r) = scenario.tagged_pair();
@@ -115,42 +113,51 @@ fn index_modes_are_byte_identical_in_a_large_world() {
     let plan = FaultPlan::parse("seed=23,loss=0.1,drop=0.1").expect("valid plan");
     for faults in [None, Some(&plan)] {
         let tag = if faults.is_some() { "faulted" } else { "clean" };
-        let (jn, dn, sn) = large_world_run(5, MediumIndex::Naive, Shards::Serial, faults);
-        let (jg, dg, sg) = large_world_run(5, MediumIndex::Grid, Shards::Serial, faults);
+        let (jn, dn, sn) = large_world_run(5, MediumIndex::Naive, faults);
+        let (jg, dg, sg) = large_world_run(5, MediumIndex::Grid, faults);
         assert!(!jn.is_empty(), "{tag}: a verbose 2 s run must journal events");
         assert_eq!(jn, jg, "{tag}: cross-index journals must be byte-identical");
         assert_eq!(dn, dg, "{tag}: cross-index diagnoses must agree");
         assert_eq!(sn.totals, sg.totals, "{tag}: cross-index counters must agree");
-        let (jg2, dg2, _) = large_world_run(5, MediumIndex::Grid, Shards::Serial, faults);
+        let (jg2, dg2, _) = large_world_run(5, MediumIndex::Grid, faults);
         assert_eq!(jg, jg2, "{tag}: equal-seed Grid journals must be byte-identical");
         assert_eq!(dg, dg2, "{tag}: equal-seed Grid diagnoses must agree");
     }
 }
 
+/// FNV-1a 64, the hash `mg_runner::fnv64` keys the sweep cache with.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[test]
-fn shard_counts_are_byte_identical_in_a_large_world() {
-    // The cross-shard acceptance gate: the region-sharded engine is an
-    // execution detail exactly like the spatial index. In a 500-node world
-    // the serial scheduler and the 2- and 4-region engines must agree on
-    // every journaled byte, the end-to-end diagnosis and every counter —
-    // clean and under fault injection, on both medium indexes.
-    let plan = FaultPlan::parse("seed=23,loss=0.1,drop=0.1").expect("valid plan");
-    for faults in [None, Some(&plan)] {
-        for index in [MediumIndex::Grid, MediumIndex::Naive] {
-            let tag = format!(
-                "{}/{index:?}",
-                if faults.is_some() { "faulted" } else { "clean" }
-            );
-            let (js, ds, ss) = large_world_run(5, index, Shards::Serial, faults);
-            assert!(!js.is_empty(), "{tag}: a verbose 2 s run must journal events");
-            for shards in [Shards::Regions(2), Shards::Regions(4)] {
-                let (jr, dr, sr) = large_world_run(5, index, shards, faults);
-                assert_eq!(js, jr, "{tag}/{shards}: journals must be byte-identical");
-                assert_eq!(ds, dr, "{tag}/{shards}: diagnoses must agree");
-                assert_eq!(ss.totals, sr.totals, "{tag}/{shards}: counters must agree");
-            }
-        }
-    }
+fn mobile_world_journal_is_pinned() {
+    // The paper's 112-node random world under random-waypoint mobility:
+    // every mobility tick moves nodes, so the medium's footprint memo is
+    // invalidated and rebuilt throughout the run. The digest of the full
+    // journal pins the serial engine's exact event stream; any change to
+    // dispatch order, memo validity or RNG use shows up here.
+    let mut cfg = ScenarioConfig {
+        sim_secs: 2,
+        rate_pps: 5.0,
+        ..ScenarioConfig::random_paper(13)
+    };
+    cfg.mobility = Some(MobilityCfg::default());
+    let mut builder = ScenarioBuilder::new(Scenario::new(cfg));
+    builder.trace(TraceConfig::verbose());
+    let mut world = builder.build();
+    world.run_until(SimTime::from_secs(2));
+    assert_eq!(
+        world.tracer().dropped(),
+        0,
+        "the ring must hold the whole journal"
+    );
+    let journal = world.tracer().to_jsonl();
+    assert_eq!(world.events_fired(), 3383);
+    assert_eq!(journal.lines().count(), 29856);
+    assert_eq!(fnv64(journal.as_bytes()), 0x56a4_de1a_6e8b_56d8);
 }
 
 #[test]
