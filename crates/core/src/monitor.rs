@@ -355,6 +355,9 @@ pub struct Monitor {
     /// All samples ever collected (kept for offline analysis / benches).
     all_samples: Vec<(f64, f64)>,
     violations: Vec<Violation>,
+    /// The current tagged RTS's anomalies, before the confirmation gate
+    /// rules on them (empty between RTSs; kept for its storage).
+    anomalies: Vec<Violation>,
     discarded: usize,
     /// Observation-boundary fault injector (chaos testing). The world is
     /// unchanged — only what this monitor perceives.
@@ -397,6 +400,7 @@ impl Monitor {
             pending: Vec::new(),
             all_samples: Vec::new(),
             violations: Vec::new(),
+            anomalies: Vec::new(),
             discarded: 0,
             faults: None,
             anomaly_streak: 0,
@@ -624,7 +628,7 @@ impl Monitor {
         //    here and only convict at the commit step below, once the
         //    confirmation gate has ruled on how trustworthy this
         //    observation is.
-        let mut anomalies: Vec<Violation> = Vec::new();
+        let mut anomalies = std::mem::take(&mut self.anomalies);
         let logical = match self.last_rts {
             None => u64::from(fields.seq_off_wire),
             Some(prev) => {
@@ -761,7 +765,7 @@ impl Monitor {
                     at: end,
                 });
             }
-            for v in anomalies {
+            for v in anomalies.drain(..) {
                 self.flag(v);
             }
             if let Some((x, y)) = sample {
@@ -792,10 +796,11 @@ impl Monitor {
                     at: end,
                 });
             }
-            for v in anomalies {
+            for v in anomalies.drain(..) {
                 self.note_uncertain(v);
             }
         }
+        self.anomalies = anomalies;
 
         // 3. Provisionally anchor the next window at this attempt's CTS
         //    timeout (corrected later if we see the DATA go through). The

@@ -52,6 +52,9 @@ pub struct MonitorPool {
     /// sample extracted for that RTS still uses the pre-hand-off distance
     /// (matching the callback order of a live world).
     last_ranging: Option<Vec<(NodeId, f64)>>,
+    /// Storage of the live projection's ranging snapshots, reused from one
+    /// tagged RTS to the next.
+    ranging_buf: Vec<(NodeId, f64)>,
     /// Incremental delta buffer: member deltas are folded in right after the
     /// routed member consumed an event, followed by the pool's own
     /// shared-test deltas. Disabled (and empty) by default.
@@ -105,6 +108,7 @@ impl MonitorPool {
             rejections: 0,
             last_seen: SimTime::ZERO,
             last_ranging: None,
+            ranging_buf: Vec::new(),
             emit_deltas: false,
             deltas: Vec::new(),
             tracer: Tracer::disabled(),
@@ -264,18 +268,16 @@ impl MonitorPool {
 
     /// The current tagged→member distances as an [`Obs::Ranging`] event,
     /// ascending by node id — the projection a live adapter records or
-    /// feeds before each tagged RTS.
-    fn ranging_snapshot(&self, medium: &Medium, at: SimTime) -> Obs {
+    /// feeds before each tagged RTS. The distances are written into `to`.
+    fn ranging_snapshot(&self, medium: &Medium, at: SimTime, mut to: Vec<(NodeId, f64)>) -> Obs {
         let tp = medium.position(self.tagged);
-        Obs::Ranging {
-            from: self.tagged,
-            to: self
-                .vantages
+        to.clear();
+        to.extend(
+            self.vantages
                 .iter()
-                .map(|&v| (v, tp.distance(medium.position(v))))
-                .collect(),
-            at,
-        }
+                .map(|&v| (v, tp.distance(medium.position(v)))),
+        );
+        Obs::Ranging { from: self.tagged, to, at }
     }
 
     /// Pulls fresh samples from the active monitor and judges every full
@@ -341,7 +343,9 @@ impl ObsSink for MonitorPool {
         let at = match obs {
             Obs::Ranging { from, to, .. } => {
                 if *from == self.tagged {
-                    self.last_ranging = Some(to.clone());
+                    let last = self.last_ranging.get_or_insert_with(Vec::new);
+                    last.clear();
+                    last.extend_from_slice(to);
                 }
                 return;
             }
@@ -389,8 +393,12 @@ impl NetObserver for MonitorPool {
         end: SimTime,
     ) {
         if frame.src == self.tagged && frame.is_rts() {
-            let ranging = self.ranging_snapshot(medium, start);
+            let buf = std::mem::take(&mut self.ranging_buf);
+            let ranging = self.ranging_snapshot(medium, start, buf);
             self.ingest(&ranging);
+            if let Obs::Ranging { to, .. } = ranging {
+                self.ranging_buf = to;
+            }
         }
         self.ingest(&Obs::Decoded { at, frame: frame.clone(), start, end });
     }

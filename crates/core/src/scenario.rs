@@ -58,8 +58,8 @@ impl AttackerHandle {
 /// Handle to a monitor (or monitor pool) registered via
 /// [`ScenarioBuilder::monitor`] / [`ScenarioBuilder::monitor_pool`].
 ///
-/// Resolve it against the built world with [`Monitors::diagnosis`],
-/// [`Monitors::pool`] or [`Monitors::pool_mut`].
+/// Resolve it against the built world with [`Monitors::diagnosis`] or
+/// [`Monitors::pool`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MonitorHandle {
     index: usize,
@@ -81,13 +81,79 @@ impl MonitorHandle {
 /// The observer a [`ScenarioBuilder`] installs: every registered monitor
 /// pool, fanned out behind one [`NetObserver`].
 ///
+/// A callback reaches only the pools it can concern, in ascending pool
+/// order: the pools with a member at the callback's node and, for a decoded
+/// RTS, the pools watching its sender. A pool ignores every other callback
+/// (its members see only events at their own node; only the tagged node's
+/// RTS drives hand-off and testing), so skipping those calls leaves every
+/// diagnosis and every journaled byte as a call to every pool would.
+///
 /// Access it on the built world through [`WorldMonitors::monitors`].
 #[derive(Debug, Default)]
 pub struct Monitors {
     pools: Vec<MonitorPool>,
+    /// Pools with a member at each node.
+    by_member: Routes,
+    /// Pools watching each node.
+    by_tagged: Routes,
+}
+
+/// A node → pool-index table in compressed rows: node `v`'s pools are
+/// `pools[start[v]..start[v + 1]]`, ascending. Rows stop at the highest
+/// node that has a pool; later nodes have none.
+#[derive(Debug, Default)]
+struct Routes {
+    start: Vec<u32>,
+    pools: Vec<u32>,
+}
+
+impl Routes {
+    /// Builds the table from `(node, pool)` pairs listed in ascending pool
+    /// order.
+    fn new(pairs: &[(NodeId, usize)]) -> Routes {
+        let Some(rows) = pairs.iter().map(|&(v, _)| v + 1).max() else {
+            return Routes::default();
+        };
+        let mut start = vec![0u32; rows + 1];
+        for &(v, _) in pairs {
+            start[v + 1] += 1;
+        }
+        for v in 0..rows {
+            start[v + 1] += start[v];
+        }
+        let mut fill: Vec<u32> = start[..rows].to_vec();
+        let mut pools = vec![0u32; pairs.len()];
+        for &(v, pool) in pairs {
+            pools[fill[v] as usize] = pool as u32;
+            fill[v] += 1;
+        }
+        Routes { start, pools }
+    }
+
+    /// The pools of `node`, ascending.
+    fn of(&self, node: NodeId) -> &[u32] {
+        match self.start.get(node..node + 2) {
+            Some(&[a, b]) => &self.pools[a as usize..b as usize],
+            _ => &[],
+        }
+    }
 }
 
 impl Monitors {
+    fn new(pools: Vec<MonitorPool>) -> Monitors {
+        let mut members = Vec::new();
+        for (i, p) in pools.iter().enumerate() {
+            members.extend(p.vantages().map(|v| (v, i)));
+        }
+        let tagged: Vec<(NodeId, usize)> =
+            pools.iter().enumerate().map(|(i, p)| (p.tagged(), i)).collect();
+        Monitors {
+            by_member: Routes::new(&members),
+            by_tagged: Routes::new(&tagged),
+            pools,
+        }
+    }
+
     /// Number of registered monitor pools.
     pub fn len(&self) -> usize {
         self.pools.len()
@@ -108,11 +174,6 @@ impl Monitors {
         self.pools.get(index)
     }
 
-    /// Mutable access to the pool at `index`, if any.
-    pub fn get_mut(&mut self, index: usize) -> Option<&mut MonitorPool> {
-        self.pools.get_mut(index)
-    }
-
     /// The first registered pool — the common single-monitor case.
     pub fn primary(&self) -> Option<&MonitorPool> {
         self.pools.first()
@@ -125,15 +186,6 @@ impl Monitors {
     /// Panics if `handle` came from a different builder.
     pub fn pool(&self, handle: MonitorHandle) -> &MonitorPool {
         &self.pools[handle.index]
-    }
-
-    /// Mutable access to the pool behind `handle`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `handle` came from a different builder.
-    pub fn pool_mut(&mut self, handle: MonitorHandle) -> &mut MonitorPool {
-        &mut self.pools[handle.index]
     }
 
     /// Aggregated diagnosis of the pool behind `handle`.
@@ -157,14 +209,14 @@ impl Monitors {
 
 impl NetObserver for Monitors {
     fn on_channel_edge(&mut self, node: NodeId, busy: bool, now: SimTime) {
-        for p in &mut self.pools {
-            p.on_channel_edge(node, busy, now);
+        for &i in self.by_member.of(node) {
+            self.pools[i as usize].on_channel_edge(node, busy, now);
         }
     }
 
     fn on_tx_start(&mut self, src: NodeId, frame: &Frame, now: SimTime, end: SimTime) {
-        for p in &mut self.pools {
-            p.on_tx_start(src, frame, now, end);
+        for &i in self.by_member.of(src) {
+            self.pools[i as usize].on_tx_start(src, frame, now, end);
         }
     }
 
@@ -176,14 +228,34 @@ impl NetObserver for Monitors {
         start: SimTime,
         end: SimTime,
     ) {
-        for p in &mut self.pools {
-            p.on_frame_decoded(medium, at, frame, start, end);
+        // Merge the two ascending lists, calling a pool in both once.
+        let members = self.by_member.of(at);
+        let watchers = if frame.is_rts() { self.by_tagged.of(frame.src) } else { &[] };
+        let (mut m, mut w) = (0, 0);
+        loop {
+            let i = match (members.get(m), watchers.get(w)) {
+                (Some(&a), Some(&b)) => {
+                    m += usize::from(a <= b);
+                    w += usize::from(b <= a);
+                    a.min(b)
+                }
+                (Some(&a), None) => {
+                    m += 1;
+                    a
+                }
+                (None, Some(&b)) => {
+                    w += 1;
+                    b
+                }
+                (None, None) => break,
+            };
+            self.pools[i as usize].on_frame_decoded(medium, at, frame, start, end);
         }
     }
 
     fn on_frame_garbled(&mut self, at: NodeId, now: SimTime) {
-        for p in &mut self.pools {
-            p.on_frame_garbled(at, now);
+        for &i in self.by_member.of(at) {
+            self.pools[i as usize].on_frame_garbled(at, now);
         }
     }
 }
@@ -247,21 +319,16 @@ impl<P: NetObserver> NetObserver for Assembly<P> {
 /// `world.monitors()` generalizes the old `world.observer()` idiom: the
 /// observer of a builder-made world is always an [`Assembly`], and this
 /// trait names its monitor half without spelling the type parameter at
-/// every call site.
+/// every call site. The pools are read-only once built: the fan-out routes
+/// by the members and tagged nodes they had at build time.
 pub trait WorldMonitors {
     /// The registered monitors.
     fn monitors(&self) -> &Monitors;
-    /// Mutable access to the registered monitors.
-    fn monitors_mut(&mut self) -> &mut Monitors;
 }
 
 impl<P: NetObserver> WorldMonitors for World<Assembly<P>> {
     fn monitors(&self) -> &Monitors {
         &self.observer().monitors
-    }
-
-    fn monitors_mut(&mut self) -> &mut Monitors {
-        &mut self.observer_mut().monitors
     }
 }
 
@@ -486,13 +553,14 @@ impl<P: NetObserver> ScenarioBuilder<P> {
         } else {
             Metrics::disabled()
         };
-        let mut monitors = Monitors { pools: self.pools };
-        for p in &mut monitors.pools {
+        let mut pools = self.pools;
+        for p in &mut pools {
             p.set_instrumentation(tracer.clone(), metrics.clone());
             if let Some(plan) = &self.fault {
                 p.apply_fault_plan(plan);
             }
         }
+        let monitors = Monitors::new(pools);
         let assembly = Assembly {
             monitors,
             probe: self.probe,

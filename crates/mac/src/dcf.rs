@@ -4,7 +4,7 @@
 //! producer: the surrounding world owns the scheduler and the medium and
 //! must uphold two contracts:
 //!
-//! 1. every [`MacAction`] is executed in the order returned;
+//! 1. every [`MacAction`] is executed in the order appended;
 //! 2. when a transmission ends, per-node **reception outcomes are delivered
 //!    before the idle channel edges** from the same instant (the medium
 //!    reports them in that order) — reception may change what the idle edge
@@ -32,6 +32,10 @@ fn frame_label(kind: &FrameKind) -> FrameLabel {
 /// Default interface-queue capacity (Table 1: 50 packets).
 pub const DEFAULT_QUEUE_CAP: usize = 50;
 
+/// Queue slots [`DcfMac::reserve_queue`] sets aside: what the first push
+/// would allocate anyway.
+const QUEUE_RESERVE: usize = 4;
+
 /// The MAC's timers. At most one of each kind is armed at a time; re-arming
 /// replaces the previous deadline.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -51,6 +55,16 @@ pub enum Timer {
     /// Checks whether an RTS-established NAV should be reset because the
     /// promised exchange never materialized (IEEE 802.11 §9.2.5.4).
     NavReset,
+}
+
+impl Timer {
+    /// Number of timer kinds: a per-node timer table has this many slots.
+    pub const COUNT: usize = 7;
+
+    /// This timer's slot in a per-node table, in `0..Timer::COUNT`.
+    pub fn index(self) -> usize {
+        self as usize
+    }
 }
 
 /// Instructions the MAC hands back to the world.
@@ -299,6 +313,13 @@ impl DcfMac {
         }
     }
 
+    /// Sets aside queue storage now, for a node about to originate traffic,
+    /// so that its first backlog, whenever it comes, allocates nothing
+    /// mid-run.
+    pub fn reserve_queue(&mut self) {
+        self.queue.reserve(QUEUE_RESERVE);
+    }
+
     /// Changes the queue capacity (Table 1 default: 50).
     ///
     /// # Panics
@@ -313,61 +334,59 @@ impl DcfMac {
     // Upper-layer interface
     // ------------------------------------------------------------------
 
-    /// Accepts a packet from the network layer. Returns the actions to
-    /// execute; the packet is silently dropped (counted) if the queue is
-    /// full.
-    pub fn enqueue(&mut self, sdu: MacSdu, now: SimTime) -> Vec<MacAction> {
-        let mut actions = Vec::new();
+    /// Accepts a packet from the network layer, appending the actions to
+    /// execute to `actions`; the packet is silently dropped (counted) if the
+    /// queue is full.
+    pub fn enqueue(&mut self, sdu: MacSdu, now: SimTime, actions: &mut Vec<MacAction>) {
         if self.queue.len() >= self.queue_cap {
             self.stats.queue_drops += 1;
             self.metrics.bump(self.node, Counter::Dropped);
-            return actions;
+            return;
         }
         self.stats.enqueued += 1;
         self.metrics.bump(self.node, Counter::Enqueued);
         self.queue.push_back(sdu);
         if self.state == MacState::Idle && self.tx_ctx.is_none() {
-            self.next_packet(now, &mut actions);
+            self.next_packet(now, actions);
         }
-        actions
     }
 
     // ------------------------------------------------------------------
     // World-facing event handlers
+    //
+    // Each handler appends the actions it produces to the caller's
+    // `actions` buffer and leaves what is already there alone, so a world
+    // can drain one reused buffer instead of receiving a fresh vector per
+    // event.
     // ------------------------------------------------------------------
 
     /// The physical carrier-sense state of this node changed.
-    pub fn on_channel_edge(&mut self, busy: bool, now: SimTime) -> Vec<MacAction> {
-        let mut actions = Vec::new();
+    pub fn on_channel_edge(&mut self, busy: bool, now: SimTime, actions: &mut Vec<MacAction>) {
         if busy {
             self.phys_busy = true;
             self.last_busy_edge = now;
-            self.freeze(now, &mut actions);
+            self.freeze(now, actions);
         } else {
             self.phys_busy = false;
-            self.try_resume(now, &mut actions);
+            self.try_resume(now, actions);
         }
-        actions
     }
 
     /// One of our timers fired.
-    pub fn on_timer(&mut self, timer: Timer, now: SimTime) -> Vec<MacAction> {
-        let mut actions = Vec::new();
+    pub fn on_timer(&mut self, timer: Timer, now: SimTime, actions: &mut Vec<MacAction>) {
         match timer {
-            Timer::Countdown => self.on_countdown_done(now, &mut actions),
-            Timer::Sifs => self.on_sifs(now, &mut actions),
-            Timer::CtsTimeout => self.on_cts_timeout(now, &mut actions),
-            Timer::DataTimeout => self.on_data_timeout(now, &mut actions),
-            Timer::AckTimeout => self.on_ack_timeout(now, &mut actions),
-            Timer::NavExpire => self.try_resume(now, &mut actions),
-            Timer::NavReset => self.on_nav_reset(now, &mut actions),
+            Timer::Countdown => self.on_countdown_done(now, actions),
+            Timer::Sifs => self.on_sifs(now, actions),
+            Timer::CtsTimeout => self.on_cts_timeout(now, actions),
+            Timer::DataTimeout => self.on_data_timeout(now, actions),
+            Timer::AckTimeout => self.on_ack_timeout(now, actions),
+            Timer::NavExpire => self.try_resume(now, actions),
+            Timer::NavReset => self.on_nav_reset(now, actions),
         }
-        actions
     }
 
     /// Our own transmission finished.
-    pub fn on_tx_end(&mut self, now: SimTime) -> Vec<MacAction> {
-        let mut actions = Vec::new();
+    pub fn on_tx_end(&mut self, now: SimTime, actions: &mut Vec<MacAction>) {
         match self.state {
             MacState::TxRts => {
                 self.state = MacState::WaitCts;
@@ -387,7 +406,7 @@ impl DcfMac {
                 let ctx = self.tx_ctx.as_ref().expect("TxData without context");
                 if ctx.sdu.dst == Dest::Broadcast {
                     let sdu = ctx.sdu;
-                    self.finish_packet(sdu, true, now, &mut actions);
+                    self.finish_packet(sdu, true, now, actions);
                 } else {
                     self.state = MacState::WaitAck;
                     actions.push(MacAction::Arm {
@@ -397,18 +416,16 @@ impl DcfMac {
                 }
             }
             MacState::TxAck => {
-                self.resume_own(now, &mut actions);
+                self.resume_own(now, actions);
             }
             other => {
                 debug_assert!(false, "on_tx_end in unexpected state {other:?}");
             }
         }
-        actions
     }
 
     /// A frame was decoded at this node (it ended at `now`).
-    pub fn on_frame_decoded(&mut self, frame: &Frame, now: SimTime) -> Vec<MacAction> {
-        let mut actions = Vec::new();
+    pub fn on_frame_decoded(&mut self, frame: &Frame, now: SimTime, actions: &mut Vec<MacAction>) {
         self.tracer.emit(
             now.as_nanos(),
             Some(self.node),
@@ -422,7 +439,7 @@ impl DcfMac {
             // the channel busy again, the reservation is abandoned and we
             // release the NAV instead of blocking for the whole exchange.
             if !frame.duration.is_zero() {
-                self.set_nav(now + frame.duration, now, &mut actions);
+                self.set_nav(now + frame.duration, now, actions);
                 if frame.is_rts() {
                     self.nav_reset_ref = now;
                     actions.push(MacAction::Arm {
@@ -434,14 +451,14 @@ impl DcfMac {
                     });
                 }
             }
-            return actions;
+            return;
         }
         match &frame.kind {
             FrameKind::Rts(_) => {
                 // Respond only if our NAV is clear and we are not mid-exchange.
                 let free = matches!(self.state, MacState::Idle | MacState::Contending);
                 if free && self.nav_until <= now {
-                    self.leave_contending(now, &mut actions);
+                    self.leave_contending(now, actions);
                     self.rx_peer = frame.src;
                     self.rx_reserved = frame
                         .duration
@@ -498,7 +515,7 @@ impl DcfMac {
                 {
                     // Basic-access DATA (no preceding RTS/CTS): deliver and
                     // acknowledge directly.
-                    self.leave_contending(now, &mut actions);
+                    self.leave_contending(now, actions);
                     self.rx_peer = frame.src;
                     self.stats.rx_delivered += 1;
                     actions.push(MacAction::Deliver {
@@ -520,21 +537,20 @@ impl DcfMac {
                         timer: Timer::AckTimeout,
                     });
                     let sdu = self.tx_ctx.as_ref().expect("WaitAck without context").sdu;
-                    self.finish_packet(sdu, true, now, &mut actions);
+                    self.finish_packet(sdu, true, now, actions);
                 }
             }
         }
-        actions
     }
 
     /// Energy that looked like a frame arrived but could not be decoded
-    /// (collision in our airspace) — next deference uses EIFS.
-    pub fn on_frame_garbled(&mut self, now: SimTime) -> Vec<MacAction> {
+    /// (collision in our airspace) — next deference uses EIFS. Produces no
+    /// action.
+    pub fn on_frame_garbled(&mut self, now: SimTime) {
         self.stats.garbled_heard += 1;
         self.tracer.emit(now.as_nanos(), Some(self.node), EventKind::Collision);
         self.metrics.bump(self.node, Counter::RxGarbled);
         self.use_eifs = true;
-        Vec::new()
     }
 
     // ------------------------------------------------------------------
@@ -877,6 +893,13 @@ mod tests {
         }
     }
 
+    /// The actions one handler call appends to an empty buffer.
+    fn acts(handler: impl FnOnce(&mut Vec<MacAction>)) -> Vec<MacAction> {
+        let mut actions = Vec::new();
+        handler(&mut actions);
+        actions
+    }
+
     fn arm_deadline(actions: &[MacAction], which: Timer) -> Option<SimTime> {
         actions.iter().find_map(|a| match a {
             MacAction::Arm { timer, at } if *timer == which => Some(*at),
@@ -894,7 +917,7 @@ mod tests {
     #[test]
     fn enqueue_on_idle_channel_arms_difs_plus_backoff() {
         let mut m = mac(0);
-        let actions = m.enqueue(sdu(1, 1), T0);
+        let actions = acts(|a| m.enqueue(sdu(1, 1), T0, a));
         let deadline = arm_deadline(&actions, Timer::Countdown).expect("countdown armed");
         let dictated = m.prs().backoff(0, 1, 31, 1023).slots;
         let expect = T0 + m.timing.difs() + m.timing.slot * u64::from(dictated);
@@ -906,9 +929,9 @@ mod tests {
     #[test]
     fn countdown_fires_rts_with_verifiable_fields() {
         let mut m = mac(0);
-        let a1 = m.enqueue(sdu(7, 3), T0);
+        let a1 = acts(|a| m.enqueue(sdu(7, 3), T0, a));
         let fire = arm_deadline(&a1, Timer::Countdown).unwrap();
-        let a2 = m.on_timer(Timer::Countdown, fire);
+        let a2 = acts(|a| m.on_timer(Timer::Countdown, fire, a));
         let frame = tx_frame(&a2).expect("RTS transmitted");
         assert_eq!(frame.src, 0);
         assert_eq!(frame.dst, Dest::Unicast(3));
@@ -923,20 +946,20 @@ mod tests {
     #[test]
     fn busy_edge_freezes_and_banks_whole_slots() {
         let mut m = mac(0);
-        let a1 = m.enqueue(sdu(1, 1), T0);
+        let a1 = acts(|a| m.enqueue(sdu(1, 1), T0, a));
         let dictated = m.prs().backoff(0, 1, 31, 1023).slots;
         assert!(dictated >= 3, "test seed must give roomy backoff, got {dictated}");
         assert!(arm_deadline(&a1, Timer::Countdown).is_some());
         // Busy arrives after DIFS + 2.5 slots: exactly 2 slots banked.
         let busy_at = T0 + m.timing.difs() + m.timing.slot * 2 + m.timing.slot / 2;
-        let a2 = m.on_channel_edge(true, busy_at);
+        let a2 = acts(|a| m.on_channel_edge(true, busy_at, a));
         assert!(a2.contains(&MacAction::Disarm {
             timer: Timer::Countdown
         }));
         assert_eq!(m.snapshot().counter, Some(dictated - 2));
         // Idle again: re-arm for DIFS + remaining slots.
         let idle_at = busy_at + SimDuration::from_micros(500);
-        let a3 = m.on_channel_edge(false, idle_at);
+        let a3 = acts(|a| m.on_channel_edge(false, idle_at, a));
         let deadline = arm_deadline(&a3, Timer::Countdown).unwrap();
         assert_eq!(
             deadline,
@@ -947,10 +970,10 @@ mod tests {
     #[test]
     fn busy_during_ifs_banks_nothing() {
         let mut m = mac(0);
-        let _ = m.enqueue(sdu(1, 1), T0);
+        acts(|a| m.enqueue(sdu(1, 1), T0, a));
         let dictated = m.prs().backoff(0, 1, 31, 1023).slots;
         // Busy 10 µs in — still inside DIFS.
-        let _ = m.on_channel_edge(true, T0 + SimDuration::from_micros(10));
+        acts(|a| m.on_channel_edge(true, T0 + SimDuration::from_micros(10), a));
         assert_eq!(m.snapshot().counter, Some(dictated));
     }
 
@@ -958,14 +981,14 @@ mod tests {
     fn full_sender_handshake() {
         let mut m = mac(0);
         let t = MacTiming::paper_default();
-        let a1 = m.enqueue(sdu(1, 1), T0);
+        let a1 = acts(|a| m.enqueue(sdu(1, 1), T0, a));
         let fire = arm_deadline(&a1, Timer::Countdown).unwrap();
-        let a2 = m.on_timer(Timer::Countdown, fire);
+        let a2 = acts(|a| m.on_timer(Timer::Countdown, fire, a));
         assert!(tx_frame(&a2).unwrap().is_rts());
 
         // RTS airtime passes.
         let rts_end = fire + t.rts_airtime();
-        let a3 = m.on_tx_end(rts_end);
+        let a3 = acts(|a| m.on_tx_end(rts_end, a));
         assert_eq!(m.snapshot().state, MacState::WaitCts);
         assert_eq!(
             arm_deadline(&a3, Timer::CtsTimeout),
@@ -980,18 +1003,18 @@ mod tests {
             duration: t.cts_duration(512),
             kind: FrameKind::Cts,
         };
-        let a4 = m.on_frame_decoded(&cts, cts_end);
+        let a4 = acts(|a| m.on_frame_decoded(&cts, cts_end, a));
         assert!(a4.contains(&MacAction::Disarm {
             timer: Timer::CtsTimeout
         }));
         assert_eq!(m.snapshot().state, MacState::SifsData);
 
         // SIFS fires -> DATA.
-        let a5 = m.on_timer(Timer::Sifs, cts_end + t.sifs);
+        let a5 = acts(|a| m.on_timer(Timer::Sifs, cts_end + t.sifs, a));
         let data = tx_frame(&a5).unwrap();
         assert_eq!(data.sdu().unwrap().id, 1);
         let data_end = cts_end + t.sifs + t.data_airtime(512);
-        let a6 = m.on_tx_end(data_end);
+        let a6 = acts(|a| m.on_tx_end(data_end, a));
         assert_eq!(m.snapshot().state, MacState::WaitAck);
         assert!(arm_deadline(&a6, Timer::AckTimeout).is_some());
 
@@ -1002,7 +1025,7 @@ mod tests {
             duration: SimDuration::ZERO,
             kind: FrameKind::Ack,
         };
-        let a7 = m.on_frame_decoded(&ack, data_end + t.sifs + t.ack_airtime());
+        let a7 = acts(|a| m.on_frame_decoded(&ack, data_end + t.sifs + t.ack_airtime(), a));
         assert!(a7.iter().any(|a| matches!(
             a,
             MacAction::PacketDone {
@@ -1029,11 +1052,11 @@ mod tests {
             }),
         };
         let rts_end = T0 + t.rts_airtime();
-        let a1 = m.on_frame_decoded(&rts, rts_end);
+        let a1 = acts(|a| m.on_frame_decoded(&rts, rts_end, a));
         assert_eq!(m.snapshot().state, MacState::SifsCts);
         assert_eq!(arm_deadline(&a1, Timer::Sifs), Some(rts_end + t.sifs));
 
-        let a2 = m.on_timer(Timer::Sifs, rts_end + t.sifs);
+        let a2 = acts(|a| m.on_timer(Timer::Sifs, rts_end + t.sifs, a));
         let cts = tx_frame(&a2).unwrap();
         assert_eq!(cts.kind, FrameKind::Cts);
         assert_eq!(cts.dst, Dest::Unicast(0));
@@ -1041,7 +1064,7 @@ mod tests {
         assert_eq!(cts.duration, t.rts_duration(512) - t.sifs - t.cts_airtime());
 
         let cts_end = rts_end + t.sifs + t.cts_airtime();
-        let a3 = m.on_tx_end(cts_end);
+        let a3 = acts(|a| m.on_tx_end(cts_end, a));
         assert_eq!(m.snapshot().state, MacState::WaitData);
         assert!(arm_deadline(&a3, Timer::DataTimeout).is_some());
 
@@ -1053,29 +1076,29 @@ mod tests {
             kind: FrameKind::Data { sdu: sdu(9, 1) },
         };
         let data_end = cts_end + t.sifs + t.data_airtime(512);
-        let a4 = m.on_frame_decoded(&data, data_end);
+        let a4 = acts(|a| m.on_frame_decoded(&data, data_end, a));
         assert!(a4
             .iter()
             .any(|a| matches!(a, MacAction::Deliver { from: 0, sdu } if sdu.id == 9)));
         assert_eq!(m.snapshot().state, MacState::SifsAck);
 
-        let a5 = m.on_timer(Timer::Sifs, data_end + t.sifs);
+        let a5 = acts(|a| m.on_timer(Timer::Sifs, data_end + t.sifs, a));
         assert_eq!(tx_frame(&a5).unwrap().kind, FrameKind::Ack);
         let ack_end = data_end + t.sifs + t.ack_airtime();
-        let _ = m.on_tx_end(ack_end);
+        acts(|a| m.on_tx_end(ack_end, a));
         assert_eq!(m.snapshot().state, MacState::Idle);
     }
 
     #[test]
     fn cts_timeout_retries_with_wider_window_and_next_offset() {
         let mut m = mac(0);
-        let a1 = m.enqueue(sdu(1, 1), T0);
+        let a1 = acts(|a| m.enqueue(sdu(1, 1), T0, a));
         let fire = arm_deadline(&a1, Timer::Countdown).unwrap();
-        let _ = m.on_timer(Timer::Countdown, fire);
+        acts(|a| m.on_timer(Timer::Countdown, fire, a));
         let rts_end = fire + m.timing.rts_airtime();
-        let _ = m.on_tx_end(rts_end);
+        acts(|a| m.on_tx_end(rts_end, a));
         let timeout_at = rts_end + m.timing.cts_timeout();
-        let a2 = m.on_timer(Timer::CtsTimeout, timeout_at);
+        let a2 = acts(|a| m.on_timer(Timer::CtsTimeout, timeout_at, a));
         // Second attempt: offset 1, attempt 2, CW 63.
         let snap = m.snapshot();
         assert_eq!(snap.state, MacState::Contending);
@@ -1095,20 +1118,20 @@ mod tests {
     fn packet_dropped_after_retry_limit() {
         let mut m = mac(0);
         let mut now = T0;
-        let mut actions = m.enqueue(sdu(1, 1), now);
+        let mut actions = acts(|a| m.enqueue(sdu(1, 1), now, a));
         let mut done = None;
         for _ in 0..20 {
             if let Some(at) = arm_deadline(&actions, Timer::Countdown) {
                 now = at;
-                actions = m.on_timer(Timer::Countdown, now);
+                actions = acts(|a| m.on_timer(Timer::Countdown, now, a));
             }
             if tx_frame(&actions).is_some() {
                 now += m.timing.rts_airtime();
-                actions = m.on_tx_end(now);
+                actions = acts(|a| m.on_tx_end(now, a));
             }
             if let Some(at) = arm_deadline(&actions, Timer::CtsTimeout) {
                 now = at;
-                actions = m.on_timer(Timer::CtsTimeout, now);
+                actions = acts(|a| m.on_timer(Timer::CtsTimeout, now, a));
             }
             if let Some(d) = actions.iter().find_map(|a| match a {
                 MacAction::PacketDone { delivered, .. } => Some(*delivered),
@@ -1128,7 +1151,7 @@ mod tests {
     fn nav_defers_countdown() {
         let mut m = mac(0);
         let t = MacTiming::paper_default();
-        let _ = m.enqueue(sdu(1, 1), T0);
+        acts(|a| m.enqueue(sdu(1, 1), T0, a));
         // Overheard third-party RTS reserves the medium.
         let rts = Frame {
             src: 5,
@@ -1141,16 +1164,16 @@ mod tests {
             }),
         };
         // The frame occupied the channel (busy edge), then decoded at its end.
-        let _ = m.on_channel_edge(true, T0 + SimDuration::from_micros(10));
+        acts(|a| m.on_channel_edge(true, T0 + SimDuration::from_micros(10), a));
         let rts_end = T0 + SimDuration::from_micros(10) + t.rts_airtime();
-        let a = m.on_frame_decoded(&rts, rts_end);
+        let a = acts(|a| m.on_frame_decoded(&rts, rts_end, a));
         assert!(arm_deadline(&a, Timer::NavExpire).is_some());
         // Physical idle while NAV holds: no countdown.
-        let idle = m.on_channel_edge(false, rts_end);
+        let idle = acts(|a| m.on_channel_edge(false, rts_end, a));
         assert!(arm_deadline(&idle, Timer::Countdown).is_none());
         // NAV expiry releases us.
         let nav_end = rts_end + SimDuration::from_micros(4000);
-        let a2 = m.on_timer(Timer::NavExpire, nav_end);
+        let a2 = acts(|a| m.on_timer(Timer::NavExpire, nav_end, a));
         assert!(arm_deadline(&a2, Timer::Countdown).is_some());
     }
 
@@ -1158,12 +1181,12 @@ mod tests {
     fn eifs_after_garbled_frame() {
         let mut m = mac(0);
         let t = MacTiming::paper_default();
-        let _ = m.enqueue(sdu(1, 1), T0);
+        acts(|a| m.enqueue(sdu(1, 1), T0, a));
         let dictated = m.prs().backoff(0, 1, 31, 1023).slots;
-        let _ = m.on_channel_edge(true, T0 + SimDuration::from_micros(5));
+        acts(|a| m.on_channel_edge(true, T0 + SimDuration::from_micros(5), a));
         let garble_at = T0 + SimDuration::from_micros(400);
-        let _ = m.on_frame_garbled(garble_at);
-        let a = m.on_channel_edge(false, garble_at);
+        m.on_frame_garbled(garble_at);
+        let a = acts(|a| m.on_channel_edge(false, garble_at, a));
         let deadline = arm_deadline(&a, Timer::Countdown).unwrap();
         assert_eq!(
             deadline,
@@ -1180,14 +1203,14 @@ mod tests {
             dst: Dest::Broadcast,
             payload_len: 64,
         };
-        let a1 = m.enqueue(bsdu, T0);
+        let a1 = acts(|a| m.enqueue(bsdu, T0, a));
         let fire = arm_deadline(&a1, Timer::Countdown).unwrap();
-        let a2 = m.on_timer(Timer::Countdown, fire);
+        let a2 = acts(|a| m.on_timer(Timer::Countdown, fire, a));
         let f = tx_frame(&a2).unwrap();
         assert_eq!(f.dst, Dest::Broadcast);
         assert!(f.sdu().is_some());
         let end = fire + m.timing.data_airtime(64);
-        let a3 = m.on_tx_end(end);
+        let a3 = acts(|a| m.on_tx_end(end, a));
         assert!(a3.iter().any(|a| matches!(
             a,
             MacAction::PacketDone {
@@ -1205,7 +1228,7 @@ mod tests {
         // First enqueue becomes head-of-line (leaves the queue), so two more
         // fit in the queue and the fourth drops.
         for i in 0..4 {
-            let _ = m.enqueue(sdu(i, 1), T0);
+            acts(|a| m.enqueue(sdu(i, 1), T0, a));
         }
         assert_eq!(m.stats().queue_drops, 1);
         assert_eq!(m.stats().enqueued, 3);
@@ -1222,7 +1245,7 @@ mod tests {
             duration: SimDuration::from_micros(5000),
             kind: FrameKind::Cts,
         };
-        let _ = m.on_frame_decoded(&other, T0 + SimDuration::from_micros(100));
+        acts(|a| m.on_frame_decoded(&other, T0 + SimDuration::from_micros(100), a));
         // RTS for us during the reservation: must not answer.
         let rts = Frame {
             src: 0,
@@ -1234,7 +1257,7 @@ mod tests {
                 md: [0; 16],
             }),
         };
-        let a = m.on_frame_decoded(&rts, T0 + SimDuration::from_micros(700));
+        let a = acts(|a| m.on_frame_decoded(&rts, T0 + SimDuration::from_micros(700), a));
         assert!(arm_deadline(&a, Timer::Sifs).is_none());
         assert_eq!(m.snapshot().state, MacState::Idle);
     }
@@ -1244,9 +1267,9 @@ mod tests {
         let mut timing = MacTiming::paper_default();
         timing.rts_threshold = 4000; // everything below: basic access
         let mut sender = DcfMac::new(0, timing, BackoffPolicy::Compliant, Xoshiro256::new(1));
-        let a1 = sender.enqueue(sdu(1, 1), T0);
+        let a1 = acts(|a| sender.enqueue(sdu(1, 1), T0, a));
         let fire = arm_deadline(&a1, Timer::Countdown).unwrap();
-        let a2 = sender.on_timer(Timer::Countdown, fire);
+        let a2 = acts(|a| sender.on_timer(Timer::Countdown, fire, a));
         let frame = tx_frame(&a2).expect("transmits");
         assert!(frame.sdu().is_some(), "DATA straight away, no RTS");
         assert_eq!(frame.dst, Dest::Unicast(1));
@@ -1254,18 +1277,18 @@ mod tests {
         assert_eq!(sender.stats().rts_sent, 0);
         // Sender then awaits the ACK.
         let data_end = fire + timing.data_airtime(512);
-        let a3 = sender.on_tx_end(data_end);
+        let a3 = acts(|a| sender.on_tx_end(data_end, a));
         assert_eq!(sender.snapshot().state, MacState::WaitAck);
         assert!(arm_deadline(&a3, Timer::AckTimeout).is_some());
 
         // Receiver side: DATA out of the blue is delivered and ACKed.
         let mut receiver = mac(1);
-        let a4 = receiver.on_frame_decoded(frame, data_end);
+        let a4 = acts(|a| receiver.on_frame_decoded(frame, data_end, a));
         assert!(a4
             .iter()
             .any(|a| matches!(a, MacAction::Deliver { from: 0, .. })));
         assert_eq!(receiver.snapshot().state, MacState::SifsAck);
-        let a5 = receiver.on_timer(Timer::Sifs, data_end + timing.sifs);
+        let a5 = acts(|a| receiver.on_timer(Timer::Sifs, data_end + timing.sifs, a));
         assert_eq!(tx_frame(&a5).unwrap().kind, FrameKind::Ack);
 
         // ACK closes the exchange at the sender.
@@ -1275,7 +1298,7 @@ mod tests {
             duration: SimDuration::ZERO,
             kind: FrameKind::Ack,
         };
-        let a6 = sender.on_frame_decoded(&ack, data_end + timing.sifs + timing.ack_airtime());
+        let a6 = acts(|a| sender.on_frame_decoded(&ack, data_end + timing.sifs + timing.ack_airtime(), a));
         assert!(a6.iter().any(|a| matches!(
             a,
             MacAction::PacketDone {
@@ -1291,9 +1314,9 @@ mod tests {
         let mut timing = MacTiming::paper_default();
         timing.rts_threshold = 100; // 512 + 56 > 100 -> RTS
         let mut m = DcfMac::new(0, timing, BackoffPolicy::Compliant, Xoshiro256::new(1));
-        let a1 = m.enqueue(sdu(1, 1), T0);
+        let a1 = acts(|a| m.enqueue(sdu(1, 1), T0, a));
         let fire = arm_deadline(&a1, Timer::Countdown).unwrap();
-        let a2 = m.on_timer(Timer::Countdown, fire);
+        let a2 = acts(|a| m.on_timer(Timer::Countdown, fire, a));
         assert!(tx_frame(&a2).unwrap().is_rts());
     }
 
@@ -1301,7 +1324,7 @@ mod tests {
     fn nav_reset_releases_abandoned_reservation() {
         let mut m = mac(0);
         let t = MacTiming::paper_default();
-        let _ = m.enqueue(sdu(1, 1), T0);
+        acts(|a| m.enqueue(sdu(1, 1), T0, a));
         // Overheard third-party RTS: NAV set for the whole exchange.
         let rts = Frame {
             src: 5,
@@ -1313,14 +1336,14 @@ mod tests {
                 md: [0; 16],
             }),
         };
-        let _ = m.on_channel_edge(true, T0 + SimDuration::from_micros(4));
+        acts(|a| m.on_channel_edge(true, T0 + SimDuration::from_micros(4), a));
         let rts_end = T0 + SimDuration::from_micros(4) + t.rts_airtime();
-        let a = m.on_frame_decoded(&rts, rts_end);
+        let a = acts(|a| m.on_frame_decoded(&rts, rts_end, a));
         let reset_at = arm_deadline(&a, Timer::NavReset).expect("reset check armed");
         assert!(reset_at < rts_end + t.rts_duration(512));
-        let _ = m.on_channel_edge(false, rts_end);
+        acts(|a| m.on_channel_edge(false, rts_end, a));
         // No CTS/DATA ever follows; the reset check fires and frees us.
-        let a2 = m.on_timer(Timer::NavReset, reset_at);
+        let a2 = acts(|a| m.on_timer(Timer::NavReset, reset_at, a));
         assert!(
             arm_deadline(&a2, Timer::Countdown).is_some(),
             "NAV must be released: {a2:?}"
@@ -1332,7 +1355,7 @@ mod tests {
     fn nav_reset_keeps_reservation_when_exchange_proceeds() {
         let mut m = mac(0);
         let t = MacTiming::paper_default();
-        let _ = m.enqueue(sdu(1, 1), T0);
+        acts(|a| m.enqueue(sdu(1, 1), T0, a));
         let rts = Frame {
             src: 5,
             dst: Dest::Unicast(6),
@@ -1343,15 +1366,15 @@ mod tests {
                 md: [0; 16],
             }),
         };
-        let _ = m.on_channel_edge(true, T0 + SimDuration::from_micros(4));
+        acts(|a| m.on_channel_edge(true, T0 + SimDuration::from_micros(4), a));
         let rts_end = T0 + SimDuration::from_micros(4) + t.rts_airtime();
-        let a = m.on_frame_decoded(&rts, rts_end);
+        let a = acts(|a| m.on_frame_decoded(&rts, rts_end, a));
         let reset_at = arm_deadline(&a, Timer::NavReset).unwrap();
-        let _ = m.on_channel_edge(false, rts_end);
+        acts(|a| m.on_channel_edge(false, rts_end, a));
         // CTS energy makes the channel busy again before the check fires.
-        let _ = m.on_channel_edge(true, rts_end + t.sifs);
-        let _ = m.on_channel_edge(false, rts_end + t.sifs + t.cts_airtime());
-        let a2 = m.on_timer(Timer::NavReset, reset_at);
+        acts(|a| m.on_channel_edge(true, rts_end + t.sifs, a));
+        acts(|a| m.on_channel_edge(false, rts_end + t.sifs + t.cts_airtime(), a));
+        let a2 = acts(|a| m.on_timer(Timer::NavReset, reset_at, a));
         // NAV still holding: no countdown may start.
         assert!(
             arm_deadline(&a2, Timer::Countdown).is_none(),
@@ -1365,7 +1388,7 @@ mod tests {
         let mut m = mac(1);
         let t = MacTiming::paper_default();
         // Our own packet is pending, then we get called to serve as receiver.
-        let _ = m.enqueue(sdu(9, 0), T0);
+        acts(|a| m.enqueue(sdu(9, 0), T0, a));
         let rts = Frame {
             src: 0,
             dst: Dest::Unicast(1),
@@ -1376,17 +1399,17 @@ mod tests {
                 md: [0; 16],
             }),
         };
-        let _ = m.on_channel_edge(true, T0 + SimDuration::from_micros(4));
+        acts(|a| m.on_channel_edge(true, T0 + SimDuration::from_micros(4), a));
         let rts_end = T0 + SimDuration::from_micros(4) + t.rts_airtime();
-        let _ = m.on_frame_decoded(&rts, rts_end);
+        acts(|a| m.on_frame_decoded(&rts, rts_end, a));
         assert_eq!(m.snapshot().state, MacState::SifsCts);
-        let _ = m.on_timer(Timer::Sifs, rts_end + t.sifs);
+        acts(|a| m.on_timer(Timer::Sifs, rts_end + t.sifs, a));
         let cts_end = rts_end + t.sifs + t.cts_airtime();
-        let a = m.on_tx_end(cts_end);
+        let a = acts(|a| m.on_tx_end(cts_end, a));
         let deadline = arm_deadline(&a, Timer::DataTimeout).expect("data timeout armed");
         // The DATA never comes; we must return to our own contention.
-        let _ = m.on_channel_edge(false, cts_end);
-        let a2 = m.on_timer(Timer::DataTimeout, deadline);
+        acts(|a| m.on_channel_edge(false, cts_end, a));
+        let a2 = acts(|a| m.on_timer(Timer::DataTimeout, deadline, a));
         assert_eq!(m.snapshot().state, MacState::Contending);
         assert!(
             arm_deadline(&a2, Timer::Countdown).is_some(),
@@ -1398,11 +1421,11 @@ mod tests {
     fn receiver_resumes_own_contention_after_serving() {
         let mut m = mac(1);
         let t = MacTiming::paper_default();
-        let _ = m.enqueue(sdu(9, 0), T0);
+        acts(|a| m.enqueue(sdu(9, 0), T0, a));
         let before = m.snapshot().counter.unwrap();
         // Freeze mid-countdown, then serve a full exchange for node 0.
         let busy_at = T0 + t.difs() + t.slot * 3;
-        let _ = m.on_channel_edge(true, busy_at);
+        acts(|a| m.on_channel_edge(true, busy_at, a));
         let remaining = m.snapshot().counter.unwrap();
         assert_eq!(remaining, before - 3);
         let rts = Frame {
@@ -1416,10 +1439,10 @@ mod tests {
             }),
         };
         let rts_end = busy_at + t.rts_airtime();
-        let _ = m.on_frame_decoded(&rts, rts_end);
-        let _ = m.on_timer(Timer::Sifs, rts_end + t.sifs);
+        acts(|a| m.on_frame_decoded(&rts, rts_end, a));
+        acts(|a| m.on_timer(Timer::Sifs, rts_end + t.sifs, a));
         let cts_end = rts_end + t.sifs + t.cts_airtime();
-        let _ = m.on_tx_end(cts_end);
+        acts(|a| m.on_tx_end(cts_end, a));
         let data = Frame {
             src: 0,
             dst: Dest::Unicast(1),
@@ -1427,10 +1450,10 @@ mod tests {
             kind: FrameKind::Data { sdu: sdu(5, 1) },
         };
         let data_end = cts_end + t.sifs + t.data_airtime(512);
-        let _ = m.on_frame_decoded(&data, data_end);
-        let _ = m.on_timer(Timer::Sifs, data_end + t.sifs);
+        acts(|a| m.on_frame_decoded(&data, data_end, a));
+        acts(|a| m.on_timer(Timer::Sifs, data_end + t.sifs, a));
         let ack_end = data_end + t.sifs + t.ack_airtime();
-        let a = m.on_tx_end(ack_end);
+        let a = acts(|a| m.on_tx_end(ack_end, a));
         // Back to Contending with the *banked* counter, not a fresh draw.
         assert_eq!(m.snapshot().state, MacState::Contending);
         assert_eq!(m.snapshot().counter, Some(remaining));
@@ -1442,7 +1465,7 @@ mod tests {
         let mut m = mac(0);
         let t = MacTiming::paper_default();
         for i in 0..3 {
-            let _ = m.enqueue(sdu(i, 1), T0);
+            acts(|a| m.enqueue(sdu(i, 1), T0, a));
         }
         let mut delivered = Vec::new();
         let mut now = T0;
@@ -1451,10 +1474,10 @@ mod tests {
             let snap = m.snapshot();
             assert_eq!(snap.state, MacState::Contending);
             let fire = now + t.difs() + t.slot * u64::from(snap.counter.unwrap());
-            let a = m.on_timer(Timer::Countdown, fire);
+            let a = acts(|a| m.on_timer(Timer::Countdown, fire, a));
             assert!(tx_frame(&a).unwrap().is_rts());
             let rts_end = fire + t.rts_airtime();
-            let _ = m.on_tx_end(rts_end);
+            acts(|a| m.on_tx_end(rts_end, a));
             let cts = Frame {
                 src: 1,
                 dst: Dest::Unicast(0),
@@ -1462,11 +1485,11 @@ mod tests {
                 kind: FrameKind::Cts,
             };
             let cts_end = rts_end + t.sifs + t.cts_airtime();
-            let _ = m.on_frame_decoded(&cts, cts_end);
-            let a = m.on_timer(Timer::Sifs, cts_end + t.sifs);
+            acts(|a| m.on_frame_decoded(&cts, cts_end, a));
+            let a = acts(|a| m.on_timer(Timer::Sifs, cts_end + t.sifs, a));
             delivered.push(tx_frame(&a).unwrap().sdu().unwrap().id);
             let data_end = cts_end + t.sifs + t.data_airtime(512);
-            let _ = m.on_tx_end(data_end);
+            acts(|a| m.on_tx_end(data_end, a));
             let ack = Frame {
                 src: 1,
                 dst: Dest::Unicast(0),
@@ -1474,9 +1497,37 @@ mod tests {
                 kind: FrameKind::Ack,
             };
             now = data_end + t.sifs + t.ack_airtime();
-            let _ = m.on_frame_decoded(&ack, now);
+            acts(|a| m.on_frame_decoded(&ack, now, a));
         }
         assert_eq!(delivered, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn timer_indices_fill_the_table() {
+        let all = [
+            Timer::Countdown,
+            Timer::Sifs,
+            Timer::CtsTimeout,
+            Timer::DataTimeout,
+            Timer::AckTimeout,
+            Timer::NavExpire,
+            Timer::NavReset,
+        ];
+        assert_eq!(all.len(), Timer::COUNT);
+        for (i, t) in all.into_iter().enumerate() {
+            assert_eq!(t.index(), i);
+        }
+    }
+
+    #[test]
+    fn handlers_append_after_existing_actions() {
+        let mut m = mac(0);
+        let fresh = acts(|a| mac(0).enqueue(sdu(1, 1), T0, a));
+        let marker = MacAction::Disarm { timer: Timer::NavReset };
+        let mut actions = vec![marker.clone()];
+        m.enqueue(sdu(1, 1), T0, &mut actions);
+        assert_eq!(actions[0], marker);
+        assert_eq!(actions[1..], fresh[..]);
     }
 
     #[test]
@@ -1488,8 +1539,8 @@ mod tests {
             BackoffPolicy::Scaled { pm: 80 },
             Xoshiro256::new(1),
         );
-        let a_h = honest.enqueue(sdu(1, 1), T0);
-        let a_c = cheat.enqueue(sdu(1, 1), T0);
+        let a_h = acts(|a| honest.enqueue(sdu(1, 1), T0, a));
+        let a_c = acts(|a| cheat.enqueue(sdu(1, 1), T0, a));
         let dh = arm_deadline(&a_h, Timer::Countdown).unwrap();
         let dc = arm_deadline(&a_c, Timer::Countdown).unwrap();
         let dictated = honest.prs().backoff(0, 1, 31, 1023).slots;

@@ -18,8 +18,9 @@
 //!   windows, non-standard distributions, attempt-number cheating).
 //!
 //! The MAC is written sans-I/O: it consumes *events* (timer fires, channel
-//! edges, decoded frames) and emits *actions* ([`MacAction`]): arm/disarm a
-//! timer, start a transmission, deliver a packet upward. The surrounding
+//! edges, decoded frames) and appends *actions* ([`MacAction`]) to a buffer
+//! the caller owns and reuses: arm/disarm a timer, start a transmission,
+//! deliver a packet upward. The surrounding
 //! world (`mg-net`) wires those actions to the event queue and the shared
 //! medium — which also makes every protocol rule unit-testable in isolation.
 

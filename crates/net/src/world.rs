@@ -8,9 +8,11 @@ use crate::traffic::{DstPolicy, SourceCfg, TrafficModel};
 use crate::NodeId;
 use mg_dcf::{BackoffPolicy, DcfMac, Dest, Frame, MacAction, MacSdu, MacTiming, Timer};
 use mg_geom::{placement, Vec2};
-use mg_phy::{Medium, MediumIndex, PropagationModel, RadioParams, RxOutcome, TxId};
+use mg_phy::{
+    EdgeChange, EndedTx, Medium, MediumIndex, PropagationModel, RadioParams, RxOutcome, TxId,
+};
 use mg_sim::rng::{Rng, RngDirectory, Xoshiro256};
-use mg_sim::{EventHandle, Scheduler, SimDuration, SimTime};
+use mg_sim::{EventHandle, IdBuildHasher, Scheduler, SimDuration, SimTime};
 use mg_trace::{Counter, EventKind, Metrics, Tracer};
 use std::collections::{HashMap, VecDeque};
 
@@ -67,19 +69,40 @@ struct SourceState {
 
 /// The simulation world. Build one directly with [`World::new`] or from a
 /// [`ScenarioConfig`] via [`Scenario`].
+///
+/// The event loop reuses its buffers: MAC handlers append to one action
+/// buffer, a single work queue is drained after every handler call, and the
+/// medium writes edges and receptions into buffers the world owns. Once
+/// they have grown to the run's working size, the loop itself allocates
+/// nothing per event (the observer is on its own).
 pub struct World<O: NetObserver> {
     sched: Scheduler<Ev>,
     medium: Medium,
     timing: MacTiming,
     macs: Vec<DcfMac>,
-    timers: HashMap<(NodeId, Timer), EventHandle>,
-    in_flight: HashMap<TxId, Frame>,
+    /// Pending MAC timers, [`Timer::COUNT`] slots per node, at
+    /// `node * Timer::COUNT + timer.index()`.
+    timers: Vec<Option<EventHandle>>,
+    /// The frame each node has on the air: a DCF MAC sends one at a time.
+    in_flight: Vec<Option<Frame>>,
+    /// MAC actions not yet executed, FIFO; drained until quiescent after
+    /// every handler call.
+    work: VecDeque<(NodeId, MacAction)>,
+    /// What the last MAC handler appended, before it joins `work`.
+    acts: Vec<MacAction>,
+    /// Busy edges of the transmission being started.
+    edges: Vec<EdgeChange>,
+    /// Outcomes of the transmission being ended.
+    ended: EndedTx,
+    /// Neighbor candidates of the packet being addressed.
+    neighbors: Vec<NodeId>,
     sources: Vec<SourceState>,
-    saturated_by_node: HashMap<NodeId, usize>,
+    /// `(node, source index)` of saturated sources, ascending by node.
+    saturated_by_node: Vec<(NodeId, usize)>,
     walkers: Option<Vec<RandomWaypoint>>,
     mobility_rng: Xoshiro256,
     routers: Option<Vec<AodvLite>>,
-    net_msgs: HashMap<u64, NetMsg>,
+    net_msgs: HashMap<u64, NetMsg, IdBuildHasher>,
     next_sdu_id: u64,
     tx_range: f64,
     phy_rng: Xoshiro256,
@@ -89,7 +112,7 @@ pub struct World<O: NetObserver> {
     metrics: Metrics,
     /// Enqueue instants of packets still in flight (latency accounting;
     /// only populated while metrics are enabled).
-    lat_pending: HashMap<u64, SimTime>,
+    lat_pending: HashMap<u64, SimTime, IdBuildHasher>,
     /// Packets handed up by MACs (unicast data receptions).
     pub mac_delivered: u64,
     /// Routed application packets that reached their final destination.
@@ -125,14 +148,19 @@ impl<O: NetObserver> World<O> {
             medium: Medium::new(propagation, radio, positions),
             timing,
             macs,
-            timers: HashMap::new(),
-            in_flight: HashMap::new(),
+            timers: vec![None; n * Timer::COUNT],
+            in_flight: vec![None; n],
+            work: VecDeque::new(),
+            acts: Vec::new(),
+            edges: Vec::new(),
+            ended: EndedTx::default(),
+            neighbors: Vec::new(),
             sources: Vec::new(),
-            saturated_by_node: HashMap::new(),
+            saturated_by_node: Vec::new(),
             walkers: None,
             mobility_rng: rngs.stream("mobility", 0),
             routers: None,
-            net_msgs: HashMap::new(),
+            net_msgs: HashMap::default(),
             next_sdu_id: 0,
             tx_range,
             phy_rng: rngs.stream("phy", 0),
@@ -140,7 +168,7 @@ impl<O: NetObserver> World<O> {
             observer,
             tracer: Tracer::disabled(),
             metrics: Metrics::disabled(),
-            lat_pending: HashMap::new(),
+            lat_pending: HashMap::default(),
             mac_delivered: 0,
             app_delivered: 0,
         }
@@ -245,6 +273,7 @@ impl<O: NetObserver> World<O> {
 
     /// Registers a traffic source and schedules its first arrival.
     pub fn add_source(&mut self, cfg: SourceCfg) {
+        self.macs[cfg.node].reserve_queue();
         let idx = self.sources.len();
         let mut rng = self.rngs.stream("traffic", idx as u64);
         let first = cfg.model.initial_gap(&mut rng);
@@ -255,7 +284,11 @@ impl<O: NetObserver> World<O> {
         });
         match cfg.model {
             TrafficModel::Saturated => {
-                self.saturated_by_node.insert(cfg.node, idx);
+                // A node's latest saturated source drives its refills.
+                match self.saturated_by_node.binary_search_by_key(&cfg.node, |&(n, _)| n) {
+                    Ok(i) => self.saturated_by_node[i].1 = idx,
+                    Err(i) => self.saturated_by_node.insert(i, (cfg.node, idx)),
+                }
                 // Prime the queue with a couple of packets at t = 0.
                 for _ in 0..SATURATION_DEPTH {
                     self.sched
@@ -301,9 +334,8 @@ impl<O: NetObserver> World<O> {
     pub fn send_routed(&mut self, origin: NodeId, target: NodeId, app_id: u64) {
         assert!(self.routers.is_some(), "call enable_routing() first");
         let actions = self.routers.as_mut().unwrap()[origin].send(target, app_id);
-        let mut work = VecDeque::new();
-        self.handle_router_actions(origin, actions, &mut work);
-        self.drain(&mut work);
+        self.handle_router_actions(origin, actions);
+        self.drain();
     }
 
     /// Runs the event loop until virtual time `until` (events beyond it stay
@@ -329,9 +361,9 @@ impl<O: NetObserver> World<O> {
     fn dispatch(&mut self, now: SimTime, ev: Ev) {
         match ev {
             Ev::MacTimer { node, timer } => {
-                self.timers.remove(&(node, timer));
-                let actions = self.macs[node].on_timer(timer, now);
-                self.apply(node, actions);
+                self.timers[node * Timer::COUNT + timer.index()] = None;
+                self.macs[node].on_timer(timer, now, &mut self.acts);
+                self.apply(node);
             }
             Ev::TxEnd { node, tx } => self.tx_end(node, tx, now),
             Ev::Traffic { src } => self.traffic_arrival(src, now),
@@ -340,16 +372,18 @@ impl<O: NetObserver> World<O> {
     }
 
     fn tx_end(&mut self, node: NodeId, tx: TxId, now: SimTime) {
-        let frame = self
-            .in_flight
-            .remove(&tx)
-            .expect("TxEnd for unknown transmission");
-        let ended = self.medium.end_tx(tx, now);
+        let frame = self.in_flight[node]
+            .take()
+            .expect("TxEnd for a node with no frame on the air");
+        // Handlers below may start new transmissions, which reuse `edges`
+        // but never `ended`: take it for the duration.
+        let mut ended = std::mem::take(&mut self.ended);
+        self.medium.end_tx(tx, now, &mut ended);
         debug_assert_eq!(ended.src, node);
 
         // 1. The transmitter moves on.
-        let actions = self.macs[node].on_tx_end(now);
-        self.apply(node, actions);
+        self.macs[node].on_tx_end(now, &mut self.acts);
+        self.apply(node);
 
         // 2. Reception outcomes — strictly before the idle edges (contract).
         // Receptions are sparse (covered nodes only, ascending id), which
@@ -359,25 +393,25 @@ impl<O: NetObserver> World<O> {
                 RxOutcome::Decoded => {
                     self.observer
                         .on_frame_decoded(&self.medium, v, &frame, ended.start, now);
-                    let actions = self.macs[v].on_frame_decoded(&frame, now);
-                    self.apply(v, actions);
+                    self.macs[v].on_frame_decoded(&frame, now, &mut self.acts);
+                    self.apply(v);
                 }
                 RxOutcome::Collided => {
                     self.observer.on_frame_garbled(v, now);
-                    let actions = self.macs[v].on_frame_garbled(now);
-                    self.apply(v, actions);
+                    self.macs[v].on_frame_garbled(now);
                 }
                 _ => {}
             }
         }
 
         // 3. Idle edges.
-        for e in ended.edges {
+        for e in &ended.edges {
             self.observer
                 .on_channel_edge(e.node, e.busy, now);
-            let actions = self.macs[e.node].on_channel_edge(e.busy, now);
-            self.apply(e.node, actions);
+            self.macs[e.node].on_channel_edge(e.busy, now, &mut self.acts);
+            self.apply(e.node);
         }
+        self.ended = ended;
     }
 
     fn traffic_arrival(&mut self, src: usize, now: SimTime) {
@@ -403,8 +437,8 @@ impl<O: NetObserver> World<O> {
             payload_len,
         };
         self.note_enqueue(node, &sdu, now);
-        let actions = self.macs[node].enqueue(sdu, now);
-        self.apply(node, actions);
+        self.macs[node].enqueue(sdu, now, &mut self.acts);
+        self.apply(node);
     }
 
     /// Enqueue bookkeeping shared by every packet-injection path: journal
@@ -444,13 +478,13 @@ impl<O: NetObserver> World<O> {
         let p = self.medium.position(node);
         // Index-served and ascending, so the RNG pick lands on the same
         // neighbor under either MediumIndex.
-        let mut neighbors = self.medium.nodes_within(p, self.tx_range);
-        neighbors.retain(|&v| v != node);
-        if neighbors.is_empty() {
+        self.medium.nodes_within(p, self.tx_range, &mut self.neighbors);
+        self.neighbors.retain(|&v| v != node);
+        if self.neighbors.is_empty() {
             return None;
         }
-        let pick = self.sources[src].rng.below(neighbors.len() as u64) as usize;
-        Some(neighbors[pick])
+        let pick = self.sources[src].rng.below(self.neighbors.len() as u64) as usize;
+        Some(self.neighbors[pick])
     }
 
     fn mobility_tick(&mut self, now: SimTime) {
@@ -470,45 +504,54 @@ impl<O: NetObserver> World<O> {
     }
 
     fn arm(&mut self, node: NodeId, timer: Timer, at: SimTime) {
-        if let Some(old) = self.timers.remove(&(node, timer)) {
+        let slot = &mut self.timers[node * Timer::COUNT + timer.index()];
+        if let Some(old) = slot.take() {
             self.sched.cancel(old);
         }
-        let h = self.sched.schedule_at(at, Ev::MacTimer { node, timer });
-        self.timers.insert((node, timer), h);
+        *slot = Some(self.sched.schedule_at(at, Ev::MacTimer { node, timer }));
     }
 
     fn disarm(&mut self, node: NodeId, timer: Timer) {
-        if let Some(h) = self.timers.remove(&(node, timer)) {
+        if let Some(h) = self.timers[node * Timer::COUNT + timer.index()].take() {
             self.sched.cancel(h);
         }
     }
 
-    /// Executes MAC actions, breadth-first, until quiescent.
-    fn apply(&mut self, node: NodeId, actions: Vec<MacAction>) {
-        let mut work: VecDeque<(NodeId, MacAction)> =
-            actions.into_iter().map(|a| (node, a)).collect();
-        self.drain(&mut work);
+    /// Moves the actions `node`'s MAC just appended to `acts` onto the work
+    /// queue.
+    fn queue(&mut self, node: NodeId) {
+        self.work.extend(self.acts.drain(..).map(|a| (node, a)));
     }
 
-    fn drain(&mut self, work: &mut VecDeque<(NodeId, MacAction)>) {
-        while let Some((n, action)) = work.pop_front() {
+    /// Executes the actions `node`'s MAC just appended to `acts` and
+    /// everything they cause, breadth-first, until quiescent.
+    fn apply(&mut self, node: NodeId) {
+        self.queue(node);
+        self.drain();
+    }
+
+    fn drain(&mut self) {
+        while let Some((n, action)) = self.work.pop_front() {
             match action {
                 MacAction::Arm { timer, at } => self.arm(n, timer, at),
                 MacAction::Disarm { timer } => self.disarm(n, timer),
                 MacAction::StartTx { frame } => {
                     let now = self.sched.now();
                     let airtime = self.timing.frame_airtime(&frame);
-                    let (tx, edges) = self.medium.begin_tx(n, now, &mut self.phy_rng);
+                    let tx = self.medium.begin_tx(n, now, &mut self.phy_rng, &mut self.edges);
                     let end = now + airtime;
                     self.sched.schedule_at(end, Ev::TxEnd { node: n, tx });
                     self.observer.on_tx_start(n, &frame, now, end);
-                    self.in_flight.insert(tx, frame);
-                    for e in edges {
+                    let on_air = self.in_flight[n].replace(frame);
+                    assert!(on_air.is_none(), "node {n} started a second frame on the air");
+                    // Edge handlers only queue actions, so no transmission
+                    // starts (and overwrites `edges`) inside this loop.
+                    for i in 0..self.edges.len() {
+                        let e = self.edges[i];
                         self.observer
                             .on_channel_edge(e.node, e.busy, now);
-                        for a in self.macs[e.node].on_channel_edge(e.busy, now) {
-                            work.push_back((e.node, a));
-                        }
+                        self.macs[e.node].on_channel_edge(e.busy, now, &mut self.acts);
+                        self.queue(e.node);
                     }
                 }
                 MacAction::Deliver { from, sdu } => {
@@ -516,7 +559,7 @@ impl<O: NetObserver> World<O> {
                     if self.routers.is_some() {
                         if let Some(&msg) = self.net_msgs.get(&sdu.id) {
                             let actions = self.routers.as_mut().unwrap()[n].on_receive(from, msg);
-                            self.handle_router_actions(n, actions, work);
+                            self.handle_router_actions(n, actions);
                         }
                     }
                 }
@@ -534,7 +577,7 @@ impl<O: NetObserver> World<O> {
                             .record_latency_ns(now.saturating_since(t0).as_nanos());
                     }
                     self.observer.on_packet_done(n, &sdu, delivered, now);
-                    if let Some(&si) = self.saturated_by_node.get(&n) {
+                    if let Some(si) = self.saturated_source(n) {
                         let policy = self.sources[si].cfg.dst;
                         let payload_len = self.sources[si].cfg.payload_len;
                         if let Some(d) = self.pick_dst(si, n, policy) {
@@ -544,9 +587,8 @@ impl<O: NetObserver> World<O> {
                                 payload_len,
                             };
                             self.note_enqueue(n, &refill, now);
-                            for a in self.macs[n].enqueue(refill, now) {
-                                work.push_back((n, a));
-                            }
+                            self.macs[n].enqueue(refill, now, &mut self.acts);
+                            self.queue(n);
                         } else {
                             // No neighbor right now (mobile); retry shortly.
                             self.sched
@@ -558,12 +600,15 @@ impl<O: NetObserver> World<O> {
         }
     }
 
-    fn handle_router_actions(
-        &mut self,
-        node: NodeId,
-        actions: Vec<RouterAction>,
-        work: &mut VecDeque<(NodeId, MacAction)>,
-    ) {
+    /// The saturated source at `node`, if it has one.
+    fn saturated_source(&self, node: NodeId) -> Option<usize> {
+        self.saturated_by_node
+            .binary_search_by_key(&node, |&(n, _)| n)
+            .ok()
+            .map(|i| self.saturated_by_node[i].1)
+    }
+
+    fn handle_router_actions(&mut self, node: NodeId, actions: Vec<RouterAction>) {
         let now = self.sched.now();
         for action in actions {
             match action {
@@ -575,9 +620,8 @@ impl<O: NetObserver> World<O> {
                     };
                     self.net_msgs.insert(sdu.id, msg);
                     self.note_enqueue(node, &sdu, now);
-                    for a in self.macs[node].enqueue(sdu, now) {
-                        work.push_back((node, a));
-                    }
+                    self.macs[node].enqueue(sdu, now, &mut self.acts);
+                    self.queue(node);
                 }
                 RouterAction::Unicast(next, msg) => {
                     let payload_len = match msg {
@@ -591,9 +635,8 @@ impl<O: NetObserver> World<O> {
                     };
                     self.net_msgs.insert(sdu.id, msg);
                     self.note_enqueue(node, &sdu, now);
-                    for a in self.macs[node].enqueue(sdu, now) {
-                        work.push_back((node, a));
-                    }
+                    self.macs[node].enqueue(sdu, now, &mut self.acts);
+                    self.queue(node);
                 }
                 RouterAction::DeliverApp { origin, app_id } => {
                     self.app_delivered += 1;

@@ -10,12 +10,23 @@
 
 use crate::NodeId;
 use mg_geom::Vec2;
+use mg_sim::IdBuildHasher;
 use std::collections::HashMap;
 
+/// Ends a cell's node list.
+const END: u32 = u32::MAX;
+
 /// Grid of node ids bucketed by `floor(coord / cell)`.
+///
+/// Each occupied cell holds the head of a singly linked list threaded
+/// through `next`, so the whole grid is one map and two per-node vectors:
+/// building it and moving nodes allocate only when the map grows.
 pub(crate) struct CellGrid {
     cell: f64,
-    cells: HashMap<(i64, i64), Vec<NodeId>>,
+    /// First node of every occupied cell.
+    heads: HashMap<(i64, i64), u32, IdBuildHasher>,
+    /// The node after each node in its cell's list, or [`END`].
+    next: Vec<u32>,
     /// Current cell key of every node (incremental maintenance).
     keys: Vec<(i64, i64)>,
 }
@@ -26,15 +37,17 @@ impl CellGrid {
         // Guard degenerate edge lengths (zero ranges, NaN budgets): a 1 m
         // cell is always a valid, if fine-grained, bucketing.
         let cell = if cell.is_finite() && cell >= 1.0 { cell } else { 1.0 };
+        assert!(positions.len() < END as usize, "cell lists hold u32 node ids");
         let mut grid = CellGrid {
             cell,
-            cells: HashMap::new(),
+            heads: HashMap::default(),
+            next: vec![END; positions.len()],
             keys: vec![(0, 0); positions.len()],
         };
         for (node, &p) in positions.iter().enumerate() {
             let k = grid.key(p);
             grid.keys[node] = k;
-            grid.cells.entry(k).or_default().push(node);
+            grid.push(node, k);
         }
         grid
     }
@@ -48,7 +61,7 @@ impl CellGrid {
     /// Number of occupied cells (diagnostic).
     #[cfg(test)]
     pub fn occupied_cells(&self) -> usize {
-        self.cells.len()
+        self.heads.len()
     }
 
     fn key(&self, p: Vec2) -> (i64, i64) {
@@ -56,6 +69,19 @@ impl CellGrid {
             (p.x / self.cell).floor() as i64,
             (p.y / self.cell).floor() as i64,
         )
+    }
+
+    /// Prepends `node` to cell `k`'s list.
+    fn push(&mut self, node: NodeId, k: (i64, i64)) {
+        self.next[node] = self.heads.insert(k, node as u32).unwrap_or(END);
+    }
+
+    /// Appends the nodes of the list starting at `head` to `out`.
+    fn walk(&self, mut v: u32, out: &mut Vec<NodeId>) {
+        while v != END {
+            out.push(v as NodeId);
+            v = self.next[v as usize];
+        }
     }
 
     /// Re-buckets `node` after a position change. O(occupants of the old
@@ -66,17 +92,24 @@ impl CellGrid {
         if new == old {
             return;
         }
-        let list = self.cells.get_mut(&old).expect("node's cell is occupied");
-        let at = list
-            .iter()
-            .position(|&v| v == node)
-            .expect("node is in its recorded cell");
-        list.swap_remove(at);
-        if list.is_empty() {
-            self.cells.remove(&old);
+        let after = self.next[node];
+        let head = self.heads.get_mut(&old).expect("node's cell is occupied");
+        if *head == node as u32 {
+            if after == END {
+                self.heads.remove(&old);
+            } else {
+                *head = after;
+            }
+        } else {
+            let mut v = *head as usize;
+            while self.next[v] != node as u32 {
+                v = self.next[v] as usize;
+                assert!(v != END as usize, "node is in its recorded cell");
+            }
+            self.next[v] = after;
         }
         self.keys[node] = new;
-        self.cells.entry(new).or_default().push(node);
+        self.push(node, new);
     }
 
     /// Collects into `out` every node whose cell intersects the axis-aligned
@@ -91,26 +124,27 @@ impl CellGrid {
         let y0 = ((center.y - r) / self.cell).floor() as i64;
         let y1 = ((center.y + r) / self.cell).floor() as i64;
         let window = (x1 - x0 + 1) as i128 * (y1 - y0 + 1) as i128;
-        if window > self.cells.len() as i128 {
+        if window > self.heads.len() as i128 {
             // The query disk spans more cells than are occupied (huge range
             // or tiny cells): walking the occupied cells is cheaper and
             // never loops over empty space.
-            for (&(cx, cy), list) in &self.cells {
+            for (&(cx, cy), &head) in &self.heads {
                 if (x0..=x1).contains(&cx) && (y0..=y1).contains(&cy) {
-                    out.extend_from_slice(list);
+                    self.walk(head, out);
                 }
             }
         } else {
             for cx in x0..=x1 {
                 for cy in y0..=y1 {
-                    if let Some(list) = self.cells.get(&(cx, cy)) {
-                        out.extend_from_slice(list);
+                    if let Some(&head) = self.heads.get(&(cx, cy)) {
+                        self.walk(head, out);
                     }
                 }
             }
         }
-        // Hash-map iteration order must never leak into results: ascending
-        // node order is the contract (it mirrors the naive 0..n scan).
+        // Neither map iteration order nor list order may leak into
+        // results: ascending node order is the contract (it mirrors the
+        // naive 0..n scan).
         out.sort_unstable();
     }
 }
@@ -204,6 +238,25 @@ mod tests {
         g.move_node(0, Vec2::new(551.0, 100.0));
         assert_eq!(query(&g, 550.9, 100.0, 1.0), vec![0]);
         assert_eq!(query(&g, 551.1, 100.0, 1.0), vec![0]);
+    }
+
+    #[test]
+    fn moving_any_member_of_a_shared_cell_keeps_the_rest_listed() {
+        // Five nodes share cell (0,0). Lift out the list's head, a middle
+        // node and its tail in turn, then bring them back.
+        let pts: Vec<(f64, f64)> = (0..5).map(|i| (10.0 * i as f64, 5.0)).collect();
+        let mut g = grid_of(100.0, &pts);
+        let away = Vec2::new(950.0, 950.0);
+        for node in [4, 2, 0] {
+            g.move_node(node, away);
+        }
+        assert_eq!(query(&g, 20.0, 5.0, 50.0), vec![1, 3]);
+        assert_eq!(query(&g, 950.0, 950.0, 1.0), vec![0, 2, 4]);
+        for node in [2, 0, 4] {
+            g.move_node(node, Vec2::new(10.0 * node as f64, 5.0));
+        }
+        assert_eq!(query(&g, 20.0, 5.0, 50.0), (0..5).collect::<Vec<_>>());
+        assert_eq!(g.occupied_cells(), 1);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!
 //! ```
 //! use mg_geom::Vec2;
-//! use mg_phy::{Medium, PropagationModel, RadioParams};
+//! use mg_phy::{EndedTx, Medium, PropagationModel, RadioParams};
 //! use mg_sim::{rng::Xoshiro256, SimTime};
 //!
 //! let prop = PropagationModel::free_space();
@@ -33,9 +33,11 @@
 //! let mut medium = Medium::new(prop, radio, positions);
 //! let mut rng = Xoshiro256::new(1);
 //!
-//! let (tx, edges) = medium.begin_tx(0, SimTime::ZERO, &mut rng);
+//! // Results land in caller-owned buffers, reusable across transmissions.
+//! let (mut edges, mut ended) = (Vec::new(), EndedTx::default());
+//! let tx = medium.begin_tx(0, SimTime::ZERO, &mut rng, &mut edges);
 //! assert!(edges.iter().any(|e| e.node == 1 && e.busy)); // neighbor senses it
-//! let ended = medium.end_tx(tx, SimTime::from_micros(272));
+//! medium.end_tx(tx, SimTime::from_micros(272), &mut ended);
 //! assert!(ended.outcome_of(1).is_decoded()); // and decodes it (240 m < 250 m)
 //! ```
 

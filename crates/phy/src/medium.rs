@@ -144,7 +144,10 @@ impl RxOutcome {
 /// Receptions are **sparse**: only nodes inside the sensing footprint
 /// appear (ascending node id). Everyone else is [`RxOutcome::OutOfRange`];
 /// use [`EndedTx::outcome_of`] for a dense view.
-#[derive(Clone, Debug)]
+///
+/// [`Medium::end_tx`] overwrites a caller-owned `EndedTx`, so one buffer
+/// (start from `EndedTx::default()`) serves every transmission of a run.
+#[derive(Clone, Debug, Default)]
 pub struct EndedTx {
     /// The transmitting node.
     pub src: NodeId,
@@ -182,8 +185,13 @@ struct Cover {
     senseable: bool,
 }
 
+/// One slot of the in-flight slab. A freed slot keeps its vectors, cleared
+/// and refilled by the next frame to take it, so a transmission allocates
+/// nothing once the slab has warmed up.
+#[derive(Default)]
 struct ActiveTx {
-    id: TxId,
+    /// `None` while the slot is free.
+    id: Option<TxId>,
     src: NodeId,
     start: SimTime,
     /// Every node in the interference footprint, ascending by node id.
@@ -197,25 +205,26 @@ struct ActiveTx {
     max_interf_mw: Vec<f64>,
     /// Dense bookkeeping (frames started under `Naive` — the reference
     /// implementation): received power and worst aggregate interference
-    /// indexed by node id, rescanned in full on every `begin_tx`. Empty
+    /// indexed by node id, rescanned in full on every `begin_tx`. Unused
     /// for sparse frames.
     power_dense: Vec<f64>,
     max_interf_dense: Vec<f64>,
-}
-
-impl ActiveTx {
     /// Whether this frame uses the dense reference bookkeeping.
-    fn is_dense(&self) -> bool {
-        !self.power_dense.is_empty()
-    }
+    dense: bool,
 }
 
-/// One memoised footprint, valid while no node has moved since it was
-/// computed.
-struct FpMemo {
+/// Where one source's memoised footprint sits in the memo arena.
+#[derive(Clone, Copy)]
+struct FpSpan {
     /// `pos_epoch` at compute time; the memo replays iff it still matches.
     epoch: u64,
-    fp: Vec<Cover>,
+    start: u32,
+    len: u32,
+}
+
+impl FpSpan {
+    /// A span that matches no epoch.
+    const NONE: FpSpan = FpSpan { epoch: u64::MAX, start: 0, len: 0 };
 }
 
 /// The shared channel: all active transmissions plus node positions.
@@ -228,8 +237,8 @@ pub struct Medium {
     /// Aggregate received power at each node from all active transmissions.
     agg_mw: Vec<f64>,
     /// Slab of in-flight transmissions: stable slots so the coverer index
-    /// can point into it; `None` entries are free (see `free_slots`).
-    slots: Vec<Option<ActiveTx>>,
+    /// can point into it; slots without an id are free (see `free_slots`).
+    slots: Vec<ActiveTx>,
     free_slots: Vec<usize>,
     /// Number of occupied slots.
     active_len: usize,
@@ -254,13 +263,18 @@ pub struct Medium {
     grid: Option<CellGrid>,
     /// Reusable candidate buffer for grid queries.
     scratch: Vec<NodeId>,
-    /// Per-source footprint memo for the Grid + deterministic-propagation
+    /// Per-source footprint memos for the Grid + deterministic-propagation
     /// path. A footprint is then a pure function of node positions, so
     /// until any node moves the memo replays the exact `Cover` list
-    /// discovery would rebuild.
-    fp_cache: Vec<Option<FpMemo>>,
-    /// Bumped on every `set_position`; stale `fp_cache` entries are simply
-    /// recomputed on their next use.
+    /// discovery would rebuild. All memos of one epoch live back to back
+    /// in `fp_arena` (which holds epoch `fp_arena_epoch`); `fp_span[v]`
+    /// locates source `v`'s.
+    fp_arena: Vec<Cover>,
+    fp_arena_epoch: u64,
+    fp_span: Vec<FpSpan>,
+    /// Bumped on every `set_position`; stale memos are simply recomputed
+    /// on their next use, and the arena is emptied when a new epoch
+    /// memoises its first footprint.
     pos_epoch: u64,
 }
 
@@ -306,7 +320,9 @@ impl Medium {
             horizon: None,
             grid: None,
             scratch: Vec::new(),
-            fp_cache: (0..n).map(|_| None).collect(),
+            fp_arena: Vec::new(),
+            fp_arena_epoch: 0,
+            fp_span: vec![FpSpan::NONE; n],
             pos_epoch: 0,
         };
         m.set_index(index);
@@ -406,44 +422,55 @@ impl Medium {
         self.tx_count[node] > 0
     }
 
-    /// All nodes within `range` meters of `center` (exact Euclidean filter,
-    /// inclusive), ascending by id — includes a node sitting exactly at
-    /// `center`. Served from the spatial index under `Grid`, identical
-    /// output under either index.
-    pub fn nodes_within(&self, center: Vec2, range: f64) -> Vec<NodeId> {
+    /// Writes into `out` every node within `range` meters of `center`
+    /// (exact Euclidean filter, inclusive), ascending by id — including a
+    /// node sitting exactly at `center`. `out` is cleared first. Served from
+    /// the spatial index under `Grid`, identical output under either index.
+    pub fn nodes_within(&self, center: Vec2, range: f64, out: &mut Vec<NodeId>) {
         match &self.grid {
             Some(grid) => {
-                let mut cand = Vec::new();
-                grid.candidates_within(center, range, &mut cand);
-                cand.retain(|&v| center.distance(self.positions[v]) <= range);
-                cand
+                grid.candidates_within(center, range, out);
+                out.retain(|&v| center.distance(self.positions[v]) <= range);
             }
-            None => (0..self.positions.len())
-                .filter(|&v| center.distance(self.positions[v]) <= range)
-                .collect(),
+            None => {
+                out.clear();
+                out.extend(
+                    (0..self.positions.len())
+                        .filter(|&v| center.distance(self.positions[v]) <= range),
+                );
+            }
         }
     }
 
     /// Starts a transmission from `src` at time `now`.
     ///
     /// Returns the transmission id (pass it to [`Medium::end_tx`] when the
-    /// frame's airtime elapses) and the carrier-sense edges the new energy
-    /// causes. Shadowing (if configured) is drawn per receiver from `rng`.
+    /// frame's airtime elapses) and writes the carrier-sense edges the new
+    /// energy causes into `edges`, which is cleared first. Shadowing (if
+    /// configured) is drawn per receiver from `rng`.
     pub fn begin_tx<R: Rng>(
         &mut self,
         src: NodeId,
         now: SimTime,
         rng: &mut R,
-    ) -> (TxId, Vec<EdgeChange>) {
+        edges: &mut Vec<EdgeChange>,
+    ) -> TxId {
         let id = TxId(self.next_id);
         self.next_id += 1;
         let src_pos = self.positions[src];
+        edges.clear();
+
+        // The frame's record reuses the vectors of the slot it will occupy.
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.slots.push(ActiveTx::default());
+            self.slots.len() - 1
+        });
+        let mut covered = std::mem::take(&mut self.slots[slot].covered);
+        covered.clear();
 
         // Footprint discovery: which nodes perceive this transmission, at
         // what power. Candidates are visited in ascending node order on both
         // paths, so edge order and (stochastic) RNG draws are identical.
-        let mut covered: Vec<Cover> = Vec::new();
-        let mut edges = Vec::new();
         match (&self.grid, self.horizon) {
             (Some(grid), Some(h)) => {
                 // Deterministic propagation ⇒ the footprint is a pure
@@ -451,42 +478,44 @@ impl Medium {
                 // when no node has moved since it was computed. Replaying
                 // bumps carrier sense in the same ascending order the scan
                 // would, so the edge list is identical too.
-                let memo = self.fp_cache[src]
-                    .as_ref()
-                    .filter(|m| m.epoch == self.pos_epoch)
-                    .map(|m| m.fp.clone());
-                match memo {
-                    Some(fp) => {
-                        covered = fp;
-                        for c in &covered {
-                            if c.senseable {
-                                self.cs_count[c.node] += 1;
-                                if self.cs_count[c.node] == 1 {
-                                    edges.push(EdgeChange { node: c.node, busy: true });
-                                }
+                let span = self.fp_span[src];
+                if span.epoch == self.pos_epoch {
+                    let start = span.start as usize;
+                    covered.extend_from_slice(&self.fp_arena[start..start + span.len as usize]);
+                    for c in &covered {
+                        if c.senseable {
+                            self.cs_count[c.node] += 1;
+                            if self.cs_count[c.node] == 1 {
+                                edges.push(EdgeChange { node: c.node, busy: true });
                             }
                         }
                     }
-                    None => {
-                        let mut cand = std::mem::take(&mut self.scratch);
-                        grid.candidates_within(src_pos, h, &mut cand);
-                        for &v in &cand {
-                            if v != src {
-                                self.try_cover(src_pos, v, rng, &mut covered, &mut edges);
-                            }
+                } else {
+                    let mut cand = std::mem::take(&mut self.scratch);
+                    grid.candidates_within(src_pos, h, &mut cand);
+                    for &v in &cand {
+                        if v != src {
+                            self.try_cover(src_pos, v, rng, &mut covered, edges);
                         }
-                        self.scratch = cand;
-                        self.fp_cache[src] = Some(FpMemo {
-                            epoch: self.pos_epoch,
-                            fp: covered.clone(),
-                        });
                     }
+                    self.scratch = cand;
+                    if self.fp_arena_epoch != self.pos_epoch {
+                        // Every memo in the arena is stale: start over.
+                        self.fp_arena.clear();
+                        self.fp_arena_epoch = self.pos_epoch;
+                    }
+                    self.fp_span[src] = FpSpan {
+                        epoch: self.pos_epoch,
+                        start: self.fp_arena.len() as u32,
+                        len: covered.len() as u32,
+                    };
+                    self.fp_arena.extend_from_slice(&covered);
                 }
             }
             _ => {
                 for v in 0..self.node_count() {
                     if v != src {
-                        self.try_cover(src_pos, v, rng, &mut covered, &mut edges);
+                        self.try_cover(src_pos, v, rng, &mut covered, edges);
                     }
                 }
             }
@@ -505,9 +534,8 @@ impl Medium {
         // new transmitter as overlapping wherever it is in the footprint:
         // a node cannot hear a frame while it is transmitting itself.
         if self.dense_len > 0 {
-            for slot in 0..self.slots.len() {
-                let Some(a) = self.slots[slot].as_mut() else { continue };
-                if !a.is_dense() {
+            for a in &mut self.slots {
+                if a.id.is_none() || !a.dense {
                     continue;
                 }
                 for v in 0..n {
@@ -527,7 +555,8 @@ impl Medium {
         // immaterial — the arithmetic is identical to the dense rescan.
         for c in &covered {
             for &(slot, i) in &self.coverers[c.node] {
-                let a = self.slots[slot as usize].as_mut().expect("coverer points at live slot");
+                let a = &mut self.slots[slot as usize];
+                assert!(a.id.is_some(), "coverer points at a live slot");
                 let other = self.agg_mw[c.node] - a.covered[i as usize].p_mw;
                 if other > a.max_interf_mw[i as usize] {
                     a.max_interf_mw[i as usize] = other;
@@ -535,55 +564,47 @@ impl Medium {
             }
         }
         for &(slot, i) in &self.coverers[src] {
-            let a = self.slots[slot as usize].as_mut().expect("coverer points at live slot");
-            a.overlapped[i as usize] = true;
+            self.slots[slot as usize].overlapped[i as usize] = true;
         }
 
-        // Footprint nodes already transmitting will miss this frame.
-        let overlapped: Vec<bool> = covered.iter().map(|c| self.tx_count[c.node] > 0).collect();
         let dense = self.index == MediumIndex::Naive;
-        let (power_dense, max_interf_dense, max_interf_mw) = if dense {
-            let mut power = vec![0.0; n];
+        let a = &mut self.slots[slot];
+        // Footprint nodes already transmitting will miss this frame.
+        a.overlapped.clear();
+        a.overlapped.extend(covered.iter().map(|c| self.tx_count[c.node] > 0));
+        a.power_dense.clear();
+        a.max_interf_dense.clear();
+        a.max_interf_mw.clear();
+        if dense {
+            a.power_dense.resize(n, 0.0);
             for c in &covered {
-                power[c.node] = c.p_mw;
+                a.power_dense[c.node] = c.p_mw;
             }
-            let max: Vec<f64> = (0..n).map(|v| self.agg_mw[v] - power[v]).collect();
-            (power, max, Vec::new())
+            a.max_interf_dense
+                .extend((0..n).map(|v| self.agg_mw[v] - a.power_dense[v]));
         } else {
-            let max: Vec<f64> = covered.iter().map(|c| self.agg_mw[c.node] - c.p_mw).collect();
-            (Vec::new(), Vec::new(), max)
-        };
-
-        let slot = self.free_slots.pop().unwrap_or_else(|| {
-            self.slots.push(None);
-            self.slots.len() - 1
-        });
-        if !dense {
+            a.max_interf_mw
+                .extend(covered.iter().map(|c| self.agg_mw[c.node] - c.p_mw));
             for (i, c) in covered.iter().enumerate() {
                 self.coverers[c.node].push((slot as u32, i as u32));
             }
         }
-        self.slots[slot] = Some(ActiveTx {
-            id,
-            src,
-            start: now,
-            covered,
-            overlapped,
-            max_interf_mw,
-            power_dense,
-            max_interf_dense,
-        });
+        a.id = Some(id);
+        a.src = src;
+        a.start = now;
+        a.covered = covered;
+        a.dense = dense;
         self.active_len += 1;
         if dense {
             self.dense_len += 1;
         }
         self.tx_count[src] += 1;
 
-        for e in &edges {
+        for e in edges.iter() {
             self.tracer
                 .emit(now.as_nanos(), Some(e.node), EventKind::ChannelEdge { busy: e.busy });
         }
-        (id, edges)
+        id
     }
 
     /// Evaluates receiver `v` for a transmission from `src_pos`: if the
@@ -612,23 +633,25 @@ impl Medium {
         }
     }
 
-    /// Ends a transmission at time `now`, returning per-node outcomes and
-    /// the idle edges the vanishing energy causes.
+    /// Ends a transmission at time `now`, writing its per-node outcomes and
+    /// the idle edges the vanishing energy causes into `out` (every field
+    /// is overwritten).
     ///
     /// # Panics
     ///
     /// Panics if `id` does not refer to an in-flight transmission (ending a
     /// transmission twice is a caller bug).
-    pub fn end_tx(&mut self, id: TxId, now: SimTime) -> EndedTx {
+    pub fn end_tx(&mut self, id: TxId, now: SimTime, out: &mut EndedTx) {
         let slot = self
             .slots
             .iter()
-            .position(|s| s.as_ref().is_some_and(|a| a.id == id))
+            .position(|a| a.id == Some(id))
             .expect("end_tx on a transmission that is not in flight");
-        let tx = self.slots[slot].take().expect("slot just matched");
+        let tx = &mut self.slots[slot];
+        tx.id = None;
         self.active_len -= 1;
         self.tx_count[tx.src] -= 1;
-        if tx.is_dense() {
+        if tx.dense {
             self.dense_len -= 1;
         } else {
             // Unregister from the coverer index (entries are unique).
@@ -643,7 +666,9 @@ impl Medium {
         }
         self.free_slots.push(slot);
 
-        let mut edges = Vec::new();
+        out.src = tx.src;
+        out.start = tx.start;
+        out.edges.clear();
         for c in &tx.covered {
             self.agg_mw[c.node] -= c.p_mw;
             if self.agg_mw[c.node] < 0.0 {
@@ -652,46 +677,40 @@ impl Medium {
             if c.senseable {
                 self.cs_count[c.node] -= 1;
                 if self.cs_count[c.node] == 0 {
-                    edges.push(EdgeChange { node: c.node, busy: false });
+                    out.edges.push(EdgeChange { node: c.node, busy: false });
                 }
             }
         }
 
         // Only sensing-disk nodes perceive the frame; interference-ring
         // nodes carried power but stay silent (OutOfRange).
-        let receptions = tx
-            .covered
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.senseable)
-            .map(|(i, c)| {
-                let interf_mw = if tx.is_dense() {
-                    tx.max_interf_dense[c.node]
-                } else {
-                    tx.max_interf_mw[i]
-                };
-                let p_dbm = mw_to_dbm(c.p_mw);
-                let out = if tx.overlapped[i] || !self.radio.decodable(p_dbm) {
-                    RxOutcome::Sensed
-                } else if self.radio.captures(c.p_mw, interf_mw) {
-                    RxOutcome::Decoded
-                } else {
-                    RxOutcome::Collided
-                };
-                (c.node, out)
-            })
-            .collect();
+        out.receptions.clear();
+        out.receptions.extend(
+            tx.covered
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.senseable)
+                .map(|(i, c)| {
+                    let interf_mw = if tx.dense {
+                        tx.max_interf_dense[c.node]
+                    } else {
+                        tx.max_interf_mw[i]
+                    };
+                    let p_dbm = mw_to_dbm(c.p_mw);
+                    let outcome = if tx.overlapped[i] || !self.radio.decodable(p_dbm) {
+                        RxOutcome::Sensed
+                    } else if self.radio.captures(c.p_mw, interf_mw) {
+                        RxOutcome::Decoded
+                    } else {
+                        RxOutcome::Collided
+                    };
+                    (c.node, outcome)
+                }),
+        );
 
-        for e in &edges {
+        for e in &out.edges {
             self.tracer
                 .emit(now.as_nanos(), Some(e.node), EventKind::ChannelEdge { busy: e.busy });
-        }
-
-        EndedTx {
-            src: tx.src,
-            start: tx.start,
-            receptions,
-            edges,
         }
     }
 
@@ -726,6 +745,27 @@ mod tests {
         Xoshiro256::new(7)
     }
 
+    /// Starts a transmission, returning its id and the busy edges it causes.
+    fn begin(m: &mut Medium, src: NodeId, now: SimTime, rng: &mut Xoshiro256) -> (TxId, Vec<EdgeChange>) {
+        let mut edges = Vec::new();
+        let tx = m.begin_tx(src, now, rng, &mut edges);
+        (tx, edges)
+    }
+
+    /// Ends a transmission into a fresh [`EndedTx`].
+    fn end(m: &mut Medium, tx: TxId, now: SimTime) -> EndedTx {
+        let mut ended = EndedTx::default();
+        m.end_tx(tx, now, &mut ended);
+        ended
+    }
+
+    /// The nodes within `range` of `center`, as a fresh vector.
+    fn within(m: &Medium, center: Vec2, range: f64) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        m.nodes_within(center, range, &mut out);
+        out
+    }
+
     #[test]
     fn neighbor_decodes_clean_frame() {
         // 0 --240m-- 1 --240m-- 2 (2 is 480 m from 0: sensed, not decoded)
@@ -735,12 +775,12 @@ mod tests {
             Vec2::new(480.0, 0.0),
         ]);
         let mut r = rng();
-        let (tx, edges) = m.begin_tx(0, SimTime::ZERO, &mut r);
+        let (tx, edges) = begin(&mut m, 0, SimTime::ZERO, &mut r);
         assert!(m.carrier_busy(1));
         assert!(m.carrier_busy(2));
         assert!(!m.carrier_busy(0), "own tx must not trip own CS");
         assert_eq!(edges.len(), 2);
-        let ended = m.end_tx(tx, SimTime::from_micros(999));
+        let ended = end(&mut m, tx, SimTime::from_micros(999));
         assert_eq!(ended.outcome_of(0), RxOutcome::SelfTx);
         assert_eq!(ended.outcome_of(1), RxOutcome::Decoded);
         assert_eq!(ended.outcome_of(2), RxOutcome::Sensed);
@@ -753,10 +793,10 @@ mod tests {
     fn out_of_sensing_range_is_silent() {
         let mut m = medium_with(vec![Vec2::new(0.0, 0.0), Vec2::new(600.0, 0.0)]);
         let mut r = rng();
-        let (tx, edges) = m.begin_tx(0, SimTime::ZERO, &mut r);
+        let (tx, edges) = begin(&mut m, 0, SimTime::ZERO, &mut r);
         assert!(edges.is_empty());
         assert!(!m.carrier_busy(1));
-        let ended = m.end_tx(tx, SimTime::from_micros(999));
+        let ended = end(&mut m, tx, SimTime::from_micros(999));
         assert_eq!(ended.outcome_of(1), RxOutcome::OutOfRange);
         assert!(ended.receptions.is_empty());
     }
@@ -771,17 +811,17 @@ mod tests {
             Vec2::new(560.0, 0.0), // C — A cannot sense C
         ]);
         let mut r = rng();
-        let (tx_a, _) = m.begin_tx(0, SimTime::ZERO, &mut r);
+        let (tx_a, _) = begin(&mut m, 0, SimTime::ZERO, &mut r);
         // C cannot sense A's transmission:
         assert!(!m.carrier_busy(2));
-        let (tx_c, _) = m.begin_tx(2, SimTime::from_micros(10), &mut r);
-        let ended_a = m.end_tx(tx_a, SimTime::from_micros(999));
+        let (tx_c, _) = begin(&mut m, 2, SimTime::from_micros(10), &mut r);
+        let ended_a = end(&mut m, tx_a, SimTime::from_micros(999));
         // B: A's signal at 200 m vs C's interference at 360 m.
         // Free space: power ratio = (360/200)^2 = 3.24 → 5.1 dB < 10 dB capture.
         assert_eq!(ended_a.outcome_of(1), RxOutcome::Collided);
         // C's own frame arrives at B below the decode threshold (360 m >
         // 250 m): pure energy, no frame.
-        let ended_c = m.end_tx(tx_c, SimTime::from_micros(999));
+        let ended_c = end(&mut m, tx_c, SimTime::from_micros(999));
         assert_eq!(ended_c.outcome_of(1), RxOutcome::Sensed);
     }
 
@@ -795,12 +835,12 @@ mod tests {
             Vec2::new(600.0, 0.0), // D (interferer; 500 m from B)
         ]);
         let mut r = rng();
-        let (tx_a, _) = m.begin_tx(0, SimTime::ZERO, &mut r);
-        let (tx_d, _) = m.begin_tx(2, SimTime::from_micros(5), &mut r);
-        let ended_a = m.end_tx(tx_a, SimTime::from_micros(999));
+        let (tx_a, _) = begin(&mut m, 0, SimTime::ZERO, &mut r);
+        let (tx_d, _) = begin(&mut m, 2, SimTime::from_micros(5), &mut r);
+        let ended_a = end(&mut m, tx_a, SimTime::from_micros(999));
         assert_eq!(ended_a.outcome_of(1), RxOutcome::Decoded);
         // D's frame at B is below the decode threshold (500 m): energy only.
-        let ended_d = m.end_tx(tx_d, SimTime::from_micros(999));
+        let ended_d = end(&mut m, tx_d, SimTime::from_micros(999));
         assert_eq!(ended_d.outcome_of(1), RxOutcome::Sensed);
     }
 
@@ -808,12 +848,12 @@ mod tests {
     fn transmitting_node_misses_overlapping_frames() {
         let mut m = medium_with(vec![Vec2::new(0.0, 0.0), Vec2::new(100.0, 0.0)]);
         let mut r = rng();
-        let (tx0, _) = m.begin_tx(0, SimTime::ZERO, &mut r);
-        let (tx1, _) = m.begin_tx(1, SimTime::from_micros(2), &mut r);
+        let (tx0, _) = begin(&mut m, 0, SimTime::ZERO, &mut r);
+        let (tx1, _) = begin(&mut m, 1, SimTime::from_micros(2), &mut r);
         // Node 1 was transmitting while 0's frame was in flight → Sensed.
-        let e0 = m.end_tx(tx0, SimTime::from_micros(999));
+        let e0 = end(&mut m, tx0, SimTime::from_micros(999));
         assert_eq!(e0.outcome_of(1), RxOutcome::Sensed);
-        let e1 = m.end_tx(tx1, SimTime::from_micros(999));
+        let e1 = end(&mut m, tx1, SimTime::from_micros(999));
         assert_eq!(e1.outcome_of(0), RxOutcome::Sensed);
     }
 
@@ -825,16 +865,16 @@ mod tests {
             Vec2::new(600.0, 0.0),
         ]);
         let mut r = rng();
-        let (a, e1) = m.begin_tx(0, SimTime::ZERO, &mut r);
+        let (a, e1) = begin(&mut m, 0, SimTime::ZERO, &mut r);
         assert!(e1.iter().any(|e| e.node == 1 && e.busy));
-        let (c, e2) = m.begin_tx(2, SimTime::ZERO, &mut r);
+        let (c, e2) = begin(&mut m, 2, SimTime::ZERO, &mut r);
         // Node 1 already busy: no second busy edge.
         assert!(!e2.iter().any(|e| e.node == 1));
-        let ea = m.end_tx(a, SimTime::from_micros(999));
+        let ea = end(&mut m, a, SimTime::from_micros(999));
         // Still busy from c: no idle edge for node 1 yet.
         assert!(!ea.edges.iter().any(|e| e.node == 1));
         assert!(m.carrier_busy(1));
-        let ec = m.end_tx(c, SimTime::from_micros(999));
+        let ec = end(&mut m, c, SimTime::from_micros(999));
         assert!(ec.edges.iter().any(|e| e.node == 1 && !e.busy));
         assert!(!m.carrier_busy(1));
     }
@@ -843,11 +883,11 @@ mod tests {
     fn mobility_changes_future_reception() {
         let mut m = medium_with(vec![Vec2::new(0.0, 0.0), Vec2::new(100.0, 0.0)]);
         let mut r = rng();
-        let (tx, _) = m.begin_tx(0, SimTime::ZERO, &mut r);
-        assert!(m.end_tx(tx, SimTime::from_micros(999)).outcome_of(1).is_decoded());
+        let (tx, _) = begin(&mut m, 0, SimTime::ZERO, &mut r);
+        assert!(end(&mut m, tx, SimTime::from_micros(999)).outcome_of(1).is_decoded());
         m.set_position(1, Vec2::new(1000.0, 0.0));
-        let (tx, _) = m.begin_tx(0, SimTime::from_micros(100), &mut r);
-        assert_eq!(m.end_tx(tx, SimTime::from_micros(999)).outcome_of(1), RxOutcome::OutOfRange);
+        let (tx, _) = begin(&mut m, 0, SimTime::from_micros(100), &mut r);
+        assert_eq!(end(&mut m, tx, SimTime::from_micros(999)).outcome_of(1), RxOutcome::OutOfRange);
     }
 
     #[test]
@@ -857,8 +897,8 @@ mod tests {
         let mut m = medium_with(vec![Vec2::new(0.0, 0.0), Vec2::new(240.0, 0.0)]);
         m.set_tracer(tracer.clone());
         let mut r = rng();
-        let (tx, _) = m.begin_tx(0, SimTime::ZERO, &mut r);
-        m.end_tx(tx, SimTime::from_micros(100));
+        let (tx, _) = begin(&mut m, 0, SimTime::ZERO, &mut r);
+        end(&mut m, tx, SimTime::from_micros(100));
         let events = tracer.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].kind, EventKind::ChannelEdge { busy: true });
@@ -868,13 +908,53 @@ mod tests {
     }
 
     #[test]
+    fn reused_buffers_match_fresh_ones() {
+        // Overlapping transmissions that start and end in interleaved order,
+        // so slab slots are freed and retaken: one pair of buffers reused
+        // throughout must report exactly what fresh buffers report.
+        let positions: Vec<Vec2> =
+            (0..12).map(|i| Vec2::new(150.0 * i as f64, 40.0 * (i % 3) as f64)).collect();
+        let plan = [(0, 1), (5, 1), (9, 2), (3, 2), (11, 3), (6, 4), (0, 5), (2, 5), (9, 6)];
+        let run = |reuse: bool| {
+            let mut m = medium_with(positions.clone());
+            let mut r = rng();
+            let (mut edges, mut ended) = (Vec::new(), EndedTx::default());
+            let mut flying: Vec<(TxId, NodeId)> = Vec::new();
+            let mut log = Vec::new();
+            let mut end = |m: &mut Medium, tx: TxId, now: SimTime, log: &mut Vec<String>| {
+                if !reuse {
+                    ended = EndedTx::default();
+                }
+                m.end_tx(tx, now, &mut ended);
+                log.push(format!("{:?} {:?} {:?}", ended.src, ended.receptions, ended.edges));
+            };
+            for &(src, t) in &plan {
+                let now = SimTime::from_micros(100 * t);
+                if let Some(i) = flying.iter().position(|&(_, s)| s == src) {
+                    end(&mut m, flying.remove(i).0, now, &mut log);
+                }
+                if !reuse {
+                    edges = Vec::new();
+                }
+                flying.push((m.begin_tx(src, now, &mut r, &mut edges), src));
+                log.push(format!("{edges:?}"));
+                if flying.len() > 3 {
+                    end(&mut m, flying.remove(0).0, now, &mut log);
+                }
+            }
+            log
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
     #[should_panic(expected = "not in flight")]
     fn double_end_panics() {
         let mut m = medium_with(vec![Vec2::new(0.0, 0.0), Vec2::new(100.0, 0.0)]);
         let mut r = rng();
-        let (tx, _) = m.begin_tx(0, SimTime::ZERO, &mut r);
-        m.end_tx(tx, SimTime::from_micros(999));
-        m.end_tx(tx, SimTime::from_micros(999));
+        let (tx, _) = begin(&mut m, 0, SimTime::ZERO, &mut r);
+        end(&mut m, tx, SimTime::from_micros(999));
+        end(&mut m, tx, SimTime::from_micros(999));
     }
 
     // ------------------------------------------------------------------
@@ -894,11 +974,11 @@ mod tests {
         let (mut naive, mut grid) = both_indices(positions);
         let mut rn = rng();
         let mut rg = rng();
-        let (txn, en) = naive.begin_tx(src, SimTime::ZERO, &mut rn);
-        let (txg, eg) = grid.begin_tx(src, SimTime::ZERO, &mut rg);
+        let (txn, en) = begin(&mut naive, src, SimTime::ZERO, &mut rn);
+        let (txg, eg) = begin(&mut grid, src, SimTime::ZERO, &mut rg);
         assert_eq!(en, eg, "busy edges diverge");
-        let endn = naive.end_tx(txn, SimTime::from_micros(999));
-        let endg = grid.end_tx(txg, SimTime::from_micros(999));
+        let endn = end(&mut naive, txn, SimTime::from_micros(999));
+        let endg = end(&mut grid, txg, SimTime::from_micros(999));
         assert_eq!(endn.receptions, endg.receptions, "receptions diverge");
         assert_eq!(endn.edges, endg.edges, "idle edges diverge");
     }
@@ -940,16 +1020,16 @@ mod tests {
         }
         let mut rn = rng();
         let mut rg = rng();
-        let (txn, en) = naive.begin_tx(2, SimTime::ZERO, &mut rn);
-        let (txg, eg) = grid.begin_tx(2, SimTime::ZERO, &mut rg);
+        let (txn, en) = begin(&mut naive, 2, SimTime::ZERO, &mut rn);
+        let (txg, eg) = begin(&mut grid, 2, SimTime::ZERO, &mut rg);
         assert_eq!(en, eg);
         assert!(en.iter().any(|e| e.node == 1 && e.busy), "200 m apart: sensed");
         assert_eq!(
-            naive.end_tx(txn, SimTime::from_micros(9)).receptions,
-            grid.end_tx(txg, SimTime::from_micros(9)).receptions
+            end(&mut naive, txn, SimTime::from_micros(9)).receptions,
+            end(&mut grid, txg, SimTime::from_micros(9)).receptions
         );
-        assert_eq!(naive.nodes_within(Vec2::new(-3100.0, -77.0), 150.0), vec![1, 2]);
-        assert_eq!(grid.nodes_within(Vec2::new(-3100.0, -77.0), 150.0), vec![1, 2]);
+        assert_eq!(within(&naive, Vec2::new(-3100.0, -77.0), 150.0), vec![1, 2]);
+        assert_eq!(within(&grid, Vec2::new(-3100.0, -77.0), 150.0), vec![1, 2]);
     }
 
     #[test]
@@ -959,8 +1039,8 @@ mod tests {
         let (naive, grid) = both_indices(pts);
         for r in [100.0, 550.0, 1650.0, 2500.0, 1e9] {
             assert_eq!(
-                naive.nodes_within(Vec2::new(0.0, 0.0), r),
-                grid.nodes_within(Vec2::new(0.0, 0.0), r),
+                within(&naive, Vec2::new(0.0, 0.0), r),
+                within(&grid, Vec2::new(0.0, 0.0), r),
                 "radius {r}"
             );
         }
@@ -970,11 +1050,11 @@ mod tests {
     fn set_index_midstream_preserves_state() {
         let mut m = medium_with(vec![Vec2::new(0.0, 0.0), Vec2::new(240.0, 0.0)]);
         let mut r = rng();
-        let (tx, _) = m.begin_tx(0, SimTime::ZERO, &mut r);
+        let (tx, _) = begin(&mut m, 0, SimTime::ZERO, &mut r);
         m.set_index(MediumIndex::Naive);
         assert_eq!(m.index(), MediumIndex::Naive);
         assert!(m.carrier_busy(1));
-        let ended = m.end_tx(tx, SimTime::from_micros(50));
+        let ended = end(&mut m, tx, SimTime::from_micros(50));
         assert_eq!(ended.outcome_of(1), RxOutcome::Decoded);
         assert!(!m.carrier_busy(1));
     }

@@ -9,12 +9,35 @@
 //! minimal (positions, tape) pair that triggers it.
 
 use mg_geom::Vec2;
-use mg_phy::{Medium, MediumIndex, PropagationModel, RadioParams, RxOutcome, TxId};
+use mg_phy::{
+    EdgeChange, EndedTx, Medium, MediumIndex, PropagationModel, RadioParams, RxOutcome, TxId,
+};
 use mg_sim::rng::Xoshiro256;
 use mg_sim::SimTime;
 use mg_testkit::prop::{check, Gen, TkResult};
 use mg_testkit::tk_assert_eq;
 use mg_trace::{TraceConfig, Tracer};
+
+/// Starts a transmission, returning its id and the busy edges it causes.
+fn begin(m: &mut Medium, src: usize, now: SimTime, rng: &mut Xoshiro256) -> (TxId, Vec<EdgeChange>) {
+    let mut edges = Vec::new();
+    let tx = m.begin_tx(src, now, rng, &mut edges);
+    (tx, edges)
+}
+
+/// Ends a transmission into a fresh [`EndedTx`].
+fn end(m: &mut Medium, tx: TxId, now: SimTime) -> EndedTx {
+    let mut ended = EndedTx::default();
+    m.end_tx(tx, now, &mut ended);
+    ended
+}
+
+/// The nodes within `range` of `center`, as a fresh vector.
+fn within(m: &Medium, center: Vec2, range: f64) -> Vec<usize> {
+    let mut out = Vec::new();
+    m.nodes_within(center, range, &mut out);
+    out
+}
 
 /// One step of a random event tape.
 #[derive(Clone, Copy, Debug)]
@@ -97,8 +120,8 @@ fn run_differential(
             Op::Query { center_x, center_y, range } => {
                 let c = Vec2::new(center_x, center_y);
                 tk_assert_eq!(
-                    naive.nodes_within(c, range),
-                    grid.nodes_within(c, range),
+                    within(&naive, c, range),
+                    within(&grid, c, range),
                     "nodes_within({c:?}, {range})"
                 );
             }
@@ -107,8 +130,8 @@ fn run_differential(
                 let now = SimTime::from_micros(t);
                 match in_flight[node].take() {
                     Some((ta, tb)) => {
-                        let ea = naive.end_tx(ta, now);
-                        let eb = grid.end_tx(tb, now);
+                        let ea = end(&mut naive, ta, now);
+                        let eb = end(&mut grid, tb, now);
                         tk_assert_eq!(ea.src, eb.src);
                         tk_assert_eq!(ea.start, eb.start);
                         tk_assert_eq!(ea.receptions, eb.receptions, "src {node}");
@@ -116,8 +139,8 @@ fn run_differential(
                         tk_assert_eq!(ea.outcome_of(node), RxOutcome::SelfTx);
                     }
                     None => {
-                        let (ta, edges_a) = naive.begin_tx(node, now, &mut rng_a);
-                        let (tb, edges_b) = grid.begin_tx(node, now, &mut rng_b);
+                        let (ta, edges_a) = begin(&mut naive, node, now, &mut rng_a);
+                        let (tb, edges_b) = begin(&mut grid, node, now, &mut rng_b);
                         tk_assert_eq!(edges_a, edges_b, "src {node}");
                         in_flight[node] = Some((ta, tb));
                     }
@@ -133,8 +156,8 @@ fn run_differential(
         if let Some((ta, tb)) = flight.take() {
             t += 1;
             let now = SimTime::from_micros(t);
-            let ea = naive.end_tx(ta, now);
-            let eb = grid.end_tx(tb, now);
+            let ea = end(&mut naive, ta, now);
+            let eb = end(&mut grid, tb, now);
             tk_assert_eq!(ea.receptions, eb.receptions, "drain src {node}");
             tk_assert_eq!(ea.edges, eb.edges, "drain src {node}");
         }
@@ -197,9 +220,9 @@ fn journal_gate_is_not_vacuous() {
         );
         m.set_tracer(journal.clone());
         let mut rng = Xoshiro256::new(7);
-        let (tx, edges) = m.begin_tx(0, SimTime::ZERO, &mut rng);
+        let (tx, edges) = begin(&mut m, 0, SimTime::ZERO, &mut rng);
         assert_eq!(edges.len(), 1, "{index:?}");
-        m.end_tx(tx, SimTime::from_micros(10));
+        end(&mut m, tx, SimTime::from_micros(10));
         assert!(
             journal.to_jsonl().lines().count() >= 2,
             "{index:?}: busy + idle edges must be journaled"

@@ -3,11 +3,28 @@
 //! (mg-testkit harness).
 
 use mg_geom::Vec2;
-use mg_phy::{dbm_to_mw, mw_to_dbm, Medium, PropagationModel, RadioParams, RxOutcome};
+use mg_phy::{
+    dbm_to_mw, mw_to_dbm, EdgeChange, EndedTx, Medium, PropagationModel, RadioParams, RxOutcome,
+    TxId,
+};
 use mg_sim::rng::Xoshiro256;
 use mg_sim::SimTime;
 use mg_testkit::prop::{check, Gen, TkResult};
 use mg_testkit::{tk_assert, tk_assert_eq};
+
+/// Starts a transmission, returning its id and the busy edges it causes.
+fn begin(m: &mut Medium, src: usize, now: SimTime, rng: &mut Xoshiro256) -> (TxId, Vec<EdgeChange>) {
+    let mut edges = Vec::new();
+    let tx = m.begin_tx(src, now, rng, &mut edges);
+    (tx, edges)
+}
+
+/// Ends a transmission into a fresh [`EndedTx`].
+fn end(m: &mut Medium, tx: TxId, now: SimTime) -> EndedTx {
+    let mut ended = EndedTx::default();
+    m.end_tx(tx, now, &mut ended);
+    ended
+}
 
 /// dBm/mW conversions are inverse bijections on the sane range.
 #[test]
@@ -83,14 +100,14 @@ fn medium_returns_to_quiescence() {
             if medium.is_transmitting(src) {
                 let idx = in_flight.iter().position(|&(_, s)| s == src).unwrap();
                 let (tx, _) = in_flight.remove(idx);
-                let ended = medium.end_tx(tx, SimTime::from_micros(t));
+                let ended = end(&mut medium, tx, SimTime::from_micros(t));
                 tk_assert!(ended.receptions.len() < n, "src never covered");
             }
-            let (tx, _) = medium.begin_tx(src, SimTime::from_micros(t), &mut rng);
+            let (tx, _) = begin(&mut medium, src, SimTime::from_micros(t), &mut rng);
             in_flight.push((tx, src));
         }
         for (tx, src) in in_flight {
-            let ended = medium.end_tx(tx, SimTime::from_micros(t));
+            let ended = end(&mut medium, tx, SimTime::from_micros(t));
             tk_assert_eq!(ended.src, src);
             tk_assert!(ended.receptions.len() < n, "src never covered");
             tk_assert_eq!(ended.outcome_of(src), RxOutcome::SelfTx);
@@ -118,8 +135,8 @@ fn clean_reception_by_distance() {
             vec![Vec2::ZERO, Vec2::new(d, 0.0)],
         );
         let mut rng = Xoshiro256::new(seed);
-        let (tx, _) = medium.begin_tx(0, SimTime::ZERO, &mut rng);
-        let out = medium.end_tx(tx, SimTime::ZERO).outcome_of(1);
+        let (tx, _) = begin(&mut medium, 0, SimTime::ZERO, &mut rng);
+        let out = end(&mut medium, tx, SimTime::ZERO).outcome_of(1);
         if d < 249.0 {
             tk_assert_eq!(out, RxOutcome::Decoded);
         } else if d > 251.0 && d < 549.0 {

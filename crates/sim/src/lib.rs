@@ -30,9 +30,11 @@
 
 #![warn(missing_docs)]
 
+pub mod hash;
 pub mod rng;
 mod scheduler;
 mod time;
 
+pub use hash::{IdBuildHasher, IdHasher};
 pub use scheduler::{EventHandle, Scheduler};
 pub use time::{SimDuration, SimTime};

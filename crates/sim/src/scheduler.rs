@@ -12,18 +12,22 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
+use std::num::NonZeroU64;
 
 use mg_trace::{EventKind, Tracer};
 
+use crate::hash::IdBuildHasher;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a scheduled event so it can be cancelled before it fires.
 ///
 /// Handles are unique for the lifetime of a [`Scheduler`] and are invalidated
 /// once the event fires or is cancelled; cancelling a stale handle is a
-/// harmless no-op.
+/// harmless no-op. A handle holds its event's sequence number plus one, so
+/// an `Option<EventHandle>` takes 8 bytes — per-node timer tables stay
+/// compact.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventHandle(u64);
+pub struct EventHandle(NonZeroU64);
 
 struct Entry<E> {
     time: SimTime,
@@ -69,7 +73,10 @@ impl<E> Ord for Entry<E> {
 pub struct Scheduler<E> {
     now: SimTime,
     heap: BinaryHeap<Reverse<Entry<E>>>,
-    cancelled: HashSet<u64>,
+    /// Cancelled sequence numbers not yet surfaced. The keys are the
+    /// scheduler's own counters, so the in-tree [`IdBuildHasher`] replaces
+    /// SipHash.
+    cancelled: HashSet<u64, IdBuildHasher>,
     next_seq: u64,
     popped: u64,
     tracer: Tracer,
@@ -81,7 +88,7 @@ impl<E> Scheduler<E> {
         Scheduler {
             now: SimTime::ZERO,
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
+            cancelled: HashSet::default(),
             next_seq: 0,
             popped: 0,
             tracer: Tracer::disabled(),
@@ -139,7 +146,7 @@ impl<E> Scheduler<E> {
             seq,
             payload,
         }));
-        EventHandle(seq)
+        EventHandle(NonZeroU64::MIN.saturating_add(seq))
     }
 
     /// Schedules `payload` to fire `after` from now.
@@ -150,7 +157,7 @@ impl<E> Scheduler<E> {
     /// Cancels a pending event. Cancelling an event that already fired (or
     /// was already cancelled) is a no-op.
     pub fn cancel(&mut self, handle: EventHandle) {
-        self.cancelled.insert(handle.0);
+        self.cancelled.insert(handle.0.get() - 1);
     }
 
     /// Pops the next live event, advancing the clock to its timestamp.
@@ -286,6 +293,11 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].t_ns, 9_000);
         assert_eq!(events[0].kind, EventKind::SchedDispatch { seq: 1 });
+    }
+
+    #[test]
+    fn optional_handles_take_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Option<EventHandle>>(), 8);
     }
 
     #[test]

@@ -14,15 +14,18 @@
 //! Two evaluation paths:
 //! * **exact** — for `n·m ≤` [`EXACT_LIMIT`] and tie-free data, the null
 //!   distribution of the rank sum is computed exactly by dynamic programming
-//!   over rank subsets;
+//!   (once per thread and sample-size pair, then reused);
 //! * **normal approximation** — otherwise, with tie-variance correction and
 //!   a 0.5 continuity correction.
 
 use crate::normal;
 use crate::rank::{midranks, tie_groups};
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Above this product `n·m` of sample sizes the exact enumeration switches
-/// to the normal approximation (the exact DP costs `O((n+m)·n·n·m)`).
+/// to the normal approximation (the exact DP costs `O((n·m)²)`).
 pub const EXACT_LIMIT: usize = 400;
 
 /// The direction of the alternative hypothesis, phrased about the *first*
@@ -125,45 +128,98 @@ pub fn rank_sum_test(first: &[f64], second: &[f64], alt: Alternative) -> RankSum
     }
 }
 
-/// Exact null CDF of the rank sum by dynamic programming.
+/// The exact null distribution of the rank sum of a first sample of `n1`
+/// among `n1 + n2` tie-free observations.
 ///
-/// `count[i][s]` = number of ways to choose `i` ranks from `1..=N` with sum
-/// `s`. Counts are held in `f64` (largest value is `C(N, n1) ≤ C(40, 20) ≈
-/// 1.4e11` under [`EXACT_LIMIT`], far inside exact-integer f64 range).
-fn exact_p(w: u64, n1: usize, n2: usize, alt: Alternative) -> f64 {
-    let n = n1 + n2;
-    let max_sum = n1 * n; // loose upper bound on any rank sum
-    let mut count = vec![vec![0.0f64; max_sum + 1]; n1 + 1];
-    count[0][0] = 1.0;
-    for rank in 1..=n {
-        // Iterate i downward so each rank is used at most once.
-        let top = n1.min(rank);
-        for i in (1..=top).rev() {
-            for s in (rank..=max_sum).rev() {
-                let add = count[i - 1][s - rank];
-                if add != 0.0 {
-                    count[i][s] += add;
+/// `counts[u]` is the number of ways to choose `n1` ranks from `1..=N`
+/// whose sum is `n1(n1+1)/2 + u` (`u` is the Mann–Whitney U). Counts are
+/// held in `f64`; the largest, `total = C(N, n1) ≤ C(40, 20) ≈ 1.4e11`
+/// under [`EXACT_LIMIT`], is far inside the exact-integer range, so every
+/// sum of counts is exact and no summation order can change a bit.
+struct NullCounts {
+    counts: Vec<f64>,
+    total: f64,
+}
+
+impl NullCounts {
+    /// Builds the counts by the recurrence on the largest observation: it
+    /// belongs to the first sample (and exceeds all `j` of the second, so
+    /// adds `j` to U) or to the second. With `f(i, j, u)` the count for
+    /// samples of `i` and `j`, `f(i, j, u) = f(i-1, j, u-j) + f(i, j-1, u)`.
+    /// `O(n1·n2·U)` time for `U = n1·n2`.
+    fn new(n1: usize, n2: usize) -> NullCounts {
+        let top = n1 * n2;
+        // f[j][u] = f(i, j, u), updated in place from i = 0, where only
+        // u = 0 is possible.
+        let mut f = vec![vec![0.0f64; top + 1]; n2 + 1];
+        for row in &mut f {
+            row[0] = 1.0;
+        }
+        for i in 1..=n1 {
+            // j ascending: f[j - 1] already holds row i. u descending:
+            // f[j][u - j] still holds row i - 1.
+            for j in 1..=n2 {
+                for u in (0..=i * j).rev() {
+                    let first = if u >= j { f[j][u - j] } else { 0.0 };
+                    f[j][u] = first + f[j - 1][u];
                 }
             }
         }
+        let counts = f.swap_remove(n2);
+        let total = counts.iter().sum();
+        NullCounts { counts, total }
     }
-    let total: f64 = count[n1].iter().sum();
-    let cdf_at = |x: u64| -> f64 {
-        count[n1][..=(x as usize).min(max_sum)].iter().sum::<f64>() / total
-    };
-    let sf_at = |x: u64| -> f64 {
-        // P(W >= x)
-        if x as usize > max_sum {
-            0.0
-        } else {
-            count[n1][(x as usize)..].iter().sum::<f64>() / total
+
+    /// The distribution for `(n1, n2)`, built once per thread and reused
+    /// by every later test of that size.
+    fn cached(n1: usize, n2: usize) -> Rc<NullCounts> {
+        thread_local! {
+            static BY_SIZE: RefCell<HashMap<(usize, usize), Rc<NullCounts>>> =
+                RefCell::new(HashMap::new());
         }
-    };
-    match alt {
-        Alternative::Less => cdf_at(w),
-        Alternative::Greater => sf_at(w),
-        Alternative::TwoSided => (2.0 * cdf_at(w).min(sf_at(w))).min(1.0),
+        BY_SIZE.with(|by_size| {
+            Rc::clone(
+                by_size
+                    .borrow_mut()
+                    .entry((n1, n2))
+                    .or_insert_with(|| Rc::new(NullCounts::new(n1, n2))),
+            )
+        })
     }
+
+    /// The p-value of rank sum `w` for a first sample of `n1`.
+    fn p_value(&self, w: u64, n1: usize, alt: Alternative) -> f64 {
+        let min_w = (n1 * (n1 + 1) / 2) as u64;
+        let last = self.counts.len() - 1;
+        // P(W <= x)
+        let cdf_at = |x: u64| -> f64 {
+            match x.checked_sub(min_w) {
+                None => 0.0,
+                Some(u) => {
+                    self.counts[..=(u as usize).min(last)].iter().sum::<f64>() / self.total
+                }
+            }
+        };
+        // P(W >= x)
+        let sf_at = |x: u64| -> f64 {
+            let u = x.saturating_sub(min_w) as usize;
+            if u > last {
+                0.0
+            } else {
+                self.counts[u..].iter().sum::<f64>() / self.total
+            }
+        };
+        match alt {
+            Alternative::Less => cdf_at(w),
+            Alternative::Greater => sf_at(w),
+            Alternative::TwoSided => (2.0 * cdf_at(w).min(sf_at(w))).min(1.0),
+        }
+    }
+}
+
+/// Exact p-value of rank sum `w` from the cached null distribution.
+fn exact_p(w: u64, n1: usize, n2: usize, alt: Alternative) -> f64 {
+    NullCounts::cached(n1, n2).p_value(w, n1, alt)
 }
 
 /// Normal approximation with tie-variance and continuity corrections.
@@ -311,6 +367,101 @@ mod tests {
         }
         let rate = rejections as f64 / trials as f64;
         assert!(rate < 0.075, "false rejection rate {rate} too high");
+    }
+
+    const ALTERNATIVES: [Alternative; 3] =
+        [Alternative::Less, Alternative::Greater, Alternative::TwoSided];
+
+    #[test]
+    fn cached_exact_p_equals_the_uncached_dp_bit_for_bit() {
+        for n1 in 1..=EXACT_LIMIT {
+            for n2 in 1..=EXACT_LIMIT / n1 {
+                // The uncached distribution, as exact running sums: counts
+                // are integers far below 2^53, so a running sum is bit for
+                // bit the slice sum `exact_p` takes, at O(1) per p-value.
+                let fresh = NullCounts::new(n1, n2);
+                let total = fresh.total;
+                let mut below = 0.0; // P(W < w) · total
+                let min_w = (n1 * (n1 + 1) / 2) as u64;
+                for (u, &count) in fresh.counts.iter().enumerate() {
+                    let w = min_w + u as u64;
+                    let cdf = (below + count) / total;
+                    let sf = (total - below) / total;
+                    let want = [cdf, sf, (2.0 * cdf.min(sf)).min(1.0)];
+                    for (alt, want) in ALTERNATIVES.into_iter().zip(want) {
+                        assert_eq!(
+                            exact_p(w, n1, n2, alt).to_bits(),
+                            want.to_bits(),
+                            "n1={n1} n2={n2} w={w} {alt:?}"
+                        );
+                    }
+                    below += count;
+                }
+            }
+        }
+    }
+
+    /// An independent oracle for the U-count recurrence, the DP over rank
+    /// subsets: `count[i][s]` = ways to choose `i` ranks from `1..=N` with
+    /// sum `s`. Returns the `i = n1` row, indexed by the rank sum itself.
+    fn rank_subset_row(n1: usize, n2: usize) -> Vec<f64> {
+        let n = n1 + n2;
+        let max_sum = n1 * n; // loose upper bound on any rank sum
+        let mut count = vec![vec![0.0f64; max_sum + 1]; n1 + 1];
+        count[0][0] = 1.0;
+        for rank in 1..=n {
+            let top = n1.min(rank);
+            for i in (1..=top).rev() {
+                for s in (rank..=max_sum).rev() {
+                    let add = count[i - 1][s - rank];
+                    if add != 0.0 {
+                        count[i][s] += add;
+                    }
+                }
+            }
+        }
+        count.swap_remove(n1)
+    }
+
+    /// The p-value of rank sum `w`, summed over a [`rank_subset_row`].
+    fn rank_subset_p(row: &[f64], w: u64, alt: Alternative) -> f64 {
+        let max_sum = row.len() - 1;
+        let total: f64 = row.iter().sum();
+        let cdf_at =
+            |x: u64| -> f64 { row[..=(x as usize).min(max_sum)].iter().sum::<f64>() / total };
+        let sf_at = |x: u64| -> f64 {
+            if x as usize > max_sum {
+                0.0
+            } else {
+                row[(x as usize)..].iter().sum::<f64>() / total
+            }
+        };
+        match alt {
+            Alternative::Less => cdf_at(w),
+            Alternative::Greater => sf_at(w),
+            Alternative::TwoSided => (2.0 * cdf_at(w).min(sf_at(w))).min(1.0),
+        }
+    }
+
+    #[test]
+    fn exact_p_matches_the_rank_subset_dp() {
+        // Every size pair up to 24 observations (the detector's n = 10
+        // among them), every rank sum in the support and one either side.
+        for n1 in 1..=12 {
+            for n2 in 1..=12 {
+                let row = rank_subset_row(n1, n2);
+                let lo = (n1 * (n1 + 1) / 2) as u64;
+                for w in lo - 1..=lo + (n1 * n2) as u64 + 1 {
+                    for alt in ALTERNATIVES {
+                        assert_eq!(
+                            exact_p(w, n1, n2, alt).to_bits(),
+                            rank_subset_p(&row, w, alt).to_bits(),
+                            "n1={n1} n2={n2} w={w} {alt:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -49,6 +49,12 @@ cargo clippy --workspace --all-targets --offline -q -- -D warnings
 echo "== tests (offline) =="
 cargo test -q --workspace --offline
 
+echo "== benchmark package: perfbench builds against the library and its tests pass =="
+# perfbench is a workspace of its own over the library's public API, so a
+# change to `Medium`, `DcfMac` or `NetObserver` that breaks it fails here
+# rather than in a benchmark run.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== examples: the detector examples run and their asserts hold =="
 # Each example asserts its own outcome (attacker caught, clean node clean,
 # samples collected, every big-world cheater flagged); a failed assert

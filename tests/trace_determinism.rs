@@ -127,7 +127,12 @@ fn index_modes_are_byte_identical_in_a_large_world() {
 
 /// FNV-1a 64, the hash `mg_runner::fnv64` keys the sweep cache with.
 fn fnv64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+    fnv64_from(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a 64 digest `h` over `bytes`.
+fn fnv64_from(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
@@ -158,6 +163,69 @@ fn mobile_world_journal_is_pinned() {
     assert_eq!(world.events_fired(), 3383);
     assert_eq!(journal.lines().count(), 29856);
     assert_eq!(fnv64(journal.as_bytes()), 0x56a4_de1a_6e8b_56d8);
+}
+
+#[test]
+fn paper_grid_world_is_pinned() {
+    // The benchmark's paper grid: seed 8 at medium load (0.6 pps), a
+    // saturated tagged pair whose sender cheats at PM = 75, watched by four
+    // monitors at n = 10/25/50/100, for 10 s. Pins the event count, the
+    // full verbose journal, and each monitor's diagnosis, tests and
+    // violations; any change to dispatch order, action order, monitor
+    // fan-out or a test's p-value shows up here.
+    let cfg = ScenarioConfig {
+        sim_secs: 10,
+        rate_pps: 0.6,
+        ..ScenarioConfig::grid_paper(8)
+    };
+    let scenario = Scenario::new(cfg);
+    let (s, r) = scenario.tagged_pair();
+    let d = scenario.positions()[s].distance(scenario.positions()[r]);
+    let mut builder = ScenarioBuilder::new(scenario);
+    let attacker = builder.attacker(s);
+    let watches: Vec<MonitorHandle> = [10, 25, 50, 100]
+        .map(|n| builder.monitor(MonitorConfig::grid_paper(s, r, d).with_sample_size(n)))
+        .to_vec();
+    builder.source(SourceCfg::saturated(s, r));
+    builder.trace(TraceConfig {
+        capacity: 1 << 20,
+        ..TraceConfig::verbose()
+    });
+    let mut world = builder.build();
+    world.set_policy(attacker.id(), BackoffPolicy::Scaled { pm: 75 });
+    world.run_until(SimTime::from_secs(10));
+    assert_eq!(
+        world.tracer().dropped(),
+        0,
+        "the ring must hold the whole journal"
+    );
+    // Digest line by line: the rendered journal would be tens of MB.
+    let (mut lines, mut digest) = (0u64, 0xcbf2_9ce4_8422_2325u64);
+    for ev in world.tracer().events() {
+        let line = ev.to_json().render() + "\n";
+        digest = fnv64_from(digest, line.as_bytes());
+        lines += 1;
+    }
+    let monitors: Vec<u64> = watches
+        .iter()
+        .map(|&h| {
+            let pool = world.monitors().pool(h);
+            let state = format!("{:?}", (pool.diagnosis(), pool.tests(), pool.violations()));
+            fnv64(state.as_bytes())
+        })
+        .collect();
+    assert_eq!(world.events_fired(), 48592);
+    assert_eq!(lines, 562055);
+    assert_eq!(digest, 0x75d0_ef4d_a22c_469e);
+    assert_eq!(
+        monitors,
+        [
+            0x7bfc_fd4b_6b20_b3cf,
+            0x0e5c_32e3_8788_5f60,
+            0x9cbd_6b45_915c_8fa9,
+            0xe8bb_3e50_2277_f792,
+        ]
+    );
 }
 
 #[test]
