@@ -8,11 +8,12 @@
 //! * [`Load`] — the three offered-load levels the paper evaluates, mapped to
 //!   background source rates for this simulator (measured ρ is always
 //!   reported next to the nominal level);
-//! * [`detection_trial`] / [`mobile_detection_trial`] — one full simulation
-//!   with a tagged (possibly misbehaving) node and the paper's monitor,
-//!   returning test/violation counts — plus `_fanout` variants that attach
-//!   one monitor per sample size to a *single* world, so a figure sweeping
-//!   sample sizes simulates each (point, seed) once instead of once per size;
+//! * [`detection_trial`] — one full simulation with a tagged (possibly
+//!   misbehaving) node and the paper's monitor, returning test/violation
+//!   counts — plus `_fanout` variants that attach one monitor per sample
+//!   size to a *single* world, so a figure sweeping sample sizes simulates
+//!   each (point, seed) once instead of once per size; the mobile worlds of
+//!   Figs. 5(d)/6(b) run through [`mobile_detection_trial_fanout_faulted`];
 //! * [`conditional_probability_run`] — the Figure 3/4 measurement: empirical
 //!   `p_{B|I}` / `p_{I|B}` from a [`mg_detect::JointTracker`];
 //! * [`sweep`] — cache keys and codecs wiring trial results through the
@@ -299,8 +300,11 @@ pub fn detection_trial_fanout_faulted(
     detection_trial_multi(cfg, pm, sample_sizes, statistical_only, faults)
 }
 
-/// One mobile world, one monitor pool per requested sample size.
-fn mobile_detection_trial_multi(
+/// Runs one mobile detection trial (Figures 5(d)/6(b)) per sample size on
+/// one world: random topology, random waypoint, and one
+/// [`mg_detect::MonitorPool`] per size with range-based handoff, with a
+/// [`FaultPlan`] injected at every pool member's observation boundary.
+pub fn mobile_detection_trial_fanout_faulted(
     seed: u64,
     load: Load,
     pm: u8,
@@ -364,57 +368,6 @@ fn mobile_detection_trial_multi(
             }
         })
         .collect()
-}
-
-/// Runs one mobile detection trial (Figures 5(d)/6(b)): random topology,
-/// random waypoint, and a [`mg_detect::MonitorPool`] with range-based
-/// handoff.
-pub fn mobile_detection_trial(
-    seed: u64,
-    load: Load,
-    pm: u8,
-    sample_size: usize,
-    secs: u64,
-    pause: SimDuration,
-) -> TrialOutcome {
-    mobile_detection_trial_multi(
-        seed,
-        load,
-        pm,
-        &[sample_size],
-        secs,
-        pause,
-        &FaultPlan::default(),
-    )
-    .remove(0)
-}
-
-/// [`mobile_detection_trial`] fanned out over several sample sizes on one
-/// world (one pool per size).
-pub fn mobile_detection_trial_fanout(
-    seed: u64,
-    load: Load,
-    pm: u8,
-    sample_sizes: &[usize],
-    secs: u64,
-    pause: SimDuration,
-) -> Vec<TrialOutcome> {
-    mobile_detection_trial_multi(seed, load, pm, sample_sizes, secs, pause, &FaultPlan::default())
-}
-
-/// [`mobile_detection_trial_fanout`] with a [`FaultPlan`] injected at every
-/// pool member's observation boundary.
-#[allow(clippy::too_many_arguments)]
-pub fn mobile_detection_trial_fanout_faulted(
-    seed: u64,
-    load: Load,
-    pm: u8,
-    sample_sizes: &[usize],
-    secs: u64,
-    pause: SimDuration,
-    faults: &FaultPlan,
-) -> Vec<TrialOutcome> {
-    mobile_detection_trial_multi(seed, load, pm, sample_sizes, secs, pause, faults)
 }
 
 /// Simulates the static detection world for `(seed, cfg, pm)` **once** and

@@ -65,8 +65,8 @@ pub use density::DensityEstimator;
 pub use monitor::{Diagnosis, Judge, Monitor, MonitorConfig, NodeCounts, Violation};
 pub use mg_fault::{FaultPlan, ObsFaults};
 pub use mg_obs::{
-    base64_to_bytes, bytes_to_base64, JournalCodec, JournalError, JournalFormat, JournalReader,
-    JournalWriter, Obs, ObsJournal, ObsMeta, ObsSink,
+    base64_to_bytes, bytes_to_base64, JournalError, JournalFormat, JournalReader, JournalWriter,
+    Obs, ObsJournal, ObsMeta, ObsSink,
 };
 pub use pool::MonitorPool;
 pub use record::ObsRecorder;

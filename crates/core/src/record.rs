@@ -16,6 +16,11 @@
 //! journal.replay(&mut session);      // or reader.replay_into(&mut session)?
 //! ```
 //!
+//! Bytes leave and enter through the one codec: `journal.encode(format)`
+//! runs a [`JournalWriter`](crate::JournalWriter), and a
+//! [`JournalReader`](crate::JournalReader) streams them back into a
+//! session (`replay_into`) or a fresh `ObsJournal` (`read_journal`).
+//!
 //! ## Faults
 //!
 //! Journals record the **pre-fault** stream: the recorder carries no

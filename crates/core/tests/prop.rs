@@ -225,8 +225,10 @@ mod replay {
         world.set_policy(a.id(), BackoffPolicy::Scaled { pm });
         world.run_until(SimTime::from_secs(SECS));
 
-        let journal = ObsJournal::from_jsonl(&world.probe().journal().to_jsonl())
-            .map_err(TkError::Fail)?;
+        let jsonl = world.probe().journal().encode(JournalFormat::Jsonl);
+        let journal = JournalReader::from_bytes(jsonl)
+            .and_then(|r| r.read_journal())
+            .map_err(|e| TkError::Fail(format!("jsonl round trip: {e}")))?;
         let pool = world.monitors().pool(watch);
         Ok(LiveRun {
             mc,

@@ -23,14 +23,12 @@
 mod aodv;
 mod config;
 mod mobility;
-mod observers;
 mod traffic;
 mod world;
 
 pub use aodv::{AodvLite, NetMsg, RouteEntry, RouterAction};
 pub use config::{MobilityCfg, ScenarioConfig, TopologyCfg, TrafficKind};
 pub use mobility::RandomWaypoint;
-pub use observers::{Fanout, MetricsObserver, TraceEntry, TraceObserver};
 pub use traffic::{DstPolicy, SourceCfg, TrafficModel};
 pub use world::{NetObserver, Scenario, World};
 

@@ -1,21 +1,20 @@
-//! Journal I/O: formats, streaming readers/writers, and the binary codec.
+//! Journal I/O: the one codec for [`Obs`] journals.
 //!
 //! The observation journal is the currency of the whole pipeline — the
-//! replay cache tier, the CLI's `--record`/`--replay` files, the wire
-//! format a future streaming daemon would speak. This module makes the
-//! *format* a first-class, swappable concern instead of a method baked into
-//! [`ObsJournal`]:
+//! replay cache tier, the CLI's `--record`/`--replay` files, the `mgd`
+//! wire chunks. Every byte of it is written by one encoder and read by one
+//! decoder, in both formats:
 //!
-//! * [`JournalFormat`] — the two on-disk codecs ([`Jsonl`] for debugging and
+//! * [`JournalFormat`] — the two encodings ([`Jsonl`] for debugging and
 //!   export, [`Binary`] for production), with magic-based auto-detection.
-//! * [`JournalCodec`] — whole-journal encode/decode behind one trait, so
-//!   both formats are interchangeable at every call site.
 //! * [`JournalWriter`] — streaming, event-at-a-time encoding (it is an
 //!   [`ObsSink`], so a recorder can write straight through it), finished by
-//!   an atomic tmp+rename [`JournalWriter::save`].
+//!   [`JournalWriter::finish`] or an atomic tmp+rename
+//!   [`JournalWriter::save`]. [`ObsJournal::encode`] is a loop over it.
 //! * [`JournalReader`] — sniffs the format, validates the container, then
-//!   decodes lazily: [`JournalReader::events`] streams one event at a time
-//!   and [`JournalReader::vantage_events`] uses the binary index block to
+//!   decodes lazily: [`JournalReader::events`] streams one event at a time,
+//!   [`JournalReader::read_journal`] materializes an [`ObsJournal`], and
+//!   [`JournalReader::vantage_events`] uses the binary index block to
 //!   decode *only* one vantage's events, without a full scan.
 //!
 //! # Binary format v1
@@ -31,7 +30,7 @@
 //! frames   interned frame table (each distinct frame encoded once)
 //! ranging  interned ranging-vector table (distances as raw f64 bits)
 //! index    per-vantage event offsets + delta bases, plus the shared
-//!          Ranging list — the O(1) `for_vantage` projection
+//!          Ranging list — the O(1) `vantage_events` projection
 //! trailer  events_end u64 | index_off u64 | total_len u64 | fnv64 | "MGE1"
 //! ```
 //!
@@ -54,7 +53,7 @@
 //! [`Jsonl`]: JournalFormat::Jsonl
 //! [`Binary`]: JournalFormat::Binary
 
-use crate::{obs_from_json, obs_to_json, NodeId, Obs, ObsJournal, ObsMeta, ObsSink};
+use crate::{NodeId, Obs, ObsJournal, ObsMeta, ObsSink};
 use mg_dcf::{Dest, Frame, FrameKind, MacSdu, RtsFields};
 use mg_sim::{SimDuration, SimTime};
 use mg_trace::json::Json;
@@ -126,14 +125,6 @@ impl JournalFormat {
             JournalFormat::Binary
         } else {
             JournalFormat::Jsonl
-        }
-    }
-
-    /// The whole-journal codec for this format.
-    pub fn codec(self) -> &'static dyn JournalCodec {
-        match self {
-            JournalFormat::Jsonl => &JsonlCodec,
-            JournalFormat::Binary => &BinaryCodec,
         }
     }
 }
@@ -211,66 +202,6 @@ impl std::fmt::Display for JournalError {
 }
 
 impl std::error::Error for JournalError {}
-
-/// Whole-journal encode/decode for one [`JournalFormat`]. The streaming
-/// layer ([`JournalWriter`]/[`JournalReader`]) is built on the same frame
-/// encoders; this trait is the convenient in-memory face of it.
-pub trait JournalCodec {
-    /// The format this codec implements.
-    fn format(&self) -> JournalFormat;
-
-    /// Serializes the journal (deterministic: equal journals encode to
-    /// byte-identical buffers).
-    fn encode(&self, journal: &ObsJournal) -> Vec<u8>;
-
-    /// Decodes a journal, strictly: any structural damage is an error.
-    fn decode(&self, bytes: &[u8]) -> Result<ObsJournal, JournalError>;
-}
-
-/// The JSONL debug/export codec (meta line + one event per line).
-pub struct JsonlCodec;
-
-impl JournalCodec for JsonlCodec {
-    fn format(&self) -> JournalFormat {
-        JournalFormat::Jsonl
-    }
-
-    fn encode(&self, journal: &ObsJournal) -> Vec<u8> {
-        journal.to_jsonl().into_bytes()
-    }
-
-    fn decode(&self, bytes: &[u8]) -> Result<ObsJournal, JournalError> {
-        JournalReader::from_bytes(bytes.to_vec())?.read_journal()
-    }
-}
-
-/// The framed binary v1 production codec.
-pub struct BinaryCodec;
-
-impl JournalCodec for BinaryCodec {
-    fn format(&self) -> JournalFormat {
-        JournalFormat::Binary
-    }
-
-    fn encode(&self, journal: &ObsJournal) -> Vec<u8> {
-        let mut w = JournalWriter::new(JournalFormat::Binary, journal.meta());
-        for o in journal.events() {
-            w.push(o);
-        }
-        w.finish()
-    }
-
-    fn decode(&self, bytes: &[u8]) -> Result<ObsJournal, JournalError> {
-        let reader = JournalReader::from_bytes(bytes.to_vec())?;
-        if reader.format() != JournalFormat::Binary {
-            return Err(JournalError::Corrupt {
-                offset: 0,
-                what: "not a binary journal (magic missing)".into(),
-            });
-        }
-        reader.read_journal()
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Primitive encoders
@@ -481,8 +412,7 @@ fn decode_ranging_vec(c: &mut Cursor<'_>) -> Result<Vec<(NodeId, f64)>, JournalE
 }
 
 /// The node an event belongs to for per-vantage projection, or `None` for
-/// shared [`Obs::Ranging`] events. Must agree with
-/// [`ObsJournal::for_vantage`].
+/// shared [`Obs::Ranging`] events (every vantage's stream includes them).
 fn projection_node(o: &Obs) -> Option<NodeId> {
     match o {
         Obs::ChannelEdge { node, .. } => Some(*node),
@@ -505,6 +435,249 @@ fn primary_time(o: &Obs) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
+// JSONL line encoders (the `mg_trace::json` rendering of ObsMeta and Obs)
+// ---------------------------------------------------------------------------
+
+/// The meta header line of a JSONL journal.
+fn meta_to_json(meta: &ObsMeta) -> Json {
+    Json::obj([
+        ("tagged", Json::from(meta.tagged as u64)),
+        (
+            "vantages",
+            Json::Arr(
+                meta.vantages
+                    .iter()
+                    .map(|&v| Json::from(v as u64))
+                    .collect(),
+            ),
+        ),
+        ("pair_distance", Json::Num(meta.pair_distance)),
+        // Decimal string: a full-range u64 seed does not fit a JSON
+        // number (f64 loses precision past 2^53).
+        ("seed", Json::Str(meta.seed.to_string())),
+        (
+            "params",
+            Json::Arr(
+                meta.params
+                    .iter()
+                    .map(|(k, v)| Json::Arr(vec![Json::Str(k.clone()), Json::Str(v.clone())]))
+                    .collect(),
+            ),
+        ),
+    ])
+}
+
+/// Decodes [`meta_to_json`] output; `None` on any mismatch.
+fn meta_from_json(v: &Json) -> Option<ObsMeta> {
+    let vantages = v
+        .get("vantages")?
+        .as_arr()?
+        .iter()
+        .map(|n| Some(n.as_u64()? as NodeId))
+        .collect::<Option<Vec<_>>>()?;
+    let params = v
+        .get("params")?
+        .as_arr()?
+        .iter()
+        .map(|p| match p.as_arr()? {
+            [k, val] => Some((k.as_str()?.to_string(), val.as_str()?.to_string())),
+            _ => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
+    Some(ObsMeta {
+        tagged: v.get("tagged")?.as_u64()? as NodeId,
+        vantages,
+        pair_distance: v.get("pair_distance")?.as_f64()?,
+        seed: v.get("seed")?.as_str()?.parse().ok()?,
+        params,
+    })
+}
+
+fn dest_to_json(d: Dest) -> Json {
+    match d {
+        Dest::Unicast(n) => Json::from(n as u64),
+        Dest::Broadcast => Json::Null,
+    }
+}
+
+fn dest_from_json(v: &Json) -> Option<Dest> {
+    match v {
+        Json::Null => Some(Dest::Broadcast),
+        _ => Some(Dest::Unicast(v.as_u64()? as NodeId)),
+    }
+}
+
+fn md_to_hex(md: &[u8; 16]) -> String {
+    let mut s = String::with_capacity(32);
+    for b in md {
+        s.push_str(&format!("{b:02x}"));
+    }
+    s
+}
+
+fn md_from_hex(s: &str) -> Option<[u8; 16]> {
+    if s.len() != 32 || !s.is_ascii() {
+        return None;
+    }
+    let mut md = [0u8; 16];
+    for (i, chunk) in s.as_bytes().chunks_exact(2).enumerate() {
+        md[i] = u8::from_str_radix(std::str::from_utf8(chunk).ok()?, 16).ok()?;
+    }
+    Some(md)
+}
+
+/// Serializes one frame (wire-visible fields only, which is all a frame
+/// has) following `mg_trace::json` conventions.
+fn frame_to_json(f: &Frame) -> Json {
+    let kind = match &f.kind {
+        FrameKind::Rts(r) => Json::obj([(
+            "rts",
+            Json::obj([
+                ("seq", Json::from(u64::from(r.seq_off_wire))),
+                ("att", Json::from(u64::from(r.attempt))),
+                ("md", Json::Str(md_to_hex(&r.md))),
+            ]),
+        )]),
+        FrameKind::Cts => Json::Str("cts".into()),
+        FrameKind::Data { sdu } => Json::obj([(
+            "data",
+            Json::obj([
+                ("id", Json::from(sdu.id)),
+                ("dst", dest_to_json(sdu.dst)),
+                ("len", Json::from(u64::from(sdu.payload_len))),
+            ]),
+        )]),
+        FrameKind::Ack => Json::Str("ack".into()),
+    };
+    Json::obj([
+        ("src", Json::from(f.src as u64)),
+        ("dst", dest_to_json(f.dst)),
+        ("dur", Json::from(f.duration.as_nanos())),
+        ("kind", kind),
+    ])
+}
+
+/// Decodes [`frame_to_json`] output; `None` on any mismatch.
+fn frame_from_json(v: &Json) -> Option<Frame> {
+    let kind_json = v.get("kind")?;
+    let kind = match kind_json.as_str() {
+        Some("cts") => FrameKind::Cts,
+        Some("ack") => FrameKind::Ack,
+        Some(_) => return None,
+        None => {
+            if let Some(r) = kind_json.get("rts") {
+                FrameKind::Rts(RtsFields {
+                    seq_off_wire: u16::try_from(r.get("seq")?.as_u64()?).ok()?,
+                    attempt: u8::try_from(r.get("att")?.as_u64()?).ok()?,
+                    md: md_from_hex(r.get("md")?.as_str()?)?,
+                })
+            } else if let Some(d) = kind_json.get("data") {
+                FrameKind::Data {
+                    sdu: MacSdu {
+                        id: d.get("id")?.as_u64()?,
+                        dst: dest_from_json(d.get("dst")?)?,
+                        payload_len: u16::try_from(d.get("len")?.as_u64()?).ok()?,
+                    },
+                }
+            } else {
+                return None;
+            }
+        }
+    };
+    Some(Frame {
+        src: v.get("src")?.as_u64()? as NodeId,
+        dst: dest_from_json(v.get("dst")?)?,
+        duration: SimDuration::from_nanos(v.get("dur")?.as_u64()?),
+        kind,
+    })
+}
+
+/// Serializes one event as a compact tagged array. Virtual instants are
+/// u64 nanoseconds (all < 2⁵³, so exact in a JSON number); distances use
+/// the shortest-round-trip `f64` rendering.
+fn obs_to_json(o: &Obs) -> Json {
+    match o {
+        Obs::ChannelEdge { node, busy, at } => Json::Arr(vec![
+            Json::Str("edge".into()),
+            Json::from(*node as u64),
+            Json::Bool(*busy),
+            Json::from(at.as_nanos()),
+        ]),
+        Obs::TxStart { src, frame, at, end } => Json::Arr(vec![
+            Json::Str("tx".into()),
+            Json::from(*src as u64),
+            Json::from(at.as_nanos()),
+            Json::from(end.as_nanos()),
+            frame_to_json(frame),
+        ]),
+        Obs::Decoded { at, frame, start, end } => Json::Arr(vec![
+            Json::Str("rx".into()),
+            Json::from(*at as u64),
+            Json::from(start.as_nanos()),
+            Json::from(end.as_nanos()),
+            frame_to_json(frame),
+        ]),
+        Obs::Garbled { at, now } => Json::Arr(vec![
+            Json::Str("garble".into()),
+            Json::from(*at as u64),
+            Json::from(now.as_nanos()),
+        ]),
+        Obs::Ranging { from, to, at } => Json::Arr(vec![
+            Json::Str("rng".into()),
+            Json::from(*from as u64),
+            Json::from(at.as_nanos()),
+            Json::Arr(
+                to.iter()
+                    .map(|&(v, d)| Json::Arr(vec![Json::from(v as u64), Json::Num(d)]))
+                    .collect(),
+            ),
+        ]),
+    }
+}
+
+/// Decodes [`obs_to_json`] output; `None` on any mismatch.
+fn obs_from_json(v: &Json) -> Option<Obs> {
+    let arr = v.as_arr()?;
+    let tag = arr.first()?.as_str()?;
+    match (tag, arr) {
+        ("edge", [_, node, busy, at]) => Some(Obs::ChannelEdge {
+            node: node.as_u64()? as NodeId,
+            busy: busy.as_bool()?,
+            at: SimTime::from_nanos(at.as_u64()?),
+        }),
+        ("tx", [_, src, at, end, frame]) => Some(Obs::TxStart {
+            src: src.as_u64()? as NodeId,
+            frame: frame_from_json(frame)?,
+            at: SimTime::from_nanos(at.as_u64()?),
+            end: SimTime::from_nanos(end.as_u64()?),
+        }),
+        ("rx", [_, at, start, end, frame]) => Some(Obs::Decoded {
+            at: at.as_u64()? as NodeId,
+            frame: frame_from_json(frame)?,
+            start: SimTime::from_nanos(start.as_u64()?),
+            end: SimTime::from_nanos(end.as_u64()?),
+        }),
+        ("garble", [_, at, now]) => Some(Obs::Garbled {
+            at: at.as_u64()? as NodeId,
+            now: SimTime::from_nanos(now.as_u64()?),
+        }),
+        ("rng", [_, from, at, to]) => Some(Obs::Ranging {
+            from: from.as_u64()? as NodeId,
+            to: to
+                .as_arr()?
+                .iter()
+                .map(|p| match p.as_arr()? {
+                    [n, d] => Some((n.as_u64()? as NodeId, d.as_f64()?)),
+                    _ => None,
+                })
+                .collect::<Option<Vec<_>>>()?,
+            at: SimTime::from_nanos(at.as_u64()?),
+        }),
+        _ => None,
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
 
@@ -516,7 +689,6 @@ fn primary_time(o: &Obs) -> u64 {
 /// index, and the checksummed trailer). It implements [`ObsSink`], so any
 /// observation producer can write a journal directly.
 pub struct JournalWriter {
-    meta: ObsMeta,
     inner: WriterInner,
     n_events: u64,
 }
@@ -527,6 +699,8 @@ enum WriterInner {
 }
 
 struct BinWriter {
+    /// The header's vantage list, which the index block follows.
+    vantages: Vec<NodeId>,
     buf: Vec<u8>,
     events_start: usize,
     prev_time: u64,
@@ -537,7 +711,7 @@ struct BinWriter {
     ranging_order: Vec<Vec<u8>>,
     /// Index entries: (offset into the events section, delta base at that
     /// offset). `shared` holds the Ranging events every vantage projection
-    /// includes; `per_vantage[i]` follows `meta.vantages[i]`.
+    /// includes; `per_vantage[i]` follows `vantages[i]`.
     shared: Vec<(u64, u64)>,
     per_vantage: Vec<Vec<(u64, u64)>>,
 }
@@ -547,7 +721,7 @@ impl JournalWriter {
     pub fn new(format: JournalFormat, meta: &ObsMeta) -> JournalWriter {
         let inner = match format {
             JournalFormat::Jsonl => {
-                let mut text = meta.to_json().render();
+                let mut text = meta_to_json(meta).render();
                 text.push('\n');
                 WriterInner::Jsonl(text)
             }
@@ -572,6 +746,7 @@ impl JournalWriter {
                 }
                 let events_start = buf.len();
                 WriterInner::Binary(Box::new(BinWriter {
+                    vantages: meta.vantages.clone(),
                     buf,
                     events_start,
                     prev_time: 0,
@@ -584,20 +759,7 @@ impl JournalWriter {
                 }))
             }
         };
-        JournalWriter { meta: meta.clone(), inner, n_events: 0 }
-    }
-
-    /// The journal header this writer was opened with.
-    pub fn meta(&self) -> &ObsMeta {
-        &self.meta
-    }
-
-    /// The format being written.
-    pub fn format(&self) -> JournalFormat {
-        match &self.inner {
-            WriterInner::Jsonl(_) => JournalFormat::Jsonl,
-            WriterInner::Binary(_) => JournalFormat::Binary,
-        }
+        JournalWriter { inner, n_events: 0 }
     }
 
     /// Events written so far.
@@ -619,7 +781,7 @@ impl JournalWriter {
                 text.push_str(&obs_to_json(o).render());
                 text.push('\n');
             }
-            WriterInner::Binary(w) => w.push(&self.meta, o),
+            WriterInner::Binary(w) => w.push(o),
         }
     }
 
@@ -661,13 +823,13 @@ impl BinWriter {
         id
     }
 
-    fn push(&mut self, meta: &ObsMeta, o: &Obs) {
+    fn push(&mut self, o: &Obs) {
         let offset = (self.buf.len() - self.events_start) as u64;
         let base = self.prev_time;
         match projection_node(o) {
             None => self.shared.push((offset, base)),
             Some(n) => {
-                for (i, &v) in meta.vantages.iter().enumerate() {
+                for (i, &v) in self.vantages.iter().enumerate() {
                     if v == n {
                         self.per_vantage[i].push((offset, base));
                     }
@@ -854,7 +1016,7 @@ impl JournalReader {
         let head = head.ok_or(JournalError::Syntax { line: 1, what: "empty journal".into() })?;
         let meta_json = Json::parse(&head)
             .map_err(|e| JournalError::Syntax { line: 1, what: format!("{e:?}") })?;
-        let meta = ObsMeta::from_json(&meta_json)
+        let meta = meta_from_json(&meta_json)
             .ok_or(JournalError::Syntax { line: 1, what: "not a meta header".into() })?;
         Ok(JournalReader { meta, bytes, inner: ReaderInner::Jsonl { events_at, n_events } })
     }
@@ -1050,9 +1212,10 @@ impl JournalReader {
         Ok((obs, c.pos, t))
     }
 
-    /// The per-vantage stream, as [`ObsJournal::for_vantage`] defines it:
-    /// events observable at `v`, plus every shared [`Obs::Ranging`]
-    /// snapshot, in journal order.
+    /// The per-vantage stream: events observable at `v` (its channel edges,
+    /// transmissions, decodes and garbles), plus every shared
+    /// [`Obs::Ranging`] snapshot — each vantage's pool needs the geometry —
+    /// in journal order.
     ///
     /// For binary journals of an indexed vantage (one listed in
     /// `meta.vantages`) this decodes **only** the projected events via the

@@ -10,18 +10,17 @@
 //!   simulation (`Medium`, `World`). Anything a [`Monitor`] ever learns
 //!   arrives as one of these.
 //! * [`ObsSink`] — the single `ingest(&Obs)` entry point detectors expose.
-//! * [`ObsJournal`] — a serializable recording of an entire run's `Obs`
-//!   stream (atomic tmp+rename writes), so one simulated world can be
-//!   **replayed** into arbitrarily many detector configurations with zero
-//!   re-simulation.
-//! * [`codec`] — the journal I/O layer: [`JournalFormat`] (framed binary v1
-//!   as the production codec, JSONL as the debug/export codec),
-//!   streaming [`JournalWriter`]/[`JournalReader`], and format
-//!   auto-detection by magic sniffing.
+//! * [`ObsJournal`] — an in-memory recording of a run's `Obs` stream
+//!   (header + events), so one simulated world can be **replayed** into
+//!   arbitrarily many detector configurations with zero re-simulation.
+//! * [`codec`] — the one journal codec: [`JournalFormat`] (framed binary v1
+//!   as the production format, JSONL as the debug/export format), the
+//!   streaming [`JournalWriter`] (the only encoder) and [`JournalReader`]
+//!   (the only decoder, with format auto-detection by magic sniffing).
 //!
-//! The JSONL codec follows `mg_trace::json` conventions: insertion-ordered
+//! The JSONL format follows `mg_trace::json` conventions: insertion-ordered
 //! objects, shortest-round-trip `f64` rendering, so `encode ∘ decode ≡ id`
-//! byte-for-byte and journals diff cleanly. The binary codec is compact
+//! byte-for-byte and journals diff cleanly. The binary format is compact
 //! (interned frame/ranging tables, varint timestamp deltas), indexed per
 //! vantage, and checksummed so damage is detected rather than silently
 //! accepted.
@@ -33,14 +32,12 @@
 pub mod codec;
 
 pub use codec::{
-    base64_to_bytes, bytes_to_base64, BinaryCodec, Events, JournalCodec, JournalError,
-    JournalFormat, JournalReader, JournalWriter, JsonlCodec,
+    base64_to_bytes, bytes_to_base64, Events, JournalError, JournalFormat, JournalReader,
+    JournalWriter,
 };
 
-use mg_dcf::{Dest, Frame, FrameKind, MacSdu, RtsFields};
-use mg_sim::{SimDuration, SimTime};
-use mg_trace::json::Json;
-use std::path::Path;
+use mg_dcf::Frame;
+use mg_sim::SimTime;
 
 /// Index of a node in the simulation.
 pub type NodeId = usize;
@@ -142,67 +139,14 @@ impl ObsMeta {
     pub fn param_parsed<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
         self.param(key)?.parse().ok()
     }
-
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("tagged", Json::from(self.tagged as u64)),
-            (
-                "vantages",
-                Json::Arr(self.vantages.iter().map(|&v| Json::from(v as u64)).collect()),
-            ),
-            ("pair_distance", Json::Num(self.pair_distance)),
-            // Decimal string: a full-range u64 seed does not fit a JSON
-            // number (f64 loses precision past 2^53).
-            ("seed", Json::Str(self.seed.to_string())),
-            (
-                "params",
-                Json::Arr(
-                    self.params
-                        .iter()
-                        .map(|(k, v)| {
-                            Json::Arr(vec![Json::Str(k.clone()), Json::Str(v.clone())])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Option<ObsMeta> {
-        let vantages = v
-            .get("vantages")?
-            .as_arr()?
-            .iter()
-            .map(|n| Some(n.as_u64()? as NodeId))
-            .collect::<Option<Vec<_>>>()?;
-        let params = v
-            .get("params")?
-            .as_arr()?
-            .iter()
-            .map(|p| match p.as_arr()? {
-                [k, val] => Some((k.as_str()?.to_string(), val.as_str()?.to_string())),
-                _ => None,
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(ObsMeta {
-            tagged: v.get("tagged")?.as_u64()? as NodeId,
-            vantages,
-            pair_distance: v.get("pair_distance")?.as_f64()?,
-            seed: v.get("seed")?.as_str()?.parse().ok()?,
-            params,
-        })
-    }
 }
 
-/// A recorded `Obs` stream: header + chronological events.
+/// A recorded `Obs` stream in memory: header + chronological events.
 ///
-/// The on-disk encoding is a [`JournalFormat`] — framed binary v1 by
-/// default, JSONL for debugging/export — rendered deterministically so
-/// equal journals are byte-identical within a format. Writes go through a
-/// temporary file and an atomic rename (the same discipline as mg-runner's
-/// cache), so a crashed recorder never leaves a half-written journal
-/// behind. [`ObsJournal::load`] auto-detects the format by magic sniffing,
-/// so old JSONL journals keep working.
+/// Bytes on disk, in the sweep cache and on the `mgd` wire are written by
+/// [`JournalWriter`] and read back by [`JournalReader`];
+/// [`ObsJournal::encode`] and [`JournalReader::read_journal`] convert an
+/// in-memory journal to and from them.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ObsJournal {
     meta: ObsMeta,
@@ -243,19 +187,6 @@ impl ObsJournal {
         self.events.push(obs);
     }
 
-    /// The per-vantage stream: events observable at vantage `v`.
-    /// [`Obs::Ranging`] events are shared — every vantage's monitor pool
-    /// needs the geometry — so they appear in every stream.
-    pub fn for_vantage(&self, v: NodeId) -> impl Iterator<Item = &Obs> {
-        self.events.iter().filter(move |o| match o {
-            Obs::ChannelEdge { node, .. } => *node == v,
-            Obs::TxStart { src, .. } => *src == v,
-            Obs::Decoded { at, .. } => *at == v,
-            Obs::Garbled { at, .. } => *at == v,
-            Obs::Ranging { .. } => true,
-        })
-    }
-
     /// Feeds every recorded event, in order, into `sink`.
     pub fn replay(&self, sink: &mut impl ObsSink) {
         for o in &self.events {
@@ -263,254 +194,11 @@ impl ObsJournal {
         }
     }
 
-    /// The whole journal as a single JSON value (for cache codecs).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("meta", self.meta.to_json()),
-            ("events", Json::Arr(self.events.iter().map(obs_to_json).collect())),
-        ])
-    }
-
-    /// Decodes [`ObsJournal::to_json`] output; `None` on any mismatch.
-    pub fn from_json(v: &Json) -> Option<ObsJournal> {
-        let meta = ObsMeta::from_json(v.get("meta")?)?;
-        let events = v
-            .get("events")?
-            .as_arr()?
-            .iter()
-            .map(obs_from_json)
-            .collect::<Option<Vec<_>>>()?;
-        Some(ObsJournal { meta, events })
-    }
-
-    /// Deterministic JSONL rendering: meta line, then one event per line.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.meta.to_json().render());
-        out.push('\n');
-        for o in &self.events {
-            out.push_str(&obs_to_json(o).render());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses [`ObsJournal::to_jsonl`] output.
-    pub fn from_jsonl(text: &str) -> Result<ObsJournal, String> {
-        let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
-        let (_, head) = lines.next().ok_or("empty journal")?;
-        let meta_json =
-            Json::parse(head).map_err(|e| format!("journal line 1: {e:?}"))?;
-        let meta = ObsMeta::from_json(&meta_json).ok_or("journal line 1: not a meta header")?;
-        let mut events = Vec::new();
-        for (i, line) in lines {
-            let v = Json::parse(line).map_err(|e| format!("journal line {}: {e:?}", i + 1))?;
-            events.push(
-                obs_from_json(&v).ok_or_else(|| format!("journal line {}: bad event", i + 1))?,
-            );
-        }
-        Ok(ObsJournal { meta, events })
-    }
-
-    /// Serializes the journal in the given format.
+    /// Serializes the journal in the given format through a
+    /// [`JournalWriter`], the one journal encoder.
     pub fn encode(&self, format: JournalFormat) -> Vec<u8> {
-        format.codec().encode(self)
-    }
-
-    /// Writes the journal atomically in the given format: bytes go to
-    /// `<path>.tmp.<pid>`, then a rename over `path`. Parent directories
-    /// are created as needed.
-    pub fn save(&self, path: &Path, format: JournalFormat) -> std::io::Result<()> {
-        codec::write_atomic(path, &self.encode(format))
-    }
-
-    /// Reads a journal written by [`ObsJournal::save`], auto-detecting the
-    /// format by magic sniffing (old JSONL journals keep working).
-    pub fn load(path: &Path) -> Result<ObsJournal, JournalError> {
-        JournalReader::open(path)?.read_journal()
-    }
-}
-
-fn dest_to_json(d: Dest) -> Json {
-    match d {
-        Dest::Unicast(n) => Json::from(n as u64),
-        Dest::Broadcast => Json::Null,
-    }
-}
-
-fn dest_from_json(v: &Json) -> Option<Dest> {
-    match v {
-        Json::Null => Some(Dest::Broadcast),
-        _ => Some(Dest::Unicast(v.as_u64()? as NodeId)),
-    }
-}
-
-fn md_to_hex(md: &[u8; 16]) -> String {
-    let mut s = String::with_capacity(32);
-    for b in md {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
-fn md_from_hex(s: &str) -> Option<[u8; 16]> {
-    if s.len() != 32 || !s.is_ascii() {
-        return None;
-    }
-    let mut md = [0u8; 16];
-    for (i, chunk) in s.as_bytes().chunks_exact(2).enumerate() {
-        md[i] = u8::from_str_radix(std::str::from_utf8(chunk).ok()?, 16).ok()?;
-    }
-    Some(md)
-}
-
-/// Serializes one frame (wire-visible fields only, which is all a frame
-/// has) following `mg_trace::json` conventions.
-pub fn frame_to_json(f: &Frame) -> Json {
-    let kind = match &f.kind {
-        FrameKind::Rts(r) => Json::obj([(
-            "rts",
-            Json::obj([
-                ("seq", Json::from(u64::from(r.seq_off_wire))),
-                ("att", Json::from(u64::from(r.attempt))),
-                ("md", Json::Str(md_to_hex(&r.md))),
-            ]),
-        )]),
-        FrameKind::Cts => Json::Str("cts".into()),
-        FrameKind::Data { sdu } => Json::obj([(
-            "data",
-            Json::obj([
-                ("id", Json::from(sdu.id)),
-                ("dst", dest_to_json(sdu.dst)),
-                ("len", Json::from(u64::from(sdu.payload_len))),
-            ]),
-        )]),
-        FrameKind::Ack => Json::Str("ack".into()),
-    };
-    Json::obj([
-        ("src", Json::from(f.src as u64)),
-        ("dst", dest_to_json(f.dst)),
-        ("dur", Json::from(f.duration.as_nanos())),
-        ("kind", kind),
-    ])
-}
-
-/// Decodes [`frame_to_json`] output; `None` on any mismatch.
-pub fn frame_from_json(v: &Json) -> Option<Frame> {
-    let kind_json = v.get("kind")?;
-    let kind = match kind_json.as_str() {
-        Some("cts") => FrameKind::Cts,
-        Some("ack") => FrameKind::Ack,
-        Some(_) => return None,
-        None => {
-            if let Some(r) = kind_json.get("rts") {
-                FrameKind::Rts(RtsFields {
-                    seq_off_wire: u16::try_from(r.get("seq")?.as_u64()?).ok()?,
-                    attempt: u8::try_from(r.get("att")?.as_u64()?).ok()?,
-                    md: md_from_hex(r.get("md")?.as_str()?)?,
-                })
-            } else if let Some(d) = kind_json.get("data") {
-                FrameKind::Data {
-                    sdu: MacSdu {
-                        id: d.get("id")?.as_u64()?,
-                        dst: dest_from_json(d.get("dst")?)?,
-                        payload_len: u16::try_from(d.get("len")?.as_u64()?).ok()?,
-                    },
-                }
-            } else {
-                return None;
-            }
-        }
-    };
-    Some(Frame {
-        src: v.get("src")?.as_u64()? as NodeId,
-        dst: dest_from_json(v.get("dst")?)?,
-        duration: SimDuration::from_nanos(v.get("dur")?.as_u64()?),
-        kind,
-    })
-}
-
-/// Serializes one event as a compact tagged array. Virtual instants are
-/// u64 nanoseconds (all < 2⁵³, so exact in a JSON number); distances use
-/// the shortest-round-trip `f64` rendering.
-pub fn obs_to_json(o: &Obs) -> Json {
-    match o {
-        Obs::ChannelEdge { node, busy, at } => Json::Arr(vec![
-            Json::Str("edge".into()),
-            Json::from(*node as u64),
-            Json::Bool(*busy),
-            Json::from(at.as_nanos()),
-        ]),
-        Obs::TxStart { src, frame, at, end } => Json::Arr(vec![
-            Json::Str("tx".into()),
-            Json::from(*src as u64),
-            Json::from(at.as_nanos()),
-            Json::from(end.as_nanos()),
-            frame_to_json(frame),
-        ]),
-        Obs::Decoded { at, frame, start, end } => Json::Arr(vec![
-            Json::Str("rx".into()),
-            Json::from(*at as u64),
-            Json::from(start.as_nanos()),
-            Json::from(end.as_nanos()),
-            frame_to_json(frame),
-        ]),
-        Obs::Garbled { at, now } => Json::Arr(vec![
-            Json::Str("garble".into()),
-            Json::from(*at as u64),
-            Json::from(now.as_nanos()),
-        ]),
-        Obs::Ranging { from, to, at } => Json::Arr(vec![
-            Json::Str("rng".into()),
-            Json::from(*from as u64),
-            Json::from(at.as_nanos()),
-            Json::Arr(
-                to.iter()
-                    .map(|&(v, d)| Json::Arr(vec![Json::from(v as u64), Json::Num(d)]))
-                    .collect(),
-            ),
-        ]),
-    }
-}
-
-/// Decodes [`obs_to_json`] output; `None` on any mismatch.
-pub fn obs_from_json(v: &Json) -> Option<Obs> {
-    let arr = v.as_arr()?;
-    let tag = arr.first()?.as_str()?;
-    match (tag, arr) {
-        ("edge", [_, node, busy, at]) => Some(Obs::ChannelEdge {
-            node: node.as_u64()? as NodeId,
-            busy: busy.as_bool()?,
-            at: SimTime::from_nanos(at.as_u64()?),
-        }),
-        ("tx", [_, src, at, end, frame]) => Some(Obs::TxStart {
-            src: src.as_u64()? as NodeId,
-            frame: frame_from_json(frame)?,
-            at: SimTime::from_nanos(at.as_u64()?),
-            end: SimTime::from_nanos(end.as_u64()?),
-        }),
-        ("rx", [_, at, start, end, frame]) => Some(Obs::Decoded {
-            at: at.as_u64()? as NodeId,
-            frame: frame_from_json(frame)?,
-            start: SimTime::from_nanos(start.as_u64()?),
-            end: SimTime::from_nanos(end.as_u64()?),
-        }),
-        ("garble", [_, at, now]) => Some(Obs::Garbled {
-            at: at.as_u64()? as NodeId,
-            now: SimTime::from_nanos(now.as_u64()?),
-        }),
-        ("rng", [_, from, at, to]) => Some(Obs::Ranging {
-            from: from.as_u64()? as NodeId,
-            to: to
-                .as_arr()?
-                .iter()
-                .map(|p| match p.as_arr()? {
-                    [n, d] => Some((n.as_u64()? as NodeId, d.as_f64()?)),
-                    _ => None,
-                })
-                .collect::<Option<Vec<_>>>()?,
-            at: SimTime::from_nanos(at.as_u64()?),
-        }),
-        _ => None,
+        let mut w = JournalWriter::new(format, &self.meta);
+        self.replay(&mut w);
+        w.finish()
     }
 }

@@ -1,14 +1,15 @@
 //! Property-based tests for the Obs codec and journal (mg-testkit harness).
+//! Every byte is written by `JournalWriter` and read by `JournalReader`,
+//! the crate's one encoder and one decoder.
 
 use mg_dcf::{Dest, Frame, FrameKind, MacSdu, RtsFields};
 use mg_obs::{
-    base64_to_bytes, bytes_to_base64, obs_from_json, obs_to_json, JournalError, JournalFormat,
-    JournalReader, JournalWriter, Obs, ObsJournal, ObsMeta, ObsSink,
+    base64_to_bytes, bytes_to_base64, JournalError, JournalFormat, JournalReader, JournalWriter,
+    NodeId, Obs, ObsJournal, ObsMeta, ObsSink,
 };
 use mg_sim::{SimDuration, SimTime};
 use mg_testkit::prop::{check, Gen, TkResult};
 use mg_testkit::{tk_assert, tk_assert_eq};
-use mg_trace::json::Json;
 
 fn gen_dest(g: &mut Gen) -> Dest {
     if g.bool() {
@@ -96,21 +97,53 @@ fn gen_meta(g: &mut Gen) -> ObsMeta {
     }
 }
 
+fn gen_journal(g: &mut Gen, max_events: usize) -> ObsJournal {
+    let mut j = ObsJournal::new(gen_meta(g));
+    for _ in 0..g.usize_in(0..max_events) {
+        j.push(gen_obs(g));
+    }
+    j
+}
+
+/// Decodes a whole journal through the reader, as a test failure on error.
+fn read(bytes: Vec<u8>) -> Result<ObsJournal, mg_testkit::TkError> {
+    JournalReader::from_bytes(bytes)
+        .and_then(|r| r.read_journal())
+        .map_err(|e| mg_testkit::TkError::Fail(format!("decode: {e}")))
+}
+
+/// True when `o` belongs in vantage `v`'s stream: events observable at `v`,
+/// plus every shared [`Obs::Ranging`].
+fn observable_at(o: &Obs, v: NodeId) -> bool {
+    match o {
+        Obs::ChannelEdge { node, .. } => *node == v,
+        Obs::TxStart { src, .. } => *src == v,
+        Obs::Decoded { at, .. } => *at == v,
+        Obs::Garbled { at, .. } => *at == v,
+        Obs::Ranging { .. } => true,
+    }
+}
+
+/// The per-vantage stream by full scan: the oracle for `vantage_events`.
+fn for_vantage(j: &ObsJournal, v: NodeId) -> Vec<Obs> {
+    j.events().iter().filter(|o| observable_at(o, v)).cloned().collect()
+}
+
 /// `encode ∘ decode ≡ id` for single events, through a full render/parse
-/// cycle (the codec must survive the textual representation, not just the
-/// in-memory Json tree).
+/// cycle of a one-event JSONL journal (the codec must survive the textual
+/// representation, not just the in-memory Json tree).
 #[test]
 fn obs_codec_round_trips() {
     check("obs_codec_round_trips", |g: &mut Gen| -> TkResult {
         let obs = gen_obs(g);
-        let text = obs_to_json(&obs).render();
-        let parsed = Json::parse(&text).map_err(|e| mg_testkit::TkError::Fail(format!("parse: {e:?}")))?;
-        let back = obs_from_json(&parsed)
-            .ok_or_else(|| mg_testkit::TkError::Fail("decode failed".into()))?;
-        tk_assert_eq!(back, obs);
+        let mut j = ObsJournal::new(gen_meta(g));
+        j.push(obs.clone());
+        let text = j.encode(JournalFormat::Jsonl);
+        let back = read(text.clone())?;
+        tk_assert_eq!(back.events().to_vec(), vec![obs]);
         // Deterministic rendering: encoding the decoded value reproduces
         // the exact bytes.
-        tk_assert_eq!(obs_to_json(&back).render(), text);
+        tk_assert_eq!(back.encode(JournalFormat::Jsonl), text);
         Ok(())
     });
 }
@@ -119,52 +152,52 @@ fn obs_codec_round_trips() {
 #[test]
 fn journal_jsonl_round_trips() {
     check("journal_jsonl_round_trips", |g: &mut Gen| -> TkResult {
-        let mut j = ObsJournal::new(gen_meta(g));
-        for _ in 0..g.usize_in(0..20) {
-            j.push(gen_obs(g));
-        }
-        let text = j.to_jsonl();
-        let back = ObsJournal::from_jsonl(&text).map_err(mg_testkit::TkError::Fail)?;
+        let j = gen_journal(g, 20);
+        let text = j.encode(JournalFormat::Jsonl);
+        let back = read(text.clone())?;
         tk_assert_eq!(back, j);
-        tk_assert_eq!(back.to_jsonl(), text);
-        // And the single-value codec used by the sweep cache agrees.
-        let via_json = ObsJournal::from_json(&j.to_json())
-            .ok_or_else(|| mg_testkit::TkError::Fail("from_json failed".into()))?;
-        tk_assert_eq!(via_json, j);
+        tk_assert_eq!(back.encode(JournalFormat::Jsonl), text);
+        // And the single-value carrier the sweep cache stores (base64 of
+        // the binary encoding) agrees.
+        let carried = base64_to_bytes(&bytes_to_base64(&j.encode(JournalFormat::Binary)))
+            .ok_or_else(|| mg_testkit::TkError::Fail("base64 decode failed".into()))?;
+        tk_assert_eq!(read(carried)?, j);
         Ok(())
     });
 }
 
-/// Per-vantage streams partition vantage-specific events and share Ranging.
+/// Per-vantage streams partition vantage-specific events and share Ranging,
+/// in both formats (binary through the index block, JSONL by scan).
 #[test]
 fn per_vantage_streams_cover_the_journal() {
     check("per_vantage_streams", |g: &mut Gen| -> TkResult {
-        let mut j = ObsJournal::new(gen_meta(g));
-        for _ in 0..g.usize_in(0..30) {
-            j.push(gen_obs(g));
-        }
-        for &v in j.meta().vantages.clone().iter() {
-            for o in j.for_vantage(v) {
-                let ok = match o {
-                    Obs::ChannelEdge { node, .. } => *node == v,
-                    Obs::TxStart { src, .. } => *src == v,
-                    Obs::Decoded { at, .. } => *at == v,
-                    Obs::Garbled { at, .. } => *at == v,
-                    Obs::Ranging { .. } => true,
-                };
-                tk_assert!(ok, "stream for {v} leaked a foreign event: {o:?}");
+        let j = gen_journal(g, 30);
+        for format in [JournalFormat::Jsonl, JournalFormat::Binary] {
+            let reader = JournalReader::from_bytes(j.encode(format))
+                .map_err(|e| mg_testkit::TkError::Fail(format!("open: {e}")))?;
+            for &v in &j.meta().vantages {
+                let stream = reader
+                    .vantage_events(v)
+                    .map_err(|e| mg_testkit::TkError::Fail(format!("project {v}: {e}")))?;
+                for o in &stream {
+                    tk_assert!(
+                        observable_at(o, v),
+                        "stream for {v} leaked a foreign event: {o:?}"
+                    );
+                }
             }
         }
         Ok(())
     });
 }
 
-/// Corrupt journals are rejected, not misparsed.
+/// Corrupt JSONL journals are rejected, not misparsed.
 #[test]
 fn malformed_journals_are_rejected() {
-    assert!(ObsJournal::from_jsonl("").is_err());
-    assert!(ObsJournal::from_jsonl("not json\n").is_err());
-    assert!(ObsJournal::from_jsonl("{\"tagged\":1}\n").is_err());
+    let load = |text: &str| JournalReader::from_bytes(text.into()).and_then(|r| r.read_journal());
+    assert!(load("").is_err());
+    assert!(load("not json\n").is_err());
+    assert!(load("{\"tagged\":1}\n").is_err());
     let good = ObsJournal::new(ObsMeta {
         tagged: 0,
         vantages: vec![1],
@@ -172,13 +205,13 @@ fn malformed_journals_are_rejected() {
         seed: 7,
         params: vec![],
     });
-    let mut text = good.to_jsonl();
+    let mut text = String::from_utf8(good.encode(JournalFormat::Jsonl)).unwrap();
     text.push_str("[\"edge\",1,true]\n"); // truncated event
-    assert!(ObsJournal::from_jsonl(&text).is_err());
+    assert!(load(&text).is_err());
 }
 
-/// save/load round-trips through the filesystem atomically, in both
-/// formats, with load auto-detecting the format by magic sniffing.
+/// A writer's atomic save round-trips through the filesystem, in both
+/// formats, with the reader auto-detecting the format by magic sniffing.
 #[test]
 fn save_load_round_trips() {
     let mut j = ObsJournal::new(ObsMeta {
@@ -200,22 +233,18 @@ fn save_load_round_trips() {
     let dir = std::env::temp_dir().join(format!("mg-obs-test-{}", std::process::id()));
     for format in [JournalFormat::Jsonl, JournalFormat::Binary] {
         let path = dir.join("nested").join(format!("run.{}", format.name()));
-        j.save(&path, format).expect("save");
-        let back = ObsJournal::load(&path).expect("load");
+        let mut w = JournalWriter::new(format, j.meta());
+        j.replay(&mut w);
+        w.save(&path).expect("save");
+        let back = JournalReader::open(&path)
+            .and_then(|r| r.read_journal())
+            .expect("load");
         assert_eq!(back, j);
         let reader = JournalReader::open(&path).expect("open");
         assert_eq!(reader.format(), format);
         assert_eq!(reader.len(), j.len());
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-fn gen_journal(g: &mut Gen, max_events: usize) -> ObsJournal {
-    let mut j = ObsJournal::new(gen_meta(g));
-    for _ in 0..g.usize_in(0..max_events) {
-        j.push(gen_obs(g));
-    }
-    j
 }
 
 /// Binary `encode ∘ decode ≡ id` on random Obs tapes, and the encoding is
@@ -239,18 +268,15 @@ fn binary_round_trips() {
     });
 }
 
-/// The streaming writer produces exactly the whole-journal encoding, in
-/// both formats: pushing events one at a time is the same as encoding the
-/// finished journal.
+/// The writer fed as an `ObsSink` (a recorder writing straight through it)
+/// produces exactly the whole-journal encoding, in both formats.
 #[test]
 fn streaming_writer_matches_whole_journal_encode() {
     check("streaming_writer_matches_encode", |g: &mut Gen| -> TkResult {
         let j = gen_journal(g, 30);
         for format in [JournalFormat::Jsonl, JournalFormat::Binary] {
             let mut w = JournalWriter::new(format, j.meta());
-            for o in j.events() {
-                w.push(o);
-            }
+            j.replay(&mut w);
             tk_assert_eq!(w.len(), j.len());
             tk_assert_eq!(w.finish(), j.encode(format));
         }
@@ -298,7 +324,7 @@ fn corrupt_binary_journals_are_rejected() {
 }
 
 /// `vantage_events` through the binary index block ≡ the full-scan
-/// `for_vantage` projection, for indexed and non-indexed vantages alike.
+/// [`for_vantage`] oracle, for indexed and non-indexed vantages alike.
 #[test]
 fn indexed_projection_matches_full_scan() {
     check("indexed_projection_matches_scan", |g: &mut Gen| -> TkResult {
@@ -311,7 +337,7 @@ fn indexed_projection_matches_full_scan() {
             let via_index = reader
                 .vantage_events(v)
                 .map_err(|e| mg_testkit::TkError::Fail(format!("project {v}: {e}")))?;
-            let via_scan: Vec<Obs> = j.for_vantage(v).cloned().collect();
+            let via_scan = for_vantage(&j, v);
             tk_assert_eq!(via_index, via_scan);
         }
         Ok(())

@@ -34,6 +34,11 @@ use std::io::{self, Read, Write};
 /// a corrupted length prefix cannot trigger a multi-gigabyte allocation.
 pub const MAX_FRAME: usize = 64 << 20;
 
+/// The most a frame's buffer reserves before any payload byte arrives; it
+/// grows past this only as bytes are actually read, so a peer that claims
+/// [`MAX_FRAME`] and then stalls pins at most this much.
+const FIRST_RESERVE: usize = 1 << 20;
+
 /// A wire-protocol failure: transport I/O or journal-payload validation.
 #[derive(Debug)]
 pub enum WireError {
@@ -86,7 +91,8 @@ pub fn write_end(w: &mut impl Write) -> io::Result<()> {
 
 /// Reads one frame. `Ok(None)` is the end-of-stream marker; an oversized
 /// length prefix is `InvalidData` (a corrupted or hostile peer), a short
-/// read is `UnexpectedEof`.
+/// read is `UnexpectedEof`. The payload buffer grows with the bytes
+/// received, not with the length claimed.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut hdr = [0u8; 4];
     r.read_exact(&mut hdr)?;
@@ -100,8 +106,14 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
         ));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
+    let mut buf = Vec::with_capacity(len.min(FIRST_RESERVE));
+    r.take(len as u64).read_to_end(&mut buf)?;
+    if buf.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame cut short: {} of {len} payload bytes", buf.len()),
+        ));
+    }
     Ok(Some(buf))
 }
 

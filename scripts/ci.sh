@@ -228,6 +228,14 @@ if [ $((bin_size * 5)) -gt "$jsonl_size" ]; then
     echo "error: binary journal ($bin_size B) is not >=5x smaller than JSONL ($jsonl_size B)" >&2
     exit 1
 fi
+# The binary journal transcodes back to the recorded JSONL byte-for-byte:
+# one writer and one reader, both formats, no drift between them.
+cargo run -q --release --offline -- journal transcode "$outdir/journal.bin" \
+    "$outdir/journal-back.jsonl" --journal-format jsonl >/dev/null
+if ! cmp "$outdir/journal.jsonl" "$outdir/journal-back.jsonl"; then
+    echo "error: jsonl -> bin -> jsonl transcode is not byte-identical" >&2
+    exit 1
+fi
 # A malformed --journal-format value is a usage error, like any other flag.
 set +e
 cargo run -q --release --offline -- detect --pm 1 --secs 1 \
@@ -239,7 +247,7 @@ if [ "$badfmt_status" -ne 2 ] || ! grep -q -- "invalid value for --journal-forma
     echo "error: a malformed --journal-format must exit 2 with usage" >&2
     exit 1
 fi
-echo "ok: cross-format replay byte-identical; binary ${bin_size} B vs JSONL ${jsonl_size} B"
+echo "ok: cross-format replay and transcode byte-identical; binary ${bin_size} B vs JSONL ${jsonl_size} B"
 
 echo "== journal gate: corrupt journals fail cleanly =="
 # Truncation and bit rot must be *detected* — a clean exit 1 with a typed

@@ -371,6 +371,22 @@ fn emit_trace_metrics<P: NetObserver>(world: &World<Assembly<P>>, o: &DetectOpts
     }
 }
 
+/// `--record`: writes the recorded journal atomically in `format`, or
+/// exits 1 naming the path.
+fn save_recording(journal: &ObsJournal, path: &str, format: JournalFormat) {
+    let bytes = journal.encode(format);
+    match manet_guard::obs::codec::write_atomic(std::path::Path::new(path), &bytes) {
+        Ok(()) => println!(
+            "record   : {} observations written to {path} ({format} format)",
+            journal.len()
+        ),
+        Err(e) => {
+            eprintln!("error: cannot write journal to {path}: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 /// `detect --quorum K` (live): simulate once with an observation recorder
 /// over up to `2K+1` in-range vantages, then replay the recorded journal
 /// into a [`QuorumSession`] — accusation gossip, k-of-n conviction — and
@@ -481,20 +497,10 @@ fn quorum_detect(o: &DetectOpts, k: usize) {
         world.events_fired()
     );
 
-    let journal = world.probe().journal().clone();
+    let journal = world.probe().journal();
     emit_trace_metrics(&world, o);
     if let Some(path) = &o.record {
-        match journal.save(std::path::Path::new(path), o.journal_format) {
-            Ok(()) => println!(
-                "record   : {} observations written to {path} ({} format)",
-                journal.len(),
-                o.journal_format
-            ),
-            Err(e) => {
-                eprintln!("error: cannot write journal to {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        save_recording(journal, path, o.journal_format);
     }
 
     let mut q = QuorumSpec::new(attacker_node, &members, mc, k)
@@ -553,16 +559,10 @@ fn replay_detect(o: &DetectOpts, path: &str) {
         // Collaborative replay: materialize the journal (the member set
         // needs its geometry before the first event), then stream it into
         // one gossiping QuorumSession.
-        let mut journal = ObsJournal::new(meta.clone());
-        for ev in reader.events() {
-            match ev {
-                Ok(obs) => journal.push(obs),
-                Err(e) => {
-                    eprintln!("error: journal {path} is damaged: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
+        let journal = reader.read_journal().unwrap_or_else(|e| {
+            eprintln!("error: journal {path} is damaged: {e}");
+            std::process::exit(1);
+        });
         let members = members_from_journal(&journal);
         if members.len() < k {
             eprintln!(
@@ -921,18 +921,7 @@ fn detect(o: DetectOpts) {
         };
         let mut world = builder.probe(ObsRecorder::new(meta)).build();
         run_and_report(&mut world, &o, attacker, attacker_node, &watches);
-        let journal = world.probe().journal();
-        match journal.save(std::path::Path::new(&path), o.journal_format) {
-            Ok(()) => println!(
-                "record   : {} observations written to {path} ({} format)",
-                journal.len(),
-                o.journal_format
-            ),
-            Err(e) => {
-                eprintln!("error: cannot write journal to {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        save_recording(world.probe().journal(), &path, o.journal_format);
     } else {
         let mut world = builder.build();
         run_and_report(&mut world, &o, attacker, attacker_node, &watches);
