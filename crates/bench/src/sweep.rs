@@ -30,7 +30,9 @@ use mg_trace::MetricsSnapshot;
 /// record each world's observation stream once and replay it per knob.
 /// v4: journal entries switched from the JSON tree to the framed binary v1
 /// codec (base64-wrapped inside the JSON cache carrier).
-pub const SCHEMA: u64 = 4;
+/// v5: binary v2 journals (no per-vantage index, word-wise checksum), so
+/// cached v1 entries miss by key instead of failing decode.
+pub const SCHEMA: u64 = 5;
 
 /// Key for one detection trial (or one fanned-out trial when `sample_sizes`
 /// has several entries). `cfg` must be the fully resolved config — seed,
@@ -129,7 +131,7 @@ pub fn quorum_codec() -> Codec<QuorumOutcome> {
     }
 }
 
-/// Codec for a recorded [`ObsJournal`]: framed binary v1, base64-wrapped
+/// Codec for a recorded [`ObsJournal`]: binary format v2, base64-wrapped
 /// because the mg-runner cache stores JSON documents. The binary layer's
 /// own checksum rides inside the entry, so a corrupted cache file fails
 /// decode (→ counted miss, recompute) instead of being trusted.

@@ -12,41 +12,38 @@
 //!   [`JournalWriter::finish`] or an atomic tmp+rename
 //!   [`JournalWriter::save`]. [`ObsJournal::encode`] is a loop over it.
 //! * [`JournalReader`] — sniffs the format, validates the container, then
-//!   decodes lazily: [`JournalReader::events`] streams one event at a time,
-//!   [`JournalReader::read_journal`] materializes an [`ObsJournal`], and
-//!   [`JournalReader::vantage_events`] uses the binary index block to
-//!   decode *only* one vantage's events, without a full scan.
+//!   decodes lazily: [`JournalReader::events`] streams one event at a time
+//!   and [`JournalReader::read_journal`] materializes an [`ObsJournal`].
 //!
-//! # Binary format v1
+//! # Binary format v2
 //!
 //! Following the `dot15d4-frame` idiom — fixed headers plus in-place field
 //! views over one buffer, no intermediate frame structs — the binary layout
-//! is a single contiguous buffer of five sections:
+//! is a single contiguous buffer of four sections:
 //!
 //! ```text
 //! header   magic "MGOBSJ" | version u16 | ObsMeta (seed as a real u64)
 //! events   per event: tag byte, varint node ids, zigzag-varint timestamp
 //!          deltas, varint refs into the two tables below
-//! frames   interned frame table (each distinct frame encoded once)
-//! ranging  interned ranging-vector table (distances as raw f64 bits)
-//! index    per-vantage event offsets + delta bases, plus the shared
-//!          Ranging list — the O(1) `vantage_events` projection
-//! trailer  events_end u64 | index_off u64 | total_len u64 | fnv64 | "MGE1"
+//! tables   interned frame table (each distinct frame encoded once), then
+//!          the interned ranging-vector table (distances as raw f64 bits)
+//! trailer  events_end u64 | n_events u64 | total_len u64 | fnv64 | "MGE1"
 //! ```
 //!
 //! Timestamps are encoded as zigzag varint deltas against the previous
 //! event's primary instant (wrapping 64-bit arithmetic, so the round trip
 //! is exact for *any* `u64` pair). Frames and ranging vectors are interned:
 //! a tagged RTS decoded at thirty nodes costs one table entry plus thirty
-//! 2-byte references, which is where the ≥5× size win over JSONL comes
-//! from. The trailer pins the total length and an FNV-1a 64 checksum over
-//! everything before it, so truncation and bit rot are *detected* — a
-//! damaged journal yields a typed [`JournalError`], never a silent partial
-//! read.
+//! 2-byte references, which is where the ≥7× size win over JSONL comes
+//! from. The trailer pins the total length and a word-wise FNV-1a 64
+//! checksum over everything before it, so truncation and bit rot are
+//! *detected* — a damaged journal yields a typed [`JournalError`], never a
+//! silent partial read.
 //!
 //! Versioning: the `version` field is bumped on any layout change; readers
 //! reject versions they do not know ([`JournalError::Version`]) instead of
-//! guessing. JSONL journals carry no version — their schema is the
+//! guessing. Version 1 (which carried a per-vantage index block) is
+//! refused too. JSONL journals carry no version — their schema is the
 //! `mg_trace::json` rendering of [`ObsMeta`] and [`Obs`], kept stable as
 //! the debug/export format (including the seed-as-decimal-string quirk).
 //!
@@ -65,8 +62,9 @@ const MAGIC: &[u8; 6] = b"MGOBSJ";
 /// Last bytes of every binary journal (part of the fixed-width trailer).
 const END_MAGIC: &[u8; 4] = b"MGE1";
 /// Current binary layout version.
-const VERSION: u16 = 1;
-/// Trailer size: three u64 section fields + fnv64 checksum + end magic.
+const VERSION: u16 = 2;
+/// Trailer size: events end, event count and total length (u64 each) +
+/// fnv64 checksum + end magic.
 const TRAILER: usize = 8 * 4 + END_MAGIC.len();
 
 /// Event tag bytes (the carrier-sense edge state is folded into the tag).
@@ -91,8 +89,8 @@ pub enum JournalFormat {
     /// Line-oriented JSON: meta header line, one event per line. The
     /// human-readable debug/export codec; diffs cleanly.
     Jsonl,
-    /// Framed binary v1: compact, checksummed, with a per-vantage index.
-    /// The production codec.
+    /// Binary format v2: compact (interned tables, varint deltas) and
+    /// checksummed. The production codec.
     Binary,
 }
 
@@ -156,7 +154,8 @@ pub enum JournalError {
         /// Checksum recomputed from the bytes.
         actual: u64,
     },
-    /// The binary layout version is newer than this reader understands.
+    /// The binary layout version is not the one this reader understands
+    /// (a newer layout, or a retired one such as v1).
     Version {
         /// Version found in the header.
         found: u16,
@@ -262,6 +261,11 @@ impl<'a> Cursor<'a> {
     }
 
     fn varint(&mut self) -> Result<u64, JournalError> {
+        // Most node ids and table refs fit one byte.
+        if self.pos < self.end && self.bytes[self.pos] & 0x80 == 0 {
+            self.pos += 1;
+            return Ok(u64::from(self.bytes[self.pos - 1]));
+        }
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
             let b = self.u8()?;
@@ -298,13 +302,22 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// FNV-1a 64 (same constants as mg-runner's key hash; reimplemented here so
+/// FNV-1a 64 over 8-byte little-endian words, then byte-wise over the
+/// tail (same constants as mg-runner's key hash; reimplemented here so
 /// mg-obs stays dependency-light).
+///
+/// For a fixed word `w`, each step `h ← (h ⊕ w)·p` is a bijection of `h`
+/// (`p` is odd), and for a fixed `h` it is injective in `w`. So a change
+/// confined to one word — every single-bit flip — changes the final hash.
 fn fnv64(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01B3;
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = (h ^ u64::from_le_bytes(w.try_into().expect("8 bytes"))).wrapping_mul(PRIME);
+    }
+    for &b in words.remainder() {
+        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
     }
     h
 }
@@ -409,18 +422,6 @@ fn decode_ranging_vec(c: &mut Cursor<'_>) -> Result<Vec<(NodeId, f64)>, JournalE
         to.push((v, d));
     }
     Ok(to)
-}
-
-/// The node an event belongs to for per-vantage projection, or `None` for
-/// shared [`Obs::Ranging`] events (every vantage's stream includes them).
-fn projection_node(o: &Obs) -> Option<NodeId> {
-    match o {
-        Obs::ChannelEdge { node, .. } => Some(*node),
-        Obs::TxStart { src, .. } => Some(*src),
-        Obs::Decoded { at, .. } => Some(*at),
-        Obs::Garbled { at, .. } => Some(*at),
-        Obs::Ranging { .. } => None,
-    }
 }
 
 /// The primary instant of an event — the running delta base of the stream.
@@ -685,9 +686,9 @@ fn obs_from_json(v: &Json) -> Option<Obs> {
 ///
 /// Events are encoded as they are pushed — the writer never materializes an
 /// [`ObsJournal`] — and [`JournalWriter::finish`] appends the format's
-/// closing sections (for binary: the interned tables, the per-vantage
-/// index, and the checksummed trailer). It implements [`ObsSink`], so any
-/// observation producer can write a journal directly.
+/// closing sections (for binary: the interned tables and the checksummed
+/// trailer). It implements [`ObsSink`], so any observation producer can
+/// write a journal directly.
 pub struct JournalWriter {
     inner: WriterInner,
     n_events: u64,
@@ -699,21 +700,13 @@ enum WriterInner {
 }
 
 struct BinWriter {
-    /// The header's vantage list, which the index block follows.
-    vantages: Vec<NodeId>,
     buf: Vec<u8>,
-    events_start: usize,
     prev_time: u64,
     /// Interned encodings → table id, plus the table in insertion order.
     frames: HashMap<Vec<u8>, u64>,
     frame_order: Vec<Vec<u8>>,
     rangings: HashMap<Vec<u8>, u64>,
     ranging_order: Vec<Vec<u8>>,
-    /// Index entries: (offset into the events section, delta base at that
-    /// offset). `shared` holds the Ranging events every vantage projection
-    /// includes; `per_vantage[i]` follows `vantages[i]`.
-    shared: Vec<(u64, u64)>,
-    per_vantage: Vec<Vec<(u64, u64)>>,
 }
 
 impl JournalWriter {
@@ -744,18 +737,13 @@ impl JournalWriter {
                     put_varint(&mut buf, v.len() as u64);
                     buf.extend_from_slice(v.as_bytes());
                 }
-                let events_start = buf.len();
                 WriterInner::Binary(Box::new(BinWriter {
-                    vantages: meta.vantages.clone(),
                     buf,
-                    events_start,
                     prev_time: 0,
                     frames: HashMap::new(),
                     frame_order: Vec::new(),
                     rangings: HashMap::new(),
                     ranging_order: Vec::new(),
-                    shared: Vec::new(),
-                    per_vantage: vec![Vec::new(); meta.vantages.len()],
                 }))
             }
         };
@@ -785,8 +773,8 @@ impl JournalWriter {
         }
     }
 
-    /// Finishes the journal and returns its bytes (for binary: tables,
-    /// index block and checksummed trailer are appended here).
+    /// Finishes the journal and returns its bytes (for binary: the tables
+    /// and the checksummed trailer are appended here).
     pub fn finish(self) -> Vec<u8> {
         match self.inner {
             WriterInner::Jsonl(text) => text.into_bytes(),
@@ -824,18 +812,7 @@ impl BinWriter {
     }
 
     fn push(&mut self, o: &Obs) {
-        let offset = (self.buf.len() - self.events_start) as u64;
         let base = self.prev_time;
-        match projection_node(o) {
-            None => self.shared.push((offset, base)),
-            Some(n) => {
-                for (i, &v) in self.vantages.iter().enumerate() {
-                    if v == n {
-                        self.per_vantage[i].push((offset, base));
-                    }
-                }
-            }
-        }
         let buf = &mut self.buf;
         match o {
             Obs::ChannelEdge { node, busy, at } => {
@@ -892,27 +869,11 @@ impl BinWriter {
         for enc in &self.ranging_order {
             self.buf.extend_from_slice(enc);
         }
-        // Index block: event count, shared Ranging list, one list per
-        // vantage (in meta order). Entries are (offset, delta base), both
-        // delta-encoded against the previous entry of the same list.
-        let index_off = self.buf.len() as u64;
-        put_varint(&mut self.buf, n_events);
-        let lists = std::iter::once(&self.shared).chain(self.per_vantage.iter());
-        for list in lists {
-            put_varint(&mut self.buf, list.len() as u64);
-            let (mut prev_off, mut prev_base) = (0u64, 0u64);
-            for &(off, base) in list {
-                put_varint(&mut self.buf, off - prev_off);
-                put_time_delta(&mut self.buf, prev_base, base);
-                prev_off = off;
-                prev_base = base;
-            }
-        }
-        // Trailer: section offsets, pinned total length, checksum over
-        // everything before the checksum field, end magic.
+        // Trailer: events section end, event count, pinned total length,
+        // checksum over everything before the checksum field, end magic.
         let total_len = (self.buf.len() + TRAILER) as u64;
         self.buf.extend_from_slice(&events_end.to_le_bytes());
-        self.buf.extend_from_slice(&index_off.to_le_bytes());
+        self.buf.extend_from_slice(&n_events.to_le_bytes());
         self.buf.extend_from_slice(&total_len.to_le_bytes());
         let checksum = fnv64(&self.buf);
         self.buf.extend_from_slice(&checksum.to_le_bytes());
@@ -942,15 +903,13 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 ///
 /// [`JournalReader::open`]/[`from_bytes`] sniff the format and validate the
 /// container up front — for binary journals the trailer length, checksum,
-/// header, tables and index are all verified before any event is decoded,
-/// so truncation or bit rot surfaces as a typed [`JournalError`] at open
-/// time. Event decoding itself is streaming: [`events`] walks the stream
-/// one event at a time, [`vantage_events`] decodes only one vantage's
-/// events through the index block.
+/// header, section bounds and tables are all verified before any event is
+/// decoded, so truncation or bit rot surfaces as a typed [`JournalError`]
+/// at open time. Event decoding itself is streaming: [`events`] walks the
+/// stream one event at a time.
 ///
 /// [`from_bytes`]: JournalReader::from_bytes
 /// [`events`]: JournalReader::events
-/// [`vantage_events`]: JournalReader::vantage_events
 pub struct JournalReader {
     meta: ObsMeta,
     bytes: Vec<u8>,
@@ -972,9 +931,6 @@ struct BinState {
     n_events: u64,
     frames: Vec<Frame>,
     rangings: Vec<Vec<(NodeId, f64)>>,
-    /// (absolute byte offset, delta base) per indexed event.
-    shared: Vec<(usize, u64)>,
-    per_vantage: Vec<Vec<(usize, u64)>>,
 }
 
 impl JournalReader {
@@ -1029,8 +985,9 @@ impl JournalReader {
                 actual: bytes.len() as u64,
             });
         }
-        // Version first: a newer layout's trailer cannot be trusted by this
-        // reader, so it must be rejected before any trailer interpretation.
+        // Version first: another layout's trailer (v1's, or a newer one's)
+        // cannot be trusted by this reader, so it must be rejected before
+        // any trailer interpretation.
         let version =
             u16::from_le_bytes(bytes[MAGIC.len()..MAGIC.len() + 2].try_into().expect("2 bytes"));
         if version != VERSION {
@@ -1044,7 +1001,7 @@ impl JournalReader {
         let trailer_at = len - TRAILER;
         let mut t = Cursor::new(&bytes, trailer_at, len);
         let events_end = t.u64_le()? as usize;
-        let index_off = t.u64_le()? as usize;
+        let n_events = t.u64_le()?;
         let total_len = t.u64_le()?;
         if total_len != len as u64 {
             return Err(JournalError::Truncated { expected: total_len, actual: len as u64 });
@@ -1080,16 +1037,23 @@ impl JournalReader {
         }
         let meta = ObsMeta { tagged, vantages, pair_distance, seed, params };
         let events_start = c.pos;
-        if events_end < events_start || index_off < events_end || index_off > trailer_at {
+        if events_end < events_start || events_end > trailer_at {
             return Err(c.corrupt(format!(
-                "inconsistent section offsets (events {events_start}..{events_end}, index {index_off})"
+                "inconsistent section offsets (events {events_start}..{events_end}, trailer {trailer_at})"
+            )));
+        }
+        // Every event takes at least one byte.
+        if n_events > (events_end - events_start) as u64 {
+            return Err(c.corrupt(format!(
+                "event count {n_events} exceeds the {}-byte events section",
+                events_end - events_start
             )));
         }
 
-        // Tables live between the events section and the index block.
-        let mut c = Cursor::new(&bytes, events_end, index_off);
+        // Tables live between the events section and the trailer.
+        let mut c = Cursor::new(&bytes, events_end, trailer_at);
         let nf = c.varint()? as usize;
-        if nf > index_off - events_end {
+        if nf > trailer_at - events_end {
             return Err(c.corrupt(format!("frame table claims {nf} entries")));
         }
         let mut frames = Vec::with_capacity(nf);
@@ -1097,44 +1061,16 @@ impl JournalReader {
             frames.push(decode_frame(&mut c)?);
         }
         let nr = c.varint()? as usize;
-        if nr > index_off - events_end {
+        if nr > trailer_at - events_end {
             return Err(c.corrupt(format!("ranging table claims {nr} entries")));
         }
         let mut rangings = Vec::with_capacity(nr);
         for _ in 0..nr {
             rangings.push(decode_ranging_vec(&mut c)?);
         }
-        if c.pos != index_off {
-            return Err(c.corrupt("tables do not end at the index block".to_string()));
-        }
-
-        // Index block.
-        let mut c = Cursor::new(&bytes, index_off, trailer_at);
-        let n_events = c.varint()?;
-        let mut lists: Vec<Vec<(usize, u64)>> = Vec::with_capacity(meta.vantages.len() + 1);
-        for _ in 0..=meta.vantages.len() {
-            let n = c.varint()? as usize;
-            if n as u64 > n_events {
-                return Err(c.corrupt(format!("index list claims {n} of {n_events} events")));
-            }
-            let mut list = Vec::with_capacity(n);
-            let (mut off, mut base) = (0u64, 0u64);
-            for i in 0..n {
-                let d = c.varint()?;
-                off = if i == 0 { d } else { off + d };
-                base = c.time_delta(base)?;
-                let abs = events_start as u64 + off;
-                if abs >= events_end as u64 {
-                    return Err(c.corrupt(format!("index offset {off} past events section")));
-                }
-                list.push((abs as usize, base));
-            }
-            lists.push(list);
-        }
         if c.pos != trailer_at {
-            return Err(c.corrupt("index block does not end at the trailer".to_string()));
+            return Err(c.corrupt("tables do not end at the trailer".to_string()));
         }
-        let shared = lists.remove(0);
         Ok(JournalReader {
             meta,
             bytes,
@@ -1144,8 +1080,6 @@ impl JournalReader {
                 n_events,
                 frames,
                 rangings,
-                shared,
-                per_vantage: lists,
             })),
         })
     }
@@ -1197,64 +1131,6 @@ impl JournalReader {
                 remaining: b.n_events,
             }),
         }
-    }
-
-    /// Decodes one event at `pos` given its delta base (binary only).
-    fn decode_at(
-        &self,
-        state: &BinState,
-        pos: usize,
-        prev_time: u64,
-    ) -> Result<(Obs, usize, u64), JournalError> {
-        let mut c = Cursor::new(&self.bytes, pos, state.events_end);
-        let obs = decode_event(&mut c, state, prev_time)?;
-        let t = primary_time(&obs);
-        Ok((obs, c.pos, t))
-    }
-
-    /// The per-vantage stream: events observable at `v` (its channel edges,
-    /// transmissions, decodes and garbles), plus every shared
-    /// [`Obs::Ranging`] snapshot — each vantage's pool needs the geometry —
-    /// in journal order.
-    ///
-    /// For binary journals of an indexed vantage (one listed in
-    /// `meta.vantages`) this decodes **only** the projected events via the
-    /// index block — the rest of the stream is never touched. Other
-    /// vantages (or JSONL journals) fall back to a full filtered scan.
-    pub fn vantage_events(&self, v: NodeId) -> Result<Vec<Obs>, JournalError> {
-        if let ReaderInner::Binary(b) = &self.inner {
-            if let Some(i) = self.meta.vantages.iter().position(|&x| x == v) {
-                // Merge the vantage's list with the shared Ranging list by
-                // ascending offset — both are in journal order.
-                let (va, sh) = (&b.per_vantage[i], &b.shared);
-                let mut out = Vec::with_capacity(va.len() + sh.len());
-                let (mut a, mut s) = (0, 0);
-                while a < va.len() || s < sh.len() {
-                    let take_vantage = match (va.get(a), sh.get(s)) {
-                        (Some(&(ao, _)), Some(&(so, _))) => ao < so,
-                        (Some(_), None) => true,
-                        _ => false,
-                    };
-                    let &(off, base) = if take_vantage { &va[a] } else { &sh[s] };
-                    if take_vantage {
-                        a += 1;
-                    } else {
-                        s += 1;
-                    }
-                    let (obs, _, _) = self.decode_at(b, off, base)?;
-                    out.push(obs);
-                }
-                return Ok(out);
-            }
-        }
-        let mut out = Vec::new();
-        for r in self.events() {
-            let o = r?;
-            if projection_node(&o).map(|n| n == v).unwrap_or(true) {
-                out.push(o);
-            }
-        }
-        Ok(out)
     }
 
     /// Decodes the whole journal into an in-memory [`ObsJournal`].

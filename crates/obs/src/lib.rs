@@ -13,7 +13,7 @@
 //! * [`ObsJournal`] — an in-memory recording of a run's `Obs` stream
 //!   (header + events), so one simulated world can be **replayed** into
 //!   arbitrarily many detector configurations with zero re-simulation.
-//! * [`codec`] — the one journal codec: [`JournalFormat`] (framed binary v1
+//! * [`codec`] — the one journal codec: [`JournalFormat`] (binary format v2
 //!   as the production format, JSONL as the debug/export format), the
 //!   streaming [`JournalWriter`] (the only encoder) and [`JournalReader`]
 //!   (the only decoder, with format auto-detection by magic sniffing).
@@ -21,9 +21,8 @@
 //! The JSONL format follows `mg_trace::json` conventions: insertion-ordered
 //! objects, shortest-round-trip `f64` rendering, so `encode ∘ decode ≡ id`
 //! byte-for-byte and journals diff cleanly. The binary format is compact
-//! (interned frame/ranging tables, varint timestamp deltas), indexed per
-//! vantage, and checksummed so damage is detected rather than silently
-//! accepted.
+//! (interned frame/ranging tables, varint timestamp deltas) and
+//! checksummed so damage is detected rather than silently accepted.
 //!
 //! [`Monitor`]: https://docs.rs/mg-detect
 

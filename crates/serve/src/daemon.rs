@@ -6,12 +6,12 @@
 //!
 //! ```text
 //! producers (sockets / files / pipes / bench)
-//!      │  StreamHandle::push — batches, Block or Shed policy
-//!      ▼
-//! bounded MPMC queues (one per worker, crate::mpmc)
-//!      │  Job::{Open, Events, Close}
-//!      ▼
-//! worker threads — sessions: HashMap<stream id, DetectorSession>
+//!      │  StreamHandle::push — batches, Block or Shed policy      ▲
+//!      ▼                                                          │
+//! bounded queues (one per worker, crate::mpmc)                    │ drained
+//!      │  Job::{Open, Events, Close}                              │ batches
+//!      ▼                                                          │ (spares)
+//! worker threads — sessions: HashMap<stream id, DetectorSession> ─┘
 //!      │  DiagnosisDelta JSONL → shared subscriber sink
 //!      ▼
 //! StreamReport (render_report — byte-identical to `detect --replay`)
@@ -34,6 +34,17 @@
 //! parks it (lossless, default), **Shed** drops the batch at the producer
 //! and accounts it in the stream's drop counter, which travels into
 //! [`StreamReport::dropped`] and the daemon-wide [`ServeStats`].
+//!
+//! ## Batch recycling
+//!
+//! Batches flow back: a worker clears each batch it has ingested and
+//! returns it to a spare list shared through the [`Daemon`]. A handle takes
+//! a spare on its first push after a hand-off, or allocates one at full
+//! [`ServeConfig::batch`] capacity when none is free, so a steady-state
+//! hand-off allocates nothing and no batch regrows from zero. Closed and
+//! idle handles hold no spare. The list keeps at most eight batches per
+//! worker and frees any excess, so a burst cannot pin `workers × queue_cap`
+//! batches.
 
 use crate::mpmc;
 use crate::wire::{self, WireError};
@@ -155,6 +166,35 @@ pub struct ServeStats {
 
 type DeltaSink = Arc<Mutex<Box<dyn Write + Send>>>;
 
+/// Drained batches the spare list keeps per worker; any excess is freed.
+const SPARES_PER_WORKER: usize = 8;
+
+/// Drained batch buffers on their way back from workers to producers.
+struct Spares {
+    list: Mutex<Vec<Vec<Obs>>>,
+    /// Most batches kept.
+    cap: usize,
+    /// Capacity of a fresh batch ([`ServeConfig::batch`]).
+    batch: usize,
+}
+
+impl Spares {
+    /// A recycled empty batch, or a fresh one at full batch capacity.
+    fn take(&self) -> Vec<Obs> {
+        let spare = self.list.lock().expect("spare list lock").pop();
+        spare.unwrap_or_else(|| Vec::with_capacity(self.batch))
+    }
+
+    /// Clears a drained batch and keeps it, unless the list is full.
+    fn put(&self, mut batch: Vec<Obs>) {
+        batch.clear();
+        let mut list = self.list.lock().expect("spare list lock");
+        if list.len() < self.cap {
+            list.push(batch);
+        }
+    }
+}
+
 enum Job {
     Open {
         stream: u64,
@@ -181,6 +221,7 @@ pub struct Daemon {
     next_stream: AtomicU64,
     /// Per-suspect set of streams that closed flagged (quorum mode only).
     votes: Option<VoteMap>,
+    spares: Arc<Spares>,
 }
 
 type VoteMap = Arc<Mutex<BTreeMap<usize, BTreeSet<u64>>>>;
@@ -194,15 +235,24 @@ impl Daemon {
             delta_out.filter(|_| cfg.deltas).map(|w| Arc::new(Mutex::new(w)));
         let votes: Option<VoteMap> =
             cfg.quorum.map(|_| Arc::new(Mutex::new(BTreeMap::new())));
+        let n_workers = cfg.workers.max(1);
+        let spares = Arc::new(Spares {
+            list: Mutex::new(Vec::new()),
+            cap: SPARES_PER_WORKER * n_workers,
+            batch: cfg.batch.max(1),
+        });
         let mut txs = Vec::new();
         let mut workers = Vec::new();
-        for _ in 0..cfg.workers.max(1) {
+        for _ in 0..n_workers {
             let (tx, rx) = mpmc::bounded::<Job>(cfg.queue_cap.max(1));
             let sink = sink.clone();
             let votes = votes.clone();
+            let spares = spares.clone();
             let sample_size = cfg.sample_size;
             txs.push(tx);
-            workers.push(std::thread::spawn(move || worker(rx, sample_size, sink, votes)));
+            workers.push(std::thread::spawn(move || {
+                worker(rx, sample_size, sink, votes, &spares)
+            }));
         }
         Daemon {
             cfg,
@@ -210,6 +260,7 @@ impl Daemon {
             workers,
             next_stream: AtomicU64::new(1),
             votes,
+            spares,
         }
     }
 
@@ -258,8 +309,9 @@ impl Daemon {
             id,
             tx,
             policy: self.cfg.policy,
-            batch_cap: self.cfg.batch.max(1),
+            batch_cap: self.spares.batch,
             buf: Vec::new(),
+            spares: self.spares.clone(),
             events: 0,
             dropped: 0,
         }
@@ -290,7 +342,10 @@ pub struct StreamHandle {
     tx: mpmc::Sender<Job>,
     policy: Policy,
     batch_cap: usize,
+    /// The batch being filled; capacity 0 between a hand-off and the next
+    /// push.
     buf: Vec<Obs>,
+    spares: Arc<Spares>,
     events: u64,
     dropped: u64,
 }
@@ -303,6 +358,9 @@ impl StreamHandle {
 
     /// Appends one event; hands a full batch to the worker queue.
     pub fn push(&mut self, obs: Obs) {
+        if self.buf.capacity() == 0 {
+            self.buf = self.spares.take();
+        }
         self.buf.push(obs);
         self.events += 1;
         if self.buf.len() >= self.batch_cap {
@@ -383,6 +441,7 @@ fn worker(
     sample_size: Option<usize>,
     sink: Option<DeltaSink>,
     votes: Option<VoteMap>,
+    spares: &Spares,
 ) -> WorkerStats {
     let mut sessions: HashMap<u64, StreamState> = HashMap::new();
     let mut stats = WorkerStats::default();
@@ -425,6 +484,7 @@ fn worker(
                     let _ = w.write_all(lines.as_bytes());
                     lines.clear();
                 }
+                spares.put(batch);
             }
             Job::Close {
                 stream,

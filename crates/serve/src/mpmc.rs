@@ -1,14 +1,15 @@
 //! A bounded multi-producer multi-consumer channel with explicit
 //! back-pressure — the only queue the serving layer uses.
 //!
-//! `std::sync::mpsc` is single-consumer and its `SyncSender` cannot be
-//! polled for fullness without consuming the value on failure; the daemon
-//! needs both worker *pools* draining one queue and a caller-visible
-//! **block vs shed** decision at the producer. The workspace is hermetic
-//! (no crossbeam), so the channel is built directly on
-//! [`Mutex`]`<`[`VecDeque`]`>` plus two [`Condvar`]s — the textbook
-//! construction, sized in the low hundreds of lines and fully owned by this
-//! crate.
+//! The daemon gives each worker its own queue, so no two workers share
+//! one: every daemon queue has exactly one consumer. The semantics the
+//! daemon relies on are also those of `std::sync::mpsc::sync_channel`,
+//! whose `send` blocks while the queue is full and whose
+//! `SyncSender::try_send` hands the value back in `TrySendError::Full`.
+//! What this channel adds — cloneable receivers and the consumer-side
+//! [`Receiver::close`] — only this crate's tests use. It is built on
+//! [`Mutex`]`<`[`VecDeque`]`>` plus two [`Condvar`]s, the textbook
+//! construction.
 //!
 //! Semantics:
 //!

@@ -1,4 +1,5 @@
-//! What `read_frame` allocates, counted by a std-only global allocator.
+//! What `read_frame` allocates, counted by mg-testkit's counting global
+//! allocator.
 //!
 //! The allocator counts only the calling thread's allocations and the
 //! bytes they request, and this file holds nothing else, so tests running
@@ -6,52 +7,8 @@
 //! by the peer; the buffer must grow with the bytes that actually arrive.
 
 use mg_serve::wire::{read_frame, write_frame, MAX_FRAME};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use mg_testkit::alloc::{counts, Counting};
 use std::io::ErrorKind;
-
-/// Forwards to [`System`], counting every allocation and reallocation the
-/// current thread makes and the bytes each one requests.
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-fn note_alloc(bytes: usize) {
-    // `try_with`: the slots may already be gone while a thread exits.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
-}
-
-/// `(allocations, bytes requested)` by the current thread so far.
-fn counts() -> (u64, u64) {
-    (ALLOCS.with(Cell::get), BYTES.with(Cell::get))
-}
-
-// SAFETY: every method forwards to `System` unchanged; counting touches only
-// const-initialized thread-local `Cell`s, which never allocate.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;

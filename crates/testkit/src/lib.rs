@@ -9,7 +9,9 @@
 //!   failure shrinking by halving the recorded raw draws, and the failing
 //!   seed printed on every failure so a case can be replayed exactly;
 //! * [`mod@bench`] — a wall-clock micro-benchmark runner with automatic
-//!   iteration calibration, for `harness = false` bench binaries.
+//!   iteration calibration, for `harness = false` bench binaries;
+//! * [`alloc`] — a thread-local counting global allocator for tests that
+//!   pin an allocation budget (each test binary declares the static).
 //!
 //! ## Writing a property
 //!
@@ -37,6 +39,7 @@
 
 #![warn(missing_docs)]
 
+pub mod alloc;
 pub mod bench;
 pub mod prop;
 

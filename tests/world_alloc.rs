@@ -1,5 +1,5 @@
-//! The world event loop's allocation budget, counted by a std-only global
-//! allocator.
+//! The world event loop's allocation budget, counted by mg-testkit's
+//! counting global allocator.
 //!
 //! The allocator counts only the calling thread's allocations, and this
 //! file holds nothing else, so tests running in parallel cannot pollute a
@@ -7,49 +7,7 @@
 //! tagged pair whose sender cheats at PM = 75.
 
 use manet_guard::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// Forwards to [`System`], counting every allocation and reallocation the
-/// current thread makes.
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn note_alloc() {
-    // `try_with`: the slot may already be gone while a thread exits.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-/// Allocations made by the current thread so far.
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
-
-// SAFETY: every method forwards to `System` unchanged; counting touches only
-// a const-initialized thread-local `Cell`, which never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+use mg_testkit::alloc::{allocs, Counting};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
