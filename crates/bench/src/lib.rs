@@ -40,7 +40,7 @@
 use mg_dcf::BackoffPolicy;
 use mg_detect::{
     JointTracker, MonitorConfig, NodeCounts, ObsJournal, ObsMeta, ObsRecorder, ScenarioBuilder,
-    Violation, WorldMonitors, WorldProbe,
+    WorldMonitors, WorldProbe,
 };
 use mg_net::{NetObserver, Scenario, ScenarioConfig, SourceCfg};
 use mg_runner::{CacheKey, Codec, Runner};
@@ -668,20 +668,6 @@ pub fn aggregate(outcomes: &[TrialOutcome]) -> TrialOutcome {
         total.rho /= outcomes.len() as f64;
     }
     total
-}
-
-/// All violations of a monitor rendered as short strings (debug output).
-pub fn violation_kinds(violations: &[Violation]) -> Vec<&'static str> {
-    violations
-        .iter()
-        .map(|v| match v {
-            Violation::SequenceReuse { .. } => "seq-reuse",
-            Violation::ImplausibleAdvance { .. } => "implausible-advance",
-            Violation::AttemptMismatch { .. } => "attempt",
-            Violation::UnverifiedData { .. } => "unverified-data",
-            Violation::BlatantCountdown { .. } => "blatant",
-        })
-        .collect()
 }
 
 #[cfg(test)]

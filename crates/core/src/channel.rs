@@ -35,11 +35,6 @@ impl ChannelTracker {
         }
     }
 
-    /// Whether the channel is busy *now* (foreign energy or own tx).
-    pub fn is_busy(&self, now: SimTime) -> bool {
-        self.busy || now < self.own_until
-    }
-
     /// Integrates up to `now` under the current state.
     pub fn advance(&mut self, now: SimTime) {
         if now <= self.last {
@@ -153,7 +148,6 @@ pub struct JointTracker {
     s_tx_until: SimTime,
     r_tx_until: SimTime,
     last: SimTime,
-    gate: bool,
     /// Durations (ns) indexed by [s_busy][r_busy].
     t: [[u64; 2]; 2],
 }
@@ -167,7 +161,6 @@ impl JointTracker {
             s_tx_until: SimTime::ZERO,
             r_tx_until: SimTime::ZERO,
             last: SimTime::ZERO,
-            gate: true,
             t: [[0; 2]; 2],
         }
     }
@@ -199,9 +192,6 @@ impl JointTracker {
         if from < self.s_tx_until || from < self.r_tx_until {
             return;
         }
-        if !self.gate {
-            return;
-        }
         let ns = (to - from).as_nanos();
         self.t[usize::from(self.s_busy)][usize::from(self.r_busy)] += ns;
     }
@@ -228,14 +218,6 @@ impl JointTracker {
     pub fn on_r_tx(&mut self, start: SimTime, end: SimTime) {
         self.integrate(start);
         self.r_tx_until = self.r_tx_until.max(end);
-    }
-
-    /// Opens or closes the accounting gate at `now`: time is only accounted
-    /// while the gate is open. Used to condition the statistics on specific
-    /// periods (e.g. the sender's back-off windows).
-    pub fn set_gate(&mut self, open: bool, now: SimTime) {
-        self.integrate(now);
-        self.gate = open;
     }
 
     /// Flushes the timeline up to `now` (call before reading probabilities).

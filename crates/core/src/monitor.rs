@@ -517,11 +517,6 @@ impl Monitor {
         self.chan.rho()
     }
 
-    /// The Bianchi–Tinnirello density estimator.
-    pub fn density_estimator(&self) -> &DensityEstimator {
-        &self.density
-    }
-
     /// The analytic model the monitor currently applies.
     pub fn model(&self) -> AnalyticModel {
         let d = self.cfg.pair_distance;
@@ -1059,7 +1054,7 @@ pub(crate) mod tests {
             let rts_start = now;
             let rts_end = rts_start + t.rts_airtime();
             stream.push(Obs::ChannelEdge { node: R, busy: true, at: rts_start });
-            stream.push(Obs::Ranging { from: S, to: vec![(R, 240.0)], at: rts_start });
+            stream.push(Obs::Ranging { from: S, to: vec![(R, 240.0)].into(), at: rts_start });
             stream.push(decoded(rts_frame(seq, 1, seq), rts_start, rts_end));
             stream.push(Obs::ChannelEdge { node: R, busy: false, at: rts_end });
             // CTS (from R itself — own tx), DATA from S, ACK from R.

@@ -18,7 +18,7 @@ use crate::NodeId;
 use mg_dcf::Frame;
 use mg_fault::FaultPlan;
 use mg_net::NetObserver;
-use mg_obs::{Obs, ObsSink};
+use mg_obs::{Distances, Obs, ObsSink};
 use mg_phy::Medium;
 use mg_sim::SimTime;
 use mg_stats::signed_rank::signed_rank_test;
@@ -51,10 +51,10 @@ pub struct MonitorPool {
     /// tagged-RTS decode — *after* the member consumed the frame, so the
     /// sample extracted for that RTS still uses the pre-hand-off distance
     /// (matching the callback order of a live world).
-    last_ranging: Option<Vec<(NodeId, f64)>>,
+    last_ranging: Option<Distances>,
     /// Storage of the live projection's ranging snapshots, reused from one
     /// tagged RTS to the next.
-    ranging_buf: Vec<(NodeId, f64)>,
+    ranging_buf: Distances,
     /// Incremental delta buffer: member deltas are folded in right after the
     /// routed member consumed an event, followed by the pool's own
     /// shared-test deltas. Disabled (and empty) by default.
@@ -108,7 +108,7 @@ impl MonitorPool {
             rejections: 0,
             last_seen: SimTime::ZERO,
             last_ranging: None,
-            ranging_buf: Vec::new(),
+            ranging_buf: Distances::new(),
             emit_deltas: false,
             deltas: Vec::new(),
             tracer: Tracer::disabled(),
@@ -269,7 +269,7 @@ impl MonitorPool {
     /// The current tagged→member distances as an [`Obs::Ranging`] event,
     /// ascending by node id — the projection a live adapter records or
     /// feeds before each tagged RTS. The distances are written into `to`.
-    fn ranging_snapshot(&self, medium: &Medium, at: SimTime, mut to: Vec<(NodeId, f64)>) -> Obs {
+    fn ranging_snapshot(&self, medium: &Medium, at: SimTime, mut to: Distances) -> Obs {
         let tp = medium.position(self.tagged);
         to.clear();
         to.extend(
@@ -343,9 +343,9 @@ impl ObsSink for MonitorPool {
         let at = match obs {
             Obs::Ranging { from, to, .. } => {
                 if *from == self.tagged {
-                    let last = self.last_ranging.get_or_insert_with(Vec::new);
+                    let last = self.last_ranging.get_or_insert_with(Distances::new);
                     last.clear();
-                    last.extend_from_slice(to);
+                    last.extend(to.iter().copied());
                 }
                 return;
             }
@@ -464,7 +464,7 @@ mod tests {
         let mut pool = MonitorPool::new(0, &[1], template());
         pool.ingest(&Obs::Ranging {
             from: 0,
-            to: vec![(1, 100.0)],
+            to: [(1, 100.0)].into_iter().collect(),
             at: SimTime::ZERO,
         });
         // The election is deferred to the next tagged-RTS decode, matching

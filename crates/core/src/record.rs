@@ -86,11 +86,6 @@ impl ObsRecorder {
     pub fn journal(&self) -> &ObsJournal {
         &self.journal
     }
-
-    /// Consumes the recorder, yielding the journal.
-    pub fn into_journal(self) -> ObsJournal {
-        self.journal
-    }
 }
 
 impl NetObserver for ObsRecorder {
@@ -125,7 +120,7 @@ impl NetObserver for ObsRecorder {
         }
         if tagged_rts {
             let tp = medium.position(self.tagged);
-            let to: Vec<(NodeId, f64)> = self
+            let to = self
                 .vantages
                 .iter()
                 .map(|&v| (v, tp.distance(medium.position(v))))

@@ -249,11 +249,6 @@ impl<O: NetObserver> World<O> {
         &mut self.observer
     }
 
-    /// Consumes the world, returning the observer.
-    pub fn into_observer(self) -> O {
-        self.observer
-    }
-
     /// Replaces `node`'s back-off policy (do this before traffic starts).
     pub fn set_policy(&mut self, node: NodeId, policy: BackoffPolicy) {
         self.macs[node].set_policy(policy);
@@ -348,12 +343,6 @@ impl<O: NetObserver> World<O> {
             let (now, ev) = self.sched.pop().expect("peeked event exists");
             self.dispatch(now, ev);
         }
-    }
-
-    /// Runs for `span` of virtual time from now.
-    pub fn run_for(&mut self, span: SimDuration) {
-        let until = self.now() + span;
-        self.run_until(until);
     }
 
     // ------------------------------------------------------------------

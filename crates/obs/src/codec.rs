@@ -35,10 +35,13 @@
 //! is exact for *any* `u64` pair). Frames and ranging vectors are interned:
 //! a tagged RTS decoded at thirty nodes costs one table entry plus thirty
 //! 2-byte references, which is where the ≥7× size win over JSONL comes
-//! from. The trailer pins the total length and a word-wise FNV-1a 64
-//! checksum over everything before it, so truncation and bit rot are
-//! *detected* — a damaged journal yields a typed [`JournalError`], never a
-//! silent partial read.
+//! from. Decoding an event copies its table entry out; a ranging entry of
+//! at most [`Distances::INLINE`] pairs is copied inline, so the events of a
+//! static monitor's journal decode without a heap allocation. The trailer
+//! pins the total length and a word-wise FNV-1a 64 checksum over
+//! everything before it, so truncation and bit rot are *detected* — a
+//! damaged journal yields a typed [`JournalError`], never a silent partial
+//! read.
 //!
 //! Versioning: the `version` field is bumped on any layout change; readers
 //! reject versions they do not know ([`JournalError::Version`]) instead of
@@ -50,7 +53,7 @@
 //! [`Jsonl`]: JournalFormat::Jsonl
 //! [`Binary`]: JournalFormat::Binary
 
-use crate::{NodeId, Obs, ObsJournal, ObsMeta, ObsSink};
+use crate::{Distances, NodeId, Obs, ObsJournal, ObsMeta, ObsSink};
 use mg_dcf::{Dest, Frame, FrameKind, MacSdu, RtsFields};
 use mg_sim::{SimDuration, SimTime};
 use mg_trace::json::Json;
@@ -408,14 +411,15 @@ fn encode_ranging_vec(out: &mut Vec<u8>, to: &[(NodeId, f64)]) {
     }
 }
 
-fn decode_ranging_vec(c: &mut Cursor<'_>) -> Result<Vec<(NodeId, f64)>, JournalError> {
+fn decode_ranging_vec(c: &mut Cursor<'_>) -> Result<Distances, JournalError> {
     let n = c.varint()? as usize;
     if n > (c.end - c.pos) / 9 {
         // Each pair is at least 9 bytes; reject absurd counts before
         // allocating.
         return Err(c.corrupt(format!("ranging vector claims {n} pairs")));
     }
-    let mut to = Vec::with_capacity(n);
+    let mut to = Distances::new();
+    to.reserve(n);
     for _ in 0..n {
         let v = c.varint()? as NodeId;
         let d = c.f64_le()?;
@@ -671,7 +675,7 @@ fn obs_from_json(v: &Json) -> Option<Obs> {
                     [n, d] => Some((n.as_u64()? as NodeId, d.as_f64()?)),
                     _ => None,
                 })
-                .collect::<Option<Vec<_>>>()?,
+                .collect::<Option<Distances>>()?,
             at: SimTime::from_nanos(at.as_u64()?),
         }),
         _ => None,
@@ -930,7 +934,7 @@ struct BinState {
     events_end: usize,
     n_events: u64,
     frames: Vec<Frame>,
-    rangings: Vec<Vec<(NodeId, f64)>>,
+    rangings: Vec<Distances>,
 }
 
 impl JournalReader {

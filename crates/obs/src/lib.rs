@@ -90,14 +90,161 @@ pub enum Obs {
     /// vantages, sorted by node id. This is the only medium-derived scalar
     /// the detection layer reads — the Section 5 hand-off scheme re-elects
     /// the closest in-range vantage on every tagged RTS.
+    ///
+    /// The pairs live in a [`Distances`], which keeps a snapshot of up to
+    /// four vantages inside the event: decoding or cloning one allocates
+    /// nothing, and only larger (mobile-pool) snapshots own a heap vector.
     Ranging {
         /// The tagged node the distances are measured from.
         from: NodeId,
         /// `(vantage, distance)` pairs, ascending by node id.
-        to: Vec<(NodeId, f64)>,
+        to: Distances,
         /// When the snapshot was taken.
         at: SimTime,
     },
+}
+
+/// The `(vantage, distance)` pairs of an [`Obs::Ranging`] snapshot.
+///
+/// Up to [`Distances::INLINE`] pairs are stored inside the value itself, so
+/// a static monitor's snapshot (one pair, or a handful for a small pool) is
+/// built, decoded and cloned without touching the heap. A fifth pair spills
+/// every pair to a `Vec`. [`Distances::clear`] keeps that storage, so a
+/// buffer reused from one snapshot to the next stops allocating once it
+/// has grown.
+///
+/// The value dereferences to a slice. Equality compares the pairs, not the
+/// representation, and `Debug` prints the slice, so a spilled and an inline
+/// value holding the same pairs are indistinguishable.
+///
+/// ```
+/// use mg_obs::Distances;
+///
+/// let mut d: Distances = [(4, 100.0), (9, 210.5)].into_iter().collect();
+/// assert_eq!(&d[..], &[(4, 100.0), (9, 210.5)]);
+/// d.extend((10..13).map(|v| (v, 50.0)));
+/// assert_eq!(d.len(), 5);
+/// assert_eq!(d, Distances::from(d.to_vec()));
+/// ```
+#[derive(Clone, Default)]
+pub struct Distances(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline {
+        len: u8,
+        pairs: [(NodeId, f64); Distances::INLINE],
+    },
+    Heap(Vec<(NodeId, f64)>),
+}
+
+impl Default for Repr {
+    fn default() -> Repr {
+        Repr::Inline {
+            len: 0,
+            pairs: [(0, 0.0); Distances::INLINE],
+        }
+    }
+}
+
+impl Distances {
+    /// Pairs stored without a heap allocation. Four is the most that keeps
+    /// [`Obs`] at 96 bytes; a fifth inline pair would grow every event.
+    pub const INLINE: usize = 4;
+
+    /// An empty snapshot.
+    pub fn new() -> Distances {
+        Distances::default()
+    }
+
+    /// Appends one pair, spilling to the heap when the inline slots are full.
+    pub fn push(&mut self, pair: (NodeId, f64)) {
+        match &mut self.0 {
+            Repr::Inline { len, pairs } if usize::from(*len) < Distances::INLINE => {
+                pairs[usize::from(*len)] = pair;
+                *len += 1;
+            }
+            Repr::Inline { .. } => {
+                self.reserve(Distances::INLINE);
+                self.push(pair);
+            }
+            Repr::Heap(v) => v.push(pair),
+        }
+    }
+
+    /// Makes room for `additional` more pairs: a no-op while they fit
+    /// inline; otherwise the pairs move to heap storage with room for all
+    /// of them, and once spilled this is `Vec::reserve`.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        match &mut self.0 {
+            Repr::Inline { len, pairs } if usize::from(*len) + additional > Distances::INLINE => {
+                let len = usize::from(*len);
+                let mut v = Vec::with_capacity(len + additional);
+                v.extend_from_slice(&pairs[..len]);
+                self.0 = Repr::Heap(v);
+            }
+            Repr::Inline { .. } => {}
+            Repr::Heap(v) => v.reserve(additional),
+        }
+    }
+
+    /// Removes every pair. Heap storage is kept for the next refill.
+    pub fn clear(&mut self) {
+        match &mut self.0 {
+            Repr::Inline { len, .. } => *len = 0,
+            Repr::Heap(v) => v.clear(),
+        }
+    }
+}
+
+impl std::ops::Deref for Distances {
+    type Target = [(NodeId, f64)];
+
+    fn deref(&self) -> &[(NodeId, f64)] {
+        match &self.0 {
+            Repr::Inline { len, pairs } => &pairs[..usize::from(*len)],
+            Repr::Heap(v) => v,
+        }
+    }
+}
+
+impl PartialEq for Distances {
+    fn eq(&self, other: &Distances) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for Distances {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl Extend<(NodeId, f64)> for Distances {
+    fn extend<I: IntoIterator<Item = (NodeId, f64)>>(&mut self, iter: I) {
+        let iter = iter.into_iter();
+        self.reserve(iter.size_hint().0);
+        if let Repr::Heap(v) = &mut self.0 {
+            v.extend(iter);
+        } else {
+            iter.for_each(|p| self.push(p));
+        }
+    }
+}
+
+impl FromIterator<(NodeId, f64)> for Distances {
+    fn from_iter<I: IntoIterator<Item = (NodeId, f64)>>(iter: I) -> Distances {
+        let mut d = Distances::new();
+        d.extend(iter);
+        d
+    }
+}
+
+impl From<Vec<(NodeId, f64)>> for Distances {
+    /// Takes the vector's storage as is, without copying.
+    fn from(v: Vec<(NodeId, f64)>) -> Distances {
+        Distances(Repr::Heap(v))
+    }
 }
 
 /// A consumer of [`Obs`] events — the boundary detectors live behind.
@@ -199,5 +346,106 @@ impl ObsJournal {
         let mut w = JournalWriter::new(format, &self.meta);
         self.replay(&mut w);
         w.finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mg_testkit::alloc::{allocs, Counting};
+    use mg_testkit::prop::{check, Gen, TkResult};
+    use mg_testkit::{tk_assert, tk_assert_eq};
+
+    #[global_allocator]
+    static GLOBAL: Counting = Counting;
+
+    fn spilled(d: &Distances) -> bool {
+        matches!(d.0, Repr::Heap(_))
+    }
+
+    #[test]
+    fn obs_stays_96_bytes() {
+        assert_eq!(std::mem::size_of::<Obs>(), 96);
+    }
+
+    #[test]
+    fn a_fifth_push_spills_and_keeps_the_order() {
+        let pairs: Vec<(NodeId, f64)> = (0..6).map(|v| (v * 3, 10.0 + v as f64)).collect();
+        let mut d = Distances::new();
+        for (i, &p) in pairs.iter().enumerate() {
+            let a0 = allocs();
+            d.push(p);
+            assert_eq!(allocs() - a0, u64::from(i == Distances::INLINE), "push {i}");
+            assert_eq!(spilled(&d), i >= Distances::INLINE);
+            assert_eq!(&d[..], &pairs[..=i]);
+        }
+        // Collecting and cloning four pairs stays inline too.
+        let a0 = allocs();
+        let four: Distances = pairs[..4].iter().copied().collect();
+        assert_eq!(four.clone(), four);
+        assert_eq!(allocs() - a0, 0);
+    }
+
+    #[test]
+    fn clear_keeps_the_heap_storage_for_a_refill() {
+        let pairs = || (0..111).map(|v| (v, 2.0 * v as f64));
+        let mut d: Distances = pairs().collect();
+        assert!(spilled(&d));
+        let a0 = allocs();
+        for _ in 0..3 {
+            d.clear();
+            assert!(d.is_empty());
+            d.extend(pairs());
+        }
+        assert_eq!(allocs() - a0, 0);
+        assert!(d.iter().copied().eq(pairs()));
+    }
+
+    #[test]
+    fn equality_and_debug_follow_the_pairs_not_the_storage() {
+        for n in [0, 1, 4, 5, 111] {
+            let pairs: Vec<(NodeId, f64)> = (0..n).map(|v| (v, 0.5 * v as f64)).collect();
+            let inline_first: Distances = pairs.iter().copied().collect();
+            let heap = Distances::from(pairs.clone());
+            assert!(spilled(&heap));
+            assert_eq!(spilled(&inline_first), n > Distances::INLINE);
+            assert_eq!(inline_first, heap);
+            assert_eq!(format!("{inline_first:?}"), format!("{pairs:?}"));
+            assert_eq!(format!("{heap:?}"), format!("{pairs:?}"));
+            assert_ne!(inline_first, Distances::from(vec![(1000, 1.0)]));
+        }
+        assert_eq!(format!("{:?}", Distances::new()), "[]");
+    }
+
+    /// Random `push`/`clear` tapes against a `Vec` model: the pairs always
+    /// agree, the value spills exactly when the model first outgrows the
+    /// inline slots, and a clone holds the same pairs in the same storage.
+    #[test]
+    fn push_clear_tapes_match_a_vec_model() {
+        check("distances_match_vec", |g: &mut Gen| -> TkResult {
+            let ops = g.vec(0..48, |g| {
+                (g.u8_in(0..8) > 0).then(|| (g.usize_in(0..200), g.f64_in(0.0..500.0)))
+            });
+            let (mut d, mut model, mut grown) = (Distances::new(), Vec::new(), false);
+            for op in ops {
+                match op {
+                    Some(p) => {
+                        d.push(p);
+                        model.push(p);
+                    }
+                    None => {
+                        d.clear();
+                        model.clear();
+                    }
+                }
+                grown |= model.len() > Distances::INLINE;
+                tk_assert_eq!(&d[..], &model[..]);
+                tk_assert_eq!(spilled(&d), grown);
+                let c = d.clone();
+                tk_assert!(c == d);
+                tk_assert_eq!(spilled(&c), grown);
+            }
+            Ok(())
+        });
     }
 }

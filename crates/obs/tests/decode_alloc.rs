@@ -6,15 +6,16 @@
 //! count.
 
 use mg_dcf::{Dest, Frame, FrameKind, MacSdu, RtsFields};
-use mg_obs::{JournalFormat, JournalReader, Obs, ObsJournal, ObsMeta};
+use mg_obs::{Distances, JournalFormat, JournalReader, Obs, ObsJournal, ObsMeta};
 use mg_sim::{SimDuration, SimTime};
 use mg_testkit::alloc::{allocs, Counting};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// A journal with every event kind and every frame kind, including empty
-/// and non-empty ranging vectors.
+/// A journal with every event kind and every frame kind, and ranging
+/// snapshots of 0, 1, 2 and 4 pairs (inline) and of 5 and 111 pairs
+/// (spilled).
 fn journal() -> ObsJournal {
     let mut j = ObsJournal::new(ObsMeta {
         tagged: 3,
@@ -69,12 +70,14 @@ fn journal() -> ObsJournal {
             3 => Obs::Garbled { at: 9, now: at },
             4 => Obs::Ranging {
                 from: 3,
-                to: vec![(4, 100.0 + (i % 13) as f64), (9, 210.5)],
+                to: (0..[1, 2, 4, 5, 111][(i / 7 % 5) as usize])
+                    .map(|v| (4 + v, 100.0 + ((i + v as u64) % 13) as f64))
+                    .collect(),
                 at,
             },
             5 => Obs::Ranging {
                 from: 3,
-                to: vec![],
+                to: Distances::new(),
                 at,
             },
             _ => Obs::ChannelEdge {
@@ -88,20 +91,28 @@ fn journal() -> ObsJournal {
 }
 
 /// Iterating a binary journal allocates exactly once per `Obs::Ranging`
-/// event whose vector is non-empty (the vector the event owns), and never
-/// for any other event.
+/// event whose snapshot spills past the inline slots (the vector the event
+/// owns), and never for any other event.
 #[test]
-fn binary_events_allocate_only_for_ranging_vectors() {
+fn binary_events_allocate_only_for_spilled_snapshots() {
     let j = journal();
     let reader = JournalReader::from_bytes(j.encode(JournalFormat::Binary)).expect("opens");
     let mut events = reader.events();
-    let (mut n, mut owned) = (0, 0);
+    let (mut n, mut owned, mut sizes) = (0, 0, Vec::new());
     loop {
         let a0 = allocs();
         let Some(r) = events.next() else { break };
         let made = allocs() - a0;
         let o = r.expect("decodes");
-        let want = u64::from(matches!(&o, Obs::Ranging { to, .. } if !to.is_empty()));
+        let want = match &o {
+            Obs::Ranging { to, .. } => {
+                if !sizes.contains(&to.len()) {
+                    sizes.push(to.len());
+                }
+                u64::from(to.len() > Distances::INLINE)
+            }
+            _ => 0,
+        };
         assert_eq!(made, want, "event {n}: {o:?}");
         assert_eq!(o, j.events()[n]);
         n += 1;
@@ -109,4 +120,6 @@ fn binary_events_allocate_only_for_ranging_vectors() {
     }
     assert_eq!(n, j.len());
     assert!(owned > 0 && owned < n as u64);
+    sizes.sort_unstable();
+    assert_eq!(sizes, [0, 1, 2, 4, 5, 111]);
 }

@@ -4,8 +4,8 @@
 
 use mg_dcf::{Dest, Frame, FrameKind, MacSdu, RtsFields};
 use mg_obs::{
-    base64_to_bytes, bytes_to_base64, JournalError, JournalFormat, JournalReader, JournalWriter,
-    Obs, ObsJournal, ObsMeta, ObsSink,
+    base64_to_bytes, bytes_to_base64, Distances, JournalError, JournalFormat, JournalReader,
+    JournalWriter, Obs, ObsJournal, ObsMeta, ObsSink,
 };
 use mg_sim::{SimDuration, SimTime};
 use mg_testkit::prop::{check, Gen, TkResult};
@@ -79,7 +79,7 @@ fn gen_obs(g: &mut Gen) -> Obs {
         },
         _ => Obs::Ranging {
             from: g.usize_in(0..200),
-            to: g.vec(0..6, |g| (g.usize_in(0..200), g.f64_in(0.1..500.0))),
+            to: g.vec(0..6, |g| (g.usize_in(0..200), g.f64_in(0.1..500.0))).into(),
             at: gen_time(g),
         },
     }
@@ -291,15 +291,15 @@ fn fixed_journal() -> ObsJournal {
             4 => Obs::Ranging {
                 from: 3,
                 to: if i % 4 == 0 {
-                    vec![(4, 120.25), (9, 240.5)]
+                    vec![(4, 120.25), (9, 240.5)].into()
                 } else {
-                    vec![(130, 75.0)]
+                    vec![(130, 75.0)].into()
                 },
                 at: t,
             },
             _ => Obs::Ranging {
                 from: 3,
-                to: vec![],
+                to: Distances::new(),
                 at: t,
             },
         });

@@ -132,11 +132,6 @@ impl RxOutcome {
     pub fn is_decoded(&self) -> bool {
         matches!(self, RxOutcome::Decoded)
     }
-
-    /// True when the node perceived a corrupted frame (collision).
-    pub fn is_collided(&self) -> bool {
-        matches!(self, RxOutcome::Collided)
-    }
 }
 
 /// Everything known about a transmission once it ends.

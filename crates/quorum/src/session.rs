@@ -417,7 +417,7 @@ pub fn members_from_journal(journal: &mg_obs::ObsJournal) -> Vec<(NodeId, f64)> 
     for obs in journal.events() {
         if let Obs::Ranging { from, to, .. } = obs {
             if *from == meta.tagged {
-                return to.clone();
+                return to.to_vec();
             }
         }
     }

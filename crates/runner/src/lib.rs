@@ -165,12 +165,6 @@ impl Runner {
         self
     }
 
-    /// Sets the watchdog policy for [`Runner::try_sweep`].
-    pub fn with_policy(mut self, policy: SweepPolicy) -> Runner {
-        self.policy = policy;
-        self
-    }
-
     /// The cache this runner consults.
     pub fn cache(&self) -> &Cache {
         &self.cache

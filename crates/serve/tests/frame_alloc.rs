@@ -1,13 +1,16 @@
-//! What `read_frame` allocates, counted by mg-testkit's counting global
-//! allocator.
+//! What `read_frame` and decoding a frame allocate, counted by
+//! mg-testkit's counting global allocator.
 //!
 //! The allocator counts only the calling thread's allocations and the
 //! bytes they request, and this file holds nothing else, so tests running
 //! in parallel cannot pollute a count. A frame's length prefix is a claim
 //! by the peer; the buffer must grow with the bytes that actually arrive.
 
+use mg_dcf::{Dest, Frame, FrameKind};
+use mg_obs::{JournalFormat, JournalReader, JournalWriter, Obs, ObsMeta, ObsSink};
 use mg_serve::wire::{read_frame, write_frame, MAX_FRAME};
-use mg_testkit::alloc::{counts, Counting};
+use mg_sim::{SimDuration, SimTime};
+use mg_testkit::alloc::{allocs, counts, Counting};
 use std::io::ErrorKind;
 
 #[global_allocator]
@@ -55,4 +58,72 @@ fn a_frame_past_the_first_reservation_round_trips() {
     write_frame(&mut wire, &payload).unwrap();
     let (got, _) = counted_read(&wire);
     assert_eq!(got.unwrap().as_deref(), Some(payload.as_slice()));
+}
+
+/// One framed chunk of `n` events from a static monitor's stream. Every
+/// fifth event is a one-pair `Ranging`; the others cycle through channel
+/// edges, two decoded frames and a garble, so chunks of any length share
+/// the same frame and ranging tables.
+fn static_chunk(n: u64) -> Vec<u8> {
+    let meta = ObsMeta {
+        tagged: 3,
+        vantages: vec![4],
+        pair_distance: 240.0,
+        seed: 1,
+        params: vec![("kind".into(), "pair".into())],
+    };
+    let frame = |kind| Frame {
+        src: 3,
+        dst: Dest::Unicast(4),
+        duration: SimDuration::from_nanos(300_000),
+        kind,
+    };
+    let mut w = JournalWriter::new(JournalFormat::Binary, &meta);
+    for i in 0..n {
+        let at = SimTime::from_nanos(1_000 + i * 7_000);
+        w.ingest(&match i % 5 {
+            0 => Obs::Ranging {
+                from: 3,
+                to: [(4, [150.0, 240.0][(i / 5 % 2) as usize])].into_iter().collect(),
+                at,
+            },
+            1 | 3 => Obs::ChannelEdge { node: 4, busy: i % 5 == 1, at },
+            2 => Obs::Decoded {
+                at: 4,
+                frame: frame(if i % 2 == 0 { FrameKind::Cts } else { FrameKind::Ack }),
+                start: at,
+                end: at + SimDuration::from_nanos(500),
+            },
+            _ => Obs::Garbled { at: 4, now: at },
+        });
+    }
+    let mut wire = Vec::new();
+    write_frame(&mut wire, &w.finish()).unwrap();
+    wire
+}
+
+/// Allocations made by reading `wire`'s one frame, opening it as a journal
+/// and decoding every event; also returns the event count.
+fn decode_allocs(wire: &[u8]) -> (u64, usize) {
+    let mut r = wire;
+    let a0 = allocs();
+    let payload = read_frame(&mut r).unwrap().expect("one frame");
+    let reader = JournalReader::from_bytes(payload).expect("opens");
+    let mut n = 0;
+    for o in reader.events() {
+        o.expect("decodes");
+        n += 1;
+    }
+    (allocs() - a0, n)
+}
+
+/// Decoding a static monitor's chunk costs a fixed number of allocations
+/// (the frame buffer, the header and the tables), however many events and
+/// one-pair `Ranging` snapshots the chunk holds.
+#[test]
+fn a_static_chunk_decodes_in_allocations_independent_of_its_length() {
+    let (small, n_small) = decode_allocs(&static_chunk(1_024));
+    let (large, n_large) = decode_allocs(&static_chunk(4_096));
+    assert_eq!((n_small, n_large), (1_024, 4_096));
+    assert_eq!(small, large, "1,024 events: {small} allocations; 4,096 events: {large}");
 }

@@ -184,11 +184,6 @@ impl Gen {
         self.u64_in(range.start as u64..range.end as u64) as usize
     }
 
-    /// A uniform `u32` in `[range.start, range.end)`.
-    pub fn u32_in(&mut self, range: Range<u32>) -> u32 {
-        self.u64_in(u64::from(range.start)..u64::from(range.end)) as u32
-    }
-
     /// A uniform `u16` in `[range.start, range.end)`.
     pub fn u16_in(&mut self, range: Range<u16>) -> u16 {
         self.u64_in(u64::from(range.start)..u64::from(range.end)) as u16

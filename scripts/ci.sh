@@ -279,14 +279,17 @@ fi
 echo "ok: truncation and bit rot are rejected with clean exits"
 
 echo "== serve gate: mgd socket round-trip is byte-identical to offline replay =="
-# Record two journals (one misbehaving, one clean), start the daemon on an
-# ephemeral port, stream both over the length-prefixed socket protocol, and
+# Record three journals (one misbehaving, one clean, and one mobile whose
+# 111-vantage ranging snapshots spill to the heap), start the daemon on an
+# ephemeral port, stream each over the length-prefixed socket protocol, and
 # require the reports that come back to match `detect --replay` on the same
 # files byte-for-byte. SIGTERM must then drain the queues and exit 0.
 cargo run -q --release --offline -- detect --pm 60 --secs 2 --seed 5 \
     --record "$outdir/serve-a.bin" >/dev/null
 cargo run -q --release --offline -- detect --pm 0 --secs 2 --seed 9 \
     --record "$outdir/serve-b.bin" >/dev/null
+cargo run -q --release --offline -- detect --mobile --pm 60 --secs 2 --seed 5 \
+    --record "$outdir/serve-m.bin" >/dev/null
 ./target/release/mgd --listen 127.0.0.1:0 --deltas >"$outdir/mgd.out" 2>"$outdir/mgd.err" &
 mgd_pid=$!
 addr=""
@@ -301,7 +304,7 @@ if [ -z "$addr" ]; then
     kill "$mgd_pid" 2>/dev/null || true
     exit 1
 fi
-for j in a b; do
+for j in a b m; do
     cargo run -q --release --offline -- journal send "$outdir/serve-$j.bin" \
         --to "$addr" >"$outdir/serve-$j.got"
     cargo run -q --release --offline -- detect --replay "$outdir/serve-$j.bin" \
@@ -327,7 +330,7 @@ if ! grep -q "queues drained" "$outdir/mgd.out"; then
     cat "$outdir/mgd.out" >&2
     exit 1
 fi
-echo "ok: two socket streams byte-identical to offline replay; clean SIGTERM drain"
+echo "ok: three socket streams (one mobile) byte-identical to offline replay; clean SIGTERM drain"
 
 echo "== serve smoke: bench_serve mini cell =="
 # A tiny in-process cell of the serving benchmark: asserts the daemon's
