@@ -22,6 +22,14 @@
 //! non-empty with probability ρ (the locally measured traffic intensity), so
 //! `P(no transmitter among x nodes) = (1−ρ)^x` — the paper's second and
 //! third approximations.
+//!
+//! A monitor evaluates the model once per back-off window, and the window
+//! needs both `I_est` and `p_{I|B}` (the latter also weighs the resume
+//! overhead). `AnalyticModel::window_estimate` yields the two from one
+//! evaluation of `(1−ρ)^(n+k)`, with the same expressions, in the same
+//! order, as the per-equation methods, so its values equal theirs bit for
+//! bit. The region geometry is the caller's to keep: a monitor recomputes
+//! its `RegionModel` only when the pair distance changes.
 
 use mg_geom::{PreclusionRule, RegionModel};
 
@@ -45,19 +53,28 @@ impl AnalyticModel {
     /// "we have deterministically set n = 5, k = 5, since they are fixed in
     /// the grid topology"; higher values "do not play a significant role").
     pub fn grid_paper(distance: f64, cs_range: f64, rule: PreclusionRule) -> Self {
+        Self::uniform_counts(RegionModel::new(distance, cs_range, rule), 5.0)
+    }
+
+    /// `regions` with every node count (`n`, `k`, `m`, `j`) set to `count`.
+    pub(crate) fn uniform_counts(regions: RegionModel, count: f64) -> Self {
         AnalyticModel {
-            regions: RegionModel::new(distance, cs_range, rule),
-            n: 5.0,
-            k: 5.0,
-            m: 5.0,
-            j: 5.0,
+            regions,
+            n: count,
+            k: count,
+            m: count,
+            j: count,
         }
     }
 
     /// Node counts estimated from a uniform density (nodes/m²) — the random
     /// topology path, where the monitor estimates density online.
     pub fn from_density(distance: f64, cs_range: f64, rule: PreclusionRule, density: f64) -> Self {
-        let regions = RegionModel::new(distance, cs_range, rule);
+        Self::density_counts(RegionModel::new(distance, cs_range, rule), density)
+    }
+
+    /// [`AnalyticModel::from_density`] over regions computed beforehand.
+    pub(crate) fn density_counts(regions: RegionModel, density: f64) -> Self {
         AnalyticModel {
             regions,
             n: RegionModel::expected_nodes(regions.a2, density),
@@ -72,9 +89,20 @@ impl AnalyticModel {
         (1.0 - rho.clamp(0.0, 1.0)).powf(x.max(0.0))
     }
 
+    /// Eq. 3 given `quiet` = `(1−ρ)^(n+k)`, the chance that nobody in
+    /// A1∪A2 transmits.
+    fn busy_given_idle(&self, quiet: f64) -> f64 {
+        self.regions.ratio_a2() * (1.0 - quiet)
+    }
+
+    /// Eq. 4 given `quiet` = `(1−ρ)^(n+k)`.
+    fn idle_given_busy(&self, quiet: f64) -> f64 {
+        self.regions.ratio_a5() * (self.regions.ratio_a1() * (1.0 - quiet) + quiet)
+    }
+
     /// Equation 3: `p_{B|I} = [A2/(A1+A2)] · [1 − (1−ρ)^(n+k)]`.
     pub fn p_busy_given_idle(&self, rho: f64) -> f64 {
-        self.regions.ratio_a2() * (1.0 - Self::all_quiet(rho, self.n + self.k))
+        self.busy_given_idle(Self::all_quiet(rho, self.n + self.k))
     }
 
     /// Equation 5: `p_{I|I} = 1 − p_{B|I}`.
@@ -89,16 +117,25 @@ impl AnalyticModel {
     /// rather than A4. Second factor: either nobody in A1∪A2 transmits, or
     /// the one who does sits in A1 — outside S's sensing disk either way.
     pub fn p_idle_given_busy(&self, rho: f64) -> f64 {
-        let quiet = Self::all_quiet(rho, self.n + self.k);
-        self.regions.ratio_a5() * (self.regions.ratio_a1() * (1.0 - quiet) + quiet)
+        self.idle_given_busy(Self::all_quiet(rho, self.n + self.k))
     }
 
     /// Equations 1–2: estimate the sender's (idle, busy) slot counts from
     /// the monitor's own counts over a window of `idle + busy` slots.
     pub fn estimate_sender_slots(&self, rho: f64, idle: f64, busy: f64) -> (f64, f64) {
-        let i_est = self.p_idle_given_idle(rho) * idle + self.p_idle_given_busy(rho) * busy;
+        let (i_est, _) = self.window_estimate(rho, idle, busy);
         let total = idle + busy;
         (i_est, total - i_est)
+    }
+
+    /// One back-off window's `(I_est, p_{I|B})`: Eq. 1 over `idle` and
+    /// `busy` slots, and Eq. 4, sharing one evaluation of `(1−ρ)^(n+k)`.
+    /// Each value equals the per-equation methods' bit for bit.
+    pub(crate) fn window_estimate(&self, rho: f64, idle: f64, busy: f64) -> (f64, f64) {
+        let quiet = Self::all_quiet(rho, self.n + self.k);
+        let p_ii = 1.0 - self.busy_given_idle(quiet);
+        let p_ib = self.idle_given_busy(quiet);
+        (p_ii * idle + p_ib * busy, p_ib)
     }
 }
 

@@ -35,7 +35,7 @@ use mg_dcf::{Dest, Frame, FrameKind, MacTiming};
 use mg_crypto::VerifiableSequence;
 use mg_fault::{FrameFate, ObsFaults};
 use mg_obs::{Obs, ObsSink};
-use mg_geom::PreclusionRule;
+use mg_geom::{PreclusionRule, RegionModel};
 use mg_sim::SimTime;
 use mg_trace::{Counter, EventKind, Metrics, Tracer};
 use mg_stats::filter::Arma;
@@ -329,6 +329,9 @@ pub struct Monitor {
     prs: VerifiableSequence,
     chan: ChannelTracker,
     rho_filter: Arma,
+    /// The A1–A5 geometry at `cfg.pair_distance`: computed when the first
+    /// back-off window closes, and again only after the distance changes.
+    regions: Option<RegionModel>,
     /// Cumulative busy/idle time inside back-off windows (background-only
     /// traffic; the tagged node never transmits during its own back-off).
     win_busy_total: u64,
@@ -384,6 +387,7 @@ impl Monitor {
             prs: VerifiableSequence::new(cfg.tagged as u64),
             chan: ChannelTracker::new(),
             rho_filter: Arma::new(cfg.arma_alpha, cfg.arma_window),
+            regions: None,
             win_busy_total: 0,
             win_idle_total: 0,
             density: DensityEstimator::new(cfg.timing.cw_min, 5),
@@ -428,9 +432,13 @@ impl Monitor {
     }
 
     /// Internal mobility path: the pool's hand-off election updates the
-    /// elected member's region model through here.
+    /// elected member's region model through here, on every tagged RTS.
+    /// The geometry is recomputed only if the distance really changed.
     pub(crate) fn update_pair_distance(&mut self, d: f64) {
-        self.cfg.pair_distance = d;
+        if d.to_bits() != self.cfg.pair_distance.to_bits() {
+            self.cfg.pair_distance = d;
+            self.regions = None;
+        }
     }
 
     /// Installs the observation-boundary fault injector. Faults apply to
@@ -519,34 +527,31 @@ impl Monitor {
 
     /// The analytic model the monitor currently applies.
     pub fn model(&self) -> AnalyticModel {
-        let d = self.cfg.pair_distance;
-        let cs = self.cfg.cs_range;
+        self.model_over(self.regions.unwrap_or_else(|| Self::regions_for(&self.cfg)))
+    }
+
+    /// The A1–A5 geometry `cfg` calls for at its pair distance.
+    fn regions_for(cfg: &MonitorConfig) -> RegionModel {
+        let d = cfg.pair_distance;
+        let rule = match cfg.counts {
+            // Distance-scaled calibration: the closer the pair, the more
+            // their channel views coincide (see PreclusionRule docs).
+            NodeCounts::SimCalibrated => PreclusionRule::sim_calibrated_for(d),
+            _ => cfg.preclusion,
+        };
+        RegionModel::new(d, cfg.cs_range, rule)
+    }
+
+    /// The model over `regions`, with node counts from the configured
+    /// source; [`NodeCounts::FromDensity`] reads the density estimate as it
+    /// stands now.
+    fn model_over(&self, regions: RegionModel) -> AnalyticModel {
         match self.cfg.counts {
-            NodeCounts::FixedPaper => AnalyticModel::grid_paper(d, cs, self.cfg.preclusion),
-            NodeCounts::SimCalibrated => AnalyticModel {
-                // Distance-scaled calibration: the closer the pair, the more
-                // their channel views coincide (see PreclusionRule docs).
-                regions: mg_geom::RegionModel::new(
-                    d,
-                    cs,
-                    PreclusionRule::sim_calibrated_for(d),
-                ),
-                n: 0.5,
-                k: 0.5,
-                m: 0.5,
-                j: 0.5,
-            },
-            NodeCounts::Fixed { n, k, m, j } => AnalyticModel {
-                regions: mg_geom::RegionModel::new(d, cs, self.cfg.preclusion),
-                n,
-                k,
-                m,
-                j,
-            },
-            NodeCounts::FromDensity => AnalyticModel::from_density(
-                d,
-                cs,
-                self.cfg.preclusion,
+            NodeCounts::FixedPaper => AnalyticModel::uniform_counts(regions, 5.0),
+            NodeCounts::SimCalibrated => AnalyticModel::uniform_counts(regions, 0.5),
+            NodeCounts::Fixed { n, k, m, j } => AnalyticModel { regions, n, k, m, j },
+            NodeCounts::FromDensity => AnalyticModel::density_counts(
+                regions,
                 self.density.density(self.cfg.tx_range),
             ),
         }
@@ -715,10 +720,10 @@ impl Monitor {
                 // the monitor's completed busy runs, weighted by P(S busy |
                 // R busy) = 1 − p_{I|B}, estimate how many such episodes
                 // occurred.
-                let model = self.model();
-                let (i_est, _b_est) = model.estimate_sender_slots(rho, idle, busy);
-                let resume_overhead =
-                    difs * busy_runs as f64 * (1.0 - model.p_idle_given_busy(rho));
+                let regions =
+                    *self.regions.get_or_insert_with(|| Self::regions_for(&self.cfg));
+                let (i_est, p_ib) = self.model_over(regions).window_estimate(rho, idle, busy);
+                let resume_overhead = difs * busy_runs as f64 * (1.0 - p_ib);
                 let garbles = (self.garbles_total - self.garbles_at_window_open) as f64;
                 let eifs_extra_slots = (timing.eifs().as_nanos() as f64
                     - timing.difs().as_nanos() as f64)

@@ -22,7 +22,7 @@ use mg_obs::{Distances, Obs, ObsSink};
 use mg_phy::Medium;
 use mg_sim::SimTime;
 use mg_stats::signed_rank::signed_rank_test;
-use mg_stats::wilcoxon::{rank_sum_test, Alternative, RankSumResult};
+use mg_stats::wilcoxon::{Alternative, RankSumResult, RankSumScratch};
 use mg_trace::{Counter, EventKind, Metrics, Tracer};
 
 /// A set of monitors for one tagged node, one per candidate vantage, with
@@ -43,6 +43,11 @@ pub struct MonitorPool {
     /// Index of the active member.
     active: Option<usize>,
     samples: Vec<(f64, f64)>,
+    /// One batch's dictated (`xs`) and estimated (`ys`) back-offs, and the
+    /// rank-sum buffers: reused from one test to the next.
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    rank_sum: RankSumScratch,
     tests: Vec<RankSumResult>,
     rejections: usize,
     /// Last tagged-RTS end seen (virtual timestamp for shared-test records).
@@ -104,6 +109,9 @@ impl MonitorPool {
             monitors,
             active: None,
             samples: Vec::new(),
+            xs: Vec::new(),
+            ys: Vec::new(),
+            rank_sum: RankSumScratch::new(),
             tests: Vec::new(),
             rejections: 0,
             last_seen: SimTime::ZERO,
@@ -294,12 +302,17 @@ impl MonitorPool {
             }
         }
         while self.samples.len() >= self.sample_size {
-            let (xs, ys): (Vec<f64>, Vec<f64>) =
-                self.samples.drain(..self.sample_size).unzip();
+            let (xs, ys) = (&mut self.xs, &mut self.ys);
+            xs.clear();
+            ys.clear();
+            for (x, y) in self.samples.drain(..self.sample_size) {
+                xs.push(x);
+                ys.push(y);
+            }
             let r = match self.judge {
-                Judge::RankSum => rank_sum_test(&ys, &xs, Alternative::Less),
+                Judge::RankSum => self.rank_sum.test(ys, xs, Alternative::Less),
                 Judge::SignedRank => {
-                    let sr = signed_rank_test(&ys, &xs, Alternative::Less);
+                    let sr = signed_rank_test(ys, xs, Alternative::Less);
                     // Report through the common result shape (W⁺ as statistic).
                     RankSumResult {
                         w: sr.w_plus,
@@ -424,12 +437,69 @@ mod tests {
     use super::*;
     use crate::monitor::tests::rts_frame;
     use mg_dcf::MacTiming;
+    use mg_sim::SimDuration;
 
     fn template() -> MonitorConfig {
         MonitorConfig {
             sample_size: 5,
             ..MonitorConfig::grid_paper(0, 1, 240.0)
         }
+    }
+
+    /// A saturated tagged sender (`0`) whose back-off windows each hold one
+    /// busy run of background traffic at the vantage (`1`), so the window
+    /// estimate depends on the region geometry. Before its `i`-th RTS comes
+    /// the ranging snapshot a recorder writes, placing the vantage at
+    /// `distance(i)`.
+    fn busy_window_stream(count: usize, distance: impl Fn(usize) -> f64) -> Vec<Obs> {
+        let t = MacTiming::paper_default();
+        let idle = t.difs() + t.slot * 40;
+        let mut now = SimTime::ZERO;
+        let mut stream = Vec::new();
+        for i in 0..count {
+            let busy_at = now + idle;
+            now = busy_at + SimDuration::from_micros(300);
+            stream.push(Obs::ChannelEdge { node: 1, busy: true, at: busy_at });
+            stream.push(Obs::ChannelEdge { node: 1, busy: false, at: now });
+            now += idle;
+            let end = now + t.rts_airtime();
+            let to = [(1, distance(i))].into_iter().collect();
+            stream.push(Obs::Ranging { from: 0, to, at: now });
+            stream.push(Obs::ChannelEdge { node: 1, busy: true, at: now });
+            let frame = rts_frame(i as u64, 1, i as u64);
+            stream.push(Obs::Decoded { at: 1, frame, start: now, end });
+            stream.push(Obs::ChannelEdge { node: 1, busy: false, at: end });
+            now = end;
+        }
+        stream
+    }
+
+    /// A member moved from 240 m to 120 m by the hand-off election samples
+    /// every later window exactly as a member that was always at 120 m: its
+    /// geometry, computed at 240 m for the earlier windows, is not reused.
+    #[test]
+    fn moved_member_samples_as_if_built_at_its_new_distance() {
+        let (d1, d2, moved_at) = (240.0, 120.0, 6);
+        let run = |built_at: f64, distance: &dyn Fn(usize) -> f64| {
+            let mut pool = MonitorPool::new(0, &[1], template().with_pair_distance(built_at));
+            for o in &busy_window_stream(16, distance) {
+                pool.ingest(o);
+            }
+            pool
+        };
+        let moved = run(d1, &|i| if i < moved_at { d1 } else { d2 });
+        let fixed = run(d2, &|_| d2);
+        let (a, b) = (moved.monitor(1).expect("member"), fixed.monitor(1).expect("member"));
+        assert_eq!(a.samples().len(), 15);
+        assert_eq!(b.samples().len(), 15);
+        assert_eq!(a.model(), b.model());
+        // The RTS that carries the first 120 m snapshot is sampled at the
+        // pre-hand-off distance; every window after it is at 120 m.
+        let bits = |s: &[(f64, f64)]| {
+            s.iter().map(|&(x, y)| (x.to_bits(), y.to_bits())).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&a.samples()[moved_at..]), bits(&b.samples()[moved_at..]));
+        assert_ne!(bits(&a.samples()[..moved_at]), bits(&b.samples()[..moved_at]));
     }
 
     #[test]

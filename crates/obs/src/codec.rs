@@ -43,6 +43,15 @@
 //! damaged journal yields a typed [`JournalError`], never a silent partial
 //! read.
 //!
+//! Decoding reads each field through a cursor whose slice ends at its
+//! section's end (the events section for events, the trailer for the
+//! tables), so a corrupt varint fails instead of reading a neighbor. Field
+//! reads are inlined, and a failure travels as a small `Copy` fault (offset,
+//! a fixed description, the offending number). The typed
+//! [`JournalError::Corrupt`] is built from it once, where [`Events`] or
+//! [`JournalReader::from_bytes`] hands it to the caller, so the per-event
+//! path never carries an error that owns a `String`.
+//!
 //! Versioning: the `version` field is bumped on any layout change; readers
 //! reject versions they do not know ([`JournalError::Version`]) instead of
 //! guessing. Version 1 (which carried a per-vantage index block) is
@@ -228,80 +237,134 @@ fn put_time_delta(out: &mut Vec<u8>, prev: u64, t: u64) {
     put_varint(out, ((d << 1) ^ (d >> 63)) as u64);
 }
 
+/// Why binary content failed to decode: where, a fixed description, and the
+/// offending number when there is one. It is `Copy` and owns nothing, so
+/// the decoder passes it through `?` at the cost of a few register moves;
+/// [`corrupt`] turns it into the typed [`JournalError::Corrupt`] once, at
+/// the boundary, and only after decoding has failed.
+#[derive(Clone, Copy, Debug)]
+struct Fault {
+    /// Byte offset of the field that failed.
+    offset: usize,
+    /// What went wrong.
+    what: &'static str,
+    /// The value the check rejected, if the description names one.
+    value: Option<u64>,
+}
+
+/// The one place a [`Fault`] becomes a [`JournalError`].
+#[cold]
+#[inline(never)]
+fn corrupt(f: Fault) -> JournalError {
+    let what = match f.value {
+        Some(v) => format!("{} ({v})", f.what),
+        None => f.what.to_string(),
+    };
+    JournalError::Corrupt { offset: f.offset, what }
+}
+
+/// A read position inside one section of a binary journal. `bytes` ends
+/// at the section end, so no read, however corrupt the varint, can reach
+/// into a neighboring section.
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
-    /// Hard stop for this cursor (section end), so a corrupt varint can
-    /// never read into a neighboring section.
-    end: usize,
 }
 
 impl<'a> Cursor<'a> {
+    /// A cursor at `pos` over `bytes[..end]`.
     fn new(bytes: &'a [u8], pos: usize, end: usize) -> Cursor<'a> {
-        Cursor { bytes, pos, end }
+        Cursor { bytes: &bytes[..end], pos }
     }
 
-    fn corrupt(&self, what: impl Into<String>) -> JournalError {
-        JournalError::Corrupt { offset: self.pos, what: what.into() }
+    /// Bytes left before the section end.
+    fn left(&self) -> usize {
+        self.bytes.len().saturating_sub(self.pos)
     }
 
-    fn u8(&mut self) -> Result<u8, JournalError> {
-        if self.pos >= self.end {
-            return Err(self.corrupt("unexpected end of section"));
+    fn fault(&self, what: &'static str) -> Fault {
+        Fault { offset: self.pos, what, value: None }
+    }
+
+    fn fault_on(&self, what: &'static str, value: u64) -> Fault {
+        Fault { offset: self.pos, what, value: Some(value) }
+    }
+
+    #[inline(always)]
+    fn u8(&mut self) -> Result<u8, Fault> {
+        match self.bytes.get(self.pos) {
+            Some(&b) => {
+                self.pos += 1;
+                Ok(b)
+            }
+            None => Err(self.fault("unexpected end of section")),
         }
-        let b = self.bytes[self.pos];
-        self.pos += 1;
-        Ok(b)
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], JournalError> {
-        if self.end - self.pos < n {
-            return Err(self.corrupt(format!("{n} bytes needed, section ends")));
+    #[inline(always)]
+    fn take(&mut self, n: usize) -> Result<&'a [u8], Fault> {
+        if self.left() < n {
+            return Err(self.fault_on("field needs more bytes than the section holds", n as u64));
         }
         let s = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
-    fn varint(&mut self) -> Result<u64, JournalError> {
+    #[inline(always)]
+    fn varint(&mut self) -> Result<u64, Fault> {
         // Most node ids and table refs fit one byte.
-        if self.pos < self.end && self.bytes[self.pos] & 0x80 == 0 {
-            self.pos += 1;
-            return Ok(u64::from(self.bytes[self.pos - 1]));
+        match self.bytes.get(self.pos) {
+            Some(&b) if b & 0x80 == 0 => {
+                self.pos += 1;
+                Ok(u64::from(b))
+            }
+            _ => self.varint_long(),
         }
+    }
+
+    /// A varint of up to 10 bytes (bits past the 64th are dropped). The
+    /// cursor moves only when the whole varint lies inside the section.
+    #[inline(always)]
+    fn varint_long(&mut self) -> Result<u64, Fault> {
         let mut v: u64 = 0;
-        for shift in (0..64).step_by(7) {
-            let b = self.u8()?;
+        for (i, shift) in (0..64).step_by(7).enumerate() {
+            let Some(&b) = self.bytes.get(self.pos + i) else {
+                return Err(self.fault("varint runs past the section end"));
+            };
             v |= u64::from(b & 0x7F) << shift;
             if b & 0x80 == 0 {
+                self.pos += i + 1;
                 return Ok(v);
             }
         }
-        Err(self.corrupt("varint longer than 64 bits"))
+        Err(self.fault("varint longer than 64 bits"))
     }
 
-    fn time_delta(&mut self, prev: u64) -> Result<u64, JournalError> {
+    #[inline(always)]
+    fn time_delta(&mut self, prev: u64) -> Result<u64, Fault> {
         let z = self.varint()?;
         let d = ((z >> 1) as i64) ^ -((z & 1) as i64);
         Ok(prev.wrapping_add(d as u64))
     }
 
-    fn u64_le(&mut self) -> Result<u64, JournalError> {
+    #[inline(always)]
+    fn u64_le(&mut self) -> Result<u64, Fault> {
         let s = self.take(8)?;
         Ok(u64::from_le_bytes(s.try_into().expect("8 bytes")))
     }
 
-    fn f64_le(&mut self) -> Result<f64, JournalError> {
+    fn f64_le(&mut self) -> Result<f64, Fault> {
         Ok(f64::from_bits(self.u64_le()?))
     }
 
-    fn string(&mut self) -> Result<String, JournalError> {
+    fn string(&mut self) -> Result<String, Fault> {
         let n = self.varint()? as usize;
         let pos = self.pos;
         let s = self.take(n)?;
         std::str::from_utf8(s)
             .map(str::to_string)
-            .map_err(|e| JournalError::Corrupt { offset: pos, what: format!("bad utf-8: {e}") })
+            .map_err(|_| Fault { offset: pos, what: "bad utf-8 in a header string", value: None })
     }
 }
 
@@ -367,7 +430,7 @@ fn encode_frame(out: &mut Vec<u8>, f: &Frame) {
     }
 }
 
-fn decode_frame(c: &mut Cursor<'_>) -> Result<Frame, JournalError> {
+fn decode_frame(c: &mut Cursor<'_>) -> Result<Frame, Fault> {
     let flags = c.u8()?;
     let src = c.varint()? as NodeId;
     let dst = if flags & FLAG_DST_BCAST != 0 {
@@ -379,8 +442,8 @@ fn decode_frame(c: &mut Cursor<'_>) -> Result<Frame, JournalError> {
     let kind = match flags & 0x3 {
         KIND_RTS => {
             let seq = c.varint()?;
-            let seq_off_wire = u16::try_from(seq)
-                .map_err(|_| c.corrupt(format!("rts seq {seq} exceeds u16")))?;
+            let seq_off_wire =
+                u16::try_from(seq).map_err(|_| c.fault_on("rts seq exceeds u16", seq))?;
             let attempt = c.u8()?;
             let md: [u8; 16] = c.take(16)?.try_into().expect("16 bytes");
             FrameKind::Rts(RtsFields { seq_off_wire, attempt, md })
@@ -389,8 +452,8 @@ fn decode_frame(c: &mut Cursor<'_>) -> Result<Frame, JournalError> {
         KIND_DATA => {
             let id = c.varint()?;
             let len = c.varint()?;
-            let payload_len = u16::try_from(len)
-                .map_err(|_| c.corrupt(format!("payload length {len} exceeds u16")))?;
+            let payload_len =
+                u16::try_from(len).map_err(|_| c.fault_on("payload length exceeds u16", len))?;
             let sdu_dst = if flags & FLAG_SDU_BCAST != 0 {
                 Dest::Broadcast
             } else {
@@ -411,13 +474,14 @@ fn encode_ranging_vec(out: &mut Vec<u8>, to: &[(NodeId, f64)]) {
     }
 }
 
-fn decode_ranging_vec(c: &mut Cursor<'_>) -> Result<Distances, JournalError> {
-    let n = c.varint()? as usize;
-    if n > (c.end - c.pos) / 9 {
+fn decode_ranging_vec(c: &mut Cursor<'_>) -> Result<Distances, Fault> {
+    let n = c.varint()?;
+    if n > (c.left() / 9) as u64 {
         // Each pair is at least 9 bytes; reject absurd counts before
         // allocating.
-        return Err(c.corrupt(format!("ranging vector claims {n} pairs")));
+        return Err(c.fault_on("ranging vector claims more pairs than fit", n));
     }
+    let n = n as usize;
     let mut to = Distances::new();
     to.reserve(n);
     for _ in 0..n {
@@ -1004,88 +1068,21 @@ impl JournalReader {
         }
         let trailer_at = len - TRAILER;
         let mut t = Cursor::new(&bytes, trailer_at, len);
-        let events_end = t.u64_le()? as usize;
-        let n_events = t.u64_le()?;
-        let total_len = t.u64_le()?;
+        let mut word = || t.u64_le().map_err(corrupt);
+        let events_end = word()? as usize;
+        let n_events = word()?;
+        let total_len = word()?;
         if total_len != len as u64 {
             return Err(JournalError::Truncated { expected: total_len, actual: len as u64 });
         }
-        let stored_sum = t.u64_le()?;
+        let stored_sum = word()?;
         let actual_sum = fnv64(&bytes[..len - 12]);
         if stored_sum != actual_sum {
             return Err(JournalError::Checksum { expected: stored_sum, actual: actual_sum });
         }
-
-        // Header → meta.
-        let mut c = Cursor::new(&bytes, MAGIC.len() + 2, trailer_at);
-        let tagged = c.varint()? as NodeId;
-        let nv = c.varint()? as usize;
-        if nv > trailer_at {
-            return Err(c.corrupt(format!("vantage count {nv} exceeds journal size")));
-        }
-        let mut vantages = Vec::with_capacity(nv);
-        for _ in 0..nv {
-            vantages.push(c.varint()? as NodeId);
-        }
-        let pair_distance = c.f64_le()?;
-        let seed = c.u64_le()?;
-        let np = c.varint()? as usize;
-        if np > trailer_at {
-            return Err(c.corrupt(format!("param count {np} exceeds journal size")));
-        }
-        let mut params = Vec::with_capacity(np);
-        for _ in 0..np {
-            let k = c.string()?;
-            let v = c.string()?;
-            params.push((k, v));
-        }
-        let meta = ObsMeta { tagged, vantages, pair_distance, seed, params };
-        let events_start = c.pos;
-        if events_end < events_start || events_end > trailer_at {
-            return Err(c.corrupt(format!(
-                "inconsistent section offsets (events {events_start}..{events_end}, trailer {trailer_at})"
-            )));
-        }
-        // Every event takes at least one byte.
-        if n_events > (events_end - events_start) as u64 {
-            return Err(c.corrupt(format!(
-                "event count {n_events} exceeds the {}-byte events section",
-                events_end - events_start
-            )));
-        }
-
-        // Tables live between the events section and the trailer.
-        let mut c = Cursor::new(&bytes, events_end, trailer_at);
-        let nf = c.varint()? as usize;
-        if nf > trailer_at - events_end {
-            return Err(c.corrupt(format!("frame table claims {nf} entries")));
-        }
-        let mut frames = Vec::with_capacity(nf);
-        for _ in 0..nf {
-            frames.push(decode_frame(&mut c)?);
-        }
-        let nr = c.varint()? as usize;
-        if nr > trailer_at - events_end {
-            return Err(c.corrupt(format!("ranging table claims {nr} entries")));
-        }
-        let mut rangings = Vec::with_capacity(nr);
-        for _ in 0..nr {
-            rangings.push(decode_ranging_vec(&mut c)?);
-        }
-        if c.pos != trailer_at {
-            return Err(c.corrupt("tables do not end at the trailer".to_string()));
-        }
-        Ok(JournalReader {
-            meta,
-            bytes,
-            inner: ReaderInner::Binary(Box::new(BinState {
-                events_start,
-                events_end,
-                n_events,
-                frames,
-                rangings,
-            })),
-        })
+        let (meta, state) =
+            parse_sections(&bytes, trailer_at, events_end, n_events).map_err(corrupt)?;
+        Ok(JournalReader { meta, bytes, inner: ReaderInner::Binary(Box::new(state)) })
     }
 
     /// The detected format.
@@ -1129,8 +1126,7 @@ impl JournalReader {
             }),
             ReaderInner::Binary(b) => Events(EventsInner::Binary {
                 state: b,
-                bytes: &self.bytes,
-                pos: b.events_start,
+                c: Cursor::new(&self.bytes, b.events_start, b.events_end),
                 prev_time: 0,
                 remaining: b.n_events,
             }),
@@ -1162,73 +1158,143 @@ impl JournalReader {
     }
 }
 
-fn decode_event(
-    c: &mut Cursor<'_>,
-    state: &BinState,
-    prev_time: u64,
-) -> Result<Obs, JournalError> {
+/// Parses the header, checks the section bounds and decodes the interned
+/// tables of a binary journal whose container (length, version, checksum)
+/// is already valid. Reads are capped at the trailer.
+fn parse_sections(
+    bytes: &[u8],
+    trailer_at: usize,
+    events_end: usize,
+    n_events: u64,
+) -> Result<(ObsMeta, BinState), Fault> {
+    // Header → meta.
+    let mut c = Cursor::new(bytes, MAGIC.len() + 2, trailer_at);
+    let tagged = c.varint()? as NodeId;
+    let nv = c.varint()?;
+    if nv > trailer_at as u64 {
+        return Err(c.fault_on("vantage count exceeds journal size", nv));
+    }
+    let mut vantages = Vec::with_capacity(nv as usize);
+    for _ in 0..nv {
+        vantages.push(c.varint()? as NodeId);
+    }
+    let pair_distance = c.f64_le()?;
+    let seed = c.u64_le()?;
+    let np = c.varint()?;
+    if np > trailer_at as u64 {
+        return Err(c.fault_on("param count exceeds journal size", np));
+    }
+    let mut params = Vec::with_capacity(np as usize);
+    for _ in 0..np {
+        let k = c.string()?;
+        let v = c.string()?;
+        params.push((k, v));
+    }
+    let meta = ObsMeta { tagged, vantages, pair_distance, seed, params };
+    let events_start = c.pos;
+    if events_end < events_start || events_end > trailer_at {
+        return Err(c.fault_on("events section end outside the body", events_end as u64));
+    }
+    // Every event takes at least one byte.
+    if n_events > (events_end - events_start) as u64 {
+        return Err(c.fault_on("event count exceeds the events section's bytes", n_events));
+    }
+
+    // Tables live between the events section and the trailer.
+    let mut c = Cursor::new(bytes, events_end, trailer_at);
+    let nf = c.varint()?;
+    if nf > (trailer_at - events_end) as u64 {
+        return Err(c.fault_on("frame table claims too many entries", nf));
+    }
+    let mut frames = Vec::with_capacity(nf as usize);
+    for _ in 0..nf {
+        frames.push(decode_frame(&mut c)?);
+    }
+    let nr = c.varint()?;
+    if nr > (trailer_at - events_end) as u64 {
+        return Err(c.fault_on("ranging table claims too many entries", nr));
+    }
+    let mut rangings = Vec::with_capacity(nr as usize);
+    for _ in 0..nr {
+        rangings.push(decode_ranging_vec(&mut c)?);
+    }
+    if c.pos != trailer_at {
+        return Err(c.fault("tables do not end at the trailer"));
+    }
+    Ok((meta, BinState { events_start, events_end, n_events, frames, rangings }))
+}
+
+/// Decodes one event at `c` and moves `prev_time` to its primary instant.
+#[inline]
+fn decode_event(c: &mut Cursor<'_>, state: &BinState, prev_time: &mut u64) -> Result<Obs, Fault> {
     let tag = c.u8()?;
-    match tag {
+    let obs = match tag {
         TAG_EDGE_IDLE | TAG_EDGE_BUSY => {
             let node = c.varint()? as NodeId;
-            let at = c.time_delta(prev_time)?;
-            Ok(Obs::ChannelEdge {
-                node,
-                busy: tag == TAG_EDGE_BUSY,
-                at: SimTime::from_nanos(at),
-            })
+            let at = c.time_delta(*prev_time)?;
+            *prev_time = at;
+            Obs::ChannelEdge { node, busy: tag == TAG_EDGE_BUSY, at: SimTime::from_nanos(at) }
         }
         TAG_TX => {
             let src = c.varint()? as NodeId;
-            let at = c.time_delta(prev_time)?;
+            let at = c.time_delta(*prev_time)?;
             let dur = c.varint()?;
             let frame = lookup_frame(c, state)?;
-            Ok(Obs::TxStart {
+            *prev_time = at;
+            Obs::TxStart {
                 src,
                 frame,
                 at: SimTime::from_nanos(at),
                 end: SimTime::from_nanos(at.wrapping_add(dur)),
-            })
+            }
         }
         TAG_RX => {
             let at_node = c.varint()? as NodeId;
-            let start = c.time_delta(prev_time)?;
+            let start = c.time_delta(*prev_time)?;
             let dur = c.varint()?;
             let frame = lookup_frame(c, state)?;
-            Ok(Obs::Decoded {
+            *prev_time = start;
+            Obs::Decoded {
                 at: at_node,
                 frame,
                 start: SimTime::from_nanos(start),
                 end: SimTime::from_nanos(start.wrapping_add(dur)),
-            })
+            }
         }
         TAG_GARBLE => {
             let at_node = c.varint()? as NodeId;
-            let now = c.time_delta(prev_time)?;
-            Ok(Obs::Garbled { at: at_node, now: SimTime::from_nanos(now) })
+            let now = c.time_delta(*prev_time)?;
+            *prev_time = now;
+            Obs::Garbled { at: at_node, now: SimTime::from_nanos(now) }
         }
         TAG_RNG => {
             let from = c.varint()? as NodeId;
-            let at = c.time_delta(prev_time)?;
-            let id = c.varint()? as usize;
-            let to = state
-                .rangings
-                .get(id)
-                .ok_or_else(|| c.corrupt(format!("ranging table id {id} out of range")))?
-                .clone();
-            Ok(Obs::Ranging { from, to, at: SimTime::from_nanos(at) })
+            let at = c.time_delta(*prev_time)?;
+            let at_id = c.pos;
+            let id = c.varint()?;
+            let Some(to) = state.rangings.get(id as usize) else {
+                let what = "ranging table id out of range";
+                return Err(Fault { offset: at_id, what, value: Some(id) });
+            };
+            *prev_time = at;
+            Obs::Ranging { from, to: to.clone(), at: SimTime::from_nanos(at) }
         }
-        other => Err(c.corrupt(format!("unknown event tag {other}"))),
-    }
+        other => {
+            let value = Some(u64::from(other));
+            return Err(Fault { offset: c.pos - 1, what: "unknown event tag", value });
+        }
+    };
+    Ok(obs)
 }
 
-fn lookup_frame(c: &mut Cursor<'_>, state: &BinState) -> Result<Frame, JournalError> {
-    let id = c.varint()? as usize;
-    state
-        .frames
-        .get(id)
-        .cloned()
-        .ok_or_else(|| c.corrupt(format!("frame table id {id} out of range")))
+#[inline(always)]
+fn lookup_frame(c: &mut Cursor<'_>, state: &BinState) -> Result<Frame, Fault> {
+    let at_id = c.pos;
+    let id = c.varint()?;
+    match state.frames.get(id as usize) {
+        Some(f) => Ok(f.clone()),
+        None => Err(Fault { offset: at_id, what: "frame table id out of range", value: Some(id) }),
+    }
 }
 
 /// Streaming event iterator over a [`JournalReader`] — decodes one event
@@ -1244,12 +1310,10 @@ enum EventsInner<'a> {
         line: usize,
     },
     Binary {
-        /// Parsed tables + section bounds.
+        /// The interned tables.
         state: &'a BinState,
-        /// The full journal buffer.
-        bytes: &'a [u8],
-        /// Next frame offset.
-        pos: usize,
+        /// The events section, positioned at the next event.
+        c: Cursor<'a>,
         /// Running delta base.
         prev_time: u64,
         /// Events left to decode.
@@ -1295,39 +1359,27 @@ impl Iterator for Events<'_> {
                     }
                 });
             },
-            EventsInner::Binary { state, bytes, pos, prev_time, remaining } => {
-                if *remaining == 0 {
-                    if *pos != state.events_end {
-                        let at = *pos;
-                        *pos = state.events_end;
-                        return Some(Err(JournalError::Corrupt {
-                            offset: at,
-                            what: "event count ends before the events section".into(),
-                        }));
+            EventsInner::Binary { state, c, prev_time, remaining } => {
+                let end = c.bytes.len();
+                let fault = if *remaining == 0 {
+                    if c.pos == end {
+                        return None;
                     }
-                    return None;
-                }
-                if *pos >= state.events_end {
-                    *remaining = 0;
-                    return Some(Err(JournalError::Corrupt {
-                        offset: *pos,
-                        what: "events section ends before the event count".into(),
-                    }));
-                }
-                let mut c = Cursor::new(bytes, *pos, state.events_end);
-                match decode_event(&mut c, state, *prev_time) {
-                    Ok(o) => {
-                        *pos = c.pos;
-                        *prev_time = primary_time(&o);
-                        *remaining -= 1;
-                        Some(Ok(o))
+                    c.fault("event count ends before the events section")
+                } else if c.pos >= end {
+                    c.fault("events section ends before the event count")
+                } else {
+                    match decode_event(c, state, prev_time) {
+                        Ok(o) => {
+                            *remaining -= 1;
+                            return Some(Ok(o));
+                        }
+                        Err(f) => f,
                     }
-                    Err(e) => {
-                        *remaining = 0;
-                        *pos = state.events_end;
-                        Some(Err(e))
-                    }
-                }
+                };
+                *remaining = 0;
+                c.pos = end;
+                Some(Err(corrupt(fault)))
             }
         }
     }

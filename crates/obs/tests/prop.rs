@@ -469,3 +469,191 @@ fn replay_preserves_order() {
     j.replay(&mut c);
     assert_eq!(c.0.as_slice(), j.events());
 }
+
+// ---------------------------------------------------------------------------
+// Decoder fuzz: mutations the checksum cannot catch
+// ---------------------------------------------------------------------------
+
+/// Trailer size of format v2: events end, event count and total length
+/// (u64 each), the checksum, and the 4-byte end magic.
+const TRAILER: usize = 8 * 4 + 4;
+
+/// Event tag bytes of format v2.
+const TAG_TX: u8 = 2;
+const TAG_GARBLE: u8 = 4;
+const TAG_RNG: u8 = 5;
+
+/// FNV-1a 64 over 8-byte little-endian words, then byte-wise over the
+/// tail: the journal checksum of DESIGN.md §6.1, written out again here so
+/// the tests can seal journals they edit.
+fn fnv64(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01B3;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = (h ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(PRIME);
+    }
+    for &b in words.remainder() {
+        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+    }
+    h
+}
+
+/// Rewrites the checksum of an edited binary journal. The checksum covers
+/// everything before its own field, the trailer's last 12 bytes.
+fn reseal(bytes: &mut [u8]) {
+    let at = bytes.len() - 12;
+    let sum = fnv64(&bytes[..at]);
+    bytes[at..at + 8].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Where the events section of a journal with `meta` starts: the events
+/// end of an empty journal with the same header.
+fn events_start(meta: &ObsMeta) -> usize {
+    let empty = ObsJournal::new(meta.clone()).encode(JournalFormat::Binary);
+    let at = empty.len() - TRAILER;
+    u64::from_le_bytes(empty[at..at + 8].try_into().unwrap()) as usize
+}
+
+/// How the decode of a resealed journal ended.
+#[derive(Debug)]
+enum Outcome {
+    /// `from_bytes` refused it: the table parse failed.
+    Refused,
+    /// It opened, and an event failed.
+    Failed,
+    /// It opened, and every event decoded.
+    Whole,
+}
+
+/// Decodes a journal whose container (length, version, checksum) is valid
+/// to the end, holding the decoder to its contract: every failure is a
+/// typed `JournalError::Corrupt`, and after the first one the iterator
+/// yields nothing more. A panic fails the caller.
+fn decode_resealed(bytes: Vec<u8>) -> Result<Outcome, String> {
+    let reader = match JournalReader::from_bytes(bytes) {
+        Ok(r) => r,
+        Err(JournalError::Corrupt { .. }) => return Ok(Outcome::Refused),
+        Err(e) => return Err(format!("open failed with {e:?}, not Corrupt")),
+    };
+    let mut events = reader.events();
+    let mut n = 0;
+    while let Some(r) = events.next() {
+        match r {
+            Ok(_) => n += 1,
+            Err(JournalError::Corrupt { .. }) => {
+                return match events.next() {
+                    None => Ok(Outcome::Failed),
+                    Some(more) => Err(format!("event {n} failed, then the iterator gave {more:?}")),
+                };
+            }
+            Err(e) => return Err(format!("event {n} failed with {e:?}, not Corrupt")),
+        }
+    }
+    if n != reader.len() {
+        return Err(format!("{n} events decoded of {}", reader.len()));
+    }
+    Ok(Outcome::Whole)
+}
+
+/// One to three bytes of the events or tables section changed and the
+/// checksum rewritten, on random journals and on `fixed_journal()`: the
+/// decoder sees the damage. Every outcome is a clean decode or a typed
+/// `Corrupt` error, from `from_bytes` or from `events()`, and iteration
+/// stops at the first error.
+#[test]
+fn resealed_section_mutations_fail_typed() {
+    let fixed = fixed_journal();
+    check("resealed_section_mutations_fail_typed", |g: &mut Gen| -> TkResult {
+        let j = if g.bool() { fixed.clone() } else { gen_journal(g, 30) };
+        let mut bytes = j.encode(JournalFormat::Binary);
+        let (start, end) = (events_start(j.meta()), bytes.len() - TRAILER);
+        for _ in 0..g.usize_in(1..4) {
+            let at = g.usize_in(start..end);
+            bytes[at] ^= g.u8_in(1..255);
+        }
+        reseal(&mut bytes);
+        decode_resealed(bytes).map_err(mg_testkit::TkError::Fail)?;
+        Ok(())
+    });
+}
+
+/// Every byte of `fixed_journal()`'s events and tables sections, flipped in
+/// its low bit, its high bit and all eight, then resealed: each outcome
+/// keeps the contract, and the sweep reaches the table parse (refusals),
+/// the event decoder (failures mid-stream) and journals that still decode.
+#[test]
+fn resealed_mutations_reach_the_event_decoder() {
+    let j = fixed_journal();
+    let bytes = j.encode(JournalFormat::Binary);
+    let (start, end) = (events_start(j.meta()), bytes.len() - TRAILER);
+    let (mut refused, mut failed, mut whole) = (0, 0, 0);
+    for at in start..end {
+        for flip in [0x01, 0x80, 0xFF] {
+            let mut m = bytes.clone();
+            m[at] ^= flip;
+            reseal(&mut m);
+            match decode_resealed(m) {
+                Ok(Outcome::Refused) => refused += 1,
+                Ok(Outcome::Failed) => failed += 1,
+                Ok(Outcome::Whole) => whole += 1,
+                Err(e) => panic!("byte {at} ^ {flip:#04x}: {e}"),
+            }
+        }
+    }
+    assert!(refused > 0 && failed > 0 && whole > 0, "{refused} {failed} {whole}");
+}
+
+/// A binary journal assembled around hand-written `events` (`n_events` of
+/// them) and `tables`, under `fixed_journal()`'s header, with a valid
+/// trailer.
+fn assemble(events: &[u8], n_events: u64, tables: &[u8]) -> Vec<u8> {
+    let meta = fixed_journal().meta().clone();
+    let start = events_start(&meta);
+    let mut b = ObsJournal::new(meta).encode(JournalFormat::Binary)[..start].to_vec();
+    b.extend_from_slice(events);
+    let events_end = b.len() as u64;
+    b.extend_from_slice(tables);
+    let total_len = (b.len() + TRAILER) as u64;
+    for word in [events_end, n_events, total_len] {
+        b.extend_from_slice(&word.to_le_bytes());
+    }
+    let sum = fnv64(&b);
+    b.extend_from_slice(&sum.to_le_bytes());
+    b.extend_from_slice(b"MGE1");
+    b
+}
+
+/// Hand-built faults in the one event of an otherwise valid journal each
+/// end its decode at that event with `Corrupt`: a varint whose continuation
+/// runs past the events section (into the tables, which a reader capped at
+/// the section end never reads), an 11-byte varint, a frame and a ranging
+/// id past their (empty) tables, and an unknown tag.
+#[test]
+fn hand_built_event_faults_are_corrupt() {
+    const NO_TABLES: &[u8] = &[0, 0]; // no frames, no ranging vectors
+    let ok = JournalReader::from_bytes(assemble(&[TAG_GARBLE, 9, 4], 1, NO_TABLES))
+        .and_then(|r| r.read_journal())
+        .expect("a well-formed hand-built journal decodes");
+    assert_eq!(ok.events(), [Obs::Garbled { at: 9, now: SimTime::from_nanos(2) }]);
+
+    let mut long_varint = vec![TAG_GARBLE, 9];
+    long_varint.extend([0xFF; 10]);
+    long_varint.push(0x01);
+    let cases: [(&str, Vec<u8>); 5] = [
+        ("continuation past the section end", vec![TAG_GARBLE, 9, 0x80]),
+        ("11-byte varint", long_varint),
+        ("frame id past the frame table", vec![TAG_TX, 9, 0, 0, 0]),
+        ("ranging id past the ranging table", vec![TAG_RNG, 3, 0, 0]),
+        ("unknown tag", vec![6, 9, 0]),
+    ];
+    for (what, events) in cases {
+        let reader = JournalReader::from_bytes(assemble(&events, 1, NO_TABLES))
+            .unwrap_or_else(|e| panic!("{what}: the container is valid, yet {e}"));
+        let got: Vec<_> = reader.events().collect();
+        assert!(
+            matches!(got.as_slice(), [Err(JournalError::Corrupt { .. })]),
+            "{what}: {got:?}"
+        );
+    }
+}

@@ -4,7 +4,8 @@
 //! scratch (no external stats crates):
 //!
 //! * [`rank::midranks`] — ranking with midrank tie handling, the first step
-//!   of the Wilcoxon procedure;
+//!   of both Wilcoxon tests (the rank-sum test ranks the same way inside
+//!   its reusable [`wilcoxon::RankSumScratch`]);
 //! * [`wilcoxon`] — the **Wilcoxon rank-sum test** the paper uses to compare
 //!   the dictated back-off population *x* against the estimated observed
 //!   population *y*: exact small-sample null distribution (dynamic

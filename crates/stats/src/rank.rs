@@ -42,26 +42,6 @@ pub fn midranks(values: &[f64]) -> Vec<f64> {
     ranks
 }
 
-/// The tie-group sizes of `values` (sizes of groups of equal values, in
-/// ascending value order). Groups of size 1 are included.
-///
-/// Used for the tie correction in the rank-sum normal approximation.
-pub fn tie_groups(values: &[f64]) -> Vec<usize> {
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-    let mut groups = Vec::new();
-    let mut i = 0;
-    while i < sorted.len() {
-        let mut j = i;
-        while j + 1 < sorted.len() && sorted[j + 1] == sorted[i] {
-            j += 1;
-        }
-        groups.push(j - i + 1);
-        i = j + 1;
-    }
-    groups
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,13 +81,6 @@ mod tests {
     #[test]
     fn empty_input() {
         assert!(midranks(&[]).is_empty());
-        assert!(tie_groups(&[]).is_empty());
-    }
-
-    #[test]
-    fn tie_groups_counts() {
-        assert_eq!(tie_groups(&[3.0, 1.0, 3.0, 3.0, 2.0, 2.0]), vec![1, 2, 3]);
-        assert_eq!(tie_groups(&[4.0]), vec![1]);
     }
 
     #[test]

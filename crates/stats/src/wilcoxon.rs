@@ -17,9 +17,15 @@
 //!   (once per thread and sample-size pair, then reused);
 //! * **normal approximation** — otherwise, with tie-variance correction and
 //!   a 0.5 continuity correction.
+//!
+//! Ranking takes one sort of the pooled sample: each run of equal values in
+//! sorted order is a tie group, and its members share the mean of the ranks
+//! it spans. A detector judges batch after batch, so it keeps a
+//! [`RankSumScratch`] whose buffers are reused from one test to the next and
+//! stop allocating once they have held the largest batch;
+//! [`rank_sum_test`] is the one-shot form over a fresh scratch.
 
 use crate::normal;
-use crate::rank::{midranks, tie_groups};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -77,7 +83,8 @@ impl RankSumResult {
 ///
 /// Returns the rank sum of `first`, the corresponding Mann–Whitney `U`, and
 /// the p-value under the null hypothesis that both samples come from the
-/// same distribution.
+/// same distribution. A caller running many tests keeps a
+/// [`RankSumScratch`] instead; the results are the same bit for bit.
 ///
 /// # Panics
 ///
@@ -94,37 +101,95 @@ impl RankSumResult {
 /// assert!(r.p_value < 0.06); // exact p = 1/C(6,3) = 0.05
 /// ```
 pub fn rank_sum_test(first: &[f64], second: &[f64], alt: Alternative) -> RankSumResult {
-    assert!(
-        !first.is_empty() && !second.is_empty(),
-        "rank-sum test requires non-empty samples"
-    );
-    let n1 = first.len();
-    let n2 = second.len();
-    let mut all: Vec<f64> = Vec::with_capacity(n1 + n2);
-    all.extend_from_slice(first);
-    all.extend_from_slice(second);
-    assert!(all.iter().all(|v| !v.is_nan()), "samples must not contain NaN");
+    RankSumScratch::default().test(first, second, alt)
+}
 
-    let ranks = midranks(&all);
-    let w: f64 = ranks[..n1].iter().sum();
-    let u = w - (n1 * (n1 + 1)) as f64 / 2.0;
+/// Reusable buffers for rank-sum tests. After a test of `n1 + n2`
+/// observations, later tests of at most that many allocate nothing.
+#[derive(Clone, Debug, Default)]
+pub struct RankSumScratch {
+    /// The pooled sample: `first`, then `second`.
+    all: Vec<f64>,
+    /// Indices into `all`, sorted by value.
+    order: Vec<usize>,
+    /// The midrank of each element of `all`.
+    ranks: Vec<f64>,
+    /// Tie-group sizes in ascending value order (groups of one included).
+    ties: Vec<usize>,
+}
 
-    let ties = tie_groups(&all);
-    let has_ties = ties.iter().any(|&t| t > 1);
+impl RankSumScratch {
+    /// An empty scratch; its buffers grow on first use.
+    pub fn new() -> RankSumScratch {
+        RankSumScratch::default()
+    }
 
-    let (p, method) = if !has_ties && n1 * n2 <= EXACT_LIMIT {
-        (exact_p(w as u64, n1, n2, alt), Method::Exact)
-    } else {
-        (approx_p(w, n1, n2, &ties, alt), Method::NormalApprox)
-    };
+    /// [`rank_sum_test`] of `first` against `second`, in this scratch's
+    /// buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either sample is empty or contains NaN.
+    pub fn test(&mut self, first: &[f64], second: &[f64], alt: Alternative) -> RankSumResult {
+        assert!(
+            !first.is_empty() && !second.is_empty(),
+            "rank-sum test requires non-empty samples"
+        );
+        let n1 = first.len();
+        let n2 = second.len();
+        self.all.clear();
+        self.all.extend_from_slice(first);
+        self.all.extend_from_slice(second);
+        assert!(self.all.iter().all(|v| !v.is_nan()), "samples must not contain NaN");
 
-    RankSumResult {
-        w,
-        u,
-        p_value: p.clamp(0.0, 1.0),
-        method,
-        n1,
-        n2,
+        self.rank();
+        let w: f64 = self.ranks[..n1].iter().sum();
+        let u = w - (n1 * (n1 + 1)) as f64 / 2.0;
+        let has_ties = self.ties.iter().any(|&t| t > 1);
+
+        let (p, method) = if !has_ties && n1 * n2 <= EXACT_LIMIT {
+            (exact_p(w as u64, n1, n2, alt), Method::Exact)
+        } else {
+            (approx_p(w, n1, n2, &self.ties, alt), Method::NormalApprox)
+        };
+
+        RankSumResult {
+            w,
+            u,
+            p_value: p.clamp(0.0, 1.0),
+            method,
+            n1,
+            n2,
+        }
+    }
+
+    /// Fills `ranks` and `ties` from one sort of `all`. Equal values form
+    /// one contiguous run in sorted order (`-0.0` and `0.0` too: they
+    /// compare equal and nothing sorts between them), so the order inside a
+    /// run, which an unstable sort leaves open, changes no rank.
+    fn rank(&mut self) {
+        let all = &self.all;
+        let n = all.len();
+        self.order.clear();
+        self.order.extend(0..n);
+        self.order.sort_unstable_by(|&a, &b| all[a].total_cmp(&all[b]));
+        self.ranks.clear();
+        self.ranks.resize(n, 0.0);
+        self.ties.clear();
+        let mut i = 0;
+        while i < n {
+            let mut j = i;
+            while j + 1 < n && all[self.order[j + 1]] == all[self.order[i]] {
+                j += 1;
+            }
+            // Elements order[i..=j] are tied; they occupy ranks i+1 ..= j+1.
+            let midrank = (i + 1 + j + 1) as f64 / 2.0;
+            for &k in &self.order[i..=j] {
+                self.ranks[k] = midrank;
+            }
+            self.ties.push(j - i + 1);
+            i = j + 1;
+        }
     }
 }
 

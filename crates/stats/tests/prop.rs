@@ -5,9 +5,12 @@ use mg_stats::filter::Arma;
 use mg_stats::normal;
 use mg_stats::rank::midranks;
 use mg_stats::ttest::welch_t_test;
-use mg_stats::wilcoxon::{rank_sum_test, Alternative};
+use mg_stats::wilcoxon::{
+    rank_sum_test, Alternative, Method, RankSumResult, RankSumScratch, EXACT_LIMIT,
+};
 use mg_testkit::prop::{check, Gen, TkResult};
 use mg_testkit::{tk_assert, tk_assert_eq};
+use std::cell::RefCell;
 
 fn sample(g: &mut Gen, max_len: usize) -> Vec<f64> {
     g.vec_f64(2..max_len, -1e3..1e3)
@@ -176,6 +179,165 @@ fn arma_push_n_equivalence() {
         }
         tk_assert_eq!(a.updates(), b.updates());
         tk_assert!((a.value() - b.value()).abs() < 1e-9);
+        Ok(())
+    });
+}
+
+/// The tie-group sizes of `values` (groups of equal values, in ascending
+/// value order; groups of one included), from a sort of its own: the
+/// second sort of the two-sort oracle below.
+fn tie_groups(values: &[f64]) -> Vec<usize> {
+    let mut sorted: Vec<f64> = values.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+    let mut groups = Vec::new();
+    let mut i = 0;
+    while i < sorted.len() {
+        let mut j = i;
+        while j + 1 < sorted.len() && sorted[j + 1] == sorted[i] {
+            j += 1;
+        }
+        groups.push(j - i + 1);
+        i = j + 1;
+    }
+    groups
+}
+
+#[test]
+fn tie_groups_oracle_counts() {
+    assert_eq!(tie_groups(&[3.0, 1.0, 3.0, 3.0, 2.0, 2.0]), vec![1, 2, 3]);
+    assert_eq!(tie_groups(&[4.0]), vec![1]);
+    assert_eq!(tie_groups(&[0.0, -0.0, 1.0]), vec![2, 1]);
+    assert!(tie_groups(&[]).is_empty());
+}
+
+/// The exact p-value of rank sum `w`, by the DP over rank subsets (the
+/// number of ways to pick `n1` of the ranks `1..=n1+n2` with each sum). Its
+/// counts are integers below 2^53, so its sums are exact in any order.
+fn rank_subset_p(w: f64, n1: usize, n2: usize, alt: Alternative) -> f64 {
+    let n = n1 + n2;
+    let max_sum = n1 * n;
+    let mut count = vec![vec![0.0f64; max_sum + 1]; n1 + 1];
+    count[0][0] = 1.0;
+    for rank in 1..=n {
+        for i in (1..=n1.min(rank)).rev() {
+            for s in (rank..=max_sum).rev() {
+                count[i][s] += count[i - 1][s - rank];
+            }
+        }
+    }
+    let row = &count[n1];
+    let total: f64 = row.iter().sum();
+    let w = w as usize;
+    let cdf = row[..=w.min(max_sum)].iter().sum::<f64>() / total;
+    let sf = if w > max_sum { 0.0 } else { row[w..].iter().sum::<f64>() / total };
+    match alt {
+        Alternative::Less => cdf,
+        Alternative::Greater => sf,
+        Alternative::TwoSided => (2.0 * cdf.min(sf)).min(1.0),
+    }
+}
+
+/// The normal approximation with tie-variance and continuity corrections.
+fn normal_approx_p(w: f64, n1: usize, n2: usize, ties: &[usize], alt: Alternative) -> f64 {
+    let (n1f, n2f) = (n1 as f64, n2 as f64);
+    let nf = n1f + n2f;
+    let mean = n1f * (nf + 1.0) / 2.0;
+    let tie_term: f64 = ties
+        .iter()
+        .map(|&t| {
+            let t = t as f64;
+            t * t * t - t
+        })
+        .sum();
+    let var = n1f * n2f / 12.0 * ((nf + 1.0) - tie_term / (nf * (nf - 1.0)));
+    if var <= 0.0 {
+        return 1.0;
+    }
+    let sd = var.sqrt();
+    match alt {
+        Alternative::Less => normal::cdf((w - mean + 0.5) / sd),
+        Alternative::Greater => 1.0 - normal::cdf((w - mean - 0.5) / sd),
+        Alternative::TwoSided => {
+            let z = (w - mean).abs() - 0.5;
+            (2.0 * (1.0 - normal::cdf(z.max(0.0) / sd))).min(1.0)
+        }
+    }
+}
+
+/// The rank-sum test the two-sort way: `midranks` for the statistic and
+/// `tie_groups` for the tie correction, each sorting the pooled sample.
+fn two_sort_rank_sum(first: &[f64], second: &[f64], alt: Alternative) -> RankSumResult {
+    let (n1, n2) = (first.len(), second.len());
+    let all: Vec<f64> = first.iter().chain(second).copied().collect();
+    let w: f64 = midranks(&all)[..n1].iter().sum();
+    let u = w - (n1 * (n1 + 1)) as f64 / 2.0;
+    let ties = tie_groups(&all);
+    let (p, method) = if ties.iter().all(|&t| t == 1) && n1 * n2 <= EXACT_LIMIT {
+        (rank_subset_p(w, n1, n2, alt), Method::Exact)
+    } else {
+        (normal_approx_p(w, n1, n2, &ties, alt), Method::NormalApprox)
+    };
+    RankSumResult { w, u, p_value: p.clamp(0.0, 1.0), method, n1, n2 }
+}
+
+/// A batch the way a pool judges one: `xs` dictated back-offs (integers in
+/// `0..32`), `ys` estimated ones. `ties` picks the estimates: 1 clamped at
+/// zero with a share rounded to integers (many ties with each other and
+/// with `xs`), 2 a few integers with `-0.0` next to `0.0`. At 0 both
+/// samples are continuous, so they are tie-free and batches of 10 and 20
+/// take the exact path.
+fn pool_batch(g: &mut Gen, n: usize, ties: u8) -> (Vec<f64>, Vec<f64>) {
+    let xs: Vec<f64> = match ties {
+        0 => (0..n).map(|_| g.f64_in(0.0..32.0)).collect(),
+        _ => (0..n).map(|_| g.u64_in(0..32) as f64).collect(),
+    };
+    let ys = (0..n)
+        .map(|_| match ties {
+            0 => g.f64_in(-5.0..40.0),
+            1 => {
+                let y = g.f64_in(-10.0..40.0).max(0.0);
+                if g.bool() {
+                    y.round()
+                } else {
+                    y
+                }
+            }
+            _ => match g.u8_in(0..4) {
+                0 => -0.0,
+                1 => 0.0,
+                k => f64::from(k),
+            },
+        })
+        .collect();
+    (xs, ys)
+}
+
+/// One reused `RankSumScratch` agrees bit for bit with the two-sort path
+/// (`w`, `u`, `p_value`, `method`), for every alternative, over batches of
+/// 10, 20, 50 and 100 (both sides of `EXACT_LIMIT`), with and without ties.
+#[test]
+fn rank_sum_scratch_matches_two_sort_path() {
+    let scratch = RefCell::new(RankSumScratch::new());
+    check("rank_sum_scratch_matches_two_sort_path", |g: &mut Gen| -> TkResult {
+        let n = [10, 20, 50, 100][g.usize_in(0..4)];
+        let ties = g.u8_in(0..3);
+        let (xs, ys) = pool_batch(g, n, ties);
+        for alt in [Alternative::Less, Alternative::Greater, Alternative::TwoSided] {
+            let got = scratch.borrow_mut().test(&ys, &xs, alt);
+            let want = two_sort_rank_sum(&ys, &xs, alt);
+            tk_assert_eq!(got.w.to_bits(), want.w.to_bits(), "w, n {n}, {alt:?}");
+            tk_assert_eq!(got.u.to_bits(), want.u.to_bits(), "u, n {n}, {alt:?}");
+            tk_assert_eq!(
+                got.p_value.to_bits(),
+                want.p_value.to_bits(),
+                "p {} vs {}, n {n}, {alt:?}",
+                got.p_value,
+                want.p_value
+            );
+            tk_assert_eq!(got.method, want.method, "n {n}, {alt:?}");
+            tk_assert_eq!((got.n1, got.n2), (n, n));
+            tk_assert_eq!(rank_sum_test(&ys, &xs, alt), got);
+        }
         Ok(())
     });
 }

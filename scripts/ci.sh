@@ -278,6 +278,16 @@ if [ "$flip_status" -ne 1 ] || ! grep -q "checksum" "$outdir/journal-flip.err"; 
 fi
 echo "ok: truncation and bit rot are rejected with clean exits"
 
+echo "== decoder fuzz: resealed section mutations fail typed =="
+# The checksum catches every bit flip above before a byte is decoded. This
+# property changes 1-3 bytes of the events or tables section and rewrites
+# the checksum, so the table parse and the event decoder see the damage:
+# every outcome must be a clean decode or a typed Corrupt error, with
+# iteration ending at the first error. 4000 cases take well under a second.
+TESTKIT_CASES=4000 cargo test -q --release --offline -p mg-obs --test prop \
+    resealed_section_mutations_fail_typed >/dev/null
+echo "ok: 4000 resealed mutations decoded or failed with a typed error"
+
 echo "== serve gate: mgd socket round-trip is byte-identical to offline replay =="
 # Record three journals (one misbehaving, one clean, and one mobile whose
 # 111-vantage ranging snapshots spill to the heap), start the daemon on an
@@ -290,6 +300,9 @@ cargo run -q --release --offline -- detect --pm 0 --secs 2 --seed 9 \
     --record "$outdir/serve-b.bin" >/dev/null
 cargo run -q --release --offline -- detect --mobile --pm 60 --secs 2 --seed 5 \
     --record "$outdir/serve-m.bin" >/dev/null
+# The build step above builds only the root package; the daemon is
+# mg-serve's binary, so a fresh checkout has no ./target/release/mgd yet.
+cargo build -q --release --offline -p mg-serve --bin mgd
 ./target/release/mgd --listen 127.0.0.1:0 --deltas >"$outdir/mgd.out" 2>"$outdir/mgd.err" &
 mgd_pid=$!
 addr=""
