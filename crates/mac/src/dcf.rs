@@ -183,6 +183,9 @@ struct TxContext {
     dictated: BackoffDraw,
     /// Remaining slots this node will actually count (post-policy).
     counter: u16,
+    /// The RTS commitment `sdu_digest(node, sdu.id)`, computed when the
+    /// packet's first RTS is built and reused by its retries.
+    md: Option<[u8; 16]>,
 }
 
 /// The per-node DCF MAC. See the crate docs for the interaction contract.
@@ -671,6 +674,8 @@ impl DcfMac {
         } else {
             self.stats.rts_sent += 1;
             self.state = MacState::TxRts;
+            let node = self.node;
+            let md = *ctx.md.get_or_insert_with(|| sdu_digest(node, ctx.sdu.id));
             Frame {
                 src: self.node,
                 dst: ctx.sdu.dst,
@@ -678,7 +683,7 @@ impl DcfMac {
                 kind: FrameKind::Rts(RtsFields {
                     seq_off_wire: VerifiableSequence::wire_offset(ctx.seq_off),
                     attempt: self.policy.announced_attempt(ctx.true_attempt),
-                    md: sdu_digest(self.node, ctx.sdu.id),
+                    md,
                 }),
             }
         };
@@ -840,6 +845,7 @@ impl DcfMac {
                     seq_off,
                     dictated,
                     counter,
+                    md: None,
                 });
                 self.state = MacState::Contending;
                 self.try_resume(now, actions);
@@ -1112,6 +1118,32 @@ mod tests {
             Some(timeout_at + m.timing.difs() + m.timing.slot * u64::from(dictated2.slots))
         );
         assert_eq!(m.stats().retries, 1);
+    }
+
+    #[test]
+    fn every_rts_of_a_packet_carries_its_digest() {
+        // Every attempt of packet 9 times out until the retry limit drops
+        // it; then packet 10 goes out on the same MAC.
+        let mut m = mac(2);
+        let mut now = T0;
+        let mut actions = acts(|a| m.enqueue(sdu(9, 1), now, a));
+        let mut digests = Vec::new();
+        while m.stats().dropped_retry == 0 {
+            now = arm_deadline(&actions, Timer::Countdown).expect("countdown armed");
+            actions = acts(|a| m.on_timer(Timer::Countdown, now, a));
+            let rts = tx_frame(&actions).and_then(Frame::rts_fields).expect("an RTS");
+            digests.push(rts.md);
+            now += m.timing.rts_airtime();
+            acts(|a| m.on_tx_end(now, a));
+            now += m.timing.cts_timeout();
+            actions = acts(|a| m.on_timer(Timer::CtsTimeout, now, a));
+        }
+        assert_eq!(digests, vec![sdu_digest(2, 9); 7]);
+        let a = acts(|a| m.enqueue(sdu(10, 1), now, a));
+        let fire = arm_deadline(&a, Timer::Countdown).expect("countdown armed");
+        let a = acts(|a| m.on_timer(Timer::Countdown, fire, a));
+        let rts = tx_frame(&a).and_then(Frame::rts_fields).expect("an RTS");
+        assert_eq!(rts.md, sdu_digest(2, 10));
     }
 
     #[test]

@@ -536,6 +536,22 @@ fn meta_to_json(meta: &ObsMeta) -> Json {
     ])
 }
 
+/// Why a decoded header cannot describe a detector session, if it cannot.
+/// Every consumer builds a pool watching `tagged` from `vantages` at
+/// `pair_distance`, so both readers refuse such a header where they parse
+/// it instead of letting a consumer trip over it later.
+fn header_fault(meta: &ObsMeta) -> Option<&'static str> {
+    if !(meta.pair_distance.is_finite() && meta.pair_distance >= 0.0) {
+        Some("header pair distance is not a finite number >= 0")
+    } else if meta.vantages.is_empty() {
+        Some("header lists no vantages")
+    } else if meta.vantages.contains(&meta.tagged) {
+        Some("header lists the tagged node among its vantages")
+    } else {
+        None
+    }
+}
+
 /// Decodes [`meta_to_json`] output; `None` on any mismatch.
 fn meta_from_json(v: &Json) -> Option<ObsMeta> {
     let vantages = v
@@ -973,8 +989,10 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 /// container up front — for binary journals the trailer length, checksum,
 /// header, section bounds and tables are all verified before any event is
 /// decoded, so truncation or bit rot surfaces as a typed [`JournalError`]
-/// at open time. Event decoding itself is streaming: [`events`] walks the
-/// stream one event at a time.
+/// at open time. In both formats a header no detector session can be built
+/// from (a pair distance that is not a finite number ≥ 0, no vantages, or
+/// the tagged node among them) is refused there too. Event decoding itself
+/// is streaming: [`events`] walks the stream one event at a time.
 ///
 /// [`from_bytes`]: JournalReader::from_bytes
 /// [`events`]: JournalReader::events
@@ -1042,6 +1060,9 @@ impl JournalReader {
             .map_err(|e| JournalError::Syntax { line: 1, what: format!("{e:?}") })?;
         let meta = meta_from_json(&meta_json)
             .ok_or(JournalError::Syntax { line: 1, what: "not a meta header".into() })?;
+        if let Some(what) = header_fault(&meta) {
+            return Err(JournalError::Syntax { line: 1, what: what.into() });
+        }
         Ok(JournalReader { meta, bytes, inner: ReaderInner::Jsonl { events_at, n_events } })
     }
 
@@ -1168,7 +1189,8 @@ fn parse_sections(
     n_events: u64,
 ) -> Result<(ObsMeta, BinState), Fault> {
     // Header → meta.
-    let mut c = Cursor::new(bytes, MAGIC.len() + 2, trailer_at);
+    let header_at = MAGIC.len() + 2;
+    let mut c = Cursor::new(bytes, header_at, trailer_at);
     let tagged = c.varint()? as NodeId;
     let nv = c.varint()?;
     if nv > trailer_at as u64 {
@@ -1191,6 +1213,9 @@ fn parse_sections(
         params.push((k, v));
     }
     let meta = ObsMeta { tagged, vantages, pair_distance, seed, params };
+    if let Some(what) = header_fault(&meta) {
+        return Err(Fault { offset: header_at, what, value: None });
+    }
     let events_start = c.pos;
     if events_end < events_start || events_end > trailer_at {
         return Err(c.fault_on("events section end outside the body", events_end as u64));

@@ -85,10 +85,20 @@ fn gen_obs(g: &mut Gen) -> Obs {
     }
 }
 
+/// A header a detector session can be built from: the readers refuse the
+/// others (`hostile_headers_are_refused`), so vantages skip the tagged node.
 fn gen_meta(g: &mut Gen) -> ObsMeta {
+    let tagged = g.usize_in(0..200);
     ObsMeta {
-        tagged: g.usize_in(0..200),
-        vantages: g.vec(1..5, |g| g.usize_in(0..200)),
+        tagged,
+        vantages: g.vec(1..5, |g| {
+            let v = g.usize_in(0..199);
+            if v >= tagged {
+                v + 1
+            } else {
+                v
+            }
+        }),
         pair_distance: g.f64_in(1.0..500.0),
         seed: g.any_u64(),
         params: g.vec(0..4, |g| {
@@ -166,6 +176,50 @@ fn malformed_journals_are_rejected() {
     let mut text = String::from_utf8(good.encode(JournalFormat::Jsonl)).unwrap();
     text.push_str("[\"edge\",1,true]\n"); // truncated event
     assert!(load(&text).is_err());
+}
+
+/// A header no detector session can be built from is refused at open in
+/// both formats, with the format's typed error naming the header: a pair
+/// distance that is negative or not finite, no vantages, or the tagged
+/// node among them. (JSONL renders a non-finite number as `null`, which
+/// the header parse already rejects.)
+#[test]
+fn hostile_headers_are_refused() {
+    let good = ObsMeta {
+        tagged: 3,
+        vantages: vec![1, 5],
+        pair_distance: 240.0,
+        seed: 7,
+        params: vec![],
+    };
+    let hostile = [
+        ObsMeta { pair_distance: -5.0, ..good.clone() },
+        ObsMeta { pair_distance: f64::NAN, ..good.clone() },
+        ObsMeta { pair_distance: f64::NEG_INFINITY, ..good.clone() },
+        ObsMeta { vantages: vec![], ..good.clone() },
+        ObsMeta { vantages: vec![1, 3, 5], ..good.clone() },
+    ];
+    let open = |meta: &ObsMeta, format| {
+        let mut j = ObsJournal::new(meta.clone());
+        j.push(Obs::Garbled { at: 1, now: SimTime::from_micros(5) });
+        JournalReader::from_bytes(j.encode(format)).err()
+    };
+    for meta in &hostile {
+        match open(meta, JournalFormat::Binary) {
+            Some(JournalError::Corrupt { what, .. }) => assert!(what.contains("header"), "{what}"),
+            other => panic!("binary {meta:?}: {other:?}"),
+        }
+        match open(meta, JournalFormat::Jsonl) {
+            Some(JournalError::Syntax { line: 1, what }) => {
+                assert!(what.contains("header"), "{what}")
+            }
+            other => panic!("jsonl {meta:?}: {other:?}"),
+        }
+    }
+    assert_eq!(open(&good, JournalFormat::Binary), None);
+    assert_eq!(open(&good, JournalFormat::Jsonl), None);
+    // A zero distance (co-located pair) is a valid header.
+    assert_eq!(open(&ObsMeta { pair_distance: 0.0, ..good }, JournalFormat::Binary), None);
 }
 
 /// A writer's atomic save round-trips through the filesystem, in both

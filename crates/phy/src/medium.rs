@@ -45,14 +45,25 @@
 //!   nodes.
 //! * [`MediumIndex::Grid`] (the default) — node positions are bucketed in
 //!   a cell grid sized to the sensing horizon, so discovery touches only
-//!   the cell window covering the interference horizon; per-frame records
-//!   are sparse `(node, power)` lists, and a per-node *coverer* index maps
-//!   each node to the in-flight frames covering it, so the interference
-//!   refresh touches only frames whose footprints actually intersect the
-//!   new one. Everything is `O(footprint)`, independent of world size.
+//!   the cell window covering the interference horizon, and with
+//!   deterministic propagation each source's footprint — node, power and
+//!   link budget (the dB level the capture test reads, and whether the
+//!   node can decode at all) — is memoised until some node moves.
+//!   Per-frame records are sparse. Only a frame's *decodable receivers*
+//!   can come out of it as anything but `Sensed`, so only they carry
+//!   overlap and worst-interference bookkeeping, and a per-node *receiver*
+//!   index maps each node to the in-flight frames it can decode: a new
+//!   transmission refreshes just those entries. Everything is
+//!   `O(footprint)`, independent of world size, and the per-frame
+//!   bookkeeping is `O(receivers)` — about 3.5 nodes of the paper grid's
+//!   53-node footprint.
 //!
 //! The two implementations are **observationally byte-identical** — same
-//! edges, receptions, journals and RNG-draw streams. That equivalence is
+//! edges, receptions, journals and RNG-draw streams. `Naive` also keeps the
+//! reference arithmetic: its frames judge every senseable node from its
+//! power in mW with [`RadioParams::decodable`] and
+//! [`RadioParams::captures`], while `Grid` reads the memoised link budget
+//! and takes one `log10` per receiver. That equivalence is
 //! not by construction; it is *proven* by the differential property suite
 //! in `tests/diff_index.rs` (and end-to-end by `tests/trace_determinism.rs`
 //! at 500 nodes). Both visit candidates in ascending node order, and with
@@ -85,7 +96,7 @@ pub enum MediumIndex {
     Naive,
     /// Cell-grid spatial index over node positions (maintained
     /// incrementally on mobility) plus sparse per-footprint records and a
-    /// per-node coverer index localizing the interference refresh.
+    /// per-node receiver index localizing the interference refresh.
     #[default]
     Grid,
 }
@@ -169,15 +180,36 @@ impl EndedTx {
     }
 }
 
-/// One node inside a transmission's interference footprint.
+/// One node inside a transmission's interference footprint, with its link
+/// budget. Under deterministic propagation every field is a pure function
+/// of positions, so the footprint memo replays all of them.
 #[derive(Clone, Copy)]
 struct Cover {
     node: NodeId,
     /// Received power of the transmission at `node`, mW.
     p_mw: f64,
+    /// `mw_to_dbm(p_mw)`: the signal level exactly as
+    /// [`RadioParams::captures`] reads it. Set for senseable nodes only.
+    rx_dbm: f64,
     /// Whether that power trips `node`'s carrier sense (inside the sensing
     /// disk, not just the interference ring).
     senseable: bool,
+    /// Whether `node` could decode the frame absent interference: senseable
+    /// and `rx_dbm` at or above the decode threshold.
+    decodable: bool,
+}
+
+/// A decodable receiver of a sparse frame. Every other footprint node comes
+/// out `Sensed` (or silent) whatever overlaps it, so only receivers carry
+/// bookkeeping.
+#[derive(Clone, Copy)]
+struct Receiver {
+    /// Index of the receiver in the frame's `covered`.
+    at: u32,
+    /// Whether the node transmitted at any point during this frame's flight.
+    overlapped: bool,
+    /// Max aggregate co-channel power the node saw during this frame, mW.
+    max_interf_mw: f64,
 }
 
 /// One slot of the in-flight slab. A freed slot keeps its vectors, cleared
@@ -191,19 +223,16 @@ struct ActiveTx {
     start: SimTime,
     /// Every node in the interference footprint, ascending by node id.
     covered: Vec<Cover>,
-    /// Whether each footprint node transmitted at any point during this
-    /// frame's flight — parallel to `covered`.
-    overlapped: Vec<bool>,
-    /// Sparse bookkeeping (frames started under `Grid`): max aggregate
-    /// co-channel power each footprint node saw during this frame, mW —
-    /// parallel to `covered`. Empty for dense frames.
-    max_interf_mw: Vec<f64>,
+    /// Sparse bookkeeping (frames started under `Grid`): one entry per
+    /// decodable cover, in `covered` order. Empty for dense frames.
+    receivers: Vec<Receiver>,
     /// Dense bookkeeping (frames started under `Naive` — the reference
-    /// implementation): received power and worst aggregate interference
-    /// indexed by node id, rescanned in full on every `begin_tx`. Unused
-    /// for sparse frames.
+    /// implementation): received power, worst aggregate interference and
+    /// overlap indexed by node id, the first two rescanned in full on every
+    /// `begin_tx`. Unused for sparse frames.
     power_dense: Vec<f64>,
     max_interf_dense: Vec<f64>,
+    overlapped_dense: Vec<bool>,
     /// Whether this frame uses the dense reference bookkeeping.
     dense: bool,
 }
@@ -226,12 +255,14 @@ impl FpSpan {
 pub struct Medium {
     prop: PropagationModel,
     radio: RadioParams,
+    /// `dbm_to_mw(radio.noise_floor_dbm)`, the capture test's noise term.
+    noise_mw: f64,
     positions: Vec<Vec2>,
     /// Number of foreign transmissions each node currently senses.
     cs_count: Vec<u32>,
     /// Aggregate received power at each node from all active transmissions.
     agg_mw: Vec<f64>,
-    /// Slab of in-flight transmissions: stable slots so the coverer index
+    /// Slab of in-flight transmissions: stable slots so the receiver index
     /// can point into it; slots without an id are free (see `free_slots`).
     slots: Vec<ActiveTx>,
     free_slots: Vec<usize>,
@@ -239,10 +270,10 @@ pub struct Medium {
     active_len: usize,
     /// Occupied slots holding *dense* (Naive-started) frames.
     dense_len: usize,
-    /// For each node, the sparse in-flight frames covering it, as
-    /// `(slot, index into that frame's covered list)`. Dense frames are
-    /// not indexed — they rescan everything anyway.
-    coverers: Vec<Vec<(u32, u32)>>,
+    /// For each node, the sparse in-flight frames it can decode, as
+    /// `(slot, index into that frame's receivers)`. Dense frames are not
+    /// indexed — they rescan everything anyway.
+    receiving: Vec<Vec<(u32, u32)>>,
     /// In-flight transmissions per node (a MAC starts at most one, but the
     /// medium does not rely on that).
     tx_count: Vec<u32>,
@@ -260,10 +291,10 @@ pub struct Medium {
     scratch: Vec<NodeId>,
     /// Per-source footprint memos for the Grid + deterministic-propagation
     /// path. A footprint is then a pure function of node positions, so
-    /// until any node moves the memo replays the exact `Cover` list
-    /// discovery would rebuild. All memos of one epoch live back to back
-    /// in `fp_arena` (which holds epoch `fp_arena_epoch`); `fp_span[v]`
-    /// locates source `v`'s.
+    /// until any node moves the memo replays the exact `Cover` list —
+    /// link budget included — discovery would rebuild. All memos of one
+    /// epoch live back to back in `fp_arena` (which holds epoch
+    /// `fp_arena_epoch`); `fp_span[v]` locates source `v`'s.
     fp_arena: Vec<Cover>,
     fp_arena_epoch: u64,
     fp_span: Vec<FpSpan>,
@@ -300,6 +331,7 @@ impl Medium {
         let mut m = Medium {
             prop,
             radio,
+            noise_mw: dbm_to_mw(radio.noise_floor_dbm),
             positions,
             cs_count: vec![0; n],
             agg_mw: vec![0.0; n],
@@ -307,7 +339,7 @@ impl Medium {
             free_slots: Vec::new(),
             active_len: 0,
             dense_len: 0,
-            coverers: vec![Vec::new(); n],
+            receiving: vec![Vec::new(); n],
             tx_count: vec![0; n],
             next_id: 0,
             tracer: Tracer::disabled(),
@@ -494,6 +526,15 @@ impl Medium {
                         }
                     }
                     self.scratch = cand;
+                    // Decodability is symmetric under deterministic
+                    // propagation: the nodes whose frames `src` can decode
+                    // are the ones its memo lists as decodable. With one
+                    // frame in flight per transmitter that is the peak of
+                    // `src`'s receiver list, so size the list now, with
+                    // the memo, rather than at a reception late in a run.
+                    let peak = covered.iter().filter(|c| c.decodable).count();
+                    let list = &mut self.receiving[src];
+                    list.reserve(peak.saturating_sub(list.len()));
                     if self.fp_arena_epoch != self.pos_epoch {
                         // Every memo in the arena is stale: start over.
                         self.fp_arena.clear();
@@ -526,8 +567,8 @@ impl Medium {
 
         // Dense (reference) frames rescan every node — the O(active × n)
         // loop the Grid strategy exists to avoid. The same pass marks the
-        // new transmitter as overlapping wherever it is in the footprint:
-        // a node cannot hear a frame while it is transmitting itself.
+        // new transmitter as overlapping: a node cannot hear a frame while
+        // it is transmitting itself.
         if self.dense_len > 0 {
             for a in &mut self.slots {
                 if a.id.is_none() || !a.dense {
@@ -539,37 +580,36 @@ impl Medium {
                         a.max_interf_dense[v] = other;
                     }
                 }
-                if let Ok(i) = a.covered.binary_search_by_key(&src, |c| c.node) {
-                    a.overlapped[i] = true;
-                }
+                a.overlapped_dense[src] = true;
             }
         }
-        // Sparse frames refresh through the coverer index: only the frames
-        // actually covering a node whose aggregate just changed are touched.
-        // Every (frame, node) cell is an independent max, so visit order is
-        // immaterial — the arithmetic is identical to the dense rescan.
+        // Sparse frames refresh through the receiver index: only the frames
+        // that a node whose aggregate just changed can decode are touched,
+        // the only cells `end_tx` reads. Every (frame, node) cell is an
+        // independent max, so visit order is immaterial — the arithmetic is
+        // identical to the dense rescan.
         for c in &covered {
-            for &(slot, i) in &self.coverers[c.node] {
+            for &(slot, k) in &self.receiving[c.node] {
                 let a = &mut self.slots[slot as usize];
-                assert!(a.id.is_some(), "coverer points at a live slot");
-                let other = self.agg_mw[c.node] - a.covered[i as usize].p_mw;
-                if other > a.max_interf_mw[i as usize] {
-                    a.max_interf_mw[i as usize] = other;
+                assert!(a.id.is_some(), "receiver entry points at a live slot");
+                let r = &mut a.receivers[k as usize];
+                let other = self.agg_mw[c.node] - a.covered[r.at as usize].p_mw;
+                if other > r.max_interf_mw {
+                    r.max_interf_mw = other;
                 }
             }
         }
-        for &(slot, i) in &self.coverers[src] {
-            self.slots[slot as usize].overlapped[i as usize] = true;
+        for &(slot, k) in &self.receiving[src] {
+            self.slots[slot as usize].receivers[k as usize].overlapped = true;
         }
 
         let dense = self.index == MediumIndex::Naive;
         let a = &mut self.slots[slot];
-        // Footprint nodes already transmitting will miss this frame.
-        a.overlapped.clear();
-        a.overlapped.extend(covered.iter().map(|c| self.tx_count[c.node] > 0));
+        a.receivers.clear();
         a.power_dense.clear();
         a.max_interf_dense.clear();
-        a.max_interf_mw.clear();
+        a.overlapped_dense.clear();
+        // Either way, a node already transmitting will miss this frame.
         if dense {
             a.power_dense.resize(n, 0.0);
             for c in &covered {
@@ -577,11 +617,15 @@ impl Medium {
             }
             a.max_interf_dense
                 .extend((0..n).map(|v| self.agg_mw[v] - a.power_dense[v]));
+            a.overlapped_dense.extend((0..n).map(|v| self.tx_count[v] > 0));
         } else {
-            a.max_interf_mw
-                .extend(covered.iter().map(|c| self.agg_mw[c.node] - c.p_mw));
-            for (i, c) in covered.iter().enumerate() {
-                self.coverers[c.node].push((slot as u32, i as u32));
+            for (i, c) in covered.iter().enumerate().filter(|(_, c)| c.decodable) {
+                self.receiving[c.node].push((slot as u32, a.receivers.len() as u32));
+                a.receivers.push(Receiver {
+                    at: i as u32,
+                    overlapped: self.tx_count[c.node] > 0,
+                    max_interf_mw: self.agg_mw[c.node] - c.p_mw,
+                });
             }
         }
         a.id = Some(id);
@@ -618,7 +662,12 @@ impl Medium {
         let p_dbm = self.radio.rx_power_dbm(pl);
         if p_dbm >= self.interference_cutoff_dbm() {
             let senseable = self.radio.senseable(p_dbm);
-            covered.push(Cover { node: v, p_mw: dbm_to_mw(p_dbm), senseable });
+            let p_mw = dbm_to_mw(p_dbm);
+            // Judged on the power read back from mW, as the reference
+            // arithmetic in `end_tx` judges it, so both decide alike.
+            let rx_dbm = if senseable { mw_to_dbm(p_mw) } else { f64::NEG_INFINITY };
+            let decodable = senseable && self.radio.decodable(rx_dbm);
+            covered.push(Cover { node: v, p_mw, rx_dbm, senseable, decodable });
             if senseable {
                 self.cs_count[v] += 1;
                 if self.cs_count[v] == 1 {
@@ -649,13 +698,13 @@ impl Medium {
         if tx.dense {
             self.dense_len -= 1;
         } else {
-            // Unregister from the coverer index (entries are unique).
-            for (i, c) in tx.covered.iter().enumerate() {
-                let list = &mut self.coverers[c.node];
+            // Unregister from the receiver index (entries are unique).
+            for (k, r) in tx.receivers.iter().enumerate() {
+                let list = &mut self.receiving[tx.covered[r.at as usize].node];
                 let at = list
                     .iter()
-                    .position(|&e| e == (slot as u32, i as u32))
-                    .expect("covered node is indexed");
+                    .position(|&e| e == (slot as u32, k as u32))
+                    .expect("receiver is indexed");
                 list.swap_remove(at);
             }
         }
@@ -680,28 +729,43 @@ impl Medium {
         // Only sensing-disk nodes perceive the frame; interference-ring
         // nodes carried power but stay silent (OutOfRange).
         out.receptions.clear();
-        out.receptions.extend(
-            tx.covered
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.senseable)
-                .map(|(i, c)| {
-                    let interf_mw = if tx.dense {
-                        tx.max_interf_dense[c.node]
-                    } else {
-                        tx.max_interf_mw[i]
-                    };
-                    let p_dbm = mw_to_dbm(c.p_mw);
-                    let outcome = if tx.overlapped[i] || !self.radio.decodable(p_dbm) {
-                        RxOutcome::Sensed
-                    } else if self.radio.captures(c.p_mw, interf_mw) {
-                        RxOutcome::Decoded
-                    } else {
-                        RxOutcome::Collided
-                    };
-                    (c.node, outcome)
-                }),
-        );
+        let senseable = tx.covered.iter().filter(|c| c.senseable);
+        if tx.dense {
+            // The reference arithmetic: every senseable node judged from its
+            // power in mW.
+            out.receptions.extend(senseable.map(|c| {
+                let p_dbm = mw_to_dbm(c.p_mw);
+                let outcome = if tx.overlapped_dense[c.node] || !self.radio.decodable(p_dbm) {
+                    RxOutcome::Sensed
+                } else if self.radio.captures(c.p_mw, tx.max_interf_dense[c.node]) {
+                    RxOutcome::Decoded
+                } else {
+                    RxOutcome::Collided
+                };
+                (c.node, outcome)
+            }));
+        } else {
+            // Only receivers can decode or collide. Each is judged by the
+            // expression `RadioParams::captures` evaluates, with the signal
+            // level and the noise term already in hand.
+            let (noise_mw, capture_db) = (self.noise_mw, self.radio.capture_db);
+            let mut receivers = tx.receivers.iter();
+            out.receptions.extend(senseable.map(|c| {
+                let r = c.decodable.then(|| receivers.next().expect("one per decodable cover"));
+                let outcome = match r {
+                    Some(r) if !r.overlapped => {
+                        let sinr_db = c.rx_dbm - mw_to_dbm(r.max_interf_mw + noise_mw);
+                        if sinr_db >= capture_db {
+                            RxOutcome::Decoded
+                        } else {
+                            RxOutcome::Collided
+                        }
+                    }
+                    _ => RxOutcome::Sensed,
+                };
+                (c.node, outcome)
+            }));
+        }
 
         for e in &out.edges {
             self.tracer
@@ -940,6 +1004,55 @@ mod tests {
             log
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// The node ids of `tx`'s receivers, after checking that they are its
+    /// decodable covers, that each cover's memoised link budget matches the
+    /// reference arithmetic, and that the receiver index lists each entry.
+    fn receivers_of(m: &Medium, tx: TxId) -> Vec<NodeId> {
+        let slot = m.slots.iter().position(|a| a.id == Some(tx)).expect("in flight");
+        let a = &m.slots[slot];
+        for c in &a.covered {
+            let p_dbm = mw_to_dbm(c.p_mw);
+            assert_eq!(c.decodable, c.senseable && m.radio.decodable(p_dbm));
+            if c.senseable {
+                assert_eq!(c.rx_dbm.to_bits(), p_dbm.to_bits());
+            }
+        }
+        let nodes: Vec<NodeId> =
+            a.receivers.iter().map(|r| a.covered[r.at as usize].node).collect();
+        let decodable: Vec<NodeId> =
+            a.covered.iter().filter(|c| c.decodable).map(|c| c.node).collect();
+        assert_eq!(nodes, decodable, "receivers are the decodable covers");
+        for (k, &v) in nodes.iter().enumerate() {
+            assert!(m.receiving[v].contains(&(slot as u32, k as u32)), "node {v} indexed");
+        }
+        nodes
+    }
+
+    #[test]
+    fn receivers_are_the_decodable_covers_across_memo_epochs() {
+        // A row at 240 m spacing: node 2 decodes its two neighbours only.
+        let mut m = medium_with((0..6).map(|i| Vec2::new(240.0 * i as f64, 0.0)).collect());
+        let mut r = rng();
+        let t = SimTime::from_micros;
+        let (tx, _) = begin(&mut m, 2, t(0), &mut r);
+        assert_eq!(receivers_of(&m, tx), vec![1, 3], "computed footprint");
+        end(&mut m, tx, t(10));
+        let (tx, _) = begin(&mut m, 2, t(20), &mut r);
+        assert_eq!(receivers_of(&m, tx), vec![1, 3], "replayed memo");
+        // A move bumps the memo epoch while 2's frame is in flight: that
+        // frame keeps its receivers, and 2's next frame is rediscovered.
+        m.set_position(5, Vec2::new(480.0, 100.0));
+        assert_eq!(receivers_of(&m, tx), vec![1, 3]);
+        end(&mut m, tx, t(30));
+        let (tx, _) = begin(&mut m, 2, t(40), &mut r);
+        let (tx4, _) = begin(&mut m, 4, t(41), &mut r);
+        assert_eq!(receivers_of(&m, tx), vec![1, 3, 5], "after the move");
+        assert_eq!(receivers_of(&m, tx4), vec![3]);
+        end(&mut m, tx, t(50));
+        end(&mut m, tx4, t(50));
+        assert!(m.receiving.iter().all(Vec::is_empty), "every entry unregistered");
     }
 
     #[test]

@@ -319,12 +319,16 @@ impl Daemon {
 
     /// Closes every queue, drains the remaining jobs and joins the workers.
     /// Returning at all *is* the drain proof: a worker only exits once its
-    /// queue reports disconnected-and-empty.
+    /// queue reports disconnected-and-empty. A worker that panicked has
+    /// already reported on stderr, and the jobs queued to it were dropped
+    /// with its queue; the totals count the workers that exited.
     pub fn shutdown(self) -> ServeStats {
         drop(self.txs);
         let mut total = ServeStats::default();
         for w in self.workers {
-            let s = w.join().expect("serve worker panicked");
+            let Ok(s) = w.join() else {
+                continue;
+            };
             total.streams += s.streams;
             total.events += s.events;
             total.deltas += s.deltas;
@@ -405,7 +409,8 @@ impl StreamHandle {
     }
 
     /// Flushes, closes the stream and returns its final report. `None`
-    /// only if the daemon is already gone.
+    /// only if the stream's worker is gone (shut down, or panicked before
+    /// it reached this close).
     pub fn close(mut self) -> Option<StreamReport> {
         self.flush();
         let (rtx, rrx) = mpsc::channel();

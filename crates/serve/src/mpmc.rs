@@ -22,7 +22,11 @@
 //!   sender is gone **and** the queue is empty it returns `None`, so a
 //!   worker naturally drains the queue before exiting;
 //! * [`Receiver::close`] poisons the channel from the consumer side:
-//!   producers get [`SendError`] immediately, pending values stay readable.
+//!   producers get [`SendError`] immediately, pending values stay readable;
+//! * dropping the last [`Receiver`] (a worker that exits or panics) drops
+//!   every queued value with it, so whatever a value owns — a reply
+//!   channel a producer waits on — is released rather than kept alive by
+//!   the senders.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -186,9 +190,14 @@ impl<T> Drop for Receiver<T> {
         let mut st = self.0.state.lock().expect("mpmc lock");
         st.receivers -= 1;
         if st.receivers == 0 {
+            // No one can receive the queued values any more; they are
+            // dropped after the lock is released, as their drops may run
+            // arbitrary code.
+            let orphans = std::mem::take(&mut st.queue);
             drop(st);
             // Producers blocked in send() must observe disconnection.
             self.0.not_full.notify_all();
+            drop(orphans);
         }
     }
 }

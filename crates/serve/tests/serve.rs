@@ -11,7 +11,7 @@ use mg_dcf::BackoffPolicy;
 use mg_net::{Scenario, ScenarioConfig, SourceCfg};
 use mg_obs::Obs;
 use mg_serve::{
-    mpmc, serve_connection, wire, Daemon, Policy, ServeConfig,
+    mpmc, serve_connection, wire, Daemon, Policy, ServeConfig, ServeStats,
 };
 use mg_sim::SimTime;
 use std::io::{Read, Write};
@@ -54,6 +54,23 @@ fn mpmc_recv_drains_then_reports_disconnection() {
     assert_eq!(rx.recv(), Some(7));
     assert_eq!(rx.recv(), Some(8));
     assert_eq!(rx.recv(), None);
+}
+
+#[test]
+fn mpmc_dropping_the_last_receiver_drops_queued_values() {
+    // A queued reply channel stands for a `Job::Close` whose producer waits
+    // on the reply: once no receiver is left, the channel must be released,
+    // not kept open by the queue the senders still share.
+    let (tx, rx) = mpmc::bounded::<std::sync::mpsc::Sender<u8>>(4);
+    let rx2 = rx.clone();
+    let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+    tx.send(reply_tx).unwrap();
+    drop(rx);
+    assert_eq!(reply_rx.try_recv(), Err(std::sync::mpsc::TryRecvError::Empty));
+    drop(rx2);
+    assert_eq!(reply_rx.try_recv(), Err(std::sync::mpsc::TryRecvError::Disconnected));
+    let (late, _late_rx) = std::sync::mpsc::channel();
+    assert!(tx.send(late).is_err(), "no receiver left");
 }
 
 #[test]
@@ -221,6 +238,28 @@ fn daemon_serves_interleaved_streams_independently() {
     assert_eq!(r2.report, offline_report(&clean));
     assert!(r1.flagged, "PM=80 over 2s must be flagged");
     daemon.shutdown();
+}
+
+/// A worker that panics takes its queue with it. Here the panic is a
+/// header no session can be built from, which journal readers refuse but
+/// `Daemon::open` still accepts. A close queued behind the panic returns
+/// `None` instead of waiting forever, and `shutdown` returns instead of
+/// re-raising the panic.
+#[test]
+fn daemon_survives_a_worker_panic() {
+    let journal = record(5, 60);
+    let daemon = Daemon::start(ServeConfig { workers: 1, ..ServeConfig::default() }, None);
+    // Keep the worker busy so the doomed stream's close is likely queued
+    // before the worker reaches its open.
+    let mut busy = daemon.open(journal.meta().clone());
+    for o in journal.events() {
+        busy.push(o.clone());
+    }
+    busy.flush();
+    let doomed = daemon.open(ObsMeta { vantages: vec![], ..journal.meta().clone() });
+    assert!(doomed.close().is_none());
+    assert!(busy.close().is_none(), "its worker is gone");
+    assert_eq!(daemon.shutdown(), ServeStats::default());
 }
 
 #[test]

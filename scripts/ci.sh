@@ -68,10 +68,14 @@ echo "== trace determinism: equal seeds, byte-identical journals =="
 cargo test -q --offline --test trace_determinism
 
 echo "== differential index suite: naive vs grid medium, byte-identical =="
-# Random event tapes drive both index strategies in lockstep (clean,
-# shadowed, hotspot); the large-world cross-index gate above covers the
-# end-to-end diagnosis, this covers the medium in isolation.
-cargo test -q --offline -p mg-phy --test diff_index
+# Random event tapes drive both index strategies in lockstep (sparse field,
+# 700 m box, shadowed, hotspot); the large-world cross-index gate above
+# covers the end-to-end diagnosis, this covers the medium in isolation. The
+# box tapes race Grid's receiver bookkeeping against Naive's reference
+# arithmetic, so run many of them: 2000 cases per property take about a
+# second once built.
+TESTKIT_CASES=2000 cargo test -q --release --offline -p mg-phy --test diff_index
+echo "ok: 2000 tapes per property byte-identical under naive and grid"
 
 echo "== world-scale smoke: bench_world_scale on a tiny grid =="
 # One small cell end to end: asserts events-fired and flagged-diagnosis
@@ -344,6 +348,34 @@ if ! grep -q "queues drained" "$outdir/mgd.out"; then
     exit 1
 fi
 echo "ok: three socket streams (one mobile) byte-identical to offline replay; clean SIGTERM drain"
+
+echo "== journal gate: a hostile header is refused where it is read =="
+# A negative pair distance (like an empty vantage list, or the tagged node
+# among its vantages) describes no detector session. The reader refuses it
+# with a typed error naming the header, so `detect --replay` and `mgd`
+# exit 1 instead of panicking a worker (which used to hang `mgd`).
+cargo run -q --release --offline -- detect --pm 60 --secs 4 --seed 5 \
+    --record "$outdir/hostile.jsonl" --journal-format jsonl >/dev/null
+sed -i '1s/"pair_distance":[^,]*/"pair_distance":-5/' "$outdir/hostile.jsonl"
+set +e
+cargo run -q --release --offline -- detect --replay "$outdir/hostile.jsonl" \
+    >/dev/null 2>"$outdir/hostile-replay.err"
+hostile_replay=$?
+timeout 30 ./target/release/mgd --journal "$outdir/hostile.jsonl" \
+    >/dev/null 2>"$outdir/hostile-mgd.err"
+hostile_mgd=$?
+set -e
+if [ "$hostile_replay" -ne 1 ] || ! grep -q "header pair distance" "$outdir/hostile-replay.err"; then
+    echo "error: detect --replay of a hostile header must exit 1 naming the header (got $hostile_replay)" >&2
+    cat "$outdir/hostile-replay.err" >&2
+    exit 1
+fi
+if [ "$hostile_mgd" -ne 1 ] || ! grep -q "header pair distance" "$outdir/hostile-mgd.err"; then
+    echo "error: mgd --journal of a hostile header must exit 1 naming the header (got $hostile_mgd)" >&2
+    cat "$outdir/hostile-mgd.err" >&2
+    exit 1
+fi
+echo "ok: a negative pair distance is refused by detect --replay and mgd (exit 1)"
 
 echo "== serve smoke: bench_serve mini cell =="
 # A tiny in-process cell of the serving benchmark: asserts the daemon's

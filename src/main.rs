@@ -533,10 +533,6 @@ fn replay_detect(o: &DetectOpts, path: &str) {
         std::process::exit(1);
     }
     let meta = reader.meta().clone();
-    if meta.vantages.is_empty() {
-        eprintln!("error: journal {path} declares no vantages");
-        std::process::exit(1);
-    }
     let attacker_node = meta.tagged;
     let primary = meta.vantages[0];
     let pm: u8 = meta.param_parsed("pm").unwrap_or(0);
