@@ -6,21 +6,19 @@
 //!
 //! Replay-backed: α is a detector knob, not a world knob, so each
 //! `(PM, seed)` world is simulated **once** (its observation stream recorded
-//! to a cached [`mg_detect::ObsJournal`]) and replayed into the five α
+//! to an in-memory [`mg_detect::ObsJournal`]) and replayed into the five α
 //! configurations — a 5× cut in simulated worlds.
 //!
 //! ```text
 //! cargo run --release -p mg-bench --bin ablation_alpha
 //! ```
 
-use mg_bench::sweep::{journal_codec, journal_key, outcome_codec, SCHEMA};
 use mg_bench::table::{p3, Table};
 use mg_bench::{
     aggregate, record_detection_world, sweep_or_exit, BenchConfig, Load, TrialOutcome,
 };
 use mg_detect::{MonitorConfig, ObsJournal, SessionSpec};
 use mg_net::ScenarioConfig;
-use mg_runner::CacheKey;
 use std::collections::HashMap;
 
 fn world_cfg(seed: u64, secs: u64) -> ScenarioConfig {
@@ -57,7 +55,6 @@ fn replay_trial(journal: &ObsJournal, arma_alpha: f64) -> TrialOutcome {
 
 fn main() {
     let bc = BenchConfig::from_env_or_exit();
-    let runner = bc.runner();
     let alphas = [0.5, 0.9, 0.99, 0.995, 0.999];
     let pms: [(u8, u64); 3] = [(0, 8000), (50, 8100), (90, 8200)];
 
@@ -68,13 +65,9 @@ fn main() {
             worlds.push((pm, base + i));
         }
     }
-    let journals: Vec<ObsJournal> = sweep_or_exit(
-        &runner,
-        &worlds,
-        |&(pm, seed)| journal_key(&world_cfg(seed, bc.sim_secs), pm),
-        journal_codec(),
-        |&(pm, seed)| record_detection_world(seed, world_cfg(seed, bc.sim_secs), pm),
-    );
+    let journals: Vec<ObsJournal> = sweep_or_exit(&bc, &worlds, |&(pm, seed)| {
+        record_detection_world(seed, world_cfg(seed, bc.sim_secs), pm)
+    });
     let by_world: HashMap<(u8, u64), &ObsJournal> =
         worlds.iter().copied().zip(journals.iter()).collect();
 
@@ -87,19 +80,9 @@ fn main() {
             }
         }
     }
-    let results: Vec<TrialOutcome> = sweep_or_exit(
-        &runner,
-        &tasks,
-        |&(alpha, pm, seed)| {
-            CacheKey::new("ablation-alpha", SCHEMA)
-                .field("cfg", world_cfg(seed, bc.sim_secs))
-                .field("pm", pm)
-                .field("alpha", alpha)
-                .field("sample_size", 25usize)
-        },
-        outcome_codec(),
-        |&(alpha, pm, seed)| replay_trial(by_world[&(pm, seed)], alpha),
-    );
+    let results: Vec<TrialOutcome> = sweep_or_exit(&bc, &tasks, |&(alpha, pm, seed)| {
+        replay_trial(by_world[&(pm, seed)], alpha)
+    });
 
     let mut t = Table::new(
         "Ablation: ARMA smoothing alpha (Eq. 6; paper uses 0.995)",
@@ -131,5 +114,4 @@ fn main() {
         worlds.len(),
         tasks.len()
     );
-    eprintln!("{}", runner.summary());
 }

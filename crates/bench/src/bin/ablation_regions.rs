@@ -5,14 +5,13 @@
 //! (compliant tagged node) and detection rate at PM = 50, at medium load.
 //!
 //! Replay-backed: the region construction is a detector knob, so each
-//! `(PM, seed)` world is simulated **once** (journal cached) and replayed
-//! into the four region variants — a 4× cut in simulated worlds.
+//! `(PM, seed)` world is simulated **once** (journal kept in memory) and
+//! replayed into the four region variants — a 4× cut in simulated worlds.
 //!
 //! ```text
 //! cargo run --release -p mg-bench --bin ablation_regions
 //! ```
 
-use mg_bench::sweep::{journal_codec, journal_key, outcome_codec, SCHEMA};
 use mg_bench::table::{p3, Table};
 use mg_bench::{
     aggregate, record_detection_world, sweep_or_exit, BenchConfig, Load, TrialOutcome,
@@ -20,7 +19,6 @@ use mg_bench::{
 use mg_detect::{MonitorConfig, NodeCounts, ObsJournal, SessionSpec};
 use mg_geom::PreclusionRule;
 use mg_net::ScenarioConfig;
-use mg_runner::CacheKey;
 use std::collections::HashMap;
 
 const SS: usize = 25;
@@ -57,7 +55,6 @@ fn replay_trial(journal: &ObsJournal, rule: PreclusionRule, counts: NodeCounts) 
 
 fn main() {
     let bc = BenchConfig::from_env_or_exit();
-    let runner = bc.runner();
     let variants: [(&str, PreclusionRule, NodeCounts); 4] = [
         ("mirror (n=k=5)", PreclusionRule::Mirror, NodeCounts::FixedPaper),
         (
@@ -85,13 +82,9 @@ fn main() {
             worlds.push((pm, base + i));
         }
     }
-    let journals: Vec<ObsJournal> = sweep_or_exit(
-        &runner,
-        &worlds,
-        |&(pm, seed)| journal_key(&world_cfg(seed, bc.sim_secs), pm),
-        journal_codec(),
-        |&(pm, seed)| record_detection_world(seed, world_cfg(seed, bc.sim_secs), pm),
-    );
+    let journals: Vec<ObsJournal> = sweep_or_exit(&bc, &worlds, |&(pm, seed)| {
+        record_detection_world(seed, world_cfg(seed, bc.sim_secs), pm)
+    });
     let by_world: HashMap<(u8, u64), &ObsJournal> =
         worlds.iter().copied().zip(journals.iter()).collect();
 
@@ -104,24 +97,10 @@ fn main() {
             }
         }
     }
-    let results: Vec<TrialOutcome> = sweep_or_exit(
-        &runner,
-        &tasks,
-        |&(vi, pm, seed)| {
-            let (_, rule, counts) = variants[vi];
-            CacheKey::new("ablation-regions", SCHEMA)
-                .field("cfg", world_cfg(seed, bc.sim_secs))
-                .field("pm", pm)
-                .field("rule", rule)
-                .field("counts", counts)
-                .field("sample_size", SS)
-        },
-        outcome_codec(),
-        |&(vi, pm, seed)| {
-            let (_, rule, counts) = variants[vi];
-            replay_trial(by_world[&(pm, seed)], rule, counts)
-        },
-    );
+    let results: Vec<TrialOutcome> = sweep_or_exit(&bc, &tasks, |&(vi, pm, seed)| {
+        let (_, rule, counts) = variants[vi];
+        replay_trial(by_world[&(pm, seed)], rule, counts)
+    });
 
     let mut t = Table::new(
         &format!("Ablation: region construction (sample size {SS}, load 0.6)"),
@@ -151,5 +130,4 @@ fn main() {
         worlds.len(),
         tasks.len()
     );
-    eprintln!("{}", runner.summary());
 }

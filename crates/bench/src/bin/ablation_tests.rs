@@ -5,26 +5,22 @@
 //! samples through both tests and compares false-alarm and detection rates.
 //!
 //! Replay-backed: each `(PM, seed)` world is simulated **once**, its
-//! observation stream recorded to a cached [`mg_detect::ObsJournal`], and
-//! the raw (dictated, estimated) samples are read from the static vantage's
-//! sample log after replaying the journal into a detector session. The
-//! journal is keyed on the world alone, so this binary shares cache entries
-//! with any other sweep over the same `(cfg, PM)` cells.
+//! observation stream recorded to an in-memory [`mg_detect::ObsJournal`],
+//! and the raw (dictated, estimated) samples are read from the static
+//! vantage's sample log after replaying the journal into a detector
+//! session.
 //!
 //! ```text
 //! cargo run --release -p mg-bench --bin ablation_tests
 //! ```
 
-use mg_bench::sweep::{journal_codec, journal_key, SCHEMA};
 use mg_bench::table::{p3, Table};
 use mg_bench::{record_detection_world, sweep_or_exit, BenchConfig, Load};
 use mg_detect::{MonitorConfig, ObsJournal, SessionSpec};
 use mg_net::ScenarioConfig;
-use mg_runner::{CacheKey, Codec};
 use mg_stats::signed_rank::signed_rank_test;
 use mg_stats::ttest::welch_t_test;
 use mg_stats::wilcoxon::{rank_sum_test, Alternative};
-use mg_trace::json::Json;
 use std::collections::HashMap;
 
 fn world_cfg(seed: u64, secs: u64) -> ScenarioConfig {
@@ -83,34 +79,8 @@ fn rates(samples: &[(f64, f64)], ss: usize, alpha: f64) -> (f64, f64, f64, usize
     }
 }
 
-/// (dictated, estimated) sample pairs as a JSON array of two-element arrays.
-fn samples_codec() -> Codec<Vec<(f64, f64)>> {
-    Codec {
-        encode: |s| {
-            Json::Arr(
-                s.iter()
-                    .map(|&(x, y)| Json::Arr(vec![Json::Num(x), Json::Num(y)]))
-                    .collect(),
-            )
-        },
-        decode: |v| {
-            v.as_arr()?
-                .iter()
-                .map(|p| {
-                    let pair = p.as_arr()?;
-                    match pair {
-                        [x, y] => Some((x.as_f64()?, y.as_f64()?)),
-                        _ => None,
-                    }
-                })
-                .collect()
-        },
-    }
-}
-
 fn main() {
     let bc = BenchConfig::from_env_or_exit();
-    let runner = bc.runner();
     let alpha = 0.01;
     let ss = 25;
     let pms: [u8; 5] = [0, 25, 50, 75, 90];
@@ -122,30 +92,17 @@ fn main() {
             worlds.push((pm, 7000 + pm as u64 + i));
         }
     }
-    let journals: Vec<ObsJournal> = sweep_or_exit(
-        &runner,
-        &worlds,
-        |&(pm, seed)| journal_key(&world_cfg(seed, bc.sim_secs), pm),
-        journal_codec(),
-        |&(pm, seed)| record_detection_world(seed, world_cfg(seed, bc.sim_secs), pm),
-    );
+    let journals: Vec<ObsJournal> = sweep_or_exit(&bc, &worlds, |&(pm, seed)| {
+        record_detection_world(seed, world_cfg(seed, bc.sim_secs), pm)
+    });
     let by_world: HashMap<(u8, u64), &ObsJournal> =
         worlds.iter().copied().zip(journals.iter()).collect();
 
     // Sweep 2 — sample extraction: replay each journal once.
     let tasks = worlds.clone();
-    let all: Vec<Vec<(f64, f64)>> = sweep_or_exit(
-        &runner,
-        &tasks,
-        |&(pm, seed)| {
-            CacheKey::new("ablation-tests", SCHEMA)
-                .field("cfg", world_cfg(seed, bc.sim_secs))
-                .field("pm", pm)
-                .field("collector", "raw-samples")
-        },
-        samples_codec(),
-        |&(pm, seed)| collect(by_world[&(pm, seed)]),
-    );
+    let all: Vec<Vec<(f64, f64)>> = sweep_or_exit(&bc, &tasks, |&(pm, seed)| {
+        collect(by_world[&(pm, seed)])
+    });
 
     let mut t = Table::new(
         &format!(
@@ -194,5 +151,4 @@ fn main() {
         worlds.len(),
         tasks.len()
     );
-    eprintln!("{}", runner.summary());
 }

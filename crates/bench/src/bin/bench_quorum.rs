@@ -5,7 +5,7 @@
 //! Replay-backed, like the ablation binaries: the quorum threshold and the
 //! Byzantine cast are detector-side knobs, so each `(PM, seed)` world is
 //! simulated **once** — its member vantages' observation streams recorded
-//! to a cached multi-vantage journal — and replayed into every `(k, lie)`
+//! to an in-memory multi-vantage journal — and replayed into every `(k, lie)`
 //! configuration, a 9× cut in simulated worlds.
 //!
 //! The load-bearing assertion: **fewer than `k` lying accusers must never
@@ -22,7 +22,6 @@
 //! cargo run --release -p mg-bench --bin bench_quorum
 //! ```
 
-use mg_bench::sweep::{quorum_codec, quorum_journal_key, quorum_key};
 use mg_bench::table::{f2, p3, Table};
 use mg_bench::{
     quorum_trial_from_journal, record_quorum_world, sweep_or_exit, BenchConfig, FaultPlan, Load,
@@ -67,7 +66,6 @@ fn cast(lie: f64, seed: u64) -> FaultPlan {
 
 fn main() {
     let bc = BenchConfig::from_env_or_exit();
-    let runner = bc.runner();
 
     // Sweep 1 — the worlds: one recorded multi-vantage journal per
     // (PM, seed) cell.
@@ -77,13 +75,9 @@ fn main() {
             worlds.push((pm, base + i));
         }
     }
-    let journals: Vec<ObsJournal> = sweep_or_exit(
-        &runner,
-        &worlds,
-        |&(pm, seed)| quorum_journal_key(&world_cfg(&bc, seed), pm, MEMBERS),
-        mg_bench::sweep::journal_codec(),
-        |&(pm, seed)| record_quorum_world(seed, world_cfg(&bc, seed), pm, MEMBERS),
-    );
+    let journals: Vec<ObsJournal> = sweep_or_exit(&bc, &worlds, |&(pm, seed)| {
+        record_quorum_world(seed, world_cfg(&bc, seed), pm, MEMBERS)
+    });
     let by_world: HashMap<(u8, u64), &ObsJournal> =
         worlds.iter().copied().zip(journals.iter()).collect();
 
@@ -98,25 +92,9 @@ fn main() {
             }
         }
     }
-    let results: Vec<QuorumOutcome> = sweep_or_exit(
-        &runner,
-        &tasks,
-        |&(k, lie, pm, seed)| {
-            quorum_key(
-                "bench-quorum",
-                &world_cfg(&bc, seed),
-                pm,
-                SS,
-                MEMBERS,
-                k,
-                &cast(lie, seed),
-            )
-        },
-        quorum_codec(),
-        |&(k, lie, pm, seed)| {
-            quorum_trial_from_journal(by_world[&(pm, seed)], SS, k, &cast(lie, seed))
-        },
-    );
+    let results: Vec<QuorumOutcome> = sweep_or_exit(&bc, &tasks, |&(k, lie, pm, seed)| {
+        quorum_trial_from_journal(by_world[&(pm, seed)], SS, k, &cast(lie, seed))
+    });
 
     let mut t = Table::new(
         &format!(
@@ -206,7 +184,6 @@ fn main() {
         std::process::exit(1);
     }
     println!("wrote {path}");
-    eprintln!("{}", runner.summary());
     if !bad_cells.is_empty() {
         for cell in &bad_cells {
             eprintln!("bench_quorum: FALSE CONVICTION — {cell}");

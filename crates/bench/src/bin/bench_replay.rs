@@ -5,10 +5,10 @@
 //! (one full monitored simulation per cell) and once the replay-backed way
 //! (one recorded world per `(PM, seed)`, replayed into every α). The replay
 //! path is measured through the serialization boundary for **each**
-//! [`JournalFormat`]: encode every journal, decode it back (that is what a
-//! cache hit or an `--replay` costs), and replay the decoded journal into
-//! every α. Outcomes must be identical across all three paths — replay is
-//! a cache, not an approximation, in either encoding.
+//! [`JournalFormat`]: encode every journal, decode it back (that is what an
+//! `--replay` costs), and replay the decoded journal into every α.
+//! Outcomes must be identical across all three paths — replay is exact,
+//! not an approximation, in either encoding.
 //!
 //! The wall-clock comparison, size-on-disk and decode-throughput columns go
 //! to `BENCH_replay.json` (override the path with `MG_BENCH_OUT`). The
@@ -105,7 +105,7 @@ fn run_format(
     let encode_ms = t0.elapsed().as_secs_f64() * 1e3;
     let bytes: u64 = encoded.iter().map(|b| b.len() as u64).sum();
 
-    // Decode once per world — what a cache hit or `--replay` pays — through
+    // Decode once per world — what an `--replay` pays — through
     // the full validating path (trailer, checksum, tables, index).
     let t1 = Instant::now();
     let decoded: Vec<ObsJournal> = encoded
@@ -196,7 +196,7 @@ fn main() {
     let jsonl = run_format(JournalFormat::Jsonl, &journals, &cells);
     let bin = run_format(JournalFormat::Binary, &journals, &cells);
 
-    // All three paths must land on identical outcomes — replay is a cache,
+    // All three paths must land on identical outcomes — replay is exact,
     // not an approximation, in either encoding.
     assert_outcomes_equal("jsonl", &resimulated, &jsonl.outcomes, &cells);
     assert_outcomes_equal("bin", &resimulated, &bin.outcomes, &cells);

@@ -1,18 +1,17 @@
 //! Macro-benchmark: world-size scaling of the medium's spatial index.
 //!
 //! Sweeps a (nodes × attackers × seed) grid of large worlds — each at the
-//! paper's node density via [`ScenarioConfig::large_world`] — through the
-//! mg-runner engine twice, once per [`MediumIndex`] strategy. Every cell
-//! must *fire the exact same number of events and flag the exact same
-//! diagnoses* under both strategies (the index is an execution detail;
+//! paper's node density via [`ScenarioConfig::large_world`] — twice, once
+//! per [`MediumIndex`] strategy. Every cell must *fire the exact same
+//! number of events and flag the exact same diagnoses* under both
+//! strategies (the index is an execution detail;
 //! `tests/diff_index.rs` and `tests/trace_determinism.rs` prove full
 //! byte-identity), so the only thing allowed to differ is wall-clock. The
 //! events/sec comparison is written to `BENCH_world_scale.json` (override
 //! the path with `MG_BENCH_OUT`), together with the host's core count.
 //!
-//! Cells run *sequentially* through the runner and the result cache is
-//! forced off: a perf measurement must never come from a cache hit, and
-//! parallel cells would contend for the cores being timed.
+//! Cells run *sequentially* on the main thread: parallel cells would
+//! contend for the cores being timed.
 //!
 //! ```text
 //! MG_TRIALS=1 MG_SIM_SECS=2 cargo run --release -p mg-bench --bin bench_world_scale
@@ -27,7 +26,6 @@ use mg_dcf::BackoffPolicy;
 use mg_detect::{ScenarioBuilder, WorldMonitors};
 use mg_net::{Scenario, ScenarioConfig};
 use mg_phy::MediumIndex;
-use mg_runner::{Cache, CacheKey, CacheMode, Codec, Runner};
 use mg_sim::SimTime;
 use mg_trace::json::Json;
 use std::time::Instant;
@@ -54,25 +52,6 @@ struct Point {
     naive_eps: f64,
     grid_eps: f64,
     speedup: f64,
-}
-
-fn cell_codec() -> Codec<CellResult> {
-    Codec {
-        encode: |r| {
-            Json::obj([
-                ("events", Json::from(r.events)),
-                ("ms", Json::Num(r.ms)),
-                ("flagged", Json::from(r.flagged)),
-            ])
-        },
-        decode: |v| {
-            Some(CellResult {
-                events: v.get("events")?.as_u64()?,
-                ms: v.get("ms")?.as_f64()?,
-                flagged: v.get("flagged")?.as_u64()?,
-            })
-        },
-    }
 }
 
 /// Builds and runs one large world end to end: `attackers` cheaters spread
@@ -152,27 +131,6 @@ fn main() {
     });
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
 
-    // Never cache a wall-clock measurement (and never trust one): the cache
-    // is forced off no matter what MG_CACHE says.
-    let runner = Runner::new(Cache::new(bc.cache_dir.clone(), CacheMode::Off));
-    let run_one = |nodes: usize, attackers: usize, seed: u64, index: MediumIndex| {
-        let task = (nodes, attackers, seed, index);
-        let key = CacheKey::new("world-scale", 2)
-            .field("nodes", nodes)
-            .field("attackers", attackers)
-            .field("seed", seed)
-            .field("secs", bc.sim_secs)
-            .field("index", index);
-        runner
-            .sweep(
-                std::slice::from_ref(&task),
-                |_| key.clone(),
-                cell_codec(),
-                |t| run_cell(t.0, t.1, t.2, bc.sim_secs, t.3),
-            )
-            .remove(0)
-    };
-
     let mut points = Vec::new();
     for &nodes in &node_sizes {
         for &attackers in &attacker_counts {
@@ -180,11 +138,11 @@ fn main() {
             let mut grid = Vec::new();
             for trial in 0..bc.trials {
                 let seed = 9000 + trial;
-                // One cell per sweep call keeps the measurement serial;
-                // Grid immediately after Naive on the same world keeps the
+                // One cell at a time keeps the measurement serial; Grid
+                // immediately after Naive on the same world keeps the
                 // machine-state comparison as local as possible.
-                naive.push(run_one(nodes, attackers, seed, MediumIndex::Naive));
-                grid.push(run_one(nodes, attackers, seed, MediumIndex::Grid));
+                naive.push(run_cell(nodes, attackers, seed, bc.sim_secs, MediumIndex::Naive));
+                grid.push(run_cell(nodes, attackers, seed, bc.sim_secs, MediumIndex::Grid));
             }
             for (a, b) in naive.iter().zip(&grid) {
                 assert_eq!(

@@ -10,16 +10,13 @@
 //! cargo run --release -p mg-bench --bin ext_fairness
 //! ```
 
-use mg_bench::sweep::SCHEMA;
 use mg_bench::table::{f2, p3, Table};
 use mg_bench::{sweep_or_exit, BenchConfig};
 use mg_dcf::{BackoffPolicy, MacTiming};
 use mg_geom::Vec2;
 use mg_net::{SourceCfg, World};
 use mg_phy::PropagationModel;
-use mg_runner::{CacheKey, Codec};
 use mg_sim::SimTime;
-use mg_trace::json::Json;
 
 fn round(seed: u64, pm: u8, secs: u64) -> [u64; 3] {
     let positions = vec![
@@ -60,22 +57,8 @@ fn jain(xs: &[f64]) -> f64 {
     }
 }
 
-fn counts_codec() -> Codec<[u64; 3]> {
-    Codec {
-        encode: |r| Json::Arr(r.iter().map(|&d| Json::from(d)).collect()),
-        decode: |v| {
-            let a = v.as_arr()?;
-            match a {
-                [x, y, z] => Some([x.as_u64()?, y.as_u64()?, z.as_u64()?]),
-                _ => None,
-            }
-        },
-    }
-}
-
 fn main() {
     let bc = BenchConfig::from_env_or_exit();
-    let runner = bc.runner();
     let secs = bc.sim_secs.min(30);
     let pms: [u8; 7] = [0, 25, 50, 75, 90, 95, 100];
 
@@ -85,20 +68,7 @@ fn main() {
             tasks.push((pm, 9800 + pm as u64 + i));
         }
     }
-    let results: Vec<[u64; 3]> = sweep_or_exit(
-        &runner,
-        &tasks,
-        |&(pm, seed)| {
-            // No ScenarioConfig here — the three-node world is fixed in code,
-            // so pm/seed/secs are the entire task identity.
-            CacheKey::new("ext-fairness", SCHEMA)
-                .field("pm", pm)
-                .field("seed", seed)
-                .field("secs", secs)
-        },
-        counts_codec(),
-        |&(pm, seed)| round(seed, pm, secs),
-    );
+    let results: Vec<[u64; 3]> = sweep_or_exit(&bc, &tasks, |&(pm, seed)| round(seed, pm, secs));
 
     let mut t = Table::new(
         "Extension: throughput capture vs PM (3 saturated contenders)",
@@ -136,5 +106,4 @@ fn main() {
     }
     t.emit_with("ext_fairness", &bc);
     println!("(the attack the detector exists to stop: share -> 1, fairness -> 1/3 as PM grows)");
-    eprintln!("{}", runner.summary());
 }

@@ -20,13 +20,11 @@
 //! cargo run --release -p mg-bench --bin ext_faults
 //! ```
 
-use mg_bench::sweep::{detection_key, outcomes_codec};
 use mg_bench::table::{p3, Table};
 use mg_bench::{
     aggregate, detection_trial_fanout_faulted, sweep_or_exit, BenchConfig, FaultPlan, Load,
     TrialOutcome,
 };
-use mg_net::ScenarioConfig;
 use mg_trace::Counter;
 
 const SS: usize = 25;
@@ -52,7 +50,6 @@ const PROFILES: [Profile; 7] = [
 
 fn main() {
     let bc = BenchConfig::from_env_or_exit();
-    let runner = bc.runner();
     let plans: Vec<FaultPlan> = PROFILES
         .iter()
         .map(|p| FaultPlan::parse(p.spec).expect("built-in profile specs parse"))
@@ -66,32 +63,18 @@ fn main() {
             }
         }
     }
-    let results: Vec<Vec<TrialOutcome>> = sweep_or_exit(
-        &runner,
-        &tasks,
-        |&(pi, pm, seed)| {
-            let cfg = ScenarioConfig {
-                sim_secs: bc.sim_secs,
-                rate_pps: Load::Medium.rate_pps(),
-                seed,
-                ..bc.grid_base()
-            };
-            detection_key("ext-faults", &cfg, pm, &[SS], false, &plans[pi])
-        },
-        outcomes_codec(),
-        |&(pi, pm, seed)| {
-            detection_trial_fanout_faulted(
-                seed,
-                Load::Medium,
-                pm,
-                &[SS],
-                bc.sim_secs,
-                false,
-                bc.grid_base(),
-                &plans[pi],
-            )
-        },
-    );
+    let results: Vec<Vec<TrialOutcome>> = sweep_or_exit(&bc, &tasks, |&(pi, pm, seed)| {
+        detection_trial_fanout_faulted(
+            seed,
+            Load::Medium,
+            pm,
+            &[SS],
+            bc.sim_secs,
+            false,
+            bc.grid_base(),
+            &plans[pi],
+        )
+    });
 
     let mut t = Table::new(
         &format!("Extension: detection under fault injection (load 0.6, sample size {SS})"),
@@ -131,7 +114,6 @@ fn main() {
         "(drop-only profiles must show 0 violations at PM=0 — enforced; corruption profiles \
          route anomalies into the 'uncertain' column via the confirmation gate)"
     );
-    eprintln!("{}", runner.summary());
     if false_accusations > 0 {
         std::process::exit(1);
     }

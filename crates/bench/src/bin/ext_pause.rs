@@ -9,18 +9,15 @@
 //! cargo run --release -p mg-bench --bin ext_pause
 //! ```
 
-use mg_bench::sweep::{detection_key, outcome_codec};
 use mg_bench::table::{p3, Table};
 use mg_bench::{
     aggregate, mobile_detection_trial_fanout_faulted, sweep_or_exit, BenchConfig, Load,
     TrialOutcome,
 };
-use mg_net::ScenarioConfig;
 use mg_sim::SimDuration;
 
 fn main() {
     let bc = BenchConfig::from_env_or_exit();
-    let runner = bc.runner();
     let pauses: [u64; 5] = [0, 50, 100, 200, 300];
     let pms: [(u8, u64); 3] = [(0, 9500), (50, 9600), (90, 9700)];
 
@@ -32,32 +29,18 @@ fn main() {
             }
         }
     }
-    let results: Vec<TrialOutcome> = sweep_or_exit(
-        &runner,
-        &tasks,
-        |&(pause_s, pm, seed)| {
-            let cfg = ScenarioConfig {
-                sim_secs: bc.sim_secs,
-                rate_pps: Load::Medium.rate_pps(),
-                seed,
-                ..ScenarioConfig::mobile_paper(seed, SimDuration::from_secs(pause_s))
-            };
-            detection_key("detection-mobile", &cfg, pm, &[25], false, &bc.fault)
-        },
-        outcome_codec(),
-        |&(pause_s, pm, seed)| {
-            mobile_detection_trial_fanout_faulted(
-                seed,
-                Load::Medium,
-                pm,
-                &[25],
-                bc.sim_secs,
-                SimDuration::from_secs(pause_s),
-                &bc.fault,
-            )
-            .remove(0)
-        },
-    );
+    let results: Vec<TrialOutcome> = sweep_or_exit(&bc, &tasks, |&(pause_s, pm, seed)| {
+        mobile_detection_trial_fanout_faulted(
+            seed,
+            Load::Medium,
+            pm,
+            &[25],
+            bc.sim_secs,
+            SimDuration::from_secs(pause_s),
+            &bc.fault,
+        )
+        .remove(0)
+    });
 
     let mut t = Table::new(
         "Extension: pause-time sweep — mobile detection, load 0.6, sample size 25",
@@ -84,5 +67,4 @@ fn main() {
     }
     t.emit_with("ext_pause", &bc);
     println!("(the paper notes mobility roughly doubles the samples needed; long pauses should recover the static behaviour)");
-    eprintln!("{}", runner.summary());
 }

@@ -11,7 +11,6 @@
 //! cargo run --release -p mg-bench --bin ext_shadowing
 //! ```
 
-use mg_bench::sweep::{detection_key, outcome_codec};
 use mg_bench::table::{p3, Table};
 use mg_bench::{
     aggregate, detection_trial_with_cfg_faulted, sweep_or_exit, BenchConfig, Load, TrialOutcome,
@@ -21,7 +20,6 @@ use mg_phy::PropagationModel;
 
 fn main() {
     let bc = BenchConfig::from_env_or_exit();
-    let runner = bc.runner();
     let sigmas = [0.0, 2.0, 4.0, 8.0];
     let pms: [(u8, u64); 3] = [(0, 9000), (50, 9100), (90, 9200)];
 
@@ -40,18 +38,9 @@ fn main() {
             }
         }
     }
-    let results: Vec<TrialOutcome> = sweep_or_exit(
-        &runner,
-        &tasks,
-        |&(sigma, pm, seed)| {
-            let cfg = ScenarioConfig { seed, ..base_for(sigma) };
-            detection_key("ext-shadowing", &cfg, pm, &[25], true, &bc.fault)
-        },
-        outcome_codec(),
-        |&(sigma, pm, seed)| {
-            detection_trial_with_cfg_faulted(seed, base_for(sigma), pm, 25, true, &bc.fault)
-        },
-    );
+    let results: Vec<TrialOutcome> = sweep_or_exit(&bc, &tasks, |&(sigma, pm, seed)| {
+        detection_trial_with_cfg_faulted(seed, base_for(sigma), pm, 25, true, &bc.fault)
+    });
 
     let mut t = Table::new(
         "Extension: detection under log-normal shadowing (load 0.6, sample size 25)",
@@ -78,5 +67,4 @@ fn main() {
     }
     t.emit_with("ext_shadowing", &bc);
     println!("(fading degrades both ranges per-packet; the detector should degrade gracefully)");
-    eprintln!("{}", runner.summary());
 }

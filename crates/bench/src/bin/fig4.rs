@@ -5,18 +5,15 @@
 //! cargo run --release -p mg-bench --bin fig4
 //! ```
 
-use mg_bench::sweep::{cond_codec, cond_key};
 use mg_bench::table::{p3, Table};
 use mg_bench::{
     aggregate_points, conditional_probability_run, sweep_or_exit, BenchConfig, CondProbPoint,
 };
 use mg_detect::AnalyticModel;
 use mg_geom::PreclusionRule;
-use mg_net::ScenarioConfig;
 
 fn main() {
     let bc = BenchConfig::from_env_or_exit();
-    let runner = bc.runner();
     let rates = [0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 18.0, 25.0];
     let secs = bc.sim_secs.min(120);
 
@@ -37,21 +34,9 @@ fn main() {
             tasks.push((rate, 2000 + i));
         }
     }
-    let results: Vec<CondProbPoint> = sweep_or_exit(
-        &runner,
-        &tasks,
-        |&(rate, seed)| {
-            let cfg = ScenarioConfig {
-                sim_secs: secs,
-                rate_pps: rate,
-                seed,
-                ..bc.random_base()
-            };
-            cond_key("condprob-random", &cfg)
-        },
-        cond_codec(),
-        |&(rate, seed)| conditional_probability_run(seed, rate, secs, bc.random_base()),
-    );
+    let results: Vec<CondProbPoint> = sweep_or_exit(&bc, &tasks, |&(rate, seed)| {
+        conditional_probability_run(seed, rate, secs, bc.random_base())
+    });
 
     for &rate in &rates {
         let points: Vec<CondProbPoint> = tasks
@@ -88,5 +73,4 @@ fn main() {
         "(trials per point: {}, {secs}s simulated each; the paper reports the same shapes as Fig. 3 with smaller P(S idle | R busy))",
         bc.trials
     );
-    eprintln!("{}", runner.summary());
 }

@@ -11,8 +11,7 @@
 //!
 //! The whole figure is one flat (panel × PM × seed) task grid drained by
 //! the mg-runner sweep engine; each task simulates *one* world carrying one
-//! monitor per sample size, and completed points replay from the result
-//! cache on re-runs.
+//! monitor per sample size.
 //!
 //! ```text
 //! cargo run --release -p mg-bench --bin fig5            # 5(a)-(c)
@@ -20,13 +19,11 @@
 //! MG_TRIALS=20 MG_SIM_SECS=300 ... for higher fidelity
 //! ```
 
-use mg_bench::sweep::{detection_key, outcomes_codec};
 use mg_bench::table::{p3, Table};
 use mg_bench::{
     aggregate, detection_trial_fanout_faulted, mobile_detection_trial_fanout_faulted,
     sweep_or_exit, BenchConfig, Load, TrialOutcome,
 };
-use mg_net::ScenarioConfig;
 use mg_sim::SimDuration;
 use mg_trace::MetricsSnapshot;
 
@@ -47,24 +44,8 @@ struct Task {
     seed: u64,
 }
 
-/// The fully resolved scenario a task simulates — also the cache identity.
-fn resolved_cfg(bc: &BenchConfig, p: &Panel, seed: u64) -> ScenarioConfig {
-    let base = if p.mobile {
-        ScenarioConfig::mobile_paper(seed, SimDuration::ZERO)
-    } else {
-        bc.grid_base()
-    };
-    ScenarioConfig {
-        sim_secs: bc.sim_secs,
-        rate_pps: p.load.rate_pps(),
-        seed,
-        ..base
-    }
-}
-
 fn main() {
     let bc = BenchConfig::from_env_or_exit();
-    let runner = bc.runner();
     let mobile = std::env::args().any(|a| a == "--mobile");
 
     let panels: Vec<Panel> = if mobile {
@@ -108,48 +89,31 @@ fn main() {
         }
     }
 
-    let results: Vec<Vec<TrialOutcome>> = sweep_or_exit(
-        &runner,
-        &tasks,
-        |t| {
-            let p = &panels[t.panel];
-            let experiment = if p.mobile { "detection-mobile" } else { "detection" };
-            detection_key(
-                experiment,
-                &resolved_cfg(&bc, p, t.seed),
+    let results: Vec<Vec<TrialOutcome>> = sweep_or_exit(&bc, &tasks, |t| {
+        let p = &panels[t.panel];
+        if p.mobile {
+            mobile_detection_trial_fanout_faulted(
+                t.seed,
+                p.load,
                 t.pm,
                 &SAMPLE_SIZES,
-                false,
+                bc.sim_secs,
+                SimDuration::ZERO,
                 &bc.fault,
             )
-        },
-        outcomes_codec(),
-        |t| {
-            let p = &panels[t.panel];
-            if p.mobile {
-                mobile_detection_trial_fanout_faulted(
-                    t.seed,
-                    p.load,
-                    t.pm,
-                    &SAMPLE_SIZES,
-                    bc.sim_secs,
-                    SimDuration::ZERO,
-                    &bc.fault,
-                )
-            } else {
-                detection_trial_fanout_faulted(
-                    t.seed,
-                    p.load,
-                    t.pm,
-                    &SAMPLE_SIZES,
-                    bc.sim_secs,
-                    false,
-                    bc.grid_base(),
-                    &bc.fault,
-                )
-            }
-        },
-    );
+        } else {
+            detection_trial_fanout_faulted(
+                t.seed,
+                p.load,
+                t.pm,
+                &SAMPLE_SIZES,
+                bc.sim_secs,
+                false,
+                bc.grid_base(),
+                &bc.fault,
+            )
+        }
+    });
 
     for (pi, p) in panels.iter().enumerate() {
         let mut t = Table::new(
@@ -205,5 +169,4 @@ fn main() {
         "(expected shape: detection rises with PM and with sample size; \
          the paper reports >0.8 at PM=65 even with n=10 and ~1 at PM=25 with n=100)"
     );
-    eprintln!("{}", runner.summary());
 }

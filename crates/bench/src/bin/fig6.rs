@@ -7,20 +7,18 @@
 //! Sample sizes fan out over a single world per (load, seed) point: the
 //! monitors are read-only, so one simulation carries one monitor per sample
 //! size instead of being re-run once per size. Tasks drain through the
-//! mg-runner sweep engine and replay from the result cache on re-runs.
+//! mg-runner sweep engine.
 //!
 //! ```text
 //! cargo run --release -p mg-bench --bin fig6             # 6(a)
 //! cargo run --release -p mg-bench --bin fig6 -- --mobile # 6(b)
 //! ```
 
-use mg_bench::sweep::{detection_key, outcomes_codec};
 use mg_bench::table::{p3, Table};
 use mg_bench::{
     aggregate, detection_trial_fanout_faulted, mobile_detection_trial_fanout_faulted,
     sweep_or_exit, BenchConfig, Load, TrialOutcome,
 };
-use mg_net::ScenarioConfig;
 use mg_sim::SimDuration;
 use mg_trace::MetricsSnapshot;
 
@@ -28,36 +26,21 @@ const SAMPLE_SIZES: [usize; 5] = [10, 25, 50, 75, 100];
 
 fn main() {
     let bc = BenchConfig::from_env_or_exit();
-    let runner = bc.runner();
     let mobile = std::env::args().any(|a| a == "--mobile");
 
     if mobile {
         let tasks: Vec<u64> = (0..bc.trials).map(|i| 4000 + i).collect();
-        let results: Vec<Vec<TrialOutcome>> = sweep_or_exit(
-            &runner,
-            &tasks,
-            |&seed| {
-                let cfg = ScenarioConfig {
-                    sim_secs: bc.sim_secs,
-                    rate_pps: Load::Medium.rate_pps(),
-                    seed,
-                    ..ScenarioConfig::mobile_paper(seed, SimDuration::ZERO)
-                };
-                detection_key("detection-mobile", &cfg, 0, &SAMPLE_SIZES, false, &bc.fault)
-            },
-            outcomes_codec(),
-            |&seed| {
-                mobile_detection_trial_fanout_faulted(
-                    seed,
-                    Load::Medium,
-                    0,
-                    &SAMPLE_SIZES,
-                    bc.sim_secs,
-                    SimDuration::ZERO,
-                    &bc.fault,
-                )
-            },
-        );
+        let results: Vec<Vec<TrialOutcome>> = sweep_or_exit(&bc, &tasks, |&seed| {
+            mobile_detection_trial_fanout_faulted(
+                seed,
+                Load::Medium,
+                0,
+                &SAMPLE_SIZES,
+                bc.sim_secs,
+                SimDuration::ZERO,
+                &bc.fault,
+            )
+        });
         let mut t = Table::new(
             "Figure 6(b): P(misdiagnosis) vs sample size — mobile (RWP), load 0.6",
             &["sample size", "P(misdiagnosis)", "tests", "false viol"],
@@ -87,32 +70,18 @@ fn main() {
                 tasks.push((load, 5000 + i));
             }
         }
-        let results: Vec<Vec<TrialOutcome>> = sweep_or_exit(
-            &runner,
-            &tasks,
-            |&(load, seed)| {
-                let cfg = ScenarioConfig {
-                    sim_secs: bc.sim_secs,
-                    rate_pps: load.rate_pps(),
-                    seed,
-                    ..bc.grid_base()
-                };
-                detection_key("detection", &cfg, 0, &SAMPLE_SIZES, false, &bc.fault)
-            },
-            outcomes_codec(),
-            |&(load, seed)| {
-                detection_trial_fanout_faulted(
-                    seed,
-                    load,
-                    0,
-                    &SAMPLE_SIZES,
-                    bc.sim_secs,
-                    false,
-                    bc.grid_base(),
-                    &bc.fault,
-                )
-            },
-        );
+        let results: Vec<Vec<TrialOutcome>> = sweep_or_exit(&bc, &tasks, |&(load, seed)| {
+            detection_trial_fanout_faulted(
+                seed,
+                load,
+                0,
+                &SAMPLE_SIZES,
+                bc.sim_secs,
+                false,
+                bc.grid_base(),
+                &bc.fault,
+            )
+        });
         let mut t = Table::new(
             "Figure 6(a): P(misdiagnosis) vs sample size — static grid, all compliant",
             &[
@@ -160,5 +129,4 @@ fn main() {
         "(paper: misdiagnosis < 0.01 at n=10, shrinking with sample size; \
          'false viol' counts deterministic violations against compliant nodes — must be 0)"
     );
-    eprintln!("{}", runner.summary());
 }

@@ -9,7 +9,6 @@
 use crate::FaultPlan;
 use mg_net::ScenarioConfig;
 use mg_phy::MediumIndex;
-use mg_runner::{Cache, CacheMode, Runner};
 use std::path::PathBuf;
 
 /// The environment knobs shared by every experiment binary.
@@ -23,10 +22,6 @@ pub struct BenchConfig {
     pub csv_dir: Option<PathBuf>,
     /// When set, each table is mirrored as JSON here (`MG_JSON_DIR`).
     pub json_dir: Option<PathBuf>,
-    /// Result-cache mode (`MG_CACHE`: `on`/`off`/`refresh`, default on).
-    pub cache_mode: CacheMode,
-    /// Result-cache directory (`MG_CACHE_DIR`, default `results/.cache`).
-    pub cache_dir: PathBuf,
     /// Fault-injection plan (`MG_FAULT_PROFILE` spec string, default no-op,
     /// with `MG_FAULT_SEED` overriding the plan's seed).
     pub fault: FaultPlan,
@@ -43,8 +38,6 @@ impl Default for BenchConfig {
             sim_secs: 120,
             csv_dir: None,
             json_dir: None,
-            cache_mode: CacheMode::ReadWrite,
-            cache_dir: PathBuf::from("results/.cache"),
             fault: FaultPlan::default(),
             medium_index: MediumIndex::default(),
         }
@@ -68,12 +61,6 @@ impl BenchConfig {
         }
         cfg.csv_dir = dir_var("MG_CSV_DIR");
         cfg.json_dir = dir_var("MG_JSON_DIR");
-        if let Ok(v) = std::env::var("MG_CACHE") {
-            cfg.cache_mode = CacheMode::parse(&v)?;
-        }
-        if let Some(d) = dir_var("MG_CACHE_DIR") {
-            cfg.cache_dir = d;
-        }
         if let Ok(spec) = std::env::var("MG_FAULT_PROFILE") {
             cfg.fault = FaultPlan::parse(&spec)
                 .map_err(|e| format!("invalid MG_FAULT_PROFILE value {spec:?}: {e}"))?;
@@ -100,13 +87,6 @@ impl BenchConfig {
                 std::process::exit(2);
             }
         }
-    }
-
-    /// A sweep runner over this config's cache directory and mode, carrying
-    /// the fault plan's runner-layer knobs (panics, hangs, watchdog).
-    pub fn runner(&self) -> Runner {
-        Runner::new(Cache::new(self.cache_dir.clone(), self.cache_mode))
-            .with_faults(self.fault.runner.clone())
     }
 
     /// The scenario base for the paper's grid experiments, on this config's
@@ -154,8 +134,6 @@ mod tests {
             "MG_SIM_SECS",
             "MG_CSV_DIR",
             "MG_JSON_DIR",
-            "MG_CACHE",
-            "MG_CACHE_DIR",
             "MG_FAULT_PROFILE",
             "MG_FAULT_SEED",
             "MG_MEDIUM_INDEX",
@@ -170,15 +148,11 @@ mod tests {
         std::env::set_var("MG_TRIALS", "3");
         std::env::set_var("MG_SIM_SECS", "45");
         std::env::set_var("MG_CSV_DIR", "out/csv");
-        std::env::set_var("MG_CACHE", "off");
-        std::env::set_var("MG_CACHE_DIR", "out/cache");
         let cfg = BenchConfig::from_env().expect("valid env parses");
         assert_eq!(cfg.trials, 3);
         assert_eq!(cfg.sim_secs, 45);
         assert_eq!(cfg.csv_dir.as_deref(), Some(std::path::Path::new("out/csv")));
         assert_eq!(cfg.json_dir, None);
-        assert_eq!(cfg.cache_mode, CacheMode::Off);
-        assert_eq!(cfg.cache_dir, PathBuf::from("out/cache"));
 
         std::env::set_var("MG_TRIALS", "8x");
         let err = BenchConfig::from_env().unwrap_err();
@@ -186,11 +160,6 @@ mod tests {
         std::env::set_var("MG_TRIALS", "0");
         assert!(BenchConfig::from_env().unwrap_err().contains("MG_TRIALS"));
         std::env::set_var("MG_TRIALS", "3");
-
-        std::env::set_var("MG_CACHE", "sometimes");
-        let err = BenchConfig::from_env().unwrap_err();
-        assert!(err.contains("MG_CACHE"), "{err}");
-        std::env::set_var("MG_CACHE", "on");
 
         std::env::set_var("MG_FAULT_PROFILE", "seed=7,loss=0.25,panic=2");
         std::env::set_var("MG_FAULT_SEED", "99");

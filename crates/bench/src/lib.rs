@@ -16,8 +16,8 @@
 //!   Figs. 5(d)/6(b) run through [`mobile_detection_trial_fanout_faulted`];
 //! * [`conditional_probability_run`] — the Figure 3/4 measurement: empirical
 //!   `p_{B|I}` / `p_{I|B}` from a [`mg_detect::JointTracker`];
-//! * [`sweep`] — cache keys and codecs wiring trial results through the
-//!   [`mg_runner`] sweep engine (flat task grid + content-keyed cache);
+//! * [`sweep_or_exit`] — every binary's grid, drained cold by the
+//!   [`mg_runner`] work-stealing pool with per-cell fault isolation;
 //! * [`table`] — aligned-table output, mirrored to CSV and JSON files.
 //!
 //! ## Environment knobs
@@ -31,8 +31,8 @@
 //! | `MG_SIM_SECS` | 120 | virtual seconds per trial |
 //! | `MG_CSV_DIR` | unset | when set, each binary also writes CSV here |
 //! | `MG_JSON_DIR` | unset | when set, each binary also writes JSON here |
-//! | `MG_CACHE` | `on` | result cache: `on`, `off` or `refresh` |
-//! | `MG_CACHE_DIR` | `results/.cache` | where cached results live |
+//! | `MG_FAULT_PROFILE` | unset | fault-injection plan (see [`FaultPlan::parse`]) |
+//! | `MG_FAULT_SEED` | unset | overrides the fault plan's seed |
 //! | `MG_MEDIUM_INDEX` | `grid` | medium spatial index: `grid` or `naive` |
 
 #![warn(missing_docs)]
@@ -43,7 +43,6 @@ use mg_detect::{
     WorldMonitors, WorldProbe,
 };
 use mg_net::{NetObserver, Scenario, ScenarioConfig, SourceCfg};
-use mg_runner::{CacheKey, Codec, Runner};
 use mg_sim::{SimDuration, SimTime};
 use mg_trace::MetricsSnapshot;
 
@@ -51,7 +50,6 @@ pub use mg_detect::FaultPlan;
 pub use mg_trace::json;
 
 pub mod config;
-pub mod sweep;
 pub mod table;
 
 pub use config::BenchConfig;
@@ -379,9 +377,8 @@ pub fn mobile_detection_trial_fanout_faulted(
 /// byte-identically to a monitored run — observers are strictly read-only.
 /// The returned journal can then be replayed into any number of detector
 /// configurations (a [`mg_detect::SessionSpec`] session fed through
-/// [`ObsJournal::replay`]); together with
-/// [`sweep::journal_key`] this is the second cache tier the ablation
-/// binaries run on.
+/// [`ObsJournal::replay`]): the ablation binaries record each world once
+/// per process and replay it for every knob.
 pub fn record_detection_world(seed: u64, cfg: ScenarioConfig, pm: u8) -> ObsJournal {
     let cfg = ScenarioConfig { seed, ..cfg };
     let secs = cfg.sim_secs;
@@ -441,7 +438,7 @@ pub struct QuorumOutcome {
 /// journal header carries each member's measured distance as a `dist.<v>`
 /// parameter, so [`mg_quorum::members_from_journal`] rebuilds the exact
 /// live geometry on replay — this is the quorum analogue of
-/// [`record_detection_world`], cached under [`sweep::quorum_journal_key`].
+/// [`record_detection_world`].
 pub fn record_quorum_world(
     seed: u64,
     cfg: ScenarioConfig,
@@ -528,20 +525,18 @@ pub fn quorum_trial_from_journal(
     }
 }
 
-/// Runs a sweep through the [`mg_runner`] engine, degrading gracefully on
-/// trial failures: every poisoned cell (worker panic or watchdog timeout) is
-/// reported on stderr, and the process exits with status 1 *before* any
-/// table is emitted — a partially-failed sweep never masquerades as a clean
-/// figure. Fault-free sweeps return all results in task order, exactly like
-/// [`mg_runner::Runner::sweep`].
+/// Runs a sweep through [`mg_runner::try_sweep`] under the config's
+/// runner-layer faults (injected panics and hangs, the watchdog),
+/// degrading gracefully on trial failures: every poisoned cell is reported
+/// on stderr, and the process exits with status 1 *before* any table is
+/// emitted — a partially-failed sweep never masquerades as a clean figure.
+/// Fault-free sweeps return all results in task order.
 pub fn sweep_or_exit<T: Sync, R: Send>(
-    runner: &Runner,
+    bc: &BenchConfig,
     tasks: &[T],
-    key: impl Fn(&T) -> CacheKey + Sync,
-    codec: Codec<R>,
     run: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
-    let results = runner.try_sweep(tasks, key, codec, run);
+    let results = mg_runner::try_sweep(tasks, &bc.fault.runner, run);
     let mut failed = 0usize;
     let mut ok = Vec::with_capacity(results.len());
     for r in results {

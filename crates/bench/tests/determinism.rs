@@ -7,7 +7,7 @@
 
 use mg_bench::table::{p3, Table};
 use mg_bench::{aggregate_points, conditional_probability_run, detection_trial, BenchConfig, Load};
-use mg_runner::run_grid;
+use mg_runner::{try_sweep, RunnerFaults};
 
 /// One miniature fig3-style sweep: a couple of rates, a few seeds each,
 /// rendered exactly the way the fig3 binary renders its tables.
@@ -18,9 +18,12 @@ fn fig3_style_summary(base_seed: u64) -> String {
     );
     for &rate in &[2.0, 8.0] {
         let seeds: Vec<u64> = (0..3).map(|i| base_seed + i).collect();
-        let points = run_grid(&seeds, |_, &seed| {
+        let points: Vec<_> = try_sweep(&seeds, &RunnerFaults::default(), |&seed| {
             conditional_probability_run(seed, rate, 2, BenchConfig::default().grid_base())
-        });
+        })
+        .into_iter()
+        .map(|cell| cell.expect("fault-free cell"))
+        .collect();
         let (rho, p_bi, p_ib, _dist) = aggregate_points(&points);
         table.row(vec![p3(rho), p3(p_bi), p3(p_ib)]);
     }

@@ -65,8 +65,7 @@ pub use density::DensityEstimator;
 pub use monitor::{Diagnosis, Judge, Monitor, MonitorConfig, NodeCounts, Violation};
 pub use mg_fault::{FaultPlan, ObsFaults};
 pub use mg_obs::{
-    base64_to_bytes, bytes_to_base64, JournalError, JournalFormat, JournalReader, JournalWriter,
-    Obs, ObsJournal, ObsMeta, ObsSink,
+    JournalError, JournalFormat, JournalReader, JournalWriter, Obs, ObsJournal, ObsMeta, ObsSink,
 };
 pub use pool::MonitorPool;
 pub use record::ObsRecorder;

@@ -13,8 +13,8 @@
 //!   * **mac/frame** ([`MacFaults`]): tagged-RTS commitment drops and
 //!     bit-flips, so deterministic checks see garbage instead of clean
 //!     violations.
-//!   * **runner** ([`RunnerFaults`]): worker panics, simulated trial hangs
-//!     and cache-entry corruption, keyed by task index.
+//!   * **runner** ([`RunnerFaults`]): worker panics and simulated trial
+//!     hangs, keyed by task index, plus the sweep watchdog.
 //!   * **quorum** ([`QuorumFaults`]): adversarial (Byzantine) monitors for
 //!     the collaborative-detection layer — vantages seeded into the
 //!     [`MonitorRole::FalseAccuser`], [`MonitorRole::Mute`] or
@@ -126,8 +126,6 @@ pub struct RunnerFaults {
     pub hang_tasks: Vec<usize>,
     /// Simulated hang duration, wall-clock milliseconds.
     pub hang_ms: u64,
-    /// Task indices whose cache entry is truncated right after being stored.
-    pub corrupt_cache_tasks: Vec<usize>,
     /// Per-task watchdog timeout, wall-clock milliseconds.
     pub timeout_ms: Option<u64>,
     /// Extra attempts granted to a task that times out.
@@ -145,16 +143,10 @@ impl RunnerFaults {
         self.hang_tasks.contains(&i)
     }
 
-    /// True when task `i`'s cache entry must be corrupted after the store.
-    pub fn corrupts_cache(&self, i: usize) -> bool {
-        self.corrupt_cache_tasks.contains(&i)
-    }
-
     /// True when no runner-layer fault or policy override is configured.
     pub fn is_noop(&self) -> bool {
         self.panic_tasks.is_empty()
             && self.hang_tasks.is_empty()
-            && self.corrupt_cache_tasks.is_empty()
             && self.timeout_ms.is_none()
     }
 }
@@ -226,10 +218,6 @@ impl MonitorRole {
 }
 
 /// A complete, seeded fault plan across all four layers.
-///
-/// `Debug` output is part of the cache-key contract: a plan rendered into a
-/// sweep cache-key field invalidates cached results whenever any knob
-/// changes.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct FaultPlan {
     /// Root seed for every per-monitor fault stream.
@@ -328,7 +316,6 @@ impl FaultPlan {
     /// | `panic` | `i[:j...]` | panicking task indices |
     /// | `hang` | `i[:j...]` | hanging task indices |
     /// | `hang-ms` | u64 | simulated hang duration |
-    /// | `corrupt-cache` | `i[:j...]` | tasks whose cache entry is truncated |
     /// | `timeout-ms` | u64 | per-task watchdog timeout |
     /// | `retries` | u32 | retry budget for timed-out tasks |
     /// | `lie` | probability | P(vantage is a false accuser) |
@@ -427,7 +414,6 @@ impl FaultPlan {
             "panic" => self.runner.panic_tasks = parse_usize_list(value, token)?,
             "hang" => self.runner.hang_tasks = parse_usize_list(value, token)?,
             "hang-ms" => self.runner.hang_ms = parse_u64(value, token)?,
-            "corrupt-cache" => self.runner.corrupt_cache_tasks = parse_usize_list(value, token)?,
             "timeout-ms" => self.runner.timeout_ms = Some(parse_u64(value, token)?),
             "retries" => self.runner.retries = parse_u64(value, token)? as u32,
             "lie" => self.quorum.lie = parse_prob(value, token)?,
@@ -436,8 +422,8 @@ impl FaultPlan {
             other => {
                 return Err(format!(
                     "unknown fault knob {other:?} in token {token:?}: expected one of \
-                     seed/loss/burst/deaf/drop/corrupt/panic/hang/hang-ms/corrupt-cache/timeout-ms/\
-                     retries/lie/mute/flip"
+                     seed/loss/burst/deaf/drop/corrupt/panic/hang/hang-ms/timeout-ms/retries/\
+                     lie/mute/flip"
                 ))
             }
         }
@@ -653,7 +639,7 @@ mod tests {
     fn knob_grammar_covers_all_three_layers() {
         let plan = FaultPlan::parse(
             "loss=0.1,burst=0.05:0.4:0.02:0.5,deaf=200:50:10,drop=0.15,corrupt=0.01,\
-             panic=3:7,hang=5,hang-ms=40,corrupt-cache=2,timeout-ms=100,retries=1",
+             panic=3:7,hang=5,hang-ms=40,timeout-ms=100,retries=1",
         )
         .unwrap();
         assert_eq!(plan.phy.loss, 0.1);
@@ -665,7 +651,6 @@ mod tests {
         assert!(plan.runner.panics(3) && plan.runner.panics(7) && !plan.runner.panics(4));
         assert!(plan.runner.hangs(5));
         assert_eq!(plan.runner.hang_ms, 40);
-        assert!(plan.runner.corrupts_cache(2));
         assert_eq!(plan.runner.timeout_ms, Some(100));
         assert_eq!(plan.runner.retries, 1);
     }

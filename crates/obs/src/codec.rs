@@ -1,9 +1,8 @@
 //! Journal I/O: the one codec for [`Obs`] journals.
 //!
 //! The observation journal is the currency of the whole pipeline — the
-//! replay cache tier, the CLI's `--record`/`--replay` files, the `mgd`
-//! wire chunks. Every byte of it is written by one encoder and read by one
-//! decoder, in both formats:
+//! CLI's `--record`/`--replay` files, the `mgd` wire chunks. Every byte of
+//! it is written by one encoder and read by one decoder, in both formats:
 //!
 //! * [`JournalFormat`] — the two encodings ([`Jsonl`] for debugging and
 //!   export, [`Binary`] for production), with magic-based auto-detection.
@@ -369,8 +368,7 @@ impl<'a> Cursor<'a> {
 }
 
 /// FNV-1a 64 over 8-byte little-endian words, then byte-wise over the
-/// tail (same constants as mg-runner's key hash; reimplemented here so
-/// mg-obs stays dependency-light).
+/// tail.
 ///
 /// For a fixed word `w`, each step `h ← (h ⊕ w)·p` is a bijection of `h`
 /// (`p` is odd), and for a fixed `h` it is injective in `w`. So a change
@@ -534,22 +532,6 @@ fn meta_to_json(meta: &ObsMeta) -> Json {
             ),
         ),
     ])
-}
-
-/// Why a decoded header cannot describe a detector session, if it cannot.
-/// Every consumer builds a pool watching `tagged` from `vantages` at
-/// `pair_distance`, so both readers refuse such a header where they parse
-/// it instead of letting a consumer trip over it later.
-fn header_fault(meta: &ObsMeta) -> Option<&'static str> {
-    if !(meta.pair_distance.is_finite() && meta.pair_distance >= 0.0) {
-        Some("header pair distance is not a finite number >= 0")
-    } else if meta.vantages.is_empty() {
-        Some("header lists no vantages")
-    } else if meta.vantages.contains(&meta.tagged) {
-        Some("header lists the tagged node among its vantages")
-    } else {
-        None
-    }
 }
 
 /// Decodes [`meta_to_json`] output; `None` on any mismatch.
@@ -967,7 +949,7 @@ impl BinWriter {
 }
 
 /// Writes `bytes` to `path` atomically (tmp file + rename), creating parent
-/// directories as needed — the same discipline as mg-runner's cache.
+/// directories as needed, so a killed writer never leaves a torn file.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
@@ -1060,7 +1042,7 @@ impl JournalReader {
             .map_err(|e| JournalError::Syntax { line: 1, what: format!("{e:?}") })?;
         let meta = meta_from_json(&meta_json)
             .ok_or(JournalError::Syntax { line: 1, what: "not a meta header".into() })?;
-        if let Some(what) = header_fault(&meta) {
+        if let Err(what) = meta.check() {
             return Err(JournalError::Syntax { line: 1, what: what.into() });
         }
         Ok(JournalReader { meta, bytes, inner: ReaderInner::Jsonl { events_at, n_events } })
@@ -1213,7 +1195,7 @@ fn parse_sections(
         params.push((k, v));
     }
     let meta = ObsMeta { tagged, vantages, pair_distance, seed, params };
-    if let Some(what) = header_fault(&meta) {
+    if let Err(what) = meta.check() {
         return Err(Fault { offset: header_at, what, value: None });
     }
     let events_start = c.pos;
@@ -1408,66 +1390,4 @@ impl Iterator for Events<'_> {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Base64 (for embedding binary journals in JSON/text carriers)
-// ---------------------------------------------------------------------------
-
-const B64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
-
-/// Standard base64 with padding — how binary journal bytes travel inside
-/// JSON carriers (the mg-runner sweep cache stores entries as JSON
-/// documents; the journal cache tier wraps the binary codec in this).
-pub fn bytes_to_base64(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len().div_ceil(3) * 4);
-    for chunk in bytes.chunks(3) {
-        let b = [chunk[0], *chunk.get(1).unwrap_or(&0), *chunk.get(2).unwrap_or(&0)];
-        let n = (u32::from(b[0]) << 16) | (u32::from(b[1]) << 8) | u32::from(b[2]);
-        let enc = [
-            B64[(n >> 18) as usize & 63],
-            B64[(n >> 12) as usize & 63],
-            B64[(n >> 6) as usize & 63],
-            B64[n as usize & 63],
-        ];
-        let keep = chunk.len() + 1;
-        for (i, &ch) in enc.iter().enumerate() {
-            out.push(if i < keep { ch as char } else { '=' });
-        }
-    }
-    out
-}
-
-/// Decodes [`bytes_to_base64`] output; `None` on any malformed input.
-pub fn base64_to_bytes(s: &str) -> Option<Vec<u8>> {
-    fn val(c: u8) -> Option<u32> {
-        match c {
-            b'A'..=b'Z' => Some(u32::from(c - b'A')),
-            b'a'..=b'z' => Some(u32::from(c - b'a') + 26),
-            b'0'..=b'9' => Some(u32::from(c - b'0') + 52),
-            b'+' => Some(62),
-            b'/' => Some(63),
-            _ => None,
-        }
-    }
-    let s = s.as_bytes();
-    if !s.len().is_multiple_of(4) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(s.len() / 4 * 3);
-    for (i, chunk) in s.chunks_exact(4).enumerate() {
-        let last = i == s.len() / 4 - 1;
-        let pad = chunk.iter().rev().take_while(|&&c| c == b'=').count();
-        if pad > 2 || (pad > 0 && !last) {
-            return None;
-        }
-        let mut n: u32 = 0;
-        for &c in &chunk[..4 - pad] {
-            n = (n << 6) | val(c)?;
-        }
-        n <<= 6 * pad as u32;
-        let bytes = [(n >> 16) as u8, (n >> 8) as u8, n as u8];
-        out.extend_from_slice(&bytes[..3 - pad]);
-    }
-    Some(out)
 }

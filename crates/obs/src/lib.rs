@@ -30,10 +30,7 @@
 
 pub mod codec;
 
-pub use codec::{
-    base64_to_bytes, bytes_to_base64, Events, JournalError, JournalFormat, JournalReader,
-    JournalWriter,
-};
+pub use codec::{Events, JournalError, JournalFormat, JournalReader, JournalWriter};
 
 use mg_dcf::Frame;
 use mg_sim::SimTime;
@@ -285,14 +282,34 @@ impl ObsMeta {
     pub fn param_parsed<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
         self.param(key)?.parse().ok()
     }
+
+    /// Whether this header can describe a detector session, and why not.
+    ///
+    /// Every consumer builds a pool watching `tagged` from `vantages` at
+    /// `pair_distance`, so a non-finite or negative distance, an empty
+    /// vantage list, or the tagged node among its own vantages describes
+    /// no session. Both journal readers refuse such a header where they
+    /// parse it, and the `mgd` worker opens no session for one, instead of
+    /// letting the detector trip over it later.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if !(self.pair_distance.is_finite() && self.pair_distance >= 0.0) {
+            Err("header pair distance is not a finite number >= 0")
+        } else if self.vantages.is_empty() {
+            Err("header lists no vantages")
+        } else if self.vantages.contains(&self.tagged) {
+            Err("header lists the tagged node among its vantages")
+        } else {
+            Ok(())
+        }
+    }
 }
 
 /// A recorded `Obs` stream in memory: header + chronological events.
 ///
-/// Bytes on disk, in the sweep cache and on the `mgd` wire are written by
-/// [`JournalWriter`] and read back by [`JournalReader`];
-/// [`ObsJournal::encode`] and [`JournalReader::read_journal`] convert an
-/// in-memory journal to and from them.
+/// Bytes on disk and on the `mgd` wire are written by [`JournalWriter`]
+/// and read back by [`JournalReader`]; [`ObsJournal::encode`] and
+/// [`JournalReader::read_journal`] convert an in-memory journal to and from
+/// them.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ObsJournal {
     meta: ObsMeta,

@@ -4,8 +4,8 @@
 
 use mg_dcf::{Dest, Frame, FrameKind, MacSdu, RtsFields};
 use mg_obs::{
-    base64_to_bytes, bytes_to_base64, Distances, JournalError, JournalFormat, JournalReader,
-    JournalWriter, Obs, ObsJournal, ObsMeta, ObsSink,
+    Distances, JournalError, JournalFormat, JournalReader, JournalWriter, Obs, ObsJournal, ObsMeta,
+    ObsSink,
 };
 use mg_sim::{SimDuration, SimTime};
 use mg_testkit::prop::{check, Gen, TkResult};
@@ -150,11 +150,6 @@ fn journal_jsonl_round_trips() {
         let back = read(text.clone())?;
         tk_assert_eq!(back, j);
         tk_assert_eq!(back.encode(JournalFormat::Jsonl), text);
-        // And the single-value carrier the sweep cache stores (base64 of
-        // the binary encoding) agrees.
-        let carried = base64_to_bytes(&bytes_to_base64(&j.encode(JournalFormat::Binary)))
-            .ok_or_else(|| mg_testkit::TkError::Fail("base64 decode failed".into()))?;
-        tk_assert_eq!(read(carried)?, j);
         Ok(())
     });
 }
@@ -430,23 +425,6 @@ fn transcode_round_trips() {
         tk_assert_eq!(from_bin.encode(JournalFormat::Jsonl), jsonl);
         Ok(())
     });
-}
-
-/// Base64 round-trips arbitrary bytes (the carrier for binary journals
-/// inside the JSON sweep cache).
-#[test]
-fn base64_round_trips() {
-    check("base64_round_trips", |g: &mut Gen| -> TkResult {
-        let data = g.vec(0..64, |g| g.any_u8());
-        let text = bytes_to_base64(&data);
-        let back = base64_to_bytes(&text)
-            .ok_or_else(|| mg_testkit::TkError::Fail("decode failed".into()))?;
-        tk_assert_eq!(back, data);
-        Ok(())
-    });
-    assert_eq!(base64_to_bytes("a"), None);
-    assert_eq!(base64_to_bytes("ab=c"), None);
-    assert_eq!(base64_to_bytes("∀∀∀∀"), None);
 }
 
 /// A future layout version, and the retired v1 (which carried a

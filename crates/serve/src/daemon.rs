@@ -297,7 +297,10 @@ impl Daemon {
 
     /// Opens a new stream described by `meta` and returns its producer
     /// handle. The open itself always uses blocking back-pressure — a
-    /// session must exist before events can be shed *meaningfully*.
+    /// session must exist before events can be shed *meaningfully*. A
+    /// `meta` that fails [`ObsMeta::check`] opens no session: the worker
+    /// skips the stream's events and its [`StreamHandle::close`] returns
+    /// `None`.
     pub fn open(&self, meta: ObsMeta) -> StreamHandle {
         let id = self.next_stream.fetch_add(1, Ordering::Relaxed);
         let tx = self.txs[(id as usize) % self.txs.len()].clone();
@@ -409,8 +412,9 @@ impl StreamHandle {
     }
 
     /// Flushes, closes the stream and returns its final report. `None`
-    /// only if the stream's worker is gone (shut down, or panicked before
-    /// it reached this close).
+    /// if the stream has no session (its header failed
+    /// [`ObsMeta::check`]) or its worker is gone (shut down, or panicked
+    /// before it reached this close).
     pub fn close(mut self) -> Option<StreamReport> {
         self.flush();
         let (rtx, rrx) = mpsc::channel();
@@ -454,6 +458,12 @@ fn worker(
     while let Some(job) = rx.recv() {
         match job {
             Job::Open { stream, meta } => {
+                // A header no session can be built from opens none: the
+                // stream's events and close then find no session, as for
+                // an unknown stream, and the worker lives on.
+                if meta.check().is_err() {
+                    continue;
+                }
                 let mut spec = SessionSpec::from_meta(&meta);
                 if let Some(n) = sample_size {
                     spec = spec.with_sample_size(n);

@@ -10,9 +10,7 @@ use mg_detect::{
 use mg_dcf::BackoffPolicy;
 use mg_net::{Scenario, ScenarioConfig, SourceCfg};
 use mg_obs::Obs;
-use mg_serve::{
-    mpmc, serve_connection, wire, Daemon, Policy, ServeConfig, ServeStats,
-};
+use mg_serve::{mpmc, serve_connection, wire, Daemon, Policy, ServeConfig};
 use mg_sim::SimTime;
 use std::io::{Read, Write};
 use std::sync::{Arc, Mutex};
@@ -240,26 +238,40 @@ fn daemon_serves_interleaved_streams_independently() {
     daemon.shutdown();
 }
 
-/// A worker that panics takes its queue with it. Here the panic is a
-/// header no session can be built from, which journal readers refuse but
-/// `Daemon::open` still accepts. A close queued behind the panic returns
-/// `None` instead of waiting forever, and `shutdown` returns instead of
-/// re-raising the panic.
+/// A header no session can be built from opens none, so it cannot take
+/// its worker down. `Daemon::open` accepts any `ObsMeta` (library callers
+/// build metas directly, past the journal readers' check); the worker
+/// skips such a stream, closes it with `None`, and goes on serving the
+/// healthy stream queued on the same worker.
 #[test]
-fn daemon_survives_a_worker_panic() {
+fn a_header_no_session_can_be_built_from_spares_its_worker() {
     let journal = record(5, 60);
+    let meta = journal.meta().clone();
     let daemon = Daemon::start(ServeConfig { workers: 1, ..ServeConfig::default() }, None);
-    // Keep the worker busy so the doomed stream's close is likely queued
-    // before the worker reaches its open.
-    let mut busy = daemon.open(journal.meta().clone());
+    let mut busy = daemon.open(meta.clone());
     for o in journal.events() {
         busy.push(o.clone());
     }
     busy.flush();
-    let doomed = daemon.open(ObsMeta { vantages: vec![], ..journal.meta().clone() });
-    assert!(doomed.close().is_none());
-    assert!(busy.close().is_none(), "its worker is gone");
-    assert_eq!(daemon.shutdown(), ServeStats::default());
+    for bad in [
+        ObsMeta { vantages: vec![], ..meta.clone() },
+        ObsMeta { vantages: vec![meta.tagged], ..meta.clone() },
+        ObsMeta { pair_distance: -5.0, ..meta.clone() },
+        ObsMeta { pair_distance: f64::NAN, ..meta.clone() },
+    ] {
+        assert!(bad.check().is_err(), "{bad:?}");
+        let mut doomed = daemon.open(bad);
+        for o in journal.events() {
+            doomed.push(o.clone());
+        }
+        assert!(doomed.close().is_none(), "a refused stream has no report");
+    }
+    let report = busy.close().expect("the worker must survive the refused streams");
+    assert_eq!(report.report, offline_report(&journal));
+    assert_eq!(report.events, journal.len() as u64);
+    let stats = daemon.shutdown();
+    assert_eq!((stats.streams, stats.events), (1, journal.len() as u64));
+    assert_eq!(stats.abandoned, 0);
 }
 
 #[test]

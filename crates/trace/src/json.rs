@@ -4,7 +4,9 @@
 //! module implements the serialization the stack needs: a [`Json`] value
 //! tree with a deterministic renderer (insertion-ordered object keys,
 //! RFC 8259 string escaping, shortest-roundtrip numbers) and a strict
-//! recursive-descent [`Json::parse`] for reading result-cache files back.
+//! recursive-descent [`Json::parse`] for reading JSONL journals and other
+//! JSON input back. Parsing time is linear in the input's length, strings
+//! included, because journal input may be hostile.
 
 use std::fmt::Write as _;
 
@@ -55,7 +57,7 @@ impl Json {
     /// value (non-finite numbers render as `null`, so they round-trip to
     /// `Json::Null`).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -191,6 +193,7 @@ impl std::fmt::Display for JsonError {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -343,13 +346,15 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // at char boundaries is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).expect("input was a &str");
-                    let c = text.chars().next().expect("peeked non-empty");
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote, backslash or
+                    // control byte at once. Those delimiters are ASCII, so
+                    // they never fall inside a UTF-8 sequence and both ends
+                    // of the run are char boundaries of `text`.
+                    let start = self.pos;
+                    while self.peek().is_some_and(|c| c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
+                    }
+                    s.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -482,6 +487,27 @@ mod tests {
         assert_eq!(
             v.get("a").unwrap().as_arr().unwrap()[1].as_str(),
             Some("é😀")
+        );
+    }
+
+    /// A JSONL journal header is untrusted input, so string parsing must
+    /// stay linear in the string's length.
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let chunk = "plain ascii, é ü 日本語 😀, \"quoted\", back\\slash, \n\t\u{1} ";
+        let mut text = String::new();
+        while text.len() < 1 << 20 {
+            text.push_str(chunk);
+        }
+        let doc = Json::obj([("tagged", Json::Str(text.clone()))]).render();
+        let t0 = std::time::Instant::now();
+        let back = Json::parse(&doc).expect("rendered JSON parses");
+        let took = t0.elapsed();
+        assert_eq!(back.get("tagged").and_then(Json::as_str), Some(text.as_str()));
+        assert!(
+            took < std::time::Duration::from_secs(2),
+            "parsing a {} KiB string took {took:?}",
+            doc.len() >> 10
         );
     }
 

@@ -34,14 +34,6 @@ pub enum Counter {
     MonitorTests,
     /// Protocol violations flagged by monitors.
     MonitorViolations,
-    /// Sweep-engine result-cache hits (trials replayed from disk).
-    CacheHits,
-    /// Sweep-engine result-cache misses (trials actually simulated).
-    CacheMisses,
-    /// Cache entries found corrupt/truncated and degraded to misses.
-    CacheCorrupt,
-    /// Sweep grid cells poisoned by a panic or watchdog timeout.
-    TrialErrors,
     /// Frames eaten by injected observation faults.
     FaultDrops,
     /// Tagged RTS frames bit-flipped by injected faults.
@@ -59,7 +51,7 @@ pub enum Counter {
 }
 
 /// Number of counter kinds (size of a counter row).
-pub const COUNTER_COUNT: usize = 21;
+pub const COUNTER_COUNT: usize = 17;
 
 impl Counter {
     /// Row index of this counter.
@@ -79,10 +71,6 @@ impl Counter {
         Counter::MonitorSamples,
         Counter::MonitorTests,
         Counter::MonitorViolations,
-        Counter::CacheHits,
-        Counter::CacheMisses,
-        Counter::CacheCorrupt,
-        Counter::TrialErrors,
         Counter::FaultDrops,
         Counter::FaultCorruptions,
         Counter::MonitorUncertain,
@@ -105,10 +93,6 @@ impl Counter {
             Counter::MonitorSamples => "monitor_samples",
             Counter::MonitorTests => "monitor_tests",
             Counter::MonitorViolations => "monitor_violations",
-            Counter::CacheHits => "cache_hits",
-            Counter::CacheMisses => "cache_misses",
-            Counter::CacheCorrupt => "cache_corrupt",
-            Counter::TrialErrors => "trial_errors",
             Counter::FaultDrops => "fault_drops",
             Counter::FaultCorruptions => "fault_corruptions",
             Counter::MonitorUncertain => "monitor_uncertain",
@@ -322,40 +306,11 @@ impl MetricsSnapshot {
             ("backoff_slots_log2", histo_json(&self.backoff_slots)),
         ])
     }
-
-    /// Rebuilds a snapshot from [`to_json`](MetricsSnapshot::to_json) output
-    /// (the result-cache round-trip). Unknown counter names are ignored and
-    /// missing ones read as zero, so snapshots survive counter-set growth;
-    /// `None` only for a structurally different value.
-    pub fn from_json(v: &Json) -> Option<MetricsSnapshot> {
-        let mut snap = MetricsSnapshot::default();
-        let totals = v.get("totals")?;
-        for c in Counter::ALL {
-            if let Some(n) = totals.get(c.name()) {
-                snap.totals[c.index()] = n.as_u64()?;
-            }
-        }
-        snap.latency_ns = histo_from_json(v.get("latency_ns_log2")?)?;
-        snap.backoff_slots = histo_from_json(v.get("backoff_slots_log2")?)?;
-        Some(snap)
-    }
 }
 
 fn histo_json(buckets: &[u64; HISTO_BUCKETS]) -> Json {
     let last = buckets.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
     Json::Arr(buckets[..last].iter().map(|&c| Json::from(c)).collect())
-}
-
-fn histo_from_json(v: &Json) -> Option<[u64; HISTO_BUCKETS]> {
-    let items = v.as_arr()?;
-    if items.len() > HISTO_BUCKETS {
-        return None;
-    }
-    let mut buckets = [0u64; HISTO_BUCKETS];
-    for (i, item) in items.iter().enumerate() {
-        buckets[i] = item.as_u64()?;
-    }
-    Some(buckets)
 }
 
 #[cfg(test)]
@@ -422,38 +377,10 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_json_roundtrips() {
-        let m = Metrics::new(2);
-        m.bump(0, Counter::TxFrames);
-        m.bump(1, Counter::CacheHits);
-        m.record_latency_ns(12345);
-        m.record_backoff_slots(17);
-        let snap = m.snapshot();
-        let back = MetricsSnapshot::from_json(&snap.to_json()).unwrap();
-        assert_eq!(back, snap);
-        // Structurally different values are rejected, not zero-filled.
-        assert!(MetricsSnapshot::from_json(&Json::Null).is_none());
-        assert!(MetricsSnapshot::from_json(&Json::obj([("totals", Json::Null)])).is_none());
-    }
-
-    #[test]
-    fn quorum_counters_are_registered_and_snapshots_survive_counter_growth() {
+    fn quorum_counters_are_registered() {
         assert_eq!(Counter::ALL.len(), COUNTER_COUNT);
         assert_eq!(Counter::AccusationsSent.name(), "accusations_sent");
         assert_eq!(Counter::QuorumConvictions.name(), "quorum_convictions");
-        // A snapshot serialized before the quorum counters existed (totals
-        // object missing the new names) still decodes — new counters read 0.
-        let m = Metrics::new(1);
-        m.bump(0, Counter::TxFrames);
-        let mut v = m.snapshot().to_json();
-        if let Json::Obj(fields) = &mut v {
-            if let Some((_, Json::Obj(totals))) = fields.iter_mut().find(|(k, _)| k == "totals") {
-                totals.retain(|(name, _)| !name.starts_with("accusations_"));
-            }
-        }
-        let back = MetricsSnapshot::from_json(&v).expect("old snapshots must decode");
-        assert_eq!(back.total(Counter::TxFrames), 1);
-        assert_eq!(back.total(Counter::AccusationsSent), 0);
     }
 
     #[test]

@@ -106,33 +106,57 @@ echo "== microbench: tracing overhead gate (<5% with tracing disabled) =="
 # The bench binary asserts the gate itself; a failed gate panics the run.
 MG_BENCH_MS="${MG_BENCH_MS:-40}" cargo bench --offline -p mg-bench
 
-echo "== sweep cache: cold vs warm runs are byte-identical =="
-cachedir=$(mktemp -d)
 outdir=$(mktemp -d)
-trap 'rm -rf "$cachedir" "$outdir"' EXIT
+trap 'rm -rf "$outdir"' EXIT
+
+echo "== figure gate: every gated table and figure reproduces results/ byte-for-byte =="
+# Re-run the experiment binaries at run_experiments.sh's committed settings
+# and cmp each CSV they write against results/. A change that claims byte
+# identity proves it here, at the level the paper reports; a change that
+# moves a number commits the regenerated CSVs and explains the move.
+# fig5 --mobile, ext_shadowing and ext_pause are committed but not gated:
+# they take about as long as everything below together.
+run_figure() {
+    MG_TRIALS=3 MG_SIM_SECS=60 MG_CSV_DIR="$outdir/figures" \
+        cargo run -q --release --offline -p mg-bench --bin "$@" >/dev/null
+}
+run_figure table1
+run_figure fig3
+run_figure fig4
+run_figure fig5
+run_figure fig6
+run_figure fig6 -- --mobile
+run_figure ablation_regions
+run_figure ablation_tests
+run_figure ablation_alpha
+run_figure ext_fairness
+run_figure ext_faults
+for name in table1_grid table1_random fig3a fig3b fig4a fig4b fig5a fig5b fig5c fig6a fig6b \
+    ablation_regions ablation_tests ablation_alpha ext_fairness ext_faults; do
+    if ! cmp "$outdir/figures/$name.csv" "results/$name.csv"; then
+        echo "error: $name.csv no longer matches results/$name.csv" >&2
+        diff "results/$name.csv" "$outdir/figures/$name.csv" >&2 || true
+        exit 1
+    fi
+done
+echo "ok: 16 CSVs byte-identical to results/"
+
+echo "== chaos gate: fault-seeded sweeps are deterministic =="
+# Two identical fault-seeded mini-sweeps must produce byte-identical
+# tables: the injector draws only from its own seeded streams, never from
+# wall-clock or thread scheduling.
 run_fig5() {
-    MG_TRIALS=1 MG_SIM_SECS=2 MG_CACHE_DIR="$cachedir" \
+    MG_TRIALS=1 MG_SIM_SECS=2 \
     MG_CSV_DIR="$outdir/$1" MG_JSON_DIR="$outdir/$1" \
         cargo run -q --release --offline -p mg-bench --bin fig5 >"$outdir/$1.stdout"
 }
-run_fig5 cold
-run_fig5 warm
-if ! diff -r "$outdir/cold" "$outdir/warm" || ! diff "$outdir/cold.stdout" "$outdir/warm.stdout"; then
-    echo "error: warm (cached) fig5 run differs from the cold run" >&2
-    exit 1
-fi
-echo "ok: cached replay reproduces the cold run byte-for-byte"
-
-echo "== chaos gate: fault-seeded sweeps are deterministic =="
-# Two identical fault-seeded mini-sweeps (cold — each against a fresh cache)
-# must produce byte-identical tables: the injector draws only from its own
-# seeded streams, never from wall-clock or thread scheduling.
 run_fig5_faulted() {
-    MG_TRIALS=1 MG_SIM_SECS=2 MG_CACHE_DIR="$outdir/chaos-cache-$1" \
+    MG_TRIALS=1 MG_SIM_SECS=2 \
     MG_FAULT_PROFILE="light,deaf=250:25" MG_FAULT_SEED=7 \
     MG_CSV_DIR="$outdir/$1" MG_JSON_DIR="$outdir/$1" \
         cargo run -q --release --offline -p mg-bench --bin fig5 >"$outdir/$1.stdout"
 }
+run_fig5 clean
 run_fig5_faulted chaos-a
 run_fig5_faulted chaos-b
 if ! diff -r "$outdir/chaos-a" "$outdir/chaos-b" || ! diff "$outdir/chaos-a.stdout" "$outdir/chaos-b.stdout"; then
@@ -140,7 +164,7 @@ if ! diff -r "$outdir/chaos-a" "$outdir/chaos-b" || ! diff "$outdir/chaos-a.stdo
     exit 1
 fi
 # The plan must actually have bitten (faulted ≠ clean output).
-if diff -q "$outdir/cold.stdout" "$outdir/chaos-a.stdout" >/dev/null; then
+if diff -q "$outdir/clean.stdout" "$outdir/chaos-a.stdout" >/dev/null; then
     echo "error: the fault plan did not perturb the sweep output" >&2
     exit 1
 fi
@@ -150,8 +174,7 @@ echo "== chaos gate: fault injection is index-agnostic =="
 # The same fault-seeded sweep under the naive reference index must match
 # the grid-index chaos run byte-for-byte: injector and detector sit above
 # the spatial index, which may not leak into any observable.
-MG_TRIALS=1 MG_SIM_SECS=2 MG_CACHE_DIR="$outdir/chaos-cache-naive" \
-MG_MEDIUM_INDEX=naive \
+MG_TRIALS=1 MG_SIM_SECS=2 MG_MEDIUM_INDEX=naive \
 MG_FAULT_PROFILE="light,deaf=250:25" MG_FAULT_SEED=7 \
 MG_CSV_DIR="$outdir/chaos-naive" MG_JSON_DIR="$outdir/chaos-naive" \
     cargo run -q --release --offline -p mg-bench --bin fig5 >"$outdir/chaos-naive.stdout"
@@ -166,7 +189,7 @@ echo "== chaos gate: a forced worker panic poisons only its cell =="
 # Task 0 panics; the sweep must still complete, name the errored cell on
 # stderr and exit nonzero instead of emitting tables.
 set +e
-MG_TRIALS=1 MG_SIM_SECS=2 MG_CACHE="off" MG_FAULT_PROFILE="panic=0" \
+MG_TRIALS=1 MG_SIM_SECS=2 MG_FAULT_PROFILE="panic=0" \
     cargo run -q --release --offline -p mg-bench --bin fig5 \
     >"$outdir/panic.stdout" 2>"$outdir/panic.stderr"
 panic_status=$?
@@ -375,7 +398,30 @@ if [ "$hostile_mgd" -ne 1 ] || ! grep -q "header pair distance" "$outdir/hostile
     cat "$outdir/hostile-mgd.err" >&2
     exit 1
 fi
-echo "ok: a negative pair distance is refused by detect --replay and mgd (exit 1)"
+# A header that is one 4 MiB string must be refused quickly too: the
+# timeout fails a JSON string scan that is quadratic in the string's length
+# (minutes at this size).
+{ printf '{"tagged":"'; head -c 4194304 /dev/zero | tr '\0' A; printf '"}\n'; } \
+    >"$outdir/hostile-long.jsonl"
+set +e
+timeout 30 ./target/release/manet-guard detect --replay "$outdir/hostile-long.jsonl" \
+    >/dev/null 2>"$outdir/hostile-long-replay.err"
+long_replay=$?
+timeout 30 ./target/release/mgd --journal "$outdir/hostile-long.jsonl" \
+    >/dev/null 2>"$outdir/hostile-long-mgd.err"
+long_mgd=$?
+set -e
+if [ "$long_replay" -ne 1 ] || ! grep -q "not a meta header" "$outdir/hostile-long-replay.err"; then
+    echo "error: detect --replay of a 4 MiB header string must exit 1 (got $long_replay)" >&2
+    cat "$outdir/hostile-long-replay.err" >&2
+    exit 1
+fi
+if [ "$long_mgd" -ne 1 ] || ! grep -q "not a meta header" "$outdir/hostile-long-mgd.err"; then
+    echo "error: mgd --journal of a 4 MiB header string must exit 1 (got $long_mgd)" >&2
+    cat "$outdir/hostile-long-mgd.err" >&2
+    exit 1
+fi
+echo "ok: a negative pair distance and a 4 MiB header string are refused by detect --replay and mgd (exit 1)"
 
 echo "== serve smoke: bench_serve mini cell =="
 # A tiny in-process cell of the serving benchmark: asserts the daemon's
@@ -387,14 +433,13 @@ grep -q '"events_per_sec"' "$outdir/serve-bench.json"
 echo "ok: serving smoke cell conserves events and reports"
 
 echo "== chaos gate: Byzantine quorum sweep is deterministic and never falsely convicts =="
-# Two identical fault-seeded bench_quorum mini-sweeps, each against a fresh
-# cache, must agree byte-for-byte: the Byzantine cast (FalseAccuser roles)
+# Two identical fault-seeded bench_quorum mini-sweeps must agree
+# byte-for-byte: the Byzantine cast (FalseAccuser roles)
 # and the lossy gossip channel draw only from seeded streams. The binary
 # itself enforces the f < k bound — any PM=0 trial whose realized liar
 # count stays below k yet convicts names its cell on stderr and exits 1.
 run_quorum() {
-    MG_TRIALS=2 MG_SIM_SECS=2 MG_CACHE_DIR="$outdir/quorum-cache-$1" \
-    MG_BENCH_OUT="$outdir/quorum-$1.json" \
+    MG_TRIALS=2 MG_SIM_SECS=2 MG_BENCH_OUT="$outdir/quorum-$1.json" \
         cargo run -q --release --offline -p mg-bench --bin bench_quorum \
         >"$outdir/quorum-$1.stdout"
     # The stdout echoes the per-run MG_BENCH_OUT path; strip it before diffing.

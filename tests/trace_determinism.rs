@@ -125,7 +125,7 @@ fn index_modes_are_byte_identical_in_a_large_world() {
     }
 }
 
-/// FNV-1a 64, the hash `mg_runner::fnv64` keys the sweep cache with.
+/// FNV-1a 64.
 fn fnv64(bytes: &[u8]) -> u64 {
     fnv64_from(0xcbf2_9ce4_8422_2325, bytes)
 }
