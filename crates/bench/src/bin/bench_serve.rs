@@ -1,6 +1,6 @@
 //! Serving-layer throughput: N concurrent journal streams through the
-//! `mgd` demux engine (bounded MPMC queues → sharded workers → one
-//! incremental `DetectorSession` per stream).
+//! `mgd` demux engine (one bounded std `sync_channel` per worker → sharded
+//! workers → one incremental `DetectorSession` per stream).
 //!
 //! The workload is the daemon's steady state: many live streams pushing
 //! interleaved observation batches. Each synthetic stream is a one-vantage

@@ -10,10 +10,12 @@
 //!   reported next to the nominal level);
 //! * [`detection_trial`] — one full simulation with a tagged (possibly
 //!   misbehaving) node and the paper's monitor, returning test/violation
-//!   counts — plus `_fanout` variants that attach one monitor per sample
-//!   size to a *single* world, so a figure sweeping sample sizes simulates
-//!   each (point, seed) once instead of once per size; the mobile worlds of
-//!   Figs. 5(d)/6(b) run through [`mobile_detection_trial_fanout_faulted`];
+//!   counts — plus [`detection_trial_fanout_faulted`], which attaches one
+//!   monitor per sample size to a *single* world, so a figure sweeping
+//!   sample sizes simulates each (point, seed) once instead of once per
+//!   size, and [`detection_trial_with_cfg_faulted`] for a fully explicit
+//!   config; the mobile worlds of Figs. 5(d)/6(b) run through
+//!   [`mobile_detection_trial_fanout_faulted`];
 //! * [`conditional_probability_run`] — the Figure 3/4 measurement: empirical
 //!   `p_{B|I}` / `p_{I|B}` from a [`mg_detect::JointTracker`];
 //! * [`sweep_or_exit`] — every binary's grid, drained cold by the
@@ -39,10 +41,10 @@
 
 use mg_dcf::BackoffPolicy;
 use mg_detect::{
-    JointTracker, MonitorConfig, NodeCounts, ObsJournal, ObsMeta, ObsRecorder, ScenarioBuilder,
-    WorldMonitors, WorldProbe,
+    Assembly, JointTracker, MonitorConfig, MonitorHandle, NodeCounts, ObsJournal, ObsMeta,
+    ObsRecorder, ScenarioBuilder, WorldMonitors, WorldProbe,
 };
-use mg_net::{NetObserver, Scenario, ScenarioConfig, SourceCfg};
+use mg_net::{NetObserver, Scenario, ScenarioConfig, SourceCfg, World};
 use mg_sim::{SimDuration, SimTime};
 use mg_trace::MetricsSnapshot;
 
@@ -191,10 +193,16 @@ fn detection_trial_multi(
         world.set_policy(attacker.id(), BackoffPolicy::Scaled { pm });
     }
     world.run_until(SimTime::from_secs(secs));
+    outcomes(&world, &watches)
+}
+
+/// One outcome per monitor in `watches` order, each carrying the same
+/// world-metrics snapshot.
+fn outcomes(world: &World<Assembly>, watches: &[MonitorHandle]) -> Vec<TrialOutcome> {
     let metrics = world.metrics().snapshot();
     watches
-        .into_iter()
-        .map(|w| {
+        .iter()
+        .map(|&w| {
             let diag = world.monitors().diagnosis(w);
             TrialOutcome {
                 tests: diag.tests_run as u64,
@@ -209,22 +217,11 @@ fn detection_trial_multi(
         .collect()
 }
 
-/// Like [`detection_trial`] but with a fully explicit [`ScenarioConfig`].
+/// Like [`detection_trial`] but with a fully explicit [`ScenarioConfig`],
+/// and a [`FaultPlan`] injected at the monitor's observation boundary.
 ///
 /// `seed` overrides `cfg.seed`, so sweeping seeds over a fixed base config
 /// does what it says.
-pub fn detection_trial_with_cfg(
-    seed: u64,
-    cfg: ScenarioConfig,
-    pm: u8,
-    sample_size: usize,
-    statistical_only: bool,
-) -> TrialOutcome {
-    detection_trial_with_cfg_faulted(seed, cfg, pm, sample_size, statistical_only, &FaultPlan::default())
-}
-
-/// [`detection_trial_with_cfg`] with a [`FaultPlan`] injected at the
-/// monitor's observation boundary.
 pub fn detection_trial_with_cfg_faulted(
     seed: u64,
     cfg: ScenarioConfig,
@@ -248,36 +245,25 @@ pub fn detection_trial(
     statistical_only: bool,
     cfg_base: ScenarioConfig,
 ) -> TrialOutcome {
-    detection_trial_fanout(seed, load, pm, &[sample_size], secs, statistical_only, cfg_base)
-        .remove(0)
-}
-
-/// [`detection_trial`] fanned out over several sample sizes on one world:
-/// one simulation, one monitor per size, outcomes in `sample_sizes` order.
-pub fn detection_trial_fanout(
-    seed: u64,
-    load: Load,
-    pm: u8,
-    sample_sizes: &[usize],
-    secs: u64,
-    statistical_only: bool,
-    cfg_base: ScenarioConfig,
-) -> Vec<TrialOutcome> {
+    let faults = FaultPlan::default();
     detection_trial_fanout_faulted(
         seed,
         load,
         pm,
-        sample_sizes,
+        &[sample_size],
         secs,
         statistical_only,
         cfg_base,
-        &FaultPlan::default(),
+        &faults,
     )
+    .remove(0)
 }
 
-/// [`detection_trial_fanout`] with a [`FaultPlan`] injected at every
-/// monitor's observation boundary (chaos testing). The world itself runs
-/// unchanged; a no-op plan makes this identical to the plain variant.
+/// [`detection_trial`] fanned out over several sample sizes on one world
+/// (one simulation, one monitor per size, outcomes in `sample_sizes`
+/// order), with a [`FaultPlan`] injected at every monitor's observation
+/// boundary (chaos testing). The world itself runs unchanged; pass
+/// `FaultPlan::default()` for a fault-free trial.
 #[allow(clippy::too_many_arguments)]
 pub fn detection_trial_fanout_faulted(
     seed: u64,
@@ -350,29 +336,14 @@ pub fn mobile_detection_trial_fanout_faulted(
         world.set_policy(attacker.id(), BackoffPolicy::Scaled { pm });
     }
     world.run_until(SimTime::from_secs(secs));
-    let metrics = world.metrics().snapshot();
-    watches
-        .into_iter()
-        .map(|w| {
-            let diag = world.monitors().diagnosis(w);
-            TrialOutcome {
-                tests: diag.tests_run as u64,
-                rejections: diag.rejections as u64,
-                violations: diag.violations as u64,
-                samples: diag.samples_collected as u64,
-                uncertain: diag.uncertain as u64,
-                rho: diag.measured_rho,
-                metrics,
-            }
-        })
-        .collect()
+    outcomes(&world, &watches)
 }
 
 /// Simulates the static detection world for `(seed, cfg, pm)` **once** and
 /// records the monitored pair's observation stream.
 ///
 /// The exclusion set (`attacker` + `reserve`) matches what
-/// [`detection_trial_with_cfg`] derives from its monitor registration, so
+/// [`detection_trial_with_cfg_faulted`] derives from its monitor registration, so
 /// background sources land on the same nodes and the world evolves
 /// byte-identically to a monitored run — observers are strictly read-only.
 /// The returned journal can then be replayed into any number of detector
@@ -697,7 +668,11 @@ mod tests {
         // identical worlds with one monitor each measure — and the outcomes
         // must not depend on sample-size registration order.
         let sizes = [10usize, 25, 50];
-        let fanned = detection_trial_fanout(3, Load::Low, 60, &sizes, 10, false, grid_base());
+        let plan = FaultPlan::default();
+        let fanout = |sizes: &[usize]| {
+            detection_trial_fanout_faulted(3, Load::Low, 60, sizes, 10, false, grid_base(), &plan)
+        };
+        let fanned = fanout(&sizes);
         for (i, &ss) in sizes.iter().enumerate() {
             let solo = detection_trial(3, Load::Low, 60, ss, 10, false, grid_base());
             assert_eq!(fanned[i].tests, solo.tests, "ss={ss}");
@@ -707,7 +682,7 @@ mod tests {
             assert!((fanned[i].rho - solo.rho).abs() < 1e-12, "ss={ss}");
         }
         let reversed: Vec<usize> = sizes.iter().rev().copied().collect();
-        let back = detection_trial_fanout(3, Load::Low, 60, &reversed, 10, false, grid_base());
+        let back = fanout(&reversed);
         for (i, o) in back.iter().rev().enumerate() {
             assert_eq!(o.tests, fanned[i].tests);
             assert_eq!(o.samples, fanned[i].samples);
@@ -751,7 +726,16 @@ mod tests {
             assert!((fanned[i].rho - solo.rho).abs() < 1e-12, "ss={ss}");
         }
         // And the plan must actually bite: fewer samples than fault-free.
-        let clean = detection_trial_fanout(3, Load::Low, 60, &sizes, 10, false, grid_base());
+        let clean = detection_trial_fanout_faulted(
+            3,
+            Load::Low,
+            60,
+            &sizes,
+            10,
+            false,
+            grid_base(),
+            &FaultPlan::default(),
+        );
         assert!(
             fanned.iter().map(|o| o.samples).sum::<u64>()
                 < clean.iter().map(|o| o.samples).sum::<u64>(),
@@ -770,7 +754,8 @@ mod tests {
             seed: 42,
             ..grid_base()
         };
-        let live = detection_trial_with_cfg(42, cfg, 90, 25, false);
+        let plan = FaultPlan::default();
+        let live = detection_trial_with_cfg_faulted(42, cfg, 90, 25, false, &plan);
         let journal = record_detection_world(42, cfg, 90);
         let scenario = Scenario::new(ScenarioConfig { seed: 42, ..cfg });
         let (s, r) = scenario.tagged_pair();
@@ -795,9 +780,9 @@ mod tests {
     fn with_cfg_honors_the_seed_argument() {
         let base = grid_base();
         let cfg = ScenarioConfig { sim_secs: 10, rate_pps: 0.8, seed: 999, ..base };
-        let a = detection_trial_with_cfg(5, cfg, 0, 10, true);
-        let b = detection_trial_with_cfg(5, cfg, 0, 10, true);
-        let c = detection_trial_with_cfg(6, cfg, 0, 10, true);
+        let plan = FaultPlan::default();
+        let trial = |seed| detection_trial_with_cfg_faulted(seed, cfg, 0, 10, true, &plan);
+        let (a, b, c) = (trial(5), trial(5), trial(6));
         assert_eq!(a.samples, b.samples, "same seed ⇒ same trial");
         assert!(
             a.samples != c.samples || (a.rho - c.rho).abs() > 1e-12,

@@ -8,8 +8,8 @@
 //! producers (sockets / files / pipes / bench)
 //!      │  StreamHandle::push — batches, Block or Shed policy      ▲
 //!      ▼                                                          │
-//! bounded queues (one per worker, crate::mpmc)                    │ drained
-//!      │  Job::{Open, Events, Close}                              │ batches
+//! bounded queues (one std sync_channel per worker)                │ drained
+//!      │  Job::{Open, Events, Close, Abort}                       │ batches
 //!      ▼                                                          │ (spares)
 //! worker threads — sessions: HashMap<stream id, DetectorSession> ─┘
 //!      │  DiagnosisDelta JSONL → shared subscriber sink
@@ -33,7 +33,15 @@
 //! [`Policy`] decides what a full queue does to the producer: **Block**
 //! parks it (lossless, default), **Shed** drops the batch at the producer
 //! and accounts it in the stream's drop counter, which travels into
-//! [`StreamReport::dropped`] and the daemon-wide [`ServeStats`].
+//! [`StreamReport::dropped`] and the daemon-wide [`ServeStats`]. Opens,
+//! closes and aborts always block: they are never shed.
+//!
+//! ## Abandoned streams
+//!
+//! A [`StreamHandle`] dropped without [`StreamHandle::close`] (a connection
+//! that failed mid-stream) aborts its stream: the worker frees the session
+//! at once, renders no report, casts no quorum vote and counts the stream
+//! in [`ServeStats::abandoned`].
 //!
 //! ## Batch recycling
 //!
@@ -46,14 +54,14 @@
 //! worker and frees any excess, so a burst cannot pin `workers × queue_cap`
 //! batches.
 
-use crate::mpmc;
 use crate::wire::{self, WireError};
 use mg_detect::{render_report, Diagnosis, DetectorSession, SessionSpec};
 use mg_obs::{JournalReader, Obs, ObsMeta};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// The worker count a default [`ServeConfig`] resolves to: the host's
@@ -160,7 +168,8 @@ pub struct ServeStats {
     pub deltas: u64,
     /// Events shed at producers (reported at stream close).
     pub dropped: u64,
-    /// Sessions still open at shutdown (producer vanished mid-stream).
+    /// Streams whose handle was dropped unclosed (the producer failed
+    /// mid-stream). Each such session is freed when its handle drops.
     pub abandoned: u64,
 }
 
@@ -209,6 +218,10 @@ enum Job {
         dropped: u64,
         reply: mpsc::Sender<StreamReport>,
     },
+    /// The stream's handle was dropped unclosed.
+    Abort {
+        stream: u64,
+    },
 }
 
 /// The serving engine: owns the worker threads and their queues. Producers
@@ -216,7 +229,7 @@ enum Job {
 /// queues, drains them and joins every worker.
 pub struct Daemon {
     cfg: ServeConfig,
-    txs: Vec<mpmc::Sender<Job>>,
+    txs: Vec<SyncSender<Job>>,
     workers: Vec<JoinHandle<WorkerStats>>,
     next_stream: AtomicU64,
     /// Per-suspect set of streams that closed flagged (quorum mode only).
@@ -244,7 +257,7 @@ impl Daemon {
         let mut txs = Vec::new();
         let mut workers = Vec::new();
         for _ in 0..n_workers {
-            let (tx, rx) = mpmc::bounded::<Job>(cfg.queue_cap.max(1));
+            let (tx, rx) = mpsc::sync_channel::<Job>(cfg.queue_cap.max(1));
             let sink = sink.clone();
             let votes = votes.clone();
             let spares = spares.clone();
@@ -317,14 +330,16 @@ impl Daemon {
             spares: self.spares.clone(),
             events: 0,
             dropped: 0,
+            closed: false,
         }
     }
 
     /// Closes every queue, drains the remaining jobs and joins the workers.
-    /// Returning at all *is* the drain proof: a worker only exits once its
-    /// queue reports disconnected-and-empty. A worker that panicked has
-    /// already reported on stderr, and the jobs queued to it were dropped
-    /// with its queue; the totals count the workers that exited.
+    /// Returning at all *is* the drain proof: a worker only exits once
+    /// every handle on its queue is gone and the queue is empty. A worker
+    /// that panicked has already reported on stderr, and the jobs queued to
+    /// it were dropped with its queue; the totals count the workers that
+    /// exited.
     pub fn shutdown(self) -> ServeStats {
         drop(self.txs);
         let mut total = ServeStats::default();
@@ -343,10 +358,11 @@ impl Daemon {
 }
 
 /// Producer-side handle to one open stream: batches events and applies the
-/// daemon's back-pressure policy at the queue boundary.
+/// daemon's back-pressure policy at the queue boundary. Dropping it without
+/// [`close`](StreamHandle::close) aborts the stream and frees its session.
 pub struct StreamHandle {
     id: u64,
-    tx: mpmc::Sender<Job>,
+    tx: SyncSender<Job>,
     policy: Policy,
     batch_cap: usize,
     /// The batch being filled; capacity 0 between a hand-off and the next
@@ -355,6 +371,8 @@ pub struct StreamHandle {
     spares: Arc<Spares>,
     events: u64,
     dropped: u64,
+    /// Set by `close`, so the drop that follows sends no abort.
+    closed: bool,
 }
 
 impl StreamHandle {
@@ -417,6 +435,7 @@ impl StreamHandle {
     /// before it reached this close).
     pub fn close(mut self) -> Option<StreamReport> {
         self.flush();
+        self.closed = true;
         let (rtx, rrx) = mpsc::channel();
         // Close is never shed: the producer must learn the verdict.
         self.tx
@@ -427,6 +446,15 @@ impl StreamHandle {
             })
             .ok()?;
         rrx.recv().ok()
+    }
+}
+
+impl Drop for StreamHandle {
+    fn drop(&mut self) {
+        if !self.closed {
+            // Like Open and Close, an abort is never shed.
+            let _ = self.tx.send(Job::Abort { stream: self.id });
+        }
     }
 }
 
@@ -446,7 +474,7 @@ struct StreamState {
 }
 
 fn worker(
-    rx: mpmc::Receiver<Job>,
+    rx: Receiver<Job>,
     sample_size: Option<usize>,
     sink: Option<DeltaSink>,
     votes: Option<VoteMap>,
@@ -455,7 +483,7 @@ fn worker(
     let mut sessions: HashMap<u64, StreamState> = HashMap::new();
     let mut stats = WorkerStats::default();
     let mut lines = String::new();
-    while let Some(job) = rx.recv() {
+    while let Ok(job) = rx.recv() {
         match job {
             Job::Open { stream, meta } => {
                 // A header no session can be built from opens none: the
@@ -527,13 +555,19 @@ fn worker(
                     report,
                 });
             }
+            Job::Abort { stream } => {
+                // No report, no vote; a stream whose header opened no
+                // session has nothing to free.
+                if sessions.remove(&stream).is_some() {
+                    stats.abandoned += 1;
+                }
+            }
         }
     }
     if let Some(sink) = &sink {
         let mut w = sink.lock().expect("delta sink lock");
         let _ = w.flush();
     }
-    stats.abandoned = sessions.len() as u64;
     stats
 }
 
@@ -542,8 +576,8 @@ fn worker(
 /// daemon stream, then writes the final detection report back and returns
 /// it. `Ok(None)` means the peer sent no frames at all.
 ///
-/// A transport or validation error abandons the stream (its session stays
-/// open until daemon shutdown and is counted in [`ServeStats::abandoned`]).
+/// A transport or validation error abandons the stream: the dropped handle
+/// frees its session, counted in [`ServeStats::abandoned`].
 pub fn serve_connection<S: Read + Write>(
     conn: &mut S,
     daemon: &Daemon,

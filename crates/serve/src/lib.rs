@@ -1,11 +1,13 @@
 //! # mg-serve — serving the detector: many streams, one daemon
 //!
-//! Everything below the `mgd` binary: a bounded [MPMC channel](mpmc) with
-//! explicit block/shed back-pressure, the length-prefixed
+//! Everything below the `mgd` binary: the length-prefixed
 //! [wire protocol](wire) whose frames are self-contained binary journal
 //! chunks, and the [daemon engine](daemon) that demultiplexes concurrent
 //! journal streams into incremental [`mg_detect::DetectorSession`]s and
-//! emits [`mg_detect::DiagnosisDelta`] JSONL to subscribers.
+//! emits [`mg_detect::DiagnosisDelta`] JSONL to subscribers. Each worker
+//! drains one bounded `std::sync::mpsc::sync_channel` with explicit
+//! block/shed back-pressure, and a stream whose producer fails mid-stream
+//! frees its session when its handle drops.
 //!
 //! The load-bearing invariant: a report produced by the daemon for a
 //! stream is **byte-identical** to `detect --replay` over the same journal
@@ -36,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod daemon;
-pub mod mpmc;
 pub mod wire;
 
 pub use daemon::{

@@ -1,4 +1,4 @@
-//! Integration tests for the serving layer: channel semantics, wire
+//! Integration tests for the serving layer: queue semantics, wire
 //! framing, and the load-bearing invariant — a daemon-served stream's
 //! report is byte-identical to an offline `detect --replay` of the same
 //! journal, in-process and over a real TCP socket.
@@ -10,91 +10,28 @@ use mg_detect::{
 use mg_dcf::BackoffPolicy;
 use mg_net::{Scenario, ScenarioConfig, SourceCfg};
 use mg_obs::Obs;
-use mg_serve::{mpmc, serve_connection, wire, Daemon, Policy, ServeConfig};
+use mg_serve::{serve_connection, wire, Daemon, Policy, ServeConfig, WireError};
 use mg_sim::SimTime;
 use std::io::{Read, Write};
 use std::sync::{Arc, Mutex};
 
-// ---------------------------------------------------------------- mpmc --
+// ------------------------------------------------------------- channel --
 
+/// Each worker drains a std `sync_channel`. The property no daemon test can
+/// observe directly: once the last receiver is gone (a worker that exited
+/// or panicked), a queued `Job::Close` must release its reply channel, so
+/// the producer waiting on that reply learns the worker is gone.
 #[test]
-fn mpmc_send_blocks_until_a_recv_frees_space() {
-    let (tx, rx) = mpmc::bounded::<u32>(1);
-    tx.send(1).unwrap();
-    let t = std::thread::spawn(move || tx.send(2).map_err(|_| ()));
-    // The sender is parked on the full queue; one recv unblocks it.
-    std::thread::sleep(std::time::Duration::from_millis(20));
-    assert_eq!(rx.recv(), Some(1));
-    t.join().unwrap().unwrap();
-    assert_eq!(rx.recv(), Some(2));
-}
-
-#[test]
-fn mpmc_try_send_sheds_on_full_and_fails_on_closed() {
-    let (tx, rx) = mpmc::bounded::<u32>(2);
-    tx.try_send(1).unwrap();
-    tx.try_send(2).unwrap();
-    assert_eq!(tx.try_send(3), Err(mpmc::TrySendError::Full(3)));
-    rx.close();
-    assert_eq!(tx.try_send(4), Err(mpmc::TrySendError::Closed(4)));
-    // Already-queued values stay readable after the close.
-    assert_eq!(rx.recv(), Some(1));
-    assert_eq!(rx.recv(), Some(2));
-    assert_eq!(rx.recv(), None);
-}
-
-#[test]
-fn mpmc_recv_drains_then_reports_disconnection() {
-    let (tx, rx) = mpmc::bounded::<u32>(8);
-    tx.send(7).unwrap();
-    tx.send(8).unwrap();
-    drop(tx);
-    assert_eq!(rx.recv(), Some(7));
-    assert_eq!(rx.recv(), Some(8));
-    assert_eq!(rx.recv(), None);
-}
-
-#[test]
-fn mpmc_dropping_the_last_receiver_drops_queued_values() {
-    // A queued reply channel stands for a `Job::Close` whose producer waits
-    // on the reply: once no receiver is left, the channel must be released,
-    // not kept open by the queue the senders still share.
-    let (tx, rx) = mpmc::bounded::<std::sync::mpsc::Sender<u8>>(4);
-    let rx2 = rx.clone();
-    let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+fn sync_channel_drops_queued_values_with_its_last_receiver() {
+    use std::sync::mpsc::{channel, sync_channel, Sender, TryRecvError};
+    let (tx, rx) = sync_channel::<Sender<u8>>(4);
+    let (reply_tx, reply_rx) = channel();
     tx.send(reply_tx).unwrap();
+    assert_eq!(reply_rx.try_recv(), Err(TryRecvError::Empty));
     drop(rx);
-    assert_eq!(reply_rx.try_recv(), Err(std::sync::mpsc::TryRecvError::Empty));
-    drop(rx2);
-    assert_eq!(reply_rx.try_recv(), Err(std::sync::mpsc::TryRecvError::Disconnected));
-    let (late, _late_rx) = std::sync::mpsc::channel();
+    assert_eq!(reply_rx.try_recv(), Err(TryRecvError::Disconnected));
+    let (late, _late_rx) = channel();
     assert!(tx.send(late).is_err(), "no receiver left");
-}
-
-#[test]
-fn mpmc_multi_consumer_partitions_the_stream() {
-    let (tx, rx) = mpmc::bounded::<u64>(16);
-    let rx2 = rx.clone();
-    let sums: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
-    let consumers: Vec<_> = [rx, rx2]
-        .into_iter()
-        .map(|r| {
-            let sums = sums.clone();
-            std::thread::spawn(move || {
-                while let Some(v) = r.recv() {
-                    *sums.lock().unwrap() += v;
-                }
-            })
-        })
-        .collect();
-    for v in 1..=100u64 {
-        tx.send(v).unwrap();
-    }
-    drop(tx);
-    for c in consumers {
-        c.join().unwrap();
-    }
-    assert_eq!(*sums.lock().unwrap(), 5050);
 }
 
 // ---------------------------------------------------------------- wire --
@@ -272,6 +209,43 @@ fn a_header_no_session_can_be_built_from_spares_its_worker() {
     let stats = daemon.shutdown();
     assert_eq!((stats.streams, stats.events), (1, journal.len() as u64));
     assert_eq!(stats.abandoned, 0);
+}
+
+/// A handle dropped unclosed (its connection failed) aborts the stream:
+/// the session is freed with no report and no quorum vote, and the stream
+/// counts as abandoned.
+#[test]
+fn dropping_an_unclosed_handle_abandons_its_stream() {
+    let hot = record(5, 80);
+    let daemon = Daemon::start(
+        ServeConfig { workers: 1, quorum: Some(1), ..ServeConfig::default() },
+        None,
+    );
+    let mut doomed = daemon.open(hot.meta().clone());
+    for o in hot.events() {
+        doomed.push(o.clone());
+    }
+    drop(doomed);
+    // The queue is FIFO, so the abort is done once this close returns.
+    let empty = daemon.open(hot.meta().clone()).close().expect("daemon alive");
+    assert!(!empty.flagged);
+    let tally = daemon.quorum_report().expect("quorum mode is on");
+    assert!(tally.contains("no stream flagged any node"), "{tally}");
+    let stats = daemon.shutdown();
+    assert_eq!((stats.streams, stats.abandoned), (2, 1));
+}
+
+/// A frame without the binary magic is read as JSONL; a header of nested
+/// brackets fails that one connection instead of overflowing the stack
+/// of the thread serving it.
+#[test]
+fn a_deeply_nested_json_frame_fails_only_its_connection() {
+    let mut conn = Vec::new();
+    wire::write_frame(&mut conn, &vec![b'['; 1 << 20]).unwrap();
+    let daemon = Daemon::start(ServeConfig { workers: 1, ..ServeConfig::default() }, None);
+    let got = serve_connection(&mut std::io::Cursor::new(conn), &daemon);
+    assert!(matches!(got, Err(WireError::Journal(_))), "{got:?}");
+    assert_eq!(daemon.shutdown().streams, 0);
 }
 
 #[test]

@@ -11,7 +11,8 @@
 //! * [`mod@bench`] — a wall-clock micro-benchmark runner with automatic
 //!   iteration calibration, for `harness = false` bench binaries;
 //! * [`alloc`] — a thread-local counting global allocator for tests that
-//!   pin an allocation budget (each test binary declares the static).
+//!   pin an allocation budget, plus a process-wide live-bytes gauge (each
+//!   test binary declares the static).
 //!
 //! ## Writing a property
 //!

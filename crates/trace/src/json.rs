@@ -6,7 +6,7 @@
 //! RFC 8259 string escaping, shortest-roundtrip numbers) and a strict
 //! recursive-descent [`Json::parse`] for reading JSONL journals and other
 //! JSON input back. Parsing time is linear in the input's length, strings
-//! included, because journal input may be hostile.
+//! included, and nesting is capped, because journal input may be hostile.
 
 use std::fmt::Write as _;
 
@@ -55,9 +55,10 @@ impl Json {
     ///
     /// Everything [`render`](Json::render) emits parses back to an equal
     /// value (non-finite numbers render as `null`, so they round-trip to
-    /// `Json::Null`).
+    /// `Json::Null`), unless it nests arrays and objects more than 128
+    /// levels deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -192,10 +193,19 @@ impl std::fmt::Display for JsonError {
     }
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+///
+/// The parser recurses once per level, so without a cap one line of a
+/// million `[` overflows the stack. Journal headers nest 3 levels and event
+/// lines 5; the cap leaves ample room above both.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -237,8 +247,15 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(c @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if c == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -509,6 +526,17 @@ mod tests {
             "parsing a {} KiB string took {took:?}",
             doc.len() >> 10
         );
+    }
+
+    /// A JSONL line of nested brackets is untrusted input too: past
+    /// `MAX_DEPTH` it is an error, not a stack overflow.
+    #[test]
+    fn deep_nesting_is_an_error() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(Json::parse(&"[".repeat(1 << 20)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(1 << 20)).is_err());
     }
 
     #[test]

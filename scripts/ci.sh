@@ -320,7 +320,11 @@ echo "== serve gate: mgd socket round-trip is byte-identical to offline replay =
 # 111-vantage ranging snapshots spill to the heap), start the daemon on an
 # ephemeral port, stream each over the length-prefixed socket protocol, and
 # require the reports that come back to match `detect --replay` on the same
-# files byte-for-byte. SIGTERM must then drain the queues and exit 0.
+# files byte-for-byte. Two bad connections must fail alone: a valid frame
+# then a garbage frame (its session is freed and counted abandoned), and
+# one frame of nested JSON (refused before a session opens; it used to
+# overflow a stack and abort the whole daemon). SIGTERM must then drain
+# the queues and exit 0 with exactly one stream abandoned.
 cargo run -q --release --offline -- detect --pm 60 --secs 2 --seed 5 \
     --record "$outdir/serve-a.bin" >/dev/null
 cargo run -q --release --offline -- detect --pm 0 --secs 2 --seed 9 \
@@ -355,6 +359,21 @@ for j in a b m; do
         exit 1
     fi
 done
+# A u32 little-endian frame length prefix, as raw bytes.
+frame_len() {
+    local n=$1
+    printf "$(printf '\\x%02x' $((n & 255)) $((n >> 8 & 255)) $((n >> 16 & 255)) $((n >> 24 & 255)))"
+}
+# Sends stdin as one connection and waits for mgd to close it.
+bad_connection() {
+    exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
+    cat >&3
+    cat <&3 >/dev/null || true
+    exec 3<&-
+}
+{ frame_len "$(stat -c %s "$outdir/serve-a.bin")"; cat "$outdir/serve-a.bin"
+  frame_len 4; printf junk; } | bad_connection
+{ frame_len 1048576; head -c 1048576 /dev/zero | tr '\0' '['; } | bad_connection
 kill -TERM "$mgd_pid"
 set +e
 wait "$mgd_pid"
@@ -370,7 +389,12 @@ if ! grep -q "queues drained" "$outdir/mgd.out"; then
     cat "$outdir/mgd.out" >&2
     exit 1
 fi
-echo "ok: three socket streams (one mobile) byte-identical to offline replay; clean SIGTERM drain"
+if ! grep -q " 1 abandoned," "$outdir/mgd.out"; then
+    echo "error: mgd shutdown line must count the one failed stream as abandoned" >&2
+    cat "$outdir/mgd.out" >&2
+    exit 1
+fi
+echo "ok: three socket streams (one mobile) byte-identical to offline replay; two bad connections fail alone; clean SIGTERM drain"
 
 echo "== journal gate: a hostile header is refused where it is read =="
 # A negative pair distance (like an empty vantage list, or the tagged node
@@ -421,7 +445,28 @@ if [ "$long_mgd" -ne 1 ] || ! grep -q "not a meta header" "$outdir/hostile-long-
     cat "$outdir/hostile-long-mgd.err" >&2
     exit 1
 fi
-echo "ok: a negative pair distance and a 4 MiB header string are refused by detect --replay and mgd (exit 1)"
+# A header of a million nested `[` must be refused, not overflow the JSON
+# parser's stack (which aborted both processes).
+{ head -c 1000000 /dev/zero | tr '\0' '['; echo; } >"$outdir/hostile-deep.jsonl"
+set +e
+timeout 30 ./target/release/manet-guard detect --replay "$outdir/hostile-deep.jsonl" \
+    >/dev/null 2>"$outdir/hostile-deep-replay.err"
+deep_replay=$?
+timeout 30 ./target/release/mgd --journal "$outdir/hostile-deep.jsonl" \
+    >/dev/null 2>"$outdir/hostile-deep-mgd.err"
+deep_mgd=$?
+set -e
+if [ "$deep_replay" -ne 1 ] || ! grep -q "nesting deeper" "$outdir/hostile-deep-replay.err"; then
+    echo "error: detect --replay of a nested-JSON header must exit 1 (got $deep_replay)" >&2
+    cat "$outdir/hostile-deep-replay.err" >&2
+    exit 1
+fi
+if [ "$deep_mgd" -ne 1 ] || ! grep -q "nesting deeper" "$outdir/hostile-deep-mgd.err"; then
+    echo "error: mgd --journal of a nested-JSON header must exit 1 (got $deep_mgd)" >&2
+    cat "$outdir/hostile-deep-mgd.err" >&2
+    exit 1
+fi
+echo "ok: a negative pair distance, a 4 MiB header string and a nested-JSON header are refused by detect --replay and mgd (exit 1)"
 
 echo "== serve smoke: bench_serve mini cell =="
 # A tiny in-process cell of the serving benchmark: asserts the daemon's

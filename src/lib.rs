@@ -30,7 +30,7 @@
 //! | [`fault`] | `mg-fault` | deterministic fault injection for chaos testing |
 //! | [`detect`] | `mg-detect` | **the detection framework** (the paper's contribution) |
 //! | [`quorum`] | `mg-quorum` | collaborative detection: accusation gossip, k-of-n conviction |
-//! | [`serve`] | `mg-serve` | the `mgd` daemon: multi-stream demux, bounded MPMC, wire protocol |
+//! | [`serve`] | `mg-serve` | the `mgd` daemon: multi-stream demux, bounded per-worker queues, wire protocol |
 //!
 //! ## Quickstart
 //!
