@@ -62,7 +62,7 @@ mod session;
 pub use analysis::AnalyticModel;
 pub use channel::{ChannelTracker, JointTracker};
 pub use density::DensityEstimator;
-pub use monitor::{Diagnosis, Judge, Monitor, MonitorConfig, NodeCounts, Violation};
+pub use monitor::{Diagnosis, Monitor, MonitorConfig, NodeCounts, Violation};
 pub use mg_fault::{FaultPlan, ObsFaults};
 pub use mg_obs::{
     JournalError, JournalFormat, JournalReader, JournalWriter, Obs, ObsJournal, ObsMeta, ObsSink,

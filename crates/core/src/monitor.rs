@@ -36,7 +36,7 @@ use mg_crypto::VerifiableSequence;
 use mg_fault::{FrameFate, ObsFaults};
 use mg_obs::{Obs, ObsSink};
 use mg_geom::{PreclusionRule, RegionModel};
-use mg_sim::SimTime;
+use mg_sim::{SimDuration, SimTime};
 use mg_trace::{Counter, EventKind, Metrics, Tracer};
 use mg_stats::filter::Arma;
 
@@ -51,31 +51,26 @@ pub enum NodeCounts {
     /// region, so the paper's independent-queue assumption overcounts
     /// concurrent transmitters. See EXPERIMENTS.md (Fig. 3 calibration).
     SimCalibrated,
-    /// Explicit counts.
-    Fixed {
-        /// Nodes in A2.
-        n: f64,
-        /// Nodes in A1.
-        k: f64,
-        /// Nodes in A4.
-        m: f64,
-        /// Nodes in A5.
-        j: f64,
-    },
     /// Estimate counts online from the Bianchi–Tinnirello density estimate
     /// (the paper's random-topology setting).
     FromDensity,
 }
 
-/// Which hypothesis test judges the collected samples.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Judge {
-    /// The paper's unpaired Wilcoxon rank-sum test.
-    RankSum,
-    /// Paired Wilcoxon signed-rank on per-window differences (an extension:
-    /// exploits the (dictated, estimated) pairing for extra power).
-    SignedRank,
-}
+/// ARMA moving-average window `s`, in slots.
+const ARMA_WINDOW: usize = 1000;
+
+/// Slack (slots) before the blatant check fires.
+const BLATANT_TOLERANCE: f64 = 2.0;
+
+/// Estimated windows above `cw_max ×` this factor are discarded as
+/// queue-idle contamination.
+const DISCARD_FACTOR: f64 = 1.5;
+
+/// After not hearing the tagged node for this long (mobility, deep fades),
+/// the monitor re-synchronizes: sequence bookkeeping resets and the first
+/// window after the gap yields no sample — the unobserved stretch may span
+/// sequence wraps and queue-idle time.
+const RESYNC_AFTER: SimDuration = SimDuration::from_secs(2);
 
 /// A deterministically proven protocol violation.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -172,14 +167,10 @@ pub struct MonitorConfig {
     pub cs_range: f64,
     /// Transmission range (Table 1: 250 m) — used by the density estimate.
     pub tx_range: f64,
-    /// Significance level of the pool's rank-sum test.
-    pub alpha: f64,
     /// Back-off samples per pool hypothesis test (the paper sweeps 10–100).
     pub sample_size: usize,
     /// ARMA smoothing α (paper: 0.995).
     pub arma_alpha: f64,
-    /// ARMA moving-average window `s`, in slots.
-    pub arma_window: usize,
     /// Construction of the preclusion zones A1/A4.
     pub preclusion: PreclusionRule,
     /// Source of the analytic node counts.
@@ -188,29 +179,12 @@ pub struct MonitorConfig {
     pub timing: MacTiming,
     /// Whether the deterministic timing check runs.
     pub blatant_check: bool,
-    /// Slack (slots) before the blatant check fires.
-    pub blatant_tolerance: f64,
-    /// Estimated windows above `cw_max ×` this factor are discarded as
-    /// queue-idle contamination.
-    pub discard_factor: f64,
     /// Weight of the EIFS compensation: after a collision in its airspace a
     /// node defers EIFS instead of DIFS, adding idle time that is not a
     /// decrement. Each garbled reception *at the vantage* during a window
     /// subtracts `(EIFS − DIFS) × eifs_weight` slots from the estimate
     /// (the weight discounts collisions the tagged node did not perceive).
     pub eifs_weight: f64,
-    /// Which hypothesis test the pool judges the samples with (paper:
-    /// rank-sum).
-    pub judge: Judge,
-    /// Whether every unicast DATA frame must be announced by an RTS (the
-    /// paper's protocol). When set, persistent basic-access traffic from
-    /// the tagged node raises [`Violation::UnverifiedData`].
-    pub require_rts: bool,
-    /// After not hearing the tagged node for this long (mobility, deep
-    /// fades), the monitor re-synchronizes: sequence bookkeeping resets and
-    /// the first window after the gap yields no sample — the unobserved
-    /// stretch may span sequence wraps and queue-idle time.
-    pub resync_after: mg_sim::SimDuration,
     /// Consecutive anomalous observations required before the deterministic
     /// checks convict. At the default of 1 every anomaly flags immediately
     /// (the paper's behavior on a clean channel). Under injected observation
@@ -231,20 +205,13 @@ impl MonitorConfig {
             pair_distance,
             cs_range: 550.0,
             tx_range: 250.0,
-            alpha: 0.01,
             sample_size: 50,
             arma_alpha: 0.995,
-            arma_window: 1000,
             preclusion: PreclusionRule::sim_calibrated(),
             counts: NodeCounts::SimCalibrated,
             timing: MacTiming::paper_default(),
             blatant_check: true,
-            blatant_tolerance: 2.0,
-            discard_factor: 1.5,
             eifs_weight: 0.5,
-            judge: Judge::RankSum,
-            require_rts: true,
-            resync_after: mg_sim::SimDuration::from_secs(2),
             confirm_anomalies: 1,
         }
     }
@@ -386,7 +353,7 @@ impl Monitor {
         Monitor {
             prs: VerifiableSequence::new(cfg.tagged as u64),
             chan: ChannelTracker::new(),
-            rho_filter: Arma::new(cfg.arma_alpha, cfg.arma_window),
+            rho_filter: Arma::new(cfg.arma_alpha, ARMA_WINDOW),
             regions: None,
             win_busy_total: 0,
             win_idle_total: 0,
@@ -549,7 +516,6 @@ impl Monitor {
         match self.cfg.counts {
             NodeCounts::FixedPaper => AnalyticModel::uniform_counts(regions, 5.0),
             NodeCounts::SimCalibrated => AnalyticModel::uniform_counts(regions, 0.5),
-            NodeCounts::Fixed { n, k, m, j } => AnalyticModel { regions, n, k, m, j },
             NodeCounts::FromDensity => AnalyticModel::density_counts(
                 regions,
                 self.density.density(self.cfg.tx_range),
@@ -615,7 +581,7 @@ impl Monitor {
         // sample from this transmission.
         let stale = self
             .last_tagged_seen
-            .map(|t| end.saturating_since(t) > self.cfg.resync_after)
+            .map(|t| end.saturating_since(t) > RESYNC_AFTER)
             .unwrap_or(false);
         if stale {
             self.last_rts = None;
@@ -705,7 +671,7 @@ impl Monitor {
                 // Deterministic timing check: a compliant countdown takes at
                 // least DIFS + dictated slots of wall-clock, frozen or not.
                 if self.cfg.blatant_check
-                    && total + self.cfg.blatant_tolerance < difs + f64::from(dictated.slots)
+                    && total + BLATANT_TOLERANCE < difs + f64::from(dictated.slots)
                 {
                     anomalies.push(Violation::BlatantCountdown {
                         dictated: dictated.slots,
@@ -731,7 +697,7 @@ impl Monitor {
                 let eifs_overhead = eifs_extra_slots * garbles * self.cfg.eifs_weight;
                 let y = (i_est - difs - resume_overhead - eifs_overhead).max(0.0);
                 let x = f64::from(dictated.slots);
-                if y > f64::from(timing.cw_max) * self.cfg.discard_factor {
+                if y > f64::from(timing.cw_max) * DISCARD_FACTOR {
                     self.discarded += 1;
                     self.delta(DiagnosisDelta::SampleDiscarded {
                         vantage: self.cfg.vantage,
@@ -819,7 +785,9 @@ impl Monitor {
     }
 
     /// Tracks the basic-access evasion check: every unicast DATA frame must
-    /// have been announced by an RTS. Missing a *few* RTSs to collisions is
+    /// have been announced by an RTS (the paper's protocol), so persistent
+    /// basic-access traffic from the tagged node raises
+    /// [`Violation::UnverifiedData`]. Missing a *few* RTSs to collisions is
     /// normal; missing more than half of at least ten is not.
     fn on_tagged_data(&mut self, end: SimTime) {
         self.data_seen += 1;
@@ -827,8 +795,7 @@ impl Monitor {
             self.data_unverified += 1;
         }
         self.rts_pending = false;
-        if self.cfg.require_rts
-            && !self.unverified_flagged
+        if !self.unverified_flagged
             && self.data_seen >= 10
             && self.data_unverified * 2 > self.data_seen
         {
@@ -1307,14 +1274,6 @@ mod evasion_tests {
             "{:?}",
             m.violations()
         );
-    }
-
-    #[test]
-    fn require_rts_can_be_disabled() {
-        let mut cfg = MonitorConfig::grid_paper(S, R, 240.0);
-        cfg.require_rts = false;
-        let m = monitor_on(cfg, &unannounced(30));
-        assert!(m.violations().is_empty());
     }
 }
 

@@ -12,7 +12,7 @@
 //! [`DetectorSession`](crate::DetectorSession) — is a pool, and
 //! `MonitorPool::harvest` is the one place a batch of samples is judged.
 
-use crate::monitor::{Diagnosis, Judge, Monitor, MonitorConfig, Violation};
+use crate::monitor::{Diagnosis, Monitor, MonitorConfig, Violation};
 use crate::session::DiagnosisDelta;
 use crate::NodeId;
 use mg_dcf::Frame;
@@ -21,18 +21,18 @@ use mg_net::NetObserver;
 use mg_obs::{Distances, Obs, ObsSink};
 use mg_phy::Medium;
 use mg_sim::SimTime;
-use mg_stats::signed_rank::signed_rank_test;
 use mg_stats::wilcoxon::{Alternative, RankSumResult, RankSumScratch};
 use mg_trace::{Counter, EventKind, Metrics, Tracer};
+
+/// Significance level of the pool's rank-sum test.
+const ALPHA: f64 = 0.01;
 
 /// A set of monitors for one tagged node, one per candidate vantage, with
 /// range-based handoff.
 pub struct MonitorPool {
     tagged: NodeId,
     tx_range: f64,
-    alpha: f64,
     sample_size: usize,
-    judge: Judge,
     /// Member vantages in ascending order; `monitors[i]` and
     /// `contributed[i]` belong to `vantages[i]`. Members are found by
     /// binary search, and every per-member view iterates in this order.
@@ -73,7 +73,7 @@ impl MonitorPool {
     /// Creates a pool watching `tagged` from every node in `vantages`
     /// (duplicates collapse).
     ///
-    /// `template` supplies all per-monitor settings (α, ARMA, regions…);
+    /// `template` supplies all per-monitor settings (ARMA, regions…);
     /// its `tagged`/`vantage` fields are overridden per member.
     ///
     /// # Panics
@@ -101,9 +101,7 @@ impl MonitorPool {
         MonitorPool {
             tagged,
             tx_range: template.tx_range,
-            alpha: template.alpha,
             sample_size: template.sample_size,
-            judge: template.judge,
             contributed: vec![0; vantages.len()],
             vantages,
             monitors,
@@ -309,22 +307,8 @@ impl MonitorPool {
                 xs.push(x);
                 ys.push(y);
             }
-            let r = match self.judge {
-                Judge::RankSum => self.rank_sum.test(ys, xs, Alternative::Less),
-                Judge::SignedRank => {
-                    let sr = signed_rank_test(ys, xs, Alternative::Less);
-                    // Report through the common result shape (W⁺ as statistic).
-                    RankSumResult {
-                        w: sr.w_plus,
-                        u: sr.w_plus,
-                        p_value: sr.p_value,
-                        method: sr.method,
-                        n1: sr.n_used,
-                        n2: sr.n_used,
-                    }
-                }
-            };
-            let reject = r.p_value < self.alpha;
+            let r = self.rank_sum.test(ys, xs, Alternative::Less);
+            let reject = r.p_value < ALPHA;
             if reject {
                 self.rejections += 1;
             }

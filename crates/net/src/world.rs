@@ -61,6 +61,11 @@ enum Ev {
     Mobility,
 }
 
+/// Where `node`'s `timer` lives in [`World`]'s timer table.
+fn timer_slot(node: NodeId, timer: Timer) -> usize {
+    node * Timer::COUNT + timer.index()
+}
+
 struct SourceState {
     cfg: SourceCfg,
     rng: Xoshiro256,
@@ -80,8 +85,9 @@ pub struct World<O: NetObserver> {
     medium: Medium,
     timing: MacTiming,
     macs: Vec<DcfMac>,
-    /// Pending MAC timers, [`Timer::COUNT`] slots per node, at
-    /// `node * Timer::COUNT + timer.index()`.
+    /// The handle of each pending MAC timer, at [`timer_slot`]: the only
+    /// record of which timer entries are live. Re-arming overwrites the
+    /// slot, disarming clears it, and `run_until` drops stale entries.
     timers: Vec<Option<EventHandle>>,
     /// The frame each node has on the air: a DCF MAC sends one at a time.
     in_flight: Vec<Option<Frame>>,
@@ -102,6 +108,8 @@ pub struct World<O: NetObserver> {
     walkers: Option<Vec<RandomWaypoint>>,
     mobility_rng: Xoshiro256,
     routers: Option<Vec<AodvLite>>,
+    /// The routing message each routed SDU carries, until no MAC can
+    /// deliver the SDU any more.
     net_msgs: HashMap<u64, NetMsg, IdBuildHasher>,
     next_sdu_id: u64,
     tx_range: f64,
@@ -336,11 +344,10 @@ impl<O: NetObserver> World<O> {
     /// Runs the event loop until virtual time `until` (events beyond it stay
     /// queued).
     pub fn run_until(&mut self, until: SimTime) {
-        while let Some(t) = self.sched.peek_time() {
-            if t > until {
-                break;
-            }
-            let (now, ev) = self.sched.pop().expect("peeked event exists");
+        while let Some((now, ev)) = self.sched.pop_until(until, |h, ev| match *ev {
+            Ev::MacTimer { node, timer } => self.timers[timer_slot(node, timer)] == Some(h),
+            _ => true,
+        }) {
             self.dispatch(now, ev);
         }
     }
@@ -350,7 +357,7 @@ impl<O: NetObserver> World<O> {
     fn dispatch(&mut self, now: SimTime, ev: Ev) {
         match ev {
             Ev::MacTimer { node, timer } => {
-                self.timers[node * Timer::COUNT + timer.index()] = None;
+                self.timers[timer_slot(node, timer)] = None;
                 self.macs[node].on_timer(timer, now, &mut self.acts);
                 self.apply(node);
             }
@@ -401,6 +408,15 @@ impl<O: NetObserver> World<O> {
             self.apply(e.node);
         }
         self.ended = ended;
+
+        // A broadcast goes on the air once, and its receivers have just
+        // decoded it: its routing message is no longer needed. (Its
+        // `PacketDone` ran in step 1, too early to free it.)
+        if frame.dst == Dest::Broadcast {
+            if let Some(sdu) = frame.sdu() {
+                self.net_msgs.remove(&sdu.id);
+            }
+        }
     }
 
     fn traffic_arrival(&mut self, src: usize, now: SimTime) {
@@ -493,17 +509,12 @@ impl<O: NetObserver> World<O> {
     }
 
     fn arm(&mut self, node: NodeId, timer: Timer, at: SimTime) {
-        let slot = &mut self.timers[node * Timer::COUNT + timer.index()];
-        if let Some(old) = slot.take() {
-            self.sched.cancel(old);
-        }
-        *slot = Some(self.sched.schedule_at(at, Ev::MacTimer { node, timer }));
+        let h = self.sched.schedule_at(at, Ev::MacTimer { node, timer });
+        self.timers[timer_slot(node, timer)] = Some(h);
     }
 
     fn disarm(&mut self, node: NodeId, timer: Timer) {
-        if let Some(h) = self.timers[node * Timer::COUNT + timer.index()].take() {
-            self.sched.cancel(h);
-        }
+        self.timers[timer_slot(node, timer)] = None;
     }
 
     /// Moves the actions `node`'s MAC just appended to `acts` onto the work
@@ -566,6 +577,12 @@ impl<O: NetObserver> World<O> {
                             .record_latency_ns(now.saturating_since(t0).as_nanos());
                     }
                     self.observer.on_packet_done(n, &sdu, delivered, now);
+                    // The receiver's `Deliver` came before the ACK, and a
+                    // dropped packet's last DATA ended before its ACK timeout:
+                    // no MAC can deliver this unicast SDU again.
+                    if self.routers.is_some() && sdu.dst != Dest::Broadcast {
+                        self.net_msgs.remove(&sdu.id);
+                    }
                     if let Some(si) = self.saturated_source(n) {
                         let policy = self.sources[si].cfg.dst;
                         let payload_len = self.sources[si].cfg.payload_len;
@@ -916,6 +933,32 @@ mod tests {
         w.send_routed(0, 3, 777);
         w.run_until(SimTime::from_secs(2));
         assert_eq!(w.app_delivered, 1, "routed packet must arrive");
+    }
+
+    /// A long routed run holds no routing message for a packet the MACs
+    /// are done with.
+    #[test]
+    fn routed_world_frees_finished_messages() {
+        let positions = (0..4).map(|i| Vec2::new(200.0 * i as f64, 0.0)).collect();
+        let mut w: World<()> = World::new(
+            positions,
+            PropagationModel::free_space(),
+            250.0,
+            550.0,
+            MacTiming::paper_default(),
+            5,
+            (),
+        );
+        w.enable_routing();
+        let packets = 300;
+        for app_id in 0..packets {
+            w.send_routed(0, 3, app_id);
+            w.run_until(w.now() + SimDuration::from_millis(100));
+        }
+        w.run_until(w.now() + SimDuration::from_secs(1));
+        assert_eq!(w.app_delivered, packets);
+        let held = w.net_msgs.len();
+        assert!(held <= 3, "{held} routing messages still held");
     }
 
     #[test]

@@ -1039,7 +1039,7 @@ impl JournalReader {
         }
         let head = head.ok_or(JournalError::Syntax { line: 1, what: "empty journal".into() })?;
         let meta_json = Json::parse(&head)
-            .map_err(|e| JournalError::Syntax { line: 1, what: format!("{e:?}") })?;
+            .map_err(|e| JournalError::Syntax { line: 1, what: format!("{e}") })?;
         let meta = meta_from_json(&meta_json)
             .ok_or(JournalError::Syntax { line: 1, what: "not a meta header".into() })?;
         if let Err(what) = meta.check() {
@@ -1354,7 +1354,7 @@ impl Iterator for Events<'_> {
                         *rest = "";
                         return Some(Err(JournalError::Syntax {
                             line: this_line,
-                            what: format!("{e:?}"),
+                            what: format!("{e}"),
                         }));
                     }
                 };

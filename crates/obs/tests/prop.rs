@@ -173,6 +173,39 @@ fn malformed_journals_are_rejected() {
     assert!(load(&text).is_err());
 }
 
+/// A JSONL parse failure displays as the parser's message and byte offset,
+/// not as Rust debug syntax: in a header nested one level past the
+/// parser's depth cap, and in a malformed event line.
+#[test]
+fn jsonl_parse_errors_display_their_failure_and_offset() {
+    let deep = format!("{}{}\n", "[".repeat(129), "]".repeat(129));
+    let header = JournalReader::from_bytes(deep.into_bytes()).err();
+    let mut text = String::from_utf8(
+        ObsJournal::new(ObsMeta {
+            tagged: 0,
+            vantages: vec![1],
+            pair_distance: 240.0,
+            seed: 7,
+            params: vec![],
+        })
+        .encode(JournalFormat::Jsonl),
+    )
+    .unwrap();
+    text.push_str("[\"edge\",1,tru]\n");
+    let event = JournalReader::from_bytes(text.into_bytes())
+        .and_then(|r| r.read_journal())
+        .err();
+    let shown = [header, event].map(|e| e.expect("refused").to_string());
+    for s in &shown {
+        assert!(!s.contains("JsonError {"), "{s}");
+    }
+    assert_eq!(
+        shown[0],
+        "journal line 1: nesting deeper than 128 levels at byte 128"
+    );
+    assert_eq!(shown[1], "journal line 2: expected 'true' at byte 10");
+}
+
 /// A header no detector session can be built from is refused at open in
 /// both formats, with the format's typed error naming the header: a pair
 /// distance that is negative or not finite, no vantages, or the tagged

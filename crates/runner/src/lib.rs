@@ -230,37 +230,53 @@ mod tests {
 
     #[test]
     fn panicking_and_hanging_tasks_poison_only_their_own_cells() {
-        let faults = RunnerFaults {
+        let tasks: Vec<u64> = (0..8).collect();
+        let run = |t: &u64| t * 10;
+        let clean = try_sweep(&tasks, &RunnerFaults::default(), run);
+        // The panic and the hang run in separate sweeps: a panic hook that
+        // prints a symbolized backtrace (`RUST_BACKTRACE` set, debug build)
+        // can outlast a 25 ms deadline, and the panicking cell would read
+        // `TimedOut`. The panic's watchdog is far longer than any hook, so
+        // this sweep still checks that a panic under a watchdog is caught.
+        let panicking = RunnerFaults {
             panic_tasks: vec![3],
+            timeout_ms: Some(60_000),
+            ..RunnerFaults::default()
+        };
+        let hanging = RunnerFaults {
             hang_tasks: vec![5],
             hang_ms: 400,
             timeout_ms: Some(25),
             retries: 1,
+            ..RunnerFaults::default()
         };
-        let tasks: Vec<u64> = (0..8).collect();
-        let run = |t: &u64| t * 10;
 
-        let out = try_sweep(&tasks, &faults, run);
-        let clean = try_sweep(&tasks, &RunnerFaults::default(), run);
-
-        for (i, cell) in out.iter().enumerate() {
-            match i {
-                3 => match cell {
-                    Err(TrialError::Panicked { task, message }) => {
-                        assert_eq!(*task, 3);
-                        assert!(message.contains("injected panic"), "{message}");
-                    }
-                    other => panic!("cell 3 must be Panicked, got {other:?}"),
-                },
-                5 => match cell {
-                    Err(TrialError::TimedOut { task, attempts, timeout_ms }) => {
-                        assert_eq!((*task, *attempts, *timeout_ms), (5, 2, 25));
-                    }
-                    other => panic!("cell 5 must be TimedOut, got {other:?}"),
-                },
-                _ => assert_eq!(cell, &clean[i], "healthy cell {i} must match a fault-free run"),
+        // Every other cell equals a fault-free run, and the one injected
+        // fault is the only error.
+        let healthy = |out: &[Result<u64, TrialError>], faulty: usize| {
+            for (i, cell) in out.iter().enumerate().filter(|&(i, _)| i != faulty) {
+                assert_eq!(cell, &clean[i], "healthy cell {i} must match a fault-free run");
             }
+            assert_eq!(out.iter().filter(|c| c.is_err()).count(), 1);
+        };
+
+        let out = try_sweep(&tasks, &panicking, run);
+        match &out[3] {
+            Err(TrialError::Panicked { task, message }) => {
+                assert_eq!(*task, 3);
+                assert!(message.contains("injected panic"), "{message}");
+            }
+            other => panic!("cell 3 must be Panicked, got {other:?}"),
         }
-        assert_eq!(out.iter().filter(|c| c.is_err()).count(), 2);
+        healthy(&out, 3);
+
+        let out = try_sweep(&tasks, &hanging, run);
+        match &out[5] {
+            Err(TrialError::TimedOut { task, attempts, timeout_ms }) => {
+                assert_eq!((*task, *attempts, *timeout_ms), (5, 2, 25));
+            }
+            other => panic!("cell 5 must be TimedOut, got {other:?}"),
+        }
+        healthy(&out, 5);
     }
 }

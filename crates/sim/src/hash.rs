@@ -1,8 +1,8 @@
 //! A fast deterministic hasher for keys the simulation assigns itself.
 //!
-//! Scheduler sequence numbers, node ids and spatial-index cell coordinates
-//! are small integers the program generates, never input from outside it,
-//! so SipHash's resistance to chosen keys buys nothing on the hot path.
+//! Packet (SDU) ids and spatial-index cell coordinates are small integers
+//! the program generates, never input from outside it, so SipHash's
+//! resistance to chosen keys buys nothing on the hot path.
 //! [`IdHasher`] mixes each word in with one rotate, xor and multiplication
 //! by an odd constant (the FxHash scheme): distinct dense keys land on
 //! distinct buckets and the high bits the table's control bytes use are
@@ -59,8 +59,8 @@ mod tests {
 
     #[test]
     fn dense_keys_spread_over_buckets() {
-        // The low 6 bits pick among 64 buckets: 64 dense sequence numbers
-        // must not pile up.
+        // The low 6 bits pick among 64 buckets: 64 dense ids must not pile
+        // up.
         let low: HashSet<u64> = (0..64u64)
             .map(|n| IdBuildHasher::default().hash_one(n) & 63)
             .collect();

@@ -5,27 +5,25 @@
 //! (strict FIFO), which — together with seeded RNG streams — makes every
 //! simulation run fully deterministic.
 //!
-//! Cancellation is *lazy*: [`Scheduler::cancel`] marks the handle dead in
-//! O(log n) amortized time and the entry is discarded when it reaches the top
-//! of the heap. This matches the access pattern of MAC timers, which are
-//! re-armed and cancelled constantly.
+//! The queue keeps no cancellation state: the caller keeps each timer's
+//! newest [`EventHandle`] and hands [`Scheduler::pop_until`] a predicate
+//! that rejects stale ones, which are dropped when they reach the top of
+//! the heap. Handles are never reused, so a dead entry stays dead.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::num::NonZeroU64;
 
 use mg_trace::{EventKind, Tracer};
 
-use crate::hash::IdBuildHasher;
 use crate::time::{SimDuration, SimTime};
 
-/// Identifies a scheduled event so it can be cancelled before it fires.
+/// Identifies a scheduled event, so that a [`Scheduler::pop_until`]
+/// predicate can tell a timer's newest entry from the ones it replaced.
 ///
-/// Handles are unique for the lifetime of a [`Scheduler`] and are invalidated
-/// once the event fires or is cancelled; cancelling a stale handle is a
-/// harmless no-op. A handle holds its event's sequence number plus one, so
-/// an `Option<EventHandle>` takes 8 bytes — per-node timer tables stay
-/// compact.
+/// Handles are unique for the lifetime of a [`Scheduler`]. A handle holds
+/// its event's sequence number plus one, so an `Option<EventHandle>` takes
+/// 8 bytes — per-node timer tables stay compact.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventHandle(NonZeroU64);
 
@@ -61,22 +59,18 @@ impl<E> Ord for Entry<E> {
 /// # Example
 ///
 /// ```
-/// use mg_sim::{Scheduler, SimDuration};
+/// use mg_sim::{Scheduler, SimDuration, SimTime};
 ///
 /// let mut s: Scheduler<u32> = Scheduler::new();
 /// let h = s.schedule_in(SimDuration::from_micros(50), 1);
 /// s.schedule_in(SimDuration::from_micros(50), 2); // same instant: FIFO
-/// s.cancel(h);
-/// assert_eq!(s.pop().map(|(_, e)| e), Some(2));
+/// let live = |e, _: &u32| e != h; // the caller's record of live entries
+/// assert_eq!(s.pop_until(SimTime::MAX, live).map(|(_, e)| e), Some(2));
 /// assert!(s.pop().is_none());
 /// ```
 pub struct Scheduler<E> {
     now: SimTime,
     heap: BinaryHeap<Reverse<Entry<E>>>,
-    /// Cancelled sequence numbers not yet surfaced. The keys are the
-    /// scheduler's own counters, so the in-tree [`IdBuildHasher`] replaces
-    /// SipHash.
-    cancelled: HashSet<u64, IdBuildHasher>,
     next_seq: u64,
     popped: u64,
     tracer: Tracer,
@@ -88,7 +82,6 @@ impl<E> Scheduler<E> {
         Scheduler {
             now: SimTime::ZERO,
             heap: BinaryHeap::new(),
-            cancelled: HashSet::default(),
             next_seq: 0,
             popped: 0,
             tracer: Tracer::disabled(),
@@ -112,16 +105,16 @@ impl<E> Scheduler<E> {
         self.popped
     }
 
-    /// Number of events currently pending (including lazily-cancelled ones).
+    /// Number of entries queued, dead ones included.
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    /// True when no events are pending.
+    /// True when no entries are queued.
     ///
-    /// Note that lazily-cancelled events still count until they surface, so
-    /// `is_empty` may briefly report `false` for a queue that will deliver
-    /// nothing; [`Scheduler::pop`] is the authoritative check.
+    /// Dead entries count until they surface, so `is_empty` may report
+    /// `false` for a queue that will deliver nothing;
+    /// [`Scheduler::pop_until`] is the authoritative check.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
@@ -154,21 +147,29 @@ impl<E> Scheduler<E> {
         self.schedule_at(self.now + after, payload)
     }
 
-    /// Cancels a pending event. Cancelling an event that already fired (or
-    /// was already cancelled) is a no-op.
-    pub fn cancel(&mut self, handle: EventHandle) {
-        self.cancelled.insert(handle.0.get() - 1);
-    }
-
-    /// Pops the next live event, advancing the clock to its timestamp.
+    /// Pops the next entry `live` accepts if it is due at or before `until`,
+    /// advancing the clock to its timestamp.
     ///
-    /// Returns `None` when the queue has drained (cancelled entries are
-    /// skipped transparently).
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(Reverse(entry)) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
+    /// Every entry `live` rejects is dropped as soon as it reaches the top
+    /// of the heap, whatever its time: it moves no clock, is not counted in
+    /// [`Scheduler::events_fired`] and is not journaled. Returns `None` when
+    /// the queue holds no live entry due by `until`; a live entry due later
+    /// stays queued.
+    pub fn pop_until(
+        &mut self,
+        until: SimTime,
+        mut live: impl FnMut(EventHandle, &E) -> bool,
+    ) -> Option<(SimTime, E)> {
+        while let Some(Reverse(top)) = self.heap.peek() {
+            let handle = EventHandle(NonZeroU64::MIN.saturating_add(top.seq));
+            if !live(handle, &top.payload) {
+                self.heap.pop();
                 continue;
             }
+            if top.time > until {
+                return None;
+            }
+            let Reverse(entry) = self.heap.pop().expect("the top entry exists");
             debug_assert!(entry.time >= self.now, "event queue went backwards");
             self.now = entry.time;
             self.popped += 1;
@@ -179,19 +180,10 @@ impl<E> Scheduler<E> {
         None
     }
 
-    /// The timestamp of the next live event without popping it, or `None`
-    /// if the queue is (effectively) empty.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(Reverse(entry)) = self.heap.peek() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = entry.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-                continue;
-            }
-            return Some(entry.time);
-        }
-        None
+    /// [`Scheduler::pop_until`] for a queue whose every entry is live:
+    /// `None` once it has drained.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_until(SimTime::MAX, |_, _| true)
     }
 }
 
@@ -237,23 +229,34 @@ mod tests {
     }
 
     #[test]
-    fn cancel_suppresses_delivery() {
+    fn dead_handle_never_fires() {
         let mut s: Scheduler<&str> = Scheduler::new();
         let h = s.schedule_in(SimDuration::from_micros(10), "dead");
         s.schedule_in(SimDuration::from_micros(20), "alive");
-        s.cancel(h);
-        assert_eq!(s.pop().map(|(_, e)| e), Some("alive"));
-        assert!(s.pop().is_none());
+        let live = |e, _: &&str| e != h;
+        let popped = s.pop_until(SimTime::MAX, live);
+        assert_eq!(popped.map(|(_, e)| e), Some("alive"));
+        assert!(s.pop_until(SimTime::MAX, live).is_none());
+        assert_eq!(s.events_fired(), 1);
     }
 
     #[test]
-    fn cancel_stale_handle_is_noop() {
+    fn fired_handle_never_fires_again() {
         let mut s: Scheduler<u8> = Scheduler::new();
         let h = s.schedule_in(SimDuration::from_micros(1), 7);
         assert_eq!(s.pop().map(|(_, e)| e), Some(7));
-        s.cancel(h); // already fired
-        s.schedule_in(SimDuration::from_micros(1), 8);
-        assert_eq!(s.pop().map(|(_, e)| e), Some(8));
+        let next = s.schedule_in(SimDuration::from_micros(1), 8);
+        assert_ne!(next, h, "handles are never reused");
+        // Rejecting the fired handle suppresses nothing later, and the
+        // fired entry is never offered again.
+        let mut offered = Vec::new();
+        let popped = s.pop_until(SimTime::MAX, |e, _| {
+            offered.push(e);
+            e != h
+        });
+        assert_eq!(popped.map(|(_, e)| e), Some(8));
+        assert_eq!(offered, vec![next]);
+        assert!(s.pop().is_none());
     }
 
     #[test]
@@ -287,8 +290,8 @@ mod tests {
         s.set_tracer(tracer.clone());
         let h = s.schedule_at(SimTime::from_micros(5), 1);
         s.schedule_at(SimTime::from_micros(9), 2);
-        s.cancel(h); // cancelled entries must not be journaled
-        while s.pop().is_some() {}
+        // Dead entries must not be journaled.
+        while s.pop_until(SimTime::MAX, |e, _| e != h).is_some() {}
         let events = tracer.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].t_ns, 9_000);
@@ -301,13 +304,20 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_skips_cancelled() {
+    fn entry_due_after_until_stays_queued() {
         let mut s: Scheduler<u8> = Scheduler::new();
         let h = s.schedule_in(SimDuration::from_micros(5), 1);
         s.schedule_in(SimDuration::from_micros(9), 2);
-        s.cancel(h);
-        assert_eq!(s.peek_time(), Some(SimTime::from_micros(9)));
-        assert_eq!(s.pop().map(|(_, e)| e), Some(2));
-        assert_eq!(s.peek_time(), None);
+        let live = |e, _: &u8| e != h;
+        // The dead entry at 5 µs is dropped although it is due after
+        // `until`; the live one at 9 µs stays, and the clock does not move.
+        assert!(s.pop_until(SimTime::from_micros(3), live).is_none());
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.now(), SimTime::ZERO);
+        assert!(s.pop_until(SimTime::from_micros(8), live).is_none());
+        let popped = s.pop_until(SimTime::from_micros(9), live);
+        assert_eq!(popped.map(|(_, e)| e), Some(2));
+        assert!(s.pop_until(SimTime::MAX, live).is_none());
+        assert_eq!(s.events_fired(), 1);
     }
 }

@@ -1,9 +1,13 @@
 //! Property-based tests for the simulation kernel (mg-testkit harness).
 
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
+
 use mg_sim::rng::{Rng, RngDirectory, Xoshiro256};
-use mg_sim::{Scheduler, SimDuration, SimTime};
+use mg_sim::{EventHandle, Scheduler, SimDuration, SimTime};
 use mg_testkit::prop::{check, Gen, TkResult};
 use mg_testkit::{tk_assert, tk_assert_eq, tk_assert_ne};
+use mg_trace::{EventKind, TraceConfig, Tracer};
 
 /// Events always pop in (time, insertion) order regardless of insertion
 /// order.
@@ -32,7 +36,8 @@ fn scheduler_is_a_stable_priority_queue() {
     });
 }
 
-/// Cancelling an arbitrary subset delivers exactly the complement.
+/// Rejecting an arbitrary subset of handles delivers exactly the
+/// complement.
 #[test]
 fn cancellation_is_exact() {
     check("cancellation_is_exact", |g: &mut Gen| -> TkResult {
@@ -44,21 +49,186 @@ fn cancellation_is_exact() {
             .enumerate()
             .map(|(i, &t)| s.schedule_at(SimTime::from_micros(t), i))
             .collect();
+        let mut dead = Vec::new();
         let mut expected: Vec<usize> = Vec::new();
         for (i, h) in handles.iter().enumerate() {
             if *cancel_mask.get(i).unwrap_or(&false) {
-                s.cancel(*h);
+                dead.push(*h);
             } else {
                 expected.push(i);
             }
         }
         let mut delivered: Vec<usize> = Vec::new();
-        while let Some((_, i)) = s.pop() {
+        while let Some((_, i)) = s.pop_until(SimTime::MAX, |h, _| !dead.contains(&h)) {
             delivered.push(i);
         }
         delivered.sort_unstable();
         expected.sort_unstable();
         tk_assert_eq!(delivered, expected);
+        tk_assert_eq!(s.events_fired(), expected.len() as u64);
+        Ok(())
+    });
+}
+
+/// The lazy-cancel queue the scheduler used to be: a heap plus a set of
+/// cancelled sequence numbers, probed on every peek and pop. Kept as the
+/// reference `pop_until` must match.
+struct LazyCancel {
+    now: SimTime,
+    heap: BinaryHeap<Reverse<(SimTime, u64, Tag)>>,
+    cancelled: HashSet<u64>,
+    next_seq: u64,
+    dispatched: Vec<u64>,
+}
+
+impl LazyCancel {
+    fn new() -> Self {
+        LazyCancel {
+            now: SimTime::ZERO,
+            heap: BinaryHeap::new(),
+            cancelled: HashSet::new(),
+            next_seq: 0,
+            dispatched: Vec::new(),
+        }
+    }
+
+    fn schedule_at(&mut self, at: SimTime, tag: Tag) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse((at, seq, tag)));
+        seq
+    }
+
+    fn cancel(&mut self, seq: u64) {
+        self.cancelled.insert(seq);
+    }
+
+    fn peek_time(&mut self) -> Option<SimTime> {
+        while let Some(Reverse((t, seq, _))) = self.heap.peek() {
+            let (t, seq) = (*t, *seq);
+            if self.cancelled.remove(&seq) {
+                self.heap.pop();
+                continue;
+            }
+            return Some(t);
+        }
+        None
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, Tag)> {
+        while let Some(Reverse((t, seq, tag))) = self.heap.pop() {
+            if self.cancelled.remove(&seq) {
+                continue;
+            }
+            self.now = t;
+            self.dispatched.push(seq);
+            return Some((t, tag));
+        }
+        None
+    }
+}
+
+/// An event payload: a timer slot's expiry, or a free event. The number
+/// tells entries apart.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+enum Tag {
+    Timer(usize, u32),
+    Free(u32),
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Arm(usize, u64),
+    Disarm(usize),
+    Schedule(u64),
+    RunUntil(u64),
+}
+
+const SLOTS: usize = 3;
+
+/// `pop_until` with a timer-slot predicate behaves exactly as the lazy-cancel
+/// queue it replaced: random tapes of arm (re-arm overwrites the slot; the
+/// reference cancels the old handle first), disarm, free schedules and
+/// runs to a time pop the same `(time, payload)` sequence, journal the same
+/// dispatch seqs, count the same events and leave the same clock. A fired
+/// timer's slot is cleared, as `World` clears it.
+#[test]
+fn pop_until_matches_lazy_cancel_reference() {
+    check("pop_until_matches_lazy_cancel_reference", |g: &mut Gen| -> TkResult {
+        let tape = g.vec(1..200, |g| match g.u8_in(0..4) {
+            0 => Op::Arm(g.usize_in(0..SLOTS), g.u64_in(0..50)),
+            1 => Op::Disarm(g.usize_in(0..SLOTS)),
+            2 => Op::Schedule(g.u64_in(0..50)),
+            _ => Op::RunUntil(g.u64_in(0..60)),
+        });
+        let tracer = Tracer::new(TraceConfig::verbose());
+        let mut s: Scheduler<Tag> = Scheduler::new();
+        s.set_tracer(tracer.clone());
+        let mut slots: [Option<EventHandle>; SLOTS] = [None; SLOTS];
+        let mut reference = LazyCancel::new();
+        let mut ref_slots: [Option<u64>; SLOTS] = [None; SLOTS];
+        let (mut popped, mut ref_popped) = (Vec::new(), Vec::new());
+        let ops = tape.iter().copied().chain([Op::RunUntil(u64::MAX)]);
+        for (n, op) in ops.enumerate() {
+            let n = n as u32;
+            let at = |now: SimTime, dt: u64| now + SimDuration::from_micros(dt);
+            match op {
+                Op::Arm(k, dt) => {
+                    slots[k] = Some(s.schedule_at(at(s.now(), dt), Tag::Timer(k, n)));
+                    if let Some(old) = ref_slots[k].take() {
+                        reference.cancel(old);
+                    }
+                    let seq = reference.schedule_at(at(reference.now, dt), Tag::Timer(k, n));
+                    ref_slots[k] = Some(seq);
+                }
+                Op::Disarm(k) => {
+                    slots[k] = None;
+                    if let Some(old) = ref_slots[k].take() {
+                        reference.cancel(old);
+                    }
+                }
+                Op::Schedule(dt) => {
+                    s.schedule_at(at(s.now(), dt), Tag::Free(n));
+                    reference.schedule_at(at(reference.now, dt), Tag::Free(n));
+                }
+                Op::RunUntil(dt) => {
+                    let until = s.now().as_nanos().saturating_add(dt.saturating_mul(1000));
+                    let until = SimTime::from_nanos(until);
+                    while let Some((t, tag)) = s.pop_until(until, |h, tag| match *tag {
+                        Tag::Timer(k, _) => slots[k] == Some(h),
+                        Tag::Free(_) => true,
+                    }) {
+                        if let Tag::Timer(k, _) = tag {
+                            slots[k] = None;
+                        }
+                        popped.push((t, tag));
+                    }
+                    while let Some(t) = reference.peek_time() {
+                        if t > until {
+                            break;
+                        }
+                        let (t, tag) = reference.pop().expect("peeked entry exists");
+                        if let Tag::Timer(k, _) = tag {
+                            ref_slots[k] = None;
+                        }
+                        ref_popped.push((t, tag));
+                    }
+                }
+            }
+            tk_assert_eq!(s.now(), reference.now);
+        }
+        tk_assert_eq!(popped, ref_popped);
+        let seqs: Vec<u64> = tracer
+            .events()
+            .iter()
+            .map(|e| match e.kind {
+                EventKind::SchedDispatch { seq } => seq,
+                ref other => panic!("unexpected journal record {other:?}"),
+            })
+            .collect();
+        tk_assert_eq!(seqs, reference.dispatched);
+        tk_assert_eq!(s.events_fired(), reference.dispatched.len() as u64);
+        tk_assert!(s.is_empty() && reference.heap.is_empty());
         Ok(())
     });
 }

@@ -1,6 +1,6 @@
 //! `mg-trace` — zero-dependency structured observability for the stack.
 //!
-//! Three instruments, all free when switched off:
+//! Two instruments, both free when switched off:
 //!
 //! * **Event journal** — a fixed-capacity ring buffer of typed records
 //!   ([`Event`]) stamped with *virtual* time, filtered per subsystem by
@@ -9,8 +9,6 @@
 //! * **Metrics** — per-node atomic counters plus log-scale latency and
 //!   back-off histograms behind a clonable [`Metrics`] handle; snapshots
 //!   are `Copy` and merge across trials.
-//! * **Spans** — RAII wall-clock timing of coarse phases ([`Span`]),
-//!   reported only through metrics so they never perturb the journal.
 //!
 //! The simulation crates hold a [`Tracer`] and a [`Metrics`] handle and
 //! call [`Tracer::emit`] at their interesting edges; both default to
@@ -35,14 +33,12 @@ pub mod json;
 mod event;
 mod metrics;
 mod ring;
-mod span;
 
 pub use event::{Event, EventKind, FrameLabel, Level, Subsystem, SUBSYSTEM_COUNT};
 pub use metrics::{
     histo_bucket, Counter, Metrics, MetricsSnapshot, COUNTER_COUNT, HISTO_BUCKETS,
 };
 pub use ring::Ring;
-pub use span::Span;
 
 use std::cell::RefCell;
 use std::rc::Rc;

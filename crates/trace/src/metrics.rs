@@ -7,7 +7,7 @@
 //! merge across trials and render to JSON.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::json::Json;
 
@@ -146,8 +146,6 @@ struct MetricsInner {
     latency_ns: Histo,
     /// Dictated back-off draws, slots, log2 buckets.
     backoff_slots: Histo,
-    /// Named wall-clock phase timings (never exported into the journal).
-    spans: Mutex<Vec<(String, u64)>>,
 }
 
 /// A cheap clonable metrics handle; disabled handles record nothing.
@@ -166,7 +164,6 @@ impl Metrics {
                     .collect(),
                 latency_ns: Histo::new(),
                 backoff_slots: Histo::new(),
-                spans: Mutex::new(Vec::new()),
             })),
         }
     }
@@ -203,23 +200,6 @@ impl Metrics {
     pub fn record_backoff_slots(&self, slots: u64) {
         if let Some(inner) = &self.inner {
             inner.backoff_slots.record(slots);
-        }
-    }
-
-    /// Records a named wall-clock span (used by [`crate::Span`]).
-    pub fn record_span(&self, name: &str, wall_ns: u64) {
-        if let Some(inner) = &self.inner {
-            if let Ok(mut spans) = inner.spans.lock() {
-                spans.push((name.to_string(), wall_ns));
-            }
-        }
-    }
-
-    /// All spans recorded so far, in completion order.
-    pub fn spans(&self) -> Vec<(String, u64)> {
-        match &self.inner {
-            Some(inner) => inner.spans.lock().map(|s| s.clone()).unwrap_or_default(),
-            None => Vec::new(),
         }
     }
 
@@ -322,10 +302,8 @@ mod tests {
         let m = Metrics::disabled();
         m.bump(0, Counter::TxFrames);
         m.record_latency_ns(100);
-        m.record_span("x", 5);
         assert!(!m.is_enabled());
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
-        assert!(m.spans().is_empty());
     }
 
     #[test]
@@ -381,13 +359,5 @@ mod tests {
         assert_eq!(Counter::ALL.len(), COUNTER_COUNT);
         assert_eq!(Counter::AccusationsSent.name(), "accusations_sent");
         assert_eq!(Counter::QuorumConvictions.name(), "quorum_convictions");
-    }
-
-    #[test]
-    fn spans_are_kept_in_order() {
-        let m = Metrics::new(1);
-        m.record_span("build", 10);
-        m.record_span("run", 20);
-        assert_eq!(m.spans(), vec![("build".to_string(), 10), ("run".to_string(), 20)]);
     }
 }

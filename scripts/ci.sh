@@ -77,6 +77,15 @@ echo "== differential index suite: naive vs grid medium, byte-identical =="
 TESTKIT_CASES=2000 cargo test -q --release --offline -p mg-phy --test diff_index
 echo "ok: 2000 tapes per property byte-identical under naive and grid"
 
+echo "== differential scheduler property: pop_until vs the lazy-cancel queue =="
+# Random arm/disarm/schedule/run tapes over a few timer slots drive the
+# scheduler (timers re-armed by overwriting their slot) and a test-local
+# copy of the heap-plus-cancel-set queue it replaced; pops, dispatch
+# journal seqs, events fired and the clock must all agree.
+TESTKIT_CASES=2000 cargo test -q --release --offline -p mg-sim --test prop \
+    pop_until_matches_lazy_cancel_reference
+echo "ok: 2000 scheduler tapes match the lazy-cancel reference"
+
 echo "== world-scale smoke: bench_world_scale on a tiny grid =="
 # One small cell end to end: asserts events-fired and flagged-diagnosis
 # equality across index modes and exercises the JSON emitter. The real

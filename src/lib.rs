@@ -26,7 +26,7 @@
 //! | [`mac`] | `mg-dcf` | the 802.11 DCF MAC + misbehavior policies |
 //! | [`net`] | `mg-net` | the simulation world, traffic, mobility, AODV-lite |
 //! | [`obs`] | `mg-obs` | the monitor's typed observation alphabet + record/replay journals |
-//! | [`trace`] | `mg-trace` | structured event journal, per-node metrics, spans |
+//! | [`trace`] | `mg-trace` | structured event journal, per-node metrics |
 //! | [`fault`] | `mg-fault` | deterministic fault injection for chaos testing |
 //! | [`detect`] | `mg-detect` | **the detection framework** (the paper's contribution) |
 //! | [`quorum`] | `mg-quorum` | collaborative detection: accusation gossip, k-of-n conviction |
@@ -110,10 +110,10 @@ pub mod prelude {
     pub use mg_dcf::{BackoffPolicy, Dest, Frame, FrameKind, MacSdu, MacTiming};
     pub use mg_detect::{
         render_report, template_from_meta, AnalyticModel, Assembly, AttackerHandle,
-        DetectorSession, Diagnosis, DiagnosisDelta, FaultPlan, Judge, JournalError,
-        JournalFormat, JournalReader, JournalWriter, Monitor, MonitorConfig, MonitorHandle,
-        MonitorPool, Monitors, NodeCounts, Obs, ObsFaults, ObsJournal, ObsMeta, ObsRecorder,
-        ObsSink, ScenarioBuilder, SessionSpec, Violation, WorldMonitors, WorldProbe,
+        DetectorSession, Diagnosis, DiagnosisDelta, FaultPlan, JournalError, JournalFormat,
+        JournalReader, JournalWriter, Monitor, MonitorConfig, MonitorHandle, MonitorPool, Monitors,
+        NodeCounts, Obs, ObsFaults, ObsJournal, ObsMeta, ObsRecorder, ObsSink, ScenarioBuilder,
+        SessionSpec, Violation, WorldMonitors, WorldProbe,
     };
     pub use mg_geom::{PreclusionRule, RegionModel, Vec2};
     pub use mg_net::{
@@ -128,7 +128,5 @@ pub mod prelude {
     pub use mg_serve::{Daemon, Policy, ServeConfig, ServeStats, StreamReport};
     pub use mg_sim::{SimDuration, SimTime};
     pub use mg_stats::wilcoxon::{rank_sum_test, Alternative};
-    pub use mg_trace::{
-        Counter, Level, Metrics, MetricsSnapshot, Span, Subsystem, TraceConfig, Tracer,
-    };
+    pub use mg_trace::{Counter, Level, Metrics, MetricsSnapshot, Subsystem, TraceConfig, Tracer};
 }

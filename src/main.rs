@@ -322,11 +322,7 @@ fn run_and_report<P: NetObserver>(
     }
 
     let t0 = std::time::Instant::now();
-    {
-        let handle = world.metrics().clone();
-        let _span = Span::enter(&handle, "detect.run");
-        world.run_until(SimTime::from_secs(o.secs));
-    }
+    world.run_until(SimTime::from_secs(o.secs));
     let wall = t0.elapsed();
 
     println!(
@@ -365,9 +361,6 @@ fn emit_trace_metrics<P: NetObserver>(world: &World<Assembly<P>>, o: &DetectOpts
     }
     if o.metrics {
         println!("metrics  : {}", world.metrics().snapshot().to_json().render());
-        for (name, ns) in world.metrics().spans() {
-            println!("span     : {name} = {:.2?}", std::time::Duration::from_nanos(ns));
-        }
     }
 }
 
@@ -485,11 +478,7 @@ fn quorum_detect(o: &DetectOpts, k: usize) {
     }
 
     let t0 = std::time::Instant::now();
-    {
-        let handle = world.metrics().clone();
-        let _span = Span::enter(&handle, "detect.run");
-        world.run_until(SimTime::from_secs(o.secs));
-    }
+    world.run_until(SimTime::from_secs(o.secs));
     println!(
         "run      : {}s virtual in {:.2?} ({} events)",
         o.secs,

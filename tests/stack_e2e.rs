@@ -3,6 +3,7 @@
 
 use manet_guard::detect::JointTracker;
 use manet_guard::prelude::*;
+use manet_guard::stats::signed_rank::signed_rank_test;
 
 /// Measures the channel intensity a traffic mix produces at the central
 /// pair, plus the empirical conditionals.
@@ -201,7 +202,10 @@ fn detection_survives_shadowing() {
 
 #[test]
 fn signed_rank_judge_works_end_to_end() {
-    let run = |judge: Judge, pm: u8| {
+    // The paired signed-rank test (an extension; the pool judges with the
+    // paper's rank-sum) over the batches the pool judged: the static
+    // member's samples, 25 at a time, at α = 0.01.
+    let run = |pm: u8| {
         let scenario = Scenario::new(ScenarioConfig {
             sim_secs: 40,
             rate_pps: 2.0,
@@ -210,7 +214,6 @@ fn signed_rank_judge_works_end_to_end() {
         let (s, r) = scenario.tagged_pair();
         let mut mc = MonitorConfig::grid_paper(s, r, 240.0);
         mc.sample_size = 25;
-        mc.judge = judge;
         mc.blatant_check = false;
         let mut b = ScenarioBuilder::new(scenario);
         let attacker = b.attacker(s);
@@ -221,15 +224,29 @@ fn signed_rank_judge_works_end_to_end() {
             world.set_policy(attacker.id(), BackoffPolicy::Scaled { pm });
         }
         world.run_until(SimTime::from_secs(40));
-        world.monitors().diagnosis(watch)
+        let pool = world.monitors().pool(watch);
+        let member = pool.monitor(r).expect("the static member");
+        let batches = member.samples().chunks_exact(25);
+        let tests_run = batches.len();
+        let rejections = batches
+            .filter(|batch| {
+                let (xs, ys): (Vec<f64>, Vec<f64>) = batch.iter().copied().unzip();
+                signed_rank_test(&ys, &xs, Alternative::Less).p_value < 0.01
+            })
+            .count();
+        Diagnosis {
+            tests_run,
+            rejections,
+            ..Diagnosis::default()
+        }
     };
     // The paired test is sharper under H1 but — unlike the paper's unpaired
     // rank-sum — sensitive to the estimator's asymmetric noise under H0 (it
     // tests symmetry of the differences, which estimation bias breaks).
-    // That fragility is exactly why the rank-sum stays the default; here we
-    // assert the qualitative contract: clearly separates H1 from H0.
-    let h0 = run(Judge::SignedRank, 0);
-    let h1 = run(Judge::SignedRank, 70);
+    // That fragility is exactly why the detector judges with the rank-sum;
+    // here we assert the qualitative contract: clearly separates H1 from H0.
+    let h0 = run(0);
+    let h1 = run(70);
     assert!(h1.rejections > 0, "{h1:?}");
     assert!(
         h1.rejection_rate() > 3.0 * h0.rejection_rate().max(0.01),

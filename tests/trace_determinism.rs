@@ -1,8 +1,8 @@
 //! The trace acceptance gate: two equal-seed runs of an instrumented
 //! detection scenario must produce byte-identical JSONL journals.
 //!
-//! Every journal timestamp is virtual time; wall-clock is confined to
-//! metrics spans. Any nondeterminism anywhere in the stack (hash-map
+//! Every journal timestamp is virtual time; wall-clock never enters the
+//! journal. Any nondeterminism anywhere in the stack (hash-map
 //! iteration bleeding into event order, RNG stream misuse, wall-clock
 //! leakage) shows up here as a diff.
 
