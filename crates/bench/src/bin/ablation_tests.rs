@@ -7,7 +7,7 @@
 //! Replay-backed: each `(PM, seed)` world is simulated **once**, its
 //! observation stream recorded to an in-memory [`mg_detect::ObsJournal`],
 //! and the raw (dictated, estimated) samples are read from the static
-//! vantage's sample log after replaying the journal into a detector
+//! vantage's sample deltas while the journal replays into a detector
 //! session.
 //!
 //! ```text
@@ -16,7 +16,7 @@
 
 use mg_bench::table::{p3, Table};
 use mg_bench::{record_detection_world, sweep_or_exit, BenchConfig, Load};
-use mg_detect::{MonitorConfig, ObsJournal, SessionSpec};
+use mg_detect::{DiagnosisDelta, MonitorConfig, ObsJournal, SessionSpec};
 use mg_net::ScenarioConfig;
 use mg_stats::signed_rank::signed_rank_test;
 use mg_stats::ttest::welch_t_test;
@@ -38,13 +38,16 @@ fn collect(journal: &ObsJournal) -> Vec<(f64, f64)> {
     let (s, r) = (meta.tagged, meta.vantages[0]);
     let mc = MonitorConfig::grid_paper(s, r, 240.0);
     let mut session = SessionSpec::pool(s, &meta.vantages, mc).build();
-    journal.replay(&mut session);
-    session
-        .pool()
-        .monitor(r)
-        .expect("static vantage is always a member")
-        .samples()
-        .to_vec()
+    let mut samples = Vec::new();
+    for o in journal.events() {
+        samples.extend(session.ingest(o).filter_map(|d| match d {
+            DiagnosisDelta::SampleAccepted { vantage, dictated, estimated, .. } if vantage == r => {
+                Some((dictated, estimated))
+            }
+            _ => None,
+        }));
+    }
+    samples
 }
 
 /// Rejection rates of all three tests over tumbling batches of `ss` samples.

@@ -185,14 +185,6 @@ pub struct MonitorConfig {
     /// subtracts `(EIFS − DIFS) × eifs_weight` slots from the estimate
     /// (the weight discounts collisions the tagged node did not perceive).
     pub eifs_weight: f64,
-    /// Consecutive anomalous observations required before the deterministic
-    /// checks convict. At the default of 1 every anomaly flags immediately
-    /// (the paper's behavior on a clean channel). Under injected observation
-    /// faults a single bit-flipped RTS can *look* like sequence reuse, so
-    /// fault-aware runs raise this to 2: an isolated anomaly is recorded as
-    /// *uncertain* (its sample withheld, the statistical path untouched) and
-    /// only a repeated one convicts — see [`Diagnosis::uncertain`].
-    pub confirm_anomalies: usize,
 }
 
 impl MonitorConfig {
@@ -212,7 +204,6 @@ impl MonitorConfig {
             timing: MacTiming::paper_default(),
             blatant_check: true,
             eifs_weight: 0.5,
-            confirm_anomalies: 1,
         }
     }
 
@@ -254,10 +245,11 @@ pub struct Diagnosis {
     pub last_p: Option<f64>,
     /// The monitor's measured traffic intensity ρ (busy fraction).
     pub measured_rho: f64,
-    /// Anomalous observations held back below the confirmation threshold
-    /// ([`MonitorConfig::confirm_anomalies`]): the deterministic checks
-    /// fired but the observation could not be trusted, so no conviction was
-    /// recorded and no sample was taken from it.
+    /// Anomalous observations held back below the confirmation threshold:
+    /// the deterministic checks fired but the observation could not be
+    /// trusted, so no conviction was recorded and no sample was taken from
+    /// it. Only a monitor that perceives the world through an observation
+    /// fault injector has a threshold above one (see [`Monitor`]).
     pub uncertain: usize,
 }
 
@@ -291,6 +283,18 @@ struct RtsRecord {
 /// [`MonitorPool`](crate::MonitorPool), which feeds them through
 /// [`ObsSink::ingest`] and judges their samples; reach one through
 /// [`MonitorPool::monitor`](crate::MonitorPool::monitor).
+///
+/// A monitor keeps counts, not logs: its samples, violations and
+/// uncertain observations are journaled as they happen (trace records and
+/// [`DiagnosisDelta`]s) and only counted here, so its state does not grow
+/// with observed time.
+///
+/// Under injected observation faults a single bit-flipped RTS can *look*
+/// like sequence reuse, so a monitor holding a fault injector convicts only
+/// on two consecutive anomalous observations: an isolated anomaly is
+/// recorded as *uncertain* (its sample withheld, the statistical path
+/// untouched). Without an injector every anomaly convicts at once, the
+/// paper's behavior on a clean channel.
 pub struct Monitor {
     cfg: MonitorConfig,
     prs: VerifiableSequence,
@@ -322,9 +326,7 @@ pub struct Monitor {
     /// Collected (dictated, estimated) back-off pairs the pool has not
     /// drained yet.
     pending: Vec<(f64, f64)>,
-    /// All samples ever collected (kept for offline analysis / benches).
-    all_samples: Vec<(f64, f64)>,
-    violations: Vec<Violation>,
+    violations: usize,
     /// The current tagged RTS's anomalies, before the confirmation gate
     /// rules on them (empty between RTSs; kept for its storage).
     anomalies: Vec<Violation>,
@@ -369,8 +371,7 @@ impl Monitor {
             data_unverified: 0,
             unverified_flagged: false,
             pending: Vec::new(),
-            all_samples: Vec::new(),
-            violations: Vec::new(),
+            violations: 0,
             anomalies: Vec::new(),
             discarded: 0,
             faults: None,
@@ -412,15 +413,10 @@ impl Monitor {
     /// what *this monitor perceives* — dropped frames never reach its
     /// estimators, corrupted tagged RTSs arrive with commitment bits flipped
     /// — while the simulated world runs unchanged. `None` observes
-    /// faithfully.
+    /// faithfully. An injector also raises the confirmation threshold to
+    /// two (see [`Monitor`]).
     pub(crate) fn install_faults(&mut self, faults: Option<ObsFaults>) {
         self.faults = faults;
-    }
-
-    /// Raises [`MonitorConfig::confirm_anomalies`] to at least `confirm`
-    /// (never lowers it).
-    pub(crate) fn raise_confirmation(&mut self, confirm: usize) {
-        self.cfg.confirm_anomalies = self.cfg.confirm_anomalies.max(confirm);
     }
 
     /// Switches the monitor onto the incremental path: every state change is
@@ -444,13 +440,8 @@ impl Monitor {
     }
 
     /// Deterministic violations recorded so far.
-    pub fn violations(&self) -> &[Violation] {
-        &self.violations
-    }
-
-    /// All `(dictated, estimated)` samples collected so far.
-    pub fn samples(&self) -> &[(f64, f64)] {
-        &self.all_samples
+    pub fn violations(&self) -> usize {
+        self.violations
     }
 
     /// Estimated windows discarded as queue-idle contaminated.
@@ -525,7 +516,7 @@ impl Monitor {
 
     // ------------------------------------------------------------------
 
-    /// Records a violation: journal, count, store.
+    /// Records a violation: journal and count.
     fn flag(&mut self, v: Violation) {
         self.tracer.emit(
             v.at().as_nanos(),
@@ -537,7 +528,7 @@ impl Monitor {
             vantage: self.cfg.vantage,
             violation: v,
         });
-        self.violations.push(v);
+        self.violations += 1;
     }
 
     /// Records an anomaly held below the confirmation threshold: journaled
@@ -711,15 +702,16 @@ impl Monitor {
 
         // Commit step — the confirmation gate. A clean observation resets
         // the streak; an anomalous one extends it and convicts only once
-        // the streak reaches `confirm_anomalies` (1 by default, so every
-        // anomaly convicts immediately and the order of journal events is
-        // exactly the pre-gate order).
+        // the streak reaches the threshold: two under a fault injector, one
+        // otherwise (so every anomaly convicts immediately and the order of
+        // journal events is exactly the pre-gate order).
         let trusted = if anomalies.is_empty() {
             self.anomaly_streak = 0;
             true
         } else {
             self.anomaly_streak += 1;
-            self.anomaly_streak >= self.cfg.confirm_anomalies
+            let confirm = if self.faults.is_some() { 2 } else { 1 };
+            self.anomaly_streak >= confirm
         };
         if trusted {
             // Leaving the uncertain regime: a clean observation resolved the
@@ -748,7 +740,6 @@ impl Monitor {
                     at: end,
                 });
                 self.pending.push((x, y));
-                self.all_samples.push((x, y));
             }
         } else {
             // Below the threshold: journal the anomalies as uncertain,
@@ -923,8 +914,7 @@ impl std::fmt::Debug for Monitor {
         f.debug_struct("Monitor")
             .field("tagged", &self.cfg.tagged)
             .field("vantage", &self.cfg.vantage)
-            .field("samples", &self.all_samples.len())
-            .field("violations", &self.violations.len())
+            .field("violations", &self.violations)
             .finish()
     }
 }
@@ -985,7 +975,9 @@ pub(crate) mod tests {
         decoded(rts_frame(seq, attempt, pkt), start, end)
     }
 
+    /// `m` fed `stream`, its deltas kept in its own buffer.
     pub(crate) fn feed(mut m: Monitor, stream: &[Obs]) -> Monitor {
+        m.enable_deltas();
         for o in stream {
             m.ingest(o);
         }
@@ -996,14 +988,49 @@ pub(crate) mod tests {
         feed(Monitor::new(cfg), stream)
     }
 
-    /// A one-member pool at `R` fed `stream`: the shape every detector
-    /// session and `ScenarioBuilder::monitor` build.
-    fn pool_on(cfg: MonitorConfig, stream: &[Obs]) -> MonitorPool {
-        let mut pool = MonitorPool::new(S, &[R], cfg);
+    /// The violations `m` flagged, in order, read from its deltas.
+    pub(crate) fn flagged(m: &Monitor) -> Vec<Violation> {
+        m.deltas
+            .iter()
+            .filter_map(|d| match *d {
+                DiagnosisDelta::ViolationFlagged { violation, .. } => Some(violation),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The `(dictated, estimated)` samples `deltas` accepted, in order.
+    pub(crate) fn accepted(deltas: &[DiagnosisDelta]) -> Vec<(f64, f64)> {
+        deltas
+            .iter()
+            .filter_map(|d| match *d {
+                DiagnosisDelta::SampleAccepted { dictated, estimated, .. } => {
+                    Some((dictated, estimated))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// `pool` fed `stream`, and the deltas it emitted.
+    pub(crate) fn run_deltas(
+        mut pool: MonitorPool,
+        stream: &[Obs],
+    ) -> (MonitorPool, Vec<DiagnosisDelta>) {
+        pool.enable_deltas();
         for o in stream {
             pool.ingest(o);
         }
-        pool
+        let mut deltas = Vec::new();
+        pool.take_deltas_into(&mut deltas);
+        (pool, deltas)
+    }
+
+    /// A one-member pool at `R` fed `stream`, and the deltas it emitted:
+    /// the shape every detector session and `ScenarioBuilder::monitor`
+    /// build.
+    fn pool_on(cfg: MonitorConfig, stream: &[Obs]) -> (MonitorPool, Vec<DiagnosisDelta>) {
+        run_deltas(MonitorPool::new(S, &[R], cfg), stream)
     }
 
     /// A synthetic fully-observable timeline: S is saturated, the channel
@@ -1048,17 +1075,17 @@ pub(crate) mod tests {
 
     #[test]
     fn compliant_node_yields_matching_samples() {
-        let pool = pool_on(cfg(), &synthetic_stream(1.0, 25));
-        let m = pool.monitor(R).expect("member");
-        assert!(m.samples().len() >= 20, "got {} samples", m.samples().len());
-        for &(x, y) in m.samples() {
+        let (pool, deltas) = pool_on(cfg(), &synthetic_stream(1.0, 25));
+        let samples = accepted(&deltas);
+        assert!(samples.len() >= 20, "got {} samples", samples.len());
+        for &(x, y) in &samples {
             assert!(
                 (x - y).abs() < 1.0,
                 "fully observable compliant window: x={x} y={y}"
             );
         }
-        assert!(m.violations().is_empty(), "{:?}", m.violations());
         let d = pool.diagnosis();
+        assert_eq!(d.violations, 0, "{d:?}");
         assert_eq!(d.rejections, 0, "{d:?}");
         assert!(d.tests_run >= 1);
     }
@@ -1070,7 +1097,7 @@ pub(crate) mod tests {
         // shrinking; PM = 50 at n = 10 is genuinely borderline (Fig. 5).
         let mut c = cfg();
         c.blatant_check = false; // isolate the statistical path
-        let d = pool_on(c, &synthetic_stream(0.3, 25)).diagnosis();
+        let d = pool_on(c, &synthetic_stream(0.3, 25)).0.diagnosis();
         assert!(d.tests_run >= 2);
         assert!(d.rejections >= 1, "{d:?}");
     }
@@ -1079,7 +1106,7 @@ pub(crate) mod tests {
     fn halved_backoff_trips_the_blatant_check() {
         let m = monitor_on(cfg(), &synthetic_stream(0.5, 25));
         assert!(
-            m.violations()
+            flagged(&m)
                 .iter()
                 .any(|v| matches!(v, Violation::BlatantCountdown { .. })),
             "{m:?}"
@@ -1089,7 +1116,7 @@ pub(crate) mod tests {
     #[test]
     fn compliant_node_never_trips_blatant_check() {
         let m = monitor_on(cfg(), &synthetic_stream(1.0, 50));
-        assert!(m.violations().is_empty());
+        assert_eq!(m.violations(), 0);
     }
 
     #[test]
@@ -1102,8 +1129,7 @@ pub(crate) mod tests {
                 rts_at(5, 1, 1, SimTime::from_micros(20_000)),
             ],
         );
-        assert!(m
-            .violations()
+        assert!(flagged(&m)
             .iter()
             .any(|v| matches!(v, Violation::SequenceReuse { .. })));
     }
@@ -1114,13 +1140,12 @@ pub(crate) mod tests {
         let s2 = SimTime::from_micros(20_000);
         // Retransmission of packet 7 (same MD) still announcing attempt 1.
         let m = monitor_on(cfg(), &[rts_at(0, 1, 7, s1), rts_at(1, 1, 7, s2)]);
-        assert!(m
-            .violations()
+        assert!(flagged(&m)
             .iter()
             .any(|v| matches!(v, Violation::AttemptMismatch { .. })));
         // An honest retry (attempt 2) is fine.
         let m2 = monitor_on(cfg(), &[rts_at(0, 1, 7, s1), rts_at(1, 2, 7, s2)]);
-        assert!(m2.violations().is_empty());
+        assert_eq!(m2.violations(), 0);
     }
 
     #[test]
@@ -1133,7 +1158,7 @@ pub(crate) mod tests {
                 rts_at(8193, 1, 1, SimTime::from_micros(20_000)),
             ],
         );
-        assert!(m.violations().is_empty(), "{:?}", m.violations());
+        assert!(flagged(&m).is_empty(), "{:?}", flagged(&m));
     }
 
     #[test]
@@ -1143,7 +1168,7 @@ pub(crate) mod tests {
         let drained: Vec<(f64, f64)> = m.drain_samples().collect();
         assert!(drained.len() >= 25);
         assert_eq!(m.drain_samples().len(), 0);
-        assert_eq!(m.samples(), &drained[..], "the sample log keeps everything");
+        assert_eq!(accepted(&m.deltas), drained, "every drained sample was journaled");
     }
 
     #[test]
@@ -1151,18 +1176,19 @@ pub(crate) mod tests {
         // 30 windows at sample size 25: one test over the first batch, the
         // remainder waits for the next.
         let c = MonitorConfig { sample_size: 25, ..cfg() };
-        let pool = pool_on(c, &synthetic_stream(0.3, 30));
-        assert_eq!(pool.tests().len(), 1);
-        assert!(pool.tests()[0].p_value < 0.05);
-        let collected = pool.monitor(R).expect("member").samples().len();
+        let (pool, deltas) = pool_on(c, &synthetic_stream(0.3, 30));
+        let d = pool.diagnosis();
+        assert_eq!(d.tests_run, 1);
+        assert!(d.last_p.expect("one test") < 0.05, "{d:?}");
+        let collected = accepted(&deltas).len();
         assert!((26..50).contains(&collected), "{collected}");
-        assert_eq!(pool.diagnosis().samples_collected, collected);
+        assert_eq!(d.samples_collected, collected);
     }
 }
 
 #[cfg(test)]
 mod evasion_tests {
-    use super::tests::{data_frame, decoded, monitor_on, rts_at, R, S};
+    use super::tests::{accepted, data_frame, decoded, flagged, monitor_on, rts_at, R, S};
     use super::*;
     use mg_sim::SimDuration;
 
@@ -1191,16 +1217,15 @@ mod evasion_tests {
     #[test]
     fn unannounced_data_stream_is_flagged() {
         let m = monitor_on(MonitorConfig::grid_paper(S, R, 240.0), &unannounced(12));
+        let violations = flagged(&m);
         assert!(
-            m.violations()
+            violations
                 .iter()
                 .any(|v| matches!(v, Violation::UnverifiedData { .. })),
-            "{:?}",
-            m.violations()
+            "{violations:?}"
         );
         // The violation fires once, not per frame.
-        let count = m
-            .violations()
+        let count = violations
             .iter()
             .filter(|v| matches!(v, Violation::UnverifiedData { .. }))
             .count();
@@ -1213,12 +1238,12 @@ mod evasion_tests {
             .flat_map(|i| exchange(i, SimTime::from_millis(10 * (i + 1)), true))
             .collect();
         let m = monitor_on(MonitorConfig::grid_paper(S, R, 240.0), &stream);
+        let violations = flagged(&m);
         assert!(
-            !m.violations()
+            !violations
                 .iter()
                 .any(|v| matches!(v, Violation::UnverifiedData { .. })),
-            "{:?}",
-            m.violations()
+            "{violations:?}"
         );
     }
 
@@ -1229,12 +1254,12 @@ mod evasion_tests {
             .flat_map(|i| exchange(i, SimTime::from_millis(10 * (i + 1)), i % 4 != 0))
             .collect();
         let m = monitor_on(MonitorConfig::grid_paper(S, R, 240.0), &stream);
+        let violations = flagged(&m);
         assert!(
-            !m.violations()
+            !violations
                 .iter()
                 .any(|v| matches!(v, Violation::UnverifiedData { .. })),
-            "25% loss must be tolerated: {:?}",
-            m.violations()
+            "25% loss must be tolerated: {violations:?}"
         );
     }
 
@@ -1250,9 +1275,9 @@ mod evasion_tests {
                 rts_at(3, 1, 1, SimTime::from_secs(10)),
             ],
         );
-        assert!(m.violations().is_empty(), "{:?}", m.violations());
+        assert!(flagged(&m).is_empty(), "{:?}", flagged(&m));
         // And the stale window yielded no sample.
-        assert!(m.samples().is_empty(), "{:?}", m.samples());
+        assert!(accepted(&m.deltas).is_empty(), "{:?}", accepted(&m.deltas));
     }
 
     #[test]
@@ -1267,26 +1292,29 @@ mod evasion_tests {
         );
         // Wire 100 → wire 50 in 200 ms: the only compliant explanation would
         // be a full 13-bit wrap (8142 draws), which 200 ms cannot hold.
+        let violations = flagged(&m);
         assert!(
-            m.violations()
+            violations
                 .iter()
                 .any(|v| matches!(v, Violation::ImplausibleAdvance { .. })),
-            "{:?}",
-            m.violations()
+            "{violations:?}"
         );
     }
 }
 
 #[cfg(test)]
 mod fault_tests {
-    use super::tests::{feed, monitor_on, rts_at, R, S};
+    use super::tests::{accepted, feed, flagged, monitor_on, rts_at, R, S};
     use super::*;
     use mg_fault::FaultPlan;
 
-    fn hardened() -> MonitorConfig {
-        let mut c = MonitorConfig::grid_paper(S, R, 240.0);
-        c.confirm_anomalies = 2;
-        c
+    /// A monitor holding an injector that delivers every frame: hardened to
+    /// convict only on two consecutive anomalies, while `stream` reaches it
+    /// exactly as written.
+    fn hardened(stream: &[Obs]) -> Monitor {
+        let mut m = Monitor::new(MonitorConfig::grid_paper(S, R, 240.0));
+        m.install_faults(Some(ObsFaults::new(&FaultPlan::default(), R as u64)));
+        feed(m, stream)
     }
 
     /// `n` compliant tagged RTSs, 20 ms apart.
@@ -1297,8 +1325,8 @@ mod fault_tests {
     }
 
     /// A monitor seeing `stream` through `plan`'s injector for vantage `R`.
-    fn faulted(cfg: MonitorConfig, plan: &FaultPlan, stream: &[Obs]) -> Monitor {
-        let mut m = Monitor::new(cfg);
+    fn faulted(plan: &FaultPlan, stream: &[Obs]) -> Monitor {
+        let mut m = Monitor::new(MonitorConfig::grid_paper(S, R, 240.0));
         m.install_faults(plan.observer(R as u64));
         feed(m, stream)
     }
@@ -1312,21 +1340,18 @@ mod fault_tests {
         // One bit-flipped sequence offset in an otherwise clean stream: the
         // hardened monitor records uncertainty, convicts nobody, and keeps
         // checking against the last *verified* offset.
-        let m = monitor_on(
-            hardened(),
-            &[
-                rts_at(10, 1, 0, ms(100)),
-                // A corrupted observation: the wire offset appears to have
-                // gone backwards, which 20 ms cannot explain as a 13-bit
-                // wrap.
-                rts_at(5, 1, 1, ms(120)),
-                // The stream recovers; compared against the trusted offset
-                // 10, not against the corrupted 5.
-                rts_at(11, 1, 2, ms(140)),
-                rts_at(12, 1, 3, ms(160)),
-            ],
-        );
-        assert!(m.violations().is_empty(), "{:?}", m.violations());
+        let m = hardened(&[
+            rts_at(10, 1, 0, ms(100)),
+            // A corrupted observation: the wire offset appears to have
+            // gone backwards, which 20 ms cannot explain as a 13-bit
+            // wrap.
+            rts_at(5, 1, 1, ms(120)),
+            // The stream recovers; compared against the trusted offset
+            // 10, not against the corrupted 5.
+            rts_at(11, 1, 2, ms(140)),
+            rts_at(12, 1, 3, ms(160)),
+        ]);
+        assert!(flagged(&m).is_empty(), "{:?}", flagged(&m));
         assert_eq!(m.uncertain(), 1, "{m:?}");
     }
 
@@ -1334,33 +1359,30 @@ mod fault_tests {
     fn repeated_anomalies_still_convict_under_confirmation() {
         // A genuine cheater repeats its violation; two consecutive
         // anomalous observations clear the confirmation gate.
-        let m = monitor_on(
-            hardened(),
-            &[
-                rts_at(5, 1, 0, ms(100)),
-                rts_at(5, 1, 1, ms(120)), // reuse, uncertain
-                rts_at(5, 1, 2, ms(140)), // reuse, convicted
-            ],
-        );
+        let m = hardened(&[
+            rts_at(5, 1, 0, ms(100)),
+            rts_at(5, 1, 1, ms(120)), // reuse, uncertain
+            rts_at(5, 1, 2, ms(140)), // reuse, convicted
+        ]);
+        let violations = flagged(&m);
         assert!(
-            m.violations()
+            violations
                 .iter()
                 .any(|v| matches!(v, Violation::SequenceReuse { .. })),
-            "{:?}",
-            m.violations()
+            "{violations:?}"
         );
         assert_eq!(m.uncertain(), 1);
     }
 
     #[test]
     fn default_config_convicts_on_first_anomaly() {
-        // confirm_anomalies = 1 (the default) preserves the paper's
+        // A monitor without a fault injector keeps the paper's
         // immediate-conviction behavior bit for bit.
         let m = monitor_on(
             MonitorConfig::grid_paper(S, R, 240.0),
             &[rts_at(5, 1, 0, ms(100)), rts_at(5, 1, 1, ms(120))],
         );
-        assert_eq!(m.violations().len(), 1);
+        assert_eq!(m.violations(), 1);
         assert_eq!(m.uncertain(), 0);
     }
 
@@ -1369,9 +1391,9 @@ mod fault_tests {
         // loss=1 eats every frame at the observation boundary: the monitor
         // collects nothing and, crucially, accuses nobody.
         let plan = FaultPlan::parse("seed=1,loss=1").unwrap();
-        let m = faulted(MonitorConfig::grid_paper(S, R, 240.0), &plan, &rts_run(20));
-        assert!(m.samples().is_empty());
-        assert!(m.violations().is_empty());
+        let m = faulted(&plan, &rts_run(20));
+        assert!(accepted(&m.deltas).is_empty());
+        assert_eq!(m.violations(), 0);
         assert_eq!(m.uncertain(), 0);
     }
 
@@ -1381,8 +1403,8 @@ mod fault_tests {
         // commitment bits may look anomalous, but the hardened monitor
         // must never turn an isolated glitch into a conviction.
         let plan = FaultPlan::parse("seed=3,corrupt=0.2").unwrap();
-        let m = faulted(hardened(), &plan, &rts_run(60));
-        assert!(m.violations().is_empty(), "{:?}", m.violations());
+        let m = faulted(&plan, &rts_run(60));
+        assert!(flagged(&m).is_empty(), "{:?}", flagged(&m));
         assert!(m.uncertain() > 0, "expected some uncertainty, got {m:?}");
     }
 
@@ -1390,8 +1412,8 @@ mod fault_tests {
     fn injector_fates_are_deterministic_per_vantage() {
         let plan = FaultPlan::parse("seed=9,heavy").unwrap();
         let run = || {
-            let m = faulted(hardened(), &plan, &rts_run(40));
-            (m.samples().to_vec(), m.uncertain())
+            let m = faulted(&plan, &rts_run(40));
+            (accepted(&m.deltas), m.uncertain())
         };
         assert_eq!(run(), run());
     }

@@ -12,7 +12,7 @@
 //! [`DetectorSession`](crate::DetectorSession) — is a pool, and
 //! `MonitorPool::harvest` is the one place a batch of samples is judged.
 
-use crate::monitor::{Diagnosis, Monitor, MonitorConfig, Violation};
+use crate::monitor::{Diagnosis, Monitor, MonitorConfig};
 use crate::session::DiagnosisDelta;
 use crate::NodeId;
 use mg_dcf::Frame;
@@ -21,7 +21,7 @@ use mg_net::NetObserver;
 use mg_obs::{Distances, Obs, ObsSink};
 use mg_phy::Medium;
 use mg_sim::SimTime;
-use mg_stats::wilcoxon::{Alternative, RankSumResult, RankSumScratch};
+use mg_stats::wilcoxon::{Alternative, RankSumScratch};
 use mg_trace::{Counter, EventKind, Metrics, Tracer};
 
 /// Significance level of the pool's rank-sum test.
@@ -48,8 +48,10 @@ pub struct MonitorPool {
     xs: Vec<f64>,
     ys: Vec<f64>,
     rank_sum: RankSumScratch,
-    tests: Vec<RankSumResult>,
+    tests_run: usize,
     rejections: usize,
+    /// p-value of the latest test.
+    last_p: Option<f64>,
     /// Last tagged-RTS end seen (virtual timestamp for shared-test records).
     last_seen: SimTime,
     /// Latest geometry snapshot ([`Obs::Ranging`]), applied at the next
@@ -110,8 +112,9 @@ impl MonitorPool {
             xs: Vec::new(),
             ys: Vec::new(),
             rank_sum: RankSumScratch::new(),
-            tests: Vec::new(),
+            tests_run: 0,
             rejections: 0,
+            last_p: None,
             last_seen: SimTime::ZERO,
             last_ranging: None,
             ranging_buf: Distances::new(),
@@ -137,14 +140,6 @@ impl MonitorPool {
         out.append(&mut self.deltas);
     }
 
-    /// Raises every member's deterministic-conviction threshold
-    /// ([`MonitorConfig::confirm_anomalies`]) to at least `confirm`.
-    pub(crate) fn raise_confirmation(&mut self, confirm: usize) {
-        for m in &mut self.monitors {
-            m.raise_confirmation(confirm);
-        }
-    }
-
     /// Journals every member's samples/violations and the pool's shared
     /// tests through `tracer`, counting into `metrics`. Both disabled by
     /// default.
@@ -164,16 +159,12 @@ impl MonitorPool {
     /// Arms every member monitor with its own deterministic observation
     /// fault injector derived from `plan` (keyed by the member's vantage id,
     /// so fates are identical across solo and fanned-out runs). When the
-    /// plan carries observation faults, each member is also hardened to
-    /// require two consecutive anomalous observations before a
-    /// deterministic conviction ([`MonitorConfig::confirm_anomalies`]).
+    /// plan carries observation faults, each member holds an injector and
+    /// so requires two consecutive anomalous observations before a
+    /// deterministic conviction (see [`Monitor`]).
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
-        let harden = plan.has_observation_faults();
         for (&v, m) in self.vantages.iter().zip(&mut self.monitors) {
             m.install_faults(plan.observer(v as u64));
-            if harden {
-                m.raise_confirmation(2);
-            }
         }
     }
 
@@ -194,8 +185,8 @@ impl MonitorPool {
     /// The member monitor stationed at `vantage`, if it is part of the pool.
     ///
     /// Gives access to per-member state the pooled aggregates fold away —
-    /// the background-traffic ARMA estimate, the full sample log, the
-    /// member's own deterministic violations.
+    /// the background-traffic ARMA estimate, the analytic model, the
+    /// member's own violation count.
     pub fn monitor(&self, vantage: NodeId) -> Option<&Monitor> {
         self.index_of(vantage).map(|i| &self.monitors[i])
     }
@@ -207,37 +198,18 @@ impl MonitorPool {
     /// and one witness is enough to convict.
     pub fn diagnosis(&self) -> Diagnosis {
         Diagnosis {
-            tests_run: self.tests.len(),
+            tests_run: self.tests_run,
             rejections: self.rejections,
-            violations: self
-                .monitors
-                .iter()
-                .map(|m| m.violations().len())
-                .max()
-                .unwrap_or(0),
-            samples_collected: self.samples.len() + self.tests.len() * self.sample_size,
+            violations: self.monitors.iter().map(Monitor::violations).max().unwrap_or(0),
+            samples_collected: self.samples.len() + self.tests_run * self.sample_size,
             samples_discarded: self.monitors.iter().map(Monitor::discarded).sum(),
-            last_p: self.tests.last().map(|t| t.p_value),
+            last_p: self.last_p,
             measured_rho: self
                 .active
                 .map(|i| self.monitors[i].overall_rho())
                 .unwrap_or(0.0),
             uncertain: self.monitors.iter().map(Monitor::uncertain).sum(),
         }
-    }
-
-    /// All deterministic violations seen by any pool member, grouped by
-    /// member in ascending vantage order.
-    pub fn violations(&self) -> Vec<Violation> {
-        self.monitors
-            .iter()
-            .flat_map(|m| m.violations().iter().copied())
-            .collect()
-    }
-
-    /// Hypothesis-test results so far.
-    pub fn tests(&self) -> &[RankSumResult] {
-        &self.tests
     }
 
     /// `(vantage, samples)` for every member that contributed samples to
@@ -286,15 +258,16 @@ impl MonitorPool {
         Obs::Ranging { from: self.tagged, to, at }
     }
 
-    /// Pulls fresh samples from the active monitor and judges every full
-    /// batch — the only place the detector runs a hypothesis test.
+    /// Drains every member, keeps the active member's fresh samples and
+    /// judges every full batch — the only place the detector runs a
+    /// hypothesis test.
     fn harvest(&mut self) {
-        let Some(active) = self.active else { return };
         for (i, m) in self.monitors.iter_mut().enumerate() {
             let fresh = m.drain_samples();
-            // Samples from inactive vantages are dropped here so they never
-            // leak into a later harvest.
-            if i == active {
+            // Samples from inactive vantages (every vantage, while none is
+            // in range) are dropped here so they never leak into a later
+            // harvest.
+            if Some(i) == self.active {
                 self.contributed[i] += fresh.len();
                 self.samples.extend(fresh);
             }
@@ -309,9 +282,9 @@ impl MonitorPool {
             }
             let r = self.rank_sum.test(ys, xs, Alternative::Less);
             let reject = r.p_value < ALPHA;
-            if reject {
-                self.rejections += 1;
-            }
+            self.tests_run += 1;
+            self.rejections += usize::from(reject);
+            self.last_p = Some(r.p_value);
             self.tracer.emit(
                 self.last_seen.as_nanos(),
                 Some(self.tagged),
@@ -325,7 +298,6 @@ impl MonitorPool {
                     at: self.last_seen,
                 });
             }
-            self.tests.push(r);
         }
     }
 }
@@ -411,7 +383,7 @@ impl std::fmt::Debug for MonitorPool {
             .field("tagged", &self.tagged)
             .field("members", &self.vantages)
             .field("active", &self.active_vantage())
-            .field("tests", &self.tests.len())
+            .field("tests", &self.tests_run)
             .finish()
     }
 }
@@ -419,7 +391,7 @@ impl std::fmt::Debug for MonitorPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::tests::rts_frame;
+    use crate::monitor::tests::{accepted, rts_frame, run_deltas};
     use mg_dcf::MacTiming;
     use mg_sim::SimDuration;
 
@@ -465,25 +437,38 @@ mod tests {
     fn moved_member_samples_as_if_built_at_its_new_distance() {
         let (d1, d2, moved_at) = (240.0, 120.0, 6);
         let run = |built_at: f64, distance: &dyn Fn(usize) -> f64| {
-            let mut pool = MonitorPool::new(0, &[1], template().with_pair_distance(built_at));
-            for o in &busy_window_stream(16, distance) {
-                pool.ingest(o);
-            }
-            pool
+            let pool = MonitorPool::new(0, &[1], template().with_pair_distance(built_at));
+            let (pool, deltas) = run_deltas(pool, &busy_window_stream(16, distance));
+            (pool, accepted(&deltas))
         };
-        let moved = run(d1, &|i| if i < moved_at { d1 } else { d2 });
-        let fixed = run(d2, &|_| d2);
-        let (a, b) = (moved.monitor(1).expect("member"), fixed.monitor(1).expect("member"));
-        assert_eq!(a.samples().len(), 15);
-        assert_eq!(b.samples().len(), 15);
-        assert_eq!(a.model(), b.model());
+        let (moved, a) = run(d1, &|i| if i < moved_at { d1 } else { d2 });
+        let (fixed, b) = run(d2, &|_| d2);
+        assert_eq!(a.len(), 15);
+        assert_eq!(b.len(), 15);
+        let model = |p: &MonitorPool| p.monitor(1).expect("member").model();
+        assert_eq!(model(&moved), model(&fixed));
         // The RTS that carries the first 120 m snapshot is sampled at the
         // pre-hand-off distance; every window after it is at 120 m.
         let bits = |s: &[(f64, f64)]| {
             s.iter().map(|&(x, y)| (x.to_bits(), y.to_bits())).collect::<Vec<_>>()
         };
-        assert_eq!(bits(&a.samples()[moved_at..]), bits(&b.samples()[moved_at..]));
-        assert_ne!(bits(&a.samples()[..moved_at]), bits(&b.samples()[..moved_at]));
+        assert_eq!(bits(&a[moved_at..]), bits(&b[moved_at..]));
+        assert_ne!(bits(&a[..moved_at]), bits(&b[..moved_at]));
+    }
+
+    /// Samples a member extracts while no member is in range are dropped at
+    /// that RTS's harvest: they never join the batch of a later election.
+    #[test]
+    fn samples_taken_while_no_member_is_active_never_join_a_later_batch() {
+        let elected_at = 8;
+        let stream = busy_window_stream(16, |i| if i < elected_at { 800.0 } else { 120.0 });
+        let (pool, deltas) = run_deltas(MonitorPool::new(0, &[1], template()), &stream);
+        // Windows 1..16 each yield a sample; only those from the electing
+        // RTS on reach the pool.
+        assert_eq!(accepted(&deltas).len(), 15);
+        assert_eq!(pool.contributions().collect::<Vec<_>>(), vec![(1, 16 - elected_at)]);
+        let d = pool.diagnosis();
+        assert_eq!((d.tests_run, d.samples_collected), (1, 16 - elected_at), "{d:?}");
     }
 
     #[test]
@@ -542,16 +527,15 @@ mod tests {
     fn diagnosis_starts_clean() {
         let pool = MonitorPool::new(0, &[1, 2], template());
         let d = pool.diagnosis();
-        assert_eq!(d.tests_run, 0);
+        assert_eq!(d, Diagnosis::default());
         assert!(!d.is_flagged());
-        assert!(pool.violations().is_empty());
     }
 
     #[test]
     fn members_report_in_ascending_vantage_order() {
         // Vantage 5 witnesses sequence reuse first; vantage 2 witnesses an
-        // attempt mismatch later. Views group by ascending vantage, not by
-        // emission order or construction order.
+        // attempt mismatch later. Members list in ascending vantage order
+        // whatever the construction order; the deltas keep emission order.
         let air = MacTiming::paper_default().rts_airtime();
         let rts = |at: NodeId, seq: u64, pkt: u64, ms: u64| {
             let start = SimTime::from_millis(ms);
@@ -564,22 +548,25 @@ mod tests {
             rts(2, 1, 7, 160),
         ];
         let run = |vantages: &[NodeId]| {
-            let mut pool = MonitorPool::new(0, vantages, template());
-            for o in &stream {
-                pool.ingest(o);
-            }
-            (pool.vantages().collect::<Vec<_>>(), pool.violations())
+            let (pool, deltas) = run_deltas(MonitorPool::new(0, vantages, template()), &stream);
+            let members: Vec<(NodeId, usize)> = pool
+                .vantages()
+                .map(|v| (v, pool.monitor(v).expect("member").violations()))
+                .collect();
+            let flagged: Vec<(NodeId, &str)> = deltas
+                .iter()
+                .filter_map(|d| match d {
+                    DiagnosisDelta::ViolationFlagged { vantage, violation } => {
+                        Some((*vantage, violation.kind_str()))
+                    }
+                    _ => None,
+                })
+                .collect();
+            (members, flagged)
         };
-        let (vantages, violations) = run(&[5, 2, 9]);
-        assert_eq!(vantages, vec![2, 5, 9]);
-        assert!(
-            matches!(
-                violations.as_slice(),
-                [Violation::AttemptMismatch { .. }, Violation::SequenceReuse { .. }]
-            ),
-            "{violations:?}"
-        );
-        assert_eq!(run(&[5, 2, 9]), (vantages.clone(), violations.clone()));
-        assert_eq!(run(&[9, 5, 2, 5]), (vantages, violations));
+        let (members, flagged) = run(&[5, 2, 9]);
+        assert_eq!(members, vec![(2, 1), (5, 1), (9, 0)]);
+        assert_eq!(flagged, vec![(5, "sequence_reuse"), (2, "attempt_mismatch")]);
+        assert_eq!(run(&[9, 5, 2, 5]), (members, flagged));
     }
 }

@@ -28,7 +28,7 @@
 //! assert!(d.is_flagged());
 //! ```
 
-use crate::monitor::{Diagnosis, MonitorConfig, Violation};
+use crate::monitor::{Diagnosis, MonitorConfig};
 use crate::pool::MonitorPool;
 use crate::NodeId;
 use mg_dcf::Frame;
@@ -195,15 +195,6 @@ impl Monitors {
     /// Panics if `handle` came from a different builder.
     pub fn diagnosis(&self, handle: MonitorHandle) -> Diagnosis {
         self.pool(handle).diagnosis()
-    }
-
-    /// Deterministic violations seen by the pool behind `handle`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `handle` came from a different builder.
-    pub fn violations(&self, handle: MonitorHandle) -> Vec<Violation> {
-        self.pool(handle).violations()
     }
 }
 
@@ -521,8 +512,8 @@ impl<P: NetObserver> ScenarioBuilder<P> {
     /// keyed by vantage id): frames lost, deafness windows, tagged-RTS
     /// commitment bits flipped. Plans with observation faults also harden
     /// every monitor to require two consecutive anomalous observations
-    /// before a deterministic conviction (see
-    /// [`MonitorConfig::confirm_anomalies`]). A no-op plan changes nothing.
+    /// before a deterministic conviction (see [`Monitor`](crate::Monitor)).
+    /// A no-op plan changes nothing.
     /// Replaces any previously set plan.
     pub fn fault(&mut self, plan: FaultPlan) {
         self.fault = Some(plan);

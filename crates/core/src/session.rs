@@ -6,17 +6,21 @@
 //! [`DiagnosisDelta`] events — sample accepted or discarded, a rank-sum test
 //! fired, a deterministic check convicted, uncertainty entered or left, the
 //! overall verdict changed — so a daemon multiplexing thousands of streams
-//! learns *what changed* after each event without re-diffing snapshots. The
-//! snapshot getters remain as *derived views* ([`DetectorSession::diagnosis`]
-//! and friends) and are byte-identical to a bare pool fed the same stream:
-//! delta emission is purely additive bookkeeping on the exact same detector
-//! internals, a property proven by the mg-core test suite
+//! learns *what changed* after each event without re-diffing snapshots.
+//!
+//! The deltas are the session's only history: the detector itself keeps
+//! counts, not logs, so a session's memory does not grow with the events it
+//! ingests. A caller that wants the samples, tests or violations keeps the
+//! deltas it reads. The one snapshot, [`DetectorSession::diagnosis`], is
+//! byte-identical to a bare pool fed the same stream: delta emission is
+//! purely additive bookkeeping on the exact same detector internals, a
+//! property proven by the mg-core test suite
 //! (`delta_ingest_equals_batch_ingest`).
 //!
 //! A session is fully specified at creation through [`SessionSpec`]: the
-//! monitor template, the vantage set, the fault plan and the confirmation
-//! threshold all travel in the spec — a monitor is never mutated after
-//! construction. Replaying a journal is the same constructor plus a feed:
+//! monitor template, the vantage set and the fault plan all travel in the
+//! spec — a monitor is never mutated after construction. Replaying a
+//! journal is the same constructor plus a feed:
 //!
 //! ```
 //! # use mg_detect::{ObsJournal, ObsMeta, SessionSpec};
@@ -196,7 +200,6 @@ pub struct SessionSpec {
     template: MonitorConfig,
     vantages: Vec<NodeId>,
     faults: FaultPlan,
-    confirm: usize,
 }
 
 impl SessionSpec {
@@ -208,7 +211,6 @@ impl SessionSpec {
             template: MonitorConfig { tagged, ..template },
             vantages: vantages.to_vec(),
             faults: FaultPlan::default(),
-            confirm: 0,
         }
     }
 
@@ -233,18 +235,11 @@ impl SessionSpec {
     }
 
     /// Installs a deterministic observation-fault plan. Each member derives
-    /// its injector from `(plan seed, vantage)` alone; plans carrying
-    /// observation faults also raise the confirmation threshold to 2,
-    /// mirroring [`MonitorPool::apply_fault_plan`].
+    /// its injector from `(plan seed, vantage)` alone, exactly as
+    /// [`MonitorPool::apply_fault_plan`] arms a live pool; a member holding
+    /// an injector convicts only on two consecutive anomalies.
     pub fn with_faults(mut self, plan: FaultPlan) -> SessionSpec {
         self.faults = plan;
-        self
-    }
-
-    /// Raises the deterministic-conviction threshold to at least `confirm`
-    /// consecutive anomalous observations.
-    pub fn with_confirmation(mut self, confirm: usize) -> SessionSpec {
-        self.confirm = self.confirm.max(confirm);
         self
     }
 
@@ -252,7 +247,6 @@ impl SessionSpec {
     pub fn build(self) -> DetectorSession {
         let mut pool = MonitorPool::new(self.template.tagged, &self.vantages, self.template);
         pool.apply_fault_plan(&self.faults);
-        pool.raise_confirmation(self.confirm);
         pool.enable_deltas();
         DetectorSession {
             pool,
@@ -265,9 +259,7 @@ impl SessionSpec {
 /// An incremental detection session: feed [`Obs`] events one at a time,
 /// receive the typed [`DiagnosisDelta`] stream each one produced.
 ///
-/// The snapshot getters survive as derived views
-/// ([`DetectorSession::diagnosis`], [`violations`](Self::violations),
-/// [`tests`](Self::tests)) and stay byte-identical to a bare
+/// [`DetectorSession::diagnosis`] stays byte-identical to a bare
 /// [`MonitorPool`] fed the same stream. As an [`ObsSink`] the session
 /// takes whole journals (`journal.replay`, `reader.replay_into`), dropping
 /// the deltas.
@@ -299,20 +291,10 @@ impl DetectorSession {
         self.out.drain(..)
     }
 
-    /// Derived view: the aggregate diagnosis (byte-identical to a bare pool
-    /// fed the same stream).
+    /// The aggregate diagnosis (byte-identical to a bare pool fed the same
+    /// stream).
     pub fn diagnosis(&self) -> Diagnosis {
         self.pool.diagnosis()
-    }
-
-    /// Derived view: every deterministic violation recorded so far.
-    pub fn violations(&self) -> Vec<Violation> {
-        self.pool.violations()
-    }
-
-    /// Derived view: the hypothesis-test history.
-    pub fn tests(&self) -> &[RankSumResult] {
-        self.pool.tests()
     }
 
     /// The current aggregate verdict, as last reported via
@@ -321,7 +303,7 @@ impl DetectorSession {
         self.flagged
     }
 
-    /// The underlying pool (per-member samples, active vantage, …).
+    /// The underlying pool (members, active vantage, contributions, …).
     pub fn pool(&self) -> &MonitorPool {
         &self.pool
     }
@@ -441,13 +423,10 @@ mod tests {
             .with_sample_size(25)
             .with_pair_distance(100.0)
             .with_faults(plan)
-            .with_confirmation(3)
             .build();
         let m = s.pool().monitor(1).expect("member");
         assert_eq!(m.config().sample_size, 25);
         assert_eq!(m.config().pair_distance, 100.0);
-        // Observation faults imply ≥2; the explicit 3 wins.
-        assert_eq!(m.config().confirm_anomalies, 3);
     }
 
     #[test]

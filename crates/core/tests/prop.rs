@@ -158,15 +158,15 @@ fn density_estimator_monotone() {
 mod replay {
     use mg_detect::{
         DetectorSession, DiagnosisDelta, FaultPlan, JournalFormat, JournalReader, MonitorConfig,
-        MonitorPool, ObsJournal, ObsMeta, ObsRecorder, ScenarioBuilder, SessionSpec,
-        WorldMonitors, WorldProbe,
+        MonitorPool, Obs, ObsJournal, ObsMeta, ObsRecorder, ObsSink, ScenarioBuilder,
+        SessionSpec, WorldMonitors, WorldProbe,
     };
     use mg_dcf::BackoffPolicy;
     use mg_net::{Scenario, ScenarioConfig, SourceCfg};
     use mg_sim::SimTime;
     use mg_testkit::prop::{check_with, Config, Gen, TkResult};
     use mg_testkit::{tk_assert, tk_assert_eq, TkError};
-    use mg_trace::{Level, Metrics, TraceConfig, Tracer};
+    use mg_trace::{Event, EventKind, Level, Metrics, Subsystem, TraceConfig, Tracer};
 
     /// A journal tracing only the detector subsystems: both the live and
     /// the replayed tracer then hold exactly the same event population, so
@@ -183,15 +183,59 @@ mod replay {
         }
     }
 
+    /// The monitor records a trace journals for `deltas`, emitted by a
+    /// pool watching `tagged`: every accepted sample, test, violation and
+    /// uncertain observation, in order.
+    fn as_trace(tagged: usize, deltas: &[DiagnosisDelta]) -> Vec<Event> {
+        deltas
+            .iter()
+            .filter_map(|d| {
+                let kind = match *d {
+                    DiagnosisDelta::SampleAccepted { dictated, estimated, .. } => {
+                        EventKind::MonitorSample { dictated, estimated }
+                    }
+                    DiagnosisDelta::TestFired { result, reject, .. } => {
+                        EventKind::MonitorTest { p: result.p_value, reject }
+                    }
+                    DiagnosisDelta::ViolationFlagged { violation, .. } => {
+                        EventKind::MonitorViolation { kind: violation.kind_str() }
+                    }
+                    DiagnosisDelta::ObservationUncertain { kind, .. } => {
+                        EventKind::MonitorUncertain { kind }
+                    }
+                    _ => return None,
+                };
+                Some(Event { t_ns: d.at().as_nanos(), node: Some(tagged), kind })
+            })
+            .collect()
+    }
+
+    /// The monitor records of `trace`, which must have dropped none.
+    fn monitor_records(trace: &Tracer) -> Result<Vec<Event>, TkError> {
+        tk_assert_eq!(trace.dropped(), 0);
+        Ok(trace
+            .events()
+            .into_iter()
+            .filter(|e| e.kind.subsystem() == Subsystem::Monitor)
+            .collect())
+    }
+
+    /// A session that keeps the deltas it emits, for feeding through
+    /// `journal.replay` and `reader.replay_into`.
+    struct Keep(DetectorSession, Vec<DiagnosisDelta>);
+
+    impl ObsSink for Keep {
+        fn ingest(&mut self, obs: &Obs) {
+            self.1.extend(self.0.ingest(obs));
+        }
+    }
+
     struct LiveRun {
         mc: MonitorConfig,
-        vantage: usize,
         journal: ObsJournal,
         diagnosis: mg_detect::Diagnosis,
-        samples: Option<Vec<(f64, f64)>>,
-        tests: usize,
-        violations: Vec<mg_detect::Violation>,
-        trace: String,
+        /// The live run's detector trace.
+        trace: Tracer,
     }
 
     /// Simulates one grid world with a live monitor and a recorder probe
@@ -229,16 +273,12 @@ mod replay {
         let journal = JournalReader::from_bytes(jsonl)
             .and_then(|r| r.read_journal())
             .map_err(|e| TkError::Fail(format!("jsonl round trip: {e}")))?;
-        let pool = world.monitors().pool(watch);
+        tk_assert_eq!(world.tracer().dropped(), 0);
         Ok(LiveRun {
             mc,
-            vantage: r,
             journal,
-            diagnosis: pool.diagnosis(),
-            samples: pool.monitor(r).map(|m| m.samples().to_vec()),
-            tests: pool.tests().len(),
-            violations: pool.violations(),
-            trace: world.tracer().to_jsonl(),
+            diagnosis: world.monitors().pool(watch).diagnosis(),
+            trace: world.tracer().clone(),
         })
     }
 
@@ -249,7 +289,7 @@ mod replay {
         journal: &ObsJournal,
         mc: MonitorConfig,
         plan: Option<&FaultPlan>,
-    ) -> (MonitorPool, String) {
+    ) -> (MonitorPool, Tracer) {
         let meta = journal.meta();
         let tracer = Tracer::new(detector_trace());
         let mut pool = MonitorPool::new(meta.tagged, &meta.vantages, mc);
@@ -258,7 +298,7 @@ mod replay {
             pool.apply_fault_plan(p);
         }
         journal.replay(&mut pool);
-        (pool, tracer.to_jsonl())
+        (pool, tracer)
     }
 
     /// The one detector constructor: a session over the journal's
@@ -269,23 +309,18 @@ mod replay {
             .build()
     }
 
-    fn assert_replay_matches(live: &LiveRun, replayed: &MonitorPool, trace: &str) -> TkResult {
+    /// The trace holds every paired sample, test and violation: equal
+    /// journals are equal histories.
+    fn assert_replay_matches(live: &LiveRun, replayed: &MonitorPool, trace: &Tracer) -> TkResult {
         tk_assert_eq!(live.diagnosis, replayed.diagnosis());
-        tk_assert_eq!(live.samples, replayed.monitor(live.vantage).map(|m| m.samples().to_vec()));
-        tk_assert_eq!(live.tests, replayed.tests().len());
-        tk_assert!(
-            live.violations == replayed.violations(),
-            "live {:?} vs replay {:?}",
-            live.violations,
-            replayed.violations()
-        );
-        tk_assert_eq!(live.trace, trace);
+        tk_assert_eq!(trace.dropped(), 0);
+        tk_assert_eq!(live.trace.to_jsonl(), trace.to_jsonl());
         Ok(())
     }
 
     /// Same seed ⇒ a pool replaying the recorded journal reproduces the
-    /// live pool byte-for-byte: `Diagnosis`, paired samples, test count,
-    /// violations and the monitor-subsystem trace journal.
+    /// live pool byte-for-byte: `Diagnosis` and the detector trace journal
+    /// (every paired sample, test and violation).
     #[test]
     fn replay_equals_live() {
         let cfg = Config {
@@ -312,9 +347,10 @@ mod replay {
 
     /// The journal format is invisible to diagnosis: streaming the same
     /// recorded run through the JSONL and binary codecs (fresh readers,
-    /// `replay_into` a session) lands on byte-identical detector state — the
-    /// non-negotiable invariant of the codec layer. Faulted replays agree
-    /// across formats too, and the binary encoding is strictly smaller.
+    /// `replay_into` a session) lands on byte-identical detector state and
+    /// history — the non-negotiable invariant of the codec layer. Faulted
+    /// replays agree across formats too, and the binary encoding is
+    /// strictly smaller.
     #[test]
     fn cross_format_replay_is_byte_identical() {
         let cfg = Config {
@@ -335,19 +371,19 @@ mod replay {
                 bin.len(),
                 jsonl.len()
             );
+            let live_records = monitor_records(&live.trace)?;
             for bytes in [jsonl, bin] {
                 let reader = JournalReader::from_bytes(bytes)
                     .map_err(|e| TkError::Fail(format!("open: {e}")))?;
-                let mut clean = session(reader.meta(), live.mc, &FaultPlan::default());
+                let mut clean = Keep(session(reader.meta(), live.mc, &FaultPlan::default()), vec![]);
                 reader
                     .replay_into(&mut clean)
                     .map_err(|e| TkError::Fail(format!("replay: {e}")))?;
-                tk_assert_eq!(live.diagnosis, clean.diagnosis());
-                tk_assert_eq!(
-                    live.samples,
-                    clean.pool().monitor(live.vantage).map(|m| m.samples().to_vec())
+                tk_assert_eq!(live.diagnosis, clean.0.diagnosis());
+                tk_assert!(
+                    as_trace(reader.meta().tagged, &clean.1) == live_records,
+                    "the replayed history differs from the live trace"
                 );
-                tk_assert_eq!(live.tests, clean.tests().len());
 
                 let plan = FaultPlan::parse("seed=11,light")
                     .map_err(|e| TkError::Fail(format!("plan: {e}")))?;
@@ -392,11 +428,12 @@ mod replay {
 
     /// The session-API contract: feeding a recorded journal one event at a
     /// time through `DetectorSession::ingest` lands on detector state
-    /// byte-identical to a bare pool fed the whole journal — same `Diagnosis`, same
-    /// paired samples, same rank-sum history, same violations — and the
-    /// emitted delta stream is a *complete* account: replaying the deltas
-    /// against empty counters reconstructs every field of the diagnosis.
-    /// Holds for clean and fault-injected sessions alike.
+    /// byte-identical to a bare pool fed the whole journal — same
+    /// `Diagnosis`, and deltas that name every paired sample, test and
+    /// violation the bare pool traced, in its order — and the emitted delta
+    /// stream is a *complete* account: replaying the deltas against empty
+    /// counters reconstructs every field of the diagnosis. Holds for clean
+    /// and fault-injected sessions alike.
     #[test]
     fn delta_ingest_equals_batch_ingest() {
         let cfg = Config {
@@ -419,7 +456,7 @@ mod replay {
             tk_assert!(!live.journal.is_empty(), "a saturated run must record");
             let meta = live.journal.meta();
 
-            let (batch, _) = traced_replay(&live.journal, live.mc, plan.as_ref());
+            let (batch, batch_trace) = traced_replay(&live.journal, live.mc, plan.as_ref());
 
             let mut spec = SessionSpec::pool(meta.tagged, &meta.vantages, live.mc);
             if let Some(p) = &plan {
@@ -431,20 +468,12 @@ mod replay {
                 deltas.extend(session.ingest(o));
             }
 
-            // Derived views are byte-identical to the batch path.
+            // The diagnosis and the history equal the batch path's.
             let diag = batch.diagnosis();
             tk_assert_eq!(diag, session.diagnosis());
-            tk_assert_eq!(batch.tests(), session.tests());
             tk_assert!(
-                batch.violations() == session.violations(),
-                "batch {:?} vs session {:?}",
-                batch.violations(),
-                session.violations()
-            );
-            let pool = session.pool();
-            tk_assert_eq!(
-                batch.monitor(live.vantage).map(|m| m.samples().to_vec()),
-                pool.monitor(live.vantage).map(|m| m.samples().to_vec())
+                as_trace(meta.tagged, &deltas) == monitor_records(&batch_trace)?,
+                "the session's deltas differ from the batch pool's trace"
             );
 
             // The delta stream is a complete account of the diagnosis.

@@ -3,18 +3,18 @@
 //! `Monitors`, the observer a `ScenarioBuilder` installs, calls a pool only
 //! for callbacks at one of its members and for decoded RTSs of its tagged
 //! node. Here the same pools also run inside a probe that forwards every
-//! callback to every pool; both worlds must end with equal diagnoses,
-//! tests, violations and trace journals.
+//! callback to every pool; both worlds must end with equal diagnoses and
+//! trace journals. The journal holds every pool's samples, tests and
+//! violations in emission order, so equal journals are equal histories.
 
 use mg_dcf::{BackoffPolicy, Frame};
 use mg_detect::{
-    Diagnosis, FaultPlan, MonitorConfig, MonitorPool, NodeCounts, ScenarioBuilder, Violation,
-    WorldMonitors, WorldProbe,
+    Diagnosis, FaultPlan, MonitorConfig, MonitorPool, NodeCounts, ScenarioBuilder, WorldMonitors,
+    WorldProbe,
 };
 use mg_net::{DstPolicy, NetObserver, Scenario, ScenarioConfig, SourceCfg, TrafficModel};
 use mg_phy::Medium;
 use mg_sim::{SimDuration, SimTime};
-use mg_stats::wilcoxon::RankSumResult;
 use mg_trace::{Level, Metrics, TraceConfig};
 
 type NodeId = usize;
@@ -90,8 +90,6 @@ struct Case {
 #[derive(Debug, PartialEq)]
 struct PoolEnd {
     diagnosis: Diagnosis,
-    tests: Vec<RankSumResult>,
-    violations: Vec<Violation>,
     /// `(vantage, samples)` of every member that contributed samples.
     contributors: Vec<(NodeId, usize)>,
 }
@@ -107,8 +105,6 @@ impl Outcome {
         let pools = pools
             .map(|p| PoolEnd {
                 diagnosis: p.diagnosis(),
-                tests: p.tests().to_vec(),
-                violations: p.violations(),
                 contributors: p.contributions().collect(),
             })
             .collect();

@@ -3,23 +3,32 @@
 //!
 //! The allocator counts only the calling thread's allocations, and this
 //! file holds nothing else, so tests running in parallel cannot pollute a
-//! count.
+//! count. A session allocates only on the thread that feeds it, so zero
+//! allocations over a stretch of ingest means its heap did not grow there.
 
 use mg_dcf::BackoffPolicy;
-use mg_detect::{ObsJournal, ObsMeta, ObsRecorder, ScenarioBuilder, SessionSpec, WorldProbe};
+use mg_detect::{
+    Diagnosis, Obs, ObsJournal, ObsMeta, ObsRecorder, ScenarioBuilder, SessionSpec, WorldProbe,
+};
 use mg_net::{Scenario, ScenarioConfig, SourceCfg};
-use mg_sim::SimTime;
+use mg_sim::{SimDuration, SimTime};
 use mg_testkit::alloc::{allocs, Counting};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Simulated seconds of each recorded journal.
+const SECS: u64 = 30;
+
+/// Events a long run ingests, at least.
+const LONG_RUN: usize = 1_000_000;
+
 /// A journal of the paper grid (seed 3, 0.6 pps) with a saturated tagged
 /// pair, recorded at the vantage as `serve_fanin` records its journals;
 /// the sender cheats at `pm` percent.
-fn paper_grid_journal(secs: u64, pm: u8) -> ObsJournal {
+fn paper_grid_journal(pm: u8) -> ObsJournal {
     let scenario = Scenario::new(ScenarioConfig {
-        sim_secs: secs,
+        sim_secs: SECS,
         rate_pps: 0.6,
         ..ScenarioConfig::grid_paper(3)
     });
@@ -40,40 +49,90 @@ fn paper_grid_journal(secs: u64, pm: u8) -> ObsJournal {
     if pm > 0 {
         world.set_policy(attacker.id(), BackoffPolicy::Scaled { pm });
     }
-    world.run_until(SimTime::from_secs(secs));
+    world.run_until(SimTime::from_secs(SECS));
     world.probe().journal().clone()
 }
 
-/// Once a session has ingested the first half of a 30 s journal, the
-/// second half — dozens of rank-sum tests at the journal's sample size of
-/// 50 — allocates only when a history vector (all samples, all tests, all
-/// violations) doubles: each batch is judged in buffers the pool keeps,
-/// and the rank-sum test sorts and ranks in a reused scratch. The count is
-/// 3 for the cheater and 2 for the compliant sender.
+/// Moves every timestamp of `events` `by` later, in place.
+fn shift(events: &mut [Obs], by: SimDuration) {
+    for o in events {
+        match o {
+            Obs::ChannelEdge { at, .. } | Obs::Ranging { at, .. } => *at += by,
+            Obs::TxStart { at, end, .. } => {
+                *at += by;
+                *end += by;
+            }
+            Obs::Decoded { start, end, .. } => {
+                *start += by;
+                *end += by;
+            }
+            Obs::Garbled { now, .. } => *now += by,
+        }
+    }
+}
+
+/// Feeds `events`, recorded under `meta`, lap after lap into one
+/// `SessionSpec::from_meta` session until it has ingested at least
+/// [`LONG_RUN`] events. Each lap starts 5 s after the previous one's
+/// recording ends, more than the monitor's 2 s resync gap, so a restart
+/// reads as a contact gap, not as sequence reuse.
+///
+/// Returns the allocations and the events from the third lap on, the tests
+/// run there, and the final diagnosis.
+fn long_run(meta: &ObsMeta, mut events: Vec<Obs>) -> (u64, usize, usize, Diagnosis) {
+    let laps = LONG_RUN.div_ceil(events.len());
+    assert!(laps >= 3, "{} events per lap", events.len());
+    let mut session = SessionSpec::from_meta(meta).build();
+    let (mut a0, mut tests0) = (0, 0);
+    for lap in 0..laps {
+        if lap == 2 {
+            (a0, tests0) = (allocs(), session.diagnosis().tests_run);
+        }
+        for o in &events {
+            session.ingest(o);
+        }
+        shift(&mut events, SimDuration::from_secs(SECS + 5));
+    }
+    let made = allocs() - a0;
+    let d = session.diagnosis();
+    (made, (laps - 2) * events.len(), d.tests_run - tests0, d)
+}
+
+/// Replayed for over a million events, a session allocates nothing from its
+/// third lap on: each batch is judged in buffers the pool keeps, the
+/// rank-sum test sorts and ranks in a reused scratch, and the detector
+/// keeps counts, not logs.
 #[test]
-fn session_ingest_allocates_only_for_history_growth() {
+fn session_ingest_allocates_nothing_in_steady_state() {
     for pm in [75, 0] {
-        let journal = paper_grid_journal(30, pm);
-        let (first, second) = journal.events().split_at(journal.len() / 2);
-        let mut session = SessionSpec::from_meta(journal.meta()).build();
-        for o in first {
-            session.ingest(o);
+        let journal = paper_grid_journal(pm);
+        let (made, events, tests, d) = long_run(journal.meta(), journal.events().to_vec());
+        assert!(tests >= 1_000, "pm {pm}: ran only {tests} tests: {d:?}");
+        if pm == 0 {
+            assert_eq!(d.violations, 0, "a lap restart is no sequence reuse: {d:?}");
         }
-        let tests = session.diagnosis().tests_run;
-        let a0 = allocs();
-        for o in second {
-            session.ingest(o);
-        }
-        let made = allocs() - a0;
-        let tests = session.diagnosis().tests_run - tests;
-        assert!(
-            tests >= 30,
-            "pm {pm}: the second half must run ≥ 30 tests, ran {tests}"
-        );
-        assert!(
-            made < 8,
-            "pm {pm}: {made} allocations over {} events and {tests} tests",
-            second.len()
+        assert_eq!(
+            made, 0,
+            "pm {pm}: {made} allocations over {events} events and {tests} tests"
         );
     }
+}
+
+/// A stream with no `Ranging` snapshot never elects a member, so it runs
+/// no test. Its member's samples are still dropped at every tagged RTS
+/// instead of piling up, so such a session allocates nothing after
+/// warm-up either.
+#[test]
+fn session_without_ranging_allocates_nothing_in_steady_state() {
+    let journal = paper_grid_journal(75);
+    let events: Vec<Obs> = journal
+        .events()
+        .iter()
+        .filter(|o| !matches!(o, Obs::Ranging { .. }))
+        .cloned()
+        .collect();
+    let (made, events, _, d) = long_run(journal.meta(), events);
+    assert!(d.violations > 0, "the member still runs its checks: {d:?}");
+    assert_eq!(d.tests_run, 0, "no snapshot elects no member: {d:?}");
+    assert_eq!(made, 0, "{made} allocations over {events} events");
 }

@@ -2,20 +2,22 @@
 //!
 //! The anchor property: a k = 1 quorum holding a single honest member is
 //! **byte-identical** to the live monitor `ScenarioBuilder::monitor`
-//! registers at the same vantage of the same world — diagnosis, sample
-//! population, rank-sum history and verdict — clean and under observation
-//! faults. Everything the quorum layer adds (gossip, tallies, Byzantine
-//! roles) composes on top of unmodified detectors.
+//! registers at the same vantage of the same world — diagnosis and
+//! verdict, and every sample, test and violation the live monitor traced —
+//! clean and under observation faults. Everything the quorum layer adds
+//! (gossip, tallies, Byzantine roles) composes on top of unmodified
+//! detectors.
 
 use mg_detect::{
-    template_from_meta, Assembly, FaultPlan, MonitorConfig, NodeId, ObsMeta, ObsRecorder,
-    ScenarioBuilder, WorldMonitors, WorldProbe,
+    template_from_meta, Assembly, DetectorSession, DiagnosisDelta, FaultPlan, MonitorConfig,
+    NodeId, ObsJournal, ObsMeta, ObsRecorder, ScenarioBuilder, SessionSpec, WorldMonitors,
+    WorldProbe,
 };
 use mg_dcf::BackoffPolicy;
 use mg_net::{Scenario, ScenarioConfig, SourceCfg, World};
 use mg_quorum::{members_from_journal, QuorumSpec};
 use mg_sim::{SimDuration, SimTime};
-use mg_trace::{Metrics, TraceConfig, Tracer};
+use mg_trace::{Event, EventKind, Level, Metrics, TraceConfig, Tracer};
 
 const SECS: u64 = 4;
 
@@ -24,7 +26,8 @@ const SECS: u64 = 4;
 /// *clean* stream: fault plans are applied by the replayed detectors,
 /// exactly as the core record/replay contract specifies. Alongside it, each
 /// vantage is watched live by a `ScenarioBuilder::monitor` (sample size 10)
-/// perceiving the world through `plan`, registered in vantage order.
+/// perceiving the world through `plan`, registered in vantage order; the
+/// world's trace holds the live monitors' records and nothing else.
 fn record(seed: u64, pm: u8, n: usize, plan: &FaultPlan) -> World<Assembly<ObsRecorder>> {
     let scenario = Scenario::new(ScenarioConfig {
         sim_secs: SECS,
@@ -53,6 +56,16 @@ fn record(seed: u64, pm: u8, n: usize, plan: &FaultPlan) -> World<Assembly<ObsRe
     }
     b.fault(plan.clone());
     b.source(SourceCfg::saturated(s, r));
+    b.trace(TraceConfig {
+        capacity: 1 << 16,
+        sched: Level::Off,
+        phy: Level::Off,
+        mac: Level::Off,
+        net: Level::Off,
+        monitor: Level::Info,
+        fault: Level::Off,
+        quorum: Level::Off,
+    });
     let meta = ObsMeta {
         tagged: s,
         vantages,
@@ -85,6 +98,70 @@ fn seed_with_liars(plan: &FaultPlan, members: &[(NodeId, f64)], want: usize) -> 
     panic!("no seed in 0..10000 realizes {want} liars");
 }
 
+/// The monitor records a trace journals for `deltas`, emitted by a
+/// detector watching `tagged`: every accepted sample, test, violation and
+/// uncertain observation, in order.
+fn as_trace(tagged: NodeId, deltas: &[DiagnosisDelta]) -> Vec<Event> {
+    deltas
+        .iter()
+        .filter_map(|d| {
+            let kind = match *d {
+                DiagnosisDelta::SampleAccepted { dictated, estimated, .. } => {
+                    EventKind::MonitorSample { dictated, estimated }
+                }
+                DiagnosisDelta::TestFired { result, reject, .. } => {
+                    EventKind::MonitorTest { p: result.p_value, reject }
+                }
+                DiagnosisDelta::ViolationFlagged { violation, .. } => {
+                    EventKind::MonitorViolation { kind: violation.kind_str() }
+                }
+                DiagnosisDelta::ObservationUncertain { kind, .. } => {
+                    EventKind::MonitorUncertain { kind }
+                }
+                _ => return None,
+            };
+            Some(Event { t_ns: d.at().as_nanos(), node: Some(tagged), kind })
+        })
+        .collect()
+}
+
+/// Replays `journal` into one session per member, each built exactly as
+/// `QuorumSpec::build` builds that member, feeding every event to the
+/// members in order — the order a live world calls monitors registered in
+/// vantage order. Returns the sessions and the monitor records their
+/// deltas stand for, interleaved as the live monitors' are.
+fn member_replay(
+    journal: &ObsJournal,
+    members: &[(NodeId, f64)],
+    template: MonitorConfig,
+    plan: &FaultPlan,
+) -> (Vec<DetectorSession>, Vec<Event>) {
+    let tagged = journal.meta().tagged;
+    let mut sessions: Vec<DetectorSession> = members
+        .iter()
+        .map(|&(v, d)| {
+            SessionSpec::pool(tagged, &[v], template)
+                .with_pair_distance(d)
+                .with_faults(plan.clone())
+                .build()
+        })
+        .collect();
+    let mut deltas = Vec::new();
+    for o in journal.events() {
+        for s in &mut sessions {
+            deltas.extend(s.ingest(o));
+        }
+    }
+    (sessions, as_trace(tagged, &deltas))
+}
+
+/// The live monitors' records: the trace of a world from `record`, which
+/// must have dropped none.
+fn live_records(world: &World<Assembly<ObsRecorder>>) -> Vec<Event> {
+    assert_eq!(world.tracer().dropped(), 0, "the ring must hold the trace");
+    world.tracer().events()
+}
+
 /// The clean journal of `record(seed, pm, n, no faults)`.
 fn journal(seed: u64, pm: u8, n: usize) -> mg_detect::ObsJournal {
     record(seed, pm, n, &FaultPlan::default()).probe().journal().clone()
@@ -114,13 +191,10 @@ fn k1_quorum_is_byte_identical_to_the_live_monitor() {
 
         let member = q.member_session(v).expect("member exists");
         assert_eq!(member.diagnosis(), live.diagnosis(), "pm={pm} plan={plan:?}");
-        assert_eq!(member.tests(), live.tests(), "pm={pm}");
-        assert_eq!(member.violations(), live.violations(), "pm={pm}");
-        assert_eq!(
-            member.pool().monitor(v).expect("member monitor").samples(),
-            live.monitor(v).expect("live monitor").samples(),
-            "pm={pm}"
-        );
+        let (solo, records) = member_replay(journal, &members, template, &plan);
+        assert_eq!(solo[0].diagnosis(), member.diagnosis(), "pm={pm}");
+        assert!(!records.is_empty(), "pm={pm}");
+        assert!(records == live_records(&world), "pm={pm}: histories diverge");
         assert_eq!(q.is_flagged(), live.diagnosis().is_flagged(), "pm={pm}");
     }
 }
@@ -146,13 +220,14 @@ fn every_member_of_a_wide_quorum_matches_its_live_monitor() {
 
         let live = world.monitors();
         assert_eq!(live.len(), members.len());
-        for (&(v, _), pool) in members.iter().zip(live.iter()) {
+        let (solo, records) = member_replay(journal, &members, template, &plan);
+        for ((&(v, _), pool), solo) in members.iter().zip(live.iter()).zip(&solo) {
             let member = q.member_session(v).expect("member exists");
             assert_eq!(pool.vantages().collect::<Vec<_>>(), vec![v]);
             assert_eq!(member.diagnosis(), pool.diagnosis(), "vantage {v} plan={plan:?}");
-            assert_eq!(member.tests(), pool.tests(), "vantage {v}");
-            assert_eq!(member.violations(), pool.violations(), "vantage {v}");
+            assert_eq!(solo.diagnosis(), member.diagnosis(), "vantage {v}");
         }
+        assert!(records == live_records(&world), "plan={plan:?}: histories diverge");
     }
 }
 

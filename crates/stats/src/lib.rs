@@ -19,8 +19,7 @@
 //!   `ablation_tests` bench quantifies that claim;
 //! * [`normal`] — standard-normal CDF/quantile;
 //! * [`filter::Arma`] — the paper's Eq. 6 ARMA traffic-intensity estimator
-//!   (`ρ(t+1) = α·ρ(t) + (1−α)·mean of the last s slot samples`, α = 0.995);
-//! * [`describe::Summary`] — streaming descriptive statistics (Welford).
+//!   (`ρ(t+1) = α·ρ(t) + (1−α)·mean of the last s slot samples`, α = 0.995).
 //!
 //! # Example
 //!
@@ -36,7 +35,6 @@
 
 #![warn(missing_docs)]
 
-pub mod describe;
 pub mod filter;
 pub mod normal;
 pub mod rank;

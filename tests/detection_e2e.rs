@@ -2,6 +2,7 @@
 //! traffic → monitor) against every attacker model the paper describes.
 
 use manet_guard::prelude::*;
+use manet_guard::trace::EventKind;
 
 /// Builds the paper's grid with a tagged pair, runs `secs`, returns the
 /// monitor's diagnosis.
@@ -159,17 +160,30 @@ fn basic_access_evasion_is_flagged() {
     let attacker = b.attacker(s);
     let watch = b.monitor(mc);
     b.source(SourceCfg::saturated(s, r));
+    b.trace(TraceConfig {
+        sched: Level::Off,
+        phy: Level::Off,
+        mac: Level::Off,
+        net: Level::Off,
+        ..TraceConfig::default()
+    });
     let mut world = b.build();
     world.set_rts_threshold(s, u32::MAX); // never send RTS
     world.set_policy(attacker.id(), BackoffPolicy::Scaled { pm: 80 });
     world.run_until(SimTime::from_secs(30));
+    // The monitor traces each violation it flags, by kind.
+    let flagged: Vec<&str> = world
+        .tracer()
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::MonitorViolation { kind } => Some(kind),
+            _ => None,
+        })
+        .collect();
     assert!(
-        world
-            .monitors()
-            .violations(watch)
-            .iter()
-            .any(|v| matches!(v, Violation::UnverifiedData { .. })),
-        "{:?}",
+        flagged.contains(&"unverified_data"),
+        "{flagged:?} {:?}",
         world.monitors().diagnosis(watch)
     );
     // And honest RTS users never trip it (covered by

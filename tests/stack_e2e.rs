@@ -4,6 +4,7 @@
 use manet_guard::detect::JointTracker;
 use manet_guard::prelude::*;
 use manet_guard::stats::signed_rank::signed_rank_test;
+use manet_guard::trace::EventKind;
 
 /// Measures the channel intensity a traffic mix produces at the central
 /// pair, plus the empirical conditionals.
@@ -204,7 +205,8 @@ fn detection_survives_shadowing() {
 fn signed_rank_judge_works_end_to_end() {
     // The paired signed-rank test (an extension; the pool judges with the
     // paper's rank-sum) over the batches the pool judged: the static
-    // member's samples, 25 at a time, at α = 0.01.
+    // member's samples as the monitor traced them, 25 at a time, at
+    // α = 0.01.
     let run = |pm: u8| {
         let scenario = Scenario::new(ScenarioConfig {
             sim_secs: 40,
@@ -217,16 +219,31 @@ fn signed_rank_judge_works_end_to_end() {
         mc.blatant_check = false;
         let mut b = ScenarioBuilder::new(scenario);
         let attacker = b.attacker(s);
-        let watch = b.monitor(mc);
+        b.monitor(mc);
         b.source(SourceCfg::saturated(s, r));
+        b.trace(TraceConfig {
+            sched: Level::Off,
+            phy: Level::Off,
+            mac: Level::Off,
+            net: Level::Off,
+            ..TraceConfig::default()
+        });
         let mut world = b.build();
         if pm > 0 {
             world.set_policy(attacker.id(), BackoffPolicy::Scaled { pm });
         }
         world.run_until(SimTime::from_secs(40));
-        let pool = world.monitors().pool(watch);
-        let member = pool.monitor(r).expect("the static member");
-        let batches = member.samples().chunks_exact(25);
+        assert_eq!(world.tracer().dropped(), 0, "the ring must hold every sample");
+        let samples: Vec<(f64, f64)> = world
+            .tracer()
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::MonitorSample { dictated, estimated } => Some((dictated, estimated)),
+                _ => None,
+            })
+            .collect();
+        let batches = samples.chunks_exact(25);
         let tests_run = batches.len();
         let rejections = batches
             .filter(|batch| {

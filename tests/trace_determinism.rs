@@ -170,8 +170,8 @@ fn paper_grid_world_is_pinned() {
     // The benchmark's paper grid: seed 8 at medium load (0.6 pps), a
     // saturated tagged pair whose sender cheats at PM = 75, watched by four
     // monitors at n = 10/25/50/100, for 10 s. Pins the event count, the
-    // full verbose journal, and each monitor's diagnosis, tests and
-    // violations; any change to dispatch order, action order, monitor
+    // full verbose journal, and each monitor's diagnosis, samples, tests
+    // and violations; any change to dispatch order, action order, monitor
     // fan-out or a test's p-value shows up here.
     let cfg = ScenarioConfig {
         sim_secs: 10,
@@ -191,7 +191,16 @@ fn paper_grid_world_is_pinned() {
         capacity: 1 << 20,
         ..TraceConfig::verbose()
     });
-    let mut world = builder.build();
+    // A recorder alongside the monitors only reads, so the event count and
+    // the journal pins below do not move.
+    let meta = ObsMeta {
+        tagged: s,
+        vantages: vec![r],
+        pair_distance: d,
+        seed: 8,
+        params: vec![],
+    };
+    let mut world = builder.probe(ObsRecorder::new(meta)).build();
     world.set_policy(attacker.id(), BackoffPolicy::Scaled { pm: 75 });
     world.run_until(SimTime::from_secs(10));
     assert_eq!(
@@ -206,12 +215,21 @@ fn paper_grid_world_is_pinned() {
         digest = fnv64_from(digest, line.as_bytes());
         lines += 1;
     }
+    // Each monitor's history: the recorded journal replayed into one
+    // session per sample size lands on the live pool's diagnosis, and its
+    // deltas name every sample, test result and violation in order.
+    let journal = world.probe().journal();
     let monitors: Vec<u64> = watches
         .iter()
-        .map(|&h| {
-            let pool = world.monitors().pool(h);
-            let state = format!("{:?}", (pool.diagnosis(), pool.tests(), pool.violations()));
-            fnv64(state.as_bytes())
+        .zip([10, 25, 50, 100])
+        .map(|(&h, n)| {
+            let mut session = SessionSpec::from_meta(journal.meta()).with_sample_size(n).build();
+            let mut deltas = Vec::new();
+            for o in journal.events() {
+                deltas.extend(session.ingest(o));
+            }
+            assert_eq!(session.diagnosis(), world.monitors().diagnosis(h), "n = {n}");
+            fnv64(format!("{:?}", (session.diagnosis(), deltas)).as_bytes())
         })
         .collect();
     assert_eq!(world.events_fired(), 48592);
@@ -220,10 +238,10 @@ fn paper_grid_world_is_pinned() {
     assert_eq!(
         monitors,
         [
-            0x7bfc_fd4b_6b20_b3cf,
-            0x0e5c_32e3_8788_5f60,
-            0x9cbd_6b45_915c_8fa9,
-            0xe8bb_3e50_2277_f792,
+            0x50cd_df23_2fb6_1bcd,
+            0x450e_aa6a_5c40_65c3,
+            0x2c43_7302_d3ba_5dd9,
+            0xa4fb_3a75_bad5_187f,
         ]
     );
 }

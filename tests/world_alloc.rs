@@ -37,23 +37,27 @@ fn paper_grid(monitored: bool) -> World<Assembly> {
 }
 
 /// No event allocates once the buffers have grown to the run's working
-/// size. Growth itself still allocates, and it is not confined to the
-/// first seconds: a buffer reaching a new high-water mark late (the slab
-/// slot for a record number of concurrent frames, a node's first
-/// footprint memo) allocates when it happens. This world has none from
-/// 5 s to 10 s; other grid seeds have a handful.
+/// size, with or without the four monitors: they judge each batch in
+/// buffers they keep and keep counts, not logs. Growth itself still
+/// allocates, and it is not confined to the first seconds: a buffer
+/// reaching a new high-water mark late (the slab slot for a record number
+/// of concurrent frames, a node's first footprint memo) allocates when it
+/// happens. This world has none from 5 s to 10 s; other grid seeds have a
+/// handful.
 #[test]
 fn unmonitored_world_allocates_nothing_in_steady_state() {
-    let mut world = paper_grid(false);
-    world.run_until(SimTime::from_secs(5));
-    let (a0, e0) = (allocs(), world.events_fired());
-    world.run_until(SimTime::from_secs(10));
-    let (made, events) = (allocs() - a0, world.events_fired() - e0);
-    assert!(events > 10_000, "the window must be busy: {events} events");
-    assert_eq!(
-        made, 0,
-        "{made} allocations over {events} events from 5 s to 10 s"
-    );
+    for monitored in [false, true] {
+        let mut world = paper_grid(monitored);
+        world.run_until(SimTime::from_secs(5));
+        let (a0, e0) = (allocs(), world.events_fired());
+        world.run_until(SimTime::from_secs(10));
+        let (made, events) = (allocs() - a0, world.events_fired() - e0);
+        assert!(events > 10_000, "the window must be busy: {events} events");
+        assert_eq!(
+            made, 0,
+            "monitored {monitored}: {made} allocations over {events} events from 5 s to 10 s"
+        );
+    }
 }
 
 #[test]
