@@ -57,7 +57,9 @@ pub struct MonitorPool {
     /// Latest geometry snapshot ([`Obs::Ranging`]), applied at the next
     /// tagged-RTS decode — *after* the member consumed the frame, so the
     /// sample extracted for that RTS still uses the pre-hand-off distance
-    /// (matching the callback order of a live world).
+    /// (matching the callback order of a live world). A one-member pool
+    /// starts with its member at the configured pair distance, so a stream
+    /// with no snapshot still elects it.
     last_ranging: Option<Distances>,
     /// Storage of the live projection's ranging snapshots, reused from one
     /// tagged RTS to the next.
@@ -90,6 +92,10 @@ impl MonitorPool {
         let mut vantages = vantages.to_vec();
         vantages.sort_unstable();
         vantages.dedup();
+        let last_ranging = match vantages[..] {
+            [v] => Some(std::iter::once((v, template.pair_distance)).collect()),
+            _ => None,
+        };
         let monitors = vantages
             .iter()
             .map(|&vantage| {
@@ -116,7 +122,7 @@ impl MonitorPool {
             rejections: 0,
             last_p: None,
             last_seen: SimTime::ZERO,
-            last_ranging: None,
+            last_ranging,
             ranging_buf: Distances::new(),
             emit_deltas: false,
             deltas: Vec::new(),
@@ -350,7 +356,7 @@ impl NetObserver for MonitorPool {
     }
 
     fn on_tx_start(&mut self, src: NodeId, frame: &Frame, now: SimTime, end: SimTime) {
-        self.ingest(&Obs::TxStart { src, frame: frame.clone(), at: now, end });
+        self.ingest(&Obs::TxStart { src, frame: *frame, at: now, end });
     }
 
     fn on_frame_decoded(
@@ -369,7 +375,7 @@ impl NetObserver for MonitorPool {
                 self.ranging_buf = to;
             }
         }
-        self.ingest(&Obs::Decoded { at, frame: frame.clone(), start, end });
+        self.ingest(&Obs::Decoded { at, frame: *frame, start, end });
     }
 
     fn on_frame_garbled(&mut self, at: NodeId, now: SimTime) {
@@ -469,6 +475,24 @@ mod tests {
         assert_eq!(pool.contributions().collect::<Vec<_>>(), vec![(1, 16 - elected_at)]);
         let d = pool.diagnosis();
         assert_eq!((d.tests_run, d.samples_collected), (1, 16 - elected_at), "{d:?}");
+    }
+
+    /// A one-member pool stands at its configured distance until a snapshot
+    /// says otherwise, so a stream without snapshots judges what the same
+    /// stream with snapshots at that distance does.
+    #[test]
+    fn lone_member_is_elected_without_a_snapshot() {
+        let full = busy_window_stream(16, |_| 240.0);
+        let bare: Vec<Obs> = full
+            .iter()
+            .filter(|o| !matches!(o, Obs::Ranging { .. }))
+            .cloned()
+            .collect();
+        let (a, with) = run_deltas(MonitorPool::new(0, &[1], template()), &full);
+        let (b, without) = run_deltas(MonitorPool::new(0, &[1], template()), &bare);
+        assert_eq!(with, without);
+        assert_eq!(a.diagnosis(), b.diagnosis());
+        assert_eq!(b.diagnosis().tests_run, 3, "{:?}", b.diagnosis());
     }
 
     #[test]

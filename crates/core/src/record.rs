@@ -99,7 +99,7 @@ impl NetObserver for ObsRecorder {
         if self.is_vantage(src) {
             self.journal.push(Obs::TxStart {
                 src,
-                frame: frame.clone(),
+                frame: *frame,
                 at: now,
                 end,
             });
@@ -133,7 +133,7 @@ impl NetObserver for ObsRecorder {
         }
         self.journal.push(Obs::Decoded {
             at,
-            frame: frame.clone(),
+            frame: *frame,
             start,
             end,
         });

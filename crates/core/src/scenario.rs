@@ -131,6 +131,7 @@ impl Routes {
     }
 
     /// The pools of `node`, ascending.
+    #[inline]
     fn of(&self, node: NodeId) -> &[u32] {
         match self.start.get(node..node + 2) {
             Some(&[a, b]) => &self.pools[a as usize..b as usize],
@@ -199,6 +200,7 @@ impl Monitors {
 }
 
 impl NetObserver for Monitors {
+    #[inline]
     fn on_channel_edge(&mut self, node: NodeId, busy: bool, now: SimTime) {
         for &i in self.by_member.of(node) {
             self.pools[i as usize].on_channel_edge(node, busy, now);
@@ -244,6 +246,7 @@ impl NetObserver for Monitors {
         }
     }
 
+    #[inline]
     fn on_frame_garbled(&mut self, at: NodeId, now: SimTime) {
         for &i in self.by_member.of(at) {
             self.pools[i as usize].on_frame_garbled(at, now);

@@ -1,14 +1,16 @@
 //! What a detector session allocates while it ingests a recorded journal,
-//! counted by mg-testkit's counting global allocator.
+//! counted by mg-testkit's counting global allocator, and what it judges
+//! when the journal's ranging snapshots are stripped.
 //!
-//! The allocator counts only the calling thread's allocations, and this
-//! file holds nothing else, so tests running in parallel cannot pollute a
-//! count. A session allocates only on the thread that feeds it, so zero
-//! allocations over a stretch of ingest means its heap did not grow there.
+//! The allocator counts only the calling thread's allocations, so tests
+//! running in parallel cannot pollute a count. A session allocates only on
+//! the thread that feeds it, so zero allocations over a stretch of ingest
+//! means its heap did not grow there.
 
 use mg_dcf::BackoffPolicy;
 use mg_detect::{
-    Diagnosis, Obs, ObsJournal, ObsMeta, ObsRecorder, ScenarioBuilder, SessionSpec, WorldProbe,
+    Diagnosis, DiagnosisDelta, Obs, ObsJournal, ObsMeta, ObsRecorder, ScenarioBuilder, SessionSpec,
+    WorldProbe,
 };
 use mg_net::{Scenario, ScenarioConfig, SourceCfg};
 use mg_sim::{SimDuration, SimTime};
@@ -118,21 +120,54 @@ fn session_ingest_allocates_nothing_in_steady_state() {
     }
 }
 
-/// A stream with no `Ranging` snapshot never elects a member, so it runs
-/// no test. Its member's samples are still dropped at every tagged RTS
-/// instead of piling up, so such a session allocates nothing after
-/// warm-up either.
-#[test]
-fn session_without_ranging_allocates_nothing_in_steady_state() {
-    let journal = paper_grid_journal(75);
-    let events: Vec<Obs> = journal
-        .events()
+/// `events` without its `Ranging` snapshots.
+fn without_ranging(events: &[Obs]) -> Vec<Obs> {
+    events
         .iter()
         .filter(|o| !matches!(o, Obs::Ranging { .. }))
         .cloned()
-        .collect();
-    let (made, events, _, d) = long_run(journal.meta(), events);
+        .collect()
+}
+
+/// A static journal's snapshots only repeat the pair distance its header
+/// names, so a session fed the journal without them reports the same
+/// diagnosis through the same delta stream: its one member stands at that
+/// distance until a snapshot says otherwise.
+#[test]
+fn static_journal_without_ranging_judges_the_same() {
+    for pm in [75, 0] {
+        let journal = paper_grid_journal(pm);
+        let run = |events: &[Obs]| {
+            let mut session = SessionSpec::from_meta(journal.meta()).build();
+            let mut deltas: Vec<DiagnosisDelta> = Vec::new();
+            for o in events {
+                deltas.extend(session.ingest(o));
+            }
+            (session.diagnosis(), deltas)
+        };
+        let (full, full_deltas) = run(journal.events());
+        let (bare, bare_deltas) = run(&without_ranging(journal.events()));
+        assert!(full.tests_run >= 100, "pm {pm}: {full:?}");
+        assert_eq!(bare, full, "pm {pm}");
+        let n = full_deltas.len().max(bare_deltas.len());
+        if let Some(i) = (0..n).find(|&i| full_deltas.get(i) != bare_deltas.get(i)) {
+            let (a, b) = (full_deltas.get(i), bare_deltas.get(i));
+            panic!("pm {pm}: delta {i} differs: {a:?} with snapshots, {b:?} without");
+        }
+    }
+}
+
+/// A stream with no `Ranging` snapshot elects its one member all the same
+/// and judges every batch in the session's reused buffers, so it allocates
+/// nothing after warm-up either.
+#[test]
+fn session_without_ranging_allocates_nothing_in_steady_state() {
+    let journal = paper_grid_journal(75);
+    let (made, events, tests, d) = long_run(journal.meta(), without_ranging(journal.events()));
     assert!(d.violations > 0, "the member still runs its checks: {d:?}");
-    assert_eq!(d.tests_run, 0, "no snapshot elects no member: {d:?}");
-    assert_eq!(made, 0, "{made} allocations over {events} events");
+    assert!(tests >= 1_000, "ran only {tests} tests: {d:?}");
+    assert_eq!(
+        made, 0,
+        "{made} allocations over {events} events and {tests} tests"
+    );
 }

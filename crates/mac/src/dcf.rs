@@ -68,7 +68,7 @@ impl Timer {
 }
 
 /// Instructions the MAC hands back to the world.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum MacAction {
     /// Arm (or re-arm) `timer` to fire at `at`.
     Arm {
@@ -364,6 +364,7 @@ impl DcfMac {
     // ------------------------------------------------------------------
 
     /// The physical carrier-sense state of this node changed.
+    #[inline]
     pub fn on_channel_edge(&mut self, busy: bool, now: SimTime, actions: &mut Vec<MacAction>) {
         if busy {
             self.phys_busy = true;
@@ -1556,10 +1557,24 @@ mod tests {
         let mut m = mac(0);
         let fresh = acts(|a| mac(0).enqueue(sdu(1, 1), T0, a));
         let marker = MacAction::Disarm { timer: Timer::NavReset };
-        let mut actions = vec![marker.clone()];
+        let mut actions = vec![marker];
         m.enqueue(sdu(1, 1), T0, &mut actions);
         assert_eq!(actions[0], marker);
         assert_eq!(actions[1..], fresh[..]);
+    }
+
+    /// The common edge: a MAC with nothing to send notes the carrier state
+    /// and appends no action, busy or idle.
+    #[test]
+    fn edges_at_an_idle_mac_append_nothing() {
+        let mut m = mac(0);
+        let busy_at = T0 + SimDuration::from_micros(10);
+        assert_eq!(acts(|a| m.on_channel_edge(true, busy_at, a)), []);
+        assert!(m.snapshot().phys_busy);
+        let idle_at = busy_at + SimDuration::from_micros(500);
+        assert_eq!(acts(|a| m.on_channel_edge(false, idle_at, a)), []);
+        let s = m.snapshot();
+        assert_eq!((s.state, s.phys_busy), (MacState::Idle, false));
     }
 
     #[test]

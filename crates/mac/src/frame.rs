@@ -83,7 +83,7 @@ impl RtsFields {
 }
 
 /// Frame type and type-specific payload.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FrameKind {
     /// Request-to-send with the paper's verification fields.
     Rts(RtsFields),
@@ -99,7 +99,7 @@ pub enum FrameKind {
 }
 
 /// A frame on the air.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Frame {
     /// Transmitting node.
     pub src: NodeId,

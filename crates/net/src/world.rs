@@ -14,7 +14,7 @@ use mg_phy::{
 use mg_sim::rng::{Rng, RngDirectory, Xoshiro256};
 use mg_sim::{EventHandle, IdBuildHasher, Scheduler, SimDuration, SimTime};
 use mg_trace::{Counter, EventKind, Metrics, Tracer};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Payload length used for routing-control SDUs (RREQ/RREP).
 const CTRL_PAYLOAD: u16 = 32;
@@ -76,10 +76,10 @@ struct SourceState {
 /// [`ScenarioConfig`] via [`Scenario`].
 ///
 /// The event loop reuses its buffers: MAC handlers append to one action
-/// buffer, a single work queue is drained after every handler call, and the
-/// medium writes edges and receptions into buffers the world owns. Once
-/// they have grown to the run's working size, the loop itself allocates
-/// nothing per event (the observer is on its own).
+/// FIFO, which the world executes in place until quiescent after every
+/// handler call, and the medium writes edges and receptions into buffers
+/// the world owns. Once they have grown to the run's working size, the
+/// loop itself allocates nothing per event (the observer is on its own).
 pub struct World<O: NetObserver> {
     sched: Scheduler<Ev>,
     medium: Medium,
@@ -91,11 +91,11 @@ pub struct World<O: NetObserver> {
     timers: Vec<Option<EventHandle>>,
     /// The frame each node has on the air: a DCF MAC sends one at a time.
     in_flight: Vec<Option<Frame>>,
-    /// MAC actions not yet executed, FIFO; drained until quiescent after
-    /// every handler call.
-    work: VecDeque<(NodeId, MacAction)>,
-    /// What the last MAC handler appended, before it joins `work`.
+    /// MAC actions not yet executed, FIFO: handlers append to it, and
+    /// `drain` executes it in place until quiescent, then clears it.
     acts: Vec<MacAction>,
+    /// The node whose MAC appended each entry of `acts`.
+    owners: Vec<NodeId>,
     /// Busy edges of the transmission being started.
     edges: Vec<EdgeChange>,
     /// Outcomes of the transmission being ended.
@@ -158,8 +158,8 @@ impl<O: NetObserver> World<O> {
             macs,
             timers: vec![None; n * Timer::COUNT],
             in_flight: vec![None; n],
-            work: VecDeque::new(),
             acts: Vec::new(),
+            owners: Vec::new(),
             edges: Vec::new(),
             ended: EndedTx::default(),
             neighbors: Vec::new(),
@@ -349,6 +349,7 @@ impl<O: NetObserver> World<O> {
             _ => true,
         }) {
             self.dispatch(now, ev);
+            debug_assert!(self.acts.is_empty(), "MAC actions left queued");
         }
     }
 
@@ -402,8 +403,7 @@ impl<O: NetObserver> World<O> {
 
         // 3. Idle edges.
         for e in &ended.edges {
-            self.observer
-                .on_channel_edge(e.node, e.busy, now);
+            self.observer.on_channel_edge(e.node, e.busy, now);
             self.macs[e.node].on_channel_edge(e.busy, now, &mut self.acts);
             self.apply(e.node);
         }
@@ -441,20 +441,21 @@ impl<O: NetObserver> World<O> {
             dst: Dest::Unicast(dst),
             payload_len,
         };
-        self.note_enqueue(node, &sdu, now);
-        self.macs[node].enqueue(sdu, now, &mut self.acts);
-        self.apply(node);
+        self.enqueue(node, sdu, now);
+        self.drain();
     }
 
-    /// Enqueue bookkeeping shared by every packet-injection path: journal
-    /// the event, start the latency clock, notify the observer.
-    fn note_enqueue(&mut self, node: NodeId, sdu: &MacSdu, now: SimTime) {
+    /// Hands `sdu` to `node`'s MAC and queues its actions, after journaling
+    /// the event, starting the latency clock and notifying the observer.
+    fn enqueue(&mut self, node: NodeId, sdu: MacSdu, now: SimTime) {
         self.tracer
             .emit(now.as_nanos(), Some(node), EventKind::Enqueue { sdu: sdu.id });
         if self.metrics.is_enabled() {
             self.lat_pending.insert(sdu.id, now);
         }
-        self.observer.on_enqueue(node, sdu, now);
+        self.observer.on_enqueue(node, &sdu, now);
+        self.macs[node].enqueue(sdu, now, &mut self.acts);
+        self.queue(node);
     }
 
     fn pick_dst(&mut self, src: usize, node: NodeId, policy: DstPolicy) -> Option<NodeId> {
@@ -517,10 +518,9 @@ impl<O: NetObserver> World<O> {
         self.timers[timer_slot(node, timer)] = None;
     }
 
-    /// Moves the actions `node`'s MAC just appended to `acts` onto the work
-    /// queue.
+    /// Marks the actions `node`'s MAC just appended to `acts` as its own.
     fn queue(&mut self, node: NodeId) {
-        self.work.extend(self.acts.drain(..).map(|a| (node, a)));
+        self.owners.resize(self.acts.len(), node);
     }
 
     /// Executes the actions `node`'s MAC just appended to `acts` and
@@ -530,8 +530,13 @@ impl<O: NetObserver> World<O> {
         self.drain();
     }
 
+    /// Executes `acts` in append order until quiescent, then clears it.
+    /// Its arms only `queue`, never `drain`, so the cursor can be local.
     fn drain(&mut self) {
-        while let Some((n, action)) = self.work.pop_front() {
+        let mut next = 0;
+        while let Some(&action) = self.acts.get(next) {
+            let n = self.owners[next];
+            next += 1;
             match action {
                 MacAction::Arm { timer, at } => self.arm(n, timer, at),
                 MacAction::Disarm { timer } => self.disarm(n, timer),
@@ -548,8 +553,7 @@ impl<O: NetObserver> World<O> {
                     // starts (and overwrites `edges`) inside this loop.
                     for i in 0..self.edges.len() {
                         let e = self.edges[i];
-                        self.observer
-                            .on_channel_edge(e.node, e.busy, now);
+                        self.observer.on_channel_edge(e.node, e.busy, now);
                         self.macs[e.node].on_channel_edge(e.busy, now, &mut self.acts);
                         self.queue(e.node);
                     }
@@ -592,9 +596,7 @@ impl<O: NetObserver> World<O> {
                                 dst: Dest::Unicast(d),
                                 payload_len,
                             };
-                            self.note_enqueue(n, &refill, now);
-                            self.macs[n].enqueue(refill, now, &mut self.acts);
-                            self.queue(n);
+                            self.enqueue(n, refill, now);
                         } else {
                             // No neighbor right now (mobile); retry shortly.
                             self.sched
@@ -604,6 +606,8 @@ impl<O: NetObserver> World<O> {
                 }
             }
         }
+        self.acts.clear();
+        self.owners.clear();
     }
 
     /// The saturated source at `node`, if it has one.
@@ -625,9 +629,7 @@ impl<O: NetObserver> World<O> {
                         payload_len: CTRL_PAYLOAD,
                     };
                     self.net_msgs.insert(sdu.id, msg);
-                    self.note_enqueue(node, &sdu, now);
-                    self.macs[node].enqueue(sdu, now, &mut self.acts);
-                    self.queue(node);
+                    self.enqueue(node, sdu, now);
                 }
                 RouterAction::Unicast(next, msg) => {
                     let payload_len = match msg {
@@ -640,9 +642,7 @@ impl<O: NetObserver> World<O> {
                         payload_len,
                     };
                     self.net_msgs.insert(sdu.id, msg);
-                    self.note_enqueue(node, &sdu, now);
-                    self.macs[node].enqueue(sdu, now, &mut self.acts);
-                    self.queue(node);
+                    self.enqueue(node, sdu, now);
                 }
                 RouterAction::DeliverApp { origin, app_id } => {
                     self.app_delivered += 1;
@@ -826,9 +826,9 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    #[test]
-    fn three_contenders_share_roughly_fairly() {
-        // Three mutually-in-range senders, each saturated to a neighbor.
+    /// Three mutually-in-range senders, each saturated to a neighbor, with
+    /// node 0 on `policy`.
+    fn three_contenders(seed: u64, policy: BackoffPolicy) -> World<()> {
         let positions = vec![
             Vec2::new(0.0, 0.0),
             Vec2::new(200.0, 0.0),
@@ -840,12 +840,19 @@ mod tests {
             250.0,
             550.0,
             MacTiming::paper_default(),
-            7,
+            seed,
             (),
         );
+        w.set_policy(0, policy);
         w.add_source(SourceCfg::saturated(0, 1));
         w.add_source(SourceCfg::saturated(1, 2));
         w.add_source(SourceCfg::saturated(2, 0));
+        w
+    }
+
+    #[test]
+    fn three_contenders_share_roughly_fairly() {
+        let mut w = three_contenders(7, BackoffPolicy::Compliant);
         w.run_until(SimTime::from_secs(5));
         let d: Vec<u64> = (0..3).map(|i| w.mac(i).stats().delivered).collect();
         let total: u64 = d.iter().sum();
@@ -862,24 +869,7 @@ mod tests {
     #[test]
     fn misbehaving_node_starves_honest_neighbor() {
         // The paper's premise: a back-off cheater grabs the channel.
-        let positions = vec![
-            Vec2::new(0.0, 0.0),
-            Vec2::new(200.0, 0.0),
-            Vec2::new(100.0, 170.0),
-        ];
-        let mut w: World<()> = World::new(
-            positions,
-            PropagationModel::free_space(),
-            250.0,
-            550.0,
-            MacTiming::paper_default(),
-            11,
-            (),
-        );
-        w.set_policy(0, BackoffPolicy::Scaled { pm: 95 });
-        w.add_source(SourceCfg::saturated(0, 1));
-        w.add_source(SourceCfg::saturated(1, 2));
-        w.add_source(SourceCfg::saturated(2, 0));
+        let mut w = three_contenders(11, BackoffPolicy::Scaled { pm: 95 });
         w.run_until(SimTime::from_secs(5));
         let cheat = w.mac(0).stats().delivered;
         let honest = w.mac(1).stats().delivered + w.mac(2).stats().delivered;
@@ -887,6 +877,28 @@ mod tests {
             cheat as f64 > 1.5 * honest as f64,
             "cheater {cheat} vs honest total {honest}"
         );
+    }
+
+    /// Every action a handler queues runs before its event's handling
+    /// returns: a busy world stepped 1 ms at a time has nothing queued
+    /// between steps and ends exactly where one long run ends.
+    #[test]
+    fn no_action_outlives_its_event() {
+        let mut stepped = three_contenders(7, BackoffPolicy::Compliant);
+        for ms in 1..=1000 {
+            stepped.run_until(SimTime::from_millis(ms));
+            assert!(
+                stepped.acts.is_empty() && stepped.owners.is_empty(),
+                "queued at {ms} ms"
+            );
+        }
+        assert!(stepped.acts.capacity() > 0, "nothing went through the FIFO");
+        let mut whole = three_contenders(7, BackoffPolicy::Compliant);
+        whole.run_until(SimTime::from_secs(1));
+        assert_eq!(stepped.events_fired(), whole.events_fired());
+        for i in 0..3 {
+            assert_eq!(stepped.mac(i).stats(), whole.mac(i).stats(), "node {i}");
+        }
     }
 
     #[test]

@@ -1299,7 +1299,7 @@ fn lookup_frame(c: &mut Cursor<'_>, state: &BinState) -> Result<Frame, Fault> {
     let at_id = c.pos;
     let id = c.varint()?;
     match state.frames.get(id as usize) {
-        Some(f) => Ok(f.clone()),
+        Some(f) => Ok(*f),
         None => Err(Fault { offset: at_id, what: "frame table id out of range", value: Some(id) }),
     }
 }

@@ -10,7 +10,7 @@ echo "== hermetic guard: no registry dependencies =="
 # section must be a path (or workspace = true) entry. A bare version string or
 # a { version = ... } without a path means a crates.io dependency — reject it.
 fail=0
-for manifest in Cargo.toml crates/*/Cargo.toml; do
+for manifest in Cargo.toml crates/*/Cargo.toml perfbench/Cargo.toml; do
     # Extract dependency sections and drop blank/comment/section lines.
     deps=$(awk '
         /^\[/ { in_deps = ($0 ~ /dependencies/) ; next }
@@ -38,7 +38,17 @@ if cargo tree --workspace --prefix none --offline 2>/dev/null | awk 'NF {print $
     echo "error: cargo tree lists a non-workspace crate" >&2
     exit 1
 fi
-echo "ok: dependency tree is workspace-only"
+# perfbench is a workspace of its own, so `--workspace` above does not see
+# it; its lock file must also already match its manifest.
+if ! perfbench_tree=$(cargo tree --locked --offline --manifest-path perfbench/Cargo.toml --prefix none); then
+    echo "error: perfbench/Cargo.lock does not match its manifest" >&2
+    exit 1
+fi
+if awk 'NF {print $1}' <<< "$perfbench_tree" | sort -u | grep -vE '^(mg-|manet-guard$|perfbench$)'; then
+    echo "error: cargo tree lists a non-workspace crate under perfbench/" >&2
+    exit 1
+fi
+echo "ok: dependency tree is workspace-only, perfbench included"
 
 echo "== build (release, offline) =="
 cargo build --release --offline
@@ -511,6 +521,25 @@ if ! grep -q '"pass":true' "$outdir/quorum-a.json"; then
     exit 1
 fi
 echo "ok: Byzantine quorum sweep replays byte-for-byte; f < k liars never convict"
+
+echo "== profiler smoke: the sampler names the medium's hot path =="
+# scripts/profile.sh builds the CLI with full debug info into
+# target/profile, samples about 2 s of CPU of a detect run and prints each
+# function's share. It must take enough samples to mean something and name
+# the medium's begin_tx, the top function of every profile of this run.
+if ! scripts/profile.sh manet-guard detect --pm 60 --secs 600 --seed 1 \
+    >"$outdir/profile.txt" 2>"$outdir/profile.err"; then
+    echo "error: scripts/profile.sh failed" >&2
+    cat "$outdir/profile.err" >&2
+    exit 1
+fi
+samples=$(sed -n 's/^samples: //p' "$outdir/profile.txt")
+if [ "${samples:-0}" -lt 200 ] || ! grep -q 'Medium::begin_tx' "$outdir/profile.txt"; then
+    echo "error: the profile took ${samples:-no} samples (want 200) or misses Medium::begin_tx" >&2
+    cat "$outdir/profile.txt" "$outdir/profile.err" >&2
+    exit 1
+fi
+echo "ok: $samples samples; $(grep -m1 'Medium::begin_tx' "$outdir/profile.txt" | sed 's/^ *//')"
 
 echo "== rustdoc: no warnings =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace -q
