@@ -161,7 +161,6 @@ fn main() {
          enforced; cells where liars reach k are the f >= k regime the bound does not cover)"
     );
 
-    let gossip_sent: u64 = results.iter().map(|o| o.gossip_sent).sum();
     let gossip_delivered: u64 = results.iter().map(|o| o.gossip_delivered).sum();
     let json = Json::obj([
         (
@@ -173,7 +172,6 @@ fn main() {
         ("sim_secs", Json::from(bc.sim_secs)),
         ("trials_per_cell", Json::from(bc.trials)),
         ("detection_vs_k", Json::Arr(cells)),
-        ("gossip_sent", Json::from(gossip_sent)),
         ("gossip_delivered", Json::from(gossip_delivered)),
         ("false_conviction_cells", Json::from(bad_cells.len() as u64)),
         ("pass", Json::Bool(bad_cells.is_empty())),

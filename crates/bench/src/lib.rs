@@ -394,11 +394,7 @@ pub struct QuorumOutcome {
     pub members: u64,
     /// Realized Byzantine members (roles drawn from the fault plan).
     pub byzantine: u64,
-    /// Per-receiver accusation copies offered to the gossip channel.
-    pub gossip_sent: u64,
-    /// Copies lost to channel loss.
-    pub gossip_dropped: u64,
-    /// Copies handed to their receiver.
+    /// Accusation copies delivered to members other than their accuser.
     pub gossip_delivered: u64,
 }
 
@@ -479,28 +475,22 @@ pub fn quorum_trial_from_journal(
         .with_sample_size(sample_size);
     let mut q = mg_quorum::QuorumSpec::new(meta.tagged, &members, template, k)
         .with_faults(faults.clone())
-        .with_seed(meta.seed)
         .build();
     journal.replay(&mut q);
-    q.finish();
-    let byzantine = q.byzantine_count() as u64;
-    let gossip = q.gossip();
     QuorumOutcome {
         convicted: q.is_flagged(),
         votes: q.votes_against(meta.tagged) as u64,
         members: members.len() as u64,
-        byzantine,
-        gossip_sent: gossip.sent,
-        gossip_dropped: gossip.dropped,
-        gossip_delivered: gossip.delivered,
+        byzantine: q.byzantine_count() as u64,
+        gossip_delivered: q.delivered(),
     }
 }
 
 /// Runs a sweep through [`mg_runner::try_sweep`] under the config's
-/// runner-layer faults (injected panics and hangs, the watchdog),
-/// degrading gracefully on trial failures: every poisoned cell is reported
-/// on stderr, and the process exits with status 1 *before* any table is
-/// emitted — a partially-failed sweep never masquerades as a clean figure.
+/// runner-layer faults (injected panics), degrading gracefully on trial
+/// failures: every poisoned cell is reported on stderr, and the process
+/// exits with status 1 *before* any table is emitted — a partially-failed
+/// sweep never masquerades as a clean figure.
 /// Fault-free sweeps return all results in task order.
 pub fn sweep_or_exit<T: Sync, R: Send>(
     bc: &BenchConfig,

@@ -257,10 +257,10 @@ impl NetObserver for Monitors {
 /// The observer a [`ScenarioBuilder`] installs on the world it builds: the
 /// registered [`Monitors`] plus an optional custom probe observer.
 ///
-/// Monitors see every event first, then the probe — so a probe measuring
-/// e.g. delivery latency observes exactly what it would observe alone, while
-/// the monitors stay read-only alongside it. Built worlds expose the halves
-/// through [`WorldMonitors::monitors`] and [`WorldProbe::probe`].
+/// Monitors see every event first, then the probe — so a probe (say, an
+/// [`ObsRecorder`](crate::ObsRecorder)) observes exactly what it would
+/// observe alone, while the monitors stay read-only alongside it. Built
+/// worlds expose the halves via [`WorldMonitors::monitors`] and [`WorldProbe::probe`].
 #[derive(Debug, Default)]
 pub struct Assembly<P: NetObserver = ()> {
     monitors: Monitors,

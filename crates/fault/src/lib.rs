@@ -13,8 +13,7 @@
 //!   * **mac/frame** ([`MacFaults`]): tagged-RTS commitment drops and
 //!     bit-flips, so deterministic checks see garbage instead of clean
 //!     violations.
-//!   * **runner** ([`RunnerFaults`]): worker panics and simulated trial
-//!     hangs, keyed by task index, plus the sweep watchdog.
+//!   * **runner** ([`RunnerFaults`]): worker panics, keyed by task index.
 //!   * **quorum** ([`QuorumFaults`]): adversarial (Byzantine) monitors for
 //!     the collaborative-detection layer — vantages seeded into the
 //!     [`MonitorRole::FalseAccuser`], [`MonitorRole::Mute`] or
@@ -122,14 +121,6 @@ impl MacFaults {
 pub struct RunnerFaults {
     /// Task indices whose run closure panics.
     pub panic_tasks: Vec<usize>,
-    /// Task indices that stall for [`RunnerFaults::hang_ms`] before running.
-    pub hang_tasks: Vec<usize>,
-    /// Simulated hang duration, wall-clock milliseconds.
-    pub hang_ms: u64,
-    /// Per-task watchdog timeout, wall-clock milliseconds.
-    pub timeout_ms: Option<u64>,
-    /// Extra attempts granted to a task that times out.
-    pub retries: u32,
 }
 
 impl RunnerFaults {
@@ -138,16 +129,9 @@ impl RunnerFaults {
         self.panic_tasks.contains(&i)
     }
 
-    /// True when task `i` must stall before running.
-    pub fn hangs(&self, i: usize) -> bool {
-        self.hang_tasks.contains(&i)
-    }
-
-    /// True when no runner-layer fault or policy override is configured.
+    /// True when no runner-layer fault is configured.
     pub fn is_noop(&self) -> bool {
         self.panic_tasks.is_empty()
-            && self.hang_tasks.is_empty()
-            && self.timeout_ms.is_none()
     }
 }
 
@@ -314,10 +298,6 @@ impl FaultPlan {
     /// | `drop` | probability | tagged-RTS drop |
     /// | `corrupt` | probability | tagged-RTS commitment bit-flips |
     /// | `panic` | `i[:j...]` | panicking task indices |
-    /// | `hang` | `i[:j...]` | hanging task indices |
-    /// | `hang-ms` | u64 | simulated hang duration |
-    /// | `timeout-ms` | u64 | per-task watchdog timeout |
-    /// | `retries` | u32 | retry budget for timed-out tasks |
     /// | `lie` | probability | P(vantage is a false accuser) |
     /// | `mute` | probability | P(vantage suppresses accusations) |
     /// | `flip` | probability | P(vantage both lies and suppresses) |
@@ -412,18 +392,13 @@ impl FaultPlan {
                 });
             }
             "panic" => self.runner.panic_tasks = parse_usize_list(value, token)?,
-            "hang" => self.runner.hang_tasks = parse_usize_list(value, token)?,
-            "hang-ms" => self.runner.hang_ms = parse_u64(value, token)?,
-            "timeout-ms" => self.runner.timeout_ms = Some(parse_u64(value, token)?),
-            "retries" => self.runner.retries = parse_u64(value, token)? as u32,
             "lie" => self.quorum.lie = parse_prob(value, token)?,
             "mute" => self.quorum.mute = parse_prob(value, token)?,
             "flip" => self.quorum.flip = parse_prob(value, token)?,
             other => {
                 return Err(format!(
                     "unknown fault knob {other:?} in token {token:?}: expected one of \
-                     seed/loss/burst/deaf/drop/corrupt/panic/hang/hang-ms/timeout-ms/retries/\
-                     lie/mute/flip"
+                     seed/loss/burst/deaf/drop/corrupt/panic/lie/mute/flip"
                 ))
             }
         }
@@ -639,7 +614,7 @@ mod tests {
     fn knob_grammar_covers_all_three_layers() {
         let plan = FaultPlan::parse(
             "loss=0.1,burst=0.05:0.4:0.02:0.5,deaf=200:50:10,drop=0.15,corrupt=0.01,\
-             panic=3:7,hang=5,hang-ms=40,timeout-ms=100,retries=1",
+             panic=3:7",
         )
         .unwrap();
         assert_eq!(plan.phy.loss, 0.1);
@@ -649,10 +624,11 @@ mod tests {
         assert_eq!((d.period_ns, d.deaf_ns, d.phase_ns), (200_000_000, 50_000_000, 10_000_000));
         assert_eq!(plan.mac.rts_corrupt, 0.01);
         assert!(plan.runner.panics(3) && plan.runner.panics(7) && !plan.runner.panics(4));
-        assert!(plan.runner.hangs(5));
-        assert_eq!(plan.runner.hang_ms, 40);
-        assert_eq!(plan.runner.timeout_ms, Some(100));
-        assert_eq!(plan.runner.retries, 1);
+        // Runner faults are panics only: hang and watchdog knobs are unknown.
+        for gone in ["hang=5", "hang-ms=40", "timeout-ms=100", "retries=1"] {
+            let err = FaultPlan::parse(gone).unwrap_err();
+            assert!(err.starts_with("unknown fault knob"), "{gone}: {err}");
+        }
     }
 
     #[test]
@@ -664,7 +640,7 @@ mod tests {
             "burst=0.1:0.2",
             "deaf=100",
             "panic=x",
-            "timeout-ms=-1",
+            "seed=-1",
             "volume=11",
         ] {
             let err = FaultPlan::parse(bad).unwrap_err();

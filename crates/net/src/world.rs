@@ -43,12 +43,6 @@ pub trait NetObserver {
     fn on_frame_decoded(&mut self, medium: &Medium, at: NodeId, frame: &Frame, start: SimTime, end: SimTime) {}
     /// `at` perceived a corrupted frame ending at `now`.
     fn on_frame_garbled(&mut self, at: NodeId, now: SimTime) {}
-    /// `node` accepted a packet into its MAC queue.
-    fn on_enqueue(&mut self, node: NodeId, sdu: &MacSdu, now: SimTime) {}
-    /// `node`'s MAC finished with a packet (ACKed or dropped).
-    fn on_packet_done(&mut self, node: NodeId, sdu: &MacSdu, delivered: bool, now: SimTime) {}
-    /// A routed application packet reached its final destination.
-    fn on_app_deliver(&mut self, node: NodeId, origin: NodeId, app_id: u64, now: SimTime) {}
 }
 
 /// The do-nothing observer.
@@ -446,14 +440,13 @@ impl<O: NetObserver> World<O> {
     }
 
     /// Hands `sdu` to `node`'s MAC and queues its actions, after journaling
-    /// the event, starting the latency clock and notifying the observer.
+    /// the event and starting the latency clock.
     fn enqueue(&mut self, node: NodeId, sdu: MacSdu, now: SimTime) {
         self.tracer
             .emit(now.as_nanos(), Some(node), EventKind::Enqueue { sdu: sdu.id });
         if self.metrics.is_enabled() {
             self.lat_pending.insert(sdu.id, now);
         }
-        self.observer.on_enqueue(node, &sdu, now);
         self.macs[node].enqueue(sdu, now, &mut self.acts);
         self.queue(node);
     }
@@ -580,7 +573,6 @@ impl<O: NetObserver> World<O> {
                         self.metrics
                             .record_latency_ns(now.saturating_since(t0).as_nanos());
                     }
-                    self.observer.on_packet_done(n, &sdu, delivered, now);
                     // The receiver's `Deliver` came before the ACK, and a
                     // dropped packet's last DATA ended before its ACK timeout:
                     // no MAC can deliver this unicast SDU again.
@@ -644,10 +636,7 @@ impl<O: NetObserver> World<O> {
                     self.net_msgs.insert(sdu.id, msg);
                     self.enqueue(node, sdu, now);
                 }
-                RouterAction::DeliverApp { origin, app_id } => {
-                    self.app_delivered += 1;
-                    self.observer.on_app_deliver(node, origin, app_id, now);
-                }
+                RouterAction::DeliverApp { .. } => self.app_delivered += 1,
             }
         }
     }

@@ -9,8 +9,8 @@
 //!    observation stream (monitors filter by vantage internally, so one
 //!    stream serves all members unchanged).
 //! 2. Local evidence — a deterministic conviction or a rejected rank-sum
-//!    test — becomes a typed [`Accusation`] gossiped to every peer over a
-//!    seeded lossy, delayed [`GossipChannel`].
+//!    test — becomes a typed [`Accusation`] that reaches every peer inside
+//!    the [`feed`](QuorumSession::feed) that raised it.
 //! 3. Each member tallies *distinct accusers* per suspect and convicts on a
 //!    **k-of-n quorum**. Votes are deduplicated by accuser, so `f`
 //!    Byzantine monitors contribute at most `f` votes anywhere: honest
@@ -29,19 +29,16 @@
 //! use mg_detect::MonitorConfig;
 //!
 //! let template = MonitorConfig::grid_paper(0, 1, 240.0);
-//! let mut q = QuorumSpec::new(0, &[(1, 240.0), (2, 300.0)], template, 2).build();
-//! // feed the shared Obs stream ... then:
-//! q.finish();
+//! let q = QuorumSpec::new(0, &[(1, 240.0), (2, 300.0)], template, 2).build();
+//! // feed the shared Obs stream; verdicts are current after every event
 //! assert!(!q.is_flagged()); // nothing observed, nobody convicted
 //! ```
 
 #![warn(missing_docs)]
 
 mod accusation;
-mod channel;
 mod session;
 
 pub use accusation::{Accusation, EvidenceKind};
-pub use channel::{GossipChannel, GossipConfig, GossipCounts};
 pub use mg_fault::{MonitorRole, QuorumFaults};
 pub use session::{members_from_journal, QuorumSession, QuorumSpec};

@@ -2,14 +2,13 @@
 //! gossip, and k-of-n conviction.
 
 use crate::accusation::{Accusation, EvidenceKind};
-use crate::channel::{GossipChannel, GossipConfig, GossipCounts};
 use mg_detect::{
     DetectorSession, DiagnosisDelta, MonitorConfig, NodeId, SessionSpec,
 };
 use mg_fault::{FaultPlan, MonitorRole};
 use mg_obs::{Obs, ObsSink};
 use mg_sim::rng::Rng;
-use mg_sim::{SimDuration, SimTime};
+use mg_sim::SimTime;
 use mg_trace::{Counter, EventKind, Metrics, Tracer};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -23,8 +22,6 @@ pub struct QuorumSpec {
     template: MonitorConfig,
     k: usize,
     faults: FaultPlan,
-    gossip: GossipConfig,
-    seed: u64,
     tracer: Tracer,
     metrics: Metrics,
 }
@@ -46,8 +43,6 @@ impl QuorumSpec {
             template,
             k: k.max(1),
             faults: FaultPlan::default(),
-            gossip: GossipConfig::default(),
-            seed: 0,
             tracer: Tracer::disabled(),
             metrics: Metrics::disabled(),
         }
@@ -59,20 +54,6 @@ impl QuorumSpec {
     /// seeded [`MonitorRole`].
     pub fn with_faults(mut self, plan: FaultPlan) -> QuorumSpec {
         self.faults = plan;
-        self
-    }
-
-    /// Configures the gossip channel: per-copy loss probability and fixed
-    /// propagation delay.
-    pub fn with_gossip(mut self, loss: f64, delay: SimDuration) -> QuorumSpec {
-        self.gossip = GossipConfig { loss, delay };
-        self
-    }
-
-    /// Seeds the gossip channel's drop stream (domain-separated from every
-    /// fault stream). Equal seeds replay equal drop patterns.
-    pub fn with_seed(mut self, seed: u64) -> QuorumSpec {
-        self.seed = seed;
         self
     }
 
@@ -88,7 +69,6 @@ impl QuorumSpec {
     /// monitor fed the same stream), roles drawn from the fault plan, lie
     /// cadences from each liar's private quorum RNG.
     pub fn build(self) -> QuorumSession {
-        let vantages: Vec<NodeId> = self.members.iter().map(|&(v, _)| v).collect();
         let members = self
             .members
             .iter()
@@ -121,8 +101,7 @@ impl QuorumSpec {
             tagged: self.tagged,
             k: self.k,
             members,
-            vantages,
-            channel: GossipChannel::new(self.gossip, self.seed),
+            delivered: 0,
             tracer: self.tracer,
             metrics: self.metrics,
         }
@@ -155,6 +134,24 @@ impl Member {
         self.epoch += 1;
         Accusation { accuser: self.vantage, suspect, evidence, score, epoch, at }
     }
+
+    /// A lying member's cadence: every tagged-node RTS decoded at its own
+    /// vantage is one round, and on a due round it fabricates an accusation
+    /// stamped with that RTS's end.
+    fn fabricate(&mut self, obs: &Obs, tagged: NodeId) -> Option<Accusation> {
+        let Obs::Decoded { at, frame, end, .. } = obs else {
+            return None;
+        };
+        if !self.role.lies() || *at != self.vantage || frame.src != tagged || !frame.is_rts() {
+            return None;
+        }
+        self.rounds += 1;
+        if self.rounds < self.next_lie {
+            return None;
+        }
+        self.next_lie = self.rounds + self.lie_period;
+        Some(self.next_accusation(tagged, EvidenceKind::Statistical, 0.0, *end))
+    }
 }
 
 /// A collaborative detection session.
@@ -173,49 +170,32 @@ impl Member {
 /// * [`Mute`](MonitorRole::Mute) members suppress their real evidence;
 /// * [`Flip`](MonitorRole::Flip) members do both.
 ///
-/// Accusations travel the lossy, delayed [`GossipChannel`]; every member
-/// tallies *distinct accusers* per suspect (self-votes included, duplicates
-/// idempotent) and convicts at `k`. Because votes are deduplicated by
-/// accuser, `f` Byzantine members can contribute at most `f` votes at any
-/// honest member: with honest members producing no evidence, `f < k`
-/// guarantees zero false convictions.
-///
-/// Call [`QuorumSession::finish`] after the last event to flush in-flight
-/// gossip before reading verdicts.
+/// An accusation reaches every member inside the [`feed`](Self::feed) that
+/// raised it: the accuser tallies it first, then every other member. Each
+/// member tallies *distinct accusers* per suspect (self-votes included,
+/// duplicates idempotent) and convicts at `k`. Because votes are
+/// deduplicated by accuser, `f` Byzantine members can contribute at most
+/// `f` votes at any honest member: with honest members producing no
+/// evidence, `f < k` guarantees zero false convictions.
 pub struct QuorumSession {
     tagged: NodeId,
     k: usize,
     members: Vec<Member>,
-    vantages: Vec<NodeId>,
-    channel: GossipChannel,
+    /// Accusation copies delivered to members other than their accuser.
+    delivered: u64,
     tracer: Tracer,
     metrics: Metrics,
 }
 
 impl QuorumSession {
-    /// Feeds one observation: delivers due gossip, advances every member's
-    /// detector, converts fresh evidence into accusations and broadcasts
-    /// them.
+    /// Feeds one observation: advances every member's detector, converts
+    /// fresh evidence into accusations and delivers each one to every
+    /// member before returning.
     pub fn feed(&mut self, obs: &Obs) {
-        let now = obs_time(obs);
-        for (to, acc) in self.channel.drain_due(now) {
-            self.deliver(to, &acc);
-        }
         let mut outgoing: Vec<Accusation> = Vec::new();
         let tagged = self.tagged;
         for member in &mut self.members {
-            if member.role.lies() && is_tagged_rts_at(obs, tagged, member.vantage) {
-                member.rounds += 1;
-                if member.rounds >= member.next_lie {
-                    member.next_lie = member.rounds + member.lie_period;
-                    outgoing.push(member.next_accusation(
-                        tagged,
-                        EvidenceKind::Statistical,
-                        0.0,
-                        now,
-                    ));
-                }
-            }
+            outgoing.extend(member.fabricate(obs, tagged));
             let deltas: Vec<DiagnosisDelta> = member.session.ingest(obs).collect();
             if member.role.suppresses() {
                 continue;
@@ -243,29 +223,29 @@ impl QuorumSession {
             }
         }
         for acc in outgoing {
-            // The accuser trusts its own claim immediately; everyone else
-            // hears it through the channel.
-            self.tally(acc.accuser, &acc);
-            self.channel.broadcast(&acc, &self.vantages, &self.tracer, &self.metrics);
+            self.broadcast(&acc);
         }
     }
 
-    /// Flushes every in-flight accusation. Call once after the last event,
-    /// before reading verdicts.
-    pub fn finish(&mut self) {
-        for (to, acc) in self.channel.drain_all() {
-            self.deliver(to, &acc);
+    /// The accuser trusts its own claim first; then every other member
+    /// hears it, in member order.
+    fn broadcast(&mut self, acc: &Accusation) {
+        self.tally(acc.accuser, acc);
+        let (t, suspect) = (acc.at.as_nanos(), acc.suspect);
+        self.tracer
+            .emit(t, Some(acc.accuser), EventKind::AccusationSent { suspect });
+        self.metrics.bump(acc.accuser, Counter::AccusationsSent);
+        for i in 0..self.members.len() {
+            let to = self.members[i].vantage;
+            if to == acc.accuser {
+                continue;
+            }
+            self.delivered += 1;
+            self.tracer
+                .emit(t, Some(to), EventKind::AccusationDelivered { suspect });
+            self.metrics.bump(to, Counter::AccusationsDelivered);
+            self.tally(to, acc);
         }
-    }
-
-    fn deliver(&mut self, to: NodeId, acc: &Accusation) {
-        self.tracer.emit(
-            acc.at.as_nanos(),
-            Some(to),
-            EventKind::AccusationDelivered { suspect: acc.suspect },
-        );
-        self.metrics.bump(to, Counter::AccusationsDelivered);
-        self.tally(to, acc);
     }
 
     /// Registers `acc` at the member observing from `vantage` and convicts
@@ -336,13 +316,14 @@ impl QuorumSession {
         self.members.iter().find(|m| m.vantage == vantage).map(|m| &m.session)
     }
 
-    /// Lifetime gossip counters.
-    pub fn gossip(&self) -> GossipCounts {
-        self.channel.counts()
+    /// Accusation copies delivered so far to members other than their
+    /// accuser: each accusation reaches all `n − 1` of them.
+    pub fn delivered(&self) -> u64 {
+        self.delivered
     }
 
     /// The report block the CLI and daemon print for a quorum run: roles,
-    /// gossip counters, vote tally, verdict. One producer, like
+    /// gossip volume, vote tally, verdict. One producer, like
     /// [`mg_detect::render_report`], so every consumer emits byte-identical
     /// lines.
     pub fn report(&self) -> String {
@@ -355,12 +336,7 @@ impl QuorumSession {
             "roles    : {n} monitor(s), {} honest, {byz} byzantine",
             n - byz
         );
-        let g = self.gossip();
-        let _ = writeln!(
-            out,
-            "gossip   : {} copies sent, {} dropped, {} delivered",
-            g.sent, g.dropped, g.delivered
-        );
+        let _ = writeln!(out, "gossip   : {} copies delivered", self.delivered);
         let _ = writeln!(
             out,
             "quorum   : {} distinct accuser(s) against node {} (k = {})",
@@ -424,30 +400,14 @@ pub fn members_from_journal(journal: &mg_obs::ObsJournal) -> Vec<(NodeId, f64)> 
     meta.vantages.iter().map(|&v| (v, meta.pair_distance)).collect()
 }
 
-/// The latest virtual instant an observation speaks about — the quorum's
-/// clock for gossip delivery (mirrors the session-layer definition).
-fn obs_time(o: &Obs) -> SimTime {
-    match o {
-        Obs::ChannelEdge { at, .. } => *at,
-        Obs::TxStart { end, .. } => *end,
-        Obs::Decoded { end, .. } => *end,
-        Obs::Garbled { now, .. } => *now,
-        Obs::Ranging { at, .. } => *at,
-    }
-}
 
-/// True when `obs` is a tagged-node RTS decoded *at this member's vantage* —
-/// the local round clock a lying member fabricates against.
-fn is_tagged_rts_at(obs: &Obs, tagged: NodeId, vantage: NodeId) -> bool {
-    match obs {
-        Obs::Decoded { at, frame, .. } => *at == vantage && frame.src == tagged && frame.is_rts(),
-        _ => false,
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mg_dcf::{Dest, Frame, FrameKind, RtsFields};
+    use mg_sim::SimDuration;
+    use mg_trace::{Event, TraceConfig};
 
     fn template() -> MonitorConfig {
         MonitorConfig {
@@ -469,6 +429,84 @@ mod tests {
             epoch: 0,
             at: SimTime::from_micros(5),
         }
+    }
+
+    /// The `i`-th of a stream of tagged RTSs (node 0 to node 1), 10 ms
+    /// apart, as decoded at `vantage`.
+    fn tagged_rts(vantage: NodeId, i: u64) -> Obs {
+        let frame = Frame {
+            src: 0,
+            dst: Dest::Unicast(1),
+            duration: SimDuration::from_micros(352),
+            kind: FrameKind::Rts(RtsFields {
+                seq_off_wire: i as u16,
+                attempt: 0,
+                md: [0; 16],
+            }),
+        };
+        let start = SimTime::from_millis(10 * i);
+        let end = start + frame.duration;
+        Obs::Decoded { at: vantage, frame, start, end }
+    }
+
+    #[test]
+    fn an_accusation_reaches_every_member_inside_its_feed() {
+        // Every member lies, and only vantage 1 decodes tagged RTSs: its
+        // first accusation is the session's first.
+        let plan = FaultPlan::parse("seed=3,lie=1.0").unwrap();
+        let mut q = spec(3).with_faults(plan).build();
+        let mut i = 0;
+        while q.members[0].epoch == 0 {
+            assert!(i < 10, "a liar's first lie is due within 10 rounds");
+            q.feed(&tagged_rts(1, i));
+            i += 1;
+        }
+        // No further feed: every member already holds the accuser.
+        for m in &q.members {
+            let heard = m.suspected_by.get(&0).is_some_and(|a| a.contains(&1));
+            assert!(heard, "member {} has not heard the accusation", m.vantage);
+        }
+        assert_eq!(q.delivered(), 2 * q.members[0].epoch);
+    }
+
+    #[test]
+    fn traced_accusations_are_sent_once_and_delivered_to_every_other_member() {
+        let plan = FaultPlan::parse("seed=3,lie=1.0").unwrap();
+        let tracer = Tracer::new(TraceConfig::verbose());
+        let metrics = Metrics::new(4);
+        let mut q = spec(2)
+            .with_faults(plan)
+            .with_trace(tracer.clone(), metrics.clone())
+            .build();
+        for i in 0..60 {
+            for v in 1..=3 {
+                q.feed(&tagged_rts(v, i));
+            }
+        }
+        let accusations: u64 = q.members.iter().map(|m| m.epoch).sum();
+        assert!(accusations >= 6, "only {accusations} lies in 60 rounds");
+        assert_eq!(q.delivered(), 2 * accusations);
+        // Each `accusation_sent` is followed by one `accusation_delivered`
+        // at every other member, in member order.
+        let gossip: Vec<Event> = tracer
+            .events()
+            .into_iter()
+            .filter(|e| !matches!(e.kind, EventKind::QuorumConvicted { .. }))
+            .collect();
+        assert_eq!(gossip.len() as u64, 3 * accusations);
+        for round in gossip.chunks(3) {
+            let (sent, copies) = (round[0], &round[1..]);
+            assert_eq!(sent.kind, EventKind::AccusationSent { suspect: 0 });
+            let accuser = sent.node.expect("the accuser");
+            let others: Vec<NodeId> = (1..=3).filter(|&v| v != accuser).collect();
+            for (e, &to) in copies.iter().zip(&others) {
+                assert_eq!(e.kind, EventKind::AccusationDelivered { suspect: 0 });
+                assert_eq!((e.node, e.t_ns), (Some(to), sent.t_ns));
+            }
+        }
+        let snap = metrics.snapshot();
+        assert_eq!(snap.total(Counter::AccusationsSent), accusations);
+        assert_eq!(snap.total(Counter::AccusationsDelivered), q.delivered());
     }
 
     #[test]
@@ -529,7 +567,7 @@ mod tests {
         q.tally(1, &acc(1, 0));
         let r = q.report();
         assert!(r.starts_with("roles    : 3 monitor(s), 3 honest, 0 byzantine\n"), "{r}");
-        assert!(r.contains("gossip   : 0 copies sent, 0 dropped, 0 delivered\n"), "{r}");
+        assert!(r.contains("gossip   : 0 copies delivered\n"), "{r}");
         assert!(r.contains("quorum   : 1 distinct accuser(s) against node 0 (k = 2)\n"), "{r}");
         assert!(r.ends_with("verdict  : node 0 is apparently well-behaved by 2-of-3 quorum\n"), "{r}");
     }

@@ -9,15 +9,15 @@
 //!   parameter-point boundaries and slow tasks overlap with fast ones.
 //!   Results come back in task order, deterministically;
 //! * **per-cell fault isolation**: a panicking task poisons only its own
-//!   cell ([`TrialError::Panicked`]), and with a watchdog armed a hung task
-//!   is abandoned and reported ([`TrialError::TimedOut`]) while every other
-//!   cell completes;
+//!   cell ([`TrialError::Panicked`]) while every other cell completes;
 //! * **deterministic runner faults** ([`RunnerFaults`], from `mg-fault`):
-//!   injected panics and hangs keyed by task index, which is how CI proves
-//!   the two properties above.
+//!   injected panics keyed by task index, which is how CI proves the
+//!   property above.
 //!
 //! Every grid is computed cold: a result cache costs more than it saves at
-//! this suite's speed (DESIGN.md §4 has the measurement).
+//! this suite's speed (DESIGN.md §4 has the measurement). There is no
+//! watchdog: a trial is a pure function of its task, so a retry would only
+//! repeat a slow cell (DESIGN.md §3).
 //!
 //! ```
 //! use mg_runner::{try_sweep, RunnerFaults, TrialError};
@@ -26,7 +26,7 @@
 //! let out = try_sweep(&tasks, &RunnerFaults::default(), |&t| t * t);
 //! assert_eq!(out[3], Ok(9));
 //!
-//! let faults = RunnerFaults { panic_tasks: vec![2], ..RunnerFaults::default() };
+//! let faults = RunnerFaults { panic_tasks: vec![2] };
 //! let out = try_sweep(&tasks, &faults, |&t| t * t);
 //! assert!(matches!(out[2], Err(TrialError::Panicked { task: 2, .. })));
 //! assert_eq!(out[3], Ok(9));
@@ -38,8 +38,7 @@ pub use mg_fault::RunnerFaults;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
-use std::time::Duration;
+use std::sync::Mutex;
 
 /// Why a grid cell failed instead of producing a result.
 ///
@@ -54,15 +53,6 @@ pub enum TrialError {
         /// The panic payload, when it was a string.
         message: String,
     },
-    /// The task exceeded the watchdog timeout on every allowed attempt.
-    TimedOut {
-        /// Flat grid index of the task.
-        task: usize,
-        /// Attempts made (1 + retries).
-        attempts: u32,
-        /// The per-attempt timeout that was exceeded.
-        timeout_ms: u64,
-    },
 }
 
 impl std::fmt::Display for TrialError {
@@ -70,9 +60,6 @@ impl std::fmt::Display for TrialError {
         match self {
             TrialError::Panicked { task, message } => {
                 write!(f, "task {task} panicked: {message}")
-            }
-            TrialError::TimedOut { task, attempts, timeout_ms } => {
-                write!(f, "task {task} timed out ({attempts} attempts × {timeout_ms} ms)")
             }
         }
     }
@@ -83,18 +70,10 @@ impl std::fmt::Display for TrialError {
 /// poisoned it.
 ///
 /// Scheduling is one shared atomic cursor on [`std::thread::scope`], with
-/// one worker per available core. `run` executes on worker threads, so the
-/// output is deterministic when `run` is a pure function of its task.
-///
-/// `faults` injects panics and hangs by task index. Its
-/// [`RunnerFaults::timeout_ms`] arms the watchdog: each attempt then runs
-/// on its own thread, spawned on the sweep's scope, and is abandoned (not
-/// killed — safe Rust cannot kill a thread) once the deadline passes. The
-/// worker that was watching it moves on at once, and a timed-out task is
-/// retried up to [`RunnerFaults::retries`] times; panics never retry, they
-/// are deterministic. Because the scope joins *all* of its threads on
-/// exit, a genuinely infinite task still delays the return; simulated
-/// hangs are finite, so sweeps under fault injection always terminate.
+/// one worker per available core. `run` executes on worker threads under
+/// `catch_unwind`, so the output is deterministic when `run` is a pure
+/// function of its task, and a panic poisons only its own cell. `faults`
+/// injects panics by task index.
 pub fn try_sweep<T, R>(
     tasks: &[T],
     faults: &RunnerFaults,
@@ -112,18 +91,24 @@ where
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<R, TrialError>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
-    // Workers capture plain copies of these references (`move`), which is
-    // what lets `run_cell` spawn watchdog attempts on the same `'scope`.
-    let (cursor_ref, slots_ref, run_ref) = (&cursor, &slots, &run);
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(move || loop {
-                let i = cursor_ref.fetch_add(1, Ordering::Relaxed);
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
                 }
-                let cell = run_cell(scope, i, &tasks[i], faults, run_ref);
-                *slots_ref[i].lock().expect("slot poisoned") = Some(cell);
+                let cell = catch_unwind(AssertUnwindSafe(|| {
+                    if faults.panics(i) {
+                        panic!("mg-fault: injected panic in task {i}");
+                    }
+                    run(&tasks[i])
+                }))
+                .map_err(|p| TrialError::Panicked {
+                    task: i,
+                    message: panic_message(&*p),
+                });
+                *slots[i].lock().expect("slot poisoned") = Some(cell);
             });
         }
     });
@@ -131,50 +116,6 @@ where
         .into_iter()
         .map(|m| m.into_inner().expect("slot poisoned").expect("all tasks ran"))
         .collect()
-}
-
-/// One grid cell: fault injection, then the run under the watchdog if one
-/// is armed.
-fn run_cell<'scope, T, R>(
-    scope: &'scope std::thread::Scope<'scope, '_>,
-    i: usize,
-    task: &'scope T,
-    faults: &'scope RunnerFaults,
-    run: &'scope (impl Fn(&T) -> R + Sync),
-) -> Result<R, TrialError>
-where
-    T: Sync,
-    R: Send + 'scope,
-{
-    let attempt = move || {
-        if faults.panics(i) {
-            panic!("mg-fault: injected panic in task {i}");
-        }
-        if faults.hangs(i) {
-            std::thread::sleep(Duration::from_millis(faults.hang_ms));
-        }
-        run(task)
-    };
-    let Some(timeout_ms) = faults.timeout_ms else {
-        return catch_unwind(AssertUnwindSafe(attempt))
-            .map_err(|p| TrialError::Panicked { task: i, message: panic_message(&*p) });
-    };
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        let (tx, rx) = mpsc::channel();
-        scope.spawn(move || {
-            let _ = tx.send(catch_unwind(AssertUnwindSafe(attempt)));
-        });
-        match rx.recv_timeout(Duration::from_millis(timeout_ms)) {
-            Ok(Ok(r)) => return Ok(r),
-            Ok(Err(p)) => {
-                return Err(TrialError::Panicked { task: i, message: panic_message(&*p) })
-            }
-            Err(_) if attempts <= faults.retries => continue,
-            Err(_) => return Err(TrialError::TimedOut { task: i, attempts, timeout_ms }),
-        }
-    }
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -221,7 +162,7 @@ mod tests {
         let tasks: Vec<u64> = (0..64).collect();
         let out = sweep(&tasks, |&t| {
             if t % 7 == 0 {
-                std::thread::sleep(Duration::from_millis(2));
+                std::thread::sleep(std::time::Duration::from_millis(2));
             }
             t * t
         });
@@ -229,38 +170,14 @@ mod tests {
     }
 
     #[test]
-    fn panicking_and_hanging_tasks_poison_only_their_own_cells() {
+    fn panicking_tasks_poison_only_their_own_cells() {
         let tasks: Vec<u64> = (0..8).collect();
         let run = |t: &u64| t * 10;
         let clean = try_sweep(&tasks, &RunnerFaults::default(), run);
-        // The panic and the hang run in separate sweeps: a panic hook that
-        // prints a symbolized backtrace (`RUST_BACKTRACE` set, debug build)
-        // can outlast a 25 ms deadline, and the panicking cell would read
-        // `TimedOut`. The panic's watchdog is far longer than any hook, so
-        // this sweep still checks that a panic under a watchdog is caught.
-        let panicking = RunnerFaults {
+        let faults = RunnerFaults {
             panic_tasks: vec![3],
-            timeout_ms: Some(60_000),
-            ..RunnerFaults::default()
         };
-        let hanging = RunnerFaults {
-            hang_tasks: vec![5],
-            hang_ms: 400,
-            timeout_ms: Some(25),
-            retries: 1,
-            ..RunnerFaults::default()
-        };
-
-        // Every other cell equals a fault-free run, and the one injected
-        // fault is the only error.
-        let healthy = |out: &[Result<u64, TrialError>], faulty: usize| {
-            for (i, cell) in out.iter().enumerate().filter(|&(i, _)| i != faulty) {
-                assert_eq!(cell, &clean[i], "healthy cell {i} must match a fault-free run");
-            }
-            assert_eq!(out.iter().filter(|c| c.is_err()).count(), 1);
-        };
-
-        let out = try_sweep(&tasks, &panicking, run);
+        let out = try_sweep(&tasks, &faults, run);
         match &out[3] {
             Err(TrialError::Panicked { task, message }) => {
                 assert_eq!(*task, 3);
@@ -268,15 +185,11 @@ mod tests {
             }
             other => panic!("cell 3 must be Panicked, got {other:?}"),
         }
-        healthy(&out, 3);
-
-        let out = try_sweep(&tasks, &hanging, run);
-        match &out[5] {
-            Err(TrialError::TimedOut { task, attempts, timeout_ms }) => {
-                assert_eq!((*task, *attempts, *timeout_ms), (5, 2, 25));
-            }
-            other => panic!("cell 5 must be TimedOut, got {other:?}"),
+        // Every other cell equals a fault-free run, and the one injected
+        // fault is the only error.
+        for (i, cell) in out.iter().enumerate().filter(|&(i, _)| i != 3) {
+            assert_eq!(cell, &clean[i], "healthy cell {i}");
         }
-        healthy(&out, 5);
+        assert_eq!(out.iter().filter(|c| c.is_err()).count(), 1);
     }
 }

@@ -172,15 +172,9 @@ pub enum EventKind {
         /// Number of bits flipped.
         bits: u32,
     },
-    /// A monitor broadcast an accusation on the gossip channel (the event's
-    /// node is the accuser).
+    /// A monitor broadcast an accusation to the other quorum members (the
+    /// event's node is the accuser).
     AccusationSent {
-        /// The accused node.
-        suspect: usize,
-    },
-    /// The gossip channel lost an accusation in flight (the event's node is
-    /// the receiver that never heard it).
-    AccusationDropped {
         /// The accused node.
         suspect: usize,
     },
@@ -218,7 +212,6 @@ impl EventKind {
             | EventKind::MonitorUncertain { .. } => Subsystem::Monitor,
             EventKind::FaultDrop { .. } | EventKind::FaultCorrupt { .. } => Subsystem::Fault,
             EventKind::AccusationSent { .. }
-            | EventKind::AccusationDropped { .. }
             | EventKind::AccusationDelivered { .. }
             | EventKind::QuorumConvicted { .. } => Subsystem::Quorum,
         }
@@ -251,7 +244,6 @@ impl EventKind {
             EventKind::FaultDrop { .. } => "drop",
             EventKind::FaultCorrupt { .. } => "corrupt",
             EventKind::AccusationSent { .. } => "accusation_sent",
-            EventKind::AccusationDropped { .. } => "accusation_dropped",
             EventKind::AccusationDelivered { .. } => "accusation_delivered",
             EventKind::QuorumConvicted { .. } => "quorum_convicted",
         }
@@ -330,9 +322,7 @@ impl Event {
             EventKind::FaultCorrupt { bits } => {
                 fields.push(("bits".into(), Json::from(bits as u64)));
             }
-            EventKind::AccusationSent { suspect }
-            | EventKind::AccusationDropped { suspect }
-            | EventKind::AccusationDelivered { suspect } => {
+            EventKind::AccusationSent { suspect } | EventKind::AccusationDelivered { suspect } => {
                 fields.push(("suspect".into(), Json::from(suspect as u64)));
             }
             EventKind::QuorumConvicted { suspect, votes } => {

@@ -40,10 +40,8 @@ pub enum Counter {
     FaultCorruptions,
     /// Anomalous observations the monitor withheld a verdict on.
     MonitorUncertain,
-    /// Accusations broadcast on the gossip channel.
+    /// Accusations broadcast to the other quorum members.
     AccusationsSent,
-    /// Accusations lost in flight by the gossip channel.
-    AccusationsDropped,
     /// Accusations that reached a receiving monitor.
     AccusationsDelivered,
     /// Suspicion sets that reached the conviction quorum.
@@ -51,7 +49,7 @@ pub enum Counter {
 }
 
 /// Number of counter kinds (size of a counter row).
-pub const COUNTER_COUNT: usize = 17;
+pub const COUNTER_COUNT: usize = 16;
 
 impl Counter {
     /// Row index of this counter.
@@ -75,7 +73,6 @@ impl Counter {
         Counter::FaultCorruptions,
         Counter::MonitorUncertain,
         Counter::AccusationsSent,
-        Counter::AccusationsDropped,
         Counter::AccusationsDelivered,
         Counter::QuorumConvictions,
     ];
@@ -97,7 +94,6 @@ impl Counter {
             Counter::FaultCorruptions => "fault_corruptions",
             Counter::MonitorUncertain => "monitor_uncertain",
             Counter::AccusationsSent => "accusations_sent",
-            Counter::AccusationsDropped => "accusations_dropped",
             Counter::AccusationsDelivered => "accusations_delivered",
             Counter::QuorumConvictions => "quorum_convictions",
         }

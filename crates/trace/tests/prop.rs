@@ -24,7 +24,7 @@ fn arb_kind(g: &mut Gen) -> EventKind {
         2 => FrameLabel::Data,
         _ => FrameLabel::Ack,
     };
-    match g.u8_in(0..19) {
+    match g.u8_in(0..18) {
         0 => EventKind::SchedDispatch { seq: g.u64_in(0..1_000) },
         1 => EventKind::ChannelEdge { busy: g.bool() },
         2 => EventKind::TxStart {
@@ -44,8 +44,7 @@ fn arb_kind(g: &mut Gen) -> EventKind {
         13 => EventKind::FaultDrop { cause: "loss" },
         14 => EventKind::FaultCorrupt { bits: g.u64_in(1..16) as u32 },
         15 => EventKind::AccusationSent { suspect: g.usize_in(0..8) },
-        16 => EventKind::AccusationDropped { suspect: g.usize_in(0..8) },
-        17 => EventKind::AccusationDelivered { suspect: g.usize_in(0..8) },
+        16 => EventKind::AccusationDelivered { suspect: g.usize_in(0..8) },
         _ => EventKind::QuorumConvicted {
             suspect: g.usize_in(0..8),
             votes: g.usize_in(1..8),

@@ -246,7 +246,21 @@ if [ "$conflict_status" -ne 2 ] || ! grep -q -- "--replay conflicts with --pm" "
     echo "error: --replay --pm must exit 2 with a conflict message" >&2
     exit 1
 fi
-echo "ok: replay reproduces live detection; world flags are rejected"
+# A --rate that is not finite and above 0 is a usage error too (exit 2).
+# The timeout bounds a run that an infinite rate would never let finish.
+for rate in 0 nan inf; do
+    set +e
+    timeout 30 ./target/release/manet-guard detect --rate "$rate" --secs 2 \
+        >/dev/null 2>"$outdir/rate.err"
+    rate_status=$?
+    set -e
+    if [ "$rate_status" -ne 2 ] || ! grep -q -- "invalid value for --rate" "$outdir/rate.err"; then
+        echo "error: detect --rate $rate must exit 2 naming --rate (got $rate_status)" >&2
+        cat "$outdir/rate.err" >&2
+        exit 1
+    fi
+done
+echo "ok: replay reproduces live detection; world flags and bad rates are rejected"
 
 echo "== journal gate: cross-format record/transcode/replay byte-identity =="
 # Record the detection workload as JSONL, transcode to binary, replay both:
@@ -498,10 +512,11 @@ echo "ok: serving smoke cell conserves events and reports"
 
 echo "== chaos gate: Byzantine quorum sweep is deterministic and never falsely convicts =="
 # Two identical fault-seeded bench_quorum mini-sweeps must agree
-# byte-for-byte: the Byzantine cast (FalseAccuser roles)
-# and the lossy gossip channel draw only from seeded streams. The binary
-# itself enforces the f < k bound — any PM=0 trial whose realized liar
-# count stays below k yet convicts names its cell on stderr and exits 1.
+# byte-for-byte: the Byzantine cast (FalseAccuser roles and their lie
+# cadence) draws only from the plan's seeded per-vantage streams, and every
+# accusation reaches every member at once. The binary itself enforces the
+# f < k bound — any PM=0 trial whose realized liar count stays below k yet
+# convicts names its cell on stderr and exits 1.
 run_quorum() {
     MG_TRIALS=2 MG_SIM_SECS=2 MG_BENCH_OUT="$outdir/quorum-$1.json" \
         cargo run -q --release --offline -p mg-bench --bin bench_quorum \
@@ -521,6 +536,29 @@ if ! grep -q '"pass":true' "$outdir/quorum-a.json"; then
     exit 1
 fi
 echo "ok: Byzantine quorum sweep replays byte-for-byte; f < k liars never convict"
+
+echo "== quorum replay gate: a recorded quorum journal replays into the same verdict =="
+# detect --quorum --record writes each member's distance into the journal
+# header, so detect --replay --quorum rebuilds the same members, and the
+# same --faults draw the same Byzantine cast: every report line must agree.
+quorum_faults="seed=4,lie=0.3,mute=0.2"
+cargo run -q --release --offline -- detect --quorum 2 --pm 75 --secs 4 --seed 5 \
+    --faults "$quorum_faults" --record "$outdir/quorum.bin" >"$outdir/quorum-live.out"
+cargo run -q --release --offline -- detect --replay "$outdir/quorum.bin" --quorum 2 \
+    --faults "$quorum_faults" >"$outdir/quorum-replayed.out"
+quorum_lines='^(roles|gossip|quorum|verdict) '
+if ! diff <(grep -E "$quorum_lines" "$outdir/quorum-live.out") \
+          <(grep -E "$quorum_lines" "$outdir/quorum-replayed.out"); then
+    echo "error: the replayed quorum diverged from the live run" >&2
+    exit 1
+fi
+if [ "$(grep -cE "$quorum_lines" "$outdir/quorum-replayed.out")" -ne 4 ] \
+    || ! grep -q '^verdict .*MISBEHAVING' "$outdir/quorum-replayed.out"; then
+    echo "error: the quorum replay must print all four report lines and convict" >&2
+    cat "$outdir/quorum-replayed.out" >&2
+    exit 1
+fi
+echo "ok: $(grep '^verdict' "$outdir/quorum-replayed.out" | sed 's/^verdict *: //'), live and replayed"
 
 echo "== profiler smoke: the sampler names the medium's hot path =="
 # scripts/profile.sh builds the CLI with full debug info into

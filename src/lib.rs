@@ -122,8 +122,8 @@ pub mod prelude {
     };
     pub use mg_phy::{Medium, MediumIndex, PropagationModel, RadioParams};
     pub use mg_quorum::{
-        members_from_journal, Accusation, EvidenceKind, GossipChannel, GossipConfig,
-        GossipCounts, MonitorRole, QuorumFaults, QuorumSession, QuorumSpec,
+        members_from_journal, Accusation, EvidenceKind, MonitorRole, QuorumFaults, QuorumSession,
+        QuorumSpec,
     };
     pub use mg_serve::{Daemon, Policy, ServeConfig, ServeStats, StreamReport};
     pub use mg_sim::{SimDuration, SimTime};

@@ -147,6 +147,12 @@ fn parse_detect(args: &[String]) -> Result<DetectOpts, String> {
             }
             "--rate" => {
                 o.rate = value(&mut it, a)?;
+                if !(o.rate.is_finite() && o.rate > 0.0) {
+                    let r = o.rate;
+                    return Err(format!(
+                        "invalid value for --rate: {r} (must be finite and above 0)"
+                    ));
+                }
                 "--rate"
             }
             "--secs" => {
@@ -494,10 +500,8 @@ fn quorum_detect(o: &DetectOpts, k: usize) {
 
     let mut q = QuorumSpec::new(attacker_node, &members, mc, k)
         .with_faults(o.faults.clone())
-        .with_seed(o.seed)
         .build();
     journal.replay(&mut q);
-    q.finish();
     print!("{}", q.report());
 }
 
@@ -566,10 +570,8 @@ fn replay_detect(o: &DetectOpts, path: &str) {
         let t0 = std::time::Instant::now();
         let mut q = QuorumSpec::new(attacker_node, &members, mc.with_sample_size(o.samples[0]), k)
             .with_faults(o.faults.clone())
-            .with_seed(meta.seed)
             .build();
         journal.replay(&mut q);
-        q.finish();
         println!(
             "run      : {} events replayed into {} collaborating monitor(s) in {:.2?}",
             journal.len(),
