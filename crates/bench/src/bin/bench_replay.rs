@@ -1,18 +1,19 @@
 //! Micro-benchmark: re-simulate vs. record-once/replay for the
-//! `ablation_alpha` workload, swept across both journal formats.
+//! `ablation_alpha` workload, through the binary journal codec.
 //!
 //! Runs the same `(α × PM × seed)` grid twice — once the pre-replay way
 //! (one full monitored simulation per cell) and once the replay-backed way
 //! (one recorded world per `(PM, seed)`, replayed into every α). The replay
-//! path is measured through the serialization boundary for **each**
-//! [`JournalFormat`]: encode every journal, decode it back (that is what an
-//! `--replay` costs), and replay the decoded journal into every α.
-//! Outcomes must be identical across all three paths — replay is exact,
-//! not an approximation, in either encoding.
+//! path is measured through the serialization boundary: encode every
+//! journal in binary, decode it back (that is what an `--replay` costs),
+//! and replay the decoded journal into every α. Outcomes must be identical
+//! across both paths — replay is exact, not an approximation. The JSONL
+//! export of every journal is encoded too, for its time and its size next
+//! to the binary one; nothing reads it back.
 //!
 //! The wall-clock comparison, size-on-disk and decode-throughput columns go
 //! to `BENCH_replay.json` (override the path with `MG_BENCH_OUT`). The
-//! headline `speedup` is the binary-format end-to-end figure:
+//! headline `speedup` is the end-to-end figure:
 //! `resimulate / (record + encode + decode + replay)`.
 //!
 //! ```text
@@ -83,80 +84,18 @@ fn replay_trial(journal: &ObsJournal, arma_alpha: f64) -> TrialOutcome {
     outcome(&session.diagnosis())
 }
 
-/// One format's measured half of the bench: encode all journals, decode
-/// them back through a validating reader, replay the decoded journals into
-/// every cell. Returns the outcomes plus the timing/size columns.
-struct FormatRun {
-    outcomes: Vec<TrialOutcome>,
-    encode_ms: f64,
-    decode_ms: f64,
-    replay_ms: f64,
-    bytes: u64,
-    decode_mb_s: f64,
-}
-
-fn run_format(
-    format: JournalFormat,
-    journals: &[((u8, u64), ObsJournal)],
-    cells: &[(f64, u8, u64)],
-) -> FormatRun {
-    let t0 = Instant::now();
-    let encoded: Vec<Vec<u8>> = journals.iter().map(|(_, j)| j.encode(format)).collect();
-    let encode_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let bytes: u64 = encoded.iter().map(|b| b.len() as u64).sum();
-
-    // Decode once per world — what an `--replay` pays — through
-    // the full validating path (trailer, checksum, tables, index).
-    let t1 = Instant::now();
-    let decoded: Vec<ObsJournal> = encoded
-        .into_iter()
-        .map(|b| {
-            JournalReader::from_bytes(b)
-                .and_then(|r| r.read_journal())
-                .unwrap_or_else(|e| panic!("{format} journal failed to decode: {e}"))
-        })
-        .collect();
-    let decode_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-    let t2 = Instant::now();
-    let outcomes: Vec<TrialOutcome> = cells
-        .iter()
-        .map(|&(alpha, pm, seed)| {
-            let i = journals
-                .iter()
-                .position(|((p, s), _)| *p == pm && *s == seed)
-                .expect("every cell's world was recorded");
-            replay_trial(&decoded[i], alpha)
-        })
-        .collect();
-    let replay_ms = t2.elapsed().as_secs_f64() * 1e3;
-
-    let decode_mb_s = (bytes as f64 / 1e6) / (decode_ms / 1e3).max(1e-9);
-    FormatRun { outcomes, encode_ms, decode_ms, replay_ms, bytes, decode_mb_s }
-}
-
-fn assert_outcomes_equal(label: &str, a: &[TrialOutcome], b: &[TrialOutcome], cells: &[(f64, u8, u64)]) {
+fn assert_outcomes_equal(a: &[TrialOutcome], b: &[TrialOutcome], cells: &[(f64, u8, u64)]) {
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(x.tests, y.tests, "{label} cell {i}: {:?}", cells[i]);
-        assert_eq!(x.rejections, y.rejections, "{label} cell {i}: {:?}", cells[i]);
-        assert_eq!(x.violations, y.violations, "{label} cell {i}: {:?}", cells[i]);
-        assert_eq!(x.samples, y.samples, "{label} cell {i}: {:?}", cells[i]);
-        assert_eq!(x.rho.to_bits(), y.rho.to_bits(), "{label} cell {i}: {:?}", cells[i]);
+        assert_eq!(x.tests, y.tests, "cell {i}: {:?}", cells[i]);
+        assert_eq!(x.rejections, y.rejections, "cell {i}: {:?}", cells[i]);
+        assert_eq!(x.violations, y.violations, "cell {i}: {:?}", cells[i]);
+        assert_eq!(x.samples, y.samples, "cell {i}: {:?}", cells[i]);
+        assert_eq!(x.rho.to_bits(), y.rho.to_bits(), "cell {i}: {:?}", cells[i]);
     }
 }
 
 fn round1(v: f64) -> Json {
     Json::Num((v * 10.0).round() / 10.0)
-}
-
-fn format_json(r: &FormatRun) -> Json {
-    Json::obj([
-        ("encode_ms", round1(r.encode_ms)),
-        ("decode_ms", round1(r.decode_ms)),
-        ("replay_ms", round1(r.replay_ms)),
-        ("bytes", Json::from(r.bytes)),
-        ("decode_mb_s", round1(r.decode_mb_s)),
-    ])
 }
 
 fn main() {
@@ -192,22 +131,52 @@ fn main() {
     }
     let record_ms = t1.elapsed().as_secs_f64() * 1e3;
 
-    // …then push it through each codec and replay into every α.
-    let jsonl = run_format(JournalFormat::Jsonl, &journals, &cells);
-    let bin = run_format(JournalFormat::Binary, &journals, &cells);
+    // …then push it through the binary codec: encode, decode back through
+    // the full validating path (trailer, checksum, tables) — what an
+    // `--replay` pays — and replay into every α.
+    let t2 = Instant::now();
+    let encoded: Vec<Vec<u8>> = journals.iter().map(|(_, j)| j.encode(JournalFormat::Binary)).collect();
+    let encode_ms = t2.elapsed().as_secs_f64() * 1e3;
+    let bytes: u64 = encoded.iter().map(|b| b.len() as u64).sum();
+    let t3 = Instant::now();
+    let decoded: Vec<ObsJournal> = encoded
+        .into_iter()
+        .map(|b| {
+            JournalReader::from_bytes(b)
+                .and_then(|r| r.read_journal())
+                .unwrap_or_else(|e| panic!("binary journal failed to decode: {e}"))
+        })
+        .collect();
+    let decode_ms = t3.elapsed().as_secs_f64() * 1e3;
+    let t4 = Instant::now();
+    let replayed: Vec<TrialOutcome> = cells
+        .iter()
+        .map(|&(alpha, pm, seed)| {
+            let i = journals
+                .iter()
+                .position(|((p, s), _)| *p == pm && *s == seed)
+                .expect("every cell's world was recorded");
+            replay_trial(&decoded[i], alpha)
+        })
+        .collect();
+    let replay_ms = t4.elapsed().as_secs_f64() * 1e3;
+    // Both paths must land on identical outcomes — replay is exact, not an
+    // approximation.
+    assert_outcomes_equal(&resimulated, &replayed, &cells);
 
-    // All three paths must land on identical outcomes — replay is exact,
-    // not an approximation, in either encoding.
-    assert_outcomes_equal("jsonl", &resimulated, &jsonl.outcomes, &cells);
-    assert_outcomes_equal("bin", &resimulated, &bin.outcomes, &cells);
+    // The JSONL export, for its encode time and size only.
+    let t5 = Instant::now();
+    let jsonl_bytes: u64 = journals
+        .iter()
+        .map(|(_, j)| j.encode(JournalFormat::Jsonl).len() as u64)
+        .sum();
+    let jsonl_encode_ms = t5.elapsed().as_secs_f64() * 1e3;
 
-    let size_ratio = jsonl.bytes as f64 / (bin.bytes as f64).max(1.0);
-    let bin_total_ms = record_ms + bin.encode_ms + bin.decode_ms + bin.replay_ms;
-    let jsonl_total_ms = record_ms + jsonl.encode_ms + jsonl.decode_ms + jsonl.replay_ms;
-    let speedup = resimulate_ms / bin_total_ms.max(1e-9);
-    let jsonl_speedup = resimulate_ms / jsonl_total_ms.max(1e-9);
+    let size_ratio = jsonl_bytes as f64 / (bytes as f64).max(1.0);
+    let decode_mb_s = (bytes as f64 / 1e6) / (decode_ms / 1e3).max(1e-9);
+    let speedup = resimulate_ms / (record_ms + encode_ms + decode_ms + replay_ms).max(1e-9);
     let json = Json::obj([
-        ("bench", Json::from("ablation_alpha: re-simulate vs record+replay (jsonl and binary codecs)")),
+        ("bench", Json::from("ablation_alpha: re-simulate vs record+replay (binary codec; JSONL export size)")),
         ("trials", Json::from(bc.trials)),
         ("sim_secs", Json::from(bc.sim_secs)),
         ("cells", Json::from(cells.len() as u64)),
@@ -215,11 +184,19 @@ fn main() {
         ("worlds_recorded", Json::from(journals.len() as u64)),
         ("resimulate_ms", round1(resimulate_ms)),
         ("record_ms", round1(record_ms)),
-        ("jsonl", format_json(&jsonl)),
-        ("bin", format_json(&bin)),
+        ("jsonl", Json::obj([("encode_ms", round1(jsonl_encode_ms)), ("bytes", Json::from(jsonl_bytes))])),
+        (
+            "bin",
+            Json::obj([
+                ("encode_ms", round1(encode_ms)),
+                ("decode_ms", round1(decode_ms)),
+                ("replay_ms", round1(replay_ms)),
+                ("bytes", Json::from(bytes)),
+                ("decode_mb_s", round1(decode_mb_s)),
+            ]),
+        ),
         ("size_ratio", Json::Num((size_ratio * 100.0).round() / 100.0)),
-        ("replay_ms", round1(bin.decode_ms + bin.replay_ms)),
-        ("jsonl_speedup", Json::Num((jsonl_speedup * 100.0).round() / 100.0)),
+        ("replay_ms", round1(decode_ms + replay_ms)),
         ("speedup", Json::Num((speedup * 100.0).round() / 100.0)),
     ]);
     let path = std::env::var("MG_BENCH_OUT").unwrap_or_else(|_| "BENCH_replay.json".into());
@@ -234,13 +211,10 @@ fn main() {
         journals.len(),
         record_ms,
     );
-    println!(
-        "jsonl: {} B, encode {:.1} ms, decode {:.1} ms ({:.1} MB/s), replay {:.1} ms -> {:.2}x",
-        jsonl.bytes, jsonl.encode_ms, jsonl.decode_ms, jsonl.decode_mb_s, jsonl.replay_ms, jsonl_speedup,
-    );
+    println!("jsonl: {jsonl_bytes} B, encode {jsonl_encode_ms:.1} ms (export only)");
     println!(
         "bin  : {} B ({size_ratio:.2}x smaller), encode {:.1} ms, decode {:.1} ms ({:.1} MB/s), replay {:.1} ms -> {:.2}x",
-        bin.bytes, bin.encode_ms, bin.decode_ms, bin.decode_mb_s, bin.replay_ms, speedup,
+        bytes, encode_ms, decode_ms, decode_mb_s, replay_ms, speedup,
     );
     println!("wrote {path}");
 }

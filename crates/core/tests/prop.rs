@@ -239,7 +239,7 @@ mod replay {
     }
 
     /// Simulates one grid world with a live monitor and a recorder probe
-    /// side by side; the journal is pushed through the JSONL codec so the
+    /// side by side; the journal is pushed through the binary codec so the
     /// replay below exercises serialization, not just the in-memory path.
     fn live_run(seed: u64, pm: u8, ss: usize, plan: Option<&FaultPlan>) -> Result<LiveRun, TkError> {
         const SECS: u64 = 2;
@@ -269,10 +269,10 @@ mod replay {
         world.set_policy(a.id(), BackoffPolicy::Scaled { pm });
         world.run_until(SimTime::from_secs(SECS));
 
-        let jsonl = world.probe().journal().encode(JournalFormat::Jsonl);
-        let journal = JournalReader::from_bytes(jsonl)
+        let bin = world.probe().journal().encode(JournalFormat::Binary);
+        let journal = JournalReader::from_bytes(bin)
             .and_then(|r| r.read_journal())
-            .map_err(|e| TkError::Fail(format!("jsonl round trip: {e}")))?;
+            .map_err(|e| TkError::Fail(format!("binary round trip: {e}")))?;
         tk_assert_eq!(world.tracer().dropped(), 0);
         Ok(LiveRun {
             mc,
@@ -345,12 +345,12 @@ mod replay {
         });
     }
 
-    /// The journal format is invisible to diagnosis: streaming the same
-    /// recorded run through the JSONL and binary codecs (fresh readers,
-    /// `replay_into` a session) lands on byte-identical detector state and
-    /// history — the non-negotiable invariant of the codec layer. Faulted
-    /// replays agree across formats too, and the binary encoding is
-    /// strictly smaller.
+    /// The codec is invisible to diagnosis: streaming the recorded run
+    /// through the binary codec (a fresh reader, `replay_into` a session)
+    /// lands on byte-identical detector state and history to the live
+    /// monitor — the non-negotiable invariant of the codec layer. A faulted
+    /// replay agrees with the in-memory journal's, and the binary encoding
+    /// is strictly smaller than the JSONL export.
     #[test]
     fn cross_format_replay_is_byte_identical() {
         let cfg = Config {
@@ -371,30 +371,27 @@ mod replay {
                 bin.len(),
                 jsonl.len()
             );
-            let live_records = monitor_records(&live.trace)?;
-            for bytes in [jsonl, bin] {
-                let reader = JournalReader::from_bytes(bytes)
-                    .map_err(|e| TkError::Fail(format!("open: {e}")))?;
-                let mut clean = Keep(session(reader.meta(), live.mc, &FaultPlan::default()), vec![]);
-                reader
-                    .replay_into(&mut clean)
-                    .map_err(|e| TkError::Fail(format!("replay: {e}")))?;
-                tk_assert_eq!(live.diagnosis, clean.0.diagnosis());
-                tk_assert!(
-                    as_trace(reader.meta().tagged, &clean.1) == live_records,
-                    "the replayed history differs from the live trace"
-                );
+            let reader = JournalReader::from_bytes(bin)
+                .map_err(|e| TkError::Fail(format!("open: {e}")))?;
+            let mut clean = Keep(session(reader.meta(), live.mc, &FaultPlan::default()), vec![]);
+            reader
+                .replay_into(&mut clean)
+                .map_err(|e| TkError::Fail(format!("replay: {e}")))?;
+            tk_assert_eq!(live.diagnosis, clean.0.diagnosis());
+            tk_assert!(
+                as_trace(reader.meta().tagged, &clean.1) == monitor_records(&live.trace)?,
+                "the replayed history differs from the live trace"
+            );
 
-                let plan = FaultPlan::parse("seed=11,light")
-                    .map_err(|e| TkError::Fail(format!("plan: {e}")))?;
-                let mut faulted = session(reader.meta(), live.mc, &plan);
-                reader
-                    .replay_into(&mut faulted)
-                    .map_err(|e| TkError::Fail(format!("faulted replay: {e}")))?;
-                let mut reference = session(live.journal.meta(), live.mc, &plan);
-                live.journal.replay(&mut reference);
-                tk_assert_eq!(reference.diagnosis(), faulted.diagnosis());
-            }
+            let plan = FaultPlan::parse("seed=11,light")
+                .map_err(|e| TkError::Fail(format!("plan: {e}")))?;
+            let mut faulted = session(reader.meta(), live.mc, &plan);
+            reader
+                .replay_into(&mut faulted)
+                .map_err(|e| TkError::Fail(format!("faulted replay: {e}")))?;
+            let mut reference = session(live.journal.meta(), live.mc, &plan);
+            live.journal.replay(&mut reference);
+            tk_assert_eq!(reference.diagnosis(), faulted.diagnosis());
             Ok(())
         });
     }

@@ -2,17 +2,19 @@
 //!
 //! The observation journal is the currency of the whole pipeline — the
 //! CLI's `--record`/`--replay` files, the `mgd` wire chunks. Every byte of
-//! it is written by one encoder and read by one decoder, in both formats:
+//! it is written by one encoder and read by one decoder:
 //!
-//! * [`JournalFormat`] — the two encodings ([`Jsonl`] for debugging and
-//!   export, [`Binary`] for production), with magic-based auto-detection.
+//! * [`JournalFormat`] — the two encodings the writer knows: [`Binary`],
+//!   the production format and the only one read back, and [`Jsonl`], a
+//!   human-readable export.
 //! * [`JournalWriter`] — streaming, event-at-a-time encoding (it is an
 //!   [`ObsSink`], so a recorder can write straight through it), finished by
 //!   [`JournalWriter::finish`] or an atomic tmp+rename
 //!   [`JournalWriter::save`]. [`ObsJournal::encode`] is a loop over it.
-//! * [`JournalReader`] — sniffs the format, validates the container, then
-//!   decodes lazily: [`JournalReader::events`] streams one event at a time
-//!   and [`JournalReader::read_journal`] materializes an [`ObsJournal`].
+//! * [`JournalReader`] — checks the binary magic, validates the container,
+//!   then decodes lazily: [`JournalReader::events`] streams one event at a
+//!   time and [`JournalReader::read_journal`] materializes an
+//!   [`ObsJournal`].
 //!
 //! # Binary format v2
 //!
@@ -54,9 +56,18 @@
 //! Versioning: the `version` field is bumped on any layout change; readers
 //! reject versions they do not know ([`JournalError::Version`]) instead of
 //! guessing. Version 1 (which carried a per-vantage index block) is
-//! refused too. JSONL journals carry no version — their schema is the
-//! `mg_trace::json` rendering of [`ObsMeta`] and [`Obs`], kept stable as
-//! the debug/export format (including the seed-as-decimal-string quirk).
+//! refused too.
+//!
+//! # JSONL export
+//!
+//! A JSONL journal is a meta header line followed by one event per line,
+//! the `mg_trace::json` rendering of [`ObsMeta`] and [`Obs`] (including the
+//! seed-as-decimal-string quirk). It is write-only: `--record` and
+//! `journal transcode` can produce it for reading and diffing, but no
+//! reader takes it back, so no JSON parser sits on the journal path.
+//! [`JournalReader`] refuses any buffer that does not start with the binary
+//! magic, JSONL included, with a [`JournalError::Corrupt`] at byte 0 that
+//! names the magic.
 //!
 //! [`Jsonl`]: JournalFormat::Jsonl
 //! [`Binary`]: JournalFormat::Binary
@@ -97,11 +108,12 @@ const FLAG_SDU_BCAST: u8 = 1 << 3;
 /// An on-disk journal encoding.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum JournalFormat {
-    /// Line-oriented JSON: meta header line, one event per line. The
-    /// human-readable debug/export codec; diffs cleanly.
+    /// Line-oriented JSON: meta header line, one event per line. A
+    /// human-readable export that diffs cleanly; write-only.
     Jsonl,
     /// Binary format v2: compact (interned tables, varint deltas) and
-    /// checksummed. The production codec.
+    /// checksummed. The production codec, and the one [`JournalReader`]
+    /// reads.
     Binary,
 }
 
@@ -120,20 +132,6 @@ impl JournalFormat {
         match self {
             JournalFormat::Jsonl => "jsonl",
             JournalFormat::Binary => "bin",
-        }
-    }
-
-    /// Detects the format of raw journal bytes by magic sniffing: anything
-    /// starting with the binary magic is [`Binary`], everything else is
-    /// treated as (and then validated as) [`Jsonl`].
-    ///
-    /// [`Binary`]: JournalFormat::Binary
-    /// [`Jsonl`]: JournalFormat::Jsonl
-    pub fn sniff(bytes: &[u8]) -> JournalFormat {
-        if bytes.len() >= MAGIC.len() && &bytes[..MAGIC.len()] == MAGIC {
-            JournalFormat::Binary
-        } else {
-            JournalFormat::Jsonl
         }
     }
 }
@@ -171,17 +169,11 @@ pub enum JournalError {
         /// Version found in the header.
         found: u16,
     },
-    /// Structurally invalid binary content at `offset`.
+    /// Structurally invalid content at `offset`; a buffer without the
+    /// binary magic (a JSONL export, say) is `Corrupt` at offset 0.
     Corrupt {
         /// Byte offset where decoding failed.
         offset: usize,
-        /// What went wrong.
-        what: String,
-    },
-    /// Invalid JSONL content on `line` (1-based).
-    Syntax {
-        /// Line number of the offending line.
-        line: usize,
         /// What went wrong.
         what: String,
     },
@@ -203,9 +195,6 @@ impl std::fmt::Display for JournalError {
             }
             JournalError::Corrupt { offset, what } => {
                 write!(f, "corrupt journal at byte {offset}: {what}")
-            }
-            JournalError::Syntax { line, what } => {
-                write!(f, "journal line {line}: {what}")
             }
         }
     }
@@ -534,43 +523,10 @@ fn meta_to_json(meta: &ObsMeta) -> Json {
     ])
 }
 
-/// Decodes [`meta_to_json`] output; `None` on any mismatch.
-fn meta_from_json(v: &Json) -> Option<ObsMeta> {
-    let vantages = v
-        .get("vantages")?
-        .as_arr()?
-        .iter()
-        .map(|n| Some(n.as_u64()? as NodeId))
-        .collect::<Option<Vec<_>>>()?;
-    let params = v
-        .get("params")?
-        .as_arr()?
-        .iter()
-        .map(|p| match p.as_arr()? {
-            [k, val] => Some((k.as_str()?.to_string(), val.as_str()?.to_string())),
-            _ => None,
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some(ObsMeta {
-        tagged: v.get("tagged")?.as_u64()? as NodeId,
-        vantages,
-        pair_distance: v.get("pair_distance")?.as_f64()?,
-        seed: v.get("seed")?.as_str()?.parse().ok()?,
-        params,
-    })
-}
-
 fn dest_to_json(d: Dest) -> Json {
     match d {
         Dest::Unicast(n) => Json::from(n as u64),
         Dest::Broadcast => Json::Null,
-    }
-}
-
-fn dest_from_json(v: &Json) -> Option<Dest> {
-    match v {
-        Json::Null => Some(Dest::Broadcast),
-        _ => Some(Dest::Unicast(v.as_u64()? as NodeId)),
     }
 }
 
@@ -580,17 +536,6 @@ fn md_to_hex(md: &[u8; 16]) -> String {
         s.push_str(&format!("{b:02x}"));
     }
     s
-}
-
-fn md_from_hex(s: &str) -> Option<[u8; 16]> {
-    if s.len() != 32 || !s.is_ascii() {
-        return None;
-    }
-    let mut md = [0u8; 16];
-    for (i, chunk) in s.as_bytes().chunks_exact(2).enumerate() {
-        md[i] = u8::from_str_radix(std::str::from_utf8(chunk).ok()?, 16).ok()?;
-    }
-    Some(md)
 }
 
 /// Serializes one frame (wire-visible fields only, which is all a frame
@@ -622,41 +567,6 @@ fn frame_to_json(f: &Frame) -> Json {
         ("dur", Json::from(f.duration.as_nanos())),
         ("kind", kind),
     ])
-}
-
-/// Decodes [`frame_to_json`] output; `None` on any mismatch.
-fn frame_from_json(v: &Json) -> Option<Frame> {
-    let kind_json = v.get("kind")?;
-    let kind = match kind_json.as_str() {
-        Some("cts") => FrameKind::Cts,
-        Some("ack") => FrameKind::Ack,
-        Some(_) => return None,
-        None => {
-            if let Some(r) = kind_json.get("rts") {
-                FrameKind::Rts(RtsFields {
-                    seq_off_wire: u16::try_from(r.get("seq")?.as_u64()?).ok()?,
-                    attempt: u8::try_from(r.get("att")?.as_u64()?).ok()?,
-                    md: md_from_hex(r.get("md")?.as_str()?)?,
-                })
-            } else if let Some(d) = kind_json.get("data") {
-                FrameKind::Data {
-                    sdu: MacSdu {
-                        id: d.get("id")?.as_u64()?,
-                        dst: dest_from_json(d.get("dst")?)?,
-                        payload_len: u16::try_from(d.get("len")?.as_u64()?).ok()?,
-                    },
-                }
-            } else {
-                return None;
-            }
-        }
-    };
-    Some(Frame {
-        src: v.get("src")?.as_u64()? as NodeId,
-        dst: dest_from_json(v.get("dst")?)?,
-        duration: SimDuration::from_nanos(v.get("dur")?.as_u64()?),
-        kind,
-    })
 }
 
 /// Serializes one event as a compact tagged array. Virtual instants are
@@ -699,48 +609,6 @@ fn obs_to_json(o: &Obs) -> Json {
                     .collect(),
             ),
         ]),
-    }
-}
-
-/// Decodes [`obs_to_json`] output; `None` on any mismatch.
-fn obs_from_json(v: &Json) -> Option<Obs> {
-    let arr = v.as_arr()?;
-    let tag = arr.first()?.as_str()?;
-    match (tag, arr) {
-        ("edge", [_, node, busy, at]) => Some(Obs::ChannelEdge {
-            node: node.as_u64()? as NodeId,
-            busy: busy.as_bool()?,
-            at: SimTime::from_nanos(at.as_u64()?),
-        }),
-        ("tx", [_, src, at, end, frame]) => Some(Obs::TxStart {
-            src: src.as_u64()? as NodeId,
-            frame: frame_from_json(frame)?,
-            at: SimTime::from_nanos(at.as_u64()?),
-            end: SimTime::from_nanos(end.as_u64()?),
-        }),
-        ("rx", [_, at, start, end, frame]) => Some(Obs::Decoded {
-            at: at.as_u64()? as NodeId,
-            frame: frame_from_json(frame)?,
-            start: SimTime::from_nanos(start.as_u64()?),
-            end: SimTime::from_nanos(end.as_u64()?),
-        }),
-        ("garble", [_, at, now]) => Some(Obs::Garbled {
-            at: at.as_u64()? as NodeId,
-            now: SimTime::from_nanos(now.as_u64()?),
-        }),
-        ("rng", [_, from, at, to]) => Some(Obs::Ranging {
-            from: from.as_u64()? as NodeId,
-            to: to
-                .as_arr()?
-                .iter()
-                .map(|p| match p.as_arr()? {
-                    [n, d] => Some((n.as_u64()? as NodeId, d.as_f64()?)),
-                    _ => None,
-                })
-                .collect::<Option<Distances>>()?,
-            at: SimTime::from_nanos(at.as_u64()?),
-        }),
-        _ => None,
     }
 }
 
@@ -965,32 +833,24 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 // Reader
 // ---------------------------------------------------------------------------
 
-/// A validated, lazily-decoding journal reader.
+/// A validated, lazily-decoding reader of binary journals.
 ///
-/// [`JournalReader::open`]/[`from_bytes`] sniff the format and validate the
-/// container up front — for binary journals the trailer length, checksum,
-/// header, section bounds and tables are all verified before any event is
-/// decoded, so truncation or bit rot surfaces as a typed [`JournalError`]
-/// at open time. In both formats a header no detector session can be built
-/// from (a pair distance that is not a finite number ≥ 0, no vantages, or
-/// the tagged node among them) is refused there too. Event decoding itself
-/// is streaming: [`events`] walks the stream one event at a time.
+/// [`JournalReader::open`]/[`from_bytes`] validate the container up front:
+/// the magic first (anything else, a JSONL export included, is refused),
+/// then the trailer length, checksum, header, section bounds and tables,
+/// all before any event is decoded, so truncation or bit rot surfaces as a
+/// typed [`JournalError`] at open time. A header no detector session can be
+/// built from (a pair distance that is not a finite number ≥ 0, no
+/// vantages, or the tagged node among them) is refused there too. Event
+/// decoding itself is streaming: [`events`] walks the stream one event at a
+/// time.
 ///
 /// [`from_bytes`]: JournalReader::from_bytes
 /// [`events`]: JournalReader::events
 pub struct JournalReader {
     meta: ObsMeta,
     bytes: Vec<u8>,
-    inner: ReaderInner,
-}
-
-enum ReaderInner {
-    Jsonl {
-        /// Byte offset of the first event line.
-        events_at: usize,
-        n_events: usize,
-    },
-    Binary(Box<BinState>),
+    state: BinState,
 }
 
 struct BinState {
@@ -1002,53 +862,21 @@ struct BinState {
 }
 
 impl JournalReader {
-    /// Opens and validates the journal at `path`, auto-detecting its format
-    /// by magic sniffing.
+    /// Opens and validates the binary journal at `path`.
     pub fn open(path: &Path) -> Result<JournalReader, JournalError> {
         let bytes = std::fs::read(path)
             .map_err(|e| JournalError::Io(format!("cannot read {}: {e}", path.display())))?;
         JournalReader::from_bytes(bytes)
     }
 
-    /// Validates raw journal bytes, auto-detecting the format.
+    /// Validates raw binary journal bytes.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<JournalReader, JournalError> {
-        match JournalFormat::sniff(&bytes) {
-            JournalFormat::Binary => Self::from_binary(bytes),
-            JournalFormat::Jsonl => Self::from_jsonl_bytes(bytes),
+        if !bytes.starts_with(MAGIC) {
+            return Err(JournalError::Corrupt {
+                offset: 0,
+                what: "not a binary journal: no MGOBSJ magic (JSONL is export-only)".into(),
+            });
         }
-    }
-
-    fn from_jsonl_bytes(bytes: Vec<u8>) -> Result<JournalReader, JournalError> {
-        let text = std::str::from_utf8(&bytes)
-            .map_err(|e| JournalError::Syntax { line: 1, what: format!("not utf-8: {e}") })?;
-        let mut head = None;
-        let mut events_at = 0;
-        let mut n_events = 0;
-        let mut offset = 0;
-        for line in text.split_inclusive('\n') {
-            offset += line.len();
-            if line.trim().is_empty() {
-                continue;
-            }
-            if head.is_none() {
-                head = Some(line.trim_end_matches('\n').to_string());
-                events_at = offset;
-            } else {
-                n_events += 1;
-            }
-        }
-        let head = head.ok_or(JournalError::Syntax { line: 1, what: "empty journal".into() })?;
-        let meta_json = Json::parse(&head)
-            .map_err(|e| JournalError::Syntax { line: 1, what: format!("{e}") })?;
-        let meta = meta_from_json(&meta_json)
-            .ok_or(JournalError::Syntax { line: 1, what: "not a meta header".into() })?;
-        if let Err(what) = meta.check() {
-            return Err(JournalError::Syntax { line: 1, what: what.into() });
-        }
-        Ok(JournalReader { meta, bytes, inner: ReaderInner::Jsonl { events_at, n_events } })
-    }
-
-    fn from_binary(bytes: Vec<u8>) -> Result<JournalReader, JournalError> {
         let min = MAGIC.len() + 2 + TRAILER;
         if bytes.len() < min {
             return Err(JournalError::Truncated {
@@ -1085,15 +913,7 @@ impl JournalReader {
         }
         let (meta, state) =
             parse_sections(&bytes, trailer_at, events_end, n_events).map_err(corrupt)?;
-        Ok(JournalReader { meta, bytes, inner: ReaderInner::Binary(Box::new(state)) })
-    }
-
-    /// The detected format.
-    pub fn format(&self) -> JournalFormat {
-        match &self.inner {
-            ReaderInner::Jsonl { .. } => JournalFormat::Jsonl,
-            ReaderInner::Binary(_) => JournalFormat::Binary,
-        }
+        Ok(JournalReader { meta, bytes, state })
     }
 
     /// The journal header.
@@ -1108,10 +928,7 @@ impl JournalReader {
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        match &self.inner {
-            ReaderInner::Jsonl { n_events, .. } => *n_events,
-            ReaderInner::Binary(b) => b.n_events as usize,
-        }
+        self.state.n_events as usize
     }
 
     /// True when the journal holds no events.
@@ -1121,18 +938,12 @@ impl JournalReader {
 
     /// Streams the journal's events in order, decoding one at a time.
     pub fn events(&self) -> Events<'_> {
-        match &self.inner {
-            ReaderInner::Jsonl { events_at, .. } => Events(EventsInner::Jsonl {
-                // Validated as UTF-8 at open.
-                rest: std::str::from_utf8(&self.bytes[*events_at..]).expect("validated utf-8"),
-                line: 2,
-            }),
-            ReaderInner::Binary(b) => Events(EventsInner::Binary {
-                state: b,
-                c: Cursor::new(&self.bytes, b.events_start, b.events_end),
-                prev_time: 0,
-                remaining: b.n_events,
-            }),
+        let b = &self.state;
+        Events {
+            state: b,
+            c: Cursor::new(&self.bytes, b.events_start, b.events_end),
+            prev_time: 0,
+            remaining: b.n_events,
         }
     }
 
@@ -1149,8 +960,8 @@ impl JournalReader {
     /// flight at a time, the journal never materialized in memory. This is
     /// the single ingest route shared by `detect --replay`, `journal info
     /// --deltas` and the `mgd` daemon. Returns the number of events fed; a
-    /// decode error (truncation, bit rot, bad line) aborts with the typed
-    /// cause, leaving `sink` partially fed.
+    /// decode error (a corrupt event) aborts with the typed cause, leaving
+    /// `sink` partially fed.
     pub fn replay_into(&self, sink: &mut impl ObsSink) -> Result<usize, JournalError> {
         let mut n = 0usize;
         for r in self.events() {
@@ -1307,87 +1118,40 @@ fn lookup_frame(c: &mut Cursor<'_>, state: &BinState) -> Result<Frame, Fault> {
 /// Streaming event iterator over a [`JournalReader`] — decodes one event
 /// per `next()` call, in journal order. After the first decode error the
 /// iterator is exhausted (a damaged journal is never partially trusted).
-pub struct Events<'a>(EventsInner<'a>);
-
-enum EventsInner<'a> {
-    Jsonl {
-        /// Remaining text (event lines).
-        rest: &'a str,
-        /// 1-based line number of the next line.
-        line: usize,
-    },
-    Binary {
-        /// The interned tables.
-        state: &'a BinState,
-        /// The events section, positioned at the next event.
-        c: Cursor<'a>,
-        /// Running delta base.
-        prev_time: u64,
-        /// Events left to decode.
-        remaining: u64,
-    },
+pub struct Events<'a> {
+    /// The interned tables.
+    state: &'a BinState,
+    /// The events section, positioned at the next event.
+    c: Cursor<'a>,
+    /// Running delta base.
+    prev_time: u64,
+    /// Events left to decode.
+    remaining: u64,
 }
 
 impl Iterator for Events<'_> {
     type Item = Result<Obs, JournalError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.0 {
-            EventsInner::Jsonl { rest, line } => loop {
-                let cur: &str = rest;
-                if cur.is_empty() {
-                    return None;
-                }
-                let (l, tail) = match cur.find('\n') {
-                    Some(i) => (&cur[..i], &cur[i + 1..]),
-                    None => (cur, ""),
-                };
-                let this_line = *line;
-                *rest = tail;
-                *line += 1;
-                if l.trim().is_empty() {
-                    continue;
-                }
-                let parsed = match Json::parse(l) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        *rest = "";
-                        return Some(Err(JournalError::Syntax {
-                            line: this_line,
-                            what: format!("{e}"),
-                        }));
-                    }
-                };
-                return Some(match obs_from_json(&parsed) {
-                    Some(o) => Ok(o),
-                    None => {
-                        *rest = "";
-                        Err(JournalError::Syntax { line: this_line, what: "bad event".into() })
-                    }
-                });
-            },
-            EventsInner::Binary { state, c, prev_time, remaining } => {
-                let end = c.bytes.len();
-                let fault = if *remaining == 0 {
-                    if c.pos == end {
-                        return None;
-                    }
-                    c.fault("event count ends before the events section")
-                } else if c.pos >= end {
-                    c.fault("events section ends before the event count")
-                } else {
-                    match decode_event(c, state, prev_time) {
-                        Ok(o) => {
-                            *remaining -= 1;
-                            return Some(Ok(o));
-                        }
-                        Err(f) => f,
-                    }
-                };
-                *remaining = 0;
-                c.pos = end;
-                Some(Err(corrupt(fault)))
+        let end = self.c.bytes.len();
+        let fault = if self.remaining == 0 {
+            if self.c.pos == end {
+                return None;
             }
-        }
+            self.c.fault("event count ends before the events section")
+        } else if self.c.pos >= end {
+            self.c.fault("events section ends before the event count")
+        } else {
+            match decode_event(&mut self.c, self.state, &mut self.prev_time) {
+                Ok(o) => {
+                    self.remaining -= 1;
+                    return Some(Ok(o));
+                }
+                Err(f) => f,
+            }
+        };
+        self.remaining = 0;
+        self.c.pos = end;
+        Some(Err(corrupt(fault)))
     }
 }

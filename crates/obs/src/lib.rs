@@ -14,15 +14,15 @@
 //!   (header + events), so one simulated world can be **replayed** into
 //!   arbitrarily many detector configurations with zero re-simulation.
 //! * [`codec`] — the one journal codec: [`JournalFormat`] (binary format v2
-//!   as the production format, JSONL as the debug/export format), the
+//!   as the production format, JSONL as a write-only export), the
 //!   streaming [`JournalWriter`] (the only encoder) and [`JournalReader`]
-//!   (the only decoder, with format auto-detection by magic sniffing).
+//!   (the only decoder, of binary journals alone).
 //!
-//! The JSONL format follows `mg_trace::json` conventions: insertion-ordered
-//! objects, shortest-round-trip `f64` rendering, so `encode ∘ decode ≡ id`
-//! byte-for-byte and journals diff cleanly. The binary format is compact
-//! (interned frame/ranging tables, varint timestamp deltas) and
-//! checksummed so damage is detected rather than silently accepted.
+//! The binary format is compact (interned frame/ranging tables, varint
+//! timestamp deltas) and checksummed so damage is detected rather than
+//! silently accepted. The JSONL export follows `mg_trace::json`
+//! conventions: insertion-ordered objects, shortest-round-trip `f64`
+//! rendering, so equal journals export to equal bytes and diff cleanly.
 //!
 //! [`Monitor`]: https://docs.rs/mg-detect
 
@@ -288,8 +288,8 @@ impl ObsMeta {
     /// Every consumer builds a pool watching `tagged` from `vantages` at
     /// `pair_distance`, so a non-finite or negative distance, an empty
     /// vantage list, or the tagged node among its own vantages describes
-    /// no session. Both journal readers refuse such a header where they
-    /// parse it, and the `mgd` worker opens no session for one, instead of
+    /// no session. The journal reader refuses such a header where it
+    /// parses it, and the `mgd` worker opens no session for one, instead of
     /// letting the detector trip over it later.
     pub fn check(&self) -> Result<(), &'static str> {
         if !(self.pair_distance.is_finite() && self.pair_distance >= 0.0) {

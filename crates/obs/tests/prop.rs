@@ -1,6 +1,7 @@
 //! Property-based tests for the Obs codec and journal (mg-testkit harness).
 //! Every byte is written by `JournalWriter` and read by `JournalReader`,
-//! the crate's one encoder and one decoder.
+//! the crate's one encoder and one decoder. JSONL is export-only: its
+//! bytes are pinned against goldens and refused by the reader.
 
 use mg_dcf::{Dest, Frame, FrameKind, MacSdu, RtsFields};
 use mg_obs::{
@@ -122,45 +123,102 @@ fn read(bytes: Vec<u8>) -> Result<ObsJournal, mg_testkit::TkError> {
         .map_err(|e| mg_testkit::TkError::Fail(format!("decode: {e}")))
 }
 
-/// `encode ∘ decode ≡ id` for single events, through a full render/parse
-/// cycle of a one-event JSONL journal (the codec must survive the textual
-/// representation, not just the in-memory Json tree).
+/// `encode ∘ decode ≡ id` for single events of every kind, through a
+/// one-event binary journal.
 #[test]
 fn obs_codec_round_trips() {
     check("obs_codec_round_trips", |g: &mut Gen| -> TkResult {
-        let obs = gen_obs(g);
         let mut j = ObsJournal::new(gen_meta(g));
-        j.push(obs.clone());
-        let text = j.encode(JournalFormat::Jsonl);
-        let back = read(text.clone())?;
-        tk_assert_eq!(back.events().to_vec(), vec![obs]);
-        // Deterministic rendering: encoding the decoded value reproduces
-        // the exact bytes.
-        tk_assert_eq!(back.encode(JournalFormat::Jsonl), text);
+        j.push(gen_obs(g));
+        tk_assert_eq!(read(j.encode(JournalFormat::Binary))?, j);
         Ok(())
     });
 }
 
-/// A whole journal survives the JSONL cycle byte-for-byte.
+/// The magic error every buffer without the binary magic gets.
+fn no_magic(bytes: Vec<u8>) -> bool {
+    matches!(
+        JournalReader::from_bytes(bytes).err(),
+        Some(JournalError::Corrupt { offset: 0, what }) if what.contains("MGOBSJ magic")
+    )
+}
+
+/// The JSONL export is pinned byte for byte, so it cannot drift unnoticed
+/// now that no decoder reads it back: `fixed_journal()` against a golden
+/// file, and the frame kinds and broadcast destinations that journal
+/// lacks against an inline one. The reader refuses the export.
 #[test]
-fn journal_jsonl_round_trips() {
-    check("journal_jsonl_round_trips", |g: &mut Gen| -> TkResult {
-        let j = gen_journal(g, 20);
-        let text = j.encode(JournalFormat::Jsonl);
-        let back = read(text.clone())?;
-        tk_assert_eq!(back, j);
-        tk_assert_eq!(back.encode(JournalFormat::Jsonl), text);
-        Ok(())
+fn jsonl_export_is_pinned() {
+    let golden: &[u8] = include_bytes!("fixed_journal.jsonl");
+    let text = fixed_journal().encode(JournalFormat::Jsonl);
+    assert!(text == golden, "{}", String::from_utf8_lossy(&text));
+    assert!(no_magic(text));
+
+    let mut j = ObsJournal::new(ObsMeta {
+        tagged: 0,
+        vantages: vec![1],
+        pair_distance: 0.5,
+        seed: u64::MAX,
+        params: vec![("note".into(), "quote \" and \\ and é".into())],
     });
+    let at = SimTime::from_nanos(7);
+    let data = |dst| Frame {
+        src: 2,
+        dst: Dest::Unicast(1),
+        duration: SimDuration::from_nanos(44),
+        kind: FrameKind::Data {
+            sdu: MacSdu {
+                id: 9,
+                dst,
+                payload_len: 512,
+            },
+        },
+    };
+    j.push(Obs::TxStart {
+        src: 2,
+        frame: data(Dest::Unicast(5)),
+        at,
+        end: at,
+    });
+    j.push(Obs::Decoded {
+        at: 1,
+        frame: data(Dest::Broadcast),
+        start: at,
+        end: at,
+    });
+    let ack = Frame {
+        src: 1,
+        dst: Dest::Broadcast,
+        duration: SimDuration::ZERO,
+        kind: FrameKind::Ack,
+    };
+    j.push(Obs::TxStart {
+        src: 1,
+        frame: ack,
+        at,
+        end: at,
+    });
+    assert_eq!(
+        String::from_utf8(j.encode(JournalFormat::Jsonl)).unwrap(),
+        concat!(
+            r#"{"tagged":0,"vantages":[1],"pair_distance":0.5,"seed":"18446744073709551615","params":[["note","quote \" and \\ and é"]]}"#,
+            "\n",
+            r#"["tx",2,7,7,{"src":2,"dst":1,"dur":44,"kind":{"data":{"id":9,"dst":5,"len":512}}}]"#,
+            "\n",
+            r#"["rx",1,7,7,{"src":2,"dst":1,"dur":44,"kind":{"data":{"id":9,"dst":null,"len":512}}}]"#,
+            "\n",
+            r#"["tx",1,7,7,{"src":1,"dst":null,"dur":0,"kind":"ack"}]"#,
+            "\n",
+        )
+    );
 }
 
-/// Corrupt JSONL journals are rejected, not misparsed.
+/// Anything without the binary magic is refused at open with one typed
+/// error naming the magic: empty input, text, a JSONL header alone, a
+/// JSONL journal with a truncated event, a JSONL header of a million
+/// nested `[`, and a cut-off magic.
 #[test]
 fn malformed_journals_are_rejected() {
-    let load = |text: &str| JournalReader::from_bytes(text.into()).and_then(|r| r.read_journal());
-    assert!(load("").is_err());
-    assert!(load("not json\n").is_err());
-    assert!(load("{\"tagged\":1}\n").is_err());
     let good = ObsJournal::new(ObsMeta {
         tagged: 0,
         vantages: vec![1],
@@ -170,47 +228,23 @@ fn malformed_journals_are_rejected() {
     });
     let mut text = String::from_utf8(good.encode(JournalFormat::Jsonl)).unwrap();
     text.push_str("[\"edge\",1,true]\n"); // truncated event
-    assert!(load(&text).is_err());
-}
-
-/// A JSONL parse failure displays as the parser's message and byte offset,
-/// not as Rust debug syntax: in a header nested one level past the
-/// parser's depth cap, and in a malformed event line.
-#[test]
-fn jsonl_parse_errors_display_their_failure_and_offset() {
-    let deep = format!("{}{}\n", "[".repeat(129), "]".repeat(129));
-    let header = JournalReader::from_bytes(deep.into_bytes()).err();
-    let mut text = String::from_utf8(
-        ObsJournal::new(ObsMeta {
-            tagged: 0,
-            vantages: vec![1],
-            pair_distance: 240.0,
-            seed: 7,
-            params: vec![],
-        })
-        .encode(JournalFormat::Jsonl),
-    )
-    .unwrap();
-    text.push_str("[\"edge\",1,tru]\n");
-    let event = JournalReader::from_bytes(text.into_bytes())
-        .and_then(|r| r.read_journal())
-        .err();
-    let shown = [header, event].map(|e| e.expect("refused").to_string());
-    for s in &shown {
-        assert!(!s.contains("JsonError {"), "{s}");
+    let deep = "[".repeat(1 << 20);
+    for bad in ["", "not json\n", "{\"tagged\":1}\n", &text, &deep, "MGOBS"] {
+        assert!(no_magic(bad.into()), "{:?}", &bad[..bad.len().min(40)]);
     }
+    let shown = JournalReader::from_bytes(text.into_bytes())
+        .err()
+        .expect("refused")
+        .to_string();
     assert_eq!(
-        shown[0],
-        "journal line 1: nesting deeper than 128 levels at byte 128"
+        shown,
+        "corrupt journal at byte 0: not a binary journal: no MGOBSJ magic (JSONL is export-only)"
     );
-    assert_eq!(shown[1], "journal line 2: expected 'true' at byte 10");
 }
 
-/// A header no detector session can be built from is refused at open in
-/// both formats, with the format's typed error naming the header: a pair
-/// distance that is negative or not finite, no vantages, or the tagged
-/// node among them. (JSONL renders a non-finite number as `null`, which
-/// the header parse already rejects.)
+/// A header no detector session can be built from is refused at open,
+/// with a typed error naming the header: a pair distance that is negative
+/// or not finite, no vantages, or the tagged node among them.
 #[test]
 fn hostile_headers_are_refused() {
     let good = ObsMeta {
@@ -221,37 +255,55 @@ fn hostile_headers_are_refused() {
         params: vec![],
     };
     let hostile = [
-        ObsMeta { pair_distance: -5.0, ..good.clone() },
-        ObsMeta { pair_distance: f64::NAN, ..good.clone() },
-        ObsMeta { pair_distance: f64::NEG_INFINITY, ..good.clone() },
-        ObsMeta { vantages: vec![], ..good.clone() },
-        ObsMeta { vantages: vec![1, 3, 5], ..good.clone() },
+        ObsMeta {
+            pair_distance: -5.0,
+            ..good.clone()
+        },
+        ObsMeta {
+            pair_distance: f64::NAN,
+            ..good.clone()
+        },
+        ObsMeta {
+            pair_distance: f64::NEG_INFINITY,
+            ..good.clone()
+        },
+        ObsMeta {
+            vantages: vec![],
+            ..good.clone()
+        },
+        ObsMeta {
+            vantages: vec![1, 3, 5],
+            ..good.clone()
+        },
     ];
-    let open = |meta: &ObsMeta, format| {
+    let open = |meta: &ObsMeta| {
         let mut j = ObsJournal::new(meta.clone());
-        j.push(Obs::Garbled { at: 1, now: SimTime::from_micros(5) });
-        JournalReader::from_bytes(j.encode(format)).err()
+        j.push(Obs::Garbled {
+            at: 1,
+            now: SimTime::from_micros(5),
+        });
+        JournalReader::from_bytes(j.encode(JournalFormat::Binary)).err()
     };
     for meta in &hostile {
-        match open(meta, JournalFormat::Binary) {
+        match open(meta) {
             Some(JournalError::Corrupt { what, .. }) => assert!(what.contains("header"), "{what}"),
-            other => panic!("binary {meta:?}: {other:?}"),
-        }
-        match open(meta, JournalFormat::Jsonl) {
-            Some(JournalError::Syntax { line: 1, what }) => {
-                assert!(what.contains("header"), "{what}")
-            }
-            other => panic!("jsonl {meta:?}: {other:?}"),
+            other => panic!("{meta:?}: {other:?}"),
         }
     }
-    assert_eq!(open(&good, JournalFormat::Binary), None);
-    assert_eq!(open(&good, JournalFormat::Jsonl), None);
+    assert_eq!(open(&good), None);
     // A zero distance (co-located pair) is a valid header.
-    assert_eq!(open(&ObsMeta { pair_distance: 0.0, ..good }, JournalFormat::Binary), None);
+    assert_eq!(
+        open(&ObsMeta {
+            pair_distance: 0.0,
+            ..good
+        }),
+        None
+    );
 }
 
-/// A writer's atomic save round-trips through the filesystem, in both
-/// formats, with the reader auto-detecting the format by magic sniffing.
+/// A writer's atomic save round-trips through the filesystem in binary,
+/// and saves the JSONL export as exactly the bytes `encode` renders, which
+/// the reader refuses for their missing magic.
 #[test]
 fn save_load_round_trips() {
     let mut j = ObsJournal::new(ObsMeta {
@@ -276,13 +328,14 @@ fn save_load_round_trips() {
         let mut w = JournalWriter::new(format, j.meta());
         j.replay(&mut w);
         w.save(&path).expect("save");
-        let back = JournalReader::open(&path)
-            .and_then(|r| r.read_journal())
-            .expect("load");
-        assert_eq!(back, j);
+        assert_eq!(std::fs::read(&path).expect("saved"), j.encode(format));
+        if format == JournalFormat::Jsonl {
+            assert!(no_magic(std::fs::read(&path).unwrap()));
+            continue;
+        }
         let reader = JournalReader::open(&path).expect("open");
-        assert_eq!(reader.format(), format);
         assert_eq!(reader.len(), j.len());
+        assert_eq!(reader.read_journal().expect("load"), j);
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -294,10 +347,8 @@ fn binary_round_trips() {
     check("binary_round_trips", |g: &mut Gen| -> TkResult {
         let j = gen_journal(g, 40);
         let bytes = j.encode(JournalFormat::Binary);
-        tk_assert_eq!(JournalFormat::sniff(&bytes), JournalFormat::Binary);
         let reader = JournalReader::from_bytes(bytes.clone())
             .map_err(|e| mg_testkit::TkError::Fail(format!("open: {e}")))?;
-        tk_assert_eq!(reader.format(), JournalFormat::Binary);
         tk_assert_eq!(reader.meta(), j.meta());
         let back = reader
             .read_journal()
@@ -410,19 +461,13 @@ fn corrupt_binary_journals_are_rejected() {
         let j = gen_journal(g, 20);
         let bytes = j.encode(JournalFormat::Binary);
 
-        // Truncation at any length: either refused at open, or every event
-        // decode fails — the reader never silently yields a short stream.
+        // Truncation at any length is refused at open: the reader never
+        // silently yields a short stream.
         let cut = g.usize_in(0..bytes.len());
-        let truncated = bytes[..cut].to_vec();
-        if let Ok(r) = JournalReader::from_bytes(truncated) {
-            // A truncated prefix without the magic parses as (empty-ish)
-            // JSONL only if it still looks like a meta line — it cannot,
-            // because byte 0 is 'M' of the magic, not '{'.
-            tk_assert!(
-                r.format() == JournalFormat::Jsonl && cut == 0,
-                "truncated binary journal (cut at {cut}) was accepted"
-            );
-        }
+        tk_assert!(
+            JournalReader::from_bytes(bytes[..cut].to_vec()).is_err(),
+            "truncated binary journal (cut at {cut}) was accepted"
+        );
 
         // A single flipped bit anywhere is caught by the checksum (or an
         // earlier structural check), as a typed error.
@@ -440,22 +485,19 @@ fn corrupt_binary_journals_are_rejected() {
     });
 }
 
-/// Transcoding jsonl → binary → jsonl is the identity on the journal (and
-/// on the JSONL bytes, which render deterministically).
+/// Transcoding to JSONL (binary → decode → JSONL export) writes exactly
+/// the bytes a direct JSONL encode of the journal does.
 #[test]
 fn transcode_round_trips() {
     check("transcode_round_trips", |g: &mut Gen| -> TkResult {
         let j = gen_journal(g, 25);
-        let jsonl = j.encode(JournalFormat::Jsonl);
-        tk_assert_eq!(JournalFormat::sniff(&jsonl), JournalFormat::Jsonl);
-        let from_jsonl = JournalReader::from_bytes(jsonl.clone())
-            .and_then(|r| r.read_journal())
-            .map_err(|e| mg_testkit::TkError::Fail(format!("jsonl: {e}")))?;
-        let from_bin = JournalReader::from_bytes(from_jsonl.encode(JournalFormat::Binary))
-            .and_then(|r| r.read_journal())
+        let reader = JournalReader::from_bytes(j.encode(JournalFormat::Binary))
             .map_err(|e| mg_testkit::TkError::Fail(format!("bin: {e}")))?;
-        tk_assert_eq!(from_bin, j);
-        tk_assert_eq!(from_bin.encode(JournalFormat::Jsonl), jsonl);
+        let mut w = JournalWriter::new(JournalFormat::Jsonl, reader.meta());
+        reader
+            .replay_into(&mut w)
+            .map_err(|e| mg_testkit::TkError::Fail(format!("bin: {e}")))?;
+        tk_assert_eq!(w.finish(), j.encode(JournalFormat::Jsonl));
         Ok(())
     });
 }
@@ -503,7 +545,7 @@ fn seed_and_params_are_typed() {
     assert_eq!(back.meta().param_parsed::<f64>("pm"), Some(60.0));
     assert_eq!(back.meta().param_parsed::<u64>("rate"), None); // malformed
     assert_eq!(back.meta().param_parsed::<u64>("absent"), None);
-    // The JSONL codec keeps the seed-as-decimal-string quirk.
+    // The JSONL export keeps the seed-as-decimal-string quirk.
     let text = String::from_utf8(j.encode(JournalFormat::Jsonl)).unwrap();
     assert!(text.contains(&format!("\"seed\":\"{}\"", u64::MAX)));
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! mgd --listen ADDR [OPTIONS]           serve framed journal streams over TCP
 //! mgd --journal FILE [--journal FILE..] serve journal files (one stream each)
-//! mgd --stdin                           serve one binary/JSONL journal from stdin
+//! mgd --stdin                           serve one binary journal from stdin
 //!
 //! options:
 //!   --workers N        worker threads          [default: available parallelism]

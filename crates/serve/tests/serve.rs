@@ -235,9 +235,9 @@ fn dropping_an_unclosed_handle_abandons_its_stream() {
     assert_eq!((stats.streams, stats.abandoned), (2, 1));
 }
 
-/// A frame without the binary magic is read as JSONL; a header of nested
-/// brackets fails that one connection instead of overflowing the stack
-/// of the thread serving it.
+/// A frame without the binary magic (here a megabyte of nested `[`) is
+/// refused before a session opens and fails that one connection; the
+/// daemon serves no stream for it.
 #[test]
 fn a_deeply_nested_json_frame_fails_only_its_connection() {
     let mut conn = Vec::new();
@@ -399,4 +399,66 @@ fn cross_stream_quorum_convicts_on_k_flagged_streams() {
     assert!(plain.quorum_report().is_none());
     assert!(plain.config().workers >= 1, "parallelism default resolves to >= 1");
     plain.shutdown();
+}
+
+/// `mgd --journal` exits 1 naming why on a binary journal whose header
+/// describes no detector session, and on a JSONL export (no binary magic),
+/// instead of opening a stream for either.
+#[test]
+fn mgd_refuses_unreadable_journal_files() {
+    let good = ObsMeta {
+        tagged: 3,
+        vantages: vec![1, 5],
+        pair_distance: 240.0,
+        seed: 7,
+        params: vec![],
+    };
+    let mut cases: Vec<(Vec<u8>, &str)> = [
+        ObsMeta {
+            pair_distance: -5.0,
+            ..good.clone()
+        },
+        ObsMeta {
+            pair_distance: f64::NAN,
+            ..good.clone()
+        },
+        ObsMeta {
+            pair_distance: f64::NEG_INFINITY,
+            ..good.clone()
+        },
+        ObsMeta {
+            vantages: vec![],
+            ..good.clone()
+        },
+        ObsMeta {
+            vantages: vec![1, 3, 5],
+            ..good.clone()
+        },
+    ]
+    .into_iter()
+    .map(|bad| (ObsJournal::new(bad).encode(JournalFormat::Binary), "header"))
+    .collect();
+    cases.push((
+        ObsJournal::new(good).encode(JournalFormat::Jsonl),
+        "MGOBSJ magic",
+    ));
+    let dir = std::env::temp_dir().join(format!("mg-serve-refused-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, (bytes, why)) in cases.into_iter().enumerate() {
+        let path = dir.join(format!("case-{i}"));
+        std::fs::write(&path, bytes).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_mgd"))
+            .args(["--workers", "1", "--journal"])
+            .arg(&path)
+            .output()
+            .expect("mgd runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "case {i}: {stderr}");
+        assert!(stderr.contains(why), "case {i}: {stderr}");
+        assert!(
+            !String::from_utf8_lossy(&out.stdout).contains("stream   :"),
+            "case {i}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,10 +3,17 @@
 //! The workspace builds with zero external dependencies (no `serde`); this
 //! module implements the serialization the stack needs: a [`Json`] value
 //! tree with a deterministic renderer (insertion-ordered object keys,
-//! RFC 8259 string escaping, shortest-roundtrip numbers) and a strict
-//! recursive-descent [`Json::parse`] for reading JSONL journals and other
-//! JSON input back. Parsing time is linear in the input's length, strings
-//! included, and nesting is capped, because journal input may be hostile.
+//! RFC 8259 string escaping, shortest-roundtrip numbers), which writes the
+//! trace journal, the JSONL export of observation journals, the delta feed
+//! and the `BENCH_*.json` reports.
+//!
+//! No product path reads JSON back: observation journals are read from
+//! their binary encoding only. The strict recursive-descent [`Json::parse`]
+//! and the [`get`](Json::get), [`as_u64`](Json::as_u64) and
+//! [`as_str`](Json::as_str) accessors remain for the benchmark package's
+//! tests, which read its result lines and `BENCHMARK.json` with them.
+//! Parsing time is linear in the input's length, strings included, and
+//! nesting is capped, so even hostile input cannot exhaust the stack.
 
 use std::fmt::Write as _;
 
@@ -77,23 +84,15 @@ impl Json {
         }
     }
 
-    /// The number behind `Json::Num`, if that's what this is.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The number as a `u64`, when it is one exactly (integral, in range).
     ///
     /// Numbers pass through `f64`, so integers stay exact up to 2⁵³.
     pub fn as_u64(&self) -> Option<u64> {
-        let n = self.as_f64()?;
-        if n.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&n) {
-            Some(n as u64)
-        } else {
-            None
+        match self {
+            Json::Num(n) if n.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(n) => {
+                Some(*n as u64)
+            }
+            _ => None,
         }
     }
 
@@ -101,22 +100,6 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The items behind `Json::Arr`, if that's what this is.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The bool behind `Json::Bool`, if that's what this is.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -196,8 +179,8 @@ impl std::fmt::Display for JsonError {
 /// The deepest nesting of arrays and objects [`Json::parse`] accepts.
 ///
 /// The parser recurses once per level, so without a cap one line of a
-/// million `[` overflows the stack. Journal headers nest 3 levels and event
-/// lines 5; the cap leaves ample room above both.
+/// million `[` overflows the stack. The documents it reads nest a few
+/// levels; the cap leaves ample room above them.
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
@@ -500,15 +483,15 @@ mod tests {
     #[test]
     fn parse_handles_whitespace_and_escapes() {
         let v = Json::parse(" { \"a\" : [ 1 , \"\\u00e9\\ud83d\\ude00\" ] } ").unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_u64(), Some(1));
-        assert_eq!(
-            v.get("a").unwrap().as_arr().unwrap()[1].as_str(),
-            Some("é😀")
-        );
+        let Some(Json::Arr(items)) = v.get("a") else {
+            panic!("{v:?}")
+        };
+        assert_eq!(items[0].as_u64(), Some(1));
+        assert_eq!(items[1].as_str(), Some("é😀"));
     }
 
-    /// A JSONL journal header is untrusted input, so string parsing must
-    /// stay linear in the string's length.
+    /// String parsing stays linear in the string's length, so a long
+    /// hostile string cannot stall a reader.
     #[test]
     fn long_strings_parse_in_linear_time() {
         let chunk = "plain ascii, é ü 日本語 😀, \"quoted\", back\\slash, \n\t\u{1} ";
@@ -528,8 +511,8 @@ mod tests {
         );
     }
 
-    /// A JSONL line of nested brackets is untrusted input too: past
-    /// `MAX_DEPTH` it is an error, not a stack overflow.
+    /// A line of nested brackets past `MAX_DEPTH` is an error, not a stack
+    /// overflow.
     #[test]
     fn deep_nesting_is_an_error() {
         let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
@@ -553,13 +536,12 @@ mod tests {
     fn accessors_pick_the_right_variant() {
         let v = Json::obj([("n", Json::Num(7.0)), ("s", "x".into())]);
         assert_eq!(v.get("n").unwrap().as_u64(), Some(7));
-        assert_eq!(v.get("n").unwrap().as_f64(), Some(7.0));
         assert_eq!(v.get("n").unwrap().as_str(), None);
         assert_eq!(v.get("s").unwrap().as_str(), Some("x"));
+        assert_eq!(v.get("s").unwrap().as_u64(), None);
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Num(1.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
-        assert_eq!(Json::Bool(false).as_bool(), Some(false));
     }
 
     #[test]

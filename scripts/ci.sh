@@ -228,8 +228,8 @@ echo "== replay gate: a replayed journal reproduces the live detection byte-for-
 # Record a small two-sample-size detection run, replay the journal into
 # fresh monitors, and require the detection report lines to be identical.
 cargo run -q --release --offline -- detect --pm 60 --secs 2 --seed 5 \
-    --samples 10,25 --record "$outdir/replay.jsonl" >"$outdir/replay-live.out"
-cargo run -q --release --offline -- detect --replay "$outdir/replay.jsonl" \
+    --samples 10,25 --record "$outdir/replay.bin" >"$outdir/replay-live.out"
+cargo run -q --release --offline -- detect --replay "$outdir/replay.bin" \
     --samples 10,25 >"$outdir/replay-replayed.out"
 if ! diff <(grep -E '^(samples|tests|checks|verdict)' "$outdir/replay-live.out") \
           <(grep -E '^(samples|tests|checks|verdict)' "$outdir/replay-replayed.out"); then
@@ -238,7 +238,7 @@ if ! diff <(grep -E '^(samples|tests|checks|verdict)' "$outdir/replay-live.out")
 fi
 # Conflicting flags must be rejected with the usage text (exit 2).
 set +e
-cargo run -q --release --offline -- detect --replay "$outdir/replay.jsonl" --pm 50 \
+cargo run -q --release --offline -- detect --replay "$outdir/replay.bin" --pm 50 \
     >/dev/null 2>"$outdir/replay-conflict.err"
 conflict_status=$?
 set -e
@@ -260,28 +260,34 @@ for rate in 0 nan inf; do
         exit 1
     fi
 done
-echo "ok: replay reproduces live detection; world flags and bad rates are rejected"
+# A --pm above 100 is a usage error, not a run of PM 100 labelled otherwise.
+set +e
+./target/release/manet-guard detect --pm 101 --secs 2 >/dev/null 2>"$outdir/pm.err"
+pm_status=$?
+set -e
+if [ "$pm_status" -ne 2 ] || ! grep -q -- "invalid value for --pm" "$outdir/pm.err"; then
+    echo "error: detect --pm 101 must exit 2 naming --pm (got $pm_status)" >&2
+    cat "$outdir/pm.err" >&2
+    exit 1
+fi
+echo "ok: replay reproduces live detection; world flags, bad rates and bad PMs are rejected"
 
-echo "== journal gate: cross-format record/transcode/replay byte-identity =="
-# Record the detection workload as JSONL, transcode to binary, replay both:
-# the detection report lines must match byte-for-byte, and the binary
-# journal must be >=7x smaller than the JSONL one.
+echo "== journal gate: the JSONL export is byte-identical and write-only =="
+# Record the same detection run as binary and as a JSONL export. The binary
+# journal must replay to the live report lines and transcode to the
+# recorded JSONL byte-for-byte, and be >=7x smaller. The JSONL export is
+# never read back: a replay of it exits 1 naming the binary magic.
 cargo run -q --release --offline -- detect --pm 60 --secs 2 --seed 5 \
-    --samples 10,25 --record "$outdir/journal.jsonl" --journal-format jsonl \
-    >"$outdir/journal-live.out"
-cargo run -q --release --offline -- journal transcode "$outdir/journal.jsonl" \
-    "$outdir/journal.bin" >/dev/null
-cargo run -q --release --offline -- detect --replay "$outdir/journal.jsonl" \
-    --samples 10,25 >"$outdir/journal-rep-jsonl.out"
+    --samples 10,25 --record "$outdir/journal.bin" >"$outdir/journal-live.out"
+cargo run -q --release --offline -- detect --pm 60 --secs 2 --seed 5 \
+    --samples 10,25 --record "$outdir/journal.jsonl" --journal-format jsonl >/dev/null
 cargo run -q --release --offline -- detect --replay "$outdir/journal.bin" \
     --samples 10,25 >"$outdir/journal-rep-bin.out"
-for rep in journal-rep-jsonl journal-rep-bin; do
-    if ! diff <(grep -E '^(samples|tests|checks|verdict)' "$outdir/journal-live.out") \
-              <(grep -E '^(samples|tests|checks|verdict)' "$outdir/$rep.out"); then
-        echo "error: $rep diverged from the live JSONL-recorded run" >&2
-        exit 1
-    fi
-done
+if ! diff <(grep -E '^(samples|tests|checks|verdict)' "$outdir/journal-live.out") \
+          <(grep -E '^(samples|tests|checks|verdict)' "$outdir/journal-rep-bin.out"); then
+    echo "error: the binary journal's replay diverged from the live run" >&2
+    exit 1
+fi
 jsonl_size=$(wc -c < "$outdir/journal.jsonl")
 bin_size=$(wc -c < "$outdir/journal.bin")
 if [ $((bin_size * 7)) -gt "$jsonl_size" ]; then
@@ -291,26 +297,44 @@ fi
 bin_events=$(cargo run -q --release --offline -- journal info "$outdir/journal.bin" \
     | sed -n 's/^events   : //p')
 bin_per_event=$(awk -v b="$bin_size" -v n="$bin_events" 'BEGIN { printf "%.2f", b / n }')
-# The binary journal transcodes back to the recorded JSONL byte-for-byte:
-# one writer and one reader, both formats, no drift between them.
+# One writer: the binary journal exports to the recorded JSONL exactly.
 cargo run -q --release --offline -- journal transcode "$outdir/journal.bin" \
-    "$outdir/journal-back.jsonl" --journal-format jsonl >/dev/null
-if ! cmp "$outdir/journal.jsonl" "$outdir/journal-back.jsonl"; then
-    echo "error: jsonl -> bin -> jsonl transcode is not byte-identical" >&2
+    "$outdir/journal-export.jsonl" --journal-format jsonl >/dev/null
+if ! cmp "$outdir/journal.jsonl" "$outdir/journal-export.jsonl"; then
+    echo "error: bin -> jsonl transcode differs from the recorded JSONL export" >&2
     exit 1
 fi
-# A malformed --journal-format value is a usage error, like any other flag.
+set +e
+cargo run -q --release --offline -- detect --replay "$outdir/journal.jsonl" \
+    >/dev/null 2>"$outdir/journal-rep-jsonl.err"
+rep_jsonl_status=$?
+set -e
+if [ "$rep_jsonl_status" -ne 1 ] || ! grep -q "MGOBSJ magic" "$outdir/journal-rep-jsonl.err"; then
+    echo "error: detect --replay of a JSONL export must exit 1 naming the magic (got $rep_jsonl_status)" >&2
+    cat "$outdir/journal-rep-jsonl.err" >&2
+    exit 1
+fi
+# A malformed --journal-format value is a usage error, like any other flag,
+# and so is any --journal-format next to --replay, which reads binary only.
 set +e
 cargo run -q --release --offline -- detect --pm 1 --secs 1 \
     --record "$outdir/badfmt.j" --journal-format xml \
     >/dev/null 2>"$outdir/journal-badfmt.err"
 badfmt_status=$?
+cargo run -q --release --offline -- detect --replay "$outdir/journal.bin" --journal-format bin \
+    >/dev/null 2>"$outdir/journal-repfmt.err"
+repfmt_status=$?
 set -e
 if [ "$badfmt_status" -ne 2 ] || ! grep -q -- "invalid value for --journal-format" "$outdir/journal-badfmt.err"; then
     echo "error: a malformed --journal-format must exit 2 with usage" >&2
     exit 1
 fi
-echo "ok: cross-format replay and transcode byte-identical; binary ${bin_size} B (${bin_per_event} B/event) vs JSONL ${jsonl_size} B"
+if [ "$repfmt_status" -ne 2 ] || ! grep -q -- "--replay conflicts with --journal-format" "$outdir/journal-repfmt.err"; then
+    echo "error: --replay --journal-format must exit 2 with a conflict message (got $repfmt_status)" >&2
+    cat "$outdir/journal-repfmt.err" >&2
+    exit 1
+fi
+echo "ok: binary replay and JSONL export byte-identical; binary ${bin_size} B (${bin_per_event} B/event) vs JSONL ${jsonl_size} B; JSONL replay refused"
 
 echo "== journal gate: corrupt journals fail cleanly =="
 # Truncation and bit rot must be *detected* — a clean exit 1 with a typed
@@ -355,9 +379,9 @@ echo "== serve gate: mgd socket round-trip is byte-identical to offline replay =
 # require the reports that come back to match `detect --replay` on the same
 # files byte-for-byte. Two bad connections must fail alone: a valid frame
 # then a garbage frame (its session is freed and counted abandoned), and
-# one frame of nested JSON (refused before a session opens; it used to
-# overflow a stack and abort the whole daemon). SIGTERM must then drain
-# the queues and exit 0 with exactly one stream abandoned.
+# one frame of 1 MiB nested `[` (no binary magic: refused before a session
+# opens). SIGTERM must then drain the queues and exit 0 with exactly one
+# stream abandoned.
 cargo run -q --release --offline -- detect --pm 60 --secs 2 --seed 5 \
     --record "$outdir/serve-a.bin" >/dev/null
 cargo run -q --release --offline -- detect --pm 0 --secs 2 --seed 9 \
@@ -429,77 +453,36 @@ if ! grep -q " 1 abandoned," "$outdir/mgd.out"; then
 fi
 echo "ok: three socket streams (one mobile) byte-identical to offline replay; two bad connections fail alone; clean SIGTERM drain"
 
-echo "== journal gate: a hostile header is refused where it is read =="
-# A negative pair distance (like an empty vantage list, or the tagged node
-# among its vantages) describes no detector session. The reader refuses it
-# with a typed error naming the header, so `detect --replay` and `mgd`
-# exit 1 instead of panicking a worker (which used to hang `mgd`).
+echo "== journal gate: JSONL and other non-binary input is refused where it is read =="
+# JSONL is export-only, so a hostile JSONL header never reaches a parser:
+# a negative pair distance, a header that is one 4 MiB string, and a
+# header of a million nested `[` are each refused for the missing binary
+# magic, with exit 1 from `detect --replay`, `journal info` and `mgd`. The
+# timeout fails any path that stalls on them. A hostile *binary* header is
+# covered by the root test `hostile_journals` and mg-serve's
+# `mgd_refuses_unreadable_journal_files`.
 cargo run -q --release --offline -- detect --pm 60 --secs 4 --seed 5 \
     --record "$outdir/hostile.jsonl" --journal-format jsonl >/dev/null
 sed -i '1s/"pair_distance":[^,]*/"pair_distance":-5/' "$outdir/hostile.jsonl"
-set +e
-cargo run -q --release --offline -- detect --replay "$outdir/hostile.jsonl" \
-    >/dev/null 2>"$outdir/hostile-replay.err"
-hostile_replay=$?
-timeout 30 ./target/release/mgd --journal "$outdir/hostile.jsonl" \
-    >/dev/null 2>"$outdir/hostile-mgd.err"
-hostile_mgd=$?
-set -e
-if [ "$hostile_replay" -ne 1 ] || ! grep -q "header pair distance" "$outdir/hostile-replay.err"; then
-    echo "error: detect --replay of a hostile header must exit 1 naming the header (got $hostile_replay)" >&2
-    cat "$outdir/hostile-replay.err" >&2
-    exit 1
-fi
-if [ "$hostile_mgd" -ne 1 ] || ! grep -q "header pair distance" "$outdir/hostile-mgd.err"; then
-    echo "error: mgd --journal of a hostile header must exit 1 naming the header (got $hostile_mgd)" >&2
-    cat "$outdir/hostile-mgd.err" >&2
-    exit 1
-fi
-# A header that is one 4 MiB string must be refused quickly too: the
-# timeout fails a JSON string scan that is quadratic in the string's length
-# (minutes at this size).
 { printf '{"tagged":"'; head -c 4194304 /dev/zero | tr '\0' A; printf '"}\n'; } \
     >"$outdir/hostile-long.jsonl"
-set +e
-timeout 30 ./target/release/manet-guard detect --replay "$outdir/hostile-long.jsonl" \
-    >/dev/null 2>"$outdir/hostile-long-replay.err"
-long_replay=$?
-timeout 30 ./target/release/mgd --journal "$outdir/hostile-long.jsonl" \
-    >/dev/null 2>"$outdir/hostile-long-mgd.err"
-long_mgd=$?
-set -e
-if [ "$long_replay" -ne 1 ] || ! grep -q "not a meta header" "$outdir/hostile-long-replay.err"; then
-    echo "error: detect --replay of a 4 MiB header string must exit 1 (got $long_replay)" >&2
-    cat "$outdir/hostile-long-replay.err" >&2
-    exit 1
-fi
-if [ "$long_mgd" -ne 1 ] || ! grep -q "not a meta header" "$outdir/hostile-long-mgd.err"; then
-    echo "error: mgd --journal of a 4 MiB header string must exit 1 (got $long_mgd)" >&2
-    cat "$outdir/hostile-long-mgd.err" >&2
-    exit 1
-fi
-# A header of a million nested `[` must be refused, not overflow the JSON
-# parser's stack (which aborted both processes).
 { head -c 1000000 /dev/zero | tr '\0' '['; echo; } >"$outdir/hostile-deep.jsonl"
-set +e
-timeout 30 ./target/release/manet-guard detect --replay "$outdir/hostile-deep.jsonl" \
-    >/dev/null 2>"$outdir/hostile-deep-replay.err"
-deep_replay=$?
-timeout 30 ./target/release/mgd --journal "$outdir/hostile-deep.jsonl" \
-    >/dev/null 2>"$outdir/hostile-deep-mgd.err"
-deep_mgd=$?
-set -e
-if [ "$deep_replay" -ne 1 ] || ! grep -q "nesting deeper" "$outdir/hostile-deep-replay.err"; then
-    echo "error: detect --replay of a nested-JSON header must exit 1 (got $deep_replay)" >&2
-    cat "$outdir/hostile-deep-replay.err" >&2
-    exit 1
-fi
-if [ "$deep_mgd" -ne 1 ] || ! grep -q "nesting deeper" "$outdir/hostile-deep-mgd.err"; then
-    echo "error: mgd --journal of a nested-JSON header must exit 1 (got $deep_mgd)" >&2
-    cat "$outdir/hostile-deep-mgd.err" >&2
-    exit 1
-fi
-echo "ok: a negative pair distance, a 4 MiB header string and a nested-JSON header are refused by detect --replay and mgd (exit 1)"
+for input in hostile hostile-long hostile-deep; do
+    for cmd in "./target/release/manet-guard detect --replay" \
+        "./target/release/manet-guard journal info" \
+        "./target/release/mgd --journal"; do
+        set +e
+        timeout 30 $cmd "$outdir/$input.jsonl" >/dev/null 2>"$outdir/$input.err"
+        status=$?
+        set -e
+        if [ "$status" -ne 1 ] || ! grep -q "MGOBSJ magic" "$outdir/$input.err"; then
+            echo "error: $cmd of $input.jsonl must exit 1 naming the magic (got $status)" >&2
+            cat "$outdir/$input.err" >&2
+            exit 1
+        fi
+    done
+done
+echo "ok: a negative pair distance, a 4 MiB header string and a nested-JSON header are refused by detect --replay, journal info and mgd (exit 1)"
 
 echo "== serve smoke: bench_serve mini cell =="
 # A tiny in-process cell of the serving benchmark: asserts the daemon's
@@ -541,9 +524,16 @@ echo "== quorum replay gate: a recorded quorum journal replays into the same ver
 # detect --quorum --record writes each member's distance into the journal
 # header, so detect --replay --quorum rebuilds the same members, and the
 # same --faults draw the same Byzantine cast: every report line must agree.
+# The live run's --metrics must count every gossip copy the report names.
 quorum_faults="seed=4,lie=0.3,mute=0.2"
 cargo run -q --release --offline -- detect --quorum 2 --pm 75 --secs 4 --seed 5 \
-    --faults "$quorum_faults" --record "$outdir/quorum.bin" >"$outdir/quorum-live.out"
+    --faults "$quorum_faults" --record "$outdir/quorum.bin" --metrics >"$outdir/quorum-live.out"
+gossip=$(sed -n 's/^gossip   : \([0-9]*\) copies delivered$/\1/p' "$outdir/quorum-live.out")
+if [ -z "$gossip" ] || ! grep -q "\"accusations_delivered\":$gossip[,}]" "$outdir/quorum-live.out"; then
+    echo "error: the live quorum's metrics must count its ${gossip:-?} gossip copies" >&2
+    cat "$outdir/quorum-live.out" >&2
+    exit 1
+fi
 cargo run -q --release --offline -- detect --replay "$outdir/quorum.bin" --quorum 2 \
     --faults "$quorum_faults" >"$outdir/quorum-replayed.out"
 quorum_lines='^(roles|gossip|quorum|verdict) '

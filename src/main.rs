@@ -36,15 +36,14 @@
 //!                     ObsJournal for later --replay
 //!   --journal-format <jsonl|bin>
 //!                     journal encoding for --record and `journal
-//!                     transcode` [default: bin]; with --replay it asserts
-//!                     the detected format instead
-//!   --replay <file>   skip simulation: replay a recorded journal into
-//!                     fresh monitors (the format is auto-detected by
-//!                     magic, so old JSONL journals keep working). The
-//!                     journal fixes the world, so --replay rejects every
-//!                     world knob (--pm, --rate, --secs, --seed, --random,
-//!                     --mobile, --record, --trace, --metrics); it composes
-//!                     with --samples, --no-blatant and --faults
+//!                     transcode` [default: bin]; jsonl is a write-only
+//!                     export that no command reads back
+//!   --replay <file>   skip simulation: replay a recorded binary journal
+//!                     into fresh monitors. The journal fixes the world, so
+//!                     --replay rejects every world knob (--pm, --rate,
+//!                     --secs, --seed, --random, --mobile, --record,
+//!                     --trace, --metrics) and --journal-format; it
+//!                     composes with --samples, --no-blatant and --faults
 //! ```
 //!
 //! Unrecognized arguments are an error (exit code 2), never silently
@@ -88,7 +87,7 @@ usage:
                      [--trace FILE] [--metrics] [--record FILE]
                      [--journal-format jsonl|bin]
   manet-guard detect --replay FILE [--samples N[,N..]] [--no-blatant]
-                     [--faults SPEC] [--quorum K] [--journal-format jsonl|bin]
+                     [--faults SPEC] [--quorum K]
   manet-guard journal info FILE [--deltas]
   manet-guard journal transcode IN OUT [--journal-format jsonl|bin]
   manet-guard journal send FILE --to HOST:PORT [--chunk N]
@@ -111,7 +110,6 @@ struct DetectOpts {
     record: Option<String>,
     replay: Option<String>,
     journal_format: JournalFormat,
-    journal_format_explicit: bool,
 }
 
 /// Strict parser for `detect` arguments: every flag must be recognized and
@@ -135,7 +133,6 @@ fn parse_detect(args: &[String]) -> Result<DetectOpts, String> {
         record: None,
         replay: None,
         journal_format: JournalFormat::Binary,
-        journal_format_explicit: false,
     };
     let mut seen: Vec<&'static str> = Vec::new();
     let mut it = args.iter();
@@ -143,6 +140,9 @@ fn parse_detect(args: &[String]) -> Result<DetectOpts, String> {
         let flag: &'static str = match a.as_str() {
             "--pm" => {
                 o.pm = value(&mut it, a)?;
+                if o.pm > 100 {
+                    return Err(format!("invalid value for --pm: {} (must be 0-100)", o.pm));
+                }
                 "--pm"
             }
             "--rate" => {
@@ -207,7 +207,6 @@ fn parse_detect(args: &[String]) -> Result<DetectOpts, String> {
             }
             "--journal-format" => {
                 o.journal_format = journal_format_value(&mut it, a)?;
-                o.journal_format_explicit = true;
                 "--journal-format"
             }
             other => return Err(format!("unrecognized argument: {other}")),
@@ -244,6 +243,12 @@ fn parse_detect(args: &[String]) -> Result<DetectOpts, String> {
                     "--replay conflicts with {c}: the recorded journal fixes the world"
                 ));
             }
+        }
+        if seen.contains(&"--journal-format") {
+            return Err(
+                "--replay conflicts with --journal-format: replay reads binary journals only"
+                    .into(),
+            );
         }
     }
     Ok(o)
@@ -492,23 +497,25 @@ fn quorum_detect(o: &DetectOpts, k: usize) {
         world.events_fired()
     );
 
+    // The quorum gossips through the world's tracer and metrics, so it
+    // replays before they are written out.
     let journal = world.probe().journal();
+    let mut q = QuorumSpec::new(attacker_node, &members, mc, k)
+        .with_faults(o.faults.clone())
+        .with_trace(world.tracer().clone(), world.metrics().clone())
+        .build();
+    journal.replay(&mut q);
     emit_trace_metrics(&world, o);
     if let Some(path) = &o.record {
         save_recording(journal, path, o.journal_format);
     }
-
-    let mut q = QuorumSpec::new(attacker_node, &members, mc, k)
-        .with_faults(o.faults.clone())
-        .build();
-    journal.replay(&mut q);
     print!("{}", q.report());
 }
 
-/// `detect --replay`: no simulation — open the journal (format
-/// auto-detected by magic), build one fresh monitor (pool) per requested
-/// sample size, and stream the recorded observations through each without
-/// ever materializing the journal in memory.
+/// `detect --replay`: no simulation — open the binary journal, build one
+/// fresh monitor (pool) per requested sample size, and stream the recorded
+/// observations through each without ever materializing the journal in
+/// memory.
 fn replay_detect(o: &DetectOpts, path: &str) {
     let reader = match JournalReader::open(std::path::Path::new(path)) {
         Ok(r) => r,
@@ -517,14 +524,6 @@ fn replay_detect(o: &DetectOpts, path: &str) {
             std::process::exit(1);
         }
     };
-    if o.journal_format_explicit && reader.format() != o.journal_format {
-        eprintln!(
-            "error: journal {path} is {}, but --journal-format {} was requested",
-            reader.format(),
-            o.journal_format
-        );
-        std::process::exit(1);
-    }
     let meta = reader.meta().clone();
     let attacker_node = meta.tagged;
     let primary = meta.vantages[0];
@@ -539,7 +538,7 @@ fn replay_detect(o: &DetectOpts, path: &str) {
 
     println!(
         "replay   : {path} ({} format, {} events, {} vantage(s), world seed {})",
-        reader.format(),
+        JournalFormat::Binary,
         reader.len(),
         meta.vantages.len(),
         meta.seed
@@ -697,7 +696,7 @@ fn journal_info(path: &str, deltas: bool) {
     let r = open_journal_or_exit(path);
     let meta = r.meta();
     println!("journal  : {path}");
-    println!("format   : {}", r.format());
+    println!("format   : {}", JournalFormat::Binary);
     println!("size     : {} bytes", r.size_bytes());
     println!("events   : {}", r.len());
     println!("tagged   : node {}", meta.tagged);
