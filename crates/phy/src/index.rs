@@ -36,8 +36,15 @@ impl CellGrid {
     pub fn new(cell: f64, positions: &[Vec2]) -> Self {
         // Guard degenerate edge lengths (zero ranges, NaN budgets): a 1 m
         // cell is always a valid, if fine-grained, bucketing.
-        let cell = if cell.is_finite() && cell >= 1.0 { cell } else { 1.0 };
-        assert!(positions.len() < END as usize, "cell lists hold u32 node ids");
+        let cell = if cell.is_finite() && cell >= 1.0 {
+            cell
+        } else {
+            1.0
+        };
+        assert!(
+            positions.len() < END as usize,
+            "cell lists hold u32 node ids"
+        );
         let mut grid = CellGrid {
             cell,
             heads: HashMap::default(),
@@ -231,8 +238,16 @@ mod tests {
         for step in 0..20 {
             let x = 460.0 + f64::from(step) * 5.0; // crosses 500, then 551
             g.move_node(0, Vec2::new(x, 100.0));
-            assert_eq!(query(&g, 499.0, 100.0, 80.0), vec![0], "left-side query, x={x}");
-            assert_eq!(query(&g, 501.0, 100.0, 80.0), vec![0], "right-side query, x={x}");
+            assert_eq!(
+                query(&g, 499.0, 100.0, 80.0),
+                vec![0],
+                "left-side query, x={x}"
+            );
+            assert_eq!(
+                query(&g, 501.0, 100.0, 80.0),
+                vec![0],
+                "right-side query, x={x}"
+            );
         }
         // Landing exactly on the cell boundary.
         g.move_node(0, Vec2::new(551.0, 100.0));

@@ -38,38 +38,43 @@
 //! contract:
 //!
 //! * [`MediumIndex::Naive`] — the reference. Footprint discovery scans
-//!   every node, and each in-flight frame keeps *dense* per-node power and
-//!   worst-interference vectors that are rescanned in full whenever any
-//!   transmission starts (`O(nodes)` per query, `O(active × nodes)` per
-//!   refresh). Simple enough to audit by eye; unusable at thousands of
-//!   nodes.
+//!   every node, each in-flight frame keeps its footprint as one list of
+//!   covers plus *dense* per-node power and worst-interference vectors that
+//!   are rescanned in full whenever any transmission starts (`O(nodes)` per
+//!   query, `O(active × nodes)` per refresh), and `end_tx` judges every
+//!   senseable node from its power in mW with [`RadioParams::decodable`]
+//!   and [`RadioParams::captures`]. Simple enough to audit by eye; unusable
+//!   at thousands of nodes.
 //! * [`MediumIndex::Grid`] (the default) — node positions are bucketed in
 //!   a cell grid sized to the sensing horizon, so discovery touches only
-//!   the cell window covering the interference horizon, and with
-//!   deterministic propagation each source's footprint — node, power and
-//!   link budget (the dB level the capture test reads, and whether the
-//!   node can decode at all) — is memoised until some node moves.
-//!   Per-frame records are sparse. Only a frame's *decodable receivers*
-//!   can come out of it as anything but `Sensed`, so only they carry
-//!   overlap and worst-interference bookkeeping, and a per-node *receiver*
-//!   index maps each node to the in-flight frames it can decode: a new
-//!   transmission refreshes just those entries. Everything is
-//!   `O(footprint)`, independent of world size, and the per-frame
-//!   bookkeeping is `O(receivers)` — about 3.5 nodes of the paper grid's
-//!   53-node footprint.
+//!   the cell window covering the interference horizon. A footprint is
+//!   kept as three ascending lists, each walked once per edge of the
+//!   frame: `power` (every footprint node and its power, the terms of the
+//!   aggregate), `sense` (the nodes that sense the frame: its busy and idle
+//!   edges and its receptions) and `links` (the nodes that can decode it,
+//!   each with its link budget). With deterministic propagation each
+//!   source's lists are memoised until some node moves, and a frame reads
+//!   its source's memo in place. Only a frame's links can come out of it
+//!   as anything but `Sensed`, so only they carry overlap and
+//!   worst-interference bookkeeping, and a per-node *receiver* index maps
+//!   each node to the in-flight frames it can decode: a new transmission
+//!   refreshes just those entries. Everything is `O(footprint)`,
+//!   independent of world size; of the paper grid's ≈54-node footprint,
+//!   ≈16 nodes sense a frame and ≈3.6 can decode it.
 //!
 //! The two implementations are **observationally byte-identical** — same
-//! edges, receptions, journals and RNG-draw streams. `Naive` also keeps the
-//! reference arithmetic: its frames judge every senseable node from its
-//! power in mW with [`RadioParams::decodable`] and
-//! [`RadioParams::captures`], while `Grid` reads the memoised link budget
-//! and takes one `log10` per receiver. That equivalence is
-//! not by construction; it is *proven* by the differential property suite
-//! in `tests/diff_index.rs` (and end-to-end by `tests/trace_determinism.rs`
-//! at 500 nodes). Both visit candidates in ascending node order, and with
-//! a stochastic propagation model (shadowing `σ > 0`) every receiver
-//! consumes an RNG draw, so `Grid` transparently falls back to a full
-//! discovery scan to keep the draw streams identical.
+//! edges, receptions, journals and RNG-draw streams. `Grid`'s capture test
+//! compares interference in mW against a bracket its link budget holds,
+//! and only a level inside the bracket evaluates the dB expression
+//! [`RadioParams::captures`] evaluates, so every decision is the
+//! reference's. That equivalence is not by construction; it is *proven* by
+//! the differential property suite in `tests/diff_index.rs` (and
+//! end-to-end by `tests/trace_determinism.rs` at 500 nodes), and the
+//! bracket by a property test of its own. Both visit candidates in
+//! ascending node order, and with a stochastic propagation model
+//! (shadowing `σ > 0`) every receiver consumes an RNG draw, so `Grid`
+//! falls back to a full discovery scan, and a footprint of the frame's
+//! own, to keep the draw streams identical.
 
 use crate::index::CellGrid;
 use crate::propagation::PropagationModel;
@@ -79,10 +84,16 @@ use mg_geom::Vec2;
 use mg_sim::rng::Rng;
 use mg_sim::SimTime;
 use mg_trace::{EventKind, Tracer};
+use std::ops::Range;
 
-/// Identifies one in-flight transmission.
+/// Identifies one in-flight transmission: the slab slot it occupies and
+/// that slot's generation, so [`Medium::end_tx`] finds the frame by index
+/// and refuses an id whose frame has already ended.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct TxId(u64);
+pub struct TxId {
+    slot: u32,
+    gen: u32,
+}
 
 /// How the medium discovers which nodes a transmission reaches.
 ///
@@ -107,7 +118,9 @@ impl MediumIndex {
         match s.trim().to_ascii_lowercase().as_str() {
             "naive" => Ok(MediumIndex::Naive),
             "grid" => Ok(MediumIndex::Grid),
-            other => Err(format!("unknown medium index {other:?}: expected naive or grid")),
+            other => Err(format!(
+                "unknown medium index {other:?}: expected naive or grid"
+            )),
         }
     }
 }
@@ -180,23 +193,191 @@ impl EndedTx {
     }
 }
 
-/// One node inside a transmission's interference footprint, with its link
-/// budget. Under deterministic propagation every field is a pure function
-/// of positions, so the footprint memo replays all of them.
+/// One node inside a transmission's interference footprint, as discovery
+/// finds it. `Naive` frames keep their footprint as a list of these; `Grid`
+/// splits it into [`Footprints`] lists.
 #[derive(Clone, Copy)]
 struct Cover {
     node: NodeId,
     /// Received power of the transmission at `node`, mW.
     p_mw: f64,
-    /// `mw_to_dbm(p_mw)`: the signal level exactly as
-    /// [`RadioParams::captures`] reads it. Set for senseable nodes only.
-    rx_dbm: f64,
     /// Whether that power trips `node`'s carrier sense (inside the sensing
     /// disk, not just the interference ring).
     senseable: bool,
-    /// Whether `node` could decode the frame absent interference: senseable
-    /// and `rx_dbm` at or above the decode threshold.
-    decodable: bool,
+}
+
+/// [`RadioParams::captures`] for one link, as a comparison in mW.
+///
+/// A signal at `rx_dbm` survives interference plus noise of `x` mW iff
+/// `rx_dbm − mw_to_dbm(x) ≥ capture_db`, which in exact arithmetic is
+/// `x ≤ T` for `T = dbm_to_mw(rx_dbm − capture_db)`. Rounding in either
+/// expression moves the decision by some 10⁻¹⁴ of `T`, far inside the
+/// bracket `[T·(1 − 10⁻⁹), T·(1 + 10⁻⁹)]`: a level at or below the bracket
+/// decodes, one at or above it collides, and only a level inside it
+/// evaluates the dB expression itself. So every decision is the
+/// expression's, bit for bit, and almost none costs a `log10`.
+#[derive(Clone, Copy, Debug)]
+struct Capture {
+    /// The signal level as [`RadioParams::captures`] reads it: `mw_to_dbm`
+    /// of the link's power.
+    rx_dbm: f64,
+    /// `T·(1 − 10⁻⁹)`.
+    lo: f64,
+    /// `T·(1 + 10⁻⁹)`.
+    hi: f64,
+}
+
+impl Capture {
+    /// The bracket's half-width, relative to `T`.
+    const SLACK: f64 = 1e-9;
+
+    fn new(rx_dbm: f64, capture_db: f64) -> Self {
+        let t = dbm_to_mw(rx_dbm - capture_db);
+        Capture {
+            rx_dbm,
+            lo: t * (1.0 - Self::SLACK),
+            hi: t * (1.0 + Self::SLACK),
+        }
+    }
+
+    /// Whether the signal survives interference plus noise of `x_mw`.
+    fn survives(&self, x_mw: f64, capture_db: f64) -> bool {
+        if x_mw <= self.lo {
+            true
+        } else if x_mw >= self.hi {
+            false
+        } else {
+            self.rx_dbm - mw_to_dbm(x_mw) >= capture_db
+        }
+    }
+}
+
+/// A node that can decode a Grid frame, with its link budget: everything
+/// the interference refresh and the capture test read.
+#[derive(Clone, Copy)]
+struct Link {
+    node: NodeId,
+    /// The node's index in the footprint's `sense` list, which is its index
+    /// in the frame's receptions.
+    sensed: u32,
+    /// Received power, mW.
+    p_mw: f64,
+    capture: Capture,
+}
+
+/// Grid footprints as three lists, each ascending by node id. The memo
+/// arena holds every memo of one position epoch back to back; a frame whose
+/// footprint is not in the arena holds its own.
+#[derive(Default)]
+struct Footprints {
+    /// `(node, mW)` for every footprint node: the aggregate's terms.
+    power: Vec<(NodeId, f64)>,
+    /// The nodes that sense the frame.
+    sense: Vec<NodeId>,
+    /// The nodes that can decode the frame.
+    links: Vec<Link>,
+}
+
+/// Where one footprint's lists sit in a [`Footprints`], as `start..end`.
+#[derive(Clone, Copy, Default)]
+struct FpSpan {
+    power: (u32, u32),
+    sense: (u32, u32),
+    links: (u32, u32),
+}
+
+fn range((start, end): (u32, u32)) -> Range<usize> {
+    start as usize..end as usize
+}
+
+impl Footprints {
+    fn power(&self, s: &FpSpan) -> &[(NodeId, f64)] {
+        &self.power[range(s.power)]
+    }
+
+    fn sense(&self, s: &FpSpan) -> &[NodeId] {
+        &self.sense[range(s.sense)]
+    }
+
+    fn links(&self, s: &FpSpan) -> &[Link] {
+        &self.links[range(s.links)]
+    }
+
+    fn clear(&mut self) {
+        self.power.clear();
+        self.sense.clear();
+        self.links.clear();
+    }
+
+    /// Appends the footprint `covers` lists and returns its span. A node
+    /// senses the frame when its cover says so, and can decode it when its
+    /// power read back from mW clears the decode threshold, exactly as the
+    /// reference arithmetic in `end_tx` judges it.
+    fn push(&mut self, covers: &[Cover], radio: &RadioParams) -> FpSpan {
+        let (p0, s0, l0) = (self.power.len(), self.sense.len(), self.links.len());
+        for c in covers {
+            self.power.push((c.node, c.p_mw));
+            if c.senseable {
+                let rx_dbm = mw_to_dbm(c.p_mw);
+                if radio.decodable(rx_dbm) {
+                    self.links.push(Link {
+                        node: c.node,
+                        sensed: (self.sense.len() - s0) as u32,
+                        p_mw: c.p_mw,
+                        capture: Capture::new(rx_dbm, radio.capture_db),
+                    });
+                }
+                self.sense.push(c.node);
+            }
+        }
+        let span = |start: usize, end: usize| (start as u32, end as u32);
+        FpSpan {
+            power: span(p0, self.power.len()),
+            sense: span(s0, self.sense.len()),
+            links: span(l0, self.links.len()),
+        }
+    }
+
+    /// Makes room for `times` more footprints the size of `span`'s.
+    fn reserve(&mut self, span: &FpSpan, times: usize) {
+        self.power.reserve(times * range(span.power).len());
+        self.sense.reserve(times * range(span.sense).len());
+        self.links.reserve(times * range(span.links).len());
+    }
+
+    /// Replaces these lists with a copy of the power and sense lists of
+    /// `span` in `from`, and returns the copy's span. A frame reads no
+    /// links once its receivers are registered.
+    fn copy_of(&mut self, from: &Footprints, span: &FpSpan) -> FpSpan {
+        self.clear();
+        self.power.extend_from_slice(from.power(span));
+        self.sense.extend_from_slice(from.sense(span));
+        FpSpan {
+            power: (0, self.power.len() as u32),
+            sense: (0, self.sense.len() as u32),
+            links: (0, 0),
+        }
+    }
+}
+
+/// A source's footprint memo: its span in the arena, valid while `epoch`
+/// is the medium's position epoch.
+#[derive(Clone, Copy)]
+struct Memo {
+    epoch: u64,
+    span: FpSpan,
+}
+
+impl Memo {
+    /// A memo that matches no epoch.
+    const NONE: Memo = Memo {
+        epoch: u64::MAX,
+        span: FpSpan {
+            power: (0, 0),
+            sense: (0, 0),
+            links: (0, 0),
+        },
+    };
 }
 
 /// A decodable receiver of a sparse frame. Every other footprint node comes
@@ -204,12 +385,23 @@ struct Cover {
 /// bookkeeping.
 #[derive(Clone, Copy)]
 struct Receiver {
-    /// Index of the receiver in the frame's `covered`.
-    at: u32,
+    link: Link,
     /// Whether the node transmitted at any point during this frame's flight.
     overlapped: bool,
     /// Max aggregate co-channel power the node saw during this frame, mW.
     max_interf_mw: f64,
+}
+
+/// Where an in-flight frame keeps its footprint.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+enum Store {
+    /// Started under `Naive`: `covered` and the dense vectors.
+    #[default]
+    Dense,
+    /// Started under `Grid`: lists read in place from the memo arena.
+    Arena,
+    /// Started under `Grid`: lists in the slot's `own`.
+    Own,
 }
 
 /// One slot of the in-flight slab. A freed slot keeps its vectors, cleared
@@ -217,38 +409,85 @@ struct Receiver {
 /// nothing once the slab has warmed up.
 #[derive(Default)]
 struct ActiveTx {
-    /// `None` while the slot is free.
-    id: Option<TxId>,
+    /// Whether a frame occupies the slot.
+    live: bool,
+    /// Bumped each time a frame takes the slot: with the slot index, the
+    /// frame's [`TxId`].
+    gen: u32,
     src: NodeId,
     start: SimTime,
-    /// Every node in the interference footprint, ascending by node id.
-    covered: Vec<Cover>,
-    /// Sparse bookkeeping (frames started under `Grid`): one entry per
-    /// decodable cover, in `covered` order. Empty for dense frames.
+    store: Store,
+    /// Sparse frames: where the footprint's lists sit, in the arena or in
+    /// `own` as `store` says.
+    span: FpSpan,
+    own: Footprints,
+    /// Sparse frames: one entry per link, in `links` order.
     receivers: Vec<Receiver>,
-    /// Dense bookkeeping (frames started under `Naive` — the reference
-    /// implementation): received power, worst aggregate interference and
+    /// Dense frames: every node in the interference footprint, ascending
+    /// by node id, and received power, worst aggregate interference and
     /// overlap indexed by node id, the first two rescanned in full on every
-    /// `begin_tx`. Unused for sparse frames.
+    /// `begin_tx`.
+    covered: Vec<Cover>,
     power_dense: Vec<f64>,
     max_interf_dense: Vec<f64>,
     overlapped_dense: Vec<bool>,
-    /// Whether this frame uses the dense reference bookkeeping.
-    dense: bool,
 }
 
-/// Where one source's memoised footprint sits in the memo arena.
-#[derive(Clone, Copy)]
-struct FpSpan {
-    /// `pos_epoch` at compute time; the memo replays iff it still matches.
-    epoch: u64,
-    start: u32,
-    len: u32,
+/// One more foreign transmission sensed at `v`: a busy edge if it is the
+/// first.
+#[inline]
+fn busy(cs_count: &mut [u32], edges: &mut Vec<EdgeChange>, v: NodeId) {
+    cs_count[v] += 1;
+    if cs_count[v] == 1 {
+        edges.push(EdgeChange {
+            node: v,
+            busy: true,
+        });
+    }
 }
 
-impl FpSpan {
-    /// A span that matches no epoch.
-    const NONE: FpSpan = FpSpan { epoch: u64::MAX, start: 0, len: 0 };
+/// One foreign transmission fewer sensed at `v`: an idle edge if it was the
+/// last.
+#[inline]
+fn idle(cs_count: &mut [u32], edges: &mut Vec<EdgeChange>, v: NodeId) {
+    cs_count[v] -= 1;
+    if cs_count[v] == 0 {
+        edges.push(EdgeChange {
+            node: v,
+            busy: false,
+        });
+    }
+}
+
+/// Adds `mw` to `v`'s aggregate, then raises the worst interference of
+/// every sparse frame in flight that `v` can decode to the new level. The
+/// refresh reads only `v`'s aggregate, which is final once `v`'s term is
+/// added, so it can run inside the walk over a footprint's `power`.
+#[inline]
+fn raise(
+    agg_mw: &mut [f64],
+    receiving: &[Vec<(u32, u32)>],
+    slots: &mut [ActiveTx],
+    v: NodeId,
+    mw: f64,
+) {
+    agg_mw[v] += mw;
+    for &(slot, k) in &receiving[v] {
+        let r = &mut slots[slot as usize].receivers[k as usize];
+        let other = agg_mw[v] - r.link.p_mw;
+        if other > r.max_interf_mw {
+            r.max_interf_mw = other;
+        }
+    }
+}
+
+/// Takes `mw` off `v`'s aggregate.
+#[inline]
+fn lower(agg_mw: &mut [f64], v: NodeId, mw: f64) {
+    agg_mw[v] -= mw;
+    if agg_mw[v] < 0.0 {
+        agg_mw[v] = 0.0; // guard float drift
+    }
 }
 
 /// The shared channel: all active transmissions plus node positions.
@@ -263,7 +502,8 @@ pub struct Medium {
     /// Aggregate received power at each node from all active transmissions.
     agg_mw: Vec<f64>,
     /// Slab of in-flight transmissions: stable slots so the receiver index
-    /// can point into it; slots without an id are free (see `free_slots`).
+    /// can point into it; slots that are not `live` are free (see
+    /// `free_slots`).
     slots: Vec<ActiveTx>,
     free_slots: Vec<usize>,
     /// Number of occupied slots.
@@ -277,7 +517,6 @@ pub struct Medium {
     /// In-flight transmissions per node (a MAC starts at most one, but the
     /// medium does not rely on that).
     tx_count: Vec<u32>,
-    next_id: u64,
     tracer: Tracer,
     index: MediumIndex,
     /// Farthest distance at which the interference cutoff (CS threshold
@@ -287,17 +526,19 @@ pub struct Medium {
     horizon: Option<f64>,
     /// Present iff `index == Grid`.
     grid: Option<CellGrid>,
-    /// Reusable candidate buffer for grid queries.
+    /// Reusable candidate buffer for discovery.
     scratch: Vec<NodeId>,
+    /// Reusable discovery output for `Grid` frames, before it is split.
+    covers: Vec<Cover>,
     /// Per-source footprint memos for the Grid + deterministic-propagation
     /// path. A footprint is then a pure function of node positions, so
-    /// until any node moves the memo replays the exact `Cover` list —
-    /// link budget included — discovery would rebuild. All memos of one
-    /// epoch live back to back in `fp_arena` (which holds epoch
-    /// `fp_arena_epoch`); `fp_span[v]` locates source `v`'s.
-    fp_arena: Vec<Cover>,
-    fp_arena_epoch: u64,
-    fp_span: Vec<FpSpan>,
+    /// until any node moves the memo holds the exact lists — link budgets
+    /// included — that discovery would rebuild. All memos of one epoch live
+    /// back to back in `arena` (which holds epoch `arena_epoch`);
+    /// `memo[v]` locates source `v`'s.
+    arena: Footprints,
+    arena_epoch: u64,
+    memo: Vec<Memo>,
     /// Bumped on every `set_position`; stale memos are simply recomputed
     /// on their next use, and the arena is emptied when a new epoch
     /// memoises its first footprint.
@@ -341,15 +582,15 @@ impl Medium {
             dense_len: 0,
             receiving: vec![Vec::new(); n],
             tx_count: vec![0; n],
-            next_id: 0,
             tracer: Tracer::disabled(),
             index: MediumIndex::Naive,
             horizon: None,
             grid: None,
             scratch: Vec::new(),
-            fp_arena: Vec::new(),
-            fp_arena_epoch: 0,
-            fp_span: vec![FpSpan::NONE; n],
+            covers: Vec::new(),
+            arena: Footprints::default(),
+            arena_epoch: 0,
+            memo: vec![Memo::NONE; n],
             pos_epoch: 0,
         };
         m.set_index(index);
@@ -420,6 +661,15 @@ impl Medium {
     /// maintained incrementally. Positions outside the nominal field
     /// (including negative coordinates) are fine.
     pub fn set_position(&mut self, node: NodeId, pos: Vec2) {
+        if self.arena_epoch == self.pos_epoch {
+            // The epoch moves on, and its next memo empties the arena:
+            // frames reading their footprint there copy it out first.
+            let reading = |a: &&mut ActiveTx| a.live && a.store == Store::Arena;
+            for a in self.slots.iter_mut().filter(reading) {
+                a.span = a.own.copy_of(&self.arena, &a.span);
+                a.store = Store::Own;
+            }
+        }
         self.positions[node] = pos;
         self.pos_epoch += 1;
         if let Some(grid) = &mut self.grid {
@@ -482,199 +732,238 @@ impl Medium {
         rng: &mut R,
         edges: &mut Vec<EdgeChange>,
     ) -> TxId {
-        let id = TxId(self.next_id);
-        self.next_id += 1;
-        let src_pos = self.positions[src];
         edges.clear();
-
         // The frame's record reuses the vectors of the slot it will occupy.
         let slot = self.free_slots.pop().unwrap_or_else(|| {
             self.slots.push(ActiveTx::default());
             self.slots.len() - 1
         });
-        let mut covered = std::mem::take(&mut self.slots[slot].covered);
-        covered.clear();
-
-        // Footprint discovery: which nodes perceive this transmission, at
-        // what power. Candidates are visited in ascending node order on both
-        // paths, so edge order and (stochastic) RNG draws are identical.
-        match (&self.grid, self.horizon) {
-            (Some(grid), Some(h)) => {
-                // Deterministic propagation ⇒ the footprint is a pure
-                // function of positions, so replay the memoised Cover list
-                // when no node has moved since it was computed. Replaying
-                // bumps carrier sense in the same ascending order the scan
-                // would, so the edge list is identical too.
-                let span = self.fp_span[src];
-                if span.epoch == self.pos_epoch {
-                    let start = span.start as usize;
-                    covered.extend_from_slice(&self.fp_arena[start..start + span.len as usize]);
-                    for c in &covered {
-                        if c.senseable {
-                            self.cs_count[c.node] += 1;
-                            if self.cs_count[c.node] == 1 {
-                                edges.push(EdgeChange { node: c.node, busy: true });
-                            }
-                        }
-                    }
-                } else {
-                    let mut cand = std::mem::take(&mut self.scratch);
-                    grid.candidates_within(src_pos, h, &mut cand);
-                    for &v in &cand {
-                        if v != src {
-                            self.try_cover(src_pos, v, rng, &mut covered, edges);
-                        }
-                    }
-                    self.scratch = cand;
-                    // Decodability is symmetric under deterministic
-                    // propagation: the nodes whose frames `src` can decode
-                    // are the ones its memo lists as decodable. With one
-                    // frame in flight per transmitter that is the peak of
-                    // `src`'s receiver list, so size the list now, with
-                    // the memo, rather than at a reception late in a run.
-                    let peak = covered.iter().filter(|c| c.decodable).count();
-                    let list = &mut self.receiving[src];
-                    list.reserve(peak.saturating_sub(list.len()));
-                    if self.fp_arena_epoch != self.pos_epoch {
-                        // Every memo in the arena is stale: start over.
-                        self.fp_arena.clear();
-                        self.fp_arena_epoch = self.pos_epoch;
-                    }
-                    self.fp_span[src] = FpSpan {
-                        epoch: self.pos_epoch,
-                        start: self.fp_arena.len() as u32,
-                        len: covered.len() as u32,
-                    };
-                    self.fp_arena.extend_from_slice(&covered);
-                }
-            }
-            _ => {
-                for v in 0..self.node_count() {
-                    if v != src {
-                        self.try_cover(src_pos, v, rng, &mut covered, edges);
-                    }
-                }
-            }
-        }
-
-        // The new energy raises the aggregate at footprint nodes, which in
-        // turn raises the worst-case interference of every in-flight frame
-        // wherever the footprints intersect.
-        for c in &covered {
-            self.agg_mw[c.node] += c.p_mw;
-        }
-        let n = self.node_count();
-
-        // Dense (reference) frames rescan every node — the O(active × n)
-        // loop the Grid strategy exists to avoid. The same pass marks the
-        // new transmitter as overlapping: a node cannot hear a frame while
-        // it is transmitting itself.
-        if self.dense_len > 0 {
-            for a in &mut self.slots {
-                if a.id.is_none() || !a.dense {
-                    continue;
-                }
-                for v in 0..n {
-                    let other = self.agg_mw[v] - a.power_dense[v];
-                    if other > a.max_interf_dense[v] {
-                        a.max_interf_dense[v] = other;
-                    }
-                }
-                a.overlapped_dense[src] = true;
-            }
-        }
-        // Sparse frames refresh through the receiver index: only the frames
-        // that a node whose aggregate just changed can decode are touched,
-        // the only cells `end_tx` reads. Every (frame, node) cell is an
-        // independent max, so visit order is immaterial — the arithmetic is
-        // identical to the dense rescan.
-        for c in &covered {
-            for &(slot, k) in &self.receiving[c.node] {
-                let a = &mut self.slots[slot as usize];
-                assert!(a.id.is_some(), "receiver entry points at a live slot");
-                let r = &mut a.receivers[k as usize];
-                let other = self.agg_mw[c.node] - a.covered[r.at as usize].p_mw;
-                if other > r.max_interf_mw {
-                    r.max_interf_mw = other;
-                }
-            }
-        }
-        for &(slot, k) in &self.receiving[src] {
-            self.slots[slot as usize].receivers[k as usize].overlapped = true;
-        }
-
-        let dense = self.index == MediumIndex::Naive;
-        let a = &mut self.slots[slot];
-        a.receivers.clear();
-        a.power_dense.clear();
-        a.max_interf_dense.clear();
-        a.overlapped_dense.clear();
-        // Either way, a node already transmitting will miss this frame.
-        if dense {
-            a.power_dense.resize(n, 0.0);
-            for c in &covered {
-                a.power_dense[c.node] = c.p_mw;
-            }
-            a.max_interf_dense
-                .extend((0..n).map(|v| self.agg_mw[v] - a.power_dense[v]));
-            a.overlapped_dense.extend((0..n).map(|v| self.tx_count[v] > 0));
+        let store = if self.index == MediumIndex::Naive {
+            self.begin_dense(slot, src, rng, edges);
+            Store::Dense
         } else {
-            for (i, c) in covered.iter().enumerate().filter(|(_, c)| c.decodable) {
-                self.receiving[c.node].push((slot as u32, a.receivers.len() as u32));
-                a.receivers.push(Receiver {
-                    at: i as u32,
-                    overlapped: self.tx_count[c.node] > 0,
-                    max_interf_mw: self.agg_mw[c.node] - c.p_mw,
-                });
-            }
+            self.begin_sparse(slot, src, rng, edges)
+        };
+        // The new transmitter misses every frame in flight that it could
+        // decode (`rescan_dense` marks the dense ones).
+        self.rescan_dense(src);
+        for &(s, k) in &self.receiving[src] {
+            self.slots[s as usize].receivers[k as usize].overlapped = true;
         }
-        a.id = Some(id);
+
+        let a = &mut self.slots[slot];
+        a.live = true;
+        a.gen = a.gen.wrapping_add(1);
         a.src = src;
         a.start = now;
-        a.covered = covered;
-        a.dense = dense;
+        a.store = store;
+        let id = TxId {
+            slot: slot as u32,
+            gen: a.gen,
+        };
         self.active_len += 1;
-        if dense {
+        if store == Store::Dense {
             self.dense_len += 1;
         }
         self.tx_count[src] += 1;
 
         for e in edges.iter() {
-            self.tracer
-                .emit(now.as_nanos(), Some(e.node), EventKind::ChannelEdge { busy: e.busy });
+            self.tracer.emit(
+                now.as_nanos(),
+                Some(e.node),
+                EventKind::ChannelEdge { busy: e.busy },
+            );
         }
         id
     }
 
-    /// Evaluates receiver `v` for a transmission from `src_pos`: if the
-    /// signal clears the interference cutoff, records it as covered and —
-    /// when it also clears the CS threshold — updates carrier-sense state.
-    fn try_cover<R: Rng>(
+    /// `begin_tx` for a `Grid` frame: its source's memo read in place under
+    /// deterministic propagation, else a footprint discovered for this
+    /// frame alone. The frame's `sense` list bumps carrier sense, its
+    /// `power` list raises the aggregates (and, through the receiver index,
+    /// the frames in flight that those nodes can decode), and its `links`
+    /// become its receivers. Returns where the lists are.
+    fn begin_sparse<R: Rng>(
         &mut self,
-        src_pos: Vec2,
-        v: NodeId,
+        slot: usize,
+        src: NodeId,
         rng: &mut R,
-        covered: &mut Vec<Cover>,
+        edges: &mut Vec<EdgeChange>,
+    ) -> Store {
+        let mut own = std::mem::take(&mut self.slots[slot].own);
+        let in_arena = self.horizon.is_some();
+        let span = if in_arena {
+            self.memo_of(src, rng)
+        } else {
+            let mut covers = std::mem::take(&mut self.covers);
+            self.discover(src, rng, &mut covers);
+            own.clear();
+            let span = own.push(&covers, &self.radio);
+            self.covers = covers;
+            span
+        };
+
+        let fp = if in_arena { &self.arena } else { &own };
+        for &v in fp.sense(&span) {
+            busy(&mut self.cs_count, edges, v);
+        }
+        for &(v, mw) in fp.power(&span) {
+            raise(&mut self.agg_mw, &self.receiving, &mut self.slots, v, mw);
+        }
+        // A node already transmitting will miss this frame.
+        let a = &mut self.slots[slot];
+        a.receivers.clear();
+        for (k, &link) in fp.links(&span).iter().enumerate() {
+            self.receiving[link.node].push((slot as u32, k as u32));
+            a.receivers.push(Receiver {
+                link,
+                overlapped: self.tx_count[link.node] > 0,
+                max_interf_mw: self.agg_mw[link.node] - link.p_mw,
+            });
+        }
+        a.span = span;
+        a.own = own;
+        if in_arena {
+            Store::Arena
+        } else {
+            Store::Own
+        }
+    }
+
+    /// `begin_tx` for a `Naive` frame: the reference bookkeeping, a cover
+    /// list and dense per-node vectors.
+    fn begin_dense<R: Rng>(
+        &mut self,
+        slot: usize,
+        src: NodeId,
+        rng: &mut R,
         edges: &mut Vec<EdgeChange>,
     ) {
-        let d = src_pos.distance(self.positions[v]);
-        let pl = self.prop.sample_path_loss_db(d, rng);
-        let p_dbm = self.radio.rx_power_dbm(pl);
-        if p_dbm >= self.interference_cutoff_dbm() {
-            let senseable = self.radio.senseable(p_dbm);
-            let p_mw = dbm_to_mw(p_dbm);
-            // Judged on the power read back from mW, as the reference
-            // arithmetic in `end_tx` judges it, so both decide alike.
-            let rx_dbm = if senseable { mw_to_dbm(p_mw) } else { f64::NEG_INFINITY };
-            let decodable = senseable && self.radio.decodable(rx_dbm);
-            covered.push(Cover { node: v, p_mw, rx_dbm, senseable, decodable });
-            if senseable {
-                self.cs_count[v] += 1;
-                if self.cs_count[v] == 1 {
-                    edges.push(EdgeChange { node: v, busy: true });
+        let mut covered = std::mem::take(&mut self.slots[slot].covered);
+        self.discover(src, rng, &mut covered);
+        for c in covered.iter().filter(|c| c.senseable) {
+            busy(&mut self.cs_count, edges, c.node);
+        }
+        for c in &covered {
+            raise(
+                &mut self.agg_mw,
+                &self.receiving,
+                &mut self.slots,
+                c.node,
+                c.p_mw,
+            );
+        }
+        // A node already transmitting will miss this frame.
+        let n = self.node_count();
+        let a = &mut self.slots[slot];
+        a.power_dense.clear();
+        a.power_dense.resize(n, 0.0);
+        for c in &covered {
+            a.power_dense[c.node] = c.p_mw;
+        }
+        a.max_interf_dense.clear();
+        a.max_interf_dense
+            .extend((0..n).map(|v| self.agg_mw[v] - a.power_dense[v]));
+        a.overlapped_dense.clear();
+        a.overlapped_dense
+            .extend((0..n).map(|v| self.tx_count[v] > 0));
+        a.covered = covered;
+    }
+
+    /// Dense (reference) frames in flight rescan every node once a new
+    /// transmission from `src` has raised the aggregates — the O(active ×
+    /// n) loop the Grid strategy exists to avoid — and mark `src` as
+    /// overlapping: a node cannot hear a frame while it is transmitting
+    /// itself. The frame being started is not live yet, so it is skipped;
+    /// its own bookkeeping reads only the aggregates, not the rescan.
+    fn rescan_dense(&mut self, src: NodeId) {
+        if self.dense_len == 0 {
+            return;
+        }
+        for a in self
+            .slots
+            .iter_mut()
+            .filter(|a| a.live && a.store == Store::Dense)
+        {
+            for (v, &agg) in self.agg_mw.iter().enumerate() {
+                let other = agg - a.power_dense[v];
+                if other > a.max_interf_dense[v] {
+                    a.max_interf_dense[v] = other;
                 }
             }
+            a.overlapped_dense[src] = true;
         }
+    }
+
+    /// Footprint discovery: writes into `out` (cleared first) every node
+    /// whose power from `src` clears the interference cutoff, ascending by
+    /// node id. Candidates come from the cell window when the grid and a
+    /// horizon allow, else from every node; both paths visit in ascending
+    /// order, so (stochastic) RNG draws are identical.
+    fn discover<R: Rng>(&mut self, src: NodeId, rng: &mut R, out: &mut Vec<Cover>) {
+        out.clear();
+        let src_pos = self.positions[src];
+        let mut cand = std::mem::take(&mut self.scratch);
+        match (&self.grid, self.horizon) {
+            (Some(grid), Some(h)) => grid.candidates_within(src_pos, h, &mut cand),
+            _ => {
+                cand.clear();
+                cand.extend(0..self.node_count());
+            }
+        }
+        let cutoff = self.interference_cutoff_dbm();
+        for &v in cand.iter().filter(|&&v| v != src) {
+            let d = src_pos.distance(self.positions[v]);
+            let p_dbm = self
+                .radio
+                .rx_power_dbm(self.prop.sample_path_loss_db(d, rng));
+            if p_dbm >= cutoff {
+                out.push(Cover {
+                    node: v,
+                    p_mw: dbm_to_mw(p_dbm),
+                    senseable: self.radio.senseable(p_dbm),
+                });
+            }
+        }
+        self.scratch = cand;
+    }
+
+    /// `src`'s footprint memo for the current position epoch, discovered
+    /// and appended to the arena if it has none. The epoch's first memo
+    /// empties the arena of the last epoch's (no frame reads them any more:
+    /// `set_position` made in-flight frames copy theirs out) and sizes it
+    /// for every node to memoise a footprint twice that size, so a node's
+    /// first memo late in a run does not allocate.
+    fn memo_of<R: Rng>(&mut self, src: NodeId, rng: &mut R) -> FpSpan {
+        let memo = self.memo[src];
+        if memo.epoch == self.pos_epoch {
+            return memo.span;
+        }
+        let mut covers = std::mem::take(&mut self.covers);
+        self.discover(src, rng, &mut covers);
+        if self.arena_epoch != self.pos_epoch {
+            self.arena.clear();
+            self.arena_epoch = self.pos_epoch;
+        }
+        let first = self.arena.power.is_empty();
+        let span = self.arena.push(&covers, &self.radio);
+        self.covers = covers;
+        if first {
+            self.arena.reserve(&span, 2 * self.node_count());
+        }
+        self.memo[src] = Memo {
+            epoch: self.pos_epoch,
+            span,
+        };
+        // Decodability is symmetric under deterministic propagation: the
+        // nodes whose frames `src` can decode are its links. With one frame
+        // in flight per transmitter that is the peak of `src`'s receiver
+        // list, so size the list now, with the memo, rather than at a
+        // reception late in a run.
+        let peak = range(span.links).len();
+        let list = &mut self.receiving[src];
+        list.reserve(peak.saturating_sub(list.len()));
+        span
     }
 
     /// Ends a transmission at time `now`, writing its per-node outcomes and
@@ -686,90 +975,91 @@ impl Medium {
     /// Panics if `id` does not refer to an in-flight transmission (ending a
     /// transmission twice is a caller bug).
     pub fn end_tx(&mut self, id: TxId, now: SimTime, out: &mut EndedTx) {
-        let slot = self
-            .slots
-            .iter()
-            .position(|a| a.id == Some(id))
-            .expect("end_tx on a transmission that is not in flight");
-        let tx = &mut self.slots[slot];
-        tx.id = None;
+        let slot = id.slot as usize;
+        assert!(
+            self.slots
+                .get(slot)
+                .is_some_and(|a| a.live && a.gen == id.gen),
+            "end_tx on a transmission that is not in flight"
+        );
+        self.slots[slot].live = false;
+        self.free_slots.push(slot);
         self.active_len -= 1;
+        let tx = &self.slots[slot];
         self.tx_count[tx.src] -= 1;
-        if tx.dense {
+        out.src = tx.src;
+        out.start = tx.start;
+        out.edges.clear();
+        out.receptions.clear();
+
+        if tx.store == Store::Dense {
             self.dense_len -= 1;
+            for c in &tx.covered {
+                lower(&mut self.agg_mw, c.node, c.p_mw);
+                if c.senseable {
+                    idle(&mut self.cs_count, &mut out.edges, c.node);
+                }
+            }
+            // Only sensing-disk nodes perceive the frame; interference-ring
+            // nodes carried power but stay silent (OutOfRange). The
+            // reference arithmetic judges every senseable node from its
+            // power in mW.
+            out.receptions
+                .extend(tx.covered.iter().filter(|c| c.senseable).map(|c| {
+                    let p_dbm = mw_to_dbm(c.p_mw);
+                    let outcome = if tx.overlapped_dense[c.node] || !self.radio.decodable(p_dbm) {
+                        RxOutcome::Sensed
+                    } else if self.radio.captures(c.p_mw, tx.max_interf_dense[c.node]) {
+                        RxOutcome::Decoded
+                    } else {
+                        RxOutcome::Collided
+                    };
+                    (c.node, outcome)
+                }));
         } else {
             // Unregister from the receiver index (entries are unique).
             for (k, r) in tx.receivers.iter().enumerate() {
-                let list = &mut self.receiving[tx.covered[r.at as usize].node];
+                let list = &mut self.receiving[r.link.node];
                 let at = list
                     .iter()
                     .position(|&e| e == (slot as u32, k as u32))
                     .expect("receiver is indexed");
                 list.swap_remove(at);
             }
-        }
-        self.free_slots.push(slot);
-
-        out.src = tx.src;
-        out.start = tx.start;
-        out.edges.clear();
-        for c in &tx.covered {
-            self.agg_mw[c.node] -= c.p_mw;
-            if self.agg_mw[c.node] < 0.0 {
-                self.agg_mw[c.node] = 0.0; // guard float drift
+            let fp = if tx.store == Store::Arena {
+                &self.arena
+            } else {
+                &tx.own
+            };
+            for &(v, mw) in fp.power(&tx.span) {
+                lower(&mut self.agg_mw, v, mw);
             }
-            if c.senseable {
-                self.cs_count[c.node] -= 1;
-                if self.cs_count[c.node] == 0 {
-                    out.edges.push(EdgeChange { node: c.node, busy: false });
-                }
+            let sense = fp.sense(&tx.span);
+            for &v in sense {
+                idle(&mut self.cs_count, &mut out.edges, v);
             }
-        }
-
-        // Only sensing-disk nodes perceive the frame; interference-ring
-        // nodes carried power but stay silent (OutOfRange).
-        out.receptions.clear();
-        let senseable = tx.covered.iter().filter(|c| c.senseable);
-        if tx.dense {
-            // The reference arithmetic: every senseable node judged from its
-            // power in mW.
-            out.receptions.extend(senseable.map(|c| {
-                let p_dbm = mw_to_dbm(c.p_mw);
-                let outcome = if tx.overlapped_dense[c.node] || !self.radio.decodable(p_dbm) {
-                    RxOutcome::Sensed
-                } else if self.radio.captures(c.p_mw, tx.max_interf_dense[c.node]) {
-                    RxOutcome::Decoded
-                } else {
-                    RxOutcome::Collided
-                };
-                (c.node, outcome)
-            }));
-        } else {
-            // Only receivers can decode or collide. Each is judged by the
-            // expression `RadioParams::captures` evaluates, with the signal
-            // level and the noise term already in hand.
-            let (noise_mw, capture_db) = (self.noise_mw, self.radio.capture_db);
-            let mut receivers = tx.receivers.iter();
-            out.receptions.extend(senseable.map(|c| {
-                let r = c.decodable.then(|| receivers.next().expect("one per decodable cover"));
-                let outcome = match r {
-                    Some(r) if !r.overlapped => {
-                        let sinr_db = c.rx_dbm - mw_to_dbm(r.max_interf_mw + noise_mw);
-                        if sinr_db >= capture_db {
-                            RxOutcome::Decoded
-                        } else {
-                            RxOutcome::Collided
-                        }
-                    }
-                    _ => RxOutcome::Sensed,
-                };
-                (c.node, outcome)
-            }));
+            // Every node that senses the frame perceives it (ring nodes
+            // stay silent), and only receivers can decode or collide.
+            out.receptions
+                .extend(sense.iter().map(|&v| (v, RxOutcome::Sensed)));
+            let capture_db = self.radio.capture_db;
+            for r in tx.receivers.iter().filter(|r| !r.overlapped) {
+                let x_mw = r.max_interf_mw + self.noise_mw;
+                out.receptions[r.link.sensed as usize].1 =
+                    if r.link.capture.survives(x_mw, capture_db) {
+                        RxOutcome::Decoded
+                    } else {
+                        RxOutcome::Collided
+                    };
+            }
         }
 
         for e in &out.edges {
-            self.tracer
-                .emit(now.as_nanos(), Some(e.node), EventKind::ChannelEdge { busy: e.busy });
+            self.tracer.emit(
+                now.as_nanos(),
+                Some(e.node),
+                EventKind::ChannelEdge { busy: e.busy },
+            );
         }
     }
 
@@ -805,7 +1095,12 @@ mod tests {
     }
 
     /// Starts a transmission, returning its id and the busy edges it causes.
-    fn begin(m: &mut Medium, src: NodeId, now: SimTime, rng: &mut Xoshiro256) -> (TxId, Vec<EdgeChange>) {
+    fn begin(
+        m: &mut Medium,
+        src: NodeId,
+        now: SimTime,
+        rng: &mut Xoshiro256,
+    ) -> (TxId, Vec<EdgeChange>) {
         let mut edges = Vec::new();
         let tx = m.begin_tx(src, now, rng, &mut edges);
         (tx, edges)
@@ -943,10 +1238,15 @@ mod tests {
         let mut m = medium_with(vec![Vec2::new(0.0, 0.0), Vec2::new(100.0, 0.0)]);
         let mut r = rng();
         let (tx, _) = begin(&mut m, 0, SimTime::ZERO, &mut r);
-        assert!(end(&mut m, tx, SimTime::from_micros(999)).outcome_of(1).is_decoded());
+        assert!(end(&mut m, tx, SimTime::from_micros(999))
+            .outcome_of(1)
+            .is_decoded());
         m.set_position(1, Vec2::new(1000.0, 0.0));
         let (tx, _) = begin(&mut m, 0, SimTime::from_micros(100), &mut r);
-        assert_eq!(end(&mut m, tx, SimTime::from_micros(999)).outcome_of(1), RxOutcome::OutOfRange);
+        assert_eq!(
+            end(&mut m, tx, SimTime::from_micros(999)).outcome_of(1),
+            RxOutcome::OutOfRange
+        );
     }
 
     #[test]
@@ -971,9 +1271,20 @@ mod tests {
         // Overlapping transmissions that start and end in interleaved order,
         // so slab slots are freed and retaken: one pair of buffers reused
         // throughout must report exactly what fresh buffers report.
-        let positions: Vec<Vec2> =
-            (0..12).map(|i| Vec2::new(150.0 * i as f64, 40.0 * (i % 3) as f64)).collect();
-        let plan = [(0, 1), (5, 1), (9, 2), (3, 2), (11, 3), (6, 4), (0, 5), (2, 5), (9, 6)];
+        let positions: Vec<Vec2> = (0..12)
+            .map(|i| Vec2::new(150.0 * i as f64, 40.0 * (i % 3) as f64))
+            .collect();
+        let plan = [
+            (0, 1),
+            (5, 1),
+            (9, 2),
+            (3, 2),
+            (11, 3),
+            (6, 4),
+            (0, 5),
+            (2, 5),
+            (9, 6),
+        ];
         let run = |reuse: bool| {
             let mut m = medium_with(positions.clone());
             let mut r = rng();
@@ -985,7 +1296,10 @@ mod tests {
                     ended = EndedTx::default();
                 }
                 m.end_tx(tx, now, &mut ended);
-                log.push(format!("{:?} {:?} {:?}", ended.src, ended.receptions, ended.edges));
+                log.push(format!(
+                    "{:?} {:?} {:?}",
+                    ended.src, ended.receptions, ended.edges
+                ));
             };
             for &(src, t) in &plan {
                 let now = SimTime::from_micros(100 * t);
@@ -1006,32 +1320,57 @@ mod tests {
         assert_eq!(run(true), run(false));
     }
 
-    /// The node ids of `tx`'s receivers, after checking that they are its
-    /// decodable covers, that each cover's memoised link budget matches the
-    /// reference arithmetic, and that the receiver index lists each entry.
+    /// The node ids of `tx`'s receivers, after checking that its lists
+    /// ascend, that the receivers are the nodes sensing it that decode it by
+    /// the reference arithmetic, that each link's budget and sense index
+    /// match its lists, and that the receiver index lists each entry.
     fn receivers_of(m: &Medium, tx: TxId) -> Vec<NodeId> {
-        let slot = m.slots.iter().position(|a| a.id == Some(tx)).expect("in flight");
-        let a = &m.slots[slot];
-        for c in &a.covered {
-            let p_dbm = mw_to_dbm(c.p_mw);
-            assert_eq!(c.decodable, c.senseable && m.radio.decodable(p_dbm));
-            if c.senseable {
-                assert_eq!(c.rx_dbm.to_bits(), p_dbm.to_bits());
-            }
+        let a = &m.slots[tx.slot as usize];
+        assert!(a.live && a.gen == tx.gen, "in flight");
+        let fp = if a.store == Store::Arena {
+            &m.arena
+        } else {
+            &a.own
+        };
+        let (power, sense) = (fp.power(&a.span), fp.sense(&a.span));
+        assert!(power.windows(2).all(|w| w[0].0 < w[1].0), "power ascends");
+        assert!(sense.windows(2).all(|w| w[0] < w[1]), "sense ascends");
+        let p_of = |v: NodeId| power.iter().find(|&&(u, _)| u == v).expect("has power").1;
+        let decodable: Vec<NodeId> = sense
+            .iter()
+            .copied()
+            .filter(|&v| m.radio.decodable(mw_to_dbm(p_of(v))))
+            .collect();
+        for (k, r) in a.receivers.iter().enumerate() {
+            let link = r.link;
+            assert_eq!(sense[link.sensed as usize], link.node);
+            assert_eq!(link.p_mw.to_bits(), p_of(link.node).to_bits());
+            assert_eq!(
+                link.capture.rx_dbm.to_bits(),
+                mw_to_dbm(link.p_mw).to_bits()
+            );
+            let entry = (tx.slot, k as u32);
+            assert!(
+                m.receiving[link.node].contains(&entry),
+                "node {} indexed",
+                link.node
+            );
         }
-        let nodes: Vec<NodeId> =
-            a.receivers.iter().map(|r| a.covered[r.at as usize].node).collect();
-        let decodable: Vec<NodeId> =
-            a.covered.iter().filter(|c| c.decodable).map(|c| c.node).collect();
-        assert_eq!(nodes, decodable, "receivers are the decodable covers");
-        for (k, &v) in nodes.iter().enumerate() {
-            assert!(m.receiving[v].contains(&(slot as u32, k as u32)), "node {v} indexed");
-        }
+        let nodes: Vec<NodeId> = a.receivers.iter().map(|r| r.link.node).collect();
+        assert_eq!(
+            nodes, decodable,
+            "receivers are the decodable sensing nodes"
+        );
         nodes
     }
 
+    /// Whether in-flight frame `tx` reads its lists from the memo arena.
+    fn reads_arena(m: &Medium, tx: TxId) -> bool {
+        m.slots[tx.slot as usize].store == Store::Arena
+    }
+
     #[test]
-    fn receivers_are_the_decodable_covers_across_memo_epochs() {
+    fn receivers_are_the_decodable_links_across_memo_epochs() {
         // A row at 240 m spacing: node 2 decodes its two neighbours only.
         let mut m = medium_with((0..6).map(|i| Vec2::new(240.0 * i as f64, 0.0)).collect());
         let mut r = rng();
@@ -1041,18 +1380,84 @@ mod tests {
         end(&mut m, tx, t(10));
         let (tx, _) = begin(&mut m, 2, t(20), &mut r);
         assert_eq!(receivers_of(&m, tx), vec![1, 3], "replayed memo");
+        assert!(reads_arena(&m, tx), "a memo is read in place");
         // A move bumps the memo epoch while 2's frame is in flight: that
-        // frame keeps its receivers, and 2's next frame is rediscovered.
+        // frame copies its lists out of the arena and keeps its receivers,
+        // even once the new epoch's first memo empties the arena, and 2's
+        // next frame is rediscovered.
         m.set_position(5, Vec2::new(480.0, 100.0));
+        assert!(!reads_arena(&m, tx), "a move copies in-flight lists out");
         assert_eq!(receivers_of(&m, tx), vec![1, 3]);
+        let (tx4, _) = begin(&mut m, 4, t(25), &mut r);
+        assert_eq!(
+            receivers_of(&m, tx),
+            vec![1, 3],
+            "after the arena is emptied"
+        );
         end(&mut m, tx, t(30));
+        end(&mut m, tx4, t(30));
         let (tx, _) = begin(&mut m, 2, t(40), &mut r);
         let (tx4, _) = begin(&mut m, 4, t(41), &mut r);
         assert_eq!(receivers_of(&m, tx), vec![1, 3, 5], "after the move");
         assert_eq!(receivers_of(&m, tx4), vec![3]);
         end(&mut m, tx, t(50));
         end(&mut m, tx4, t(50));
-        assert!(m.receiving.iter().all(Vec::is_empty), "every entry unregistered");
+        assert!(
+            m.receiving.iter().all(Vec::is_empty),
+            "every entry unregistered"
+        );
+    }
+
+    /// The capture bracket decides every level as the dB expression
+    /// `RadioParams::captures` evaluates: at random levels, and at the
+    /// threshold `T`, the bracket's ends and their neighbours a few ULPs
+    /// away, where inside the bracket it must defer to the expression. The
+    /// count of levels inside proves that path runs.
+    #[test]
+    fn capture_bracket_decides_as_captures_does() {
+        use mg_testkit::prop::{check, Gen, TkResult};
+        use mg_testkit::tk_assert_eq;
+        use std::cell::Cell;
+
+        let inside = Cell::new(0usize);
+        check(
+            "capture_bracket_decides_as_captures_does",
+            |g: &mut Gen| -> TkResult {
+                let radio = RadioParams {
+                    capture_db: g.f64_in(0.0..20.0),
+                    noise_floor_dbm: g.f64_in(-120.0..-95.0),
+                    ..RadioParams::paper_default(&PropagationModel::free_space())
+                };
+                let noise_mw = dbm_to_mw(radio.noise_floor_dbm);
+                let p_mw = dbm_to_mw(g.f64_in(-70.0..25.0));
+                let capture = Capture::new(mw_to_dbm(p_mw), radio.capture_db);
+                let t = dbm_to_mw(capture.rx_dbm - radio.capture_db);
+                // The medium judges worst interference plus noise; `captures`
+                // adds the noise itself.
+                let judge = |interf_mw: f64| -> TkResult {
+                    let x_mw = interf_mw + noise_mw;
+                    if capture.lo < x_mw && x_mw < capture.hi {
+                        inside.set(inside.get() + 1);
+                    }
+                    tk_assert_eq!(
+                        capture.survives(x_mw, radio.capture_db),
+                        radio.captures(p_mw, interf_mw),
+                        "signal {p_mw:e} mW, interference {interf_mw:e} mW, {capture:?}"
+                    );
+                    Ok(())
+                };
+                judge(0.0)?;
+                judge(dbm_to_mw(g.f64_in(-130.0..30.0)))?;
+                judge(t * g.f64_in(0.999_999_99..1.000_000_01) - noise_mw)?;
+                for level in [t, capture.lo, capture.hi] {
+                    for ulps in -3i64..=3 {
+                        judge(f64::from_bits((level.to_bits() as i64 + ulps) as u64) - noise_mw)?;
+                    }
+                }
+                Ok(())
+            },
+        );
+        assert!(inside.get() > 0, "no level fell inside the bracket");
     }
 
     #[test]
@@ -1131,7 +1536,10 @@ mod tests {
         let (txn, en) = begin(&mut naive, 2, SimTime::ZERO, &mut rn);
         let (txg, eg) = begin(&mut grid, 2, SimTime::ZERO, &mut rg);
         assert_eq!(en, eg);
-        assert!(en.iter().any(|e| e.node == 1 && e.busy), "200 m apart: sensed");
+        assert!(
+            en.iter().any(|e| e.node == 1 && e.busy),
+            "200 m apart: sensed"
+        );
         assert_eq!(
             end(&mut naive, txn, SimTime::from_micros(9)).receptions,
             end(&mut grid, txg, SimTime::from_micros(9)).receptions

@@ -159,9 +159,10 @@ mod tests {
         let p = PropagationModel::TwoRayGround { ht: 1.5, hr: 1.5 };
         let fs = PropagationModel::free_space();
         let crossover = 4.0 * std::f64::consts::PI * 2.25 / PropagationModel::wavelength();
-        assert!((p.mean_path_loss_db(crossover * 0.5)
-            - fs.mean_path_loss_db(crossover * 0.5))
-        .abs() < 1e-9);
+        assert!(
+            (p.mean_path_loss_db(crossover * 0.5) - fs.mean_path_loss_db(crossover * 0.5)).abs()
+                < 1e-9
+        );
         // Beyond crossover: 12 dB per doubling.
         let a = p.mean_path_loss_db(crossover * 2.0);
         let b = p.mean_path_loss_db(crossover * 4.0);

@@ -26,7 +26,12 @@ use mg_trace::{TraceConfig, Tracer};
 use std::cell::RefCell;
 
 /// Starts a transmission, returning its id and the busy edges it causes.
-fn begin(m: &mut Medium, src: usize, now: SimTime, rng: &mut Xoshiro256) -> (TxId, Vec<EdgeChange>) {
+fn begin(
+    m: &mut Medium,
+    src: usize,
+    now: SimTime,
+    rng: &mut Xoshiro256,
+) -> (TxId, Vec<EdgeChange>) {
     let mut edges = Vec::new();
     let tx = m.begin_tx(src, now, rng, &mut edges);
     (tx, edges)
@@ -54,7 +59,11 @@ enum Op {
     /// Move a node (possibly outside the original field).
     Move { node: usize, x: f64, y: f64 },
     /// Neighborhood query: both media must return the same id list.
-    Query { center_x: f64, center_y: f64, range: f64 },
+    Query {
+        center_x: f64,
+        center_y: f64,
+        range: f64,
+    },
 }
 
 /// 2–24 nodes scattered over `0..field` metres square, and a tape of up to
@@ -179,7 +188,11 @@ fn run_differential(
                 naive.set_position(node, p);
                 grid.set_position(node, p);
             }
-            Op::Query { center_x, center_y, range } => {
+            Op::Query {
+                center_x,
+                center_y,
+                range,
+            } => {
                 let c = Vec2::new(center_x, center_y);
                 tk_assert_eq!(
                     within(&naive, c, range),
@@ -234,7 +247,11 @@ fn run_differential(
     // may legitimately be empty — a tape whose transmitters are all out of
     // everyone's sensing range journals no edges; the non-vacuousness of
     // this gate is pinned by `journal_gate_is_not_vacuous`.)
-    tk_assert_eq!(journal_a.to_jsonl(), journal_b.to_jsonl(), "trace journals diverge");
+    tk_assert_eq!(
+        journal_a.to_jsonl(),
+        journal_b.to_jsonl(),
+        "trace journals diverge"
+    );
     Ok(())
 }
 
@@ -274,12 +291,19 @@ fn naive_and_grid_agree_on_box_tapes() {
 #[test]
 fn box_tapes_reach_every_receiver_outcome() {
     let total = RefCell::new(Tally::default());
-    let cfg = Config { cases: 64, ..Config::default() };
-    check_with(cfg, "box_tapes_reach_every_receiver_outcome", |g: &mut Gen| {
-        let (positions, tape, seed) = gen_box_tape(g);
-        let prop = PropagationModel::free_space();
-        run_differential(prop, positions, &tape, seed, &mut total.borrow_mut())
-    });
+    let cfg = Config {
+        cases: 64,
+        ..Config::default()
+    };
+    check_with(
+        cfg,
+        "box_tapes_reach_every_receiver_outcome",
+        |g: &mut Gen| {
+            let (positions, tape, seed) = gen_box_tape(g);
+            let prop = PropagationModel::free_space();
+            run_differential(prop, positions, &tape, seed, &mut total.borrow_mut())
+        },
+    );
     let t = total.into_inner();
     assert!(t.decoded > 0 && t.collided > 0 && t.sensed > 0, "{t:?}");
 }
@@ -309,12 +333,7 @@ fn journal_gate_is_not_vacuous() {
     let radio = RadioParams::paper_default(&prop);
     for index in [MediumIndex::Naive, MediumIndex::Grid] {
         let journal = Tracer::new(TraceConfig::verbose());
-        let mut m = Medium::with_index(
-            prop,
-            radio,
-            vec![Vec2::ZERO, Vec2::new(100.0, 0.0)],
-            index,
-        );
+        let mut m = Medium::with_index(prop, radio, vec![Vec2::ZERO, Vec2::new(100.0, 0.0)], index);
         m.set_tracer(journal.clone());
         let mut rng = Xoshiro256::new(7);
         let (tx, edges) = begin(&mut m, 0, SimTime::ZERO, &mut rng);

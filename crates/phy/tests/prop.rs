@@ -13,7 +13,12 @@ use mg_testkit::prop::{check, Gen, TkResult};
 use mg_testkit::{tk_assert, tk_assert_eq};
 
 /// Starts a transmission, returning its id and the busy edges it causes.
-fn begin(m: &mut Medium, src: usize, now: SimTime, rng: &mut Xoshiro256) -> (TxId, Vec<EdgeChange>) {
+fn begin(
+    m: &mut Medium,
+    src: usize,
+    now: SimTime,
+    rng: &mut Xoshiro256,
+) -> (TxId, Vec<EdgeChange>) {
     let mut edges = Vec::new();
     let tx = m.begin_tx(src, now, rng, &mut edges);
     (tx, edges)
@@ -129,11 +134,7 @@ fn clean_reception_by_distance() {
         let seed = g.any_u64();
         let prop_model = PropagationModel::free_space();
         let radio = RadioParams::paper_default(&prop_model);
-        let mut medium = Medium::new(
-            prop_model,
-            radio,
-            vec![Vec2::ZERO, Vec2::new(d, 0.0)],
-        );
+        let mut medium = Medium::new(prop_model, radio, vec![Vec2::ZERO, Vec2::new(d, 0.0)]);
         let mut rng = Xoshiro256::new(seed);
         let (tx, _) = begin(&mut medium, 0, SimTime::ZERO, &mut rng);
         let out = end(&mut medium, tx, SimTime::ZERO).outcome_of(1);

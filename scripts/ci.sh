@@ -56,6 +56,11 @@ cargo build --release --offline
 echo "== clippy: no warnings =="
 cargo clippy --workspace --all-targets --offline -q -- -D warnings
 
+echo "== rustfmt: formatted crates stay formatted =="
+# Crate by crate toward a workspace-wide `cargo fmt --all --check`: each
+# crate listed here is rustfmt-clean and must stay so.
+cargo fmt -p mg-phy --check
+
 echo "== tests (offline) =="
 cargo test -q --workspace --offline
 

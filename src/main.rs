@@ -51,6 +51,44 @@
 
 use manet_guard::prelude::*;
 use manet_guard::serve;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// `print!` to stdout, except that a closed pipe (`manet-guard … | head`)
+/// ends the output quietly: the reader has all it wanted, so a panic and a
+/// backtrace would only be noise.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` with [`out!`]'s handling of a closed pipe.
+macro_rules! outln {
+    () => {
+        out!("\n")
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Set once a write to stdout has failed with `BrokenPipe`. Later output is
+/// dropped, and the command still does the rest of its work: `detect`
+/// writes its `--trace` and `--record` files after its report.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            panic!("failed printing to stdout: {e}");
+        }
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -303,11 +341,11 @@ fn params() {
         ("grid", ScenarioConfig::grid_paper(0)),
         ("random", ScenarioConfig::random_paper(0)),
     ] {
-        println!("[{name} topology]");
+        outln!("[{name} topology]");
         for (k, v) in cfg.table1_rows() {
-            println!("  {k:<30} {v}");
+            outln!("  {k:<30} {v}");
         }
-        println!();
+        outln!();
     }
 }
 
@@ -315,7 +353,7 @@ fn params() {
 /// replay path and the `mgd` daemon — the ci.sh gates diff these lines
 /// byte-for-byte, so the single producer is [`render_report`].
 fn report_diagnosis(attacker_node: usize, sample_size: usize, multi: bool, diag: &Diagnosis) {
-    print!("{}", render_report(attacker_node, sample_size, multi, diag));
+    out!("{}", render_report(attacker_node, sample_size, multi, diag));
 }
 
 /// Runs the built world and prints the detection report. Generic over the
@@ -336,12 +374,12 @@ fn run_and_report<P: NetObserver>(
     world.run_until(SimTime::from_secs(o.secs));
     let wall = t0.elapsed();
 
-    println!(
+    outln!(
         "run      : {}s virtual in {wall:.2?} ({} events)",
         o.secs,
         world.events_fired()
     );
-    println!(
+    outln!(
         "load     : measured rho = {:.2}",
         world.monitors().diagnosis(watches[0].1).measured_rho
     );
@@ -359,7 +397,7 @@ fn emit_trace_metrics<P: NetObserver>(world: &World<Assembly<P>>, o: &DetectOpts
     if let Some(path) = &o.trace {
         let tracer = world.tracer();
         match std::fs::write(path, tracer.to_jsonl()) {
-            Ok(()) => println!(
+            Ok(()) => outln!(
                 "trace    : {} events written to {path} ({} dropped by ring)",
                 tracer.len(),
                 tracer.dropped()
@@ -371,7 +409,7 @@ fn emit_trace_metrics<P: NetObserver>(world: &World<Assembly<P>>, o: &DetectOpts
         }
     }
     if o.metrics {
-        println!("metrics  : {}", world.metrics().snapshot().to_json().render());
+        outln!("metrics  : {}", world.metrics().snapshot().to_json().render());
     }
 }
 
@@ -380,7 +418,7 @@ fn emit_trace_metrics<P: NetObserver>(world: &World<Assembly<P>>, o: &DetectOpts
 fn save_recording(journal: &ObsJournal, path: &str, format: JournalFormat) {
     let bytes = journal.encode(format);
     match manet_guard::obs::codec::write_atomic(std::path::Path::new(path), &bytes) {
-        Ok(()) => println!(
+        Ok(()) => outln!(
             "record   : {} observations written to {path} ({format} format)",
             journal.len()
         ),
@@ -426,13 +464,13 @@ fn quorum_detect(o: &DetectOpts, k: usize) {
         std::process::exit(1);
     }
 
-    println!(
+    outln!(
         "scenario : {} nodes, static, background {} pkt/s x {} sources",
         pos.len(),
         o.rate,
         cfg.source_count,
     );
-    println!(
+    outln!(
         "attacker : node {attacker_node} (PM = {}%), quorum: {} monitor(s), k = {k}",
         o.pm,
         members.len()
@@ -455,7 +493,7 @@ fn quorum_detect(o: &DetectOpts, k: usize) {
     }
     builder.source(SourceCfg::saturated(attacker_node, primary));
     if !o.faults.is_noop() {
-        println!("faults   : {:?}", o.faults);
+        outln!("faults   : {:?}", o.faults);
     }
     if o.trace.is_some() {
         builder.trace(TraceConfig::verbose());
@@ -490,7 +528,7 @@ fn quorum_detect(o: &DetectOpts, k: usize) {
 
     let t0 = std::time::Instant::now();
     world.run_until(SimTime::from_secs(o.secs));
-    println!(
+    outln!(
         "run      : {}s virtual in {:.2?} ({} events)",
         o.secs,
         t0.elapsed(),
@@ -509,7 +547,7 @@ fn quorum_detect(o: &DetectOpts, k: usize) {
     if let Some(path) = &o.record {
         save_recording(journal, path, o.journal_format);
     }
-    print!("{}", q.report());
+    out!("{}", q.report());
 }
 
 /// `detect --replay`: no simulation — open the binary journal, build one
@@ -536,7 +574,7 @@ fn replay_detect(o: &DetectOpts, path: &str) {
         mc.blatant_check = false;
     }
 
-    println!(
+    outln!(
         "replay   : {path} ({} format, {} events, {} vantage(s), world seed {})",
         JournalFormat::Binary,
         reader.len(),
@@ -559,31 +597,31 @@ fn replay_detect(o: &DetectOpts, path: &str) {
             );
             std::process::exit(1);
         }
-        println!(
+        outln!(
             "attacker : node {attacker_node} (PM = {pm}%), quorum: {} monitor(s), k = {k}",
             members.len()
         );
         if !o.faults.is_noop() {
-            println!("faults   : {:?}", o.faults);
+            outln!("faults   : {:?}", o.faults);
         }
         let t0 = std::time::Instant::now();
         let mut q = QuorumSpec::new(attacker_node, &members, mc.with_sample_size(o.samples[0]), k)
             .with_faults(o.faults.clone())
             .build();
         journal.replay(&mut q);
-        println!(
+        outln!(
             "run      : {} events replayed into {} collaborating monitor(s) in {:.2?}",
             journal.len(),
             members.len(),
             t0.elapsed()
         );
-        print!("{}", q.report());
+        out!("{}", q.report());
         return;
     }
 
-    println!("attacker : node {attacker_node} (PM = {pm}%), monitor: node {primary}");
+    outln!("attacker : node {attacker_node} (PM = {pm}%), monitor: node {primary}");
     if !o.faults.is_noop() {
-        println!("faults   : {:?}", o.faults);
+        outln!("faults   : {:?}", o.faults);
     }
 
     let t0 = std::time::Instant::now();
@@ -602,13 +640,13 @@ fn replay_detect(o: &DetectOpts, path: &str) {
             (n, session)
         })
         .collect();
-    println!(
+    outln!(
         "run      : {} events replayed into {} monitor(s) in {:.2?}",
         reader.len(),
         sessions.len(),
         t0.elapsed()
     );
-    println!(
+    outln!(
         "load     : measured rho = {:.2}",
         sessions[0].1.diagnosis().measured_rho
     );
@@ -695,12 +733,12 @@ fn open_journal_or_exit(path: &str) -> JournalReader {
 fn journal_info(path: &str, deltas: bool) {
     let r = open_journal_or_exit(path);
     let meta = r.meta();
-    println!("journal  : {path}");
-    println!("format   : {}", JournalFormat::Binary);
-    println!("size     : {} bytes", r.size_bytes());
-    println!("events   : {}", r.len());
-    println!("tagged   : node {}", meta.tagged);
-    println!(
+    outln!("journal  : {path}");
+    outln!("format   : {}", JournalFormat::Binary);
+    outln!("size     : {} bytes", r.size_bytes());
+    outln!("events   : {}", r.len());
+    outln!("tagged   : node {}", meta.tagged);
+    outln!(
         "vantages : {} ({})",
         meta.vantages.len(),
         meta.vantages
@@ -710,10 +748,10 @@ fn journal_info(path: &str, deltas: bool) {
             .collect::<Vec<_>>()
             .join(",")
     );
-    println!("distance : {}", meta.pair_distance);
-    println!("seed     : {}", meta.seed);
+    outln!("distance : {}", meta.pair_distance);
+    outln!("seed     : {}", meta.seed);
     for (k, v) in &meta.params {
-        println!("param    : {k} = {v}");
+        outln!("param    : {k} = {v}");
     }
     if deltas {
         journal_deltas(&r, path);
@@ -731,7 +769,7 @@ fn journal_deltas(r: &JournalReader, path: &str) {
     impl ObsSink for Printer {
         fn ingest(&mut self, obs: &Obs) {
             for d in self.session.ingest(obs) {
-                println!("{}", d.to_json().render());
+                outln!("{}", d.to_json().render());
                 self.emitted += 1;
             }
         }
@@ -744,7 +782,7 @@ fn journal_deltas(r: &JournalReader, path: &str) {
         eprintln!("error: journal {path} is damaged: {e}");
         std::process::exit(1);
     }
-    println!("deltas   : {} emitted", p.emitted);
+    outln!("deltas   : {} emitted", p.emitted);
 }
 
 /// `journal send`: stream a journal to a running `mgd` daemon over the
@@ -772,8 +810,8 @@ fn journal_send(path: &str, addr: &str, chunk: usize) {
         eprintln!("error: no report from {addr}: {e}");
         std::process::exit(1);
     }
-    println!("sent     : {sent} event(s) from {path} to {addr}");
-    print!("{response}");
+    outln!("sent     : {sent} event(s) from {path} to {addr}");
+    out!("{response}");
 }
 
 /// Streams `input` into `output` re-encoded as `format` — one event in
@@ -792,7 +830,7 @@ fn journal_transcode(input: &str, output: &str, format: JournalFormat) {
     }
     let n = w.len();
     match w.save(std::path::Path::new(output)) {
-        Ok(()) => println!("transcode: {n} events {input} -> {output} ({format} format)"),
+        Ok(()) => outln!("transcode: {n} events {input} -> {output} ({format} format)"),
         Err(e) => {
             eprintln!("error: cannot write journal to {output}: {e}");
             std::process::exit(1);
@@ -822,14 +860,14 @@ fn detect(o: DetectOpts) {
 
     let scenario = Scenario::new(cfg);
     let (attacker_node, vantage) = scenario.tagged_pair();
-    println!(
+    outln!(
         "scenario : {} nodes, {}, background {} pkt/s x {} sources",
         scenario.positions().len(),
         if o.mobile { "mobile (RWP 0-20 m/s)" } else { "static" },
         o.rate,
         cfg.source_count,
     );
-    println!(
+    outln!(
         "attacker : node {attacker_node} (PM = {}%), monitor: node {vantage}",
         o.pm
     );
@@ -872,7 +910,7 @@ fn detect(o: DetectOpts) {
         .collect();
     builder.source(SourceCfg::saturated(attacker_node, vantage));
     if !o.faults.is_noop() {
-        println!("faults   : {:?}", o.faults);
+        outln!("faults   : {:?}", o.faults);
         builder.fault(o.faults.clone());
     }
     if o.trace.is_some() {
