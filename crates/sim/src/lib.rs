@@ -7,9 +7,10 @@
 //! * [`SimTime`] / [`SimDuration`] — a virtual clock with **nanosecond**
 //!   resolution (IEEE 802.11 timing constants such as the 20 µs slot, 10 µs
 //!   SIFS and fractional-slot DIFS all stay exactly representable).
-//! * [`Scheduler`] — a binary-heap event queue with strictly deterministic
-//!   FIFO tie-breaking for events scheduled at the same instant; it drops
-//!   the entries its caller's predicate rejects (re-armed timers' stale
+//! * [`Scheduler`] — a calendar event queue (near events in time buckets,
+//!   far ones in a binary heap) with strictly deterministic FIFO
+//!   tie-breaking for events scheduled at the same instant; it drops the
+//!   entries its caller's predicate rejects (re-armed timers' stale
 //!   handles) and keeps no cancellation state.
 //! * [`rng`] — self-contained, reproducible random-number streams
 //!   ([`rng::SplitMix64`], [`rng::Xoshiro256`]) and a [`rng::RngDirectory`]

@@ -169,10 +169,7 @@ impl Xoshiro256 {
 
     #[inline]
     fn next(&mut self) -> u64 {
-        let result = self.s[1]
-            .wrapping_mul(5)
-            .rotate_left(7)
-            .wrapping_mul(9);
+        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
         self.s[3] ^= self.s[1];
@@ -232,7 +229,9 @@ impl RngDirectory {
         for &b in domain.as_bytes() {
             h = SplitMix64::mix(h ^ b as u64);
         }
-        Xoshiro256::new(SplitMix64::mix(h ^ index.wrapping_mul(0xA24B_AED4_963E_E407)))
+        Xoshiro256::new(SplitMix64::mix(
+            h ^ index.wrapping_mul(0xA24B_AED4_963E_E407),
+        ))
     }
 }
 
@@ -289,7 +288,11 @@ mod tests {
         let mut rng = Xoshiro256::new(12);
         let n = 100_000;
         let hits = (0..n).filter(|_| rng.bernoulli(0.3)).count() as f64;
-        assert!((hits / n as f64 - 0.3).abs() < 0.01, "rate {}", hits / n as f64);
+        assert!(
+            (hits / n as f64 - 0.3).abs() < 0.01,
+            "rate {}",
+            hits / n as f64
+        );
         let mut rng = Xoshiro256::new(12);
         assert!(!(0..1000).any(|_| rng.bernoulli(0.0)));
         let mut rng = Xoshiro256::new(12);

@@ -5,10 +5,17 @@
 //! (strict FIFO), which — together with seeded RNG streams — makes every
 //! simulation run fully deterministic.
 //!
+//! The queue is a calendar (R. Brown, "Calendar Queues", CACM 31(10),
+//! 1988): an entry due within `BUCKETS` buckets of 2^`SHIFT` ns from
+//! the clock's bucket joins that bucket's list, kept ascending by
+//! `(time, seq)`, and a later one waits in a binary heap. DCF timers are
+//! short fixed delays, so nearly every entry lands in a bucket, where
+//! scheduling and popping take O(1).
+//!
 //! The queue keeps no cancellation state: the caller keeps each timer's
 //! newest [`EventHandle`] and hands [`Scheduler::pop_until`] a predicate
-//! that rejects stale ones, which are dropped when they reach the top of
-//! the heap. Handles are never reused, so a dead entry stays dead.
+//! that rejects stale ones, which are dropped when they reach the front of
+//! the queue. Handles are never reused, so a dead entry stays dead.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -17,6 +24,17 @@ use std::num::NonZeroU64;
 use mg_trace::{EventKind, Tracer};
 
 use crate::time::{SimDuration, SimTime};
+
+/// A bucket spans 2^`SHIFT` ns of virtual time.
+const SHIFT: u32 = 12;
+/// Buckets in the ring, a power of two: absolute bucket `b` lives in ring
+/// slot `b % BUCKETS`, and the ring covers `BUCKETS << SHIFT` ns (16.8 ms)
+/// from the clock's bucket on.
+const BUCKETS: usize = 4096;
+/// Occupancy words, one bit per bucket.
+const WORDS: usize = BUCKETS / 64;
+/// The end of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
 
 /// Identifies a scheduled event, so that a [`Scheduler::pop_until`]
 /// predicate can tell a timer's newest entry from the ones it replaced.
@@ -27,6 +45,13 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventHandle(NonZeroU64);
 
+impl EventHandle {
+    fn of(seq: u64) -> Self {
+        EventHandle(NonZeroU64::MIN.saturating_add(seq))
+    }
+}
+
+/// An entry of the far heap.
 struct Entry<E> {
     time: SimTime,
     seq: u64,
@@ -50,6 +75,23 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// A slab slot: a bucket entry linked to the next one of its bucket, or a
+/// free slot (`payload` taken) linked to the next free one.
+struct Node<E> {
+    time: SimTime,
+    seq: u64,
+    next: u32,
+    payload: Option<E>,
+}
+
+/// The first and last slab slot of a bucket's list, meaningful only while
+/// the bucket's occupancy bit is set.
+#[derive(Clone, Copy, Default)]
+struct Ends {
+    head: u32,
+    tail: u32,
+}
+
 /// A deterministic pending-event queue with a virtual clock.
 ///
 /// The clock ([`Scheduler::now`]) advances only when events are popped; there
@@ -70,10 +112,28 @@ impl<E> Ord for Entry<E> {
 /// ```
 pub struct Scheduler<E> {
     now: SimTime,
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+    /// Bucket entries and free slots; the free list starts at `free`.
+    nodes: Vec<Node<E>>,
+    free: u32,
+    /// Each ring slot's list, ascending by `(time, seq)`. Every bucket
+    /// entry is due in `[bucket(now), bucket(now) + BUCKETS)`, so a slot
+    /// holds one absolute bucket.
+    ends: Box<[Ends]>,
+    /// Bit `b % 64` of word `b / 64` is set while ring slot `b` is not
+    /// empty.
+    occupied: [u64; WORDS],
+    /// Entries in buckets.
+    near: usize,
+    /// Entries due beyond the ring when they were scheduled.
+    far: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
     popped: u64,
     tracer: Tracer,
+}
+
+/// The absolute bucket `t` falls in.
+fn bucket(t: SimTime) -> u64 {
+    t.as_nanos() >> SHIFT
 }
 
 impl<E> Scheduler<E> {
@@ -81,7 +141,12 @@ impl<E> Scheduler<E> {
     pub fn new() -> Self {
         Scheduler {
             now: SimTime::ZERO,
-            heap: BinaryHeap::new(),
+            nodes: Vec::new(),
+            free: NIL,
+            ends: vec![Ends::default(); BUCKETS].into_boxed_slice(),
+            occupied: [0; WORDS],
+            near: 0,
+            far: BinaryHeap::new(),
             next_seq: 0,
             popped: 0,
             tracer: Tracer::disabled(),
@@ -107,7 +172,7 @@ impl<E> Scheduler<E> {
 
     /// Number of entries queued, dead ones included.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.near + self.far.len()
     }
 
     /// True when no entries are queued.
@@ -116,7 +181,7 @@ impl<E> Scheduler<E> {
     /// `false` for a queue that will deliver nothing;
     /// [`Scheduler::pop_until`] is the authoritative check.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Schedules `payload` to fire at absolute time `at`.
@@ -134,12 +199,16 @@ impl<E> Scheduler<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Entry {
-            time: at,
-            seq,
-            payload,
-        }));
-        EventHandle(NonZeroU64::MIN.saturating_add(seq))
+        if bucket(at) - bucket(self.now) < BUCKETS as u64 {
+            self.insert_near(at, seq, payload);
+        } else {
+            self.far.push(Reverse(Entry {
+                time: at,
+                seq,
+                payload,
+            }));
+        }
+        EventHandle::of(seq)
     }
 
     /// Schedules `payload` to fire `after` from now.
@@ -150,8 +219,8 @@ impl<E> Scheduler<E> {
     /// Pops the next entry `live` accepts if it is due at or before `until`,
     /// advancing the clock to its timestamp.
     ///
-    /// Every entry `live` rejects is dropped as soon as it reaches the top
-    /// of the heap, whatever its time: it moves no clock, is not counted in
+    /// Every entry `live` rejects is dropped as soon as it reaches the front
+    /// of the queue, whatever its time: it moves no clock, is not counted in
     /// [`Scheduler::events_fired`] and is not journaled. Returns `None` when
     /// the queue holds no live entry due by `until`; a live entry due later
     /// stays queued.
@@ -160,30 +229,137 @@ impl<E> Scheduler<E> {
         until: SimTime,
         mut live: impl FnMut(EventHandle, &E) -> bool,
     ) -> Option<(SimTime, E)> {
-        while let Some(Reverse(top)) = self.heap.peek() {
-            let handle = EventHandle(NonZeroU64::MIN.saturating_add(top.seq));
-            if !live(handle, &top.payload) {
-                self.heap.pop();
-                continue;
-            }
-            if top.time > until {
+        loop {
+            let near = self
+                .first_occupied()
+                .map(|b| (b, &self.nodes[self.ends[b].head as usize]));
+            let far = self.far.peek().map(|Reverse(top)| top);
+            // The front: the earlier of the first bucket's head and the heap
+            // top, and the ring slot it leaves from if it is the head.
+            let (time, seq, payload, slot) = match (near, far) {
+                (Some((_, n)), Some(f)) if (f.time, f.seq) < (n.time, n.seq) => {
+                    (f.time, f.seq, &f.payload, None)
+                }
+                (Some((b, n)), _) => {
+                    let payload = n.payload.as_ref().expect("a queued node holds its payload");
+                    (n.time, n.seq, payload, Some(b))
+                }
+                (None, Some(f)) => (f.time, f.seq, &f.payload, None),
+                (None, None) => return None,
+            };
+            let accepted = live(EventHandle::of(seq), payload);
+            if accepted && time > until {
                 return None;
             }
-            let Reverse(entry) = self.heap.pop().expect("the top entry exists");
-            debug_assert!(entry.time >= self.now, "event queue went backwards");
-            self.now = entry.time;
-            self.popped += 1;
-            self.tracer
-                .emit(entry.time.as_nanos(), None, EventKind::SchedDispatch { seq: entry.seq });
-            return Some((entry.time, entry.payload));
+            let payload = match slot {
+                Some(b) => self.unlink_head(b),
+                None => self.far.pop().expect("the heap top exists").0.payload,
+            };
+            if accepted {
+                debug_assert!(time >= self.now, "event queue went backwards");
+                self.now = time;
+                self.popped += 1;
+                self.tracer
+                    .emit(time.as_nanos(), None, EventKind::SchedDispatch { seq });
+                return Some((time, payload));
+            }
         }
-        None
     }
 
     /// [`Scheduler::pop_until`] for a queue whose every entry is live:
     /// `None` once it has drained.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.pop_until(SimTime::MAX, |_, _| true)
+    }
+
+    /// Links a new entry into its bucket's list. It carries the largest
+    /// `seq` yet, so it goes after every entry due at or before `at`: at
+    /// the tail unless the tail is due later, and only then by a walk from
+    /// the head.
+    fn insert_near(&mut self, at: SimTime, seq: u64, payload: E) {
+        let node = Node {
+            time: at,
+            seq,
+            next: NIL,
+            payload: Some(payload),
+        };
+        let i = if self.free == NIL {
+            let i = u32::try_from(self.nodes.len()).expect("fewer than 2^32 - 1 bucket entries");
+            self.nodes.push(node);
+            i
+        } else {
+            let i = self.free;
+            self.free = self.nodes[i as usize].next;
+            self.nodes[i as usize] = node;
+            i
+        };
+        self.near += 1;
+        let b = bucket(at) as usize % BUCKETS;
+        let (word, bit) = (b / 64, 1u64 << (b % 64));
+        if self.occupied[word] & bit == 0 {
+            self.occupied[word] |= bit;
+            self.ends[b] = Ends { head: i, tail: i };
+            return;
+        }
+        let Ends { head, tail } = self.ends[b];
+        if self.nodes[tail as usize].time <= at {
+            self.nodes[tail as usize].next = i;
+            self.ends[b].tail = i;
+        } else if self.nodes[head as usize].time > at {
+            self.nodes[i as usize].next = head;
+            self.ends[b].head = i;
+        } else {
+            // The tail is due later, so the walk stops before it.
+            let mut prev = head;
+            loop {
+                let next = self.nodes[prev as usize].next;
+                if self.nodes[next as usize].time > at {
+                    break;
+                }
+                prev = next;
+            }
+            self.nodes[i as usize].next = self.nodes[prev as usize].next;
+            self.nodes[prev as usize].next = i;
+        }
+    }
+
+    /// The ring slot holding the earliest bucket entry: the first occupied
+    /// slot at or after the clock's, wrapping round the ring.
+    fn first_occupied(&self) -> Option<usize> {
+        if self.near == 0 {
+            return None;
+        }
+        let start = bucket(self.now) as usize % BUCKETS;
+        let w0 = start / 64;
+        let word = self.occupied[w0] & (!0u64 << (start % 64));
+        if word != 0 {
+            return Some(w0 * 64 + word.trailing_zeros() as usize);
+        }
+        // The last probe is word `w0` again: its bits below `start` are the
+        // ring's latest buckets, one revolution ahead of the clock's slot.
+        (1..=WORDS).map(|k| (w0 + k) % WORDS).find_map(|w| {
+            let word = self.occupied[w];
+            (word != 0).then(|| w * 64 + word.trailing_zeros() as usize)
+        })
+    }
+
+    /// Unlinks ring slot `b`'s head and frees its slab slot.
+    fn unlink_head(&mut self, b: usize) -> E {
+        let i = self.ends[b].head;
+        let node = &mut self.nodes[i as usize];
+        let payload = node
+            .payload
+            .take()
+            .expect("a queued node holds its payload");
+        let next = std::mem::replace(&mut node.next, self.free);
+        self.free = i;
+        self.near -= 1;
+        if next == NIL {
+            self.occupied[b / 64] &= !(1u64 << (b % 64));
+        } else {
+            self.ends[b].head = next;
+        }
+        payload
     }
 }
 
@@ -197,7 +373,7 @@ impl<E> std::fmt::Debug for Scheduler<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
             .field("now", &self.now)
-            .field("pending", &self.heap.len())
+            .field("pending", &self.len())
             .field("fired", &self.popped)
             .finish()
     }
@@ -301,6 +477,79 @@ mod tests {
     #[test]
     fn optional_handles_take_eight_bytes() {
         assert_eq!(std::mem::size_of::<Option<EventHandle>>(), 8);
+    }
+
+    /// The span the ring covers from the clock's bucket on.
+    const HORIZON_NS: u64 = (BUCKETS as u64) << SHIFT;
+
+    #[test]
+    fn an_instant_queued_far_then_near_pops_in_seq_order() {
+        let mut s: Scheduler<u32> = Scheduler::new();
+        let at = SimTime::from_nanos(2 * HORIZON_NS + 123);
+        s.schedule_at(at, 0); // beyond the horizon: the heap
+        s.schedule_at(SimTime::from_nanos(2 * HORIZON_NS - 5_000), 9);
+        assert_eq!(s.pop().map(|(_, e)| e), Some(9)); // the clock nears `at`
+        s.schedule_at(at, 1); // within the horizon now: a bucket
+        s.schedule_at(at, 2);
+        let (far_at, far) = (SimTime::from_nanos(at.as_nanos() + HORIZON_NS), 3);
+        s.schedule_at(far_at, far);
+        let order: Vec<(SimTime, u32)> = std::iter::from_fn(|| s.pop()).collect();
+        assert_eq!(order, vec![(at, 0), (at, 1), (at, 2), (far_at, far)]);
+    }
+
+    #[test]
+    fn a_thousand_entry_burst_at_one_instant_pops_fifo() {
+        let mut s: Scheduler<u32> = Scheduler::new();
+        let at = (1 << SHIFT) * 3 + 7;
+        for i in 1..=1_000 {
+            s.schedule_at(SimTime::from_nanos(at), i);
+        }
+        // After the burst, the bucket takes a new tail, an entry the list
+        // is walked for, a new head, and one more at the burst's instant.
+        for (dt, i) in [(10, 1_001), (5, 1_002), (-1, 1_003), (0, 1_004)] {
+            s.schedule_at(SimTime::from_nanos(at.saturating_add_signed(dt)), i);
+        }
+        let order: Vec<u32> = std::iter::from_fn(|| s.pop().map(|(_, e)| e)).collect();
+        let expected: Vec<u32> = std::iter::once(1_003)
+            .chain(1..=1_000)
+            .chain([1_004, 1_002, 1_001])
+            .collect();
+        assert_eq!(order, expected);
+    }
+
+    #[test]
+    fn len_counts_bucket_and_heap_entries() {
+        let mut s: Scheduler<u8> = Scheduler::new();
+        assert!(s.is_empty());
+        s.schedule_at(SimTime::from_micros(5), 0);
+        s.schedule_at(SimTime::from_micros(5), 1);
+        s.schedule_at(SimTime::from_nanos(3 * HORIZON_NS), 2);
+        assert_eq!((s.near, s.far.len(), s.len()), (2, 1, 3));
+        assert!(!s.is_empty());
+        s.pop();
+        assert_eq!(s.len(), 2);
+        s.pop();
+        s.pop();
+        assert!(s.is_empty());
+        assert!(format!("{s:?}").contains("pending: 0, fired: 3"));
+    }
+
+    #[test]
+    fn stale_bucket_head_is_dropped_silently() {
+        use mg_trace::{TraceConfig, Tracer};
+        let tracer = Tracer::new(TraceConfig::verbose());
+        let mut s: Scheduler<u8> = Scheduler::new();
+        s.set_tracer(tracer.clone());
+        let dead = s.schedule_at(SimTime::from_micros(5), 1);
+        s.schedule_at(SimTime::from_micros(5), 2);
+        s.schedule_at(SimTime::from_nanos(2 * HORIZON_NS), 3);
+        let live = |e, _: &u8| e != dead;
+        // The dead head is dropped although it is due after `until`.
+        assert!(s.pop_until(SimTime::from_micros(4), live).is_none());
+        assert_eq!((s.len(), s.now(), s.events_fired()), (2, SimTime::ZERO, 0));
+        assert!(tracer.is_empty());
+        assert_eq!(s.pop_until(SimTime::MAX, live).map(|(_, e)| e), Some(2));
+        assert_eq!(tracer.len(), 1);
     }
 
     #[test]

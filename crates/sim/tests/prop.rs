@@ -9,31 +9,44 @@ use mg_testkit::prop::{check, Gen, TkResult};
 use mg_testkit::{tk_assert, tk_assert_eq, tk_assert_ne};
 use mg_trace::{EventKind, TraceConfig, Tracer};
 
+/// The scheduler's calendar geometry, private to it: 2^12 ns buckets, 4,096
+/// of them. The properties hold whatever the geometry; these constants only
+/// aim the drawn times at this one's edges.
+const BUCKET_NS: u64 = 1 << 12;
+const HORIZON_NS: u64 = BUCKET_NS * 4096;
+
 /// Events always pop in (time, insertion) order regardless of insertion
-/// order.
+/// order, near times (in buckets) and far ones (in the heap) alike.
 #[test]
 fn scheduler_is_a_stable_priority_queue() {
-    check("scheduler_is_a_stable_priority_queue", |g: &mut Gen| -> TkResult {
-        let times = g.vec(1..200, |g| g.u64_in(0..10_000));
-        let mut s: Scheduler<(u64, usize)> = Scheduler::new();
-        for (i, &t) in times.iter().enumerate() {
-            s.schedule_at(SimTime::from_micros(t), (t, i));
-        }
-        let mut popped = Vec::new();
-        while let Some((at, (t, i))) = s.pop() {
-            tk_assert_eq!(at, SimTime::from_micros(t));
-            popped.push((t, i));
-        }
-        let mut expected = times
-            .iter()
-            .copied()
-            .enumerate()
-            .map(|(i, t)| (t, i))
-            .collect::<Vec<_>>();
-        expected.sort();
-        tk_assert_eq!(popped, expected);
-        Ok(())
-    });
+    check(
+        "scheduler_is_a_stable_priority_queue",
+        |g: &mut Gen| -> TkResult {
+            let times = g.vec(1..200, |g| match g.u8_in(0..3) {
+                0 => g.u64_in(0..50) * 1_000,
+                1 => g.u64_in(0..10_000) * 1_000,
+                _ => g.u64_in(0..4 * HORIZON_NS),
+            });
+            let mut s: Scheduler<(u64, usize)> = Scheduler::new();
+            for (i, &t) in times.iter().enumerate() {
+                s.schedule_at(SimTime::from_nanos(t), (t, i));
+            }
+            let mut popped = Vec::new();
+            while let Some((at, (t, i))) = s.pop() {
+                tk_assert_eq!(at, SimTime::from_nanos(t));
+                popped.push((t, i));
+            }
+            let mut expected = times
+                .iter()
+                .copied()
+                .enumerate()
+                .map(|(i, t)| (t, i))
+                .collect::<Vec<_>>();
+            expected.sort();
+            tk_assert_eq!(popped, expected);
+            Ok(())
+        },
+    );
 }
 
 /// Rejecting an arbitrary subset of handles delivers exactly the
@@ -136,101 +149,158 @@ enum Tag {
     Free(u32),
 }
 
+/// A delay from the clock, drawn before the tape runs and resolved against
+/// the clock when its op does, so that edge cases stay edge cases.
 #[derive(Clone, Copy, Debug)]
-enum Op {
-    Arm(usize, u64),
-    Disarm(usize),
-    Schedule(u64),
-    RunUntil(u64),
+enum Delay {
+    Zero,
+    /// Under one bucket.
+    Short(u64),
+    /// `off` − 8 ns from the start of the bucket `buckets` past the clock's:
+    /// across a bucket boundary, or across the horizon.
+    Edge {
+        buckets: u64,
+        off: u64,
+    },
+    /// Up to four horizons: far entries, and runs that wrap the ring.
+    Long(u64),
 }
 
-const SLOTS: usize = 3;
+impl Delay {
+    fn draw(g: &mut Gen) -> Delay {
+        match g.u8_in(0..5) {
+            0 => Delay::Zero,
+            1 => Delay::Short(g.u64_in(0..BUCKET_NS)),
+            2 => Delay::Edge {
+                buckets: g.u64_in(1..4),
+                off: g.u64_in(0..16),
+            },
+            3 => Delay::Edge {
+                buckets: g.u64_in(4094..4099),
+                off: g.u64_in(0..16),
+            },
+            _ => Delay::Long(g.u64_in(0..4 * HORIZON_NS)),
+        }
+    }
+
+    /// Nanoseconds from `now`.
+    fn ns_from(self, now: SimTime) -> u64 {
+        let now = now.as_nanos();
+        match self {
+            Delay::Zero => 0,
+            Delay::Short(ns) | Delay::Long(ns) => ns,
+            Delay::Edge { buckets, off } => {
+                let edge = (now / BUCKET_NS + buckets) * BUCKET_NS;
+                (edge + off).saturating_sub(now + 8)
+            }
+        }
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Arm(usize, Delay),
+    Disarm(usize),
+    Schedule(Delay),
+    RunUntil(Delay),
+}
+
+const SLOTS: usize = 8;
 
 /// `pop_until` with a timer-slot predicate behaves exactly as the lazy-cancel
 /// queue it replaced: random tapes of arm (re-arm overwrites the slot; the
 /// reference cancels the old handle first), disarm, free schedules and
 /// runs to a time pop the same `(time, payload)` sequence, journal the same
 /// dispatch seqs, count the same events and leave the same clock. A fired
-/// timer's slot is cleared, as `World` clears it.
+/// timer's slot is cleared, as `World` clears it. Delays mix zero, within a
+/// bucket, across a bucket boundary, across the horizon and up to four
+/// horizons, so entries land in buckets and in the heap, heap entries come
+/// near as the clock moves, and runs wrap the ring.
 #[test]
 fn pop_until_matches_lazy_cancel_reference() {
-    check("pop_until_matches_lazy_cancel_reference", |g: &mut Gen| -> TkResult {
-        let tape = g.vec(1..200, |g| match g.u8_in(0..4) {
-            0 => Op::Arm(g.usize_in(0..SLOTS), g.u64_in(0..50)),
-            1 => Op::Disarm(g.usize_in(0..SLOTS)),
-            2 => Op::Schedule(g.u64_in(0..50)),
-            _ => Op::RunUntil(g.u64_in(0..60)),
-        });
-        let tracer = Tracer::new(TraceConfig::verbose());
-        let mut s: Scheduler<Tag> = Scheduler::new();
-        s.set_tracer(tracer.clone());
-        let mut slots: [Option<EventHandle>; SLOTS] = [None; SLOTS];
-        let mut reference = LazyCancel::new();
-        let mut ref_slots: [Option<u64>; SLOTS] = [None; SLOTS];
-        let (mut popped, mut ref_popped) = (Vec::new(), Vec::new());
-        let ops = tape.iter().copied().chain([Op::RunUntil(u64::MAX)]);
-        for (n, op) in ops.enumerate() {
-            let n = n as u32;
-            let at = |now: SimTime, dt: u64| now + SimDuration::from_micros(dt);
-            match op {
-                Op::Arm(k, dt) => {
-                    slots[k] = Some(s.schedule_at(at(s.now(), dt), Tag::Timer(k, n)));
-                    if let Some(old) = ref_slots[k].take() {
-                        reference.cancel(old);
-                    }
-                    let seq = reference.schedule_at(at(reference.now, dt), Tag::Timer(k, n));
-                    ref_slots[k] = Some(seq);
-                }
-                Op::Disarm(k) => {
-                    slots[k] = None;
-                    if let Some(old) = ref_slots[k].take() {
-                        reference.cancel(old);
-                    }
-                }
-                Op::Schedule(dt) => {
-                    s.schedule_at(at(s.now(), dt), Tag::Free(n));
-                    reference.schedule_at(at(reference.now, dt), Tag::Free(n));
-                }
-                Op::RunUntil(dt) => {
-                    let until = s.now().as_nanos().saturating_add(dt.saturating_mul(1000));
-                    let until = SimTime::from_nanos(until);
-                    while let Some((t, tag)) = s.pop_until(until, |h, tag| match *tag {
-                        Tag::Timer(k, _) => slots[k] == Some(h),
-                        Tag::Free(_) => true,
-                    }) {
-                        if let Tag::Timer(k, _) = tag {
-                            slots[k] = None;
+    check(
+        "pop_until_matches_lazy_cancel_reference",
+        |g: &mut Gen| -> TkResult {
+            let tape = g.vec(1..400, |g| match g.u8_in(0..4) {
+                0 => Op::Arm(g.usize_in(0..SLOTS), Delay::draw(g)),
+                1 => Op::Disarm(g.usize_in(0..SLOTS)),
+                2 => Op::Schedule(Delay::draw(g)),
+                _ => Op::RunUntil(Delay::draw(g)),
+            });
+            let tracer = Tracer::new(TraceConfig::verbose());
+            let mut s: Scheduler<Tag> = Scheduler::new();
+            s.set_tracer(tracer.clone());
+            let mut slots: [Option<EventHandle>; SLOTS] = [None; SLOTS];
+            let mut reference = LazyCancel::new();
+            let mut ref_slots: [Option<u64>; SLOTS] = [None; SLOTS];
+            let (mut popped, mut ref_popped) = (Vec::new(), Vec::new());
+            let ops = tape
+                .iter()
+                .copied()
+                .chain([Op::RunUntil(Delay::Long(u64::MAX))]);
+            for (n, op) in ops.enumerate() {
+                let n = n as u32;
+                let at = |now: SimTime, d: Delay| now + SimDuration::from_nanos(d.ns_from(now));
+                match op {
+                    Op::Arm(k, d) => {
+                        slots[k] = Some(s.schedule_at(at(s.now(), d), Tag::Timer(k, n)));
+                        if let Some(old) = ref_slots[k].take() {
+                            reference.cancel(old);
                         }
-                        popped.push((t, tag));
+                        let seq = reference.schedule_at(at(reference.now, d), Tag::Timer(k, n));
+                        ref_slots[k] = Some(seq);
                     }
-                    while let Some(t) = reference.peek_time() {
-                        if t > until {
-                            break;
+                    Op::Disarm(k) => {
+                        slots[k] = None;
+                        if let Some(old) = ref_slots[k].take() {
+                            reference.cancel(old);
                         }
-                        let (t, tag) = reference.pop().expect("peeked entry exists");
-                        if let Tag::Timer(k, _) = tag {
-                            ref_slots[k] = None;
+                    }
+                    Op::Schedule(d) => {
+                        s.schedule_at(at(s.now(), d), Tag::Free(n));
+                        reference.schedule_at(at(reference.now, d), Tag::Free(n));
+                    }
+                    Op::RunUntil(d) => {
+                        let until = s.now().as_nanos().saturating_add(d.ns_from(s.now()));
+                        let until = SimTime::from_nanos(until);
+                        while let Some((t, tag)) = s.pop_until(until, |h, tag| match *tag {
+                            Tag::Timer(k, _) => slots[k] == Some(h),
+                            Tag::Free(_) => true,
+                        }) {
+                            if let Tag::Timer(k, _) = tag {
+                                slots[k] = None;
+                            }
+                            popped.push((t, tag));
                         }
-                        ref_popped.push((t, tag));
+                        while let Some(t) = reference.peek_time() {
+                            if t > until {
+                                break;
+                            }
+                            let (t, tag) = reference.pop().expect("peeked entry exists");
+                            if let Tag::Timer(k, _) = tag {
+                                ref_slots[k] = None;
+                            }
+                            ref_popped.push((t, tag));
+                        }
                     }
                 }
+                tk_assert_eq!(s.now(), reference.now);
             }
-            tk_assert_eq!(s.now(), reference.now);
-        }
-        tk_assert_eq!(popped, ref_popped);
-        let seqs: Vec<u64> = tracer
-            .events()
-            .iter()
-            .map(|e| match e.kind {
-                EventKind::SchedDispatch { seq } => seq,
-                ref other => panic!("unexpected journal record {other:?}"),
-            })
-            .collect();
-        tk_assert_eq!(seqs, reference.dispatched);
-        tk_assert_eq!(s.events_fired(), reference.dispatched.len() as u64);
-        tk_assert!(s.is_empty() && reference.heap.is_empty());
-        Ok(())
-    });
+            tk_assert_eq!(popped, ref_popped);
+            let seqs: Vec<u64> = tracer
+                .events()
+                .iter()
+                .map(|e| match e.kind {
+                    EventKind::SchedDispatch { seq } => seq,
+                    ref other => panic!("unexpected journal record {other:?}"),
+                })
+                .collect();
+            tk_assert_eq!(seqs, reference.dispatched);
+            tk_assert_eq!(s.events_fired(), reference.dispatched.len() as u64);
+            tk_assert!(s.is_empty() && reference.heap.is_empty());
+            Ok(())
+        },
+    );
 }
 
 /// Durations: div_periods is consistent with multiplication.

@@ -150,10 +150,7 @@ impl Tracer {
     #[inline]
     pub fn emit(&self, t_ns: u64, node: Option<usize>, kind: EventKind) {
         if let Some(inner) = &self.inner {
-            let mut journal = inner.borrow_mut();
-            if kind.level() <= journal.levels[kind.subsystem().index()] {
-                journal.ring.push(Event { t_ns, node, kind });
-            }
+            record(inner, Event { t_ns, node, kind });
         }
     }
 
@@ -188,6 +185,17 @@ impl Tracer {
             out.push('\n');
         }
         out
+    }
+}
+
+/// The enabled path of [`Tracer::emit`], kept out of line so that every
+/// caller inlines the disabled check alone.
+#[cold]
+#[inline(never)]
+fn record(journal: &RefCell<Journal>, event: Event) {
+    let mut journal = journal.borrow_mut();
+    if event.kind.level() <= journal.levels[event.kind.subsystem().index()] {
+        journal.ring.push(event);
     }
 }
 

@@ -60,6 +60,7 @@ echo "== rustfmt: formatted crates stay formatted =="
 # Crate by crate toward a workspace-wide `cargo fmt --all --check`: each
 # crate listed here is rustfmt-clean and must stay so.
 cargo fmt -p mg-phy --check
+cargo fmt -p mg-sim --check
 
 echo "== tests (offline) =="
 cargo test -q --workspace --offline
@@ -93,10 +94,13 @@ TESTKIT_CASES=2000 cargo test -q --release --offline -p mg-phy --test diff_index
 echo "ok: 2000 tapes per property byte-identical under naive and grid"
 
 echo "== differential scheduler property: pop_until vs the lazy-cancel queue =="
-# Random arm/disarm/schedule/run tapes over a few timer slots drive the
-# scheduler (timers re-armed by overwriting their slot) and a test-local
-# copy of the heap-plus-cancel-set queue it replaced; pops, dispatch
-# journal seqs, events fired and the clock must all agree.
+# Random arm/disarm/schedule/run tapes over eight timer slots drive the
+# calendar scheduler (timers re-armed by overwriting their slot) and a
+# test-local copy of the heap-plus-cancel-set queue it replaced; pops,
+# dispatch journal seqs, events fired and the clock must all agree. Delays
+# and runs reach within a bucket, across bucket boundaries, across the
+# ring's horizon and up to four horizons, so the far heap, heap entries
+# that come near, and the ring's wrap-around are all exercised.
 TESTKIT_CASES=2000 cargo test -q --release --offline -p mg-sim --test prop \
     pop_until_matches_lazy_cancel_reference
 echo "ok: 2000 scheduler tapes match the lazy-cancel reference"
